@@ -27,6 +27,7 @@ import (
 	"sevsim/internal/artcache"
 	"sevsim/internal/binanalysis"
 	"sevsim/internal/campaign"
+	"sevsim/internal/checkpoint"
 	"sevsim/internal/compiler"
 	"sevsim/internal/core"
 	"sevsim/internal/faultinj"
@@ -392,6 +393,75 @@ func BenchmarkInjectionCell(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpointLadder measures what a rung of the golden
+// checkpoint ladder costs at the default budget. One iteration records
+// the injection cell's golden run (qsort, O2, A15-like) with a snapshot
+// at each of the DefaultCheckpoints cycles, then walks a scratch machine
+// through that many cross-base restores — each from a different rung
+// than the last, after a short run, the shape of an injection that hops
+// checkpoints. Only the Snapshot and Restore calls themselves are timed:
+//
+//	ns/snapshot   one machine.Snapshot during the recording run
+//	ns/restore    one machine.Restore onto a different rung
+//	B/snapshot    Stream.ResidentBytes / rungs: resident memory per rung,
+//	              shared cache chunks and memory pages counted once
+//
+// ns/op is the whole iteration and mostly simulation; cmd/benchgate
+// gates on ns/snapshot (-unit) against BENCH_layout.json.
+func BenchmarkCheckpointLadder(b *testing.B) {
+	bench, _ := workloads.ByName("qsort")
+	prog, err := compiler.Compile(bench.Source(bench.TestSize), "qsort", compiler.O2,
+		compiler.Target{XLEN: 32, NumArchRegs: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := machine.CortexA15Like()
+	golden := machine.New(cfg, prog).Run(1 << 40)
+	if golden.Outcome != machine.OutcomeOK {
+		b.Fatalf("golden run ended %s", golden.Outcome)
+	}
+	points := checkpoint.Cycles(golden.Cycles, faultinj.DefaultCheckpoints)
+
+	var snapT, restoreT time.Duration
+	var snaps, restores, resident int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		stream, res := checkpoint.Record(machine.New(cfg, prog), 1<<40, points)
+		if res.Cycles != golden.Cycles {
+			b.Fatalf("recording run took %d cycles, golden %d", res.Cycles, golden.Cycles)
+		}
+		resident += stream.ResidentBytes()
+		// Record's own snapshots are inside its simulation loop; time the
+		// same ones on a second machine walking the same run.
+		m := machine.New(cfg, prog)
+		hooks := make([]machine.Hook, len(points))
+		for j, c := range points {
+			hooks[j] = machine.Hook{At: c, Fn: func(mm *machine.Machine) {
+				t0 := time.Now()
+				sn := mm.Snapshot()
+				snapT += time.Since(t0)
+				snaps++
+				sn.Release()
+			}}
+		}
+		m.Run(1<<40, hooks...)
+
+		rungs := stream.Snaps()
+		for j := range rungs {
+			sn := rungs[(j*7+3)%len(rungs)] // 7 is coprime to any power-of-two budget: every rung once, never the same twice running
+			t0 := time.Now()
+			m.Restore(sn)
+			restoreT += time.Since(t0)
+			restores++
+			m.Run(sn.Cycle + 200)
+		}
+		stream.Release()
+	}
+	b.ReportMetric(float64(snapT.Nanoseconds())/float64(snaps), "ns/snapshot")
+	b.ReportMetric(float64(restoreT.Nanoseconds())/float64(restores), "ns/restore")
+	b.ReportMetric(float64(resident)/float64(b.N*len(points)), "B/snapshot")
 }
 
 // BenchmarkPrunedStudy quantifies the static injection pruner: it runs

@@ -1,8 +1,9 @@
 // Command benchgate turns a benchmark run into a pass/fail regression
-// gate. It reads `go test -bench` output on stdin, extracts the ns/op
-// of one benchmark, and compares it against a number recorded in a
-// bench trajectory file (BENCH_checkpoint.json / BENCH_cache.json),
-// addressed by a dotted JSON path:
+// gate. It reads `go test -bench` output on stdin, extracts one metric
+// of one benchmark (ns/op unless -unit names a custom one), and
+// compares it against a number recorded in a bench trajectory file
+// (BENCH_checkpoint.json / BENCH_cache.json / BENCH_layout.json),
+// addressed by a dotted JSON path in which a number indexes an array:
 //
 //	go test -run '^$' -bench 'BenchmarkInjectionCell' -benchtime=1x . |
 //	    go run ./cmd/benchgate -baseline BENCH_checkpoint.json -max-regression 2
@@ -10,6 +11,10 @@
 //	go test -run '^$' -bench 'BenchmarkCachedStudy' -benchtime=1x . |
 //	    go run ./cmd/benchgate -baseline BENCH_cache.json \
 //	        -bench 'BenchmarkCachedStudy/warm' -metric per_prep.warm.ns_per_op
+//
+//	go test -run '^$' -bench 'BenchmarkCheckpointLadder' -benchtime=30x . |
+//	    go run ./cmd/benchgate -baseline BENCH_layout.json -bench BenchmarkCheckpointLadder \
+//	        -unit ns/snapshot -metric trajectory.0.after.ns_per_snapshot
 //
 // The gate fails (exit 1) when the measured time exceeds the baseline
 // by more than the allowed factor. The factor is deliberately loose:
@@ -32,8 +37,9 @@ import (
 func main() {
 	baseline := flag.String("baseline", "BENCH_checkpoint.json", "bench trajectory file holding the recorded ns/op")
 	bench := flag.String("bench", "BenchmarkInjectionCell/fastpath", "benchmark name to gate on (prefix match on the output line)")
-	metric := flag.String("metric", "per_injection.fastpath.ns_per_op", "dotted JSON path of the baseline ns/op inside the trajectory file")
-	maxRegression := flag.Float64("max-regression", 2, "fail when measured ns/op exceeds baseline by more than this factor")
+	metric := flag.String("metric", "per_injection.fastpath.ns_per_op", "dotted JSON path of the baseline value inside the trajectory file")
+	unit := flag.String("unit", "ns/op", "unit of the benchmark output column to gate on (ns/op, or a b.ReportMetric unit such as ns/snapshot)")
+	maxRegression := flag.Float64("max-regression", 2, "fail when the measured value exceeds baseline by more than this factor")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*baseline)
@@ -49,32 +55,40 @@ func main() {
 		fatalf("%s: %v", *baseline, err)
 	}
 
-	measured, err := scanNsPerOp(os.Stdin, *bench)
+	measured, err := scanMetric(os.Stdin, *bench, *unit)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
 	ratio := measured / base
-	fmt.Printf("benchgate: %s measured %.0f ns/op, baseline %.0f ns/op (%s %s), ratio %.2fx (limit %.2fx)\n",
-		*bench, measured, base, *baseline, *metric, ratio, *maxRegression)
+	fmt.Printf("benchgate: %s measured %.0f %s, baseline %.0f %s (%s %s), ratio %.2fx (limit %.2fx)\n",
+		*bench, measured, *unit, base, *unit, *baseline, *metric, ratio, *maxRegression)
 	if ratio > *maxRegression {
 		fatalf("regression: %.2fx exceeds the %.2fx limit", ratio, *maxRegression)
 	}
 }
 
 // metricValue walks a decoded JSON document by a dotted path
-// ("per_prep.warm.ns_per_op") and returns the positive number at the
-// end of it.
+// ("per_prep.warm.ns_per_op", "trajectory.0.after.ns_per_snapshot")
+// and returns the positive number at the end of it.
 func metricValue(doc any, path string) (float64, error) {
 	cur := doc
 	for _, part := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return 0, fmt.Errorf("metric %s: %q is not an object", path, part)
-		}
-		cur, ok = m[part]
-		if !ok {
-			return 0, fmt.Errorf("metric %s: no field %q", path, part)
+		switch node := cur.(type) {
+		case map[string]any:
+			next, ok := node[part]
+			if !ok {
+				return 0, fmt.Errorf("metric %s: no field %q", path, part)
+			}
+			cur = next
+		case []any:
+			i, err := strconv.Atoi(part)
+			if err != nil || i < 0 || i >= len(node) {
+				return 0, fmt.Errorf("metric %s: %q does not index an array of %d", path, part, len(node))
+			}
+			cur = node[i]
+		default:
+			return 0, fmt.Errorf("metric %s: %q is not inside an object or array", path, part)
 		}
 	}
 	v, ok := cur.(float64)
@@ -82,17 +96,17 @@ func metricValue(doc any, path string) (float64, error) {
 		return 0, fmt.Errorf("metric %s: not a number", path)
 	}
 	if v <= 0 {
-		return 0, fmt.Errorf("metric %s: %v is not a positive ns/op", path, v)
+		return 0, fmt.Errorf("metric %s: %v is not a positive baseline", path, v)
 	}
 	return v, nil
 }
 
-// scanNsPerOp echoes stdin through (so the CI log keeps the full
-// benchmark output) and returns the ns/op of the first line naming the
-// benchmark. Benchmark output lines look like:
+// scanMetric echoes stdin through (so the CI log keeps the full
+// benchmark output) and returns the value printed before unit on the
+// first line naming the benchmark. Benchmark output lines look like:
 //
 //	BenchmarkInjectionCell/fastpath-8    3594    577754 ns/op    8 B/op ...
-func scanNsPerOp(r *os.File, bench string) (float64, error) {
+func scanMetric(r *os.File, bench, unit string) (float64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	found := -1.0
@@ -104,10 +118,10 @@ func scanNsPerOp(r *os.File, bench string) (float64, error) {
 		}
 		fields := strings.Fields(line)
 		for i := 2; i < len(fields); i++ {
-			if fields[i] == "ns/op" {
+			if fields[i] == unit {
 				v, err := strconv.ParseFloat(fields[i-1], 64)
 				if err != nil {
-					return 0, fmt.Errorf("parse ns/op on %q: %v", line, err)
+					return 0, fmt.Errorf("parse %s on %q: %v", unit, line, err)
 				}
 				found = v
 				break
@@ -118,7 +132,7 @@ func scanNsPerOp(r *os.File, bench string) (float64, error) {
 		return 0, fmt.Errorf("read benchmark output: %v", err)
 	}
 	if found < 0 {
-		return 0, fmt.Errorf("no %q ns/op line in benchmark output", bench)
+		return 0, fmt.Errorf("no %q line with a %s value in benchmark output", bench, unit)
 	}
 	return found, nil
 }

@@ -98,6 +98,10 @@ func main() {
 	}
 	fmt.Printf("%s %s on %s: golden run %d cycles, %d outputs, %s faults\n",
 		name, level, cfg.Name, exp.GoldenCycles, len(exp.GoldenOutput), model)
+	if stream := exp.Artifacts().Stream; stream != nil {
+		fmt.Printf("checkpoints: %d, holding %.0f KiB (cache chunks and memory pages they share counted once)\n",
+			stream.Len(), float64(stream.ResidentBytes())/1024)
+	}
 
 	var targets []faultinj.Target
 	if *all {

@@ -277,29 +277,47 @@ func (r *Reader) RLEInto(dst []byte) []byte {
 		return dst[:0]
 	}
 	dst = sizeFor(dst, int(total))
+	r.rleRuns(dst)
+	return dst
+}
+
+// RLEFill reads a zero-run-length-encoded byte slice that must decode
+// to exactly len(dst) bytes into dst: the decoder of a fixed-size
+// record allocates what it expects, never what the input declares.
+func (r *Reader) RLEFill(dst []byte) {
+	total := r.Uvarint()
+	if r.err != nil {
+		return
+	}
+	if total != uint64(len(dst)) {
+		r.fail(fmt.Errorf("binio: rle length %d, want %d", total, len(dst)))
+		return
+	}
+	r.rleRuns(dst)
+}
+
+// rleRuns decodes run pairs until dst is full.
+func (r *Reader) rleRuns(dst []byte) {
 	pos := 0
-	for pos < int(total) && r.err == nil {
+	for pos < len(dst) && r.err == nil {
 		zeros := r.Uvarint()
 		lits := r.Uvarint()
 		if r.err != nil {
 			break
 		}
-		left := uint64(int(total) - pos)
+		left := uint64(len(dst) - pos)
 		if zeros+lits == 0 || zeros > left || lits > left-zeros {
 			r.fail(fmt.Errorf("binio: rle run overflows declared length"))
 			break
 		}
-		for i := 0; i < int(zeros); i++ {
-			dst[pos+i] = 0
-		}
+		clear(dst[pos : pos+int(zeros)])
 		pos += int(zeros)
 		copy(dst[pos:pos+int(lits)], r.take(int(lits)))
 		pos += int(lits)
 	}
-	if pos != int(total) {
+	if pos != len(dst) {
 		r.fail(errShort)
 	}
-	return dst
 }
 
 func sizeFor[T any](dst []T, n int) []T {

@@ -16,13 +16,17 @@
 //
 // A Stream is immutable after Record and safe to share read-only across
 // every worker of a campaign cell: machine.Restore copies out of a
-// snapshot, never into it, and memory pages are copy-on-write.
+// snapshot, never into it. Its snapshots are copy-on-write — each
+// shares with its predecessor every cache line chunk and memory page
+// the run did not touch in between — so a rung costs what changed, and
+// the budget can be dense (ResidentBytes reports what a stream holds).
 package checkpoint
 
 import (
 	"sort"
 
 	"sevsim/internal/machine"
+	"sevsim/internal/mem"
 )
 
 // Stream is the ordered checkpoint sequence of one golden run.
@@ -102,15 +106,32 @@ func (s *Stream) Latest(cycle uint64) *machine.Snap {
 	return nil
 }
 
-// Release returns every snapshot's pooled buffers (core and cache
-// states) to their pools and empties the stream. The caller must be
-// the stream's last user: no restore, watch, or Latest call may follow.
+// Release returns every snapshot's pooled core state to its pool and
+// empties the stream; the shared cache chunks and memory pages go to
+// the garbage collector. The caller must be the stream's last user: no
+// restore, watch, or Latest call may follow.
 func (s *Stream) Release() {
 	for _, sn := range s.snaps {
 		sn.Release()
 	}
 	s.snaps = nil
 	s.watches = nil
+}
+
+// ResidentBytes returns the memory the stream's snapshots hold,
+// counting a cache chunk or memory page shared by several snapshots
+// once.
+func (s *Stream) ResidentBytes() int {
+	var f mem.Footprint
+	n := 0
+	for _, sn := range s.snaps {
+		n += sn.Core.Bytes()
+		f.AddCache(sn.L1I)
+		f.AddCache(sn.L1D)
+		f.AddCache(sn.L2)
+		f.AddMemory(sn.Mem)
+	}
+	return n + f.Bytes()
 }
 
 // WatchesAfter returns the convergence watches for every checkpoint

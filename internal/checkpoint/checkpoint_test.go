@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"sync"
 	"testing"
 
 	"sevsim/internal/isa"
@@ -185,4 +186,47 @@ func TestWatchesDetectGoldenReplay(t *testing.T) {
 	if res.Cycles != snaps[1].Cycle {
 		t.Errorf("converged at cycle %d, want the next checkpoint at %d", res.Cycles, snaps[1].Cycle)
 	}
+}
+
+// TestConcurrentRestoresShareOneStream: many workers restore from, run
+// off and compare against one shared stream at once, each hopping
+// between checkpoints in its own order, so cross-base restores, delta
+// restores, snapshots of restored machines and convergence probes all
+// read the same shared chunks and pages concurrently. Run under -race
+// this is the proof that nothing writes a chunk after its snapshot
+// returns; without -race it still checks every replay converges.
+func TestConcurrentRestoresShareOneStream(t *testing.T) {
+	cfg := machine.Configs()[0]
+	golden := mustGolden(t, cfg)
+	stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 16))
+	defer stream.Release()
+	snaps := stream.Snaps()
+
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := machine.New(cfg, testProgram())
+			for round := 0; round < 3*len(snaps); round++ {
+				i := (round*(2*w+3) + w) % len(snaps)
+				m.Restore(snaps[i])
+				if round%4 == 0 {
+					// A snapshot of a restored machine aliases the
+					// stream's chunks; taking and dropping it must not
+					// touch them.
+					m.Snapshot().Release()
+				}
+				res, stopped := m.RunWatched(1<<30, stream.WatchesAfter(snaps[i].Cycle))
+				switch {
+				case i+1 < len(snaps) && (!stopped || res.Cycles != snaps[i+1].Cycle):
+					t.Errorf("worker %d: replay from checkpoint %d did not converge at the next one (stopped=%v at cycle %d)", w, i, stopped, res.Cycles)
+				case i+1 == len(snaps) && (stopped || res.Cycles != golden.Cycles):
+					t.Errorf("worker %d: replay from the last checkpoint ended at cycle %d, golden %d", w, res.Cycles, golden.Cycles)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -2,25 +2,29 @@ package checkpoint
 
 // Binary serialization of a checkpoint stream for the prep-artifact
 // cache. A decoded stream is functionally identical to one produced by
-// Record: the snapshots are pooled states in ascending cycle order,
-// and the convergence watches are rebuilt from the decoded snapshots
-// exactly the way Record builds them from live ones — a watch is just
-// a closure over its snapshot.
+// Record: the snapshots come in ascending cycle order and share cache
+// chunks and memory pages exactly as recorded ones do, and the
+// convergence watches are rebuilt from the decoded snapshots exactly
+// the way Record builds them from live ones — a watch is just a closure
+// over its snapshot.
 
 import (
 	"fmt"
 
 	"sevsim/internal/binio"
 	"sevsim/internal/machine"
+	"sevsim/internal/mem"
 )
 
 // EncodeTo appends the stream's checkpoints to w. Watches carry no
 // state of their own (each is a closure over its snapshot), so only
-// the snapshots are serialized.
+// the snapshots are serialized — through one mem.Encoder, so a cache
+// chunk or memory page shared by many checkpoints is written once.
 func (s *Stream) EncodeTo(w *binio.Writer) {
+	var enc mem.Encoder
 	w.Uvarint(uint64(len(s.snaps)))
 	for _, sn := range s.snaps {
-		sn.EncodeTo(w)
+		sn.EncodeTo(w, &enc)
 	}
 }
 
@@ -42,9 +46,10 @@ func DecodeStream(r *binio.Reader, cfg machine.Config) (*Stream, error) {
 		snaps:   make([]*machine.Snap, 0, n),
 		watches: make([]machine.Watch, 0, n),
 	}
+	var dec mem.Decoder
 	var lastCycle uint64
 	for i := 0; i < n; i++ {
-		sn, err := machine.DecodeSnap(r, cfg)
+		sn, err := machine.DecodeSnap(r, cfg, &dec)
 		if err != nil {
 			s.Release()
 			return nil, err

@@ -1,10 +1,12 @@
 package checkpoint
 
 import (
+	"strings"
 	"testing"
 
 	"sevsim/internal/binio"
 	"sevsim/internal/machine"
+	"sevsim/internal/mem"
 )
 
 // TestStreamEncodeRoundTrip records a real stream mid-run on both
@@ -38,6 +40,17 @@ func TestStreamEncodeRoundTrip(t *testing.T) {
 				if !got.Snaps()[i].Equal(sn) {
 					t.Fatalf("snap %d not strictly equal after round trip", i)
 				}
+			}
+
+			// The decoded stream shares cache chunks and memory pages
+			// exactly as the recorded one does — byte for byte the same
+			// footprint — and that is well under what unshared snapshots
+			// of the three caches alone would hold.
+			if a, b := got.ResidentBytes(), stream.ResidentBytes(); a != b {
+				t.Fatalf("decoded stream holds %d bytes, recorded stream %d: sharing was lost or invented", a, b)
+			}
+			if flat := stream.Len() * (cfg.L1I.Size + cfg.L1D.Size + cfg.L2.Size); stream.ResidentBytes() > flat/4 {
+				t.Fatalf("stream holds %d bytes, flat cache copies would hold %d: chunks are not shared", stream.ResidentBytes(), flat)
 			}
 
 			// The decoded stream must *work*: restoring its snapshots
@@ -84,4 +97,104 @@ func TestDecodeStreamRejectsDamage(t *testing.T) {
 	if _, err := DecodeStream(binio.NewReader(blob), other); err == nil {
 		t.Fatal("decode under mismatched config succeeded")
 	}
+}
+
+// hostileStream is a serialized stream that breaks the chunk-table
+// format in one way a damaged or malicious cache entry can, with a
+// fragment of the error DecodeStream must answer it with.
+type hostileStream struct {
+	name, wantErr string
+	blob          []byte
+}
+
+// hostileStreams builds the hostile inputs from a real recorded stream.
+func hostileStreams(cfg machine.Config) []hostileStream {
+	golden := machine.New(cfg, testProgram()).Run(1 << 30)
+	stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 3))
+	defer stream.Release()
+	snaps := stream.Snaps()
+	encode := func(order []int, sharedEncoder bool) []byte {
+		var w binio.Writer
+		enc := &mem.Encoder{}
+		w.Uvarint(uint64(len(order)))
+		for _, i := range order {
+			if !sharedEncoder {
+				enc = &mem.Encoder{}
+			}
+			snaps[i].EncodeTo(&w, enc)
+		}
+		return w.Bytes()
+	}
+	valid := encode([]int{0, 1, 2}, true)
+
+	// Offset of the first chunk reference of the first snapshot's L1I
+	// table: count, cycle, hash, core state, clock + four counters, chunk
+	// count (all single-byte varints at these sizes).
+	var core binio.Writer
+	snaps[0].Core.EncodeTo(&core)
+	firstRef := 1 + 8 + 8 + len(core.Bytes()) + 5*8 + 1
+	patched := func(at int, b byte) []byte {
+		out := append([]byte(nil), valid...)
+		out[at] = b
+		return out
+	}
+	return []hostileStream{
+		{"chunk id out of range", "chunk reference 127", patched(firstRef, 0x7f)},
+		{"chunk count too large", "has 127 chunks", patched(firstRef-1, 0x7f)},
+		{"truncated table", "truncated input", valid[:firstRef+2]},
+		// Every snapshot restarts its numbering at 1, so the decoder
+		// takes the second snapshot's first new chunk for a reference
+		// to the first's and loses its place.
+		{"duplicate chunks", "decode", encode([]int{0, 1, 2}, false)},
+		{"non-ascending cycles", "cycles not ascending", encode([]int{1, 0, 2}, true)},
+		{"repeated cycle", "cycles not ascending", encode([]int{0, 1, 1}, true)},
+		{"snapshot count only", "exceeds remaining input", []byte{3}},
+	}
+}
+
+// TestDecodeStreamRejectsHostileTables: each hand-built violation of
+// the chunk-table format is an error, not a stream.
+func TestDecodeStreamRejectsHostileTables(t *testing.T) {
+	cfg := machine.Configs()[0]
+	for _, h := range hostileStreams(cfg) {
+		s, err := DecodeStream(binio.NewReader(h.blob), cfg)
+		if err == nil {
+			s.Release()
+			t.Errorf("%s: decoded without error", h.name)
+		} else if !strings.Contains(err.Error(), h.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", h.name, err, h.wantErr)
+		}
+	}
+}
+
+// FuzzDecodeStream feeds DecodeStream arbitrary bytes, seeded with a
+// valid stream and the hostile ones above. It must return an error or a
+// stream that is safe to use: restoring, comparing, measuring and
+// running from every decoded checkpoint may end in a modelled outcome,
+// never in a raw panic or an out-of-range access.
+func FuzzDecodeStream(f *testing.F) {
+	cfg := machine.Configs()[0]
+	golden := machine.New(cfg, testProgram()).Run(1 << 30)
+	stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 3))
+	var w binio.Writer
+	stream.EncodeTo(&w)
+	stream.Release()
+	f.Add(w.Bytes())
+	for _, h := range hostileStreams(cfg) {
+		f.Add(h.blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		s, err := DecodeStream(binio.NewReader(blob), cfg)
+		if err != nil {
+			return
+		}
+		defer s.Release()
+		s.ResidentBytes()
+		m := machine.New(cfg, testProgram())
+		for _, sn := range s.Snaps() {
+			m.Restore(sn)
+			m.Converged(sn) // may be false: the stored hash and cycle are input too
+			m.RunWatched(m.Core.Cycle()+2000, s.WatchesAfter(sn.Cycle))
+		}
+	})
 }

@@ -170,14 +170,22 @@ func TestCacheEvictionMidStudy(t *testing.T) {
 	}
 }
 
-// TestCacheMissesStaleAnalysisVersion proves a warm cache written
-// under the previous analysis version is never served: the version is
-// part of the prep cache key, so bundles carrying pre-propagation
-// static bounds (no DUE/SDC fields) miss instead of leaking stale
-// bounds into a new study.
-func TestCacheMissesStaleAnalysisVersion(t *testing.T) {
+// TestCacheMissesStaleVersions proves a warm cache written under a
+// previous format generation is never served, because each version is
+// part of the cache key:
+//
+//   - analysisVersion: bundles carrying pre-propagation static bounds
+//     (no DUE/SDC fields) miss instead of leaking stale bounds into a
+//     new study;
+//   - prepBundleVersion: bundles whose checkpoints are in the version-1
+//     flat-slab snapshot encoding miss instead of being handed to the
+//     chunk-table decoder, under both key kinds that carry a stream.
+func TestCacheMissesStaleVersions(t *testing.T) {
 	if analysisVersion < 2 {
 		t.Fatalf("analysisVersion = %d, want >= 2 (fault-propagation bound fields)", analysisVersion)
+	}
+	if prepBundleVersion < 2 {
+		t.Fatalf("prepBundleVersion = %d, want >= 2 (copy-on-write chunk-table snapshot encoding)", prepBundleVersion)
 	}
 	pc := prepConfig{
 		Version:     prepBundleVersion,
@@ -192,27 +200,37 @@ func TestCacheMissesStaleAnalysisVersion(t *testing.T) {
 		Traced:      true,
 		Checkpoints: 4,
 	}
-	old := pc
-	old.Analysis = analysisVersion - 1
-	if pc.cacheKey() == old.cacheKey() {
-		t.Fatal("analysis version does not feed the prep cache key")
-	}
+	oldAnalysis, oldBundle := pc, pc
+	oldAnalysis.Analysis--
+	oldBundle.Version--
+	ec := expConfig{Version: prepBundleVersion, Machine: machine.CortexA15Like(), Name: "p", Code: []uint32{1, 2}, Checkpoints: 4}
+	oldExp := ec
+	oldExp.Version--
 
-	// A cache warmed exclusively under the old version's key must miss
-	// for the current key (and still hit for its own, proving the
-	// version is the only discriminator here).
-	c := openCache(t, t.TempDir())
-	if err := c.Put(old.cacheKey(), []byte("stale version-1 bundle")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(pc.cacheKey()); ok {
-		t.Fatal("current analysis version was served a stale bundle")
-	}
-	if _, ok := c.Get(old.cacheKey()); !ok {
-		t.Fatal("old-version entry should still hit its own key")
-	}
-	if stats := c.Stats(); stats.Misses != 1 || stats.Hits != 1 {
-		t.Fatalf("stats = %s, want exactly 1 miss (new key) and 1 hit (old key)", stats)
+	for _, tc := range []struct{ name, cur, old string }{
+		{"analysis version", pc.cacheKey(), oldAnalysis.cacheKey()},
+		{"bundle version, prep key", pc.cacheKey(), oldBundle.cacheKey()},
+		{"bundle version, experiment key", ec.cacheKey(), oldExp.cacheKey()},
+	} {
+		if tc.cur == tc.old {
+			t.Fatalf("%s does not feed the cache key", tc.name)
+		}
+		// A cache warmed exclusively under the old version's key must
+		// miss for the current key (and still hit for its own, proving
+		// the version is the only discriminator here).
+		c := openCache(t, t.TempDir())
+		if err := c.Put(tc.old, []byte("stale bundle")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(tc.cur); ok {
+			t.Fatalf("%s: current version was served a stale bundle", tc.name)
+		}
+		if _, ok := c.Get(tc.old); !ok {
+			t.Fatalf("%s: old-version entry should still hit its own key", tc.name)
+		}
+		if stats := c.Stats(); stats.Misses != 1 || stats.Hits != 1 {
+			t.Fatalf("%s: stats = %s, want exactly 1 miss (new key) and 1 hit (old key)", tc.name, stats)
+		}
 	}
 }
 

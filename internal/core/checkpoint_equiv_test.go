@@ -10,8 +10,11 @@ import (
 // TestCheckpointEquivalence is the study-level soundness acceptance for
 // the injection fast path: with checkpoint fast-forward and the
 // early-convergence exit fully disabled, the study must produce a
-// byte-identical study.json to the default configuration (both on), at
-// any parallelism.
+// byte-identical study.json to every checkpoint budget with both on —
+// a single checkpoint, the former default of 8, the default (32), a
+// ladder denser than the default — at serial and parallel execution.
+// Restores between different rungs, chunk-shared snapshots and the
+// convergence comparison that skips shared chunks are all on that path.
 func TestCheckpointEquivalence(t *testing.T) {
 	ref := resumeSpec(t)
 	ref.Checkpoints = -1
@@ -22,21 +25,24 @@ func TestCheckpointEquivalence(t *testing.T) {
 	}
 	want := saveBytes(t, baseline)
 
-	for _, par := range []int{1, 8} {
-		par := par
-		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
-			spec := resumeSpec(t) // defaults: checkpointing and fast exit on
-			spec.Parallelism = par
-			st, err := spec.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := saveBytes(t, st)
-			if !bytes.Equal(got, want) {
-				t.Errorf("fast-path study.json differs from reference (%d vs %d bytes)",
-					len(got), len(want))
-			}
-		})
+	for _, k := range []int{-1, 1, 8, 32, 64} {
+		for _, par := range []int{1, 4} {
+			k, par := k, par
+			t.Run(fmt.Sprintf("checkpoints%d-parallel%d", k, par), func(t *testing.T) {
+				spec := resumeSpec(t) // fast exit on
+				spec.Checkpoints = k
+				spec.Parallelism = par
+				st, err := spec.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := saveBytes(t, st)
+				if !bytes.Equal(got, want) {
+					t.Errorf("fast-path study.json differs from reference (%d vs %d bytes)",
+						len(got), len(want))
+				}
+			})
+		}
 	}
 }
 

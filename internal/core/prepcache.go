@@ -35,9 +35,13 @@ import (
 
 // prepBundleVersion is folded into every cache key. Bump it whenever
 // the serialized layout of any component changes (machine.Snap,
-// cpu.CoreState, mem slabs, the bundle itself) so stale entries miss
-// instead of decoding garbage.
-const prepBundleVersion = 1
+// cpu.CoreState, mem chunks and pages, the bundle itself) so stale
+// entries miss instead of decoding garbage.
+//
+// Version 2: cache snapshots are copy-on-write chunk tables and a
+// stream writes each distinct chunk and memory page once (mem.Encoder);
+// version-1 entries hold one flat slab set per snapshot.
+const prepBundleVersion = 2
 
 // analysisVersion versions the binanalysis semantics behind the cached
 // static RF bound. Bump it when the ACE analysis or the pruner bound

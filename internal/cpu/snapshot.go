@@ -46,6 +46,7 @@ import (
 	"bytes"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"sevsim/internal/simerr"
 )
@@ -101,6 +102,12 @@ var coreStatePool = sync.Pool{New: func() any { return new(CoreState) }}
 func (s *CoreState) Release() {
 	s.Crash = nil
 	coreStatePool.Put(s)
+}
+
+// Bytes returns the memory the snapshot's slabs and queues hold.
+func (s *CoreState) Bytes() int {
+	return 8*len(s.u64) + 2*len(s.u16) + len(s.u8) + 8*len(s.Output) +
+		len(s.FetchQ)*int(unsafe.Sizeof(fetchSlot{})) + len(s.Inflight)*int(unsafe.Sizeof(inflightOp{}))
 }
 
 // snapCopy copies src into dst, reusing dst's backing array when its

@@ -8,9 +8,9 @@ package faultinj
 // simulation across a uniform cycle sample) into a pooled scratch
 // machine, and a post-flip run that provably returns to golden state is
 // classified Masked at the first matching checkpoint instead of
-// simulating its tail. Classifications are bit-identical with the
-// optimizations on or off; see DESIGN.md §10 for the soundness
-// argument.
+// simulating its tail — so a denser ladder shortens both ends of a
+// Masked run. Classifications are bit-identical with the optimizations
+// on or off; see DESIGN.md §10 for the soundness argument.
 
 import (
 	"math"
@@ -19,10 +19,13 @@ import (
 )
 
 // DefaultCheckpoints is the per-cell golden checkpoint budget when
-// Options.Checkpoints is zero. Eight checkpoints remove ~94% of
-// pre-injection simulation while the snapshots (dominated by the cache
-// copies; memory pages are copy-on-write) stay a few MiB per cell.
-const DefaultCheckpoints = 8
+// Options.Checkpoints is zero. Thirty-two checkpoints remove ~98% of
+// pre-injection simulation and put a convergence probe every 1/32 of
+// the run. Snapshots are copy-on-write (cache line chunks, memory
+// pages), so a rung costs what the run touched since the previous one:
+// the whole ladder stays around 1–3 MiB per unit on the bundled
+// benchmarks (Stream.ResidentBytes; sevinject prints it).
+const DefaultCheckpoints = 32
 
 // Options configures experiment preparation beyond the config/program
 // pair.
@@ -72,40 +75,6 @@ func (e *Experiment) putMachine(m *machine.Machine) {
 	e.scratch.Put(m)
 }
 
-// getMachineFor prefers the machine parked on checkpoint k — its
-// delta-restore base is k's snapshot, so the upcoming restore copies
-// only touched lines — before falling back to the generic pool.
-func (e *Experiment) getMachineFor(k int) *machine.Machine {
-	e.scratchMu.Lock()
-	m := e.scratchByCkpt[k]
-	if m != nil {
-		delete(e.scratchByCkpt, k)
-	}
-	e.scratchMu.Unlock()
-	if m != nil {
-		return m
-	}
-	return e.getMachine()
-}
-
-// putMachineFor parks the machine on checkpoint k for the next
-// injection restoring from it; if the slot is taken the machine goes
-// back to the generic pool. Same consumption contract as putMachine.
-func (e *Experiment) putMachineFor(k int, m *machine.Machine) {
-	e.scratchMu.Lock()
-	if e.scratchByCkpt == nil {
-		e.scratchByCkpt = make(map[int]*machine.Machine)
-	}
-	if _, taken := e.scratchByCkpt[k]; !taken {
-		e.scratchByCkpt[k] = m
-		m = nil
-	}
-	e.scratchMu.Unlock()
-	if m != nil {
-		e.putMachine(m)
-	}
-}
-
 // runInjection executes one injection run with the given flip hook and
 // classifies it, managing a scratch machine for just this run. Batched
 // callers hold one machine across many runs instead (Batch).
@@ -114,10 +83,9 @@ func (e *Experiment) runInjection(inj Injection, hook machine.Hook) InjectResult
 		// Reference behavior: a fresh machine simulating from cycle 0.
 		return e.classify(machine.New(e.Config, e.Program).Run(e.cycleBudget(), hook))
 	}
-	k := e.ckpts.LatestIndex(inj.Cycle)
-	m := e.getMachineFor(k)
+	m := e.getMachine()
 	out := e.runInjectionOn(m, inj, hook)
-	e.putMachineFor(k, m)
+	e.putMachine(m)
 	return out
 }
 
@@ -146,8 +114,9 @@ func (e *Experiment) runInjectionOn(m *machine.Machine, inj Injection, hook mach
 
 // Batch runs a sequence of injections on one held scratch machine.
 // Grouping a batch by fast-forward checkpoint (BatchByCheckpoint) makes
-// every restore after the first a delta: the caches copy back only the
-// lines the previous run touched, instead of their full arrays. A Batch
+// every restore after the first copy back only the lines the previous
+// run touched; a restore from a different checkpoint adds the cache
+// chunks in which the two checkpoints differ. A Batch
 // is single-goroutine; concurrency comes from running many batches on a
 // worker pool. Outcomes are bit-identical to calling Experiment.Inject
 // per fault — restores are bit-exact, so machine reuse cannot leak
@@ -203,7 +172,7 @@ func (b *Batch) Close() {
 // fast-forward from the same checkpoint, preserving index order within
 // each group (first-seen checkpoint order across groups, so the result
 // is deterministic). Running a group as one Batch keeps the scratch
-// machine's delta-restore base stable across the whole group. With
+// machine's restore base stable across the whole group. With
 // checkpointing disabled all indices form one group — there is nothing
 // to key on, and the grouping is only a scheduling hint.
 func (e *Experiment) BatchByCheckpoint(inj []Injection) [][]int {

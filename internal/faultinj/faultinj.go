@@ -173,14 +173,6 @@ type Experiment struct {
 	ckpts    *checkpoint.Stream
 	fastExit bool
 	scratch  sync.Pool
-
-	// scratchByCkpt parks, per checkpoint index, one idle machine whose
-	// caches' delta-restore base is that checkpoint, so single Inject
-	// calls that hop between checkpoints still restore by delta instead
-	// of copying the full cache slabs. Bounded by the checkpoint count;
-	// overflow machines fall back to the generic scratch pool.
-	scratchMu     sync.Mutex
-	scratchByCkpt map[int]*machine.Machine
 }
 
 // timeoutFactor follows the paper: a run is a Timeout when it exceeds

@@ -2,10 +2,12 @@ package machine
 
 // Binary serialization of full-machine checkpoints (Snap) for the
 // prep-artifact cache: a warm cache hit reconstructs a checkpoint
-// stream from bytes instead of re-simulating the golden run. Decoding
-// draws core and cache states from their pools, exactly like a live
-// Snapshot, so cached and recorded checkpoints obey the same
-// ownership and Release rules.
+// stream from bytes instead of re-simulating the golden run. The
+// snapshots of one sequence are encoded through one mem.Encoder and
+// decoded through one mem.Decoder, which carry the cache chunks and
+// memory pages the snapshots share; decoded checkpoints share them the
+// same way and obey the same ownership and Release rules as recorded
+// ones.
 
 import (
 	"fmt"
@@ -16,14 +18,14 @@ import (
 )
 
 // EncodeTo appends the snapshot's complete state to w.
-func (s *Snap) EncodeTo(w *binio.Writer) {
+func (s *Snap) EncodeTo(w *binio.Writer, enc *mem.Encoder) {
 	w.U64(s.Cycle)
 	w.U64(s.Hash)
 	s.Core.EncodeTo(w)
-	s.L1I.EncodeTo(w)
-	s.L1D.EncodeTo(w)
-	s.L2.EncodeTo(w)
-	s.Mem.EncodeTo(w)
+	s.L1I.EncodeTo(w, enc)
+	s.L1D.EncodeTo(w, enc)
+	s.L2.EncodeTo(w, enc)
+	s.Mem.EncodeTo(w, enc)
 }
 
 // EncodeTo appends the run result to w; a cached golden result lets a
@@ -72,7 +74,7 @@ func DecodeResult(r *binio.Reader) (Result, error) {
 // DecodeSnap reads one Snap written by EncodeTo, validating every
 // component against cfg — the machine configuration the snapshot was
 // captured under. The caller owns the result and must Release it.
-func DecodeSnap(r *binio.Reader, cfg Config) (*Snap, error) {
+func DecodeSnap(r *binio.Reader, cfg Config, dec *mem.Decoder) (*Snap, error) {
 	s := &Snap{}
 	s.Cycle = r.U64()
 	s.Hash = r.U64()
@@ -80,27 +82,18 @@ func DecodeSnap(r *binio.Reader, cfg Config) (*Snap, error) {
 	if s.Core, err = cpu.DecodeCoreState(r, &cfg.CPU); err != nil {
 		return nil, fmt.Errorf("machine: decode snap core: %w", err)
 	}
-	release := func(e error) (*Snap, error) {
+	for _, c := range []struct {
+		dst **mem.CacheState
+		cfg mem.CacheConfig
+	}{{&s.L1I, cfg.L1I}, {&s.L1D, cfg.L1D}, {&s.L2, cfg.L2}} {
+		if *c.dst, err = mem.DecodeCacheState(r, c.cfg, dec); err != nil {
+			s.Release()
+			return nil, fmt.Errorf("machine: decode snap %s: %w", c.cfg.Name, err)
+		}
+	}
+	if s.Mem, err = mem.DecodeMemoryState(r, dec); err != nil {
 		s.Release()
-		return nil, e
-	}
-	if s.L1I, err = mem.DecodeCacheState(r, cfg.L1I); err != nil {
-		s.Core.Release()
-		return nil, fmt.Errorf("machine: decode snap L1I: %w", err)
-	}
-	if s.L1D, err = mem.DecodeCacheState(r, cfg.L1D); err != nil {
-		s.Core.Release()
-		s.L1I.Release()
-		return nil, fmt.Errorf("machine: decode snap L1D: %w", err)
-	}
-	if s.L2, err = mem.DecodeCacheState(r, cfg.L2); err != nil {
-		s.Core.Release()
-		s.L1I.Release()
-		s.L1D.Release()
-		return nil, fmt.Errorf("machine: decode snap L2: %w", err)
-	}
-	if s.Mem, err = mem.DecodeMemoryState(r); err != nil {
-		return release(fmt.Errorf("machine: decode snap memory: %w", err))
+		return nil, fmt.Errorf("machine: decode snap memory: %w", err)
 	}
 	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"sevsim/internal/binio"
 	"sevsim/internal/isa"
+	"sevsim/internal/mem"
 )
 
 // TestSnapEncodeRoundTripWithCrash serializes a snapshot taken from a
@@ -24,8 +25,8 @@ func TestSnapEncodeRoundTripWithCrash(t *testing.T) {
 		}
 		sn := m.Snapshot()
 		var w binio.Writer
-		sn.EncodeTo(&w)
-		got, err := DecodeSnap(binio.NewReader(w.Bytes()), cfg)
+		sn.EncodeTo(&w, &mem.Encoder{})
+		got, err := DecodeSnap(binio.NewReader(w.Bytes()), cfg, &mem.Decoder{})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}

@@ -8,7 +8,8 @@ import (
 // Snap is a full-machine checkpoint: every piece of authoritative state
 // in the core, both cache levels, and backing memory, plus the cycle it
 // was taken at and a precomputed convergence hash. Snaps are immutable
-// once taken — Restore never writes through one and memory pages are
+// once taken — Restore never writes through one, and the cache chunks
+// and memory pages it shares with other Snaps of the same run are
 // copy-on-write — so a single Snap is shared read-only across all
 // injection workers of a cell.
 type Snap struct {
@@ -25,9 +26,10 @@ type Snap struct {
 	Hash uint64
 }
 
-// Snapshot captures the complete machine state. Caches and core are
-// deep-copied; memory is copy-on-write at page granularity, so the cost
-// is independent of memory footprint beyond the page table itself.
+// Snapshot captures the complete machine state. The core is deep-copied;
+// caches and memory are copy-on-write (line chunks and pages), so the
+// cost is what the machine touched since its previous snapshot or
+// restore plus the chunk and page tables.
 func (m *Machine) Snapshot() *Snap {
 	return &Snap{
 		Cycle: m.Core.Cycle(),
@@ -40,16 +42,14 @@ func (m *Machine) Snapshot() *Snap {
 	}
 }
 
-// Release returns the snapshot's pooled component states (core and
-// cache buffers) to their pools. The caller must be the snapshot's last
-// holder: no Restore, Converged, or Equal may use it afterwards, and
-// Release must not be called twice. Memory state is not pooled (its
-// pages are copy-on-write shared) and is simply dropped.
+// Release returns the snapshot's pooled core state to its pool and
+// drops the rest. The caller must be the snapshot's last holder: no
+// Restore, Converged, or Equal may use it afterwards, and Release must
+// not be called twice. Cache and memory state are not pooled: other
+// snapshots may share their chunks and pages, which the garbage
+// collector frees with their last holder.
 func (s *Snap) Release() {
 	s.Core.Release()
-	s.L1I.Release()
-	s.L1D.Release()
-	s.L2.Release()
 	s.Core, s.L1I, s.L1D, s.L2, s.Mem = nil, nil, nil, nil, nil
 }
 

@@ -1,10 +1,13 @@
 package machine
 
 import (
+	"bytes"
 	"testing"
 
+	"sevsim/internal/binio"
 	"sevsim/internal/cpu"
 	"sevsim/internal/isa"
+	"sevsim/internal/mem"
 )
 
 // snapIns is the snapshot-test workload: store and load loops plus a
@@ -151,6 +154,46 @@ func TestRestoreIntoFreshMachine(t *testing.T) {
 			if res := again.Run(2_000_000); !sameResult(res, golden) {
 				t.Errorf("%s@%d: second restore from the same snapshot diverged", cfg.Name, c)
 			}
+		}
+	}
+}
+
+// TestReleaseLeavesSharingSnapshotsIntact: snapshots taken one after
+// another on one machine share the cache chunks and memory pages the run
+// did not touch in between, so releasing some of them must leave the
+// others exactly as they were — same serialized bytes, and a restore
+// that still replays the golden run.
+func TestReleaseLeavesSharingSnapshotsIntact(t *testing.T) {
+	for _, cfg := range Configs() {
+		golden := goldenRun(t, cfg)
+		m := New(cfg, prog(snapIns()))
+		var snaps []*Snap
+		for _, c := range snapCycles(golden.Cycles) {
+			if c > 0 {
+				runTo(t, m, c)
+			}
+			snaps = append(snaps, m.Snapshot())
+		}
+		encode := func(s *Snap) []byte {
+			var w binio.Writer
+			s.EncodeTo(&w, &mem.Encoder{})
+			return w.Bytes()
+		}
+		keep := snaps[2]
+		before := encode(keep)
+		for i, s := range snaps {
+			if i != 2 {
+				s.Release()
+			}
+		}
+		m.Run(2_000_000) // the machine they were taken on moves on, too
+		if !bytes.Equal(encode(keep), before) {
+			t.Errorf("%s: releasing its neighbours changed a snapshot", cfg.Name)
+		}
+		fresh := New(cfg, prog(snapIns()))
+		fresh.Restore(keep)
+		if res := fresh.Run(2_000_000); !sameResult(res, golden) {
+			t.Errorf("%s: restore after releasing the neighbours diverged: %v after %d cycles", cfg.Name, res.Outcome, res.Cycles)
 		}
 	}
 }

@@ -39,12 +39,13 @@ type CacheStats struct {
 // Line state is struct-of-arrays: one flat slice per attribute, indexed
 // by line number (set*ways + way, row-major by set), with the data
 // array one contiguous slab of lines*LineSize bytes allocated at
-// construction. A snapshot is then five flat copies, the strict
-// comparison five flat compares, and a restore can be a *delta*: the
-// cache tracks which lines it has touched since the last restore, and
-// restoring the same snapshot again copies back only those lines — the
-// dominant case in an injection campaign, where thousands of short
-// faulty runs restart from one checkpoint.
+// construction, so the hot path indexes flat arrays. Snapshots are
+// copy-on-write tables of fixed-size line chunks (snapshot.go): the
+// cache tracks which lines it has touched since its last snapshot or
+// restore — its base — so a snapshot copies only the touched chunks and
+// shares the rest with the base, and a restore copies back only the
+// touched lines plus the chunks in which the target differs from the
+// base.
 type Cache struct {
 	// Geometry, derived from the config at construction and immutable
 	// after; snapshotcover (cmd/sevlint) checks every other field is
@@ -63,26 +64,15 @@ type Cache struct {
 	data  []byte   // lines*LineSize contiguous line bytes
 	clock uint64
 
-	// Delta-restore bookkeeping: which lines changed since the last
-	// Restore, so restoring the same snapshot again copies only those.
-	// lastRestore+lastGen identify that snapshot; the generation guards
-	// against a pooled CacheState being released and reused at the same
-	// address. None of this is checkpoint state: it describes the
-	// relation between the live cache and one snapshot, and Restore
-	// rebuilds it.
-	lastRestore *CacheState //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
-	lastGen     uint64      //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
-	touched     []int32     //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
-	touchedMark []uint8     //snapshot:skip delta-restore bookkeeping, rebuilt by Restore itself
-
-	// Convergence-compare memo: the behavioral line difference between
-	// the delta-restore base snapshot and each convergence-watch
-	// snapshot StateEquals has been asked about. Both snapshots are
-	// immutable while alive, so the diff is computed once per pair and
-	// reused across every injection run rewinding to the same base; a
-	// full restore (new base) resets it, and the generation stamps guard
-	// against pooled snapshot reuse.
-	diffs []watchDiff //snapshot:skip convergence-compare memo over immutable snapshots, reset on full restore
+	// Copy-on-write bookkeeping. base is the snapshot this cache was last
+	// restored from or last captured as (the all-zero state for a new
+	// cache); the live arrays are bit-identical to it on every line not
+	// in touched. None of this is checkpoint state: it describes the
+	// relation between the live cache and one snapshot, and Snapshot and
+	// Restore rebuild it.
+	base        *CacheState //snapshot:skip copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves
+	touched     []int32     //snapshot:skip copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves
+	touchedMark []uint8     //snapshot:skip copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves
 
 	//equality:dead event counters; never fed back into execution or classification
 	Stats CacheStats
@@ -110,6 +100,7 @@ func NewCache(cfg CacheConfig, lower Backend) *Cache {
 		dirty:       make([]uint8, lines),
 		data:        make([]byte, lines*cfg.LineSize),
 		touchedMark: make([]uint8, lines),
+		base:        zeroCacheState(lines, cfg.LineSize),
 		lower:       lower,
 	}
 	c.tagWidth = cfg.AddrBits - c.offBits - c.setBits
@@ -139,20 +130,19 @@ func (c *Cache) lineData(line int) []byte {
 	return c.data[off : off+c.cfg.LineSize]
 }
 
-// Touched-line marks for delta restore. A read hit only advances the
-// line's LRU stamp, so restoring it is one scalar store; a fill, write,
-// or fault flip can change any line byte and needs the full copy.
+// Touched-line marks. A read hit only advances the line's LRU stamp, so
+// restoring it is one scalar store; a fill, write, or fault flip can
+// change any line byte and needs the full copy.
 const (
-	markClean uint8 = iota // untouched since the last restore
+	markClean uint8 = iota // identical to the base
 	markLRU                // only the LRU stamp changed (read hit)
 	markLine               // tag/valid/dirty/data may have changed
 )
 
-// markLRUOnly records that a line's LRU stamp changed since the last
-// restore. A cache that has never been restored (the golden run) skips
-// the tracking entirely. A line already fully marked stays full.
+// markLRUOnly records that a line's LRU stamp moved away from the
+// base's. A line already fully marked stays full.
 func (c *Cache) markLRUOnly(line int) {
-	if c.lastRestore == nil || c.touchedMark[line] != markClean {
+	if c.touchedMark[line] != markClean {
 		return
 	}
 	c.touchedMark[line] = markLRU
@@ -163,7 +153,7 @@ func (c *Cache) markLRUOnly(line int) {
 // changed, upgrading an LRU-only mark in place (the line is already in
 // the touched list).
 func (c *Cache) markFull(line int) {
-	if c.lastRestore == nil || c.touchedMark[line] == markLine {
+	if c.touchedMark[line] == markLine {
 		return
 	}
 	if c.touchedMark[line] == markClean {
@@ -278,7 +268,7 @@ func (c *Cache) Read(addr uint64, size int) (uint64, int) {
 		line = base + w
 	}
 	c.clock++
-	if c.lastRestore != nil && c.touchedMark[line] == markClean {
+	if c.touchedMark[line] == markClean {
 		c.touchedMark[line] = markLRU
 		c.touched = append(c.touched, int32(line))
 	}
@@ -329,7 +319,7 @@ func (c *Cache) ReadLine(addr uint64, dst []byte) int {
 	if off+len(dst) > c.cfg.LineSize {
 		simerr.Assertf("cache %s: line read spans lines at %#x", c.cfg.Name, addr)
 	}
-	copy(dst, c.lineData(set*c.cfg.Ways+way)[off:off+len(dst)])
+	copy(dst, c.lineData(set*c.cfg.Ways + way)[off:off+len(dst)])
 	return c.cfg.HitLatency + lat
 }
 

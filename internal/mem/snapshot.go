@@ -1,23 +1,33 @@
 package mem
 
 // Snapshot and restore for the memory hierarchy, the cache/memory half
-// of the machine checkpoints used by the injection engine. Cache
-// snapshots are flat-slab deep copies drawn from a pool (the data
-// arrays are authoritative fault targets and small); physical memory
-// snapshots are copy-on-write at page granularity — the snapshot
-// aliases the live page arrays and the live memory clones a page on
-// the first store after the snapshot — so K checkpoints of a
-// large-footprint benchmark cost one page copy per written page, not K
-// full memory copies.
+// of the machine checkpoints used by the injection engine. Both halves
+// are copy-on-write, so K checkpoints of one run cost what changed
+// between them, not K copies of the hierarchy:
 //
-// Restoring the same cache snapshot repeatedly — the shape of an
-// injection campaign, where every faulty run of a batch rewinds to one
-// checkpoint — is a delta: the cache copies back only the lines it
-// touched since the previous restore (see Cache.mark). A generation
-// stamp on each snapshot makes the pointer identity test safe against
-// pooled CacheState reuse; whether the delta or the full path runs can
-// never change the outcome, since both produce the bit-exact snapshot
-// state.
+//   - a cache snapshot is a table of immutable fixed-size line chunks.
+//     The live cache keeps flat arrays for the hot path plus the list of
+//     lines touched since its base — the snapshot it was last restored
+//     from or captured as — so Snapshot copies only the chunks holding a
+//     touched line and aliases every other chunk of the base. Lines no
+//     run ever touched all alias one all-zero chunk;
+//
+//   - a physical memory snapshot aliases the live page arrays, and the
+//     live memory clones a page on the first store after the snapshot.
+//
+// Ownership of shared chunks and pages: whoever can reach one may read
+// it, nobody writes it after the snapshot that created it returns, and
+// the garbage collector frees it when the last snapshot and the last
+// cache based on it are gone. There is no pool and no reference count,
+// so releasing one snapshot cannot disturb another that shares with it.
+//
+// Restore exploits the sharing. Chunks whose pointers are identical in
+// the base and the target hold identical bytes, so only the touched
+// lines and the chunks whose pointers differ are copied; restoring the
+// base itself — the shape of an injection campaign, where every faulty
+// run of a batch rewinds to one checkpoint — copies the touched lines
+// alone. Which path runs can never change the outcome: each leaves the
+// cache bit-identical to the snapshot.
 //
 // Like the core layer (internal/cpu/snapshot.go), each structure offers
 // a strict Equal on the snapshot (bit-for-bit, for round-trip tests)
@@ -28,118 +38,167 @@ import (
 	"bytes"
 	"slices"
 	"sync"
-	"sync/atomic"
+	"unsafe"
 
 	"sevsim/internal/simerr"
 )
 
-// CacheState is a point-in-time copy of one cache's authoritative
-// arrays plus the LRU clock and event counters, in the same flat
-// struct-of-arrays layout as the live cache. It shares no memory with
-// the cache, so it may be restored concurrently into many caches. It
-// is immutable from Snapshot until Release.
+// chunkLines is the copy-on-write granule of a cache snapshot, in
+// lines. With 64-byte lines a chunk is 5.1 KiB: small enough that the
+// few lines a checkpoint interval touches do not drag much clean state
+// along, large enough that the chunk table of a 2 MiB L2 is 4 KiB.
+const (
+	chunkShift = 6
+	chunkLines = 1 << chunkShift
+)
+
+// cacheChunk is the complete state of chunkLines consecutive lines. It
+// is immutable from the moment a CacheState referencing it is returned.
+// A cache whose line count is not a multiple of chunkLines leaves the
+// tail of its last chunk zero.
+type cacheChunk struct {
+	tags  [chunkLines]uint64
+	lru   [chunkLines]uint64
+	valid [chunkLines]uint8
+	dirty [chunkLines]uint8
+	data  []byte // chunkLines*LineSize bytes
+}
+
+func (ch *cacheChunk) equal(o *cacheChunk) bool {
+	return ch == o || ch.tags == o.tags && ch.lru == o.lru &&
+		ch.valid == o.valid && ch.dirty == o.dirty && bytes.Equal(ch.data, o.data)
+}
+
+// zeroChunks interns the all-zero chunk per line size. Every cache
+// starts out based on it, so the lines a benchmark never reaches cost
+// nothing per snapshot, and restoring into a new machine — or from a
+// decoded stream — skips them by pointer identity like any other
+// shared chunk.
+var zeroChunks sync.Map // line size (int) -> *cacheChunk
+
+func zeroChunk(lineSize int) *cacheChunk {
+	if ch, ok := zeroChunks.Load(lineSize); ok {
+		return ch.(*cacheChunk)
+	}
+	ch, _ := zeroChunks.LoadOrStore(lineSize, &cacheChunk{data: make([]byte, chunkLines*lineSize)})
+	return ch.(*cacheChunk)
+}
+
+// CacheState is a point-in-time image of one cache: the LRU clock, the
+// event counters, and a chunk table covering every line. Chunks are
+// shared between the snapshots of one run (and with the caches based on
+// them) and never written, so a CacheState may be restored concurrently
+// into many caches.
 type CacheState struct {
 	Clock uint64
 	Stats CacheStats
 
-	gen   uint64 // pool-reuse guard for the delta-restore identity test
-	tags  []uint64
-	lru   []uint64
-	valid []uint8
-	dirty []uint8
-	data  []byte
+	lines    int // line count of the cache this is a state of
+	lineSize int
+	chunks   []*cacheChunk
 }
 
-// cacheGen stamps every snapshot with a process-unique generation, so a
-// cache holding a stale lastRestore pointer can detect that the pooled
-// CacheState behind it was released and reused.
-var cacheGen atomic.Uint64
+func chunkCount(lines int) int { return (lines + chunkLines - 1) >> chunkShift }
 
-var cacheStatePool = sync.Pool{New: func() any { return new(CacheState) }}
-
-// Release returns the snapshot's buffers to the pool. The caller must
-// be the last holder; Release must not be called twice. Caches that
-// used this snapshot for delta restore detect the reuse through the
-// generation stamp.
-func (s *CacheState) Release() {
-	cacheStatePool.Put(s)
-}
-
-// snapCopy copies src into dst, reusing dst's backing array when its
-// capacity suffices (pooled-buffer length/capacity discipline).
-func snapCopy[T any](dst, src []T) []T {
-	if cap(dst) < len(src) {
-		dst = make([]T, len(src))
-	} else {
-		dst = dst[:len(src)]
+// zeroCacheState is the state of a newly built cache.
+func zeroCacheState(lines, lineSize int) *CacheState {
+	s := &CacheState{lines: lines, lineSize: lineSize, chunks: make([]*cacheChunk, chunkCount(lines))}
+	zero := zeroChunk(lineSize)
+	for k := range s.chunks {
+		s.chunks[k] = zero
 	}
-	copy(dst, src)
-	return dst
-}
-
-// Snapshot captures the cache's complete state into a pooled
-// CacheState: five flat copies plus the scalars.
-func (c *Cache) Snapshot() *CacheState {
-	s := cacheStatePool.Get().(*CacheState)
-	s.Clock = c.clock
-	s.Stats = c.Stats
-	s.gen = cacheGen.Add(1)
-	s.tags = snapCopy(s.tags, c.tags)
-	s.lru = snapCopy(s.lru, c.lru)
-	s.valid = snapCopy(s.valid, c.valid)
-	s.dirty = snapCopy(s.dirty, c.dirty)
-	s.data = snapCopy(s.data, c.data)
 	return s
 }
 
-// restoreLine copies one line's full state back from the snapshot.
-func (c *Cache) restoreLine(s *CacheState, line int) {
-	c.tags[line] = s.tags[line]
-	c.lru[line] = s.lru[line]
-	c.valid[line] = s.valid[line]
-	c.dirty[line] = s.dirty[line]
-	off := line * c.cfg.LineSize
-	copy(c.data[off:off+c.cfg.LineSize], s.data[off:off+c.cfg.LineSize])
+// chunkSpan returns the live lines [first, first+n) chunk k covers.
+func (c *Cache) chunkSpan(k int) (first, n int) {
+	first = k << chunkShift
+	return first, min(chunkLines, len(c.tags)-first)
+}
+
+// captureChunk copies the live lines of chunk k into a new chunk.
+func (c *Cache) captureChunk(k int) *cacheChunk {
+	first, n := c.chunkSpan(k)
+	ls := c.cfg.LineSize
+	ch := &cacheChunk{data: make([]byte, chunkLines*ls)}
+	copy(ch.tags[:], c.tags[first:first+n])
+	copy(ch.lru[:], c.lru[first:first+n])
+	copy(ch.valid[:], c.valid[first:first+n])
+	copy(ch.dirty[:], c.dirty[first:first+n])
+	copy(ch.data, c.data[first*ls:(first+n)*ls])
+	return ch
+}
+
+// loadChunk copies ch over the live lines of chunk k.
+func (c *Cache) loadChunk(k int, ch *cacheChunk) {
+	first, n := c.chunkSpan(k)
+	ls := c.cfg.LineSize
+	copy(c.tags[first:first+n], ch.tags[:])
+	copy(c.lru[first:first+n], ch.lru[:])
+	copy(c.valid[first:first+n], ch.valid[:])
+	copy(c.dirty[first:first+n], ch.dirty[:])
+	copy(c.data[first*ls:(first+n)*ls], ch.data)
+}
+
+// Snapshot captures the cache's complete state. Only the chunks holding
+// a line touched since the base are copied; the rest of the table
+// aliases the base's chunks. The new snapshot becomes the base.
+func (c *Cache) Snapshot() *CacheState {
+	s := &CacheState{
+		Clock:    c.clock,
+		Stats:    c.Stats,
+		lines:    len(c.tags),
+		lineSize: c.cfg.LineSize,
+		chunks:   slices.Clone(c.base.chunks),
+	}
+	for _, line := range c.touched {
+		if c.touchedMark[line] == markClean {
+			continue // an earlier touched line already captured this chunk
+		}
+		k := int(line) >> chunkShift
+		s.chunks[k] = c.captureChunk(k)
+		first, n := c.chunkSpan(k)
+		clear(c.touchedMark[first : first+n])
+	}
+	c.touched = c.touched[:0]
+	c.base = s
+	return s
 }
 
 // Restore overwrites the cache's state with the snapshot's, reusing the
-// cache's existing backing arrays. Restoring the snapshot the cache was
-// last restored from copies back only the lines touched since then;
-// any other snapshot takes the full flat-copy path and becomes the new
-// delta base. Both paths leave the cache bit-identical to the
-// snapshot — the delta is a pure optimization.
+// cache's backing arrays, and makes the snapshot the base. The live
+// arrays equal the old base outside the touched lines, and chunks the
+// two snapshots share are identical, so the copy is the chunks whose
+// pointers differ plus the touched lines — for the base itself, the
+// touched lines alone.
 func (c *Cache) Restore(s *CacheState) {
-	if len(s.tags) != len(c.tags) || len(s.data) != len(c.data) {
-		simerr.Assertf("mem: cache restore from a differently configured cache snapshot: %d lines / %d data bytes, cache has %d / %d",
-			len(s.tags), len(s.data), len(c.tags), len(c.data))
+	if s.lines != len(c.tags) || s.lineSize != c.cfg.LineSize {
+		simerr.Assertf("mem: cache restore from a differently configured cache snapshot: %d lines of %d bytes, cache has %d of %d",
+			s.lines, s.lineSize, len(c.tags), c.cfg.LineSize)
 	}
 	c.clock = s.Clock
 	c.Stats = s.Stats
-	if c.lastRestore == s && c.lastGen == s.gen {
-		for _, line := range c.touched {
-			if c.touchedMark[line] == markLine {
-				c.restoreLine(s, int(line))
-			} else {
-				// Read hit: only the LRU stamp moved.
-				c.lru[line] = s.lru[line]
+	ls := c.cfg.LineSize
+	if old := c.base; old != s {
+		for k, ch := range s.chunks {
+			if ch != old.chunks[k] {
+				c.loadChunk(k, ch)
 			}
-			c.touchedMark[line] = markClean
 		}
-		c.touched = c.touched[:0]
-		return
+		c.base = s
 	}
-	copy(c.tags, s.tags)
-	copy(c.lru, s.lru)
-	copy(c.valid, s.valid)
-	copy(c.dirty, s.dirty)
-	copy(c.data, s.data)
 	for _, line := range c.touched {
+		ch, i := s.chunks[line>>chunkShift], line&(chunkLines-1)
+		if c.touchedMark[line] == markLine {
+			c.tags[line] = ch.tags[i]
+			c.valid[line] = ch.valid[i]
+			c.dirty[line] = ch.dirty[i]
+			copy(c.data[int(line)*ls:(int(line)+1)*ls], ch.data[int(i)*ls:])
+		}
+		c.lru[line] = ch.lru[i] // all a read hit moves
 		c.touchedMark[line] = markClean
 	}
 	c.touched = c.touched[:0]
-	c.lastRestore = s
-	c.lastGen = s.gen
-	c.diffs = c.diffs[:0]
 }
 
 // Clock returns the LRU clock, the cheap per-cache component of the
@@ -159,40 +218,55 @@ func (c *Cache) Clock() uint64 { return c.clock }
 // the LRU clock (it steers future victim selection). Stats are
 // excluded: they never feed back into execution or classification, and
 // a behaviorally converged run may carry different event counts from
-// its pre-convergence excursion. The flat slab compare runs first:
-// identical slabs are sufficient, so the per-line dead-state walk only
-// runs when some byte differs.
+// its pre-convergence excursion.
+//
+// Outside the touched lines the live cache is bit-identical to its
+// base, so it can differ from s only on a touched line or inside a
+// chunk where the base and s hold different pointers; a chunk both
+// tables share needs no look at all. That is what keeps a comparison
+// against any rung of a dense checkpoint ladder proportional to what
+// ran in between, with nothing memoized per pair.
 func (c *Cache) StateEquals(s *CacheState) bool {
-	if c.clock != s.Clock || len(c.tags) != len(s.tags) || len(c.data) != len(s.data) {
-		return false
+	eq, _ := c.stateEquals(s)
+	return eq
+}
+
+// stateEquals is StateEquals plus the number of whole chunks it had to
+// compare, which tests pin to the number of differing chunk pointers.
+func (c *Cache) stateEquals(s *CacheState) (eq bool, chunksCompared int) {
+	if c.clock != s.Clock || s.lines != len(c.tags) || s.lineSize != c.cfg.LineSize {
+		return false, 0
 	}
-	if c.lastRestore != nil && c.lastGen == c.lastRestore.gen && len(c.lastRestore.tags) == len(c.tags) {
-		// Delta path: outside the touched set the live cache is
-		// bit-identical to its restore base, so it can differ from s
-		// only where the base does (the memoized diff) or where it was
-		// touched since the restore. Equality therefore holds iff every
-		// base/s difference was touched (untouched lines pin the live
-		// cache to the base side of the difference) and every touched
-		// line behaviorally matches s.
-		for _, line := range c.diffFor(s) {
-			if c.touchedMark[line] == markClean {
-				return false
-			}
+	for _, line := range c.touched {
+		if !c.liveLineEquals(s.chunks[line>>chunkShift], int(line)) {
+			return false, 0
 		}
-		for _, line := range c.touched {
-			if !c.liveLineEquals(s, int(line)) {
-				return false
-			}
+	}
+	for k, ch := range s.chunks {
+		if ch == c.base.chunks[k] {
+			continue
 		}
+		chunksCompared++
+		if !c.liveChunkEquals(ch, k) {
+			return false, chunksCompared
+		}
+	}
+	return true, chunksCompared
+}
+
+// liveChunkEquals compares the live lines of chunk k against ch. Equal
+// bytes are sufficient, so the per-line dead-state walk only runs when
+// some byte differs.
+func (c *Cache) liveChunkEquals(ch *cacheChunk, k int) bool {
+	first, n := c.chunkSpan(k)
+	ls := c.cfg.LineSize
+	if slices.Equal(c.valid[first:first+n], ch.valid[:n]) && slices.Equal(c.dirty[first:first+n], ch.dirty[:n]) &&
+		slices.Equal(c.tags[first:first+n], ch.tags[:n]) && slices.Equal(c.lru[first:first+n], ch.lru[:n]) &&
+		bytes.Equal(c.data[first*ls:(first+n)*ls], ch.data[:n*ls]) {
 		return true
 	}
-	if slices.Equal(c.valid, s.valid) && slices.Equal(c.dirty, s.dirty) &&
-		slices.Equal(c.tags, s.tags) && slices.Equal(c.lru, s.lru) &&
-		bytes.Equal(c.data, s.data) {
-		return true
-	}
-	for line := range c.tags {
-		if !c.liveLineEquals(s, line) {
+	for line := first; line < first+n; line++ {
+		if !c.liveLineEquals(ch, line) {
 			return false
 		}
 	}
@@ -200,79 +274,72 @@ func (c *Cache) StateEquals(s *CacheState) bool {
 }
 
 // liveLineEquals is the per-line behavioral comparison of the live
-// cache against a snapshot: invalid lines compare only the valid bit
-// (the rest is dead state, see StateEquals), valid lines in full.
-func (c *Cache) liveLineEquals(s *CacheState, line int) bool {
-	if c.valid[line] != s.valid[line] {
+// cache against the chunk holding that line in a snapshot: invalid
+// lines compare only the valid bit (the rest is dead state, see
+// StateEquals), valid lines in full.
+func (c *Cache) liveLineEquals(ch *cacheChunk, line int) bool {
+	i := line & (chunkLines - 1)
+	if c.valid[line] != ch.valid[i] {
 		return false
 	}
 	if c.valid[line] == 0 {
 		return true
 	}
-	if c.tags[line] != s.tags[line] || c.dirty[line] != s.dirty[line] || c.lru[line] != s.lru[line] {
+	if c.tags[line] != ch.tags[i] || c.dirty[line] != ch.dirty[i] || c.lru[line] != ch.lru[i] {
 		return false
 	}
-	off := line * c.cfg.LineSize
-	return bytes.Equal(c.data[off:off+c.cfg.LineSize], s.data[off:off+c.cfg.LineSize])
-}
-
-// watchDiff records, for one convergence-watch snapshot, the lines
-// where it behaviorally differs from the cache's delta-restore base.
-type watchDiff struct {
-	watch    *CacheState
-	watchGen uint64
-	lines    []int32
-}
-
-// diffFor returns the behavioral line difference between the cache's
-// delta-restore base snapshot and s, memoized per (base, s) pair. Both
-// snapshots are immutable, so the memo stays valid until the base
-// changes (Restore resets c.diffs) or either pooled snapshot is reused
-// (generation mismatch). Only called from StateEquals' delta path, so
-// the base is known valid and same-geometry.
-func (c *Cache) diffFor(s *CacheState) []int32 {
-	for i := range c.diffs {
-		if c.diffs[i].watch == s && c.diffs[i].watchGen == s.gen {
-			return c.diffs[i].lines
-		}
-	}
-	base := c.lastRestore
-	var lines []int32
 	ls := c.cfg.LineSize
-	for line := range base.tags {
-		if base.valid[line] != s.valid[line] {
-			lines = append(lines, int32(line))
-			continue
-		}
-		if base.valid[line] == 0 {
-			continue
-		}
-		off := line * ls
-		if base.tags[line] != s.tags[line] || base.dirty[line] != s.dirty[line] ||
-			base.lru[line] != s.lru[line] || !bytes.Equal(base.data[off:off+ls], s.data[off:off+ls]) {
-			lines = append(lines, int32(line))
-		}
-	}
-	if len(c.diffs) >= 32 {
-		// Stale pooled-reuse entries could otherwise pile up; watch sets
-		// are far smaller than this in practice.
-		c.diffs = c.diffs[:0]
-	}
-	c.diffs = append(c.diffs, watchDiff{watch: s, watchGen: s.gen, lines: lines})
-	return lines
+	return bytes.Equal(c.data[line*ls:(line+1)*ls], ch.data[i*ls:(i+1)*ls])
 }
 
 // Equal is the strict comparison of two cache snapshots, including dead
-// state: every slab bit, the clock, and the counters. The flat layout
-// makes it five slice compares — there is no per-line tail that could
-// escape comparison (the old per-line buffers compared only a prefix
-// of each buffer, so trailing bytes could differ silently).
+// state: every bit of every chunk, the clock, and the counters.
 func (s *CacheState) Equal(o *CacheState) bool {
-	return s.Clock == o.Clock && s.Stats == o.Stats &&
-		slices.Equal(s.tags, o.tags) && slices.Equal(s.lru, o.lru) &&
-		slices.Equal(s.valid, o.valid) && slices.Equal(s.dirty, o.dirty) &&
-		bytes.Equal(s.data, o.data)
+	return s.Clock == o.Clock && s.Stats == o.Stats && s.lines == o.lines && s.lineSize == o.lineSize &&
+		slices.EqualFunc(s.chunks, o.chunks, (*cacheChunk).equal)
 }
+
+// Footprint sums the memory a set of snapshots holds, counting every
+// chunk and page once however many snapshots share it. The zero value
+// is ready to use.
+type Footprint struct {
+	chunks map[*cacheChunk]struct{}
+	pages  map[*[PageSize]byte]struct{}
+	bytes  int
+}
+
+// AddCache adds a cache snapshot: its chunk table plus the chunks not
+// already counted.
+func (f *Footprint) AddCache(s *CacheState) {
+	if f.chunks == nil {
+		f.chunks = make(map[*cacheChunk]struct{})
+	}
+	f.bytes += 8 * len(s.chunks)
+	for _, ch := range s.chunks {
+		if _, seen := f.chunks[ch]; !seen {
+			f.chunks[ch] = struct{}{}
+			f.bytes += int(unsafe.Sizeof(*ch)) + len(ch.data)
+		}
+	}
+}
+
+// AddMemory adds a memory snapshot: its page table plus the pages not
+// already counted.
+func (f *Footprint) AddMemory(s *MemoryState) {
+	if f.pages == nil {
+		f.pages = make(map[*[PageSize]byte]struct{})
+	}
+	f.bytes += 16 * len(s.pages)
+	for _, p := range s.pages { //lint:ordered sums distinct pages into a set; order cannot reach the total
+		if _, seen := f.pages[p]; !seen {
+			f.pages[p] = struct{}{}
+			f.bytes += PageSize
+		}
+	}
+}
+
+// Bytes returns the total so far.
+func (f *Footprint) Bytes() int { return f.bytes }
 
 // MemoryState is a copy-on-write snapshot of physical memory: it
 // aliases the live memory's page arrays at snapshot time. The arrays

@@ -102,7 +102,7 @@ func TestCacheRestoreZeroesStaleBuffers(t *testing.T) {
 	l1.FlipDataBit(0)
 	_, _, cold := newHierarchy()
 	cold.FlipDataBit(0)
-	if !l1.Snapshot().Equal(cold.Snapshot()) {
+	if !deepState(l1).Equal(deepState(cold)) {
 		t.Error("stale line bytes leaked through restore into the flipped state")
 	}
 }
@@ -138,10 +138,10 @@ func TestCacheComparisonCoversWholeLine(t *testing.T) {
 }
 
 // TestCacheDeltaRestoreBitExact: repeated restores from one snapshot
-// take the delta path (only touched lines copied back) and must be
-// indistinguishable from a full restore, including when the
-// interleaved work evicts, writes back, and flips bits; and a restore
-// from a *different* snapshot must invalidate the delta base.
+// copy back only touched lines and must be indistinguishable from a
+// restore into a new cache, including when the interleaved work evicts,
+// writes back, and flips bits; and a restore from a *different*
+// snapshot must move the base.
 func TestCacheDeltaRestoreBitExact(t *testing.T) {
 	_, _, l1 := newHierarchy()
 	for i := uint64(0); i < 16; i++ {
@@ -156,7 +156,7 @@ func TestCacheDeltaRestoreBitExact(t *testing.T) {
 		l1.FlipDataBit(uint64(round) * 131)
 		l1.FlipTagBit(uint64(round) * 7)
 		l1.Restore(s)
-		if !l1.Snapshot().Equal(s) {
+		if !deepState(l1).Equal(s) {
 			t.Fatalf("round %d: delta restore is not bit-exact", round)
 		}
 	}
@@ -166,21 +166,12 @@ func TestCacheDeltaRestoreBitExact(t *testing.T) {
 	s2 := l1.Snapshot()
 	l1.Write(0x150000, 8, 0x5678)
 	l1.Restore(s2)
-	if !l1.Snapshot().Equal(s2) {
+	if !deepState(l1).Equal(s2) {
 		t.Fatal("restore from second snapshot not bit-exact")
 	}
 	l1.Restore(s)
-	if !l1.Snapshot().Equal(s) {
+	if !deepState(l1).Equal(s) {
 		t.Fatal("switching back to first snapshot not bit-exact")
-	}
-	// A released-and-reused snapshot must not be mistaken for the delta
-	// base: gen differs even if the pool hands back the same pointer.
-	s2.Release()
-	s3 := l1.Snapshot()
-	l1.Write(0x160000, 8, 0x9abc)
-	l1.Restore(s3)
-	if !l1.Snapshot().Equal(s3) {
-		t.Fatal("restore from pooled-reuse snapshot not bit-exact")
 	}
 }
 
@@ -199,7 +190,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 	l1.Restore(s1)
 	l2.Restore(s2)
-	if !l1.Snapshot().Equal(s1) || !l2.Snapshot().Equal(s2) {
+	if !deepState(l1).Equal(s1) || !deepState(l2).Equal(s2) {
 		t.Error("cache snapshot round trip not bit-exact")
 	}
 	if !l1.StateEquals(s1) || !l2.StateEquals(s2) {

@@ -178,38 +178,86 @@ func receiverName(fd *ast.FuncDecl) string {
 }
 
 // fieldRefs returns the set of receiver field names the method's body
-// references, and the set of sibling methods it calls on its receiver
-// (for transitive closure).
-func fieldRefs(fd *ast.FuncDecl, methods map[string]*ast.FuncDecl) (fields, calls map[string]bool) {
-	fields, calls = map[string]bool{}, map[string]bool{}
+// references, the subset it writes, and the set of sibling methods it
+// calls on its receiver (for transitive closure). A write is a field at
+// the root of an assignment or ++/-- target, or of the destination of
+// the copy and clear builtins; writes through method calls and
+// pointers are not seen, so the write set under-counts.
+func fieldRefs(fd *ast.FuncDecl, methods map[string]*ast.FuncDecl) (fields, writes, calls map[string]bool) {
+	fields, writes, calls = map[string]bool{}, map[string]bool{}, map[string]bool{}
 	recv := receiverName(fd)
 	if recv == "" || fd.Body == nil {
-		return fields, calls
+		return fields, writes, calls
+	}
+	written := func(target ast.Expr) {
+		if f := rootField(target, recv); f != "" {
+			writes[f] = true
+		}
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		se, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := se.X.(*ast.Ident)
-		if !ok || id.Name != recv {
-			return true
-		}
-		if _, isMethod := methods[se.Sel.Name]; isMethod {
-			calls[se.Sel.Name] = true
-		} else {
-			fields[se.Sel.Name] = true
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				written(lhs)
+			}
+		case *ast.IncDecStmt:
+			written(n.X)
+		case *ast.CallExpr:
+			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "copy" || id.Name == "clear") && len(n.Args) > 0 {
+				written(n.Args[0])
+			}
+		case *ast.SelectorExpr:
+			id, ok := n.X.(*ast.Ident)
+			if !ok || id.Name != recv {
+				return true
+			}
+			if _, isMethod := methods[n.Sel.Name]; isMethod {
+				calls[n.Sel.Name] = true
+			} else {
+				fields[n.Sel.Name] = true
+			}
 		}
 		return true
 	})
-	return fields, calls
+	return fields, writes, calls
+}
+
+// rootField returns the receiver field an assignable expression is
+// rooted in (recv.F, recv.F[i], recv.F[a:b], recv.F.G, ...), or "".
+func rootField(e ast.Expr, recv string) string {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok && id.Name == recv {
+				return x.Sel.Name
+			}
+			e = x.X
+		default:
+			return ""
+		}
+	}
 }
 
 // methodFieldRefs returns every receiver field referenced by the named
 // method or, transitively, by sibling methods it calls on its receiver
 // (e.g. Spec.fingerprint calling s.resolveSizes()).
 func (sd *structDecl) methodFieldRefs(name string) map[string]bool {
-	refs := map[string]bool{}
+	refs, _ := sd.methodFieldUse(name)
+	return refs
+}
+
+// methodFieldUse is methodFieldRefs plus the subset of fields the same
+// methods write (see fieldRefs).
+func (sd *structDecl) methodFieldUse(name string) (refs, writes map[string]bool) {
+	refs, writes = map[string]bool{}, map[string]bool{}
 	visited := map[string]bool{}
 	var walk func(string)
 	walk = func(m string) {
@@ -221,9 +269,12 @@ func (sd *structDecl) methodFieldRefs(name string) map[string]bool {
 		if !ok {
 			return
 		}
-		fields, calls := fieldRefs(fd, sd.Methods)
+		fields, written, calls := fieldRefs(fd, sd.Methods)
 		for f := range fields { //lint:ordered set union into a set; order cannot reach the result
 			refs[f] = true
+		}
+		for f := range written { //lint:ordered set union into a set; order cannot reach the result
+			writes[f] = true
 		}
 		var next []string
 		for c := range calls { //lint:ordered collected into a set; traversal order cannot change the resulting union
@@ -234,5 +285,5 @@ func (sd *structDecl) methodFieldRefs(name string) map[string]bool {
 		}
 	}
 	walk(name)
-	return refs
+	return refs, writes
 }

@@ -42,7 +42,12 @@ func flatBacking(ann *annotation) string {
 // referenced by BOTH Snapshot and Restore (i.e. actually carried
 // through a checkpoint round-trip), a "//snapshot:flat <backing>" view
 // whose backing slab is carried by both, or carries an explicit
-// "//snapshot:skip <reason>" annotation. Adding a struct field without
+// "//snapshot:skip <reason>" annotation. An annotation is stale when
+// Snapshot reads the field and Restore assigns it — unless Snapshot
+// assigns it too: capturing state does not change it, so a field both
+// methods write is bookkeeping about the relation between the live
+// structure and its snapshots (a copy-on-write base, a touched list),
+// exactly what the annotation says. Adding a struct field without
 // extending the snapshot layer used to silently break checkpoint
 // fast-forward, kill-and-resume, and the equality fast path at once;
 // now it is a lint error at the field's declaration.
@@ -57,8 +62,8 @@ func snapshotCoverPass() *Pass {
 				if sd.Methods["Snapshot"] == nil || sd.Methods["Restore"] == nil {
 					continue
 				}
-				snap := sd.methodFieldRefs("Snapshot")
-				rest := sd.methodFieldRefs("Restore")
+				snap, snapWrites := sd.methodFieldUse("Snapshot")
+				rest, restWrites := sd.methodFieldUse("Restore")
 				fields := expandFields(sd, byName)
 				declared := map[string]bool{}
 				for _, field := range fields {
@@ -104,7 +109,7 @@ func snapshotCoverPass() *Pass {
 							r.Report(name.Pos(), "missing-field", fmt.Sprintf(
 								"field %s.%s is not %s; a checkpoint would silently drop it — copy it in both, or annotate //%s <reason>",
 								sd.Name, name.Name, missingHalf(snap[name.Name], rest[name.Name]), AnnSnapshotSkip))
-						case ann != nil && covered:
+						case ann != nil && covered && restWrites[name.Name] && !snapWrites[name.Name]:
 							r.Report(name.Pos(), "stale-annotation", fmt.Sprintf(
 								"field %s.%s is annotated //%s but Snapshot and Restore both copy it; delete the annotation",
 								sd.Name, name.Name, AnnSnapshotSkip))

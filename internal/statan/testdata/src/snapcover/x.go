@@ -8,9 +8,10 @@ type Machine struct {
 	a   int
 	b   int // read by Snapshot, not written by Restore: flagged
 	c   int // in neither: flagged
-	cfg int //snapshot:skip fixture configuration, never mutated
+	cfg int //snapshot:skip fixture configuration: both methods read it, neither writes it
 	d   int //snapshot:skip stale: both methods copy it
 	e   int //snapshot:skip
+	gen int //snapshot:skip bookkeeping both methods maintain: Snapshot writes it, so it is not captured state
 }
 
 type State struct {
@@ -18,12 +19,14 @@ type State struct {
 }
 
 func (m *Machine) Snapshot() *State {
+	m.gen += m.cfg
 	return &State{A: m.a, B: m.b, D: m.d}
 }
 
 func (m *Machine) Restore(s *State) {
 	m.a = s.A
 	m.d = s.D
+	m.gen = m.cfg
 }
 
 // Flat exercises the //snapshot:flat view rules over an embedded
