@@ -30,6 +30,7 @@ import (
 	"sevsim/internal/checkpoint"
 	"sevsim/internal/compiler"
 	"sevsim/internal/core"
+	"sevsim/internal/cpu"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/lang"
 	"sevsim/internal/machine"
@@ -350,7 +351,7 @@ func BenchmarkInjectionCell(b *testing.B) {
 		pool := campaign.NewPool(runtime.GOMAXPROCS(0))
 		defer pool.Close()
 		// Each measurement includes experiment preparation, so the
-		// recording pass the fast path adds is charged against it.
+		// snapshots the fast path adds to it are charged against it.
 		measure := func(opts faultinj.Options) (time.Duration, []campaign.Counts) {
 			t0 := time.Now()
 			exp := newExp(opts)
@@ -462,6 +463,92 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 	b.ReportMetric(float64(snapT.Nanoseconds())/float64(snaps), "ns/snapshot")
 	b.ReportMetric(float64(restoreT.Nanoseconds())/float64(restores), "ns/restore")
 	b.ReportMetric(float64(resident)/float64(b.N*len(points)), "B/snapshot")
+}
+
+// BenchmarkPrepUnit measures what preparing a unit costs over the
+// golden run it cannot avoid. One iteration takes qsort at O2 and twice
+// its evaluation size (the size sevbench's prep_sweep runs) on both
+// microarchitectures and, for each, times a
+// plain golden run (machine.New + Run) and a full preparation
+// (faultinj.NewExperimentOptions at the default checkpoint budget),
+// once with the commit trace and once without, back to back, and keeps
+// the fastest of each over the b.N iterations:
+//
+//	golden-ns/unit, prep-ns/unit                 untraced
+//	traced-golden-ns/unit, traced-prep-ns/unit   with the commit hook
+//	prep/golden, traced-prep/traced-golden       the ratios
+//
+// Preparation records the checkpoint ladder during the golden run, so
+// the ratios sit a few percent above 1; a second simulated pass would
+// put them at 2. cmd/benchgate holds prep/golden (-unit) to the limit
+// in BENCH_layout.json's trajectory.
+func BenchmarkPrepUnit(b *testing.B) {
+	bench, _ := workloads.ByName("qsort")
+	type unit struct {
+		cfg  machine.Config
+		prog *machine.Program
+	}
+	var units []unit
+	for _, cfg := range machine.Configs() {
+		prog, err := compiler.Compile(bench.Source(2*bench.DefaultSize), "qsort", compiler.O2,
+			compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units = append(units, unit{cfg, prog})
+	}
+	// Each timed call starts from a collected heap, so none pays for the
+	// machine its predecessor left behind.
+	golden := func(u unit, traced bool) time.Duration {
+		runtime.GC()
+		t0 := time.Now()
+		m := machine.New(u.cfg, u.prog)
+		if traced {
+			trace := make([]cpu.CommitEvent, 0, 1024)
+			m.Core.SetCommitHook(func(ev cpu.CommitEvent) { trace = append(trace, ev) })
+		}
+		if res := m.Run(1 << 40); res.Outcome != machine.OutcomeOK {
+			b.Fatalf("golden run ended %s", res.Outcome)
+		}
+		return time.Since(t0)
+	}
+	prep := func(u unit, traced bool) time.Duration {
+		runtime.GC()
+		t0 := time.Now()
+		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: traced})
+		d := time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exp.Close()
+		return d
+	}
+	// Fastest of b.N per unit and kind: this host slows memory-heavy
+	// code for minutes at a time, and a sum would carry whichever phase
+	// each call happened to land in into the ratio.
+	fastest := make([][4]time.Duration, len(units))
+	for i := 0; i < b.N; i++ {
+		for j, u := range units {
+			for kind, d := range [4]time.Duration{golden(u, false), prep(u, false), golden(u, true), prep(u, true)} {
+				if i == 0 || d < fastest[j][kind] {
+					fastest[j][kind] = d
+				}
+			}
+		}
+	}
+	var sum [4]float64
+	for _, f := range fastest {
+		for kind, d := range f {
+			sum[kind] += float64(d.Nanoseconds())
+		}
+	}
+	n := float64(len(units))
+	b.ReportMetric(sum[0]/n, "golden-ns/unit")
+	b.ReportMetric(sum[1]/n, "prep-ns/unit")
+	b.ReportMetric(sum[2]/n, "traced-golden-ns/unit")
+	b.ReportMetric(sum[3]/n, "traced-prep-ns/unit")
+	b.ReportMetric(sum[1]/sum[0], "prep/golden")
+	b.ReportMetric(sum[3]/sum[2], "traced-prep/traced-golden")
 }
 
 // BenchmarkPrunedStudy quantifies the static injection pruner: it runs

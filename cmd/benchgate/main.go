@@ -16,12 +16,18 @@
 //	    go run ./cmd/benchgate -baseline BENCH_layout.json -bench BenchmarkCheckpointLadder \
 //	        -unit ns/snapshot -metric trajectory.0.after.ns_per_snapshot
 //
-// The gate fails (exit 1) when the measured time exceeds the baseline
-// by more than the allowed factor. The factor is deliberately loose:
-// CI runners are noisy and -benchtime=1x is a single iteration, so the
-// gate is a tripwire for order-of-magnitude regressions (a lost fast
-// path, an accidental full-copy restore, a cache miss where a hit
-// belongs), not a microbenchmark judge.
+//	go test -run '^$' -bench 'BenchmarkPrepUnit' -benchtime=10x . |
+//	    go run ./cmd/benchgate -baseline BENCH_layout.json -bench BenchmarkPrepUnit \
+//	        -unit prep/golden -metric trajectory.1.gate_limit.prep_over_golden -max-regression 1
+//
+// The gate fails (exit 1) when the measured value exceeds the baseline
+// by more than the allowed factor. For times the factor is deliberately
+// loose: CI runners are noisy and -benchtime=1x is a single iteration,
+// so the gate is a tripwire for order-of-magnitude regressions (a lost
+// fast path, an accidental full-copy restore, a cache miss where a hit
+// belongs), not a microbenchmark judge. A benchmark that reports a
+// ratio of two of its own times (prep/golden) is gated on an absolute
+// limit instead: the file records the limit and the factor is 1.
 package main
 
 import (
@@ -61,7 +67,7 @@ func main() {
 	}
 
 	ratio := measured / base
-	fmt.Printf("benchgate: %s measured %.0f %s, baseline %.0f %s (%s %s), ratio %.2fx (limit %.2fx)\n",
+	fmt.Printf("benchgate: %s measured %v %s, baseline %v %s (%s %s), ratio %.2fx (limit %.2fx)\n",
 		*bench, measured, *unit, base, *unit, *baseline, *metric, ratio, *maxRegression)
 	if ratio > *maxRegression {
 		fatalf("regression: %.2fx exceeds the %.2fx limit", ratio, *maxRegression)

@@ -37,7 +37,7 @@ func main() {
 	par := flag.Int("parallel", 0, "concurrent injections (0 = GOMAXPROCS)")
 	modelFlag := flag.String("model", "single", "fault model: single, double, quad (multi-bit upsets)")
 	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoints for injection fast-forward (0 disables); results are identical at any setting")
+	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoint budget for injection fast-forward: at most this many are kept (0 disables); results are identical at any setting")
 	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip the golden simulation (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")

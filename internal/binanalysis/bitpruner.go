@@ -45,17 +45,16 @@ func NewBitPruner(a *Analysis, exp *faultinj.Experiment) (*BitPruner, error) {
 	return &BitPruner{RFPruner: rp, bits: a.Bits(rp.xlen)}, nil
 }
 
-// deadBitsAfter returns the dead-bit mask of architectural register a
-// once k events have committed (0 when the state is unanalyzable).
-func (p *BitPruner) deadBitsAfter(k int, a uint8) uint64 {
-	if k == 0 {
+// deadBitsAt returns the dead-bit mask of architectural register a at
+// a program point (0 when the state is unanalyzable).
+func (p *BitPruner) deadBitsAt(pt int, a uint8) uint64 {
+	switch {
+	case pt == entryPoint:
 		return p.bits.EntryDeadBits(a)
-	}
-	idx := p.idxOf(p.events[k-1].PC)
-	if idx < 0 {
+	case pt < 0:
 		return 0
 	}
-	return p.bits.DeadOutBits(idx, a)
+	return p.bits.DeadOutBits(pt, a)
 }
 
 // PrunableKind implements faultinj.KindPruner for the RF target.
@@ -69,7 +68,8 @@ func (p *BitPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		return faultinj.PruneNone, "phys 0 holds the zero register"
 	}
 	k := p.stateAt(inj.Cycle)
-	dead, ok := p.deadAfter(k)
+	pt := p.pointAfter(k)
+	dead, ok := p.deadAt(pt)
 	if !ok {
 		return faultinj.PruneNone, "last commit PC outside code image"
 	}
@@ -81,7 +81,7 @@ func (p *BitPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		if dead.Has(uint8(a)) {
 			return faultinj.PruneReg, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
 		}
-		if p.deadBitsAfter(k, uint8(a))&(1<<bit) != 0 {
+		if p.deadBitsAt(pt, uint8(a))&(1<<bit) != 0 {
 			return faultinj.PruneBit, fmt.Sprintf("phys %d maps arch %d whose bit %d is dead after commit %d", phys, a, bit, k)
 		}
 		return faultinj.PruneNone, fmt.Sprintf("phys %d maps arch %d with live bit %d", phys, a, bit)
@@ -108,14 +108,15 @@ func (p *BitPruner) Bound() RFBound {
 	}
 	var bitSum, regSum uint64
 	p.walkIntervals(func(k int, cycles uint64) {
-		dead, ok := p.deadAfter(k)
+		pt := p.pointAfter(k)
+		dead, ok := p.deadAt(pt)
 		if !ok {
 			return
 		}
 		regSum += uint64(dead.Count()) * uint64(p.xlen) * cycles
 		var n uint64
 		for a := 1; a < p.numArch; a++ {
-			n += uint64(bits.OnesCount64(p.deadBitsAfter(k, uint8(a))))
+			n += uint64(bits.OnesCount64(p.deadBitsAt(pt, uint8(a))))
 		}
 		bitSum += n * cycles
 	})

@@ -91,17 +91,16 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 	return p, nil
 }
 
-// dueBitsAfter returns the crash-certain bit mask of architectural
-// register a once k events have committed (0 when unanalyzable).
-func (p *DUEPruner) dueBitsAfter(k int, a uint8) uint64 {
-	if k == 0 {
+// dueBitsAt returns the crash-certain bit mask of architectural
+// register a at a program point (0 when unanalyzable).
+func (p *DUEPruner) dueBitsAt(pt int, a uint8) uint64 {
+	switch {
+	case pt == entryPoint:
 		return p.bits.EntryDueBits(a)
-	}
-	idx := p.idxOf(p.events[k-1].PC)
-	if idx < 0 {
+	case pt < 0:
 		return 0
 	}
-	return p.bits.DueOutBits(idx, a)
+	return p.bits.DueOutBits(pt, a)
 }
 
 // windowClear reports whether the first golden reader of architectural
@@ -109,10 +108,16 @@ func (p *DUEPruner) dueBitsAfter(k int, a uint8) uint64 {
 // no in-flight instruction can have read the register before the flip.
 // A register with no reader ahead reports false: the must-DUE masks
 // guarantee a faulting reader exists whenever a due bit is set, so
-// this only suppresses (never unsoundly admits) a claim.
+// this only suppresses (never unsoundly admits) a claim. Queries arrive
+// in any order, so it searches for that reader.
 func (p *DUEPruner) windowClear(k int, a uint8) bool {
 	rs := p.readers[a]
-	i := sort.Search(len(rs), func(i int) bool { return int(rs[i]) >= k })
+	return p.clearFrom(rs, sort.Search(len(rs), func(i int) bool { return int(rs[i]) >= k }), k)
+}
+
+// clearFrom is windowClear's criterion given the index i in rs of the
+// first reader at or past state k (len(rs) when there is none).
+func (p *DUEPruner) clearFrom(rs []int32, i, k int) bool {
 	return i < len(rs) && int(rs[i])-k >= p.robSize
 }
 
@@ -128,7 +133,8 @@ func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		return faultinj.PruneNone, "phys 0 holds the zero register"
 	}
 	k := p.stateAt(inj.Cycle)
-	dead, ok := p.deadAfter(k)
+	pt := p.pointAfter(k)
+	dead, ok := p.deadAt(pt)
 	if !ok {
 		return faultinj.PruneNone, "last commit PC outside code image"
 	}
@@ -140,10 +146,10 @@ func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		if dead.Has(uint8(a)) {
 			return faultinj.PruneReg, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
 		}
-		if p.deadBitsAfter(k, uint8(a))&(1<<bit) != 0 {
+		if p.deadBitsAt(pt, uint8(a))&(1<<bit) != 0 {
 			return faultinj.PruneBit, fmt.Sprintf("phys %d maps arch %d whose bit %d is dead after commit %d", phys, a, bit, k)
 		}
-		if p.dueOK && p.dueBitsAfter(k, uint8(a))&(1<<bit) != 0 && p.windowClear(k, uint8(a)) {
+		if p.dueOK && p.dueBitsAt(pt, uint8(a))&(1<<bit) != 0 && p.windowClear(k, uint8(a)) {
 			return faultinj.PruneDUE, fmt.Sprintf("phys %d maps arch %d whose bit %d is crash-certain after commit %d", phys, a, bit, k)
 		}
 		return faultinj.PruneNone, fmt.Sprintf("phys %d maps arch %d with live bit %d", phys, a, bit)
@@ -169,18 +175,30 @@ func (p *DUEPruner) Bound() RFBound {
 		return b
 	}
 	var bitSum, regSum, dueSum uint64
+	// first[a] indexes the first reader of a at or past the walk's k.
+	// The walk's k only ascends, so each cursor only moves forward.
+	var first [32]int
 	p.walkIntervals(func(k int, cycles uint64) {
-		dead, ok := p.deadAfter(k)
+		pt := p.pointAfter(k)
+		dead, ok := p.deadAt(pt)
 		if !ok {
 			return
 		}
 		regSum += uint64(dead.Count()) * uint64(p.xlen) * cycles
 		var nb, nd uint64
 		for a := 1; a < p.numArch; a++ {
-			db := p.deadBitsAfter(k, uint8(a))
+			db := p.deadBitsAt(pt, uint8(a))
 			nb += uint64(bits.OnesCount64(db))
-			if p.dueOK && p.windowClear(k, uint8(a)) {
-				nd += uint64(bits.OnesCount64(p.dueBitsAfter(k, uint8(a)) &^ db))
+			if !p.dueOK {
+				continue
+			}
+			rs, i := p.readers[a], first[a]
+			for i < len(rs) && int(rs[i]) < k {
+				i++
+			}
+			first[a] = i
+			if p.clearFrom(rs, i, k) {
+				nd += uint64(bits.OnesCount64(p.dueBitsAt(pt, uint8(a)) &^ db))
 			}
 		}
 		bitSum += nb * cycles

@@ -99,18 +99,31 @@ func (p *RFPruner) stateAt(c uint64) int {
 	return sort.Search(len(p.events), func(i int) bool { return p.events[i].Cycle >= c })
 }
 
-// deadAfter returns the dead-register set in effect once k events have
-// committed, and false when the state is unanalyzable (PC outside the
-// image).
-func (p *RFPruner) deadAfter(k int) (RegSet, bool) {
+// entryPoint is the program point before the first commit.
+const entryPoint = -2
+
+// pointAfter returns the program point in effect once k events have
+// committed: the index of the last committed instruction, entryPoint
+// when k is 0, or -1 when that PC lies outside the code image. Every
+// static fact about the state after k commits is a fact about this
+// point, so callers resolve it once per state.
+func (p *RFPruner) pointAfter(k int) int {
 	if k == 0 {
-		return p.a.EntryDead(p.numArch), true
+		return entryPoint
 	}
-	idx := p.idxOf(p.events[k-1].PC)
-	if idx < 0 {
+	return p.idxOf(p.events[k-1].PC)
+}
+
+// deadAt returns the dead-register set in effect at a program point,
+// and false when the state is unanalyzable (PC outside the image).
+func (p *RFPruner) deadAt(pt int) (RegSet, bool) {
+	switch {
+	case pt == entryPoint:
+		return p.a.EntryDead(p.numArch), true
+	case pt < 0:
 		return 0, false
 	}
-	return p.a.DeadOut(idx, p.numArch), true
+	return p.a.DeadOut(pt, p.numArch), true
 }
 
 // ratAt reconstructs the committed rename map after k events.
@@ -135,7 +148,7 @@ func (p *RFPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, st
 		return false, "phys 0 holds the zero register"
 	}
 	k := p.stateAt(inj.Cycle)
-	dead, ok := p.deadAfter(k)
+	dead, ok := p.deadAt(p.pointAfter(k))
 	if !ok {
 		return false, "last commit PC outside code image"
 	}
@@ -226,7 +239,7 @@ func (p *RFPruner) Bound() RFBound {
 	}
 	var sum uint64
 	p.walkIntervals(func(k int, cycles uint64) {
-		dead, ok := p.deadAfter(k)
+		dead, ok := p.deadAt(p.pointAfter(k))
 		if !ok {
 			return
 		}

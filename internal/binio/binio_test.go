@@ -126,7 +126,7 @@ func TestTruncatedInputFailsCleanly(t *testing.T) {
 		r := NewReader(full[:n])
 		r.U64sInto(nil)
 		r.RLEInto(nil)
-		r.String()
+		_ = r.String()
 		if r.Err() == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", n)
 		}

@@ -6,7 +6,8 @@
 //     checkpoint at-or-before c instead of re-simulating the fault-free
 //     prefix from cycle 0 — with injection cycles uniform over the
 //     golden run, K evenly spaced checkpoints remove ~(1 − 1/2K) of all
-//     pre-injection simulation;
+//     pre-injection simulation, and the ladder RecordOnline takes
+//     during the golden run itself stays within an eighth of that;
 //
 //   - early convergence: checkpoints after the injection cycle double
 //     as reference points for the Masked fast exit — if the faulty
@@ -14,7 +15,7 @@
 //     cycle, the rest of the run provably replays golden and the
 //     injection is Masked without simulating the tail.
 //
-// A Stream is immutable after Record and safe to share read-only across
+// A Stream is immutable once recorded and safe to share read-only across
 // every worker of a campaign cell: machine.Restore copies out of a
 // snapshot, never into it. Its snapshots are copy-on-write — each
 // shares with its predecessor every cache line chunk and memory page
@@ -59,9 +60,9 @@ func Cycles(goldenCycles uint64, k int) []uint64 {
 // Record replays a golden run on m (a freshly built machine), taking a
 // snapshot at the start of each listed cycle, and returns the stream
 // plus the run's result. cycles must be ascending and below the halt
-// cycle. The caller is expected to verify the result matches its first
-// golden run — simulation is deterministic, so a mismatch means a
-// simulator bug, not a recording artifact.
+// cycle, so the run length has to be known in advance: Record is the
+// two-pass reference that RecordOnline's tests compare against, and the
+// way to put rungs at chosen cycles.
 func Record(m *machine.Machine, maxCycles uint64, cycles []uint64) (*Stream, machine.Result) {
 	s := &Stream{
 		snaps:   make([]*machine.Snap, 0, len(cycles)),
@@ -69,17 +70,86 @@ func Record(m *machine.Machine, maxCycles uint64, cycles []uint64) (*Stream, mac
 	}
 	hooks := make([]machine.Hook, len(cycles))
 	for i, c := range cycles {
-		hooks[i] = machine.Hook{At: c, Fn: func(mm *machine.Machine) {
-			sn := mm.Snapshot()
-			s.snaps = append(s.snaps, sn)
-			s.watches = append(s.watches, machine.Watch{
-				At: sn.Cycle,
-				Fn: func(live *machine.Machine) bool { return live.Converged(sn) },
-			})
-		}}
+		hooks[i] = machine.Hook{At: c, Fn: func(mm *machine.Machine) { s.add(mm.Snapshot()) }}
 	}
 	res := m.Run(maxCycles, hooks...)
 	return s, res
+}
+
+// firstInterval is the rung spacing RecordOnline starts from. It only
+// has to be short enough that a run of a few thousand cycles still gets
+// a ladder; every doubling costs k cheap copy-on-write snapshots.
+const firstInterval = 256
+
+// RecordOnline runs m (a freshly built machine) to the end once and
+// records the ladder in that same pass, without knowing the run length:
+// it takes a rung every d cycles, starting at cycle 0 with d =
+// firstInterval, and whenever 2k rungs are held it releases every other
+// one and doubles d. At the end it keeps, for each cycle of
+// Cycles(res.Cycles, k), the latest rung at or before it and releases
+// the rest.
+//
+// The held rungs are always the multiples of d below the current cycle,
+// and d is decided by how far the run got, so the kept cycles are a
+// function of (res.Cycles, k) alone: at most k of them, cycle 0 among
+// them, all below res.Cycles, and none more than one final d (between
+// half and one even step) before the even rung it stands in for. A
+// snapshot does not disturb the machine, so the result is the one a
+// plain m.Run(maxCycles) returns, and each kept snapshot is the one
+// Record would take at that cycle.
+func RecordOnline(m *machine.Machine, maxCycles uint64, k int) (*Stream, machine.Result) {
+	s := &Stream{}
+	if k <= 0 {
+		return s, m.Run(maxCycles)
+	}
+	held := make([]*machine.Snap, 0, 2*k)
+	d := uint64(firstInterval)
+	var res machine.Result
+	for next := uint64(0); ; next = (res.Cycles/d + 1) * d {
+		// Running up to a cycle budget of next leaves the machine at the
+		// start of cycle next, exactly where a hook at next would fire.
+		res = m.Run(min(next, maxCycles))
+		if res.Outcome != machine.OutcomeTimeout || res.Cycles >= maxCycles {
+			break
+		}
+		held = append(held, m.Snapshot())
+		if len(held) == 2*k {
+			for i, sn := range held {
+				if i%2 == 0 {
+					held[i/2] = sn
+				} else {
+					sn.Release()
+				}
+			}
+			held = held[:k]
+			d *= 2
+		}
+	}
+	keep := make([]bool, len(held))
+	i := 0
+	for _, c := range Cycles(res.Cycles, k) {
+		for i+1 < len(held) && held[i+1].Cycle <= c {
+			i++
+		}
+		keep[i] = true
+	}
+	for i, sn := range held {
+		if keep[i] {
+			s.add(sn)
+		} else {
+			sn.Release()
+		}
+	}
+	return s, res
+}
+
+// add appends a snapshot and its convergence watch.
+func (s *Stream) add(sn *machine.Snap) {
+	s.snaps = append(s.snaps, sn)
+	s.watches = append(s.watches, machine.Watch{
+		At: sn.Cycle,
+		Fn: func(live *machine.Machine) bool { return live.Converged(sn) },
+	})
 }
 
 // Len returns the number of recorded checkpoints.

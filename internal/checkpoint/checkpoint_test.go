@@ -10,7 +10,11 @@ import (
 
 // testProgram is a small loop workload (sum 1..100 plus a store/load
 // pair) long enough to place several checkpoints apart.
-func testProgram() *machine.Program {
+func testProgram() *machine.Program { return loopProgram(100) }
+
+// loopProgram sums 1..n through a store/load pair; a few cycles per
+// iteration, for tests that need a run of a chosen length.
+func loopProgram(n int32) *machine.Program {
 	const a0, a1, a2 = isa.RegA0, isa.RegA1, isa.RegA2
 	ins := []isa.Instr{
 		/*0*/ isa.I(isa.OpLui, a2, 0, int32(machine.GlobalBase>>16)),
@@ -20,10 +24,10 @@ func testProgram() *machine.Program {
 		/*3*/ isa.R(isa.OpAdd, a0, a0, a1),
 		/*4*/ isa.Store(isa.OpSw, a0, a2, 0),
 		/*5*/ isa.I(isa.OpAddi, a1, a1, 1),
-		/*6*/ isa.I(isa.OpAddi, isa.RegT0, a1, -101),
+		/*6*/ isa.I(isa.OpAddi, isa.RegT0, a1, -n-1),
 		/*7*/ isa.Branch(isa.OpBne, isa.RegT0, isa.RegZero, int32(3-7-1)),
 		/*8*/ isa.Load(isa.OpLw, a0, a2, 0),
-		/*9*/ isa.Out(a0), // 5050
+		/*9*/ isa.Out(a0), // 5050 for n = 100
 		/*10*/ isa.Halt(),
 	}
 	return &machine.Program{Name: "ckpt", Code: isa.Assemble(ins), Entry: machine.CodeBase, GlobalSize: 4096}

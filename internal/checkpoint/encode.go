@@ -1,12 +1,12 @@
 package checkpoint
 
 // Binary serialization of a checkpoint stream for the prep-artifact
-// cache. A decoded stream is functionally identical to one produced by
-// Record: the snapshots come in ascending cycle order and share cache
-// chunks and memory pages exactly as recorded ones do, and the
-// convergence watches are rebuilt from the decoded snapshots exactly
-// the way Record builds them from live ones — a watch is just a closure
-// over its snapshot.
+// cache. A decoded stream is functionally identical to a recorded one:
+// the snapshots come in ascending cycle order (at whatever spacing they
+// were recorded) and share cache chunks and memory pages exactly as
+// recorded ones do, and the convergence watches are rebuilt from the
+// decoded snapshots exactly the way recording builds them from live
+// ones — a watch is just a closure over its snapshot.
 
 import (
 	"fmt"
@@ -60,11 +60,7 @@ func DecodeStream(r *binio.Reader, cfg machine.Config) (*Stream, error) {
 			return nil, fmt.Errorf("checkpoint: decode: snapshot cycles not ascending (%d after %d)", sn.Cycle, lastCycle)
 		}
 		lastCycle = sn.Cycle
-		s.snaps = append(s.snaps, sn)
-		s.watches = append(s.watches, machine.Watch{
-			At: sn.Cycle,
-			Fn: func(live *machine.Machine) bool { return live.Converged(sn) },
-		})
+		s.add(sn)
 	}
 	return s, nil
 }

@@ -10,14 +10,34 @@ import (
 )
 
 // TestStreamEncodeRoundTrip records a real stream mid-run on both
-// machine configurations, serializes it, decodes it, and asserts
+// machine configurations — evenly spaced by Record, and on the uneven
+// cycles RecordOnline keeps — serializes it, decodes it, and asserts
 // every checkpoint is strictly bit-for-bit Equal — the property the
 // prep-artifact cache's correctness rests on.
 func TestStreamEncodeRoundTrip(t *testing.T) {
+	type recorded struct {
+		name   string
+		cfg    machine.Config
+		prog   *machine.Program
+		golden machine.Result
+		stream *Stream
+	}
+	var cases []recorded
 	for _, cfg := range machine.Configs() {
-		t.Run(cfg.Name, func(t *testing.T) {
-			golden := machine.New(cfg, testProgram()).Run(1 << 30)
-			stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 5))
+		golden := machine.New(cfg, testProgram()).Run(1 << 30)
+		even, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 5))
+		long := loopProgram(1500) // a few intervals of the online recorder
+		online, res := RecordOnline(machine.New(cfg, long), 1<<30, 5)
+		if online.Len() != 5 {
+			t.Fatalf("%s: online stream holds %d checkpoints of a %d-cycle run, want 5", cfg.Name, online.Len(), res.Cycles)
+		}
+		cases = append(cases,
+			recorded{cfg.Name + "/even", cfg, testProgram(), golden, even},
+			recorded{cfg.Name + "/online", cfg, long, res, online})
+	}
+	for _, tc := range cases {
+		cfg, prog, golden, stream := tc.cfg, tc.prog, tc.golden, tc.stream
+		t.Run(tc.name, func(t *testing.T) {
 			defer stream.Release()
 
 			var w binio.Writer
@@ -58,7 +78,7 @@ func TestStreamEncodeRoundTrip(t *testing.T) {
 			// and its rebuilt convergence watches recognize the golden
 			// machine at the watch cycle.
 			for i, sn := range got.Snaps() {
-				m := machine.New(cfg, testProgram())
+				m := machine.New(cfg, prog)
 				m.Restore(sn)
 				if !m.Converged(sn) {
 					t.Fatalf("snap %d: restored machine does not converge to its own snapshot", i)
@@ -107,10 +127,11 @@ type hostileStream struct {
 	blob          []byte
 }
 
-// hostileStreams builds the hostile inputs from a real recorded stream.
+// hostileStreams builds the hostile inputs from a real recorded stream
+// with unevenly spaced checkpoints, as the online recorder leaves them.
 func hostileStreams(cfg machine.Config) []hostileStream {
 	golden := machine.New(cfg, testProgram()).Run(1 << 30)
-	stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 3))
+	stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, []uint64{0, golden.Cycles / 7, golden.Cycles - 5})
 	defer stream.Release()
 	snaps := stream.Snaps()
 	encode := func(order []int, sharedEncoder bool) []byte {
@@ -179,6 +200,11 @@ func FuzzDecodeStream(f *testing.F) {
 	var w binio.Writer
 	stream.EncodeTo(&w)
 	stream.Release()
+	f.Add(w.Bytes())
+	online, _ := RecordOnline(machine.New(cfg, testProgram()), 1<<30, 4)
+	w = binio.Writer{}
+	online.EncodeTo(&w)
+	online.Release()
 	f.Add(w.Bytes())
 	for _, h := range hostileStreams(cfg) {
 		f.Add(h.blob)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,13 +180,15 @@ func TestCacheEvictionMidStudy(t *testing.T) {
 //     new study;
 //   - prepBundleVersion: bundles whose checkpoints are in the version-1
 //     flat-slab snapshot encoding miss instead of being handed to the
-//     chunk-table decoder, under both key kinds that carry a stream.
+//     chunk-table decoder, and version-2 bundles with an evenly spaced
+//     ladder miss instead of standing in for the one a fill would
+//     record now, under both key kinds that carry a stream.
 func TestCacheMissesStaleVersions(t *testing.T) {
 	if analysisVersion < 2 {
 		t.Fatalf("analysisVersion = %d, want >= 2 (fault-propagation bound fields)", analysisVersion)
 	}
-	if prepBundleVersion < 2 {
-		t.Fatalf("prepBundleVersion = %d, want >= 2 (copy-on-write chunk-table snapshot encoding)", prepBundleVersion)
+	if prepBundleVersion < 3 {
+		t.Fatalf("prepBundleVersion = %d, want >= 3 (ladder recorded during the golden run)", prepBundleVersion)
 	}
 	pc := prepConfig{
 		Version:     prepBundleVersion,
@@ -200,18 +203,20 @@ func TestCacheMissesStaleVersions(t *testing.T) {
 		Traced:      true,
 		Checkpoints: 4,
 	}
-	oldAnalysis, oldBundle := pc, pc
+	oldAnalysis := pc
 	oldAnalysis.Analysis--
-	oldBundle.Version--
 	ec := expConfig{Version: prepBundleVersion, Machine: machine.CortexA15Like(), Name: "p", Code: []uint32{1, 2}, Checkpoints: 4}
-	oldExp := ec
-	oldExp.Version--
 
-	for _, tc := range []struct{ name, cur, old string }{
-		{"analysis version", pc.cacheKey(), oldAnalysis.cacheKey()},
-		{"bundle version, prep key", pc.cacheKey(), oldBundle.cacheKey()},
-		{"bundle version, experiment key", ec.cacheKey(), oldExp.cacheKey()},
-	} {
+	type staleCase struct{ name, cur, old string }
+	cases := []staleCase{{"analysis version", pc.cacheKey(), oldAnalysis.cacheKey()}}
+	for v := 1; v < prepBundleVersion; v++ {
+		oldBundle, oldExp := pc, ec
+		oldBundle.Version, oldExp.Version = v, v
+		cases = append(cases,
+			staleCase{fmt.Sprintf("bundle version %d, prep key", v), pc.cacheKey(), oldBundle.cacheKey()},
+			staleCase{fmt.Sprintf("bundle version %d, experiment key", v), ec.cacheKey(), oldExp.cacheKey()})
+	}
+	for _, tc := range cases {
 		if tc.cur == tc.old {
 			t.Fatalf("%s does not feed the cache key", tc.name)
 		}
@@ -236,7 +241,7 @@ func TestCacheMissesStaleVersions(t *testing.T) {
 
 // TestCacheSharedAcrossResume checks the satellite bugfix: a journaled
 // study killed after its goldens are recorded used to re-run the full
-// prep (compile + two golden passes) for every unit with pending
+// prep (compile + golden run) for every unit with pending
 // cells. With a cache the re-prep is a pure artifact load.
 func TestCacheSharedAcrossResume(t *testing.T) {
 	spec := cacheSpec(t)

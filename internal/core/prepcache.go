@@ -41,7 +41,13 @@ import (
 // Version 2: cache snapshots are copy-on-write chunk tables and a
 // stream writes each distinct chunk and memory page once (mem.Encoder);
 // version-1 entries hold one flat slab set per snapshot.
-const prepBundleVersion = 2
+//
+// Version 3: the ladder is recorded during the golden run itself
+// (checkpoint.RecordOnline), which puts its rungs on multiples of a
+// power-of-two interval; version-2 entries hold evenly spaced rungs.
+// Either ladder drives the same study, but an entry is a function of
+// its key only if one key never names both.
+const prepBundleVersion = 3
 
 // analysisVersion versions the binanalysis semantics behind the cached
 // static RF bound. Bump it when the ACE analysis or the pruner bound
@@ -74,7 +80,7 @@ type prepConfig struct {
 	Checkpoints int
 
 	// NoFastExit shapes how injections *use* the checkpoint stream,
-	// not what the stream contains: the golden passes and the recorded
+	// not what the stream contains: the golden run and the recorded
 	// artifacts are identical either way.
 	//
 	//cache:ephemeral fast-exit consumes artifacts, it does not shape them; both modes decode the same bundle
@@ -189,7 +195,7 @@ func resolveCheckpoints(k int) int {
 
 // CachedExperiment builds a prepared experiment for an
 // already-compiled program, consulting cache when non-nil: a hit skips
-// the golden simulation and the checkpoint recording pass. Cached and
+// the golden simulation and the checkpoints it records. Cached and
 // fresh experiments drive byte-identical campaigns. A nil cache simply
 // constructs the experiment.
 func CachedExperiment(cache *artcache.Cache, cfg machine.Config, prog *machine.Program, opts faultinj.Options) (*faultinj.Experiment, error) {

@@ -141,7 +141,7 @@ func (u *prepUnit) prepOnce() {
 	u.prepCached()
 }
 
-// prepDirect is the uncached prep path: compile, golden passes, and
+// prepDirect is the uncached prep path: compile, golden run, and
 // analysis run in-process with nothing persisted.
 func (u *prepUnit) prepDirect() {
 	tgt := compilerTarget(u.cfg)
@@ -201,7 +201,7 @@ func (u *prepUnit) prepCached() {
 }
 
 // buildBundle is the cache fill: it runs the full prep (compile,
-// golden passes, analysis) and serializes the products. The experiment
+// golden run, analysis) and serializes the products. The experiment
 // built here is closed — the caller decodes the bundle and rebuilds
 // its own, keeping warm and cold paths structurally identical.
 func (u *prepUnit) buildBundle(src string) ([]byte, error) {

@@ -135,8 +135,8 @@ type Spec struct {
 	// Cache, when non-nil, memoizes prep artifacts on disk (compiled
 	// binary, golden result, commit trace, checkpoint stream, static RF
 	// bound) keyed by everything that determines them — see
-	// prepConfig.cacheKey. A warm unit skips its compile and both
-	// golden passes. Cold, warm, and disabled runs produce byte-
+	// prepConfig.cacheKey. A warm unit skips its compile and its
+	// golden run. Cold, warm, and disabled runs produce byte-
 	// identical studies: a hit decodes to state strictly equal to a
 	// fresh prep, and corrupt or stale entries are discarded and
 	// rebuilt (TestCacheEquivalenceByteIdentical).

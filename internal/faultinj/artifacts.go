@@ -4,8 +4,8 @@ package faultinj
 // simulation, in a form the prep-artifact cache (internal/artcache)
 // can serialize. A warm cache hit rebuilds the Experiment from bytes
 // via NewExperimentFromArtifacts instead of re-running the golden
-// simulation and the checkpoint recording pass — the two dominant
-// costs of preparing a (machine, binary) unit.
+// simulation that records them — the dominant cost of preparing a
+// (machine, binary) unit.
 
 import (
 	"fmt"
@@ -35,7 +35,7 @@ func (e *Experiment) Artifacts() Artifacts {
 }
 
 // NewExperimentFromArtifacts rebuilds a prepared experiment from
-// previously captured artifacts, skipping both golden passes. The
+// previously captured artifacts, skipping the golden run. The
 // experiment takes ownership of art.Stream (Close releases it), so a
 // decoded stream must not be shared across experiments. opts matters
 // only for NoFastExit; tracing and checkpointing already happened when

@@ -19,12 +19,14 @@ import (
 )
 
 // DefaultCheckpoints is the per-cell golden checkpoint budget when
-// Options.Checkpoints is zero. Thirty-two checkpoints remove ~98% of
-// pre-injection simulation and put a convergence probe every 1/32 of
-// the run. Snapshots are copy-on-write (cache line chunks, memory
-// pages), so a rung costs what the run touched since the previous one:
-// the whole ladder stays around 1–3 MiB per unit on the bundled
-// benchmarks (Stream.ResidentBytes; sevinject prints it).
+// Options.Checkpoints is zero: the stream holds at most this many
+// rungs (fewer for a run of a few thousand cycles). Thirty-two
+// checkpoints remove ~98% of pre-injection simulation and put a
+// convergence probe about every 1/32 of the run. Snapshots are
+// copy-on-write (cache line chunks, memory pages), so a rung costs what
+// the run touched since the previous one: the whole ladder stays around
+// 1–3 MiB per unit on the bundled benchmarks (Stream.ResidentBytes;
+// sevinject prints it).
 const DefaultCheckpoints = 32
 
 // Options configures experiment preparation beyond the config/program
@@ -34,11 +36,11 @@ type Options struct {
 	// does; see Experiment.Trace.
 	Traced bool
 
-	// Checkpoints is the golden checkpoint budget: 0 means
-	// DefaultCheckpoints, a negative value disables checkpointing
-	// entirely (every injection then builds a fresh machine and
-	// simulates from cycle 0 — the reference behavior the equivalence
-	// tests compare against).
+	// Checkpoints is the golden checkpoint budget, an upper bound on
+	// the rungs kept: 0 means DefaultCheckpoints, a negative value
+	// disables checkpointing entirely (every injection then builds a
+	// fresh machine and simulates from cycle 0 — the reference behavior
+	// the equivalence tests compare against).
 	Checkpoints int
 
 	// NoFastExit disables the early-convergence Masked exit while
@@ -65,7 +67,7 @@ func (e *Experiment) getMachine() *machine.Machine {
 	if m, _ := e.scratch.Get().(*machine.Machine); m != nil {
 		return m
 	}
-	return machine.New(e.Config, e.Program)
+	return newMachine(e.Config, e.Program)
 }
 
 // putMachine returns a scratch machine to the pool. It must not be
@@ -81,7 +83,7 @@ func (e *Experiment) putMachine(m *machine.Machine) {
 func (e *Experiment) runInjection(inj Injection, hook machine.Hook) InjectResult {
 	if e.ckpts == nil {
 		// Reference behavior: a fresh machine simulating from cycle 0.
-		return e.classify(machine.New(e.Config, e.Program).Run(e.cycleBudget(), hook))
+		return e.classify(newMachine(e.Config, e.Program).Run(e.cycleBudget(), hook))
 	}
 	m := e.getMachine()
 	out := e.runInjectionOn(m, inj, hook)
@@ -154,7 +156,7 @@ func (b *Batch) run(inj Injection, hook machine.Hook) InjectResult {
 		// Checkpointing disabled: the reference from-zero path, one
 		// fresh machine per run (a recycled machine would need a way to
 		// reset to cycle 0, which is exactly what checkpoints provide).
-		return b.e.classify(machine.New(b.e.Config, b.e.Program).Run(b.e.cycleBudget(), hook))
+		return b.e.classify(newMachine(b.e.Config, b.e.Program).Run(b.e.cycleBudget(), hook))
 	}
 	return b.e.runInjectionOn(b.m, inj, hook)
 }

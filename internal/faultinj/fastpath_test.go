@@ -1,7 +1,9 @@
 package faultinj
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -49,17 +51,38 @@ func TestCycleBudget(t *testing.T) {
 
 // TestFastPathDefaultsEnabled: the default constructor must actually
 // arm the checkpoint stream and the early exit — otherwise every other
-// test here compares the reference path against itself.
+// test here compares the reference path against itself. The stream
+// holds at most the budget, starts at cycle 0, stays below the halt
+// cycle, and lands on the same cycles every time.
 func TestFastPathDefaultsEnabled(t *testing.T) {
 	exp := testExperimentOptions(t, Options{})
 	if exp.ckpts == nil {
 		t.Fatal("default experiment has no checkpoint stream")
 	}
-	if exp.ckpts.Len() != DefaultCheckpoints {
-		t.Fatalf("default stream has %d checkpoints, want %d", exp.ckpts.Len(), DefaultCheckpoints)
+	rungs := exp.ckpts.Snaps()
+	if len(rungs) < 2 || len(rungs) > DefaultCheckpoints {
+		t.Fatalf("default stream has %d checkpoints, want 2..%d", len(rungs), DefaultCheckpoints)
+	}
+	if rungs[0].Cycle != 0 {
+		t.Errorf("first checkpoint at cycle %d, want 0", rungs[0].Cycle)
+	}
+	if last := rungs[len(rungs)-1].Cycle; last >= exp.GoldenCycles {
+		t.Errorf("last checkpoint at cycle %d, golden run halts at %d", last, exp.GoldenCycles)
+	}
+	again := testExperimentOptions(t, Options{}).ckpts.Snaps()
+	if len(again) != len(rungs) {
+		t.Fatalf("a second preparation kept %d checkpoints, the first %d", len(again), len(rungs))
+	}
+	for i := range rungs {
+		if again[i].Cycle != rungs[i].Cycle {
+			t.Errorf("checkpoint %d moved from cycle %d to %d between preparations", i, rungs[i].Cycle, again[i].Cycle)
+		}
 	}
 	if !exp.fastExit {
 		t.Error("default experiment has the early-convergence exit disabled")
+	}
+	if one := testExperimentOptions(t, Options{Checkpoints: 1}); one.ckpts == nil || one.ckpts.Len() != 1 {
+		t.Error("Checkpoints: 1 must keep cycle 0 alone")
 	}
 	off := testExperimentOptions(t, Options{Checkpoints: -1})
 	if off.ckpts != nil {
@@ -68,6 +91,112 @@ func TestFastPathDefaultsEnabled(t *testing.T) {
 	noExit := testExperimentOptions(t, Options{NoFastExit: true})
 	if noExit.ckpts == nil || noExit.fastExit {
 		t.Error("NoFastExit must keep fast-forward but disable the early exit")
+	}
+}
+
+// countMachines swaps the package's machine constructor for one that
+// records what it builds, until the test ends. Not for parallel tests.
+func countMachines(t *testing.T) *[]*machine.Machine {
+	t.Helper()
+	var built []*machine.Machine
+	var mu sync.Mutex
+	newMachine = func(cfg machine.Config, prog *machine.Program) *machine.Machine {
+		m := machine.New(cfg, prog)
+		mu.Lock()
+		built = append(built, m)
+		mu.Unlock()
+		return m
+	}
+	t.Cleanup(func() { newMachine = machine.New })
+	return &built
+}
+
+// TestPrepIsOneMachineOnePass: preparing a unit builds one machine and
+// simulates the golden run on it once, whatever the options. The
+// machine's counters read exactly the golden result afterwards (nothing
+// else was simulated on it) and a traced run saw each commit once.
+func TestPrepIsOneMachineOnePass(t *testing.T) {
+	for _, opts := range []Options{{}, {Traced: true}, {Checkpoints: 1}, {Checkpoints: 64, NoFastExit: true}, {Checkpoints: -1, Traced: true}} {
+		built := countMachines(t)
+		exp := testExperimentOptions(t, opts)
+		if len(*built) != 1 {
+			t.Fatalf("%+v: preparation built %d machines, want 1", opts, len(*built))
+		}
+		m := (*built)[0]
+		if m.Core.Cycle() != exp.GoldenCycles || m.Core.Stats != exp.GoldenStats.Stats ||
+			m.L1I.Stats != exp.GoldenStats.L1I || m.L1D.Stats != exp.GoldenStats.L1D || m.L2.Stats != exp.GoldenStats.L2 {
+			t.Errorf("%+v: the machine's counters are not the golden run's: cycle %d, golden %d", opts, m.Core.Cycle(), exp.GoldenCycles)
+		}
+		if opts.Traced && uint64(len(exp.Trace)) != exp.GoldenStats.Stats.Committed {
+			t.Errorf("%+v: trace holds %d events, the golden run committed %d", opts, len(exp.Trace), exp.GoldenStats.Stats.Committed)
+		}
+		// Injections afterwards must not grow the trace: the golden
+		// machine serves them as a scratch machine, without the hook.
+		rf, _ := TargetByName("RF")
+		n := len(exp.Trace)
+		for _, inj := range mustSample(t, exp, rf, 4, 11) {
+			exp.Inject(rf, inj)
+		}
+		if len(exp.Trace) != n {
+			t.Errorf("%+v: injections appended %d events to the golden trace", opts, len(exp.Trace)-n)
+		}
+	}
+}
+
+// TestGoldenCrashReleasesStream: a golden run that crashes after rungs
+// were taken returns the GoldenError a plain run would, and nothing of
+// the recording survives.
+func TestGoldenCrashReleasesStream(t *testing.T) {
+	prog, err := compiler.Compile(`
+global int data[8];
+func main() {
+	var int i;
+	var int sum = 0;
+	for (i = 0; i < 400; i = i + 1) { sum = (sum + i) & 65535; }
+	out(sum);
+	out(data[sum * 100000]);
+}`, "crash", compiler.O0, compiler.Target{XLEN: 32, NumArchRegs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.CortexA15Like()
+	plain := machine.New(cfg, prog).Run(1 << 40)
+	if plain.Outcome != machine.OutcomeCrash || plain.Cycles < 512 {
+		t.Fatalf("plain run: %v after %d cycles, want a crash a few rungs in", plain.Outcome, plain.Cycles)
+	}
+	for _, opts := range []Options{{}, {Checkpoints: -1}} {
+		exp, err := NewExperimentOptions(cfg, prog, opts)
+		var ge *GoldenError
+		if !errors.As(err, &ge) || exp != nil {
+			t.Fatalf("%+v: got (%v, %v), want a GoldenError", opts, exp, err)
+		}
+		if !reflect.DeepEqual(ge.Result, plain) {
+			t.Errorf("%+v: GoldenError carries %+v, a plain run ends %+v", opts, ge.Result, plain)
+		}
+	}
+}
+
+// TestTargetBitsKeepsNoMachine: bit counts come from a borrowed scratch
+// machine, or with checkpointing off from one temporary machine that
+// serves every built-in target, and match a fresh machine's.
+func TestTargetBitsKeepsNoMachine(t *testing.T) {
+	probe := machine.New(machine.CortexA15Like(), testExperimentOptions(t, Options{Checkpoints: -1}).Program)
+	custom := NewTarget("X", "", func(m *machine.Machine) uint64 { return uint64(m.Cfg.CPU.ROBSize) }, func(*machine.Machine, uint64) {})
+	for _, opts := range []Options{{}, {Checkpoints: -1}} {
+		exp := testExperimentOptions(t, opts)
+		built := countMachines(t)
+		for _, target := range append(Targets(), custom) {
+			if got, want := exp.TargetBits(target), target.Bits(probe); got != want || want == 0 {
+				t.Errorf("%+v %s: %d bits, a fresh machine has %d", opts, target.Name(), got, want)
+			}
+		}
+		// Built-in targets share the first query's machine; the custom
+		// one needs its own look. With checkpointing on both borrow from
+		// the scratch pool, which may or may not still hold the golden
+		// machine.
+		if want := 2; len(*built) > want || (opts.Checkpoints < 0 && len(*built) != want) {
+			t.Errorf("%+v: %d machines built for %d targets, want %d", opts, len(*built), len(Targets())+1, want)
+		}
 	}
 }
 

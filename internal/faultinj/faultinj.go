@@ -5,7 +5,6 @@
 package faultinj
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -157,11 +156,9 @@ type Experiment struct {
 	Trace []cpu.CommitEvent
 
 	// Bit counts depend only on the configuration, so they are computed
-	// once per (experiment, target) on a single probe machine instead of
-	// allocating a fresh machine per query.
+	// once per experiment and cached by target name (see TargetBits).
 	bitsMu   sync.Mutex
 	bitCache map[string]uint64
-	probe    *machine.Machine
 
 	// ckpts is the golden checkpoint stream (nil when checkpointing is
 	// disabled): injections fast-forward to the latest checkpoint
@@ -174,6 +171,10 @@ type Experiment struct {
 	fastExit bool
 	scratch  sync.Pool
 }
+
+// newMachine builds every machine the package simulates on. It is a
+// variable so the tests can count machines.
+var newMachine = machine.New
 
 // timeoutFactor follows the paper: a run is a Timeout when it exceeds
 // twice the fault-free execution time.
@@ -195,48 +196,46 @@ func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment
 	return NewExperimentOptions(cfg, prog, Options{Traced: true})
 }
 
-// NewExperimentOptions is the fully configurable constructor: it runs
-// the golden simulation, then (unless opts.Checkpoints is negative)
-// replays it once more to record the golden checkpoint stream the
-// injection fast path restores from.
+// NewExperimentOptions is the fully configurable constructor: it builds
+// one machine and simulates the program once. Unless opts.Checkpoints
+// is negative, that same pass records the golden checkpoint stream the
+// injection fast path restores from (checkpoint.RecordOnline), so a
+// prepared unit costs one golden run plus its snapshots.
 func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Options) (*Experiment, error) {
-	m := machine.New(cfg, prog)
+	m := newMachine(cfg, prog)
 	var trace []cpu.CommitEvent
 	if opts.Traced {
 		trace = make([]cpu.CommitEvent, 0, 1024)
 		m.Core.SetCommitHook(func(ev cpu.CommitEvent) { trace = append(trace, ev) })
 	}
-	res := m.Run(1 << 40)
+	k := opts.Checkpoints
+	if k == 0 {
+		k = DefaultCheckpoints
+	}
+	// A negative budget records nothing: the stream comes back empty.
+	stream, res := checkpoint.RecordOnline(m, 1<<40, k)
 	if res.Outcome != machine.OutcomeOK {
+		stream.Release()
 		return nil, &GoldenError{Result: res}
 	}
-	out := make([]uint64, len(res.Output))
-	copy(out, res.Output)
+	// The result's output aliases the core's buffer; detach it so the
+	// machine can go on to serve injections.
+	res.Output = append([]uint64(nil), res.Output...)
 	e := &Experiment{
 		Config:       cfg,
 		Program:      prog,
 		GoldenCycles: res.Cycles,
-		GoldenOutput: out,
+		GoldenOutput: res.Output,
 		GoldenStats:  res,
 		Trace:        trace,
 	}
-	if opts.Checkpoints >= 0 {
-		k := opts.Checkpoints
-		if k == 0 {
-			k = DefaultCheckpoints
-		}
-		if cycles := checkpoint.Cycles(res.Cycles, k); len(cycles) > 0 {
-			stream, rec := checkpoint.Record(machine.New(cfg, prog), 1<<40, cycles)
-			if rec.Outcome != machine.OutcomeOK || rec.Cycles != res.Cycles || !sameOutput(rec.Output, out) {
-				// Simulation is deterministic; a recording pass that
-				// deviates from the first golden run is a simulator bug
-				// and checkpoints built from it would be unsound.
-				return nil, fmt.Errorf("faultinj: checkpoint recording diverged from golden run (%s after %d cycles vs ok after %d)",
-					rec.Outcome, rec.Cycles, res.Cycles)
-			}
-			e.ckpts = stream
-			e.fastExit = !opts.NoFastExit
-		}
+	if stream.Len() > 0 {
+		e.ckpts = stream
+		e.fastExit = !opts.NoFastExit
+		// The golden machine becomes the first scratch machine: a restore
+		// overwrites whatever state a finished run left behind.
+		m.Core.SetCommitHook(nil)
+		e.putMachine(m)
 	}
 	return e, nil
 }
@@ -304,23 +303,33 @@ type Injection struct {
 }
 
 // TargetBits returns the injectable bit count of the target under this
-// experiment's machine configuration. Counts are cached per target
-// name; the first query for a target probes a single shared machine
-// instance (bit counts are pure functions of the configuration).
+// experiment's machine configuration. Bit counts are pure functions of
+// the configuration, so the first query fills the cache for every
+// built-in target from one borrowed machine and keeps none.
 func (e *Experiment) TargetBits(t Target) uint64 {
 	e.bitsMu.Lock()
 	defer e.bitsMu.Unlock()
 	if bits, ok := e.bitCache[t.Name()]; ok {
 		return bits
 	}
-	if e.probe == nil {
-		e.probe = machine.New(e.Config, e.Program)
+	var m *machine.Machine
+	if e.ckpts != nil {
+		m = e.getMachine()
+		defer e.putMachine(m)
+	} else {
+		m = newMachine(e.Config, e.Program)
 	}
-	bits := t.Bits(e.probe)
 	if e.bitCache == nil {
 		e.bitCache = make(map[string]uint64)
+		for _, bt := range Targets() {
+			e.bitCache[bt.Name()] = bt.Bits(m)
+		}
 	}
-	e.bitCache[t.Name()] = bits
+	bits, ok := e.bitCache[t.Name()]
+	if !ok { // a custom target (NewTarget)
+		bits = t.Bits(m)
+		e.bitCache[t.Name()] = bits
+	}
 	return bits
 }
 

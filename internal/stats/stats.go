@@ -61,7 +61,10 @@ type Proportion struct {
 }
 
 // WilsonInterval returns the Wilson score interval for k successes out
-// of n trials at the given confidence.
+// of n trials at the given confidence. With no successes the lower end
+// is exactly 0, and with no failures the upper end is exactly 1: in
+// real arithmetic center and half cancel to those values, in floating
+// point they can miss by an ulp on the wrong side of the estimate.
 func WilsonInterval(k, n int, confidence float64) Proportion {
 	if n == 0 {
 		return Proportion{}
@@ -72,9 +75,16 @@ func WilsonInterval(k, n int, confidence float64) Proportion {
 	denom := 1 + z*z/nf
 	center := (p + z*z/(2*nf)) / denom
 	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
-	return Proportion{
+	out := Proportion{
 		Estimate: p,
 		Lo:       math.Max(0, center-half),
 		Hi:       math.Min(1, center+half),
 	}
+	if k == 0 {
+		out.Lo = 0
+	}
+	if k == n {
+		out.Hi = 1
+	}
+	return out
 }

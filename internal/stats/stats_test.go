@@ -84,6 +84,23 @@ func TestWilsonInterval(t *testing.T) {
 	}
 }
 
+// TestWilsonEndpointsExact: with no successes the interval starts at
+// exactly 0 and with no failures it ends at exactly 1, so it always
+// contains its own estimate. The three sample sizes are ones where
+// center -+ half used to land an ulp on the wrong side (Lo = 1.7e-18
+// above an estimate of 0, Hi = 1 - 1.1e-16 below an estimate of 1),
+// which failed TestWilsonBoundsProperty about one run in five.
+func TestWilsonEndpointsExact(t *testing.T) {
+	for _, n := range []int{252, 190, 48} {
+		if p := WilsonInterval(0, n, 0.99); p.Lo != 0 || p.Estimate != 0 || p.Hi <= 0 || p.Hi >= 1 {
+			t.Errorf("0 of %d: %+v, want Lo = Estimate = 0 < Hi < 1", n, p)
+		}
+		if p := WilsonInterval(n, n, 0.99); p.Hi != 1 || p.Estimate != 1 || p.Lo <= 0 || p.Lo >= 1 {
+			t.Errorf("%d of %d: %+v, want 0 < Lo < Estimate = Hi = 1", n, n, p)
+		}
+	}
+}
+
 func TestWilsonBoundsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		if seed < 0 {
