@@ -551,6 +551,76 @@ func BenchmarkPrepUnit(b *testing.B) {
 	b.ReportMetric(sum[3]/sum[2], "traced-prep/traced-golden")
 }
 
+// BenchmarkGoldenRun measures the simulator's own speed, the floor under
+// every sevbench workload. One iteration takes qsort at O2 and twice its
+// evaluation size on both microarchitectures and simulates each golden
+// run twice through the product path with checkpointing off
+// (faultinj.NewExperimentOptions with a negative budget: machine.New,
+// one run, nothing else), once without and once with the commit trace,
+// back to back, each from a collected heap, and keeps the fastest of
+// each over the b.N iterations:
+//
+//	Mcycles/s, traced-Mcycles/s   simulated cycles per wall second, summed over both units
+//	traced/untraced               traced time over untraced time
+//
+// cmd/benchgate holds traced/untraced (-unit) to the absolute limit in
+// BENCH_layout.json's trajectory: the trace is one event per committed
+// instruction and must stay a small tax on the run that produces it.
+func BenchmarkGoldenRun(b *testing.B) {
+	bench, _ := workloads.ByName("qsort")
+	type unit struct {
+		cfg  machine.Config
+		prog *machine.Program
+	}
+	var units []unit
+	for _, cfg := range machine.Configs() {
+		prog, err := compiler.Compile(bench.Source(2*bench.DefaultSize), "qsort", compiler.O2,
+			compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units = append(units, unit{cfg, prog})
+	}
+	var cycles uint64
+	golden := func(u unit, traced bool) time.Duration {
+		runtime.GC()
+		t0 := time.Now()
+		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: traced, Checkpoints: -1})
+		d := time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if traced && uint64(len(exp.Trace)) != exp.GoldenStats.Stats.Committed {
+			b.Fatalf("trace holds %d events, run committed %d", len(exp.Trace), exp.GoldenStats.Stats.Committed)
+		}
+		cycles = exp.GoldenCycles
+		exp.Close()
+		return d
+	}
+	// Fastest of b.N per unit and kind, as in BenchmarkPrepUnit.
+	fastest := make([][2]time.Duration, len(units))
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		total = 0
+		for j, u := range units {
+			for kind, d := range [2]time.Duration{golden(u, false), golden(u, true)} {
+				if i == 0 || d < fastest[j][kind] {
+					fastest[j][kind] = d
+				}
+			}
+			total += cycles
+		}
+	}
+	var sum [2]float64
+	for _, f := range fastest {
+		sum[0] += f[0].Seconds()
+		sum[1] += f[1].Seconds()
+	}
+	b.ReportMetric(float64(total)/sum[0]/1e6, "Mcycles/s")
+	b.ReportMetric(float64(total)/sum[1]/1e6, "traced-Mcycles/s")
+	b.ReportMetric(sum[1]/sum[0], "traced/untraced")
+}
+
 // BenchmarkPrunedStudy quantifies the static injection pruner: it runs
 // the same RF study with Spec.Prune off and on, asserts the
 // classification is identical, and reports the wall-clock saving plus

@@ -1,0 +1,277 @@
+package cpu
+
+import (
+	"fmt"
+	"math/bits"
+	"testing"
+
+	"sevsim/internal/isa"
+)
+
+// checkDerived recomputes every derived mask from the authoritative
+// slabs and reports the first disagreement. The derived indices are
+// never snapshotted or compared, so nothing else would notice one
+// drifting from the state it mirrors until a wakeup or a load went
+// missing.
+func (c *Core) checkDerived() error {
+	var valid, ready uint64
+	for i, f := range c.iqFlags {
+		if f&qValid != 0 {
+			valid |= 1 << uint(i)
+		}
+		if f&(qValid|qIssued|qRdy1|qRdy2) == qValid|qRdy1|qRdy2 {
+			ready |= 1 << uint(i)
+		}
+	}
+	if c.iqValid != valid {
+		return fmt.Errorf("cycle %d: iqValid %#x, slab says %#x", c.cycle, c.iqValid, valid)
+	}
+	if c.iqReady != ready {
+		return fmt.Errorf("cycle %d: iqReady %#x, slab says %#x", c.cycle, c.iqReady, ready)
+	}
+	if c.iqCount != bits.OnesCount64(valid) {
+		return fmt.Errorf("cycle %d: iqCount %d, %d valid slots", c.cycle, c.iqCount, bits.OnesCount64(valid))
+	}
+	// lqPending only has to be right inside the occupied window:
+	// loadStep masks the rest away.
+	var pending uint64
+	for i, f := range c.lqFlags {
+		if f&(lValid|lAddrReady|lDone|lInflight) == lValid|lAddrReady {
+			pending |= 1 << uint(i)
+		}
+	}
+	window := ringMask(c.lqHead, c.lqCount, c.cfg.LQSize)
+	if c.lqCount == 0 {
+		window = 0
+	}
+	if (c.lqPending^pending)&window != 0 {
+		return fmt.Errorf("cycle %d: lqPending %#x, slab says %#x inside window %#x", c.cycle, c.lqPending, pending, window)
+	}
+	return nil
+}
+
+// CheckDerived exposes checkDerived to the external test package, which
+// can import the machine and compiler layers this package cannot.
+func (c *Core) CheckDerived() error { return c.checkDerived() }
+
+// stepChecked advances one cycle and fails the test when a derived
+// index has drifted.
+func stepChecked(t *testing.T, c *Core) bool {
+	t.Helper()
+	more := c.Step()
+	if err := c.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
+	return more
+}
+
+func runChecked(t *testing.T, c *Core, max uint64) {
+	t.Helper()
+	for c.Cycle() < max && stepChecked(t, c) {
+	}
+}
+
+// iqSlotOf returns the valid issue-queue slot holding op, stepping the
+// core until the instruction has been renamed.
+func iqSlotOf(t *testing.T, c *Core, op isa.Opcode) int {
+	t.Helper()
+	for c.Cycle() < 1000 {
+		for m := c.iqValid; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros64(m); isa.Opcode(c.iqOp[i]) == op {
+				return i
+			}
+		}
+		if !stepChecked(t, c) {
+			break
+		}
+	}
+	t.Fatalf("no valid issue-queue entry for %s", op.Name())
+	return -1
+}
+
+func TestIQSrcTagFlipWakesOnNewTag(t *testing.T) {
+	// The slli waits on the first div's tag. Flipping the bits in which
+	// that tag differs from the second div's destination re-points it:
+	// the entry must wake when *that* tag broadcasts and compute from
+	// its value — the wakeup matches the slab's tag bits, not whatever
+	// the entry was waiting on when it was inserted.
+	c := testCore([]isa.Instr{
+		isa.I(isa.OpAddi, isa.RegA0, isa.RegZero, 84),
+		isa.I(isa.OpAddi, isa.RegA1, isa.RegZero, 2),
+		isa.R(isa.OpDiv, isa.RegA2, isa.RegA0, isa.RegA1), // 42
+		isa.R(isa.OpDiv, isa.RegA3, isa.RegA1, isa.RegA1), // 1
+		isa.I(isa.OpSlli, isa.RegT0, isa.RegA2, 1),        // 84 unfaulted, 2 once re-pointed
+		isa.Out(isa.RegT0),
+		isa.Halt(),
+	})
+	i := iqSlotOf(t, c, isa.OpSlli)
+	from, to := c.rat[isa.RegA2], c.rat[isa.RegA3]
+	if c.iqSrc1[i] != from || c.iqFlags[i]&qRdy1 != 0 {
+		t.Fatalf("slli entry: src1 %d flags %#x, want tag %d and not ready", c.iqSrc1[i], c.iqFlags[i], from)
+	}
+	if c.prfReady[to] != 0 {
+		t.Fatalf("tag %d already broadcast; the flip would come too late", to)
+	}
+	for d := from ^ to; d != 0; d &= d - 1 {
+		c.FlipBit(FieldIQSrc, uint64(i)*uint64(c.iqSrcEntryBits())+uint64(bits.TrailingZeros16(d)))
+	}
+	if c.iqSrc1[i] != to {
+		t.Fatalf("flip left src1 at %d, want %d", c.iqSrc1[i], to)
+	}
+	if err := c.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
+	runChecked(t, c, 10000)
+	if !c.Halted() {
+		t.Fatal("did not halt: the re-pointed entry never woke")
+	}
+	if got := c.Output()[0]; got != 2 {
+		t.Errorf("output = %d, want 2 (the second div's quotient shifted)", got)
+	}
+}
+
+func TestIQReadyBitFlippedOffIsRewoken(t *testing.T) {
+	// The add's first operand (a0) is ready at insert; its second waits
+	// on the div. Clearing the first ready bit leaves an entry waiting
+	// on a tag that already broadcast. Nothing in this program
+	// broadcasts it again, so the test does: a second broadcast of the
+	// same tag must set the bit again, after which the run completes
+	// with the fault-free answer.
+	c := testCore([]isa.Instr{
+		isa.I(isa.OpAddi, isa.RegA0, isa.RegZero, 84),
+		isa.I(isa.OpAddi, isa.RegA1, isa.RegZero, 2),
+		isa.R(isa.OpDiv, isa.RegA2, isa.RegA0, isa.RegA1), // 42
+		isa.R(isa.OpAdd, isa.RegA3, isa.RegA0, isa.RegA2), // 126
+		isa.Out(isa.RegA3),
+		isa.Halt(),
+	})
+	i := iqSlotOf(t, c, isa.OpAdd)
+	for c.iqFlags[i]&qRdy1 == 0 {
+		if !stepChecked(t, c) {
+			t.Fatal("run ended before the add's first operand was ready")
+		}
+	}
+	if isa.Opcode(c.iqOp[i]) != isa.OpAdd || c.iqFlags[i]&(qValid|qRdy2) != qValid {
+		t.Fatalf("add entry flags %#x: want valid and still waiting on the div", c.iqFlags[i])
+	}
+	tag := c.iqSrc1[i]
+	c.FlipBit(FieldIQSrc, uint64(i)*uint64(c.iqSrcEntryBits())+physTagBits)
+	if c.iqFlags[i]&qRdy1 != 0 || c.iqReady&(1<<uint(i)) != 0 {
+		t.Fatalf("flip left the entry ready: flags %#x iqReady %#x", c.iqFlags[i], c.iqReady)
+	}
+	if err := c.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
+	c.wakeup(tag)
+	if c.iqFlags[i]&qRdy1 == 0 {
+		t.Fatal("a second broadcast of the tag did not set the cleared ready bit again")
+	}
+	if err := c.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
+	runChecked(t, c, 10000)
+	if !c.Halted() {
+		t.Fatal("did not halt")
+	}
+	if got := c.Output()[0]; got != 126 {
+		t.Errorf("output = %d, want 126", got)
+	}
+}
+
+// blockedLoad runs the store/load pair below until the load's address
+// is known while the older store, whose address hangs off a div, has
+// not executed: the load is pending and blocked on the store-queue
+// entry it returns.
+func blockedLoad(t *testing.T) (c *Core, li, si int) {
+	t.Helper()
+	c = testCore([]isa.Instr{
+		isa.I(isa.OpLui, isa.RegA0, 0, 0x10), // 0x100000, the data region
+		isa.I(isa.OpAddi, isa.RegA1, isa.RegZero, 64),
+		isa.I(isa.OpAddi, isa.RegA2, isa.RegZero, 2),
+		isa.R(isa.OpDiv, isa.RegA3, isa.RegA1, isa.RegA2), // 32
+		isa.R(isa.OpAdd, isa.RegA3, isa.RegA0, isa.RegA3), // 0x100020, late
+		isa.Store(isa.OpSw, isa.RegA1, isa.RegA3, 0),      // mem[0x100020] = 64
+		isa.Load(isa.OpLw, isa.RegT0, isa.RegA0, 0x20),    // same address, known early
+		isa.Out(isa.RegT0),
+		isa.Halt(),
+	})
+	for c.Cycle() < 1000 {
+		if c.lqCount == 1 && c.sqCount == 1 && c.lqPending&(1<<uint(c.lqHead)) != 0 {
+			li, si = c.lqHead, c.sqHead
+			if c.sqFlags[si]&(sValid|sReady) != sValid {
+				t.Fatalf("store entry flags %#x: want valid, address unknown", c.sqFlags[si])
+			}
+			// Let the load meet the unready store at least once.
+			stepChecked(t, c)
+			stepChecked(t, c)
+			if c.lqFlags[li]&(lDone|lInflight) != 0 || c.sqFlags[si]&sReady != 0 {
+				t.Fatalf("load flags %#x store flags %#x: want the load still blocked", c.lqFlags[li], c.sqFlags[si])
+			}
+			return c, li, si
+		}
+		if !stepChecked(t, c) {
+			break
+		}
+	}
+	t.Fatal("never saw the load pending behind the unready store")
+	return nil, 0, 0
+}
+
+func TestBlockedLoadReevaluatesAfterSQFlip(t *testing.T) {
+	// Clearing the blocking store's valid bit removes the reason the
+	// load waits: the very next cycle must perform it (reading memory's
+	// zero, since the store has not drained), not leave it parked until
+	// the store executes.
+	c, li, si := blockedLoad(t)
+	c.FlipBit(FieldSQ, uint64(si)*uint64(c.sqEntryBits())+uint64(c.sqEntryBits())-2)
+	if c.sqFlags[si]&sValid != 0 {
+		t.Fatalf("flip left the store valid: flags %#x", c.sqFlags[si])
+	}
+	if err := c.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
+	stepChecked(t, c)
+	if c.lqFlags[li]&lInflight == 0 {
+		t.Fatalf("load flags %#x one cycle after the flip: want in flight", c.lqFlags[li])
+	}
+}
+
+func TestBlockedLoadReevaluatesAfterLQFlip(t *testing.T) {
+	// Flipping the load's done bit takes it out of the pending set;
+	// flipping it back must put it back under the store-queue check it
+	// was blocked on, and the run must still forward the store's value.
+	c, li, _ := blockedLoad(t)
+	done := uint64(li)*uint64(c.lqEntryBits()) + uint64(c.lqEntryBits()) - 1
+	c.FlipBit(FieldLQ, done)
+	if c.lqPending&(1<<uint(li)) != 0 {
+		t.Fatal("a done load is still pending")
+	}
+	stepChecked(t, c)
+	c.FlipBit(FieldLQ, done)
+	if c.lqPending&(1<<uint(li)) == 0 {
+		t.Fatal("clearing done again did not make the load pending")
+	}
+	if err := c.checkDerived(); err != nil {
+		t.Fatal(err)
+	}
+	runChecked(t, c, 10000)
+	if !c.Halted() {
+		t.Fatal("did not halt: the load never re-evaluated")
+	}
+	if got := c.Output()[0]; got != 64 {
+		t.Errorf("output = %d, want the forwarded 64", got)
+	}
+}
+
+func TestBlockedLoadProceedsWhenStoreExecutes(t *testing.T) {
+	// The unfaulted path of the same pair: the store's address arrives,
+	// the load forwards from it.
+	c, _, _ := blockedLoad(t)
+	runChecked(t, c, 10000)
+	if !c.Halted() {
+		t.Fatal("did not halt")
+	}
+	if got := c.Output()[0]; got != 64 {
+		t.Errorf("output = %d, want the forwarded 64", got)
+	}
+}
