@@ -43,24 +43,3 @@ type Config struct {
 	// queue (ablation knob; on in the standard configurations).
 	StoreForwarding bool
 }
-
-// Validate panics (assert) if the configuration is internally
-// inconsistent; used at machine construction time.
-func (c Config) wordBytes() int { return c.XLEN / 8 }
-
-// maskTo truncates a value to the configured word width.
-func (c Config) maskTo(v uint64) uint64 {
-	if c.XLEN == 64 {
-		return v
-	}
-	return v & 0xffffffff
-}
-
-// signExtTo interprets the low XLEN bits of v as signed and returns the
-// sign-extended 64-bit representation used internally.
-func (c Config) signExtTo(v uint64) int64 {
-	if c.XLEN == 64 {
-		return int64(v)
-	}
-	return int64(int32(uint32(v)))
-}

@@ -53,6 +53,12 @@ const predecodeSlots = 4096
 type Core struct {
 	cfg Config //snapshot:skip immutable configuration, fixed at construction
 
+	// The word width as the ALU wants it: v&xmask truncates to XLEN
+	// bits, and shifting left then arithmetically right by sxShift
+	// sign-extends the low XLEN bits.
+	xmask   uint64 //snapshot:skip function of the immutable cfg.XLEN, fixed at construction
+	sxShift uint   //snapshot:skip function of the immutable cfg.XLEN, fixed at construction
+
 	// Wiring to the shared memory hierarchy: pointers, not state. The
 	// structures they reach are snapshotted by machine.Snapshot.
 	memory *mem.Memory //snapshot:skip hierarchy wiring; snapshotted at machine level
@@ -158,6 +164,8 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 	}
 	c := &Core{
 		cfg:       cfg,
+		xmask:     ^uint64(0) >> uint(64-cfg.XLEN),
+		sxShift:   uint(64 - cfg.XLEN),
 		memory:    memory,
 		icache:    icache,
 		dcache:    dcache,
@@ -192,7 +200,7 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 // SetReg writes an architectural register before the run starts (used by
 // the loader to initialize the stack pointer).
 func (c *Core) SetReg(arch uint8, val uint64) {
-	c.prf[c.rat[arch]] = c.cfg.maskTo(val)
+	c.prf[c.rat[arch]] = c.maskTo(val)
 }
 
 // Output returns the values emitted by committed OUT instructions.
@@ -255,6 +263,13 @@ func (c *Core) robAlloc() int {
 
 // --- register helpers ----------------------------------------------------
 
+// maskTo truncates a value to the configured word width.
+func (c *Core) maskTo(v uint64) uint64 { return v & c.xmask }
+
+// signExt interprets the low XLEN bits of v as signed and returns the
+// sign-extended 64-bit representation used internally.
+func (c *Core) signExt(v uint64) int64 { return int64(v<<c.sxShift) >> c.sxShift }
+
 func (c *Core) readPhys(p uint16) uint64 {
 	if int(p) >= c.cfg.NumPhysRegs {
 		simerr.Assertf("cpu: read of physical register %d outside file of %d", p, c.cfg.NumPhysRegs)
@@ -266,7 +281,7 @@ func (c *Core) writePhys(p uint16, v uint64) {
 	if int(p) >= c.cfg.NumPhysRegs {
 		simerr.Assertf("cpu: write of physical register %d outside file of %d", p, c.cfg.NumPhysRegs)
 	}
-	c.prf[p] = c.cfg.maskTo(v)
+	c.prf[p] = c.maskTo(v)
 	c.prfReady[p] = 1
 }
 
@@ -718,16 +733,16 @@ func (c *Core) execute(qi int) {
 	}
 	switch {
 	case op.IsLoad():
-		addr := c.cfg.maskTo(uint64(int64(v1) + imm))
+		addr := c.maskTo(uint64(int64(v1) + imm))
 		l := c.lqAt(c.robLQ[e], seq)
 		c.lqAddr[l] = addr
 		c.lqFlags[l] |= lAddrReady
 		c.lqSyncPending(l)
 	case op.IsStore():
-		addr := c.cfg.maskTo(uint64(int64(v1) + imm))
+		addr := c.maskTo(uint64(int64(v1) + imm))
 		s := c.sqAt(c.robSQ[e], seq)
 		c.sqAddr[s] = addr
-		c.sqData[s] = c.cfg.maskTo(v2)
+		c.sqData[s] = c.maskTo(v2)
 		c.sqFlags[s] |= sReady
 		done(noPhys, 0, 1)
 	case op.IsBranch():
@@ -741,12 +756,12 @@ func (c *Core) execute(qi int) {
 		done(noPhys, 0, 1)
 	case op == isa.OpJalr:
 		c.robFlags[e] |= rActTaken | rResolved
-		c.robActTgt[e] = c.cfg.maskTo(uint64(int64(v1)+imm)) &^ 3
+		c.robActTgt[e] = c.maskTo(uint64(int64(v1)+imm)) &^ 3
 		done(c.iqDest[qi], c.robPC[e]+4, 1)
 	case op == isa.OpJal:
 		done(c.iqDest[qi], c.robPC[e]+4, 1)
 	case op == isa.OpOut:
-		c.robOutVal[e] = c.cfg.maskTo(v1)
+		c.robOutVal[e] = c.maskTo(v1)
 		done(noPhys, 0, 1)
 	default:
 		val := c.alu(op, v1, v2, imm)
@@ -775,7 +790,7 @@ func (c *Core) sqAt(idx uint16, seq uint64) int {
 }
 
 func (c *Core) evalBranch(op isa.Opcode, v1, v2 uint64) bool {
-	s1, s2 := c.cfg.signExtTo(v1), c.cfg.signExtTo(v2)
+	s1, s2 := c.signExt(v1), c.signExt(v2)
 	switch op {
 	case isa.OpBeq:
 		return v1 == v2
@@ -786,9 +801,9 @@ func (c *Core) evalBranch(op isa.Opcode, v1, v2 uint64) bool {
 	case isa.OpBge:
 		return s1 >= s2
 	case isa.OpBltu:
-		return c.cfg.maskTo(v1) < c.cfg.maskTo(v2)
+		return c.maskTo(v1) < c.maskTo(v2)
 	case isa.OpBgeu:
-		return c.cfg.maskTo(v1) >= c.cfg.maskTo(v2)
+		return c.maskTo(v1) >= c.maskTo(v2)
 	}
 	simerr.Assertf("cpu: evalBranch on non-branch %s", op.Name())
 	return false
@@ -798,7 +813,7 @@ func (c *Core) evalBranch(op isa.Opcode, v1, v2 uint64) bool {
 // operand is the immediate; v2 is ignored.
 func (c *Core) alu(op isa.Opcode, v1, v2 uint64, imm int64) uint64 {
 	shiftMask := uint64(c.cfg.XLEN - 1)
-	s1 := c.cfg.signExtTo(v1)
+	s1 := c.signExt(v1)
 	b := v2
 	if op.Format() == isa.FmtI {
 		b = uint64(imm)
@@ -807,7 +822,7 @@ func (c *Core) alu(op isa.Opcode, v1, v2 uint64, imm int64) uint64 {
 			b = uint64(uint16(imm)) // logical immediates zero-extend
 		}
 	}
-	sb := c.cfg.signExtTo(c.cfg.maskTo(b))
+	sb := c.signExt(c.maskTo(b))
 	switch op {
 	case isa.OpAdd, isa.OpAddi:
 		return uint64(s1 + sb)
@@ -840,7 +855,7 @@ func (c *Core) alu(op isa.Opcode, v1, v2 uint64, imm int64) uint64 {
 	case isa.OpSll, isa.OpSlli:
 		return v1 << (b & shiftMask)
 	case isa.OpSrl, isa.OpSrli:
-		return c.cfg.maskTo(v1) >> (b & shiftMask)
+		return c.maskTo(v1) >> (b & shiftMask)
 	case isa.OpSra, isa.OpSrai:
 		return uint64(s1 >> (b & shiftMask))
 	case isa.OpSlt, isa.OpSlti:
@@ -849,7 +864,7 @@ func (c *Core) alu(op isa.Opcode, v1, v2 uint64, imm int64) uint64 {
 		}
 		return 0
 	case isa.OpSltu, isa.OpSltiu:
-		if c.cfg.maskTo(v1) < c.cfg.maskTo(b) {
+		if c.maskTo(v1) < c.maskTo(b) {
 			return 1
 		}
 		return 0
