@@ -118,8 +118,21 @@ type Core struct {
 	// iqReady marks the valid, unissued entries whose two ready bits are
 	// both set — exactly the candidates the issue scan used to find by
 	// walking every slot. iqInsert/wakeup/issue/squash maintain it, and
-	// FlipBit re-derives a slot's bit after flipping a ready bit.
+	// FlipBit re-derives a slot's bit (iqSync) after flipping into the
+	// slot's Source field.
 	iqReady uint64 //snapshot:skip derived index over iqFlags ready state; Restore rebuilds it from the slab
+
+	// iqWaiters[tag] holds, one bit per slot, the entries that may be
+	// waiting for physical register tag to broadcast: a superset of the
+	// valid entries with a clear ready bit whose source tag equals tag.
+	// iqInsert and iqSync add an entry under each operand it waits on;
+	// wakeup clears a tag's word once it has served it. Bits are never
+	// removed when an entry issues, is squashed or has its tag flipped
+	// away: wakeup re-reads the slab for every bit it finds, so a stale
+	// bit costs one compare, while a missing one would lose a wakeup.
+	// Tags at or above NumPhysRegs (reachable only through a flip) are
+	// not indexed: writePhys asserts before such a tag could broadcast.
+	iqWaiters []uint64 //snapshot:skip derived index over iqSrc1/iqSrc2 and the ready bits of iqFlags; Restore rebuilds it from the slabs
 
 	// lqPending marks load-queue slots whose flag byte reads "address
 	// known, not yet performed" (valid|addrReady, done and inflight
@@ -172,6 +185,7 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 		fetchPC:   entry,
 		expectPC:  entry,
 		maxOutput: 1 << 20,
+		iqWaiters: make([]uint64, cfg.NumPhysRegs),
 	}
 	c.carve(&c.cfg)
 	for a := 0; a < cfg.NumArchRegs; a++ {
@@ -508,10 +522,16 @@ func (c *Core) resolveBranch(e int) {
 	}
 }
 
+// wakeup broadcasts a completed physical register to the issue queue:
+// every valid entry still waiting on tag gets the matching ready bit.
+// The candidates come from the tag's waiter word; each is re-checked
+// against the slab, which stays the authority on who waits for what.
 func (c *Core) wakeup(tag uint16) {
 	// Entries already in iqReady have both ready bits set, so a wakeup
 	// cannot change them; only the still-waiting valid entries matter.
-	for m := c.iqValid &^ c.iqReady; m != 0; m &= m - 1 {
+	m := c.iqWaiters[tag] & c.iqValid &^ c.iqReady
+	c.iqWaiters[tag] = 0
+	for ; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		f := c.iqFlags[i]
 		nf := f
@@ -530,14 +550,31 @@ func (c *Core) wakeup(tag uint16) {
 	}
 }
 
-// iqSyncReady re-derives one slot's iqReady bit from its flag byte.
-// Fault injection calls it after flipping a ready bit so the derived
-// index stays consistent with the slab.
-func (c *Core) iqSyncReady(i int) {
-	if f := c.iqFlags[i]; f&(qValid|qIssued|qRdy1|qRdy2) == qValid|qRdy1|qRdy2 {
-		c.iqReady |= 1 << uint(i)
+// iqWait records that slot i (as a one-bit mask) waits on tag.
+func (c *Core) iqWait(tag uint16, slot uint64) {
+	if int(tag) < len(c.iqWaiters) {
+		c.iqWaiters[tag] |= slot
+	}
+}
+
+// iqSync re-derives what the indices hold about slot i from its slab
+// state: its iqReady bit, and a waiter bit under each source tag whose
+// ready bit is clear. Restore calls it for every valid slot, and fault
+// injection after any flip into the slot's Source field — a flipped tag
+// must be found under its new value, and a ready bit flipped off makes
+// the entry a waiter again.
+func (c *Core) iqSync(i int) {
+	f, slot := c.iqFlags[i], uint64(1)<<uint(i)
+	if f&(qValid|qIssued|qRdy1|qRdy2) == qValid|qRdy1|qRdy2 {
+		c.iqReady |= slot
 	} else {
-		c.iqReady &^= 1 << uint(i)
+		c.iqReady &^= slot
+	}
+	if f&qRdy1 == 0 {
+		c.iqWait(c.iqSrc1[i], slot)
+	}
+	if f&qRdy2 == 0 {
+		c.iqWait(c.iqSrc2[i], slot)
 	}
 }
 

@@ -32,6 +32,22 @@ func (c *Core) checkDerived() error {
 	if c.iqCount != bits.OnesCount64(valid) {
 		return fmt.Errorf("cycle %d: iqCount %d, %d valid slots", c.cycle, c.iqCount, bits.OnesCount64(valid))
 	}
+	// The waiter index may hold more than the slab justifies, never
+	// less: every valid entry with a clear ready bit must be found under
+	// that operand's tag (tags no register file entry answers to cannot
+	// broadcast and are not indexed).
+	for m := valid &^ ready; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		for _, op := range [2]struct {
+			rdy uint8
+			tag uint16
+		}{{qRdy1, c.iqSrc1[i]}, {qRdy2, c.iqSrc2[i]}} {
+			if c.iqFlags[i]&op.rdy == 0 && int(op.tag) < len(c.iqWaiters) && c.iqWaiters[op.tag]&(1<<uint(i)) == 0 {
+				return fmt.Errorf("cycle %d: issue-queue slot %d waits on tag %d but iqWaiters[%d] = %#x",
+					c.cycle, i, op.tag, op.tag, c.iqWaiters[op.tag])
+			}
+		}
+	}
 	// lqPending only has to be right inside the occupied window:
 	// loadStep masks the rest away.
 	var pending uint64

@@ -114,13 +114,12 @@ func (c *Core) FlipBit(f Field, bit uint64) {
 			c.iqSrc1[i] ^= 1 << b
 		case b == physTagBits:
 			c.iqFlags[i] ^= qRdy1
-			c.iqSyncReady(int(i))
 		case b < 2*physTagBits+1:
 			c.iqSrc2[i] ^= 1 << (b - physTagBits - 1)
 		default:
 			c.iqFlags[i] ^= qRdy2
-			c.iqSyncReady(int(i))
 		}
+		c.iqSync(int(i))
 	case FieldIQDst:
 		per := uint64(c.iqDstEntryBits())
 		i := bit / per

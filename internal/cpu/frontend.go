@@ -226,12 +226,16 @@ func (c *Core) iqInsert(op isa.Opcode, src1, src2, dest, robIdx uint16, imm int6
 	if i >= c.cfg.IQSize {
 		simerr.Assertf("cpu: issue queue insert with no free slot")
 	}
-	flags := uint8(qValid)
+	flags, slot := uint8(qValid), uint64(1)<<uint(i)
 	if c.prfReady[src1] != 0 {
 		flags |= qRdy1
+	} else {
+		c.iqWait(src1, slot)
 	}
 	if c.prfReady[src2] != 0 {
 		flags |= qRdy2
+	} else {
+		c.iqWait(src2, slot)
 	}
 	c.iqSrc1[i] = src1
 	c.iqSrc2[i] = src2
@@ -241,9 +245,9 @@ func (c *Core) iqInsert(op isa.Opcode, src1, src2, dest, robIdx uint16, imm int6
 	c.iqImm[i] = uint64(imm)
 	c.iqSeq[i] = seq
 	c.iqFlags[i] = flags
-	c.iqValid |= 1 << uint(i)
+	c.iqValid |= slot
 	if flags&(qRdy1|qRdy2) == qRdy1|qRdy2 {
-		c.iqReady |= 1 << uint(i)
+		c.iqReady |= slot
 	}
 	c.iqCount++
 }

@@ -213,16 +213,15 @@ func (c *Core) Restore(s *CoreState) {
 	c.iqCount = s.IQCount
 	c.prfLive = s.PRFLive
 
-	// Rebuild the derived issue-queue and load-queue masks from the
+	// Rebuild the derived issue-queue and load-queue indices from the
 	// restored slabs.
 	c.iqValid = 0
 	c.iqReady = 0
+	clear(c.iqWaiters)
 	for i, f := range c.iqFlags {
 		if f&qValid != 0 {
 			c.iqValid |= 1 << uint(i)
-		}
-		if f&(qValid|qIssued|qRdy1|qRdy2) == qValid|qRdy1|qRdy2 {
-			c.iqReady |= 1 << uint(i)
+			c.iqSync(i)
 		}
 	}
 	c.lqPending = 0
