@@ -36,7 +36,7 @@ func (s Stats) IPC() float64 {
 	return float64(s.Committed) / float64(s.Cycles)
 }
 
-// predecodeSlots sizes the direct-mapped predecode memo (fetch.go). A
+// predecodeSlots sizes the direct-mapped predecode memo (frontend.go). A
 // power of two; 4096 entries cover every distinct word of the built-in
 // benchmarks with few conflicts.
 const predecodeSlots = 4096
@@ -146,12 +146,9 @@ type Core struct {
 	fetchSpanLo uint64 //snapshot:skip memo over the immutable executable mapping; misses fall back to Memory.CheckFetch
 	fetchSpanHi uint64 //snapshot:skip memo over the immutable executable mapping; misses fall back to Memory.CheckFetch
 
-	// Direct-mapped predecode memo: decWords[i] holds the last word
-	// decoded into slot i, decInstrs[i] its decode. Every slot always
-	// holds a consistent (word, decode-of-word) pair, so a hit — even
-	// on a fault-flipped word — returns exactly isa.Decode(word).
-	decWords  []uint32    //snapshot:skip memo of the pure function isa.Decode; hits depend only on the fetched word
-	decInstrs []isa.Instr //snapshot:skip memo of the pure function isa.Decode; hits depend only on the fetched word
+	// Direct-mapped predecode memo (frontend.go): each slot pairs a word
+	// with its decode and the rename-stage facts derived from it.
+	dec []predecoded //snapshot:skip memo of pure functions of the fetched word and the immutable configuration; a miss recomputes
 
 	// Scratch buffers reused across cycles to avoid per-cycle allocation.
 	dueBuf  []int        //snapshot:skip scratch, reset with [:0] before every use
@@ -202,11 +199,11 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 		c.bimodal[i] = 1 // weakly not-taken
 	}
 	c.fetchSpanLo, c.fetchSpanHi = 1, 0 // empty span until the first fetch resolves it
-	c.decWords = make([]uint32, predecodeSlots)
-	c.decInstrs = make([]isa.Instr, predecodeSlots)
-	zero := isa.Decode(0)
-	for i := range c.decInstrs {
-		c.decInstrs[i] = zero
+	c.dec = make([]predecoded, predecodeSlots)
+	zero := predecoded{in: isa.Decode(0)}
+	zero.renameFacts = c.factsOf(zero.in)
+	for i := range c.dec {
+		c.dec[i] = zero
 	}
 	return c
 }

@@ -291,3 +291,81 @@ func TestBlockedLoadProceedsWhenStoreExecutes(t *testing.T) {
 		t.Errorf("output = %d, want the forwarded 64", got)
 	}
 }
+
+func TestRenameFactsMatchISA(t *testing.T) {
+	// factsOf must say about every encoding exactly what rename used to
+	// work out per dynamic instruction from the isa package, on both
+	// register-file sizes and word widths.
+	for _, shape := range []struct{ xlen, regs int }{{32, 16}, {64, 32}} {
+		cfg := testConfig()
+		cfg.XLEN, cfg.NumArchRegs = shape.xlen, shape.regs
+		c := &Core{cfg: cfg}
+		for op := 0; op < 64; op++ {
+			for _, regs := range [][3]uint32{{0, 0, 0}, {3, 4, 5}, {15, 15, 15}, {16, 1, 1}, {1, 16, 1}, {1, 1, 16}, {31, 31, 31}} {
+				word := uint32(op)<<26 | regs[0]<<21 | regs[1]<<16 | regs[2]<<11
+				in := isa.Decode(word)
+				f := c.factsOf(in)
+				s1, s2 := in.SourceRegs()
+				illegal := !in.Op.Valid() || c.badRegs(in, s1, s2) ||
+					((in.Op == isa.OpLd || in.Op == isa.OpSd) && shape.xlen == 32)
+				if f.illegal != illegal {
+					t.Errorf("xlen %d %s: illegal = %v, want %v", shape.xlen, in, f.illegal, illegal)
+				}
+				if illegal {
+					continue
+				}
+				var rob uint8
+				if in.Op.IsLoad() {
+					rob |= rIsLoad
+				}
+				if in.Op.IsStore() {
+					rob |= rIsStore
+				}
+				if in.Op.IsBranch() || in.Op == isa.OpJalr {
+					rob |= rIsBranch
+				}
+				if in.Op == isa.OpHalt || in.Op == isa.OpNop {
+					rob |= rDone
+				}
+				if in.Op == isa.OpJal {
+					rob |= rResolved | rActTaken
+				}
+				var lq uint8
+				if in.Op.IsLoad() {
+					lq = lValid
+					if in.Op != isa.OpLbu {
+						lq |= lSignExt
+					}
+				}
+				want := renameFacts{src1: s1, src2: s2, dest: in.DestReg(), memSize: uint8(in.Op.MemSize()), rob: rob, lq: lq}
+				if f != want {
+					t.Errorf("xlen %d %s: facts %+v, want %+v", shape.xlen, in, f, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRenameFactsSurviveMemoEviction(t *testing.T) {
+	// A fetch-queue slot whose memo entry was overwritten before rename
+	// reached it still renames as its own instruction.
+	c := testCore([]isa.Instr{isa.Halt()})
+	add := isa.R(isa.OpAdd, isa.RegA2, isa.RegA0, isa.RegA1)
+	slot := fetchSlot{Word: add.Encode(), In: c.decode(add.Encode())}
+	hit := c.factsFor(&slot)
+	// Find a different word that lands in the same memo slot.
+	other := slot.Word
+	for w := uint32(isa.OpAddi) << 26; ; w++ {
+		if w != slot.Word && predecodeSlot(w) == predecodeSlot(slot.Word) {
+			other = w
+			break
+		}
+	}
+	c.decode(other)
+	if c.dec[predecodeSlot(slot.Word)].word != other {
+		t.Fatal("test layout: the second word did not evict the first")
+	}
+	if miss := c.factsFor(&slot); miss != hit || miss.src1 != isa.RegA0 || miss.src2 != isa.RegA1 || miss.dest != isa.RegA2 {
+		t.Errorf("facts after eviction %+v, before %+v", miss, hit)
+	}
+}

@@ -23,64 +23,43 @@ func (c *Core) rename() {
 			continue
 		}
 		in := slot.In
-		illegal := !in.Op.Valid()
-		var s1, s2 uint8 = noReg, noReg
-		if !illegal {
-			s1, s2 = in.SourceRegs()
-			illegal = c.badRegs(in, s1, s2)
-		}
-		if in.Op == isa.OpLd || in.Op == isa.OpSd {
-			if c.cfg.XLEN == 32 {
-				illegal = true
-			}
-		}
-		if illegal {
+		f := c.factsFor(slot)
+		if f.illegal {
 			c.seq++
 			c.robFault(slot.PC, excIllegal)
 			c.fetchPop()
 			continue
 		}
 
-		needsIQ := in.Op != isa.OpHalt && in.Op != isa.OpNop
+		needsIQ := f.rob&rDone == 0
 		if needsIQ && !c.iqHasRoom() {
 			return
 		}
-		if in.Op.IsLoad() && c.lqCount == c.cfg.LQSize {
+		isLoad, isStore := f.rob&rIsLoad != 0, f.rob&rIsStore != 0
+		if isLoad && c.lqCount == c.cfg.LQSize {
 			return
 		}
-		if in.Op.IsStore() && c.sqCount == c.cfg.SQSize {
+		if isStore && c.sqCount == c.cfg.SQSize {
 			return
 		}
-		destArch := in.DestReg()
+		destArch := f.dest
 		if destArch != noReg && c.freeCount == 0 {
 			return
 		}
 
 		c.seq++
 		seq := c.seq
-		flags := uint8(0)
-		if in.Op.IsLoad() {
-			flags |= rIsLoad
-		}
-		if in.Op.IsStore() {
-			flags |= rIsStore
-		}
-		if in.Op.IsBranch() || in.Op == isa.OpJalr {
-			flags |= rIsBranch
-		}
+		flags := f.rob
 		if slot.PredTaken {
 			flags |= rPredTaken
 		}
-		if !needsIQ {
-			flags |= rDone
-		}
 
 		src1, src2 := uint16(0), uint16(0) // phys 0 = always-ready zero
-		if s1 != noReg {
-			src1 = c.rat[s1]
+		if f.src1 != noReg {
+			src1 = c.rat[f.src1]
 		}
-		if s2 != noReg {
-			src2 = c.rat[s2]
+		if f.src2 != noReg {
+			src2 = c.rat[f.src2]
 		}
 
 		destPhys, oldPhys := uint16(noPhys), uint16(noPhys)
@@ -105,13 +84,13 @@ func (c *Core) rename() {
 		c.robOutVal[idx] = 0
 		c.robExc[idx] = excNone
 		if in.Op == isa.OpJal {
-			// Direct jumps are fully resolved in the front end.
-			flags |= rResolved | rActTaken
+			// Direct jumps are fully resolved in the front end (the
+			// facts carry rResolved|rActTaken for them).
 			c.robActTgt[idx] = slot.PC + 4 + uint64(int64(in.Imm))*4
 		}
 		c.robFlags[idx] = flags
 
-		if in.Op.IsLoad() {
+		if isLoad {
 			li := c.lqHead + c.lqCount
 			if li >= c.cfg.LQSize {
 				li -= c.cfg.LQSize
@@ -123,15 +102,11 @@ func (c *Core) rename() {
 			c.lqFillAt[li] = 0
 			c.lqDest[li] = destPhys
 			c.lqROB[li] = robIdx
-			c.lqSize[li] = uint8(in.Op.MemSize())
-			lf := uint8(lValid)
-			if in.Op != isa.OpLbu {
-				lf |= lSignExt
-			}
-			c.lqFlags[li] = lf
+			c.lqSize[li] = f.memSize
+			c.lqFlags[li] = f.lq
 			c.lqPending &^= 1 << uint(li) // address not ready yet; clear any stale bit
 		}
-		if in.Op.IsStore() {
+		if isStore {
 			si := c.sqHead + c.sqCount
 			if si >= c.cfg.SQSize {
 				si -= c.cfg.SQSize
@@ -142,7 +117,7 @@ func (c *Core) rename() {
 			c.sqData[si] = 0
 			c.sqSeq[si] = seq
 			c.sqROB[si] = robIdx
-			c.sqSize[si] = uint8(in.Op.MemSize())
+			c.sqSize[si] = f.memSize
 			c.sqFlags[si] = sValid
 		}
 		if needsIQ {
@@ -193,8 +168,7 @@ func (c *Core) fetchPop() {
 // badRegs reports whether the instruction references a register outside
 // the configured architectural register count (possible when a fault
 // corrupts an instruction word on a 16-register machine). s1 and s2
-// are the caller's in.SourceRegs() — rename needs them afterwards, so
-// they are decoded once and passed in.
+// are the caller's in.SourceRegs().
 func (c *Core) badRegs(in isa.Instr, s1, s2 uint8) bool {
 	n := uint8(c.cfg.NumArchRegs)
 	if s1 != noReg && s1 >= n {
@@ -252,19 +226,91 @@ func (c *Core) iqInsert(op isa.Opcode, src1, src2, dest, robIdx uint16, imm int6
 	c.iqCount++
 }
 
-// decode memoizes isa.Decode through a small direct-mapped table. Every
-// slot holds a consistent (word, decode) pair at all times — including
-// after NewCore seeds it with word 0 — so a hit returns exactly what
-// isa.Decode(word) would, even for fault-corrupted words.
+// renameFacts is everything rename derives from an instruction and the
+// configuration, computed once per distinct word instead of once per
+// dynamic instruction.
+type renameFacts struct {
+	src1, src2 uint8 // architectural sources; noReg when absent
+	dest       uint8 // architectural destination; noReg when none
+	memSize    uint8 // access width of a load or store, else 0
+	// rob is the entry's initial robFlags byte: the kind bits, rDone for
+	// an instruction that needs no issue-queue slot, rResolved|rActTaken
+	// for a direct jump.
+	rob     uint8
+	lq      uint8 // a load's initial lqFlags byte
+	illegal bool  // an encoding this configuration rejects
+}
+
+// predecoded is one slot of the direct-mapped predecode memo. Every slot
+// holds a consistent (word, decode, facts) triple at all times —
+// including after NewCore seeds it with word 0 — so a hit returns
+// exactly what isa.Decode and factsOf would, even for fault-corrupted
+// words.
+type predecoded struct {
+	word uint32
+	in   isa.Instr
+	renameFacts
+}
+
+func predecodeSlot(word uint32) uint32 {
+	return (word ^ word>>12 ^ word>>22) & (predecodeSlots - 1)
+}
+
+// decode memoizes isa.Decode, and factsOf with it, through the table.
 func (c *Core) decode(word uint32) isa.Instr {
-	i := (word ^ word>>12 ^ word>>22) & (predecodeSlots - 1)
-	if c.decWords[i] == word {
-		return c.decInstrs[i]
+	d := &c.dec[predecodeSlot(word)]
+	if d.word != word {
+		d.word = word
+		d.in = isa.Decode(word)
+		d.renameFacts = c.factsOf(d.in)
 	}
-	in := isa.Decode(word)
-	c.decWords[i] = word
-	c.decInstrs[i] = in
-	return in
+	return d.in
+}
+
+// factsFor returns the rename facts of a fetch-queue slot. The slot
+// itself carries only what a snapshot encodes (word and decode), so the
+// facts come from the memo; a slot whose word has since been evicted —
+// or whose decode does not match its word, as a hand-built snapshot's
+// could — has them recomputed from the decode rename would have used.
+func (c *Core) factsFor(slot *fetchSlot) renameFacts {
+	if d := &c.dec[predecodeSlot(slot.Word)]; d.word == slot.Word && d.in == slot.In {
+		return d.renameFacts
+	}
+	return c.factsOf(slot.In)
+}
+
+// factsOf derives the rename facts of a decoded instruction under this
+// core's configuration.
+func (c *Core) factsOf(in isa.Instr) renameFacts {
+	illegal := renameFacts{src1: noReg, src2: noReg, dest: noReg, illegal: true}
+	if !in.Op.Valid() {
+		return illegal
+	}
+	s1, s2 := in.SourceRegs()
+	if c.badRegs(in, s1, s2) {
+		return illegal
+	}
+	if (in.Op == isa.OpLd || in.Op == isa.OpSd) && c.cfg.XLEN == 32 {
+		return illegal
+	}
+	f := renameFacts{src1: s1, src2: s2, dest: in.DestReg(), memSize: uint8(in.Op.MemSize())}
+	switch {
+	case in.Op.IsLoad():
+		f.rob = rIsLoad
+		f.lq = lValid
+		if in.Op != isa.OpLbu {
+			f.lq |= lSignExt
+		}
+	case in.Op.IsStore():
+		f.rob = rIsStore
+	case in.Op.IsBranch() || in.Op == isa.OpJalr:
+		f.rob = rIsBranch
+	case in.Op == isa.OpJal:
+		f.rob = rResolved | rActTaken
+	case in.Op == isa.OpHalt || in.Op == isa.OpNop:
+		f.rob = rDone
+	}
+	return f
 }
 
 // fetch brings up to FetchWidth instruction words from the L1I cache
