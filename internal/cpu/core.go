@@ -140,6 +140,18 @@ type Core struct {
 	// inside the occupied ring window; loadStep masks with ringMask.
 	lqPending uint64 //snapshot:skip derived index over lqFlags state bits; Restore rebuilds it from the slab
 
+	// lqRetry marks the loads whose store-queue check is worth running:
+	// a superset of the pending loads the check would not find blocked.
+	// loadOne clears a load's bit when an older store blocks it and notes
+	// the load under that store in lqWaitSQ; the bit comes back when that
+	// store executes or drains (sqRelease), the only events that can
+	// change the verdict short of a squash, a restore or a flip in the
+	// LQ or SQ, each of which sets every bit. A blocked check has no side
+	// effects, so a spurious bit costs one repeated walk, while a missing
+	// one would park a load forever.
+	lqRetry  uint64   //snapshot:skip derived from what loadOne last found in the store queue; Restore sets every bit
+	lqWaitSQ []uint64 //snapshot:skip per store-queue slot, the loads last found blocked behind it; Restore clears it with lqRetry all set
+
 	// Memoized bounds of the executable region serving fetches: a pc
 	// with pc&3 == 0 inside [fetchSpanLo, fetchSpanHi] needs no
 	// CheckFetch walk. The address map is immutable after program load.
@@ -183,6 +195,8 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 		expectPC:  entry,
 		maxOutput: 1 << 20,
 		iqWaiters: make([]uint64, cfg.NumPhysRegs),
+		lqRetry:   ^uint64(0),
+		lqWaitSQ:  make([]uint64, cfg.SQSize),
 	}
 	c.carve(&c.cfg)
 	for a := 0; a < cfg.NumArchRegs; a++ {
@@ -419,6 +433,7 @@ func (c *Core) commitStore(h int) bool {
 		return false
 	}
 	c.dcache.Write(addr, int(size), c.sqData[si])
+	c.sqRelease(si)
 	c.sqHead++
 	if c.sqHead == c.cfg.SQSize {
 		c.sqHead = 0
@@ -605,7 +620,7 @@ func (c *Core) loadStep() {
 	// the head-split iteration visits survivors oldest first, matching
 	// the original head-to-tail walk (the d-cache LRU clock makes the
 	// visit order architecturally visible).
-	pend := c.lqPending & ringMask(c.lqHead, c.lqCount, c.cfg.LQSize)
+	pend := c.lqPending & c.lqRetry & ringMask(c.lqHead, c.lqCount, c.cfg.LQSize)
 	if pend == 0 {
 		return
 	}
@@ -618,19 +633,23 @@ func (c *Core) loadStep() {
 	}
 }
 
-// loadOne attempts one actionable load-queue entry: forward from an
-// older store, stall on a conflict, fault precisely, or start the
-// d-cache access.
-func (c *Core) loadOne(li int) {
-	lf := c.lqFlags[li]
+// sqRelease makes every load last found blocked behind store-queue slot
+// si eligible again; called when the store's address arrives and when it
+// drains.
+func (c *Core) sqRelease(si int) {
+	c.lqRetry |= c.lqWaitSQ[si]
+	c.lqWaitSQ[si] = 0
+}
+
+// storeCheck is the memory-ordering check for load-queue entry li: walk
+// older stores youngest-first; the first one that could affect the load
+// decides. It returns the blocking store-queue slot (unknown address, or
+// an overlap that cannot forward and must drain first), or -1 with the
+// value to forward when fwd is set. It changes no state.
+func (c *Core) storeCheck(li int) (blocker int, fwd bool, fwdVal uint64) {
 	lAddrV := c.lqAddr[li]
 	lSeqV := c.lqSeq[li]
-	lSizeV := c.lqSize[li]
-	// Memory-ordering check: walk older stores youngest-first; the
-	// first one that could affect this load decides (forward on an
-	// exact match, stall on a partial overlap or unknown address).
-	var fwdVal uint64
-	fwd := false
+	ls := uint64(c.lqSize[li])
 	for i := c.sqCount - 1; i >= 0; i-- {
 		si := c.sqHead + i
 		if si >= c.cfg.SQSize {
@@ -640,19 +659,34 @@ func (c *Core) loadOne(li int) {
 			continue
 		}
 		if c.sqFlags[si]&sReady == 0 {
-			return // unknown older store address: wait
+			return si, false, 0 // unknown older store address: wait
 		}
-		ss, ls := uint64(c.sqSize[si]), uint64(lSizeV)
+		ss := uint64(c.sqSize[si])
 		sAddrV := c.sqAddr[si]
 		if sAddrV < lAddrV+ls && lAddrV < sAddrV+ss {
 			if c.cfg.StoreForwarding && sAddrV == lAddrV && ss >= ls {
-				fwdVal = c.sqData[si]
-				fwd = true
-				break
+				return -1, true, c.sqData[si]
 			}
-			return // partial overlap: wait for drain
+			return si, false, 0 // partial overlap: wait for drain
 		}
 	}
+	return -1, false, 0
+}
+
+// loadOne attempts one actionable load-queue entry: forward from an
+// older store, stall on a conflict, fault precisely, or start the
+// d-cache access.
+func (c *Core) loadOne(li int) {
+	blocker, fwd, fwdVal := c.storeCheck(li)
+	if blocker >= 0 {
+		c.lqRetry &^= 1 << uint(li)
+		c.lqWaitSQ[blocker] |= 1 << uint(li)
+		return
+	}
+	lf := c.lqFlags[li]
+	lAddrV := c.lqAddr[li]
+	lSeqV := c.lqSeq[li]
+	lSizeV := c.lqSize[li]
 	size := uint64(lSizeV)
 	if f := c.memory.CheckAccess(lAddrV, size, false); f != nil {
 		// Precise memory fault: record on the ROB entry.
@@ -778,6 +812,7 @@ func (c *Core) execute(qi int) {
 		c.sqAddr[s] = addr
 		c.sqData[s] = c.maskTo(v2)
 		c.sqFlags[s] |= sReady
+		c.sqRelease(s)
 		done(noPhys, 0, 1)
 	case op.IsBranch():
 		if c.evalBranch(op, v1, v2) {

@@ -8,8 +8,8 @@ import (
 	"sevsim/internal/isa"
 )
 
-// checkDerived recomputes every derived mask from the authoritative
-// slabs and reports the first disagreement. The derived indices are
+// checkDerived recomputes every derived mask and index from the
+// authoritative slabs and reports the first disagreement. The derived indices are
 // never snapshotted or compared, so nothing else would notice one
 // drifting from the state it mirrors until a wakeup or a load went
 // missing.
@@ -62,6 +62,20 @@ func (c *Core) checkDerived() error {
 	}
 	if (c.lqPending^pending)&window != 0 {
 		return fmt.Errorf("cycle %d: lqPending %#x, slab says %#x inside window %#x", c.cycle, c.lqPending, pending, window)
+	}
+	// A pending load left out of lqRetry must be one the store-queue
+	// check still blocks, filed under the store that blocks it so that
+	// store's execution or drain brings it back.
+	for m := pending & window &^ c.lqRetry; m != 0; m &= m - 1 {
+		li := bits.TrailingZeros64(m)
+		blocker, _, _ := c.storeCheck(li)
+		if blocker < 0 {
+			return fmt.Errorf("cycle %d: load-queue slot %d is free to proceed but not in lqRetry %#x", c.cycle, li, c.lqRetry)
+		}
+		if c.lqWaitSQ[blocker]&(1<<uint(li)) == 0 {
+			return fmt.Errorf("cycle %d: load-queue slot %d is blocked by store-queue slot %d but lqWaitSQ[%d] = %#x",
+				c.cycle, li, blocker, blocker, c.lqWaitSQ[blocker])
+		}
 	}
 	return nil
 }

@@ -141,14 +141,15 @@ func (c *Core) FlipBit(f Field, bit uint64) {
 			c.lqROB[i] ^= 1 << (b - xlen - physTagBits)
 		case b == per-3:
 			c.lqFlags[i] ^= lValid
-			c.lqSyncPending(int(i))
 		case b == per-2:
 			c.lqFlags[i] ^= lAddrReady
-			c.lqSyncPending(int(i))
 		default:
 			c.lqFlags[i] ^= lDone
-			c.lqSyncPending(int(i))
 		}
+		// Any LQ or SQ bit can change what a load's store-queue check
+		// finds: run them all again.
+		c.lqSyncPending(int(i))
+		c.lqRetry = ^uint64(0)
 	case FieldSQ:
 		per := uint64(c.sqEntryBits())
 		i := bit / per
@@ -165,6 +166,7 @@ func (c *Core) FlipBit(f Field, bit uint64) {
 		default:
 			c.sqFlags[i] ^= sReady
 		}
+		c.lqRetry = ^uint64(0)
 	case FieldROBPC:
 		c.robPC[bit/uint64(c.cfg.XLEN)] ^= 1 << (bit % uint64(c.cfg.XLEN))
 	case FieldROBDest:

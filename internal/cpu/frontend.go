@@ -105,6 +105,7 @@ func (c *Core) rename() {
 			c.lqSize[li] = f.memSize
 			c.lqFlags[li] = f.lq
 			c.lqPending &^= 1 << uint(li) // address not ready yet; clear any stale bit
+			c.lqRetry |= 1 << uint(li)    // a new load has met no store yet
 		}
 		if isStore {
 			si := c.sqHead + c.sqCount
@@ -446,6 +447,7 @@ func (c *Core) squash(afterSeq uint64, newPC uint64) {
 		}
 		c.sqCount--
 	}
+	c.lqRetry = ^uint64(0)
 	for m := c.iqValid; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		if c.iqSeq[i] > afterSeq {

@@ -224,6 +224,8 @@ func (c *Core) Restore(s *CoreState) {
 			c.iqSync(i)
 		}
 	}
+	c.lqRetry = ^uint64(0)
+	clear(c.lqWaitSQ)
 	c.lqPending = 0
 	for i, f := range c.lqFlags {
 		if f&(lValid|lAddrReady|lDone|lInflight) == lValid|lAddrReady {
