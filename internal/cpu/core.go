@@ -81,15 +81,18 @@ type Core struct {
 	freeCount int
 
 	fetchPC     uint64
-	fetchQ      []fetchSlot
 	fetchStall  uint64
 	fetchFrozen bool // stop fetching: fetch fault or HALT seen
 
-	// fetchHead is the start of the logical fetch queue within fetchQ:
-	// rename consumes by advancing it and fetchPop compacts lazily, so
-	// a pop is an index increment instead of a slide of the slice. The
-	// logical queue every other layer sees is fetchQ[fetchHead:].
-	fetchHead int // representation offset: Snapshot captures fetchQ[fetchHead:], Restore resets it to zero
+	// The fetch queue is a ring over a fixed buffer: fetchLen slots
+	// starting at fetchHead, wrapping at len(fetchQ). fetch writes the
+	// tail slot in place and rename advances the head, so neither end
+	// moves a slot. Where the ring sits in the buffer is representation
+	// only: Snapshot captures the queue in order from index 0, and
+	// Restore lays it down there.
+	fetchQ    []fetchSlot
+	fetchHead int
+	fetchLen  int
 
 	inflight []inflightOp
 
@@ -197,6 +200,9 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 		iqWaiters: make([]uint64, cfg.NumPhysRegs),
 		lqRetry:   ^uint64(0),
 		lqWaitSQ:  make([]uint64, cfg.SQSize),
+		// One slot beyond what fetch fills: the bound DecodeCoreState
+		// accepts for a stored queue.
+		fetchQ: make([]fetchSlot, cfg.FetchQueueSize+1),
 	}
 	c.carve(&c.cfg)
 	for a := 0; a < cfg.NumArchRegs; a++ {

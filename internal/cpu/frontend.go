@@ -11,7 +11,7 @@ import (
 // registers, and dispatches them into the ROB, issue queue, and
 // load/store queues, stopping when a structural resource is exhausted.
 func (c *Core) rename() {
-	for n := 0; n < c.cfg.FetchWidth && c.fetchHead < len(c.fetchQ); n++ {
+	for n := 0; n < c.cfg.FetchWidth && c.fetchLen > 0; n++ {
 		slot := &c.fetchQ[c.fetchHead]
 		if c.robCount == c.cfg.ROBSize {
 			return
@@ -150,20 +150,36 @@ func (c *Core) robFault(pc uint64, exc uint8) {
 	c.robSQ[idx] = badIdx
 }
 
-// fetchPop drops the oldest fetch-queue slot by advancing the head
-// offset; the slide of the old compacting pop is amortized to once per
-// FetchQueueSize pops, and the backing array is reused whenever the
-// queue drains.
+// fetchPop drops the oldest fetch-queue slot.
 func (c *Core) fetchPop() {
 	c.fetchHead++
 	if c.fetchHead == len(c.fetchQ) {
-		c.fetchQ = c.fetchQ[:0]
-		c.fetchHead = 0
-	} else if c.fetchHead >= c.cfg.FetchQueueSize {
-		n := copy(c.fetchQ, c.fetchQ[c.fetchHead:])
-		c.fetchQ = c.fetchQ[:n]
 		c.fetchHead = 0
 	}
+	c.fetchLen--
+}
+
+// fetchPush claims the slot after the youngest one and returns it. The
+// slot still holds whatever last used it; the caller writes every field.
+func (c *Core) fetchPush() *fetchSlot {
+	if c.fetchLen == len(c.fetchQ) {
+		simerr.Assertf("cpu: fetch queue push with no free slot")
+	}
+	i := c.fetchHead + c.fetchLen
+	if i >= len(c.fetchQ) {
+		i -= len(c.fetchQ)
+	}
+	c.fetchLen++
+	return &c.fetchQ[i]
+}
+
+// fetchQueue returns the queued slots oldest first as the (at most) two
+// contiguous runs they occupy in the ring buffer.
+func (c *Core) fetchQueue() (older, younger []fetchSlot) {
+	if end := c.fetchHead + c.fetchLen; end > len(c.fetchQ) {
+		return c.fetchQ[c.fetchHead:], c.fetchQ[:end-len(c.fetchQ)]
+	}
+	return c.fetchQ[c.fetchHead : c.fetchHead+c.fetchLen], nil
 }
 
 // badRegs reports whether the instruction references a register outside
@@ -320,7 +336,7 @@ func (c *Core) fetch() {
 	if c.fetchFrozen || c.cycle < c.fetchStall {
 		return
 	}
-	for n := 0; n < c.cfg.FetchWidth && len(c.fetchQ)-c.fetchHead < c.cfg.FetchQueueSize; n++ {
+	for n := 0; n < c.cfg.FetchWidth && c.fetchLen < c.cfg.FetchQueueSize; n++ {
 		pc := c.fetchPC
 		// Fast path: an aligned pc inside the memoized executable span
 		// cannot fault, so the region walk is skipped. The span starts
@@ -328,7 +344,7 @@ func (c *Core) fetch() {
 		// every successful slow-path check.
 		if pc&3 != 0 || pc < c.fetchSpanLo || pc > c.fetchSpanHi {
 			if f := c.memory.CheckFetch(pc); f != nil {
-				c.fetchQ = append(c.fetchQ, fetchSlot{PC: pc, FetchFault: true})
+				*c.fetchPush() = fetchSlot{PC: pc, FetchFault: true}
 				c.fetchFrozen = true
 				return
 			}
@@ -345,10 +361,9 @@ func (c *Core) fetch() {
 		}
 		c.Stats.Fetched++
 		in := c.decode(word)
-		// Append first, then fill the slot through the pointer: one
-		// 40-byte slot copy instead of build-then-append's two.
-		c.fetchQ = append(c.fetchQ, fetchSlot{PC: pc, Word: word, In: in})
-		slot := &c.fetchQ[len(c.fetchQ)-1]
+		// Claim the slot first, then fill it through the pointer.
+		slot := c.fetchPush()
+		*slot = fetchSlot{PC: pc, Word: word, In: in}
 		stop := false
 		switch {
 		case in.Op == isa.OpJal:
@@ -464,8 +479,7 @@ func (c *Core) squash(afterSeq uint64, newPC uint64) {
 		}
 	}
 	c.inflight = kept
-	c.fetchQ = c.fetchQ[:0]
-	c.fetchHead = 0
+	c.fetchHead, c.fetchLen = 0, 0
 	c.fetchFrozen = false
 	c.fetchStall = 0
 	c.fetchPC = newPC

@@ -142,7 +142,8 @@ func (c *Core) Snapshot() *CoreState {
 	s.FreeCount = c.freeCount
 
 	s.FetchPC = c.fetchPC
-	s.FetchQ = snapCopy(s.FetchQ, c.fetchQ[c.fetchHead:])
+	older, younger := c.fetchQueue()
+	s.FetchQ = append(append(s.FetchQ[:0], older...), younger...)
 	s.FetchStall = c.fetchStall
 	s.FetchFrozen = c.fetchFrozen
 
@@ -191,8 +192,10 @@ func (c *Core) Restore(s *CoreState) {
 	c.freeCount = s.FreeCount
 
 	c.fetchPC = s.FetchPC
-	c.fetchQ = append(c.fetchQ[:0], s.FetchQ...)
-	c.fetchHead = 0
+	if len(s.FetchQ) > len(c.fetchQ) {
+		simerr.Assertf("cpu: restore of a %d-slot fetch queue into a core that holds %d", len(s.FetchQ), len(c.fetchQ))
+	}
+	c.fetchHead, c.fetchLen = 0, copy(c.fetchQ, s.FetchQ)
 	c.fetchStall = s.FetchStall
 	c.fetchFrozen = s.FetchFrozen
 
@@ -288,7 +291,7 @@ func (c *Core) StateHash() uint64 {
 	h.mix(uint64(c.sqCount))
 	h.mix(uint64(c.iqCount))
 	h.mix(uint64(c.prfLive))
-	h.mix(uint64(len(c.fetchQ) - c.fetchHead))
+	h.mix(uint64(c.fetchLen))
 	h.mix(uint64(len(c.inflight)))
 	for _, p := range c.rat {
 		h.mix(uint64(p))
@@ -356,8 +359,11 @@ func (c *Core) StateEquals(s *CoreState) bool {
 		c.iqCount != s.IQCount || c.prfLive != s.PRFLive {
 		return false
 	}
-	if !slices.Equal(c.fetchQ[c.fetchHead:], s.FetchQ) || !slices.Equal(c.inflight, s.Inflight) ||
-		!slices.Equal(c.output, s.Output) {
+	older, younger := c.fetchQueue()
+	if c.fetchLen != len(s.FetchQ) || !slices.Equal(older, s.FetchQ[:len(older)]) || !slices.Equal(younger, s.FetchQ[len(older):]) {
+		return false
+	}
+	if !slices.Equal(c.inflight, s.Inflight) || !slices.Equal(c.output, s.Output) {
 		return false
 	}
 	if slices.Equal(c.u64, s.u64) && slices.Equal(c.u16, s.u16) && bytes.Equal(c.u8, s.u8) {
