@@ -203,10 +203,9 @@ func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment
 // prepared unit costs one golden run plus its snapshots.
 func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Options) (*Experiment, error) {
 	m := newMachine(cfg, prog)
-	var trace []cpu.CommitEvent
+	var trace traceRecorder
 	if opts.Traced {
-		trace = make([]cpu.CommitEvent, 0, 1024)
-		m.Core.SetCommitHook(func(ev cpu.CommitEvent) { trace = append(trace, ev) })
+		m.Core.SetCommitHook(trace.add)
 	}
 	k := opts.Checkpoints
 	if k == 0 {
@@ -227,7 +226,7 @@ func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Option
 		GoldenCycles: res.Cycles,
 		GoldenOutput: res.Output,
 		GoldenStats:  res,
-		Trace:        trace,
+		Trace:        trace.events(),
 	}
 	if stream.Len() > 0 {
 		e.ckpts = stream
@@ -238,6 +237,43 @@ func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Option
 		e.putMachine(m)
 	}
 	return e, nil
+}
+
+// traceChunk is the number of commit events per traceRecorder chunk
+// (24 bytes each, so 384 KiB): large enough that chunk bookkeeping
+// vanishes, small enough that the last, partly filled one wastes little.
+const traceChunk = 1 << 14
+
+// traceRecorder collects a golden run's commit stream. The run's length
+// is unknown until it halts, so events go into fixed-size chunks that
+// are never moved while the run lasts — growing one slice instead
+// re-copied the whole trace at every step of its growth — and events
+// joins them into the exactly sized slice Experiment.Trace holds.
+type traceRecorder struct {
+	full [][]cpu.CommitEvent
+	cur  []cpu.CommitEvent
+}
+
+func (t *traceRecorder) add(ev cpu.CommitEvent) {
+	if len(t.cur) == cap(t.cur) {
+		if t.cur != nil {
+			t.full = append(t.full, t.cur)
+		}
+		t.cur = make([]cpu.CommitEvent, 0, traceChunk)
+	}
+	t.cur = append(t.cur, ev)
+}
+
+// events returns everything recorded, in order; nil when nothing was.
+func (t *traceRecorder) events() []cpu.CommitEvent {
+	if t.cur == nil {
+		return nil
+	}
+	out := make([]cpu.CommitEvent, 0, len(t.full)*traceChunk+len(t.cur))
+	for _, chunk := range t.full {
+		out = append(out, chunk...)
+	}
+	return append(out, t.cur...)
 }
 
 // Pruner decides, without simulating, that a sampled fault is provably
