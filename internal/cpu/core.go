@@ -94,6 +94,12 @@ type Core struct {
 	fetchHead int
 	fetchLen  int
 
+	// fetchFacts[i] holds factsOf(fetchQ[i].In) for every queued slot:
+	// fetch copies it out of the predecode memo as it fills the slot, so
+	// rename reads its facts at the ring index it is already at. A
+	// snapshot carries only the slot; Restore recomputes the facts.
+	fetchFacts []renameFacts //snapshot:skip pure function of the queued slot's decode and the immutable configuration; Restore recomputes it
+
 	inflight []inflightOp
 
 	cycle    uint64
@@ -202,7 +208,8 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 		lqWaitSQ:  make([]uint64, cfg.SQSize),
 		// One slot beyond what fetch fills: the bound DecodeCoreState
 		// accepts for a stored queue.
-		fetchQ: make([]fetchSlot, cfg.FetchQueueSize+1),
+		fetchQ:     make([]fetchSlot, cfg.FetchQueueSize+1),
+		fetchFacts: make([]renameFacts, cfg.FetchQueueSize+1),
 	}
 	c.carve(&c.cfg)
 	for a := 0; a < cfg.NumArchRegs; a++ {

@@ -63,6 +63,14 @@ func (c *Core) checkDerived() error {
 	if (c.lqPending^pending)&window != 0 {
 		return fmt.Errorf("cycle %d: lqPending %#x, slab says %#x inside window %#x", c.cycle, c.lqPending, pending, window)
 	}
+	// Every queued fetch slot travels with the facts of its own decode.
+	for n := 0; n < c.fetchLen; n++ {
+		i := (c.fetchHead + n) % len(c.fetchQ)
+		if slot := &c.fetchQ[i]; !slot.FetchFault && c.fetchFacts[i] != c.factsOf(slot.In) {
+			return fmt.Errorf("cycle %d: fetch-queue slot %d holds %s with facts %+v, want %+v",
+				c.cycle, i, slot.In, c.fetchFacts[i], c.factsOf(slot.In))
+		}
+	}
 	// A pending load left out of lqRetry must be one the store-queue
 	// check still blocks, filed under the store that blocks it so that
 	// store's execution or drain brings it back.
@@ -357,29 +365,5 @@ func TestRenameFactsMatchISA(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRenameFactsSurviveMemoEviction(t *testing.T) {
-	// A fetch-queue slot whose memo entry was overwritten before rename
-	// reached it still renames as its own instruction.
-	c := testCore([]isa.Instr{isa.Halt()})
-	add := isa.R(isa.OpAdd, isa.RegA2, isa.RegA0, isa.RegA1)
-	slot := fetchSlot{Word: add.Encode(), In: c.decode(add.Encode())}
-	hit := c.factsFor(&slot)
-	// Find a different word that lands in the same memo slot.
-	other := slot.Word
-	for w := uint32(isa.OpAddi) << 26; ; w++ {
-		if w != slot.Word && predecodeSlot(w) == predecodeSlot(slot.Word) {
-			other = w
-			break
-		}
-	}
-	c.decode(other)
-	if c.dec[predecodeSlot(slot.Word)].word != other {
-		t.Fatal("test layout: the second word did not evict the first")
-	}
-	if miss := c.factsFor(&slot); miss != hit || miss.src1 != isa.RegA0 || miss.src2 != isa.RegA1 || miss.dest != isa.RegA2 {
-		t.Errorf("facts after eviction %+v, before %+v", miss, hit)
 	}
 }

@@ -23,7 +23,7 @@ func (c *Core) rename() {
 			continue
 		}
 		in := slot.In
-		f := c.factsFor(slot)
+		f := &c.fetchFacts[c.fetchHead]
 		if f.illegal {
 			c.seq++
 			c.robFault(slot.PC, excIllegal)
@@ -159,18 +159,16 @@ func (c *Core) fetchPop() {
 	c.fetchLen--
 }
 
-// fetchPush claims the slot after the youngest one and returns it. The
-// slot still holds whatever last used it; the caller writes every field.
-func (c *Core) fetchPush() *fetchSlot {
-	if c.fetchLen == len(c.fetchQ) {
-		simerr.Assertf("cpu: fetch queue push with no free slot")
-	}
+// fetchPush claims the ring index after the youngest slot; the caller
+// writes fetchQ and fetchFacts there. fetch pushes only below
+// FetchQueueSize, one short of the ring, so there is always room.
+func (c *Core) fetchPush() int {
 	i := c.fetchHead + c.fetchLen
 	if i >= len(c.fetchQ) {
 		i -= len(c.fetchQ)
 	}
 	c.fetchLen++
-	return &c.fetchQ[i]
+	return i
 }
 
 // fetchQueue returns the queued slots oldest first as the (at most) two
@@ -273,27 +271,15 @@ func predecodeSlot(word uint32) uint32 {
 	return (word ^ word>>12 ^ word>>22) & (predecodeSlots - 1)
 }
 
-// decode memoizes isa.Decode, and factsOf with it, through the table.
-func (c *Core) decode(word uint32) isa.Instr {
+// predecode memoizes isa.Decode, and factsOf with it, through the table.
+func (c *Core) predecode(word uint32) *predecoded {
 	d := &c.dec[predecodeSlot(word)]
 	if d.word != word {
 		d.word = word
 		d.in = isa.Decode(word)
 		d.renameFacts = c.factsOf(d.in)
 	}
-	return d.in
-}
-
-// factsFor returns the rename facts of a fetch-queue slot. The slot
-// itself carries only what a snapshot encodes (word and decode), so the
-// facts come from the memo; a slot whose word has since been evicted —
-// or whose decode does not match its word, as a hand-built snapshot's
-// could — has them recomputed from the decode rename would have used.
-func (c *Core) factsFor(slot *fetchSlot) renameFacts {
-	if d := &c.dec[predecodeSlot(slot.Word)]; d.word == slot.Word && d.in == slot.In {
-		return d.renameFacts
-	}
-	return c.factsOf(slot.In)
+	return d
 }
 
 // factsOf derives the rename facts of a decoded instruction under this
@@ -344,7 +330,7 @@ func (c *Core) fetch() {
 		// every successful slow-path check.
 		if pc&3 != 0 || pc < c.fetchSpanLo || pc > c.fetchSpanHi {
 			if f := c.memory.CheckFetch(pc); f != nil {
-				*c.fetchPush() = fetchSlot{PC: pc, FetchFault: true}
+				c.fetchQ[c.fetchPush()] = fetchSlot{PC: pc, FetchFault: true}
 				c.fetchFrozen = true
 				return
 			}
@@ -360,9 +346,13 @@ func (c *Core) fetch() {
 			c.fetchStall = c.cycle + uint64(lat-c.icache.Config().HitLatency)
 		}
 		c.Stats.Fetched++
-		in := c.decode(word)
-		// Claim the slot first, then fill it through the pointer.
-		slot := c.fetchPush()
+		d := c.predecode(word)
+		in := d.in
+		// Claim the slot first, then fill it through the pointer; the
+		// facts rename will want ride beside it, outside the snapshot.
+		i := c.fetchPush()
+		c.fetchFacts[i] = d.renameFacts
+		slot := &c.fetchQ[i]
 		*slot = fetchSlot{PC: pc, Word: word, In: in}
 		stop := false
 		switch {

@@ -196,6 +196,9 @@ func (c *Core) Restore(s *CoreState) {
 		simerr.Assertf("cpu: restore of a %d-slot fetch queue into a core that holds %d", len(s.FetchQ), len(c.fetchQ))
 	}
 	c.fetchHead, c.fetchLen = 0, copy(c.fetchQ, s.FetchQ)
+	for i := range s.FetchQ {
+		c.fetchFacts[i] = c.factsOf(s.FetchQ[i].In)
+	}
 	c.fetchStall = s.FetchStall
 	c.fetchFrozen = s.FetchFrozen
 
