@@ -14,11 +14,11 @@ func TestKnownBitsConstantPropagation(t *testing.T) {
 	m := xlenMask(xlen)
 	a0, a1, a2 := uint8(isa.RegA0), uint8(isa.RegA1), uint8(isa.RegA2)
 	prog := []isa.Instr{
-		isa.I(isa.OpLui, a0, 0, 0x1234),     // a0 = 0x12340000
-		isa.I(isa.OpOri, a0, a0, 0x5678),    // a0 = 0x12345678
-		isa.I(isa.OpAddi, a1, a0, 1),        // a1 = 0x12345679
-		isa.R(isa.OpXor, a2, a0, a1),        // a2 = known
-		isa.I(isa.OpAndi, a2, a2, 0xff),     // a2 = low byte
+		isa.I(isa.OpLui, a0, 0, 0x1234),  // a0 = 0x12340000
+		isa.I(isa.OpOri, a0, a0, 0x5678), // a0 = 0x12345678
+		isa.I(isa.OpAddi, a1, a0, 1),     // a1 = 0x12345679
+		isa.R(isa.OpXor, a2, a0, a1),     // a2 = known
+		isa.I(isa.OpAndi, a2, a2, 0xff),  // a2 = low byte
 		isa.Out(a2),
 		isa.Halt(),
 	}

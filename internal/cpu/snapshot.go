@@ -23,9 +23,10 @@ package cpu
 //   - Snapshot/Restore are bit-exact: a restored core replays the
 //     remainder of the run cycle-for-cycle identically to the core the
 //     snapshot was taken from. Scratch buffers (dueBuf, opsBuf,
-//     candBuf) and the predecode memo are the only exclusions; the
-//     buffers are dead across cycles by construction and the memo
-//     caches a pure function of the fetched word.
+//     candBuf), the predecode memo and the derived indices (DESIGN.md
+//     §12) are the only exclusions; the buffers are dead across cycles
+//     by construction, the memo caches pure functions of the fetched
+//     word, and Restore rebuilds every index from the slabs.
 //
 //   - StateEquals is the *behavioral* equivalence used by the
 //     early-convergence Masked exit: it ignores architecturally dead

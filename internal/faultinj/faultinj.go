@@ -6,6 +6,7 @@ package faultinj
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"sevsim/internal/checkpoint"
@@ -266,14 +267,7 @@ func (t *traceRecorder) add(ev cpu.CommitEvent) {
 
 // events returns everything recorded, in order; nil when nothing was.
 func (t *traceRecorder) events() []cpu.CommitEvent {
-	if t.cur == nil {
-		return nil
-	}
-	out := make([]cpu.CommitEvent, 0, len(t.full)*traceChunk+len(t.cur))
-	for _, chunk := range t.full {
-		out = append(out, chunk...)
-	}
-	return append(out, t.cur...)
+	return slices.Concat(append(t.full, t.cur)...)
 }
 
 // Pruner decides, without simulating, that a sampled fault is provably

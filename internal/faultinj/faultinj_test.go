@@ -248,8 +248,8 @@ func TestTraceRecorderJoinsChunksInOrder(t *testing.T) {
 			rec.add(cpu.CommitEvent{Cycle: uint64(i), PC: uint64(4 * i), DestArch: uint8(i), DestPhys: uint16(i)})
 		}
 		got := rec.events()
-		if len(got) != n || cap(got) != n {
-			t.Fatalf("%d events recorded: got len %d cap %d", n, len(got), cap(got))
+		if len(got) != n {
+			t.Fatalf("%d events recorded: got %d", n, len(got))
 		}
 		for i, ev := range got {
 			if ev != (cpu.CommitEvent{Cycle: uint64(i), PC: uint64(4 * i), DestArch: uint8(i), DestPhys: uint16(i)}) {
