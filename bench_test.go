@@ -465,6 +465,28 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 	b.ReportMetric(float64(resident)/float64(b.N*len(points)), "B/snapshot")
 }
 
+// prepUnit is one (microarchitecture, binary) pair to simulate.
+type prepUnit struct {
+	cfg  machine.Config
+	prog *machine.Program
+}
+
+// prepSweepQsort compiles qsort at O2 and twice its evaluation size —
+// the size sevbench's prep_sweep runs — for both microarchitectures.
+func prepSweepQsort(b *testing.B) []prepUnit {
+	bench, _ := workloads.ByName("qsort")
+	var units []prepUnit
+	for _, cfg := range machine.Configs() {
+		prog, err := compiler.Compile(bench.Source(2*bench.DefaultSize), "qsort", compiler.O2,
+			compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units = append(units, prepUnit{cfg, prog})
+	}
+	return units
+}
+
 // BenchmarkPrepUnit measures what preparing a unit costs over the
 // golden run it cannot avoid. One iteration takes qsort at O2 and twice
 // its evaluation size (the size sevbench's prep_sweep runs) on both
@@ -483,23 +505,10 @@ func BenchmarkCheckpointLadder(b *testing.B) {
 // put them at 2. cmd/benchgate holds prep/golden (-unit) to the limit
 // in BENCH_layout.json's trajectory.
 func BenchmarkPrepUnit(b *testing.B) {
-	bench, _ := workloads.ByName("qsort")
-	type unit struct {
-		cfg  machine.Config
-		prog *machine.Program
-	}
-	var units []unit
-	for _, cfg := range machine.Configs() {
-		prog, err := compiler.Compile(bench.Source(2*bench.DefaultSize), "qsort", compiler.O2,
-			compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		units = append(units, unit{cfg, prog})
-	}
+	units := prepSweepQsort(b)
 	// Each timed call starts from a collected heap, so none pays for the
 	// machine its predecessor left behind.
-	golden := func(u unit, traced bool) time.Duration {
+	golden := func(u prepUnit, traced bool) time.Duration {
 		runtime.GC()
 		t0 := time.Now()
 		m := machine.New(u.cfg, u.prog)
@@ -512,7 +521,7 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
-	prep := func(u unit, traced bool) time.Duration {
+	prep := func(u prepUnit, traced bool) time.Duration {
 		runtime.GC()
 		t0 := time.Now()
 		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: traced})
@@ -567,22 +576,9 @@ func BenchmarkPrepUnit(b *testing.B) {
 // BENCH_layout.json's trajectory: the trace is one event per committed
 // instruction and must stay a small tax on the run that produces it.
 func BenchmarkGoldenRun(b *testing.B) {
-	bench, _ := workloads.ByName("qsort")
-	type unit struct {
-		cfg  machine.Config
-		prog *machine.Program
-	}
-	var units []unit
-	for _, cfg := range machine.Configs() {
-		prog, err := compiler.Compile(bench.Source(2*bench.DefaultSize), "qsort", compiler.O2,
-			compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		units = append(units, unit{cfg, prog})
-	}
+	units := prepSweepQsort(b)
 	var cycles uint64
-	golden := func(u unit, traced bool) time.Duration {
+	golden := func(u prepUnit, traced bool) time.Duration {
 		runtime.GC()
 		t0 := time.Now()
 		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: traced, Checkpoints: -1})

@@ -267,13 +267,9 @@ type predecoded struct {
 	renameFacts
 }
 
-func predecodeSlot(word uint32) uint32 {
-	return (word ^ word>>12 ^ word>>22) & (predecodeSlots - 1)
-}
-
 // predecode memoizes isa.Decode, and factsOf with it, through the table.
 func (c *Core) predecode(word uint32) *predecoded {
-	d := &c.dec[predecodeSlot(word)]
+	d := &c.dec[(word^word>>12^word>>22)&(predecodeSlots-1)]
 	if d.word != word {
 		d.word = word
 		d.in = isa.Decode(word)
