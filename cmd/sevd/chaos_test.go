@@ -298,7 +298,7 @@ func startSevd(t *testing.T, bin, listen, state string) *proc {
 	// quarantine would change the study bytes by design).
 	return start(t, "sevd", bin,
 		"-listen", listen, "-state", state,
-		"-lease-ttl", "5s", "-lease-cells", "2",
+		"-lease-ttl", "5s",
 		"-max-attempts", "20", "-worker-budget", "50")
 }
 

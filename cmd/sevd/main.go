@@ -1,7 +1,7 @@
 // Command sevd is the distributed-campaign coordinator: it accepts
 // study submissions over HTTP, decomposes them into cell-granular work
-// items, leases batches to sevworker processes with deadlines and
-// heartbeats, reassigns the cells of dead or stalled workers, and
+// items, leases them a unit at a time to sevworker processes with
+// deadlines and heartbeats, reassigns the cells of dead or stalled workers, and
 // merges the reported outcomes into a study.json byte-identical to a
 // single-process run of the same spec.
 //
@@ -44,7 +44,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:8750", "address to listen on (use :0 for a free port)")
 	state := flag.String("state", "", "durable state directory (required); the journal inside it makes sevd kill-and-resume safe")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "lease deadline without a heartbeat before cells are reassigned")
-	leaseCells := flag.Int("lease-cells", 4, "default cells per lease grant")
 	maxAttempts := flag.Int("max-attempts", 3, "lease grants per cell before it is quarantined into Study.Failed")
 	workerBudget := flag.Int("worker-budget", 3, "per-worker error budget before it stops receiving leases")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long a SIGTERM drain waits for in-flight leases")
@@ -66,7 +65,6 @@ func main() {
 	coord, err := dispatch.OpenCoordinator(dispatch.Options{
 		Dir:          *state,
 		LeaseTTL:     *leaseTTL,
-		LeaseCells:   *leaseCells,
 		MaxAttempts:  *maxAttempts,
 		WorkerBudget: *workerBudget,
 		Logf:         logf,

@@ -1,6 +1,6 @@
 // Command sevworker executes campaign cells on behalf of a sevd
-// coordinator: it polls for leases, computes each batch with the same
-// journaled engine the local tools use, and reports the outcomes.
+// coordinator: it polls for leases, computes each leased unit with the
+// same journaled engine the local tools use, and reports the outcomes.
 //
 // The -workdir journal makes the worker itself crash-safe: a worker
 // SIGKILLed mid-lease and restarted on the same workdir replays its
@@ -31,7 +31,6 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8750", "coordinator base URL")
 	workdir := flag.String("workdir", "", "local journal directory (required); reuse it across restarts to resume partial leases")
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
-	cells := flag.Int("cells", 0, "cells to request per lease (0 = coordinator default)")
 	parallel := flag.Int("parallel", 0, "campaign parallelism per cell (0 = GOMAXPROCS); results are identical at any setting")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory, kept across leases and studies; re-leased cells skip compiles and golden simulations (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = adopt the study's advice, else unbounded)")
@@ -56,7 +55,6 @@ func main() {
 		Coordinator: *coordinator,
 		Name:        *name,
 		Workdir:     *workdir,
-		MaxCells:    *cells,
 		Parallelism: *parallel,
 		CacheDir:    *cacheDir,
 		CacheMaxMB:  *cacheMax,

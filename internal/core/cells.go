@@ -1,13 +1,11 @@
-// Cell-granular work items: the interface the study engine exposes to
-// distributed execution. A Spec decomposes into CellRefs (the exact
-// cells Run would compute, in Run's deterministic order); RunCells
-// executes any subset of them — preparing only the units those cells
-// need — and returns self-contained CellOutcomes; and an Assembler
-// merges outcomes arriving from any mix of workers, leases, and
-// journal replays, in any completion order, back into a Study whose
-// saved bytes are identical to a clean single-process Run of the same
-// spec. The local scheduler and the remote coordinator/worker pair
-// (internal/dispatch) both speak this interface.
+// Cell-granular work items: the one result path of the study engine. A
+// Spec decomposes into CellRefs (the exact cells Run computes, in Run's
+// deterministic order); the scheduler emits one self-contained
+// CellOutcome per finished cell; and the Assembler is the only place
+// outcomes become a Study — fresh from the scheduler, replayed from the
+// study journal, reported by remote workers, or replayed from the
+// coordinator journal, in any completion order — with saved bytes
+// identical to a clean single-process Run of the same spec.
 package core
 
 import (
@@ -41,14 +39,10 @@ func (r CellRef) unit() cellKey {
 	return cellKey{r.March, r.Bench, r.Level, ""}
 }
 
-func (r CellRef) cell() cellKey {
-	return cellKey{r.March, r.Bench, r.Level, r.Target}
-}
-
 // Cells enumerates every campaign cell of the spec in the
 // deterministic order Run computes them: machines, then benchmarks,
-// then levels, then targets. Slicing this list is how a coordinator
-// decomposes a study into lease-able work items.
+// then levels, then targets. A unit's cells are contiguous, which is
+// how a coordinator cuts a study into unit-sized leases.
 func (s Spec) Cells() []CellRef {
 	out := make([]CellRef, 0, len(s.Machines)*len(s.Benchmarks)*len(s.Levels)*len(s.Targets))
 	for _, cfg := range s.Machines {
@@ -66,14 +60,16 @@ func (s Spec) Cells() []CellRef {
 	return out
 }
 
-// CellOutcome is one completed work item: the cell's campaign result
-// plus, on the first outcome of each (march, bench, level) unit in a
-// RunCells call, the unit's golden record (and static bound, for prune
-// studies) so the receiver can reassemble the full Study without
-// re-running anything. Failures ride along instead of results when the
-// spec runs keep-going: UnitFailure for a quarantined preparation
-// (Result is then the deterministic skipped placeholder), CellFailure
-// for a stuck or panicking cell.
+// CellOutcome is one completed work item and the one result record of
+// the engine: the scheduler emits it, both journals store it, workers
+// report it, and the Assembler merges it. It carries the cell's
+// campaign result plus, once per (march, bench, level) unit, the unit's
+// golden record (and static bound, for prune studies) so the receiver
+// can reassemble the full Study without re-running anything. Failures
+// ride along instead of results when the spec runs keep-going:
+// UnitFailure for a quarantined preparation (Result is then the
+// deterministic skipped placeholder), CellFailure for a stuck or
+// panicking cell.
 type CellOutcome struct {
 	Cell   CellRef
 	Result campaign.Result
@@ -85,9 +81,61 @@ type CellOutcome struct {
 	CellFailure *Failure `json:",omitempty"`
 }
 
+// skipped is the placeholder result of a cell that was not campaigned.
+func skipped(ref CellRef, why string) campaign.Result {
+	return campaign.Result{March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target, Skipped: why}
+}
+
+// unitFailed is the outcome of one cell of a unit whose preparation was
+// quarantined: the deterministic placeholder, derived from the failure
+// alone so an initial run and a resumed run produce identical bytes.
+func unitFailed(ref CellRef, f Failure) CellOutcome {
+	return CellOutcome{Cell: ref, Result: skipped(ref, "unit "+f.Stage+" failed: "+f.Err), UnitFailure: &f}
+}
+
+// cellFailed is the outcome of a cell that will never produce a
+// result: it panicked, the watchdog abandoned it, or its leases ran out.
+func cellFailed(ref CellRef, f Failure) CellOutcome {
+	reason := "cell failed: "
+	if f.Stuck {
+		reason = "stuck: "
+	}
+	return CellOutcome{Cell: ref, Result: skipped(ref, reason+f.Err), CellFailure: &f}
+}
+
+// check rejects an outcome whose parts name different cells. Outcomes
+// arrive from journals and from the network; without this a damaged
+// record would land one cell's numbers in another cell's slot.
+func (o CellOutcome) check() error {
+	unit := o.Cell.unit()
+	foreign := func(part string) error {
+		return fmt.Errorf("core: outcome for cell %s carries the %s of another cell", o.Cell, part)
+	}
+	if f := o.UnitFailure; f != nil {
+		if (cellKey{f.March, f.Bench, f.Level, f.Target}) != unit {
+			return foreign("unit failure")
+		}
+		return nil // the result is derived from the failure, never read
+	}
+	if r := o.Result; (CellRef{r.March, r.Bench, r.Level, r.Target}) != o.Cell {
+		return foreign("result")
+	}
+	if g := o.Golden; g != nil && (cellKey{g.March, g.Bench, g.Level, ""}) != unit {
+		return foreign("golden record")
+	}
+	if s := o.Static; s != nil && (cellKey{s.March, s.Bench, s.Level, ""}) != unit {
+		return foreign("static bound")
+	}
+	if f := o.CellFailure; f != nil && (CellRef{f.March, f.Bench, f.Level, f.Target}) != o.Cell {
+		return foreign("cell failure")
+	}
+	return nil
+}
+
 // RunCells executes just the requested cells of the spec (in any
 // order, duplicates rejected) and returns one outcome per request, in
-// the spec's deterministic enumeration order. Only the units the cells
+// the spec's deterministic enumeration order, the golden record of each
+// unit on the unit's first returned outcome. Only the units the cells
 // touch are compiled and golden-run; every knob of the spec —
 // parallelism, journaling with replay, keep-going quarantine, pruning,
 // checkpoints — applies exactly as in Run, and each outcome is
@@ -99,95 +147,64 @@ func (s Spec) RunCells(ctx context.Context, cells []CellRef) ([]CellOutcome, err
 	if len(cells) == 0 {
 		return nil, nil
 	}
-	valid := make(map[cellKey]bool, len(s.Machines)*len(s.Benchmarks)*len(s.Levels)*len(s.Targets))
-	for _, ref := range s.Cells() {
-		valid[ref.cell()] = true
-	}
-	sel := make(selection, len(cells))
+	asm := NewAssembler(s)
+	want := make(map[CellRef]bool, len(cells))
 	for _, ref := range cells {
-		k := ref.cell()
-		if !valid[k] {
+		if _, ok := asm.cellIdx[ref]; !ok {
 			return nil, fmt.Errorf("core: cell %s is not in the spec", ref)
 		}
-		if sel[k] {
+		if want[ref] {
 			return nil, fmt.Errorf("core: cell %s requested twice", ref)
 		}
-		sel[k] = true
+		want[ref] = true
 	}
-
-	st, units, err := s.run(ctx, sel)
-	if err != nil {
+	got := make(map[CellRef]CellOutcome, len(cells))
+	if err := s.run(ctx, asm, want, func(o CellOutcome) { got[o.Cell] = o }); err != nil {
 		return nil, err
 	}
-
-	nt := len(s.Targets)
+	// Which of a unit's cells finished first — and so carried the
+	// golden through the journal — depends on scheduling; what is
+	// returned does not.
 	out := make([]CellOutcome, 0, len(cells))
-	for ui, u := range units {
-		goldenAttached := false
-		for ti, t := range s.Targets {
-			if !u.want[ti] {
-				continue
-			}
-			o := CellOutcome{
-				Cell: CellRef{
-					March: u.cfg.Name, Bench: u.bench.Name,
-					Level: u.level.String(), Target: t.Name(),
-				},
-				Result: st.Results[ui*nt+ti],
-			}
-			switch {
-			case u.failure != nil:
-				o.UnitFailure = u.failure
-			case !goldenAttached:
-				g := st.Goldens[ui]
-				o.Golden = &g
-				if st.Static != nil {
-					sc := st.Static[ui]
-					o.Static = &sc
-				}
-				goldenAttached = true
-			}
-			if cf := u.cellFailures[ti]; cf != nil {
-				o.CellFailure = cf
-			}
-			out = append(out, o)
+	var carried cellKey // the unit whose golden an earlier outcome already carries
+	for _, ref := range asm.cells {
+		o, ok := got[ref]
+		if !ok {
+			continue
 		}
+		o.Golden, o.Static = nil, nil
+		if o.UnitFailure == nil && ref.unit() != carried {
+			o.Golden, o.Static = asm.unitGolden(ref)
+			carried = ref.unit()
+		}
+		out = append(out, o)
 	}
 	return out, nil
 }
 
-// goldenKind tracks what filled a unit's golden slot during assembly.
-type goldenKind int
-
-const (
-	goldenNone        goldenKind = iota
-	goldenPlaceholder            // quarantine placeholder (names only)
-	goldenReal                   // a worker-computed golden record
-)
-
-// Assembler merges CellOutcomes back into a Study. Outcomes may arrive
-// in any order, from any number of workers, and more than once (a
-// lease-expiry race can make two workers compute the same cell): the
-// first outcome per cell wins and later ones are reported as
-// duplicates, so no cell is ever double-counted. When every cell of
-// the spec is accounted for, Study returns a result whose saved bytes
-// are identical to a clean single-process Run — the merge-determinism
-// guarantee the distributed service rests on (values land at canonical
-// slice indices, quarantines assemble in unit-enumeration order, and
-// every value is itself deterministic given the spec).
+// Assembler merges CellOutcomes into a Study; nothing else builds one.
+// Outcomes may arrive in any order, from any number of workers, and
+// more than once (a lease-expiry race can make two workers compute the
+// same cell): the first outcome per cell wins and later ones are
+// reported as duplicates, so no cell is ever double-counted. When every
+// cell of the spec is accounted for, Study returns a result whose saved
+// bytes do not depend on who computed what or when — the
+// merge-determinism guarantee local runs, resumed runs and the
+// distributed service all rest on (values land at canonical slice
+// indices, quarantines assemble in unit-enumeration order, and every
+// value is itself deterministic given the spec).
 type Assembler struct {
-	spec Spec
-	nt   int
-	st   *Study
+	cells []CellRef // the spec's cells, in enumeration order
+	nt    int       // cells per unit: cell idx belongs to unit idx/nt
+	st    *Study
 
-	cellIdx map[cellKey]int // cell -> flat result index
-	unitIdx map[cellKey]int // unit -> unit index
+	cellIdx map[CellRef]int // cell -> index in cells and st.Results
 
-	have        []bool // per flat index: outcome or quarantine recorded
+	have        []bool // per cell: outcome or quarantine recorded
 	remaining   int
-	haveGolden  []goldenKind
-	unitFailure []*Failure
-	cellFailure [][]*Failure
+	haveGolden  []bool     // per unit: a computed golden, not a quarantine placeholder
+	unitFailure []*Failure // per unit
+	cellFailure []*Failure // per cell
 }
 
 // NewAssembler prepares an empty assembly for the spec's full study.
@@ -205,136 +222,123 @@ func NewAssembler(spec Spec) *Assembler {
 	for _, t := range spec.Targets {
 		st.TargetNames = append(st.TargetNames, t.Name())
 	}
-	nt := len(spec.Targets)
-	a := &Assembler{
-		spec:    spec,
-		nt:      nt,
-		st:      st,
-		cellIdx: map[cellKey]int{},
-		unitIdx: map[cellKey]int{},
-	}
 	cells := spec.Cells()
+	nt := len(spec.Targets)
 	units := 0
+	if nt > 0 {
+		units = len(cells) / nt
+	}
+	a := &Assembler{
+		cells:       cells,
+		nt:          nt,
+		st:          st,
+		cellIdx:     make(map[CellRef]int, len(cells)),
+		have:        make([]bool, len(cells)),
+		remaining:   len(cells),
+		haveGolden:  make([]bool, units),
+		unitFailure: make([]*Failure, units),
+		cellFailure: make([]*Failure, len(cells)),
+	}
 	for i, ref := range cells {
-		a.cellIdx[ref.cell()] = i
-		if _, ok := a.unitIdx[ref.unit()]; !ok {
-			a.unitIdx[ref.unit()] = units
-			units++
-		}
+		a.cellIdx[ref] = i
 	}
 	st.Goldens = make([]Golden, units)
 	st.Results = make([]campaign.Result, len(cells))
 	if spec.Prune {
 		st.Static = make([]StaticRF, units)
 	}
-	a.have = make([]bool, len(cells))
-	a.remaining = len(cells)
-	a.haveGolden = make([]goldenKind, units)
-	a.unitFailure = make([]*Failure, units)
-	a.cellFailure = make([][]*Failure, units)
-	for i := range a.cellFailure {
-		a.cellFailure[i] = make([]*Failure, nt)
-	}
 	return a
 }
 
-// resolve maps an outcome/quarantine cell to its indices.
-func (a *Assembler) resolve(ref CellRef) (idx, ui, ti int, err error) {
-	idx, ok := a.cellIdx[ref.cell()]
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("core: cell %s is not in the spec", ref)
+// has reports whether the cell is already accounted for.
+func (a *Assembler) has(ref CellRef) bool {
+	idx, ok := a.cellIdx[ref]
+	return ok && a.have[idx]
+}
+
+// unitGolden returns the computed golden record (and static bound) of
+// the cell's unit, nil until an outcome has delivered it.
+func (a *Assembler) unitGolden(ref CellRef) (*Golden, *StaticRF) {
+	ui := a.cellIdx[ref] / a.nt
+	if !a.haveGolden[ui] {
+		return nil, nil
 	}
-	ui, ok = a.unitIdx[ref.unit()]
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("core: unit of cell %s is not in the spec", ref)
+	if a.st.Static == nil {
+		return &a.st.Goldens[ui], nil
 	}
-	return idx, ui, idx % a.nt, nil
+	return &a.st.Goldens[ui], &a.st.Static[ui]
+}
+
+// Check reports whether Add would merge the outcome: an error for a
+// cell outside the spec or an outcome that contradicts itself, false
+// for a cell already accounted for. It lets a caller that must make an
+// outcome durable before merging it (the coordinator) journal only
+// what will be accepted.
+func (a *Assembler) Check(o CellOutcome) (fresh bool, err error) {
+	idx, ok := a.cellIdx[o.Cell]
+	if !ok {
+		return false, fmt.Errorf("core: cell %s is not in the spec", o.Cell)
+	}
+	if err := o.check(); err != nil {
+		return false, err
+	}
+	return !a.have[idx], nil
 }
 
 // Add merges one outcome. It reports whether the outcome was accepted:
 // false with a nil error means the cell was already complete (the
-// deduplicated double-completion of a lease-expiry race) and the new
-// outcome was discarded.
+// deduplicated double-completion of a lease-expiry race, or a journal
+// record seen twice) and the new outcome was discarded.
 func (a *Assembler) Add(o CellOutcome) (accepted bool, err error) {
-	idx, ui, ti, err := a.resolve(o.Cell)
-	if err != nil {
+	if fresh, err := a.Check(o); !fresh {
 		return false, err
 	}
-	if a.have[idx] {
-		return false, nil
-	}
+	idx := a.cellIdx[o.Cell]
+	ui := idx / a.nt
 	a.have[idx] = true
 	a.remaining--
 
 	if f := o.UnitFailure; f != nil {
 		// A quarantined preparation: this cell contributes the unit's
-		// failure record (once) and the deterministic placeholder a
-		// keep-going Run would record.
+		// failure record (once) and the deterministic placeholder, and
+		// the unit's golden slot names the unit until (unless) a real
+		// golden arrives with another cell.
 		if a.unitFailure[ui] == nil {
 			a.unitFailure[ui] = f
 		}
-		a.st.Results[idx] = skippedCell(*f, o.Cell.Target)
-		if a.haveGolden[ui] == goldenNone {
+		a.st.Results[idx] = unitFailed(o.Cell, *f).Result
+		if !a.haveGolden[ui] {
 			a.st.Goldens[ui] = Golden{March: f.March, Bench: f.Bench, Level: f.Level}
 			if a.st.Static != nil {
 				a.st.Static[ui] = StaticRF{March: f.March, Bench: f.Bench, Level: f.Level}
 			}
-			a.haveGolden[ui] = goldenPlaceholder
 		}
 		return true, nil
 	}
 
 	a.st.Results[idx] = o.Result
-	if o.Golden != nil && a.haveGolden[ui] != goldenReal {
+	a.cellFailure[idx] = o.CellFailure
+	if o.Golden != nil && !a.haveGolden[ui] {
 		a.st.Goldens[ui] = *o.Golden
 		if a.st.Static != nil && o.Static != nil {
 			a.st.Static[ui] = *o.Static
 		}
-		a.haveGolden[ui] = goldenReal
-	}
-	if o.CellFailure != nil {
-		a.cellFailure[ui][ti] = o.CellFailure
+		a.haveGolden[ui] = true
 	}
 	return true, nil
 }
 
 // Quarantine records a cell that will never complete — its leases
 // expired or failed past the retry budget — with the failure that
-// removed it from the study. Like Add it is first-wins idempotent, so
-// a late completion racing a quarantine (or vice versa) resolves
+// removed it from the study (a failure without a Target quarantines
+// the cell as part of its unit). Like Add it is first-wins idempotent,
+// so a late completion racing a quarantine (or vice versa) resolves
 // deterministically to whichever was recorded first.
 func (a *Assembler) Quarantine(ref CellRef, f Failure) (accepted bool, err error) {
-	idx, ui, ti, err := a.resolve(ref)
-	if err != nil {
-		return false, err
-	}
-	if a.have[idx] {
-		return false, nil
-	}
-	a.have[idx] = true
-	a.remaining--
 	if f.Target == "" {
-		// A unit-level failure quarantining this cell: record it once
-		// and fill the unit placeholders, as a keep-going Run would.
-		if a.unitFailure[ui] == nil {
-			a.unitFailure[ui] = &f
-		}
-		a.st.Results[idx] = skippedCell(f, ref.Target)
-		if a.haveGolden[ui] == goldenNone {
-			a.st.Goldens[ui] = Golden{March: f.March, Bench: f.Bench, Level: f.Level}
-			if a.st.Static != nil {
-				a.st.Static[ui] = StaticRF{March: f.March, Bench: f.Bench, Level: f.Level}
-			}
-			a.haveGolden[ui] = goldenPlaceholder
-		}
-		return true, nil
+		return a.Add(unitFailed(ref, f))
 	}
-	a.cellFailure[ui][ti] = &f
-	a.st.Results[idx] = campaign.Result{
-		March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target,
-		Skipped: "cell failed: " + f.Err,
-	}
-	return true, nil
+	return a.Add(cellFailed(ref, f))
 }
 
 // Done returns how many of the spec's cells are accounted for.
@@ -349,7 +353,7 @@ func (a *Assembler) Complete() bool { return a.remaining == 0 }
 // Missing lists the cells not yet accounted for, in enumeration order.
 func (a *Assembler) Missing() []CellRef {
 	var out []CellRef
-	for i, ref := range a.spec.Cells() {
+	for i, ref := range a.cells {
 		if !a.have[i] {
 			out = append(out, ref)
 		}
@@ -372,20 +376,15 @@ func (a *Assembler) Study() (*Study, error) {
 		return nil, fmt.Errorf("core: assembly incomplete: %d of %d cells missing (first: %s)",
 			a.remaining, len(a.have), strings.Join(keys, ", "))
 	}
-	// Quarantine records assemble in unit-enumeration order, unit
-	// failure first then per-target cell failures — exactly the order
-	// the scheduler's final pass uses.
+	// Quarantine records assemble in unit-enumeration order, each
+	// unit's failure first, then its per-target cell failures.
 	st := a.st
 	st.Failed = nil
-	for _, ref := range a.spec.Cells() {
-		if ref.Target != a.spec.Targets[0].Name() {
-			continue // walk units once, via their first target
-		}
-		ui := a.unitIdx[ref.unit()]
-		if f := a.unitFailure[ui]; f != nil {
+	for ui, f := range a.unitFailure {
+		if f != nil {
 			st.Failed = append(st.Failed, *f)
 		}
-		for _, cf := range a.cellFailure[ui] {
+		for _, cf := range a.cellFailure[ui*a.nt : (ui+1)*a.nt] {
 			if cf != nil {
 				st.Failed = append(st.Failed, *cf)
 			}

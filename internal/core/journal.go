@@ -1,30 +1,26 @@
 // Study journaling: the adapter between the generic durable record log
-// (internal/journal) and the study engine. Each completed prep-unit
-// golden and campaign cell is appended as it finishes; a resumed run
-// replays the records, skips the finished work, and lands every
-// replayed value at exactly the slice index a clean run would use, so
-// the final study.json is byte-identical either way.
+// (internal/journal) and the study engine. The journal is a meta record
+// pinning the spec followed by one outcome record per finished cell —
+// the same CellOutcome the scheduler emits and remote workers report —
+// and replaying it is Assembler.Add in file order, so a resumed run
+// merges exactly what the interrupted one had merged and the final
+// study.json is byte-identical either way.
 package core
 
 import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 
-	"sevsim/internal/campaign"
 	"sevsim/internal/journal"
 )
 
-// Journal record kinds. The meta record is always first and pins the
-// spec; golden and cell records carry completed results; failure
-// records carry keep-going quarantines so a resume reproduces them
-// instead of retrying forever.
+// Journal record kinds. The meta record is always first; every other
+// record is the CellOutcome of one finished cell, failures included, so
+// a resume reproduces quarantines instead of retrying them forever.
 const (
 	kindMeta    = "meta"
-	kindGolden  = "golden"
-	kindCell    = "cell"
-	kindFailure = "failure"
+	kindOutcome = "outcome"
 )
 
 // metaRecord fingerprints the spec a journal belongs to. Everything
@@ -40,72 +36,6 @@ type metaRecord struct {
 	Faults   int
 	Seed     int64
 	Prune    bool
-}
-
-// goldenRecord is one completed unit preparation.
-type goldenRecord struct {
-	Golden Golden
-	Static *StaticRF `json:",omitempty"`
-}
-
-// replayState is a journal decoded into keyed lookups.
-type replayState struct {
-	goldens  map[cellKey]goldenRecord
-	cells    map[cellKey]campaign.Result
-	failures map[cellKey]Failure // Target "" keys unit-level failures
-}
-
-func (rs *replayState) empty() bool {
-	return rs == nil || (len(rs.goldens) == 0 && len(rs.cells) == 0 && len(rs.failures) == 0)
-}
-
-// studyJournal wraps the writer with spec-level record helpers. A nil
-// *studyJournal is a valid no-op, so call sites need no journal guards.
-// The first append error cancels the study (the run must not outlive
-// its durability guarantee) and is reported after the drain.
-type studyJournal struct {
-	w      *journal.Writer
-	cancel func()
-
-	mu  sync.Mutex
-	err error
-}
-
-func (j *studyJournal) append(kind string, v any) {
-	if j == nil {
-		return
-	}
-	if err := j.w.Append(kind, v); err != nil {
-		j.mu.Lock()
-		if j.err == nil {
-			j.err = fmt.Errorf("study journal: %w", err)
-			j.cancel()
-		}
-		j.mu.Unlock()
-	}
-}
-
-func (j *studyJournal) appendGolden(g Golden, static *StaticRF) {
-	j.append(kindGolden, goldenRecord{Golden: g, Static: static})
-}
-
-func (j *studyJournal) appendCell(r campaign.Result) { j.append(kindCell, r) }
-
-func (j *studyJournal) appendFailure(f Failure) { j.append(kindFailure, f) }
-
-func (j *studyJournal) firstErr() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-func (j *studyJournal) close() {
-	if j != nil {
-		j.w.Close()
-	}
 }
 
 // fingerprint derives the meta record from the spec. Everything that
@@ -148,72 +78,57 @@ func (s Spec) resolveSizes() []int {
 	return sizes
 }
 
-// openStudyJournal opens (or creates) the journal at path, validates
-// the meta record against the spec, and decodes the replayable state.
-// cancel is invoked on the first append failure so the scheduler drains
-// instead of running ahead of a dead journal.
-func openStudyJournal(path string, meta metaRecord, cancel func()) (*studyJournal, *replayState, error) {
+// openStudyJournal opens (or creates) the journal at path and hands
+// every outcome it holds to add, in file order. A fresh journal gets
+// its meta record; an existing one must carry the spec's.
+func openStudyJournal(path string, meta metaRecord, add func(CellOutcome) error) (*journal.Writer, error) {
 	w, recs, err := journal.Open(path, journal.Options{})
 	if err != nil {
-		return nil, nil, err
-	}
-	rs := &replayState{
-		goldens:  map[cellKey]goldenRecord{},
-		cells:    map[cellKey]campaign.Result{},
-		failures: map[cellKey]Failure{},
+		return nil, err
 	}
 	if len(recs) == 0 {
-		// Fresh journal: pin the spec before any result record.
-		j := &studyJournal{w: w, cancel: cancel}
-		if err := w.Append(kindMeta, meta); err != nil {
-			w.Close()
-			return nil, nil, fmt.Errorf("study journal: %w", err)
-		}
-		return j, rs, nil
+		err = w.Append(kindMeta, meta) // pin the spec before any outcome
+	} else {
+		err = replayJournal(recs, meta, add)
 	}
-	if recs[0].Kind != kindMeta {
+	if err != nil {
 		w.Close()
-		return nil, nil, fmt.Errorf("study journal %s: first record is %q, not %q", path, recs[0].Kind, kindMeta)
+		return nil, fmt.Errorf("study journal %s: %w", path, err)
+	}
+	return w, nil
+}
+
+// replayJournal validates the meta record against the spec and feeds
+// the outcome records to add, stopping at the first one that does not
+// decode or that add refuses.
+func replayJournal(recs []journal.Record, meta metaRecord, add func(CellOutcome) error) error {
+	if recs[0].Kind != kindMeta {
+		return fmt.Errorf("first record is %q, not %q", recs[0].Kind, kindMeta)
 	}
 	var got metaRecord
 	if err := json.Unmarshal(recs[0].Data, &got); err != nil {
-		w.Close()
-		return nil, nil, fmt.Errorf("study journal %s: meta record: %w", path, err)
+		return fmt.Errorf("meta record: %w", err)
 	}
 	if diff := diffMeta(got, meta); len(diff) > 0 {
-		w.Close()
-		return nil, nil, fmt.Errorf("study journal %s was recorded under a different spec:\n  %s\nremove the journal, or pass a different -journal path, or restore the knobs above",
-			path, strings.Join(diff, "\n  "))
+		return fmt.Errorf("recorded under a different spec:\n  %s\nremove the journal, or pass a different -journal path, or restore the knobs above",
+			strings.Join(diff, "\n  "))
 	}
 	for _, r := range recs[1:] {
-		switch r.Kind {
-		case kindGolden:
-			var g goldenRecord
-			if err := json.Unmarshal(r.Data, &g); err != nil {
-				w.Close()
-				return nil, nil, fmt.Errorf("study journal %s: golden record: %w", path, err)
-			}
-			rs.goldens[cellKey{g.Golden.March, g.Golden.Bench, g.Golden.Level, ""}] = g
-		case kindCell:
-			var c campaign.Result
-			if err := json.Unmarshal(r.Data, &c); err != nil {
-				w.Close()
-				return nil, nil, fmt.Errorf("study journal %s: cell record: %w", path, err)
-			}
-			rs.cells[cellKey{c.March, c.Bench, c.Level, c.Target}] = c
-		case kindFailure:
-			var f Failure
-			if err := json.Unmarshal(r.Data, &f); err != nil {
-				w.Close()
-				return nil, nil, fmt.Errorf("study journal %s: failure record: %w", path, err)
-			}
-			rs.failures[cellKey{f.March, f.Bench, f.Level, f.Target}] = f
-		default:
-			w.Close()
-			return nil, nil, fmt.Errorf("study journal %s: unknown record kind %q", path, r.Kind)
+		if r.Kind != kindOutcome {
+			// Journals written before outcomes were the one record
+			// shape hold golden/cell/failure records; nothing reads
+			// those any more.
+			return fmt.Errorf("%q record is not from this journal format; remove the journal and rerun (finished cells are recomputed)", r.Kind)
+		}
+		var o CellOutcome
+		if err := json.Unmarshal(r.Data, &o); err != nil {
+			return fmt.Errorf("outcome record: %w", err)
+		}
+		if err := add(o); err != nil {
+			return err
 		}
 	}
-	return &studyJournal{w: w, cancel: cancel}, rs, nil
+	return nil
 }
 
 // diffMeta renders a field-level diff of a journal's stored spec

@@ -213,29 +213,42 @@ func CachedExperiment(cache *artcache.Cache, cfg machine.Config, prog *machine.P
 		Checkpoints: resolveCheckpoints(opts.Checkpoints),
 		NoFastExit:  opts.NoFastExit,
 	}.cacheKey()
-	for attempt := 0; ; attempt++ {
-		blob, err := cache.GetOrFill(key, func() ([]byte, error) {
-			exp, err := faultinj.NewExperimentOptions(cfg, prog, opts)
-			if err != nil {
-				return nil, err
-			}
-			defer exp.Close()
-			return encodePrepBundle(prog, exp.Artifacts(), nil), nil
-		})
+	_, exp, _, err := loadBundle(cache, key, cfg, opts, "core: experiment "+prog.Name, func() ([]byte, error) {
+		exp, err := faultinj.NewExperimentOptions(cfg, prog, opts)
 		if err != nil {
 			return nil, err
 		}
-		dprog, art, _, derr := decodePrepBundle(blob, cfg)
-		if derr == nil {
-			exp, aerr := faultinj.NewExperimentFromArtifacts(cfg, dprog, art, opts)
-			if aerr == nil {
-				return exp, nil
+		defer exp.Close()
+		return encodePrepBundle(prog, exp.Artifacts(), nil), nil
+	})
+	return exp, err
+}
+
+// loadBundle is the one cache read loop: fetch the bundle at key
+// (building it with fill on a miss), decode it, and construct the
+// experiment from the decoded artifacts — on a hit and right after a
+// fill alike, so warm and cold runs campaign from the same decoded
+// state. A bundle that passed the cache's checksum but fails semantic
+// validation here (stale layout, mismatched geometry) is dropped and
+// rebuilt once before giving up; what names the work in that error.
+// fill's own errors are returned as they are.
+func loadBundle(cache *artcache.Cache, key string, cfg machine.Config, opts faultinj.Options, what string,
+	fill func() ([]byte, error)) (*machine.Program, *faultinj.Experiment, *StaticRF, error) {
+	for attempt := 0; ; attempt++ {
+		blob, err := cache.GetOrFill(key, fill)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		prog, art, static, err := decodePrepBundle(blob, cfg)
+		if err == nil {
+			var exp *faultinj.Experiment
+			if exp, err = faultinj.NewExperimentFromArtifacts(cfg, prog, art, opts); err == nil {
+				return prog, exp, static, nil
 			}
-			derr = aerr
 		}
 		cache.Drop(key)
 		if attempt > 0 {
-			return nil, fmt.Errorf("core: cached experiment unusable after rebuild: %w", derr)
+			return nil, nil, nil, fmt.Errorf("%s: cached prep bundle unusable after rebuild: %w", what, err)
 		}
 	}
 }

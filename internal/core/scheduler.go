@@ -1,21 +1,23 @@
-// Study-level parallel execution engine. Run pipelines the compile +
+// Study-level parallel execution engine. run pipelines the compile +
 // golden-run preparation of every (march, bench, level) unit and
 // dispatches every cell's injections onto one shared bounded worker
 // pool, so cores stay busy across cell boundaries.
 //
-// Determinism: every result lands at the slice index the serial loop
-// would have used, and every cell samples with the same cellSeed, so a
-// saved study is byte-identical to a serial run regardless of
+// The engine does not build a Study. It emits one CellOutcome per
+// finished cell and every outcome takes the same path (results.emit):
+// journal, Assembler, caller. Determinism: every cell samples with the
+// same cellSeed and the Assembler places outcomes by cell identity, so
+// a saved study is byte-identical to a serial run regardless of
 // Parallelism.
 //
-// Crash tolerance: with Spec.Journal set, every finished golden and
-// cell is durably appended as it completes and replayed on restart, so
-// a study killed at any point resumes where it left off and still
+// Crash tolerance: with Spec.Journal set, every outcome is durably
+// appended as it is emitted and replayed into the Assembler on restart,
+// so a study killed at any point resumes where it left off and still
 // saves byte-identical output. RunContext makes the whole engine
 // cancellable (SIGINT flows in as context cancellation: dispatch
 // stops, in-flight injections drain, the journal is flushed), and
-// Spec.KeepGoing quarantines failed units into Study.Failed instead of
-// aborting the run.
+// Spec.KeepGoing turns failed units and cells into failure outcomes
+// (Study.Failed) instead of aborting the run.
 package core
 
 import (
@@ -31,6 +33,7 @@ import (
 	"sevsim/internal/compiler"
 	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/faultinj"
+	"sevsim/internal/journal"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
 )
@@ -69,10 +72,11 @@ type prepUnit struct {
 	analyses    *analysisCache  // shared across the study's prune units
 	cache       *artcache.Cache // nil: prep directly, nothing persisted
 
-	// want selects the unit's targets to campaign (parallel to the
-	// spec's Targets); RunContext wants everything, RunCells only the
-	// requested subset.
-	want []bool
+	// need lists the unit's targets this run campaigns: the cells the
+	// caller wants that the journal did not already hold. cellErr,
+	// parallel to it, collects recovered cell panics for abort mode.
+	need    []faultinj.Target
+	cellErr []error
 
 	// Retry pacing between failed preparation attempts: the shared
 	// exponential-backoff policy, jittered from a deterministic
@@ -83,18 +87,16 @@ type prepUnit struct {
 	exp      *faultinj.Experiment
 	golden   Golden
 	pruner   faultinj.Pruner // non-nil only for prune units
-	static   StaticRF
+	static   *StaticRF       // non-nil only for prune units
 	err      error
 	stage    string // failing stage: "compile", "golden", "analyze"
 	attempts int
 	ready    chan struct{} // closed once exp/golden/err are final
+}
 
-	// Resume / quarantine bookkeeping.
-	skip          bool               // fully satisfied by the journal; no prep, no cells
-	goldenFromLog bool               // golden replayed; do not re-append it
-	replayed      []*campaign.Result // per-target journaled cells (nil = must run)
-	failure       *Failure           // unit-level quarantine (replayed or new)
-	cellFailures  []*Failure         // per-target quarantines (stuck cells, panics)
+// ref names one of the unit's cells.
+func (u *prepUnit) ref(t faultinj.Target) CellRef {
+	return CellRef{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Target: t.Name()}
 }
 
 // run prepares the unit with up to retries extra attempts; a cancelled
@@ -123,8 +125,11 @@ func (u *prepUnit) run(ctx context.Context) {
 }
 
 // prepOnce performs one compile + golden-run + (for prune units)
-// analysis attempt, consulting the artifact cache when the study has
-// one. Panics from any stage are recovered into errors so one bad unit
+// analysis attempt. With a cache, one unit per key builds the bundle
+// (concurrent requesters share it via single-flight) and hit and fill
+// paths both decode the serialized bundle (loadBundle), so a warm study
+// runs its campaign from exactly the same decoded state a cold one
+// does. Panics from any stage are recovered into errors so one bad unit
 // cannot take down the study.
 func (u *prepUnit) prepOnce() {
 	u.err, u.exp, u.pruner = nil, nil, nil
@@ -134,70 +139,41 @@ func (u *prepUnit) prepOnce() {
 			u.err = fmt.Errorf("%s %s %v for %s: panic: %v", u.stage, u.bench.Name, u.level, u.cfg.Name, r)
 		}
 	}()
+	src := u.bench.Source(u.size)
+	var prog *machine.Program
+	var static *StaticRF // the cached bound, when a bundle carried one
 	if u.cache == nil {
-		u.prepDirect()
-		return
+		prog, u.exp, u.err = u.compileAndRun(src)
+	} else {
+		u.stage = "golden" // what a hit's decode errors are filed under
+		prog, u.exp, static, u.err = loadBundle(u.cache, u.cacheConfig(src).cacheKey(), u.cfg, u.expOptions(),
+			fmt.Sprintf("golden %s %v on %s", u.bench.Name, u.level, u.cfg.Name),
+			func() ([]byte, error) { return u.buildBundle(src) })
 	}
-	u.prepCached()
+	if u.err == nil {
+		u.finishPrep(prog, static)
+	}
 }
 
-// prepDirect is the uncached prep path: compile, golden run, and
-// analysis run in-process with nothing persisted.
-func (u *prepUnit) prepDirect() {
-	tgt := compilerTarget(u.cfg)
-	prog, err := compileUnit(u.bench.Source(u.size), u.bench.Name, u.level, tgt)
+func (u *prepUnit) expOptions() faultinj.Options {
+	return faultinj.Options{Traced: u.prune, Checkpoints: u.checkpoints, NoFastExit: u.noFastExit}
+}
+
+// compileAndRun is the uncached front of a preparation, shared by the
+// direct path and the cache fill: compile, then the golden run that
+// records the checkpoint ladder.
+func (u *prepUnit) compileAndRun(src string) (*machine.Program, *faultinj.Experiment, error) {
+	u.stage = "compile"
+	prog, err := compileUnit(src, u.bench.Name, u.level, compilerTarget(u.cfg))
 	if err != nil {
-		u.err = fmt.Errorf("compile %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
-		return
+		return nil, nil, fmt.Errorf("compile %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
 	u.stage = "golden"
-	exp, err := faultinj.NewExperimentOptions(u.cfg, prog, faultinj.Options{
-		Traced:      u.prune,
-		Checkpoints: u.checkpoints,
-		NoFastExit:  u.noFastExit,
-	})
+	exp, err := faultinj.NewExperimentOptions(u.cfg, prog, u.expOptions())
 	if err != nil {
-		u.err = fmt.Errorf("golden %s %v on %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
-		return
+		return nil, nil, fmt.Errorf("golden %s %v on %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
-	u.finishPrep(prog, exp, nil)
-}
-
-// prepCached preps through the artifact cache: one unit per key builds
-// the bundle (concurrent requesters share it via single-flight), and
-// *both* hit and fill paths decode the serialized bundle, so a warm
-// study runs its campaign from exactly the same decoded state a cold
-// one does. A bundle that passed the cache's checksum but fails
-// semantic validation here (stale layout, mismatched geometry) is
-// dropped and rebuilt once before giving up.
-func (u *prepUnit) prepCached() {
-	src := u.bench.Source(u.size)
-	key := u.cacheConfig(src).cacheKey()
-	for attempt := 0; ; attempt++ {
-		blob, err := u.cache.GetOrFill(key, func() ([]byte, error) {
-			return u.buildBundle(src)
-		})
-		if err != nil {
-			u.err = err
-			return
-		}
-		u.stage = "golden"
-		prog, art, static, err := decodePrepBundle(blob, u.cfg)
-		if err == nil {
-			var exp *faultinj.Experiment
-			exp, err = faultinj.NewExperimentFromArtifacts(u.cfg, prog, art, faultinj.Options{NoFastExit: u.noFastExit})
-			if err == nil {
-				u.finishPrep(prog, exp, static)
-				return
-			}
-		}
-		u.cache.Drop(key)
-		if attempt > 0 {
-			u.err = fmt.Errorf("golden %s %v on %s: cached prep bundle unusable after rebuild: %w",
-				u.bench.Name, u.level, u.cfg.Name, err)
-			return
-		}
-	}
+	return prog, exp, nil
 }
 
 // buildBundle is the cache fill: it runs the full prep (compile,
@@ -205,20 +181,9 @@ func (u *prepUnit) prepCached() {
 // built here is closed — the caller decodes the bundle and rebuilds
 // its own, keeping warm and cold paths structurally identical.
 func (u *prepUnit) buildBundle(src string) ([]byte, error) {
-	u.stage = "compile"
-	tgt := compilerTarget(u.cfg)
-	prog, err := compileUnit(src, u.bench.Name, u.level, tgt)
+	prog, exp, err := u.compileAndRun(src)
 	if err != nil {
-		return nil, fmt.Errorf("compile %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
-	}
-	u.stage = "golden"
-	exp, err := faultinj.NewExperimentOptions(u.cfg, prog, faultinj.Options{
-		Traced:      u.prune,
-		Checkpoints: u.checkpoints,
-		NoFastExit:  u.noFastExit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("golden %s %v on %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
+		return nil, err
 	}
 	defer exp.Close()
 	var static *StaticRF
@@ -230,32 +195,32 @@ func (u *prepUnit) buildBundle(src string) ([]byte, error) {
 		}
 		s := staticOf(u.cfg, u.bench.Name, u.level, pr)
 		static = &s
+		u.stage = "golden" // the bundle is built; decoding it is golden-run work
 	}
 	return encodePrepBundle(prog, exp.Artifacts(), static), nil
 }
 
-// finishPrep installs a prepared experiment and derives the unit's
-// golden record, pruner, and static bound. static, when non-nil, is
-// the cached bound (bit-identical to a fresh computation — the pruner
-// bound is deterministic — so either source yields the same study).
-func (u *prepUnit) finishPrep(prog *machine.Program, exp *faultinj.Experiment, static *StaticRF) {
-	u.exp = exp
-	u.golden = goldenOf(u.cfg, u.bench.Name, u.level, prog, exp)
+// finishPrep derives the prepared unit's golden record, pruner, and
+// static bound. static, when non-nil, is the cached bound (bit-identical
+// to a fresh computation — the pruner bound is deterministic — so
+// either source yields the same study).
+func (u *prepUnit) finishPrep(prog *machine.Program, static *StaticRF) {
+	u.golden = goldenOf(u.cfg, u.bench.Name, u.level, prog, u.exp)
 	if !u.prune {
 		return
 	}
 	u.stage = "analyze"
-	pr, err := u.buildPruner(prog, exp)
+	pr, err := u.buildPruner(prog, u.exp)
 	if err != nil {
 		u.err = err
 		return
 	}
 	u.pruner = pr
-	if static != nil {
-		u.static = *static
-	} else {
-		u.static = staticOf(u.cfg, u.bench.Name, u.level, pr)
+	if static == nil {
+		s := staticOf(u.cfg, u.bench.Name, u.level, pr)
+		static = &s
 	}
+	u.static = static
 }
 
 // buildPruner runs (or reuses, via the shared analysis cache) the
@@ -339,85 +304,58 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// skippedCell is the deterministic placeholder recorded for every cell
-// of a quarantined unit. It is derived (not journaled), so an initial
-// run and a resumed run produce identical bytes.
-func skippedCell(f Failure, target string) campaign.Result {
-	return campaign.Result{
-		March: f.March, Bench: f.Bench, Level: f.Level, Target: target,
-		Skipped: "unit " + f.Stage + " failed: " + f.Err,
-	}
+// results is the one path every outcome of a run takes, replayed or
+// fresh: journal (fresh only), Assembler, then the caller's sink when
+// it asked for the cell. The mutex makes the three steps one, so the
+// journal holds outcomes in exactly the order the Assembler merged
+// them and a replay rebuilds the same assembly.
+type results struct {
+	mu     sync.Mutex
+	asm    *Assembler
+	want   map[CellRef]bool // nil: every cell
+	sink   func(CellOutcome)
+	jw     *journal.Writer // nil: not journaled
+	cancel func()          // stops the run on the first error
+	err    error
 }
 
-// quarantineUnit fills a failed unit's golden and cell slots with
-// deterministic placeholders.
-func quarantineUnit(st *Study, targets []faultinj.Target, ui int, f Failure) {
-	st.Goldens[ui] = Golden{March: f.March, Bench: f.Bench, Level: f.Level}
-	if st.Static != nil {
-		st.Static[ui] = StaticRF{March: f.March, Bench: f.Bench, Level: f.Level}
+func (r *results) wanted(ref CellRef) bool { return r.want == nil || r.want[ref] }
+
+// merge adds one outcome to the assembly and passes it on.
+func (r *results) merge(o CellOutcome) error {
+	accepted, err := r.asm.Add(o)
+	if accepted && r.wanted(o.Cell) {
+		r.sink(o)
 	}
-	nt := len(targets)
-	for ti, t := range targets {
-		st.Results[ui*nt+ti] = skippedCell(f, t.Name())
-	}
+	return err
 }
 
-// replayInto fills study slots from the journal's replay state and
-// marks fully-satisfied units for skipping. Returns how many cells
-// were replayed.
-func (s Spec) replayInto(st *Study, units []*prepUnit, rs *replayState) int {
-	if rs.empty() {
-		return 0
+// emit records one freshly computed outcome of unit u. The unit's
+// golden rides on the first outcome the assembly lacks it for — which
+// is therefore also the unit's first record in the journal, so any
+// prefix of the journal that mentions a unit carries its golden. The
+// first error cancels the run (it must not outlive its durability
+// guarantee) and is reported after the drain.
+func (r *results) emit(u *prepUnit, o CellOutcome) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return
 	}
-	nt := len(s.Targets)
-	replayed := 0
-	for ui, u := range units {
-		if u.skip {
-			continue // no selected targets; nothing to replay into
-		}
-		ukey := cellKey{u.cfg.Name, u.bench.Name, u.level.String(), ""}
-		if f, ok := rs.failures[ukey]; ok {
-			f := f
-			u.failure = &f
-			u.skip = true
-			quarantineUnit(st, s.Targets, ui, f)
-			replayed += nt
-			continue
-		}
-		complete := true
-		for ti, t := range s.Targets {
-			ckey := cellKey{u.cfg.Name, u.bench.Name, u.level.String(), t.Name()}
-			c, ok := rs.cells[ckey]
-			if !ok {
-				if u.want[ti] {
-					complete = false
-				}
-				continue
-			}
-			u.replayed[ti] = &c
-			st.Results[ui*nt+ti] = c
-			replayed++
-			if cf, ok := rs.failures[ckey]; ok { // e.g. a stuck cell
-				cf := cf
-				u.cellFailures[ti] = &cf
-			}
-		}
-		if g, ok := rs.goldens[ukey]; ok {
-			u.goldenFromLog = true
-			u.golden = g.Golden
-			st.Goldens[ui] = g.Golden
-			if g.Static != nil {
-				u.static = *g.Static
-				if st.Static != nil {
-					st.Static[ui] = *g.Static
-				}
-			}
-			if complete {
-				u.skip = true
-			}
+	if g, _ := r.asm.unitGolden(o.Cell); g == nil && o.UnitFailure == nil {
+		o.Golden, o.Static = &u.golden, u.static
+	}
+	if r.jw != nil {
+		if err := r.jw.Append(kindOutcome, o); err != nil {
+			r.err = fmt.Errorf("study journal: %w", err)
 		}
 	}
-	return replayed
+	if r.err == nil {
+		r.err = r.merge(o)
+	}
+	if r.err != nil {
+		r.cancel()
+	}
 }
 
 // Run executes the study on a shared worker pool of Spec.Parallelism
@@ -434,95 +372,67 @@ func (s Spec) Run() (*Study, error) { return s.RunContext(context.Background()) 
 // subsequent run with the same spec and journal resumes from the last
 // durable record.
 func (s Spec) RunContext(ctx context.Context) (*Study, error) {
-	st, _, err := s.run(ctx, nil)
-	return st, err
+	asm := NewAssembler(s)
+	if err := s.run(ctx, asm, nil, func(CellOutcome) {}); err != nil {
+		return nil, err
+	}
+	return asm.Study()
 }
 
-// selection picks a subset of a spec's campaign cells (keyed with an
-// empty Target field never set). nil selects everything — the
-// historical full-study behavior.
-type selection map[cellKey]bool
-
-// run is the engine shared by RunContext (sel nil: the whole study)
-// and RunCells (sel restricts the work to the requested cells' units
-// and targets). The returned Study always has the full canonical
-// layout — unit i owns Goldens[i] and Results[i*nt ... (i+1)*nt) — so
-// a partial run's outcomes land at the exact indices a full run would
-// use; unselected slots are left zero. The returned units expose
-// per-unit failure and replay bookkeeping for outcome extraction.
-func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, error) {
-	st := &Study{Faults: s.Faults}
-	for _, m := range s.Machines {
-		st.MachineNames = append(st.MachineNames, m.Name)
-	}
-	for _, b := range s.Benchmarks {
-		st.BenchNames = append(st.BenchNames, b.Name)
-	}
-	for _, l := range s.Levels {
-		st.LevelNames = append(st.LevelNames, l.String())
-	}
-	for _, t := range s.Targets {
-		st.TargetNames = append(st.TargetNames, t.Name())
-	}
-
-	// Enumerate prep units in the serial loop's order; unit i owns
-	// Goldens[i] and Results[i*len(Targets) ... (i+1)*len(Targets)).
-	// A unit none of whose targets are selected is skipped outright.
-	sizes := s.resolveSizes()
-	analyses := &analysisCache{}
-	var units []*prepUnit
-	for _, cfg := range s.Machines {
-		for bi, bench := range s.Benchmarks {
-			for _, level := range s.Levels {
-				u := &prepUnit{
-					cfg: cfg, bench: bench, size: sizes[bi], level: level,
-					prune: s.Prune, retries: s.Retries, analyses: analyses,
-					checkpoints: s.Checkpoints, noFastExit: s.NoFastExit,
-					cache:        s.Cache,
-					backoff:      s.retryBackoff(),
-					jitter:       backoff.NewSource(cellSeed(s.Seed, cfg.Name, bench.Name, level.String(), "retry-jitter")),
-					ready:        make(chan struct{}),
-					want:         make([]bool, len(s.Targets)),
-					replayed:     make([]*campaign.Result, len(s.Targets)),
-					cellFailures: make([]*Failure, len(s.Targets)),
-				}
-				any := false
-				for ti, t := range s.Targets {
-					u.want[ti] = sel == nil || sel[cellKey{cfg.Name, bench.Name, level.String(), t.Name()}]
-					any = any || u.want[ti]
-				}
-				u.skip = !any
-				units = append(units, u)
-			}
-		}
-	}
-	if len(units) == 0 {
-		return st, units, nil
-	}
-	nt := len(s.Targets)
-	st.Goldens = make([]Golden, len(units))
-	st.Results = make([]campaign.Result, len(units)*nt)
-	if s.Prune {
-		st.Static = make([]StaticRF, len(units))
-	}
-
+// run is the engine shared by RunContext (want nil: the whole study)
+// and RunCells (want restricts the work to the requested cells' units
+// and targets). Every outcome the journal already holds and every
+// outcome computed here is merged into asm; the wanted ones are also
+// handed to sink, one at a time.
+func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, sink func(CellOutcome)) error {
 	// runCtx cancels the whole engine: external interruption, the first
 	// failure in abort (non-KeepGoing) mode, or a journal write error.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
 	rep := &reporter{fn: s.Progress}
-	var jn *studyJournal
+	res := &results{asm: asm, want: want, sink: sink, cancel: cancelRun}
 	if s.Journal != "" {
-		var rs *replayState
-		var err error
-		jn, rs, err = openStudyJournal(s.Journal, s.fingerprint(), cancelRun)
+		jw, err := openStudyJournal(s.Journal, s.fingerprint(), res.merge)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		defer jn.close()
-		if n := s.replayInto(st, units, rs); n > 0 {
-			rep.printf("resume: %d/%d cells replayed from journal %s", n, len(units)*nt, s.Journal)
+		defer jw.Close()
+		res.jw = jw
+		if n := asm.Done(); n > 0 {
+			rep.printf("resume: %d/%d cells replayed from journal %s", n, asm.Total(), s.Journal)
+		}
+	}
+
+	// Enumerate prep units in the serial loop's order. A unit with no
+	// wanted cell left to compute is not prepared at all.
+	sizes := s.resolveSizes()
+	analyses := &analysisCache{}
+	var units []*prepUnit
+	for _, cfg := range s.Machines {
+		for bi, bench := range s.Benchmarks {
+			for _, level := range s.Levels {
+				var need []faultinj.Target
+				for _, t := range s.Targets {
+					ref := CellRef{March: cfg.Name, Bench: bench.Name, Level: level.String(), Target: t.Name()}
+					if res.wanted(ref) && !asm.has(ref) {
+						need = append(need, t)
+					}
+				}
+				if len(need) == 0 {
+					continue
+				}
+				units = append(units, &prepUnit{
+					cfg: cfg, bench: bench, size: sizes[bi], level: level,
+					prune: s.Prune, retries: s.Retries, analyses: analyses,
+					checkpoints: s.Checkpoints, noFastExit: s.NoFastExit,
+					cache: s.Cache,
+					need:  need, cellErr: make([]error, len(need)),
+					backoff: s.retryBackoff(),
+					jitter:  backoff.NewSource(cellSeed(s.Seed, cfg.Name, bench.Name, level.String(), "retry-jitter")),
+					ready:   make(chan struct{}),
+				})
+			}
 		}
 	}
 
@@ -533,10 +443,6 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 	pool := campaign.NewPool(workers)
 	defer pool.Close()
 
-	// cellPanics collects recovered per-cell panics for abort mode, at
-	// deterministic indices so the first one in enumeration order wins.
-	cellPanics := make([]error, len(units)*nt)
-
 	// Feed the preparation work through the same pool as the
 	// injections: compiles and golden runs for later units overlap with
 	// the campaigns of earlier ones. The feeder is its own goroutine
@@ -545,25 +451,73 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 	// channel is guaranteed to close.
 	go func() {
 		for _, u := range units {
-			if u.skip {
-				continue
-			}
 			u := u
 			pool.Submit(func() { u.run(runCtx) })
 		}
 	}()
+
+	// runCell campaigns one cell of a prepared unit (u.need[i]) and
+	// emits its outcome: the result, or — keep-going — the failure that
+	// replaced it. A cell cut short by study-wide cancellation emits
+	// nothing.
+	runCell := func(u *prepUnit, i int) {
+		target := u.need[i]
+		ref := u.ref(target)
+		failure := Failure{March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target, Stage: "cell"}
+		defer func() {
+			if p := recover(); p != nil {
+				err := fmt.Errorf("cell %s: panic: %v", ref, p)
+				if !s.KeepGoing {
+					u.cellErr[i] = err
+					cancelRun()
+					return
+				}
+				failure.Err = err.Error()
+				res.emit(u, cellFailed(ref, failure))
+			}
+		}()
+		// The watchdog: a per-cell deadline layered on the study
+		// context. When it fires, the campaign drains and reports
+		// Interrupted while the study is alive.
+		cellCtx := runCtx
+		cancelCell := func() {}
+		if s.CellTimeout > 0 {
+			cellCtx, cancelCell = context.WithTimeout(runCtx, s.CellTimeout)
+		}
+		defer cancelCell()
+		r := campaign.Run(u.exp, target, campaign.Options{
+			Faults:  s.Faults,
+			Seed:    cellSeed(s.Seed, ref.March, ref.Bench, ref.Level, ref.Target),
+			Pool:    pool,
+			Pruner:  u.pruner,
+			Context: cellCtx,
+		})
+		r.March, r.Bench, r.Level = ref.March, ref.Bench, ref.Level
+		if r.Interrupted {
+			if runCtx.Err() != nil {
+				return // study-wide cancellation: drop the partial cell
+			}
+			// Watchdog expiry: quarantine the cell as stuck.
+			failure.Err, failure.Stuck = "exceeded per-cell wall-clock deadline", true
+			res.emit(u, cellFailed(ref, failure))
+			rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
+				r.March, r.Bench, r.Level, r.Target, r.Faults, s.Faults)
+			return
+		}
+		res.emit(u, CellOutcome{Cell: ref, Result: r})
+		rep.printf("  %-16s %-9s %-2s %-9s AVF %5.1f%%  (SDC %d, crash %d, timeout %d, assert %d)",
+			r.March, r.Bench, r.Level, r.Target, r.AVF()*100, r.Counts.SDC, r.Counts.Crash,
+			r.Counts.Timeout, r.Counts.Assert)
+	}
 
 	// One lightweight orchestrator per unit waits for its prep, then
 	// fans the unit's cells out onto the pool. Orchestrators and cell
 	// goroutines only wait and aggregate; all heavy work (simulation
 	// runs) happens on pool workers, bounding CPU use at `workers`.
 	var wg sync.WaitGroup
-	for ui, u := range units {
-		if u.skip {
-			continue
-		}
+	for _, u := range units {
 		wg.Add(1)
-		go func(ui int, u *prepUnit) {
+		go func(u *prepUnit) {
 			defer wg.Done()
 			<-u.ready
 			if u.err != nil {
@@ -578,151 +532,55 @@ func (s Spec) run(ctx context.Context, sel selection) (*Study, []*prepUnit, erro
 					March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(),
 					Stage: u.stage, Err: u.err.Error(), Retries: u.attempts - 1,
 				}
-				u.failure = &f
-				jn.appendFailure(f)
-				quarantineUnit(st, s.Targets, ui, f)
+				for _, t := range u.need {
+					res.emit(u, unitFailed(u.ref(t), f))
+				}
 				rep.printf("FAILED %-16s %-9s %s: %s (quarantined after %d attempt(s))",
 					u.cfg.Name, u.bench.Name, u.level, u.err, u.attempts)
 				return
 			}
-			st.Goldens[ui] = u.golden
-			if s.Prune {
-				st.Static[ui] = u.static
-			}
-			if !u.goldenFromLog {
-				var static *StaticRF
-				if s.Prune {
-					sc := u.static
-					static = &sc
-				}
-				jn.appendGolden(u.golden, static)
-			}
 			rep.printf("golden %-16s %-9s %s: %d cycles (IPC %.2f)",
 				u.cfg.Name, u.bench.Name, u.level, u.exp.GoldenCycles, u.exp.GoldenStats.Stats.IPC())
 			var cells sync.WaitGroup
-			for ti, target := range s.Targets {
-				if !u.want[ti] {
-					continue // not selected by this run
-				}
-				if u.replayed[ti] != nil {
-					continue // landed in st.Results during replay
-				}
+			for i := range u.need {
 				cells.Add(1)
-				go func(ti int, target faultinj.Target) {
+				go func(i int) {
 					defer cells.Done()
-					defer func() {
-						if p := recover(); p != nil {
-							err := fmt.Errorf("cell %s/%s/%s/%s: panic: %v",
-								u.cfg.Name, u.bench.Name, u.level, target.Name(), p)
-							if !s.KeepGoing {
-								cellPanics[ui*nt+ti] = err
-								cancelRun()
-								return
-							}
-							f := Failure{
-								March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(),
-								Target: target.Name(), Stage: "cell", Err: err.Error(),
-							}
-							u.cellFailures[ti] = &f
-							cell := campaign.Result{
-								March: f.March, Bench: f.Bench, Level: f.Level, Target: f.Target,
-								Skipped: "cell failed: " + err.Error(),
-							}
-							st.Results[ui*nt+ti] = cell
-							jn.appendFailure(f)
-							jn.appendCell(cell)
-						}
-					}()
-					// The watchdog: a per-cell deadline layered on the
-					// study context. When it fires, the campaign drains
-					// and reports Interrupted while the study is alive.
-					cellCtx := runCtx
-					cancelCell := func() {}
-					if s.CellTimeout > 0 {
-						cellCtx, cancelCell = context.WithTimeout(runCtx, s.CellTimeout)
-					}
-					defer cancelCell()
-					r := campaign.Run(u.exp, target, campaign.Options{
-						Faults:  s.Faults,
-						Seed:    cellSeed(s.Seed, u.cfg.Name, u.bench.Name, u.level.String(), target.Name()),
-						Pool:    pool,
-						Pruner:  u.pruner,
-						Context: cellCtx,
-					})
-					r.March = u.cfg.Name
-					r.Bench = u.bench.Name
-					r.Level = u.level.String()
-					if r.Interrupted {
-						if runCtx.Err() != nil {
-							return // study-wide cancellation: drop the partial cell
-						}
-						// Watchdog expiry: quarantine the cell as stuck.
-						f := Failure{
-							March: r.March, Bench: r.Bench, Level: r.Level, Target: r.Target,
-							Stage: "cell", Err: "exceeded per-cell wall-clock deadline", Stuck: true,
-						}
-						stuck := campaign.Result{
-							March: r.March, Bench: r.Bench, Level: r.Level, Target: r.Target,
-							Skipped: "stuck: exceeded per-cell wall-clock deadline",
-						}
-						u.cellFailures[ti] = &f
-						st.Results[ui*nt+ti] = stuck
-						jn.appendFailure(f)
-						jn.appendCell(stuck)
-						rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
-							r.March, r.Bench, r.Level, r.Target, r.Faults, s.Faults)
-						return
-					}
-					st.Results[ui*nt+ti] = r
-					jn.appendCell(r)
-					rep.printf("  %-16s %-9s %-2s %-9s AVF %5.1f%%  (SDC %d, crash %d, timeout %d, assert %d)",
-						r.March, r.Bench, r.Level, r.Target, r.AVF()*100, r.Counts.SDC, r.Counts.Crash,
-						r.Counts.Timeout, r.Counts.Assert)
-				}(ti, target)
+					runCell(u, i)
+				}(i)
 			}
 			cells.Wait()
 			// Every cell of this unit is done: hand the unit's golden
 			// checkpoint snapshots back to the buffer pools so the next
 			// unit's checkpoints reuse them instead of allocating.
 			u.exp.Close()
-		}(ui, u)
+		}(u)
 	}
 	wg.Wait()
 
 	// A journal that stopped persisting invalidates the run's
 	// durability guarantee; surface it over everything else.
-	if err := jn.firstErr(); err != nil {
-		return nil, nil, err
+	if res.err != nil {
+		return res.err
 	}
 	// Abort mode: the first failing unit or cell in enumeration order
 	// determines the returned error, matching the serial loop.
 	if !s.KeepGoing {
-		for ui, u := range units {
+		for _, u := range units {
 			if u.err != nil && !isCancel(u.err) {
-				return nil, nil, u.err
+				return u.err
 			}
-			for ti := 0; ti < nt; ti++ {
-				if err := cellPanics[ui*nt+ti]; err != nil {
-					return nil, nil, err
+			for _, err := range u.cellErr {
+				if err != nil {
+					return err
 				}
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("study interrupted (completed cells are journaled; rerun with the same spec and journal to resume): %w", err)
+		return fmt.Errorf("study interrupted (completed cells are journaled; rerun with the same spec and journal to resume): %w", err)
 	}
-	// Assemble quarantine records in deterministic unit order.
-	for _, u := range units {
-		if u.failure != nil {
-			st.Failed = append(st.Failed, *u.failure)
-		}
-		for _, cf := range u.cellFailures {
-			if cf != nil {
-				st.Failed = append(st.Failed, *cf)
-			}
-		}
-	}
-	return st, units, nil
+	return nil
 }
 
 // retryBackoff resolves the preparation-retry pacing policy:

@@ -15,7 +15,7 @@ import (
 
 // tinySpec builds a fast study for tests: both machines, two
 // benchmarks at test scale, two levels, three structure fields.
-func tinySpec(t *testing.T) Spec {
+func tinySpec(t testing.TB) Spec {
 	t.Helper()
 	qsort, err := workloads.ByName("qsort")
 	if err != nil {

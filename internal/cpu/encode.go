@@ -154,6 +154,18 @@ func DecodeCoreState(r *binio.Reader, cfg *Config) (*CoreState, error) {
 	s.SQCount = r.Int()
 	s.RASTop = r.Int()
 	s.FreeCount = r.Int()
+	// These index the slabs directly (ring walks, freeBack[:FreeCount],
+	// ras[RASTop%len]); faults flip slab bits, never these, so a value no
+	// run can reach is a damaged stream, not a state to restore.
+	ring := func(head, count, size int) bool {
+		return head >= 0 && head < size && count >= 0 && count <= size
+	}
+	if !ring(s.ROBHead, s.ROBCount, cfg.ROBSize) || !ring(s.LQHead, s.LQCount, cfg.LQSize) ||
+		!ring(s.SQHead, s.SQCount, cfg.SQSize) || s.RASTop < 0 ||
+		s.FreeCount < 0 || s.FreeCount > len(s.freeBack) {
+		return fail(fmt.Errorf("cpu: decode: queue heads/counts out of range for the config (ROB %d+%d, LQ %d+%d, SQ %d+%d, RAS %d, free %d)",
+			s.ROBHead, s.ROBCount, s.LQHead, s.LQCount, s.SQHead, s.SQCount, s.RASTop, s.FreeCount))
+	}
 
 	s.FetchPC = r.U64()
 	nq := int(r.Uvarint())

@@ -51,11 +51,6 @@ type Options struct {
 	// heartbeating before its cells are reassigned (default 30s).
 	LeaseTTL time.Duration
 
-	// LeaseCells caps the cells per lease grant (default 4). Cells are
-	// granted in enumeration order, so a batch usually shares one prep
-	// unit and the worker amortizes the compile+golden run.
-	LeaseCells int
-
 	// MaxAttempts bounds lease grants per cell before it is
 	// quarantined into Study.Failed (default 3).
 	MaxAttempts int
@@ -78,9 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
-	}
-	if o.LeaseCells <= 0 {
-		o.LeaseCells = 4
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
@@ -259,17 +251,13 @@ func (c *Coordinator) Submit(wire StudySpec) (SubmitResponse, error) {
 	return SubmitResponse{ID: id, Cells: r.asm.Total()}, nil
 }
 
-// Lease grants a batch of pending cells to a worker. A nil grant with
+// Lease grants a worker the pending cells of one unit. A nil grant with
 // a nil error means no work is available right now (everything leased,
 // the worker is suspended, or the coordinator is draining) — the
 // worker should back off and poll again.
 func (c *Coordinator) Lease(req LeaseRequest) (*LeaseGrant, error) {
 	if req.Worker == "" {
 		return nil, fmt.Errorf("dispatch: lease request needs a worker name")
-	}
-	max := req.Max
-	if max <= 0 {
-		max = c.opt.LeaseCells
 	}
 	now := c.opt.Clock()
 
@@ -284,7 +272,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*LeaseGrant, error) {
 		if r.result != nil {
 			continue
 		}
-		l := r.table.acquire(req.Worker, max, now)
+		l := r.table.acquire(req.Worker, now)
 		if l == nil {
 			continue
 		}
@@ -324,10 +312,13 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 }
 
 // Complete merges a lease's outcomes. Every accepted outcome is
-// journaled before it is acknowledged; duplicates (the cell already
-// completed under another lease) are counted and discarded. Accepting
-// outcomes from expired or unknown leases is deliberate: the compute
-// is done, and the merge is idempotent.
+// journaled before anything else learns of it: a failed append leaves
+// the cell exactly where it was, the request fails, and the worker's
+// retry of the same report lands it. Duplicates (the cell already
+// completed under another lease, or earlier in a retried report) are
+// counted and discarded. Accepting outcomes from expired or unknown
+// leases is deliberate: the compute is done, and the merge is
+// idempotent.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -335,39 +326,36 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if !ok {
 		return CompleteResponse{}, fmt.Errorf("dispatch: unknown study %s", req.StudyID)
 	}
-	if !req.Cache.Empty() && req.Worker != "" {
-		s := r.cacheByWorker[req.Worker]
-		s.Add(req.Cache)
-		r.cacheByWorker[req.Worker] = s
-	}
 	var resp CompleteResponse
 	for _, o := range req.Outcomes {
-		key := o.Cell.Key()
-		if _, ok := r.table.slot(key); !ok {
-			return resp, fmt.Errorf("dispatch: cell %s is not in study %s", key, req.StudyID)
+		fresh, err := r.asm.Check(o)
+		if err != nil {
+			return resp, fmt.Errorf("dispatch: study %s: %w", req.StudyID, err)
 		}
-		if !r.table.complete(req.Worker, key) {
+		if !fresh {
 			resp.Duplicates++
 			continue
 		}
 		if err := c.jw.Append(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
-			// The cell is marked done in soft state but not durable;
-			// fail the request so the worker retries the report.
 			return resp, fmt.Errorf("dispatch: journal outcome: %w", err)
 		}
-		accepted, err := r.asm.Add(o)
-		if err != nil {
+		if _, err := r.asm.Add(o); err != nil {
 			return resp, err
 		}
-		if !accepted {
-			resp.Duplicates++
-			continue
-		}
+		key := o.Cell.Key()
+		r.table.complete(req.Worker, key)
 		resp.Accepted++
 		if n := o.Result.Counts.PrunedDUE; n > 0 && req.Worker != "" {
 			r.prunedDUEByWorker[req.Worker] += n
 		}
 		c.notify(r, key, req.Worker)
+	}
+	// Counted once the whole report is in, so a retried report does not
+	// count its cache traffic twice.
+	if !req.Cache.Empty() && req.Worker != "" {
+		s := r.cacheByWorker[req.Worker]
+		s.Add(req.Cache)
+		r.cacheByWorker[req.Worker] = s
 	}
 	c.finalize(r)
 	return resp, nil

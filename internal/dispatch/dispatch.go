@@ -1,10 +1,10 @@
 // Package dispatch turns the study engine into a fault-tolerant
 // distributed service: a Coordinator decomposes a study spec into
-// cell-granular work items (core.CellRef), leases them to worker
-// processes over HTTP/JSON with per-lease deadlines and heartbeats,
-// reassigns the cells of expired or failed leases, deduplicates
-// double-completions by cell key, quarantines persistently failing
-// cells, and merges the outcomes — via core.Assembler — into a
+// cell-granular work items (core.CellRef), leases them a unit at a time
+// to worker processes over HTTP/JSON with per-lease deadlines and
+// heartbeats, reassigns the cells of expired or failed leases,
+// deduplicates double-completions by cell key, quarantines persistently
+// failing cells, and merges the outcomes — via core.Assembler — into a
 // study.json byte-identical to a clean single-process run, regardless
 // of worker count, death schedule, or completion order.
 //
@@ -219,12 +219,12 @@ type SubmitResponse struct {
 // LeaseRequest asks for work on behalf of a named worker.
 type LeaseRequest struct {
 	Worker string
-	Max    int // max cells to lease (<= 0: coordinator default)
 }
 
-// LeaseGrant hands a batch of cells to a worker. The worker must
-// complete (or fail) them before Deadline, extending it with
-// heartbeats; an expired lease's unfinished cells are reassigned.
+// LeaseGrant hands a worker the pending cells of one (march, bench,
+// level) unit. The worker must complete (or fail) them before the TTL
+// runs out, extending it with heartbeats; an expired lease's
+// unfinished cells are reassigned.
 type LeaseGrant struct {
 	LeaseID string
 	StudyID string

@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sevsim/internal/core"
+	"sevsim/internal/journal"
 )
 
 // testWire is a fast one-machine study: 12 cells across two prep
@@ -112,10 +114,9 @@ func TestDistributedStudyEndToEnd(t *testing.T) {
 	want := localBytes(t, wire)
 
 	coord, err := OpenCoordinator(Options{
-		Dir:        t.TempDir(),
-		LeaseTTL:   time.Minute,
-		LeaseCells: 3,
-		Logf:       t.Logf,
+		Dir:      t.TempDir(),
+		LeaseTTL: time.Minute,
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	opt := Options{Dir: dir, LeaseTTL: time.Minute, LeaseCells: 4, Logf: t.Logf}
+	opt := Options{Dir: dir, LeaseTTL: time.Minute, Logf: t.Logf}
 
 	coord, err := OpenCoordinator(opt)
 	if err != nil {
@@ -279,7 +280,7 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 func TestPersistentFailureQuarantine(t *testing.T) {
 	wire := testWire()
 	coord, err := OpenCoordinator(Options{
-		Dir: t.TempDir(), LeaseTTL: time.Minute, LeaseCells: 12,
+		Dir: t.TempDir(), LeaseTTL: time.Minute,
 		MaxAttempts: 2, WorkerBudget: 100, Logf: t.Logf,
 	})
 	if err != nil {
@@ -367,7 +368,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	coord, err := OpenCoordinator(Options{
-		Dir: t.TempDir(), LeaseTTL: 30 * time.Second, LeaseCells: 6,
+		Dir: t.TempDir(), LeaseTTL: 30 * time.Second,
 		WorkerBudget: 100, Clock: clock, Logf: t.Logf,
 	})
 	if err != nil {
@@ -380,22 +381,30 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}
 	spec, _ := coord.studies[sub.ID].wire.Spec()
 
-	// The doomed worker takes half the study and dies silently.
+	// The doomed worker takes the first unit and dies silently.
 	gDead, err := coord.Lease(LeaseRequest{Worker: "doomed"})
-	if err != nil || gDead == nil || len(gDead.Cells) != 6 {
+	if err != nil || gDead == nil || len(gDead.Cells) != 3 {
 		t.Fatalf("doomed lease: %+v %v", gDead, err)
 	}
 	// Its lease has not expired yet: the live worker gets the rest.
-	gLive, err := coord.Lease(LeaseRequest{Worker: "live", Max: 12})
-	if err != nil || gLive == nil || len(gLive.Cells) != 6 {
-		t.Fatalf("live lease: %+v %v", gLive, err)
-	}
-	out, err := spec.RunCells(context.Background(), gLive.Cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Complete(CompleteRequest{Worker: "live", LeaseID: gLive.LeaseID, StudyID: sub.ID, Outcomes: out}); err != nil {
-		t.Fatal(err)
+	for units := 0; ; units++ {
+		gLive, err := coord.Lease(LeaseRequest{Worker: "live"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gLive == nil {
+			if units != 3 {
+				t.Fatalf("live worker was leased %d units, want the other 3", units)
+			}
+			break
+		}
+		out, err := spec.RunCells(context.Background(), gLive.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coord.Complete(CompleteRequest{Worker: "live", LeaseID: gLive.LeaseID, StudyID: sub.ID, Outcomes: out}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Heartbeats keep the doomed lease alive across the TTL...
@@ -411,11 +420,11 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	// ...until they stop: the sweep reclaims the cells.
 	advance(31 * time.Second)
 	coord.Sweep()
-	g, err := coord.Lease(LeaseRequest{Worker: "live", Max: 12})
-	if err != nil || g == nil || len(g.Cells) != 6 {
+	g, err := coord.Lease(LeaseRequest{Worker: "live"})
+	if err != nil || g == nil || len(g.Cells) != 3 {
 		t.Fatalf("reassigned lease: %+v %v", g, err)
 	}
-	out, err = spec.RunCells(context.Background(), g.Cells)
+	out, err := spec.RunCells(context.Background(), g.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +432,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Accepted != 6 {
+	if resp.Accepted != 3 {
 		t.Fatalf("reassigned completion: %+v", resp)
 	}
 
@@ -436,7 +445,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if respDead.Accepted != 0 || respDead.Duplicates != 6 {
+	if respDead.Accepted != 0 || respDead.Duplicates != 3 {
 		t.Fatalf("zombie completion not fully deduplicated: %+v", respDead)
 	}
 
@@ -446,6 +455,158 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("result with expiry/reassignment differs from single-process run")
+	}
+}
+
+// TestLeaseIsOneUnit pins the lease shape: a grant is every pending
+// cell of exactly one (march, bench, level) unit, so a clean T-target,
+// U-unit study takes U leases; and once a cell of a unit has completed
+// through an expired lease, the re-lease carries only the rest.
+func TestLeaseIsOneUnit(t *testing.T) {
+	wire := testWire() // T = 3 targets, U = 4 units
+	var mu sync.Mutex
+	now := time.Unix(0, 0)
+	coord, err := OpenCoordinator(Options{
+		Dir: t.TempDir(), LeaseTTL: 30 * time.Second, WorkerBudget: 100, Logf: t.Logf,
+		Clock: func() time.Time { mu.Lock(); defer mu.Unlock(); return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := coord.studies[sub.ID].wire.Spec()
+	cells := spec.Cells()
+	unitOf := func(ref core.CellRef) core.CellRef { ref.Target = ""; return ref }
+
+	// The first lease expires with one of its cells computed.
+	late, err := coord.Lease(LeaseRequest{Worker: "late"})
+	if err != nil || late == nil || len(late.Cells) != 3 {
+		t.Fatalf("first lease: %+v %v", late, err)
+	}
+	mu.Lock()
+	now = now.Add(31 * time.Second)
+	mu.Unlock()
+	coord.Sweep()
+	one, err := spec.RunCells(context.Background(), late.Cells[1:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := coord.Complete(CompleteRequest{Worker: "late", LeaseID: late.LeaseID, StudyID: sub.ID, Outcomes: one}); err != nil || resp.Accepted != 1 {
+		t.Fatalf("completion through the expired lease: %+v %v", resp, err)
+	}
+
+	leases := 0
+	for {
+		g, err := coord.Lease(LeaseRequest{Worker: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			break
+		}
+		// One unit, all of its pending cells, in enumeration order.
+		want := cells[leases*3 : leases*3+3]
+		if leases == 0 {
+			want = []core.CellRef{cells[0], cells[2]} // cells[1] is done
+		}
+		if len(g.Cells) != len(want) {
+			t.Fatalf("lease %d carries %v, want %v", leases, g.Cells, want)
+		}
+		for i, ref := range g.Cells {
+			if ref != want[i] || unitOf(ref) != unitOf(g.Cells[0]) {
+				t.Fatalf("lease %d carries %v, want %v", leases, g.Cells, want)
+			}
+		}
+		leases++
+		out, err := spec.RunCells(context.Background(), g.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out}); err != nil || resp.Duplicates != 0 {
+			t.Fatalf("lease %d: %+v %v", leases, resp, err)
+		}
+	}
+	if leases != 4 {
+		t.Fatalf("study took %d leases after the expired one, want one per unit (4)", leases)
+	}
+	got, ok := coord.Result(sub.ID)
+	if !ok || !bytes.Equal(got, localBytes(t, wire)) {
+		t.Fatal("unit-leased study incomplete or different from the single-process run")
+	}
+}
+
+// TestCompleteSurvivesJournalFailure is the lost-outcome regression: a
+// completion whose journal append fails must leave the cells exactly
+// as they were, so the worker's retry of the same report lands them.
+// (The slot used to be marked done before the append; the retry was
+// then counted as a duplicate, the outcome was never merged, and the
+// study hung with nothing left to lease.)
+func TestCompleteSurvivesJournalFailure(t *testing.T) {
+	wire := testWire()
+	dir := t.TempDir()
+	coord, err := OpenCoordinator(Options{Dir: dir, LeaseTTL: time.Minute, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { coord.Close() }()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := coord.studies[sub.ID].wire.Spec()
+
+	for first := true; ; first = false {
+		g, err := coord.Lease(LeaseRequest{Worker: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			break
+		}
+		out, err := spec.RunCells(context.Background(), g.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out}
+		if first {
+			// Fail exactly one append: a closed journal refuses the
+			// write; reopening it is the disk coming back.
+			coord.jw.Close()
+			if _, err := coord.Complete(req); err == nil {
+				t.Fatal("completion acknowledged although its journal append failed")
+			}
+			if ev, _ := coord.Status(sub.ID); ev.Done != 0 {
+				t.Fatalf("unjournaled outcome counted as done: %+v", ev)
+			}
+			if coord.jw, _, err = journal.Open(filepath.Join(dir, "coordinator"), journal.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := coord.Complete(req) // the worker's retry
+		if err != nil || resp.Accepted != len(out) || resp.Duplicates != 0 {
+			t.Fatalf("retried completion: %+v %v", resp, err)
+		}
+	}
+	got, ok := coord.Result(sub.ID)
+	if !ok {
+		ev, _ := coord.Status(sub.ID)
+		t.Fatalf("study hung after a failed append: %+v", ev)
+	}
+	if !bytes.Equal(got, localBytes(t, wire)) {
+		t.Fatal("study completed after a failed append differs from the single-process run")
+	}
+
+	// What was acknowledged is what the journal holds.
+	coord.Close()
+	if coord, err = OpenCoordinator(Options{Dir: dir, Logf: t.Logf}); err != nil {
+		t.Fatal(err)
+	}
+	if again, ok := coord.Result(sub.ID); !ok || !bytes.Equal(again, got) {
+		t.Fatal("reopened coordinator does not reproduce the completed study")
 	}
 }
 
@@ -500,10 +661,9 @@ func TestDistributedSharedWarmCache(t *testing.T) {
 	wantB := localBytes(t, wireB)
 
 	coord, err := OpenCoordinator(Options{
-		Dir:        t.TempDir(),
-		LeaseTTL:   time.Minute,
-		LeaseCells: 3,
-		Logf:       t.Logf,
+		Dir:      t.TempDir(),
+		LeaseTTL: time.Minute,
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,11 @@ import (
 //	   └──expire/fail─────┘   (attempts++ at grant; at maxAttempts the
 //	                           expire/fail edge lands in quarantined)
 //
-// done and quarantined are terminal. Completions are accepted in any
-// state except done (first writer wins), so a worker finishing after
-// its lease expired still lands its result — and can even rescue a
-// cell that was quarantined in the meantime.
+// done and quarantined are terminal. A completion is accepted whatever
+// lease (if any) holds the cell, so a worker finishing after its lease
+// expired still lands its result. Which of two completions, or of a
+// completion and a quarantine, is first is the Assembler's call: the
+// coordinator marks a slot only after the outcome was merged.
 type cellState int
 
 const (
@@ -153,11 +154,13 @@ func (t *leaseTable) counts() (done, leased, quarantined, workers int) {
 	return t.done, leased, t.quarantined, len(seen)
 }
 
-// acquire leases up to max pending cells to worker. Cells are granted
-// in canonical enumeration order, which naturally batches cells of the
-// same prep unit so the worker amortizes one compile+golden run across
-// them. Returns nil when the worker is suspended or nothing is pending.
-func (t *leaseTable) acquire(worker string, max int, now time.Time) *lease {
+// acquire leases one unit to worker: every pending cell of the first
+// (march, bench, level) unit, in enumeration order, that has any. A
+// unit is what a worker prepares — one compile, one golden run, one
+// bundle decode — so it is also what a lease hands out; after a partial
+// completion the re-lease carries only the cells still pending. Returns
+// nil when the worker is suspended or nothing is pending.
+func (t *leaseTable) acquire(worker string, now time.Time) *lease {
 	if t.suspended(worker) {
 		if !t.allSuspended() {
 			return nil
@@ -170,12 +173,13 @@ func (t *leaseTable) acquire(worker string, max int, now time.Time) *lease {
 	}
 	var cells []int
 	for i := range t.slots {
-		if len(cells) >= max {
-			break
+		if t.slots[i].state != cellPending {
+			continue
 		}
-		if t.slots[i].state == cellPending {
-			cells = append(cells, i)
+		if len(cells) > 0 && !sameUnit(t.slots[i].ref, t.slots[cells[0]].ref) {
+			break // a unit's cells are contiguous: the next unit starts here
 		}
+		cells = append(cells, i)
 	}
 	if len(cells) == 0 {
 		return nil
@@ -197,6 +201,10 @@ func (t *leaseTable) acquire(worker string, max int, now time.Time) *lease {
 		t.budget[worker] = &workerState{}
 	}
 	return l
+}
+
+func sameUnit(a, b core.CellRef) bool {
+	return a.March == b.March && a.Bench == b.Bench && a.Level == b.Level
 }
 
 func (t *leaseTable) suspended(worker string) bool {

@@ -1,16 +1,24 @@
 package dispatch
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"sevsim/internal/core"
 )
 
-func testCells(n int) []core.CellRef {
+// testCells is one unit of n cells.
+func testCells(n int) []core.CellRef { return testUnits(1, n) }
+
+// testUnits is units units ("O0", "O1", ...) of per cells each, in
+// enumeration order.
+func testUnits(units, per int) []core.CellRef {
 	var out []core.CellRef
-	for _, target := range []string{"RF", "ROB.pc", "L1D.data", "IQ.op", "LQ.addr", "SQ.data", "BP.bht", "L1I.data"}[:n] {
-		out = append(out, core.CellRef{March: "m", Bench: "b", Level: "O0", Target: target})
+	for u := 0; u < units; u++ {
+		for _, target := range []string{"RF", "ROB.pc", "L1D.data", "IQ.op", "LQ.addr", "SQ.data", "BP.bht", "L1I.data"}[:per] {
+			out = append(out, core.CellRef{March: "m", Bench: "b", Level: fmt.Sprintf("O%d", u), Target: target})
+		}
 	}
 	return out
 }
@@ -18,23 +26,23 @@ func testCells(n int) []core.CellRef {
 func at(sec int) time.Time { return time.Unix(int64(sec), 0) }
 
 func TestLeaseLifecycle(t *testing.T) {
-	tbl := newLeaseTable(testCells(4), 10*time.Second, 3, 3)
-	l := tbl.acquire("w1", 2, at(0))
+	tbl := newLeaseTable(testUnits(2, 2), 10*time.Second, 3, 3)
+	l := tbl.acquire("w1", at(0))
 	if l == nil || len(l.cells) != 2 {
 		t.Fatalf("acquire: %+v", l)
 	}
 	if s, _ := tbl.slot("m/b/O0/RF"); s.state != cellLeased || s.attempts != 1 {
 		t.Fatalf("leased slot: %+v", s)
 	}
-	// A second worker gets the remaining cells, not the leased ones.
-	l2 := tbl.acquire("w2", 8, at(1))
+	// A second worker gets the next unit, not the leased one.
+	l2 := tbl.acquire("w2", at(1))
 	if l2 == nil || len(l2.cells) != 2 {
 		t.Fatalf("second acquire: %+v", l2)
 	}
-	if tbl.acquire("w3", 8, at(1)) != nil {
+	if tbl.acquire("w3", at(1)) != nil {
 		t.Fatal("acquired cells while everything is leased")
 	}
-	for _, ref := range testCells(4) {
+	for _, ref := range testUnits(2, 2) {
 		if !tbl.complete("w1", ref.Key()) {
 			t.Fatalf("complete %s rejected", ref)
 		}
@@ -53,7 +61,7 @@ func TestLeaseLifecycle(t *testing.T) {
 // not double-count the cell.
 func TestDoubleCompletionDedup(t *testing.T) {
 	tbl := newLeaseTable(testCells(2), 10*time.Second, 3, 10)
-	la := tbl.acquire("a", 2, at(0))
+	la := tbl.acquire("a", at(0))
 	if la == nil {
 		t.Fatal("no lease")
 	}
@@ -61,7 +69,7 @@ func TestDoubleCompletionDedup(t *testing.T) {
 	if q := tbl.expire(at(11)); len(q) != 0 {
 		t.Fatalf("first expiry quarantined %v", q)
 	}
-	lb := tbl.acquire("b", 2, at(12))
+	lb := tbl.acquire("b", at(12))
 	if lb == nil || len(lb.cells) != 2 {
 		t.Fatalf("re-lease after expiry: %+v", lb)
 	}
@@ -88,7 +96,7 @@ func TestDoubleCompletionDedup(t *testing.T) {
 func TestExpiryQuarantinesAtMaxAttempts(t *testing.T) {
 	tbl := newLeaseTable(testCells(1), 10*time.Second, 2, 100)
 	for round := 0; round < 2; round++ {
-		l := tbl.acquire("w", 1, at(round*20))
+		l := tbl.acquire("w", at(round*20))
 		if l == nil {
 			t.Fatalf("round %d: no lease", round)
 		}
@@ -111,14 +119,14 @@ func TestExpiryQuarantinesAtMaxAttempts(t *testing.T) {
 
 func TestFailReturnsCellToPoolThenQuarantines(t *testing.T) {
 	tbl := newLeaseTable(testCells(1), 10*time.Second, 2, 100)
-	tbl.acquire("w", 1, at(0))
+	tbl.acquire("w", at(0))
 	if tbl.fail("w", "m/b/O0/RF", "boom", at(1)) {
 		t.Fatal("quarantined on first failure")
 	}
 	if s, _ := tbl.slot("m/b/O0/RF"); s.state != cellPending || s.lastErr != "boom" {
 		t.Fatalf("after first fail: %+v", s)
 	}
-	tbl.acquire("w", 1, at(2))
+	tbl.acquire("w", at(2))
 	if !tbl.fail("w", "m/b/O0/RF", "boom again", at(3)) {
 		t.Fatal("not quarantined at max attempts")
 	}
@@ -132,22 +140,22 @@ func TestFailReturnsCellToPoolThenQuarantines(t *testing.T) {
 // every worker is suspended all budgets reset rather than deadlocking
 // the study.
 func TestWorkerErrorBudget(t *testing.T) {
-	tbl := newLeaseTable(testCells(8), 10*time.Second, 100, 2)
+	tbl := newLeaseTable(testUnits(8, 1), 10*time.Second, 100, 2)
 	// Worker bad earns two strikes via failures.
-	tbl.acquire("bad", 1, at(0))
+	tbl.acquire("bad", at(0))
 	tbl.fail("bad", "m/b/O0/RF", "x", at(1))
-	tbl.acquire("bad", 1, at(2))
+	tbl.acquire("bad", at(2))
 	tbl.fail("bad", "m/b/O0/RF", "x", at(3))
 	if !tbl.suspended("bad") {
 		t.Fatal("worker not suspended at budget")
 	}
 	// good is alive, so bad gets nothing.
-	tbl.acquire("good", 1, at(4))
-	if tbl.acquire("bad", 1, at(5)) != nil {
+	tbl.acquire("good", at(4))
+	if tbl.acquire("bad", at(5)) != nil {
 		t.Fatal("suspended worker got a lease while another is live")
 	}
 	// A completion repays a strike and lifts the suspension.
-	if !tbl.complete("good", "m/b/O0/ROB.pc") {
+	if !tbl.complete("good", "m/b/O0/RF") {
 		t.Fatal("completion rejected")
 	}
 	w := tbl.budget["bad"]
@@ -159,7 +167,7 @@ func TestWorkerErrorBudget(t *testing.T) {
 
 	// Now suspend good too: with everyone suspended, the valve opens.
 	tbl.budget["good"].strikes = 2
-	l := tbl.acquire("bad", 1, at(6))
+	l := tbl.acquire("bad", at(6))
 	if l == nil {
 		t.Fatal("all-suspended pressure valve did not open")
 	}
@@ -170,7 +178,7 @@ func TestWorkerErrorBudget(t *testing.T) {
 
 func TestHeartbeatExtendsDeadline(t *testing.T) {
 	tbl := newLeaseTable(testCells(1), 10*time.Second, 3, 3)
-	l := tbl.acquire("w", 1, at(0))
+	l := tbl.acquire("w", at(0))
 	if !tbl.heartbeat(l.id, at(8)) {
 		t.Fatal("heartbeat rejected")
 	}

@@ -13,7 +13,6 @@ import (
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/dispatch/backoff"
-	"sevsim/internal/journal"
 )
 
 // WorkerOptions configures a Worker.
@@ -30,10 +29,6 @@ type WorkerOptions struct {
 	// mid-lease and restarted on the same workdir replays its finished
 	// cells instead of recomputing them. Required.
 	Workdir string
-
-	// MaxCells caps cells requested per lease (<= 0: coordinator's
-	// default batch size).
-	MaxCells int
 
 	// Parallelism is the campaign parallelism per cell (core.Spec
 	// semantics; <= 0: GOMAXPROCS).
@@ -234,7 +229,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, g *LeaseGrant, cancel contex
 
 // lease polls for work. A nil grant with nil error means no work.
 func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
-	req := LeaseRequest{Worker: w.opt.Name, Max: w.opt.MaxCells}
+	req := LeaseRequest{Worker: w.opt.Name}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -332,11 +327,4 @@ func (w *Worker) call(ctx context.Context, path string, req, resp any) error {
 // runs uncached), for lifetime summaries at shutdown.
 func (w *Worker) Cache() *artcache.Cache {
 	return w.cache
-}
-
-// RemoveStudyJournal deletes the worker's local journal for a study,
-// once the coordinator has the results durably. Safe to skip — stale
-// journals only cost disk — but long-lived workers should clean up.
-func (w *Worker) RemoveStudyJournal(studyID string) error {
-	return journal.Remove(filepath.Join(w.opt.Workdir, studyID+".journal"))
 }
