@@ -315,15 +315,23 @@ func BenchmarkStudyScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkInjectionCell quantifies the checkpoint fast path on a
-// representative campaign cell (qsort, O2, A15-like). The printed
-// figure runs the cell's campaigns with the fast path fully off
+// BenchmarkInjectionCell quantifies the injection fast path on a
+// representative campaign cell (qsort, O2, A15-like). The cell
+// sub-benchmark runs the cell's campaigns with the fast path fully off
 // (fresh machine per injection, simulated from cycle 0) and fully on
-// (checkpoint fast-forward + early-convergence exit), asserts the
-// classification counts are identical, and reports the wall-clock
-// speedup. The timed unit runs single injections under both
-// configurations as sub-benchmarks, so `-benchmem` exposes the
-// per-injection allocation reduction from the pooled scratch machines.
+// (checkpoint fast-forward, dead-state verdicts, early-convergence
+// exit), preparation included, asserts the classification counts are
+// identical, and reports the fastest of each over the b.N iterations:
+//
+//	reference-ms, fast-ms   the cell's wall clock, fast path off and on
+//	fast/reference          their ratio
+//
+// The two times are taken back to back on the same host, so the ratio
+// moves with its jitter, not with its speed; cmd/benchgate holds it
+// (-unit) to the absolute limit in BENCH_layout.json's trajectory. The
+// reference and fastpath sub-benchmarks time single injections under
+// both configurations, so `-benchmem` shows what one injection
+// allocates.
 func BenchmarkInjectionCell(b *testing.B) {
 	bench, _ := workloads.ByName("qsort")
 	prog, err := compiler.Compile(bench.Source(bench.TestSize), "qsort", compiler.O2,
@@ -341,7 +349,7 @@ func BenchmarkInjectionCell(b *testing.B) {
 	}
 	refOpts := faultinj.Options{Checkpoints: -1, NoFastExit: true}
 
-	printFigure("injection-cell", func() {
+	b.Run("cell", func(b *testing.B) {
 		faults := envInt("SEV_FAULTS", 8) * 32
 		var targets []faultinj.Target
 		for _, name := range []string{"RF", "L1D.data", "ROB.pc"} {
@@ -362,17 +370,31 @@ func BenchmarkInjectionCell(b *testing.B) {
 			}
 			return time.Since(t0), counts
 		}
-		refD, refC := measure(refOpts)
-		fastD, fastC := measure(faultinj.Options{})
-		for i := range refC {
-			if refC[i] != fastC[i] {
-				b.Fatalf("fast path classified %s differently: %+v vs %+v",
-					targets[i].Name(), fastC[i], refC[i])
+		var refD, fastD time.Duration
+		for i := 0; i < b.N; i++ {
+			rd, refC := measure(refOpts)
+			fd, fastC := measure(faultinj.Options{})
+			for j := range refC {
+				if refC[j] != fastC[j] {
+					b.Fatalf("fast path classified %s differently: %+v vs %+v",
+						targets[j].Name(), fastC[j], refC[j])
+				}
+			}
+			if i == 0 || rd < refD {
+				refD = rd
+			}
+			if i == 0 || fd < fastD {
+				fastD = fd
 			}
 		}
-		fmt.Printf("\nInjection cell (qsort, O2, A15-like; %d targets x %d faults): reference %v, checkpointed %v (%.2fx, identical classification)\n",
-			len(targets), faults, refD.Round(time.Millisecond), fastD.Round(time.Millisecond),
-			float64(refD)/float64(fastD))
+		printFigure("injection-cell", func() {
+			fmt.Printf("\nInjection cell (qsort, O2, A15-like; %d targets x %d faults): reference %v, fast path %v (%.2fx, identical classification)\n",
+				len(targets), faults, refD.Round(time.Millisecond), fastD.Round(time.Millisecond),
+				float64(refD)/float64(fastD))
+		})
+		b.ReportMetric(float64(refD.Microseconds())/1e3, "reference-ms")
+		b.ReportMetric(float64(fastD.Microseconds())/1e3, "fast-ms")
+		b.ReportMetric(float64(fastD)/float64(refD), "fast/reference")
 	})
 
 	// Unit: one end-to-end RF injection, reference vs fast path.

@@ -155,6 +155,10 @@ func main() {
 			fmt.Printf("  WARNING: %d unexpected simulator panics\n", r.Counts.Unexpected)
 		}
 	}
+	if fp := exp.FastPathStats(); fp != (faultinj.FastPathStats{}) {
+		fmt.Printf("\nfast path: %d dead before replay, %d dead at the flip, %d converged at a checkpoint, %d ran to the end\n",
+			fp.DeadBeforeReplay, fp.DeadAtFlip, fp.ConvergedAtRung, fp.RanToEnd)
+	}
 	cli.CacheSummary(cache)
 	margin := stats.ErrorMargin(*faults, 1<<40, 0.99)
 	fmt.Printf("\nsampling error margin: ±%.2f%% at 99%% confidence\n", margin*100)

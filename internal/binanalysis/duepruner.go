@@ -72,19 +72,65 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 		robSize:   exp.Config.CPU.ROBSize,
 		dueOK:     addrCeilOK(len(a.CFG.Code), exp.Program.GlobalSize),
 	}
-	for k, ev := range p.events {
-		idx := p.idxOf(ev.PC)
+	// The 32 lists are carved out of one exactly sized slab: one pass
+	// over the trace counts each register's readers, a second fills them
+	// in, and nothing reallocates on the way up.
+	//
+	// srcs[idx] is what static instruction idx reads, decoded once: each
+	// register 0xff when there is none or it lies outside the 32 tracked,
+	// the second also when it repeats the first. A PC outside the code
+	// image reads every register but r0.
+	srcs := make([][2]uint8, len(a.CFG.Code))
+	for idx, in := range a.CFG.Code {
+		s1, s2 := in.SourceRegs()
+		if s2 == s1 {
+			s2 = 0xff
+		}
+		srcs[idx] = [2]uint8{s1, s2}
+	}
+	reads := func(pc uint64) (s1, s2 uint8, every bool) {
+		idx := p.idxOf(pc)
 		if idx < 0 {
+			return 0xff, 0xff, true
+		}
+		return srcs[idx][0], srcs[idx][1], false
+	}
+	var count [32]int
+	for _, ev := range p.events {
+		s1, s2, every := reads(ev.PC)
+		if every {
+			for r := 1; r < 32; r++ {
+				count[r]++
+			}
+			continue
+		}
+		if s1 < 32 {
+			count[s1]++
+		}
+		if s2 < 32 {
+			count[s2]++
+		}
+	}
+	total := 0
+	for _, n := range count {
+		total += n
+	}
+	slab := make([]int32, total)
+	for r, n := range count {
+		p.readers[r], slab = slab[:0:n], slab[n:]
+	}
+	for k, ev := range p.events {
+		s1, s2, every := reads(ev.PC)
+		if every {
 			for r := 1; r < 32; r++ {
 				p.readers[r] = append(p.readers[r], int32(k))
 			}
 			continue
 		}
-		s1, s2 := a.CFG.Code[idx].SourceRegs()
-		if s1 != 0xff && s1 < 32 {
+		if s1 < 32 {
 			p.readers[s1] = append(p.readers[s1], int32(k))
 		}
-		if s2 != 0xff && s2 < 32 && s2 != s1 {
+		if s2 < 32 {
 			p.readers[s2] = append(p.readers[s2], int32(k))
 		}
 	}

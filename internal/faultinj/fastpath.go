@@ -9,8 +9,11 @@ package faultinj
 // machine, and a post-flip run that provably returns to golden state is
 // classified Masked at the first matching checkpoint instead of
 // simulating its tail — so a denser ladder shortens both ends of a
-// Masked run. Classifications are bit-identical with the optimizations
-// on or off; see DESIGN.md §10 for the soundness argument.
+// Masked run. A flip that lands in dead state is Masked sooner still:
+// at the flip cycle, or for cache lines the checkpoints show invalid
+// and untouched, before anything is restored. Classifications are
+// bit-identical with the optimizations on or off; see DESIGN.md §10 for
+// the soundness argument.
 
 import (
 	"math"
@@ -77,40 +80,126 @@ func (e *Experiment) putMachine(m *machine.Machine) {
 	e.scratch.Put(m)
 }
 
-// runInjection executes one injection run with the given flip hook and
-// classifies it, managing a scratch machine for just this run. Batched
-// callers hold one machine across many runs instead (Batch).
-func (e *Experiment) runInjection(inj Injection, hook machine.Hook) InjectResult {
+// runInjection executes one injection run under the given fault model
+// and classifies it, managing a scratch machine for just this run.
+// Batched callers hold one machine across many runs instead (Batch).
+func (e *Experiment) runInjection(t Target, inj Injection, model Model) InjectResult {
 	if e.ckpts == nil {
 		// Reference behavior: a fresh machine simulating from cycle 0.
-		return e.classify(newMachine(e.Config, e.Program).Run(e.cycleBudget(), hook))
+		return e.classify(newMachine(e.Config, e.Program).Run(e.cycleBudget(), e.hookFor(t, inj, model)))
 	}
 	m := e.getMachine()
-	out := e.runInjectionOn(m, inj, hook)
+	out := e.runInjectionOn(m, t, inj, model)
 	e.putMachine(m)
 	return out
 }
 
+// fastPathExit names the way an injection left the fast path.
+type fastPathExit int
+
+const (
+	exitDeadBeforeReplay fastPathExit = iota
+	exitDeadAtFlip
+	exitConvergedAtRung
+	exitRanToEnd
+	numFastPathExits
+)
+
+// FastPathStats counts the injections an experiment's fast path
+// classified, by the exit each took. Injections a pruner answered never
+// reach it, and the reference paths (checkpointing or the early exit
+// off) count nothing. It is telemetry: no result depends on it.
+type FastPathStats struct {
+	// DeadBeforeReplay: a cache flip into a line that the checkpoints
+	// around it show invalid and untouched. Nothing restored or simulated.
+	DeadBeforeReplay uint64
+	// DeadAtFlip: the flip changed only state the convergence relation
+	// excludes. The pre-flip replay is all that was simulated.
+	DeadAtFlip uint64
+	// ConvergedAtRung: state equal to golden at a later checkpoint.
+	ConvergedAtRung uint64
+	// RanToEnd: simulated to halt, crash, assert or timeout.
+	RanToEnd uint64
+}
+
+// FastPathStats returns the counts so far.
+func (e *Experiment) FastPathStats() FastPathStats {
+	return FastPathStats{
+		DeadBeforeReplay: e.exits[exitDeadBeforeReplay].Load(),
+		DeadAtFlip:       e.exits[exitDeadAtFlip].Load(),
+		ConvergedAtRung:  e.exits[exitConvergedAtRung].Load(),
+		RanToEnd:         e.exits[exitRanToEnd].Load(),
+	}
+}
+
+// masked is the result of a run proven to replay golden from some cycle
+// on: it would halt at GoldenCycles with the golden output, so this is
+// exactly what the full run would have produced.
+func (e *Experiment) masked(exit fastPathExit) InjectResult {
+	e.exits[exit].Add(1)
+	return InjectResult{Outcome: Masked, Cycles: e.GoldenCycles}
+}
+
+// deadBeforeReplay reports whether the target can place a single-bit
+// flip in dead state from the two checkpoints around the injection
+// cycle alone. The last interval has no later checkpoint to show it
+// untouched, so injections there are never placed.
+func (e *Experiment) deadBeforeReplay(m *machine.Machine, t Target, inj Injection) bool {
+	rungs := e.ckpts.Snaps()
+	at := e.ckpts.LatestIndex(inj.Cycle)
+	return t.deadBetween != nil && at >= 0 && at+1 < len(rungs) &&
+		t.deadBetween(m, rungs[at], rungs[at+1], inj.Bit)
+}
+
+// stopAtFlip is the watch that ends the pre-flip leg of a run: watches
+// fire after the hooks of their cycle, so it stops the machine with the
+// flip just applied.
+func stopAtFlip(*machine.Machine) bool { return true }
+
 // runInjectionOn executes one checkpointed injection run on the given
 // scratch machine: fast-forward restore, flip at the injection cycle,
-// classify (with the early-convergence Masked exit when enabled). The
-// machine must have been built from this experiment's Config/Program;
-// its pre-call state is irrelevant — the restore overwrites it. Only
-// valid with checkpointing on.
-func (e *Experiment) runInjectionOn(m *machine.Machine, inj Injection, hook machine.Hook) InjectResult {
+// classify. The machine must have been built from this experiment's
+// Config/Program; its pre-call state is irrelevant — the restore
+// overwrites it. Only valid with checkpointing on.
+//
+// With the early exit enabled a run is Masked as soon as its state is
+// proven equal to golden state at the same cycle, by the convergence
+// relation's dead-state exclusions (DESIGN.md §10), at the earliest of
+// three points: before anything is restored, for a single-bit cache
+// flip the target can place in dead state from the two checkpoints
+// around it; at the flip, when the machine still equals the machine of
+// a moment ago, which the replay up to there left golden; at a later
+// checkpoint the run passes.
+func (e *Experiment) runInjectionOn(m *machine.Machine, t Target, inj Injection, model Model) InjectResult {
+	if e.fastExit && model == SingleBit && e.deadBeforeReplay(m, t, inj) {
+		return e.masked(exitDeadBeforeReplay)
+	}
+	hook := e.hookFor(t, inj, model)
 	m.Restore(e.ckpts.Latest(inj.Cycle))
-	var watches []machine.Watch
-	if e.fastExit {
-		watches = e.ckpts.WatchesAfter(inj.Cycle)
+	if !e.fastExit {
+		return e.classify(m.Run(e.cycleBudget(), hook))
 	}
-	res, converged := m.RunWatched(e.cycleBudget(), watches, hook)
-	if converged {
-		// State equality with golden at the same cycle proves the rest
-		// of the run replays golden bit-for-bit: it would halt at
-		// GoldenCycles with the golden output. Synthesize exactly the
-		// result the full run would have produced.
-		return InjectResult{Outcome: Masked, Cycles: e.GoldenCycles}
+	flip, dead := hook.Fn, false
+	hook.Fn = func(mm *machine.Machine) {
+		pre := mm.Snapshot()
+		flip(mm)
+		dead = mm.Converged(pre)
+		pre.Release()
 	}
+	res, flipped := m.RunWatched(e.cycleBudget(), []machine.Watch{{At: inj.Cycle, Fn: stopAtFlip}}, hook)
+	switch {
+	case !flipped:
+		// The run ended before the hook (a cycle past the golden halt) or
+		// inside it (a flip that panicked): res is its ending.
+	case dead:
+		return e.masked(exitDeadAtFlip)
+	default:
+		var converged bool
+		if res, converged = m.RunWatched(e.cycleBudget(), e.ckpts.WatchesAfter(inj.Cycle)); converged {
+			return e.masked(exitConvergedAtRung)
+		}
+	}
+	e.exits[exitRanToEnd].Add(1)
 	return e.classify(res)
 }
 
@@ -140,25 +229,18 @@ func (e *Experiment) NewBatch() *Batch {
 
 // Inject runs one single-bit injection on the batch's machine.
 func (b *Batch) Inject(t Target, inj Injection) InjectResult {
-	return b.run(inj, flipHook(t, inj))
+	return b.InjectModel(t, inj, SingleBit)
 }
 
 // InjectModel is Inject under the given fault-multiplicity model.
 func (b *Batch) InjectModel(t Target, inj Injection, model Model) InjectResult {
-	if model == SingleBit {
-		return b.Inject(t, inj)
-	}
-	return b.run(inj, hookFor(b.e, t, inj, model, b.e.TargetBits(t)))
-}
-
-func (b *Batch) run(inj Injection, hook machine.Hook) InjectResult {
 	if b.m == nil {
 		// Checkpointing disabled: the reference from-zero path, one
 		// fresh machine per run (a recycled machine would need a way to
 		// reset to cycle 0, which is exactly what checkpoints provide).
-		return b.e.classify(newMachine(b.e.Config, b.e.Program).Run(b.e.cycleBudget(), hook))
+		return b.e.runInjection(t, inj, model)
 	}
-	return b.e.runInjectionOn(b.m, inj, hook)
+	return b.e.runInjectionOn(b.m, t, inj, model)
 }
 
 // Close returns the batch's scratch machine to the experiment pool. No

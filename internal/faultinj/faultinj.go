@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sevsim/internal/checkpoint"
 	"sevsim/internal/cpu"
 	"sevsim/internal/machine"
+	"sevsim/internal/mem"
 )
 
 // Outcome is the effect class of one injection, following the paper's
@@ -52,6 +54,12 @@ type Target struct {
 
 	bits func(*machine.Machine) uint64
 	flip func(*machine.Machine, uint64)
+
+	// deadBetween, when set, reports whether a flip of bit at any cycle
+	// from the golden checkpoint lo up to the next one, hi, provably
+	// lands in dead state (DESIGN.md §10), read off the two snapshots
+	// alone; m is consulted for geometry only. The cache fields have one.
+	deadBetween func(m *machine.Machine, lo, hi *machine.Snap, bit uint64) bool
 }
 
 // Name returns "Component.Field", or just the component when the
@@ -88,39 +96,54 @@ func NewTarget(component, field string,
 	return Target{Component: component, Field: field, bits: bits, flip: flip}
 }
 
+// cacheTargets returns the data and tag fields of one cache level,
+// given the live cache of a machine and its image in a snapshot. A data,
+// tag or dirty bit of a line that two consecutive checkpoints show
+// invalid and untouched is dead throughout the interval; the valid bit
+// never is.
+func cacheTargets(component string, live func(*machine.Machine) *mem.Cache, image func(*machine.Snap) *mem.CacheState) []Target {
+	return []Target{
+		{Component: component, Field: "data",
+			bits: func(m *machine.Machine) uint64 { return live(m).DataBitCount() },
+			flip: func(m *machine.Machine, b uint64) { live(m).FlipDataBit(b) },
+			deadBetween: func(m *machine.Machine, lo, hi *machine.Snap, b uint64) bool {
+				return image(lo).InvalidUntouched(image(hi), live(m).DataBitLine(b))
+			}},
+		{Component: component, Field: "tag",
+			bits: func(m *machine.Machine) uint64 { return live(m).TagBitCount() },
+			flip: func(m *machine.Machine, b uint64) { live(m).FlipTagBit(b) },
+			deadBetween: func(m *machine.Machine, lo, hi *machine.Snap, b uint64) bool {
+				line, validBit := live(m).TagBitLine(b)
+				return !validBit && image(lo).InvalidUntouched(image(hi), line)
+			}},
+	}
+}
+
 // Targets returns every injectable field, grouped by component in the
 // paper's presentation order: the 8 components with all their
 // sub-fields (15 fields total).
 func Targets() []Target {
-	return []Target{
-		{Component: "L1I", Field: "data",
-			bits: func(m *machine.Machine) uint64 { return m.L1I.DataBitCount() },
-			flip: func(m *machine.Machine, b uint64) { m.L1I.FlipDataBit(b) }},
-		{Component: "L1I", Field: "tag",
-			bits: func(m *machine.Machine) uint64 { return m.L1I.TagBitCount() },
-			flip: func(m *machine.Machine, b uint64) { m.L1I.FlipTagBit(b) }},
-		{Component: "L1D", Field: "data",
-			bits: func(m *machine.Machine) uint64 { return m.L1D.DataBitCount() },
-			flip: func(m *machine.Machine, b uint64) { m.L1D.FlipDataBit(b) }},
-		{Component: "L1D", Field: "tag",
-			bits: func(m *machine.Machine) uint64 { return m.L1D.TagBitCount() },
-			flip: func(m *machine.Machine, b uint64) { m.L1D.FlipTagBit(b) }},
-		{Component: "L2", Field: "data",
-			bits: func(m *machine.Machine) uint64 { return m.L2.DataBitCount() },
-			flip: func(m *machine.Machine, b uint64) { m.L2.FlipDataBit(b) }},
-		{Component: "L2", Field: "tag",
-			bits: func(m *machine.Machine) uint64 { return m.L2.TagBitCount() },
-			flip: func(m *machine.Machine, b uint64) { m.L2.FlipTagBit(b) }},
-		coreTarget("RF", "", cpu.FieldPRF),
-		coreTarget("LQ", "", cpu.FieldLQ),
-		coreTarget("SQ", "", cpu.FieldSQ),
-		coreTarget("IQ", "src", cpu.FieldIQSrc),
-		coreTarget("IQ", "dst", cpu.FieldIQDst),
-		coreTarget("ROB", "pc", cpu.FieldROBPC),
-		coreTarget("ROB", "dest", cpu.FieldROBDest),
-		coreTarget("ROB", "old", cpu.FieldROBOld),
-		coreTarget("ROB", "ctrl", cpu.FieldROBCtrl),
-	}
+	return slices.Concat(
+		cacheTargets("L1I",
+			func(m *machine.Machine) *mem.Cache { return m.L1I },
+			func(s *machine.Snap) *mem.CacheState { return s.L1I }),
+		cacheTargets("L1D",
+			func(m *machine.Machine) *mem.Cache { return m.L1D },
+			func(s *machine.Snap) *mem.CacheState { return s.L1D }),
+		cacheTargets("L2",
+			func(m *machine.Machine) *mem.Cache { return m.L2 },
+			func(s *machine.Snap) *mem.CacheState { return s.L2 }),
+		[]Target{
+			coreTarget("RF", "", cpu.FieldPRF),
+			coreTarget("LQ", "", cpu.FieldLQ),
+			coreTarget("SQ", "", cpu.FieldSQ),
+			coreTarget("IQ", "src", cpu.FieldIQSrc),
+			coreTarget("IQ", "dst", cpu.FieldIQDst),
+			coreTarget("ROB", "pc", cpu.FieldROBPC),
+			coreTarget("ROB", "dest", cpu.FieldROBDest),
+			coreTarget("ROB", "old", cpu.FieldROBOld),
+			coreTarget("ROB", "ctrl", cpu.FieldROBCtrl),
+		})
 }
 
 // TargetByName resolves "L1D.data"-style names.
@@ -171,6 +194,10 @@ type Experiment struct {
 	ckpts    *checkpoint.Stream
 	fastExit bool
 	scratch  sync.Pool
+
+	// exits counts the fast path's injections by the exit they took
+	// (FastPathStats).
+	exits [numFastPathExits]atomic.Uint64
 }
 
 // newMachine builds every machine the package simulates on. It is a
@@ -407,8 +434,8 @@ type InjectResult struct {
 	Cycles     uint64
 	Unexpected bool // assert came from a recovered non-modelled panic
 	Pruned     bool // Masked proven statically; the run was never simulated
-	// PruneKind records the proof granularity when Pruned is set
-	// (PruneReg or PruneBit); PruneNone otherwise.
+	// PruneKind records the proof class when Pruned is set (PruneReg,
+	// PruneBit or PruneDUE); PruneNone otherwise.
 	PruneKind PruneKind
 }
 
@@ -418,19 +445,19 @@ type InjectResult struct {
 // the addressed bit is flipped at the chosen cycle, and the run is
 // classified against the golden reference.
 func (e *Experiment) Inject(t Target, inj Injection) InjectResult {
-	return e.runInjection(inj, flipHook(t, inj))
+	return e.runInjection(t, inj, SingleBit)
 }
 
-// flipHook schedules a single-bit flip at the injection cycle.
-func flipHook(t Target, inj Injection) machine.Hook {
-	return machine.Hook{
-		At: inj.Cycle,
-		Fn: func(mm *machine.Machine) { t.Flip(mm, inj.Bit) },
+// hookFor schedules the model's bit flips at the injection cycle: the
+// addressed bit, or Width adjacent bits wrapping at the array end.
+func (e *Experiment) hookFor(t Target, inj Injection, model Model) machine.Hook {
+	if model == SingleBit {
+		return machine.Hook{At: inj.Cycle, Fn: func(mm *machine.Machine) { t.Flip(mm, inj.Bit) }}
 	}
-}
-
-// hookFor schedules the model's bit flips at the injection cycle.
-func hookFor(e *Experiment, t Target, inj Injection, model Model, bits uint64) machine.Hook {
+	// TargetBits consults the cached per-target count instead of probing
+	// a throwaway machine, so the multi-bit path allocates no more than
+	// the single-bit one.
+	bits := e.TargetBits(t)
 	return machine.Hook{
 		At: inj.Cycle,
 		Fn: func(mm *machine.Machine) {

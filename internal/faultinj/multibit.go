@@ -46,11 +46,5 @@ func Models() []Model { return []Model{SingleBit, DoubleAdjacent, QuadAdjacent} 
 // bits starting at inj.Bit (wrapping at the array end), classified
 // against the golden run exactly like Inject.
 func (e *Experiment) InjectModel(t Target, inj Injection, model Model) InjectResult {
-	if model == SingleBit {
-		return e.Inject(t, inj)
-	}
-	// TargetBits consults the cached per-target count instead of probing
-	// a throwaway machine, so the multi-bit path allocates no more than
-	// the single-bit one.
-	return e.runInjection(inj, hookFor(e, t, inj, model, e.TargetBits(t)))
+	return e.runInjection(t, inj, model)
 }

@@ -67,8 +67,11 @@ type Result struct {
 	Unexpected bool
 }
 
-// Machine is one assembled system instance. Machines are single-use:
-// build one per simulation.
+// Machine is one assembled system instance. A run leaves it wherever the
+// run ended; Restore rewinds it to any snapshot of an identically built
+// machine, which is how the injector recycles one scratch machine across
+// thousands of runs. Without a snapshot to restore, build one per
+// simulation.
 type Machine struct {
 	Cfg  Config //snapshot:skip immutable configuration; a Snap restores only into an identically configured machine
 	Mem  *mem.Memory

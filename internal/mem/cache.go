@@ -353,25 +353,36 @@ func (c *Cache) TagBitCount() uint64 {
 	return uint64(c.sets) * uint64(c.cfg.Ways) * uint64(c.tagWidth+2)
 }
 
+// DataBitLine returns the line holding a bit of the data array.
+func (c *Cache) DataBitLine(bit uint64) int {
+	return int(bit / (uint64(c.cfg.LineSize) * 8))
+}
+
+// TagBitLine returns the line a bit of the tag array belongs to, and
+// whether the bit is that line's valid bit. Index layout per line: tag
+// bits first, then valid, then dirty.
+func (c *Cache) TagBitLine(bit uint64) (line int, validBit bool) {
+	per := uint64(c.tagWidth + 2)
+	return int(bit / per), bit%per == uint64(c.tagWidth)
+}
+
 // FlipDataBit flips one bit of the data array, addressed by a global bit
 // index in [0, DataBitCount).
 func (c *Cache) FlipDataBit(bit uint64) {
-	c.markFull(int(bit / (uint64(c.cfg.LineSize) * 8)))
+	c.markFull(c.DataBitLine(bit))
 	c.data[bit/8] ^= 1 << (bit % 8)
 }
 
 // FlipTagBit flips one bit of the tag array, addressed by a global bit
-// index in [0, TagBitCount). Index layout per line: tag bits first, then
-// valid, then dirty.
+// index in [0, TagBitCount), in TagBitLine's layout.
 func (c *Cache) FlipTagBit(bit uint64) {
-	per := uint64(c.tagWidth + 2)
-	line := int(bit / per)
+	line, validBit := c.TagBitLine(bit)
 	c.markFull(line)
-	switch b := bit % per; {
+	switch b := bit % uint64(c.tagWidth+2); {
+	case validBit:
+		c.valid[line] ^= 1
 	case b < uint64(c.tagWidth):
 		c.tags[line] ^= 1 << b
-	case b == uint64(c.tagWidth):
-		c.valid[line] ^= 1
 	default:
 		c.dirty[line] ^= 1
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sevsim/internal/binio"
 	"sevsim/internal/simerr"
 )
 
@@ -240,5 +241,70 @@ func TestStateEqualsComparesOnlyDifferingChunks(t *testing.T) {
 	l2.Restore(ladder[7][1])
 	if eq, n := l2.stateEquals(ladder[7][1]); !eq || n != 0 {
 		t.Fatalf("cache against its own base: equal=%v after %d chunk comparisons, want true after 0", eq, n)
+	}
+}
+
+// TestInvalidUntouched pins what the injector's checkpoint-pair proof
+// reads: a line is invalid-and-untouched between two snapshots exactly
+// when it is invalid in the first and nothing touched its chunk on the
+// way — not a fill elsewhere in the chunk, not one that a snapshot
+// dropped from the sequence saw, not a read hit — and the answer
+// survives the codec.
+func TestInvalidUntouched(t *testing.T) {
+	_, c := cowHierarchy()
+	lineOf := func(addr uint64) int {
+		set := c.set(addr)
+		return set*c.cfg.Ways + c.lookup(set, c.tagOf(addr))
+	}
+	c.Read(0x100000, 8)
+	filled := lineOf(0x100000)
+	neighbor := filled ^ 1           // same chunk, never filled
+	far := filled ^ (2 * chunkLines) // another chunk
+	a := c.Snapshot()
+	b := c.Snapshot()
+	for _, tc := range []struct {
+		line int
+		want bool
+	}{{filled, false}, {neighbor, true}, {far, true}, {-1, false}, {len(c.tags), false}} {
+		if got := a.InvalidUntouched(b, tc.line); got != tc.want {
+			t.Errorf("nothing ran between the snapshots: line %d invalid and untouched = %v, want %v", tc.line, got, tc.want)
+		}
+	}
+
+	c.Read(0x100000, 8) // a hit: only the LRU stamp of one line moves
+	dropped := c.Snapshot()
+	d := c.Snapshot()
+	if dropped.chunks[filled>>chunkShift] != d.chunks[filled>>chunkShift] {
+		t.Fatal("an untouched chunk changed pointer between two snapshots")
+	}
+	if a.InvalidUntouched(d, neighbor) {
+		t.Error("a read hit in the chunk, seen only by a dropped snapshot, left its neighbor untouched")
+	}
+	if !a.InvalidUntouched(d, far) {
+		t.Error("a read hit in one chunk touched a line of another")
+	}
+
+	recorded := [3]*CacheState{a, b, d}
+	var w binio.Writer
+	var enc Encoder
+	for _, s := range recorded {
+		s.EncodeTo(&w, &enc)
+	}
+	var dec Decoder
+	r := binio.NewReader(w.Bytes())
+	var back [3]*CacheState
+	for i := range back {
+		s, err := DecodeCacheState(r, c.cfg, &dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back[i] = s
+	}
+	for line := range c.tags {
+		for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
+			if got, want := back[p[0]].InvalidUntouched(back[p[1]], line), recorded[p[0]].InvalidUntouched(recorded[p[1]], line); got != want {
+				t.Fatalf("line %d between snapshots %v: %v after decoding, %v before", line, p, got, want)
+			}
+		}
 	}
 }

@@ -299,6 +299,24 @@ func (s *CacheState) Equal(o *CacheState) bool {
 		slices.EqualFunc(s.chunks, o.chunks, (*cacheChunk).equal)
 }
 
+// InvalidUntouched reports whether line is invalid in s and stayed so,
+// untouched, up to next, a later snapshot of the same run: the chunk
+// holding it is the same pointer in both tables. Snapshot gives every
+// chunk with a touched line a new pointer and never hands an old one
+// back, so a shared pointer means no line of the chunk was filled,
+// written, hit or evicted at any cycle between the two — also when
+// snapshots taken in between were dropped, since a touch would have
+// changed the pointer at the first of them for good. Encoding keeps
+// sharing by pointer, so a decoded sequence answers the same. A line
+// outside the cache is not invalid.
+func (s *CacheState) InvalidUntouched(next *CacheState, line int) bool {
+	if line < 0 || line >= s.lines || next.lines != s.lines {
+		return false
+	}
+	ch := s.chunks[line>>chunkShift]
+	return ch == next.chunks[line>>chunkShift] && ch.valid[line&(chunkLines-1)] == 0
+}
+
 // Footprint sums the memory a set of snapshots holds, counting every
 // chunk and page once however many snapshots share it. The zero value
 // is ready to use.
