@@ -515,19 +515,35 @@ func prepSweepQsort(b *testing.B) []prepUnit {
 // microarchitectures and, for each, times a
 // plain golden run (machine.New + Run) and a full preparation
 // (faultinj.NewExperimentOptions at the default checkpoint budget),
-// once with the commit trace and once without, back to back, and keeps
-// the fastest of each over the b.N iterations:
+// once with the commit trace and once without, back to back, then the
+// static RF bound over the traced preparation's commit stream
+// (binanalysis.DUEPruner.Bound, the analysis and the pruner built
+// outside the clock), and keeps the fastest of each over the b.N
+// iterations:
 //
 //	golden-ns/unit, prep-ns/unit                 untraced
 //	traced-golden-ns/unit, traced-prep-ns/unit   with the commit hook
+//	bound-ns/unit                                one Bound walk
 //	prep/golden, traced-prep/traced-golden       the ratios
+//	bound/golden                                 Bound over the untraced golden run
 //
 // Preparation records the checkpoint ladder during the golden run, so
-// the ratios sit a few percent above 1; a second simulated pass would
-// put them at 2. cmd/benchgate holds prep/golden (-unit) to the limit
-// in BENCH_layout.json's trajectory.
+// the first two ratios sit a few percent above 1; a second simulated
+// pass would put them at 2. Bound visits every commit interval of the
+// trace and must stay a small fraction of the run that produced it: it
+// looks up what a static program point contributes once per point, not
+// once per interval. cmd/benchgate holds prep/golden and bound/golden
+// (-unit) to the limits in BENCH_layout.json's trajectory.
 func BenchmarkPrepUnit(b *testing.B) {
 	units := prepSweepQsort(b)
+	analyses := make([]*binanalysis.Analysis, len(units))
+	for j, u := range units {
+		a, err := binanalysis.AnalyzeWords(u.prog.Code)
+		if err != nil {
+			b.Fatal(err)
+		}
+		analyses[j] = a
+	}
 	// Each timed call starts from a collected heap, so none pays for the
 	// machine its predecessor left behind.
 	golden := func(u prepUnit, traced bool) time.Duration {
@@ -543,31 +559,45 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
-	prep := func(u prepUnit, traced bool) time.Duration {
+	// prep times one preparation; with an analysis it is traced, and the
+	// second duration is one Bound walk over its commit stream.
+	prep := func(u prepUnit, a *binanalysis.Analysis) (prep, bound time.Duration) {
 		runtime.GC()
 		t0 := time.Now()
-		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: traced})
-		d := time.Since(t0)
+		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: a != nil})
+		prep = time.Since(t0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		exp.Close()
-		return d
+		defer exp.Close()
+		if a == nil {
+			return prep, 0
+		}
+		pruner, err := binanalysis.NewDUEPruner(a, exp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 = time.Now()
+		pruner.Bound()
+		return prep, time.Since(t0)
 	}
 	// Fastest of b.N per unit and kind: this host slows memory-heavy
 	// code for minutes at a time, and a sum would carry whichever phase
 	// each call happened to land in into the ratio.
-	fastest := make([][4]time.Duration, len(units))
+	fastest := make([][5]time.Duration, len(units))
 	for i := 0; i < b.N; i++ {
 		for j, u := range units {
-			for kind, d := range [4]time.Duration{golden(u, false), prep(u, false), golden(u, true), prep(u, true)} {
+			untraced, _ := prep(u, nil)
+			tracedGolden := golden(u, true)
+			traced, bound := prep(u, analyses[j])
+			for kind, d := range [5]time.Duration{golden(u, false), untraced, tracedGolden, traced, bound} {
 				if i == 0 || d < fastest[j][kind] {
 					fastest[j][kind] = d
 				}
 			}
 		}
 	}
-	var sum [4]float64
+	var sum [5]float64
 	for _, f := range fastest {
 		for kind, d := range f {
 			sum[kind] += float64(d.Nanoseconds())
@@ -578,8 +608,10 @@ func BenchmarkPrepUnit(b *testing.B) {
 	b.ReportMetric(sum[1]/n, "prep-ns/unit")
 	b.ReportMetric(sum[2]/n, "traced-golden-ns/unit")
 	b.ReportMetric(sum[3]/n, "traced-prep-ns/unit")
+	b.ReportMetric(sum[4]/n, "bound-ns/unit")
 	b.ReportMetric(sum[1]/sum[0], "prep/golden")
 	b.ReportMetric(sum[3]/sum[2], "traced-prep/traced-golden")
+	b.ReportMetric(sum[4]/sum[0], "bound/golden")
 }
 
 // BenchmarkGoldenRun measures the simulator's own speed, the floor under

@@ -22,7 +22,7 @@
 //
 //	go test -run '^$' -bench 'BenchmarkInjectionCell/cell' -benchtime=3x -cpu 1 . |
 //	    go run ./cmd/benchgate -baseline BENCH_layout.json -bench BenchmarkInjectionCell/cell \
-//	        -unit fast/reference -metric trajectory.3.gate_limit.fast_over_reference -max-regression 1
+//	        -unit fast/reference -metric trajectory.4.gate_limit.fast_over_reference -max-regression 1
 //
 // The gate fails (exit 1) when the measured value exceeds the baseline
 // by more than the allowed factor. For times the factor is deliberately
@@ -30,9 +30,9 @@
 // so the gate is a tripwire for order-of-magnitude regressions (a lost
 // fast path, an accidental full-copy restore, a cache miss where a hit
 // belongs), not a microbenchmark judge. A benchmark that reports a
-// ratio of two of its own times (prep/golden, fast/reference) is gated
-// on an absolute limit instead: the file records the limit and the
-// factor is 1.
+// ratio of two of its own times (prep/golden, bound/golden,
+// fast/reference) is gated on an absolute limit instead: the file
+// records the limit and the factor is 1.
 package main
 
 import (

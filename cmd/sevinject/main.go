@@ -156,8 +156,8 @@ func main() {
 		}
 	}
 	if fp := exp.FastPathStats(); fp != (faultinj.FastPathStats{}) {
-		fmt.Printf("\nfast path: %d dead before replay, %d dead at the flip, %d converged at a checkpoint, %d ran to the end\n",
-			fp.DeadBeforeReplay, fp.DeadAtFlip, fp.ConvergedAtRung, fp.RanToEnd)
+		fmt.Printf("\nfast path: %d dead before replay (%d in a quiet interval, %d in a retired set), %d dead at the flip, %d converged at a checkpoint, %d ran to the end\n",
+			fp.DeadBeforeReplay(), fp.DeadQuietInterval, fp.DeadRetiredSet, fp.DeadAtFlip, fp.ConvergedAtRung, fp.RanToEnd)
 	}
 	cli.CacheSummary(cache)
 	margin := stats.ErrorMargin(*faults, 1<<40, 0.99)

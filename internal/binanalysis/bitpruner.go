@@ -96,35 +96,20 @@ func (p *BitPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, s
 	return kind != faultinj.PruneNone, reason
 }
 
+// bitsAt is the bit-granular contribution of a point, without due
+// registers: the register-granular bits and the summed dead-bit count
+// (both zero for an unanalyzable point).
+func (p *BitPruner) bitsAt(pt int) pointBits {
+	pb := pointBits{reg: p.regBitsAt(pt)}
+	for a := 1; a < p.numArch; a++ {
+		pb.bit += uint64(bits.OnesCount64(p.deadBitsAt(pt, uint8(a))))
+	}
+	return pb
+}
+
 // Bound computes the bit-granular static RF bound, recording the
 // register-granular bound alongside it in the Reg fields. Because
 // DeadOutBits contains the full mask for every register DeadOut
 // reports dead, the headline bound dominates the register one on every
 // cell by construction.
-func (p *BitPruner) Bound() RFBound {
-	b := RFBound{SpaceBits: p.goldenCycles * uint64(p.numPhys) * uint64(p.xlen)}
-	if b.SpaceBits == 0 {
-		return b
-	}
-	var bitSum, regSum uint64
-	p.walkIntervals(func(k int, cycles uint64) {
-		pt := p.pointAfter(k)
-		dead, ok := p.deadAt(pt)
-		if !ok {
-			return
-		}
-		regSum += uint64(dead.Count()) * uint64(p.xlen) * cycles
-		var n uint64
-		for a := 1; a < p.numArch; a++ {
-			n += uint64(bits.OnesCount64(p.deadBitsAt(pt, uint8(a))))
-		}
-		bitSum += n * cycles
-	})
-	b.PrunableBits = bitSum
-	b.MaskedLB = float64(bitSum) / float64(b.SpaceBits)
-	b.AVFUpperBound = 1 - b.MaskedLB
-	b.RegPrunableBits = regSum
-	b.RegMaskedLB = float64(regSum) / float64(b.SpaceBits)
-	b.SDCUpperBound = b.AVFUpperBound // no DUE proof at this tier
-	return b
-}
+func (p *BitPruner) Bound() RFBound { return p.sumBound(p.bitsAt, nil) }

@@ -216,47 +216,28 @@ func (p *DUEPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, s
 // pruned count of an exhaustive campaign, and the Masked fields match
 // BitPruner's bound exactly.
 func (p *DUEPruner) Bound() RFBound {
-	b := RFBound{SpaceBits: p.goldenCycles * uint64(p.numPhys) * uint64(p.xlen)}
-	if b.SpaceBits == 0 {
-		return b
+	at := p.bitsAt
+	if p.dueOK {
+		at = func(pt int) pointBits {
+			pb := p.bitsAt(pt) // an unanalyzable point has no due bits either
+			for a := 1; a < p.numArch; a++ {
+				if n := bits.OnesCount64(p.dueBitsAt(pt, uint8(a)) &^ p.deadBitsAt(pt, uint8(a))); n > 0 {
+					pb.due = append(pb.due, dueReg{uint8(a), uint8(n)})
+				}
+			}
+			return pb
+		}
 	}
-	var bitSum, regSum, dueSum uint64
-	// first[a] indexes the first reader of a at or past the walk's k.
-	// The walk's k only ascends, so each cursor only moves forward.
+	// first[a] indexes the first reader of a at or past the k it was last
+	// asked about. The walk's k only ascends, so each cursor only moves
+	// forward, and only the cursors of listed registers move at all.
 	var first [32]int
-	p.walkIntervals(func(k int, cycles uint64) {
-		pt := p.pointAfter(k)
-		dead, ok := p.deadAt(pt)
-		if !ok {
-			return
+	return p.sumBound(at, func(k int, a uint8) bool {
+		rs, i := p.readers[a], first[a]
+		for i < len(rs) && int(rs[i]) < k {
+			i++
 		}
-		regSum += uint64(dead.Count()) * uint64(p.xlen) * cycles
-		var nb, nd uint64
-		for a := 1; a < p.numArch; a++ {
-			db := p.deadBitsAt(pt, uint8(a))
-			nb += uint64(bits.OnesCount64(db))
-			if !p.dueOK {
-				continue
-			}
-			rs, i := p.readers[a], first[a]
-			for i < len(rs) && int(rs[i]) < k {
-				i++
-			}
-			first[a] = i
-			if p.clearFrom(rs, i, k) {
-				nd += uint64(bits.OnesCount64(p.dueBitsAt(pt, uint8(a)) &^ db))
-			}
-		}
-		bitSum += nb * cycles
-		dueSum += nd * cycles
+		first[a] = i
+		return p.clearFrom(rs, i, k)
 	})
-	b.PrunableBits = bitSum
-	b.MaskedLB = float64(bitSum) / float64(b.SpaceBits)
-	b.AVFUpperBound = 1 - b.MaskedLB
-	b.RegPrunableBits = regSum
-	b.RegMaskedLB = float64(regSum) / float64(b.SpaceBits)
-	b.DuePrunableBits = dueSum
-	b.DueLB = float64(dueSum) / float64(b.SpaceBits)
-	b.SDCUpperBound = 1 - b.MaskedLB - b.DueLB
-	return b
 }

@@ -228,31 +228,76 @@ func (p *RFPruner) walkIntervals(f func(k int, cycles uint64)) {
 	}
 }
 
-// Bound computes the static RF bound by interval-walking the commit
-// trace: within an interval every bit of every dead mapped register is
-// provably masked. The per-cycle criterion is exactly Prunable's, so
-// the bound equals the pruned fraction of an exhaustive campaign.
-func (p *RFPruner) Bound() RFBound {
+// pointBits is what one static program point contributes to a bound for
+// every cycle it is in effect. All of it depends on the point alone, so
+// a Bound walk works it out the first time the trace reaches the point.
+type pointBits struct {
+	known bool
+	reg   uint64   // bits of wholly dead registers
+	bit   uint64   // dead bits at the tier's own granularity
+	due   []dueReg // registers holding crash-certain bits that are not dead
+}
+
+// dueReg is an architectural register with n due-and-not-dead bits.
+type dueReg struct{ a, n uint8 }
+
+// sumBound computes a tier's static bound by interval-walking the commit
+// trace: at gives the per-cycle contribution of a program point
+// (nothing, for an unanalyzable one) and is asked once per distinct
+// point; clear gates each listed due register on the reorder window of
+// the state the interval is in, and is never called when no point lists
+// one. An interval then costs two multiplies.
+func (p *RFPruner) sumBound(at func(pt int) pointBits, clear func(k int, a uint8) bool) RFBound {
 	b := RFBound{SpaceBits: p.goldenCycles * uint64(p.numPhys) * uint64(p.xlen)}
 	if b.SpaceBits == 0 {
 		return b
 	}
-	var sum uint64
+	// Slot pt+2: entryPoint, the unanalyzable point, then the code image.
+	table := make([]pointBits, len(p.a.CFG.Code)+2)
+	var reg, bit, due uint64
 	p.walkIntervals(func(k int, cycles uint64) {
-		dead, ok := p.deadAt(p.pointAfter(k))
-		if !ok {
-			return
+		pt := p.pointAfter(k)
+		pb := &table[pt+2]
+		if !pb.known {
+			*pb = at(pt)
+			pb.known = true
 		}
-		// Every architectural register is always mapped to exactly one
-		// physical register, so each dead register contributes XLEN
-		// prunable bits regardless of which physical slot holds it.
-		sum += uint64(dead.Count()) * uint64(p.xlen) * cycles
+		reg += pb.reg * cycles
+		bit += pb.bit * cycles
+		for _, d := range pb.due {
+			if clear(k, d.a) {
+				due += uint64(d.n) * cycles
+			}
+		}
 	})
-	b.PrunableBits = sum
-	b.MaskedLB = float64(sum) / float64(b.SpaceBits)
+	b.PrunableBits = bit
+	b.MaskedLB = float64(bit) / float64(b.SpaceBits)
 	b.AVFUpperBound = 1 - b.MaskedLB
-	b.RegPrunableBits = sum
-	b.RegMaskedLB = b.MaskedLB
-	b.SDCUpperBound = b.AVFUpperBound // no DUE proof at this tier
+	b.RegPrunableBits = reg
+	b.RegMaskedLB = float64(reg) / float64(b.SpaceBits)
+	b.DuePrunableBits = due
+	b.DueLB = float64(due) / float64(b.SpaceBits)
+	b.SDCUpperBound = 1 - b.MaskedLB - b.DueLB
 	return b
+}
+
+// regBitsAt is the register-granular contribution of a point: every
+// architectural register is always mapped to exactly one physical
+// register, so each dead register contributes XLEN prunable bits
+// regardless of which physical slot holds it. An unanalyzable point has
+// no dead register.
+func (p *RFPruner) regBitsAt(pt int) uint64 {
+	dead, _ := p.deadAt(pt)
+	return uint64(dead.Count()) * uint64(p.xlen)
+}
+
+// Bound computes the static RF bound: within an interval every bit of
+// every dead mapped register is provably masked. The per-cycle criterion
+// is exactly Prunable's, so the bound equals the pruned fraction of an
+// exhaustive campaign.
+func (p *RFPruner) Bound() RFBound {
+	return p.sumBound(func(pt int) pointBits {
+		reg := p.regBitsAt(pt)
+		return pointBits{reg: reg, bit: reg}
+	}, nil)
 }

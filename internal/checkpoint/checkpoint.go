@@ -21,6 +21,12 @@
 // shares with its predecessor every cache line chunk and memory page
 // the run did not touch in between — so a rung costs what changed, and
 // the budget can be dense (ResidentBytes reports what a stream holds).
+//
+// Beside the rungs a stream keeps the three cache images of the golden
+// machine at its halt (Halt). Nothing is ever restored from them or
+// compared against them: their LRU stamps say which cache sets the run
+// never looked up again after a given rung, which lets the injector
+// answer a flip into such a set without simulating it (DESIGN.md §10).
 package checkpoint
 
 import (
@@ -34,6 +40,10 @@ import (
 type Stream struct {
 	snaps   []*machine.Snap
 	watches []machine.Watch // convergence probe per snapshot, same order
+
+	// halt is the caches as the run left them, copy-on-write against the
+	// last snapshot taken; nil exactly when the stream holds no rung.
+	halt *machine.CacheImages
 }
 
 // Cycles returns up to k evenly spaced checkpoint cycles for a golden
@@ -73,6 +83,7 @@ func Record(m *machine.Machine, maxCycles uint64, cycles []uint64) (*Stream, mac
 		hooks[i] = machine.Hook{At: c, Fn: func(mm *machine.Machine) { s.add(mm.Snapshot()) }}
 	}
 	res := m.Run(maxCycles, hooks...)
+	s.recordHalt(m)
 	return s, res
 }
 
@@ -140,6 +151,7 @@ func RecordOnline(m *machine.Machine, maxCycles uint64, k int) (*Stream, machine
 			sn.Release()
 		}
 	}
+	s.recordHalt(m)
 	return s, res
 }
 
@@ -151,6 +163,20 @@ func (s *Stream) add(sn *machine.Snap) {
 		Fn: func(live *machine.Machine) bool { return live.Converged(sn) },
 	})
 }
+
+// recordHalt takes the halt image from the machine a recording run just
+// ended on. A stream without rungs serves no injection and keeps none.
+func (s *Stream) recordHalt(m *machine.Machine) {
+	if len(s.snaps) > 0 {
+		halt := m.SnapshotCaches()
+		s.halt = &halt
+	}
+}
+
+// Halt returns the cache images of the golden machine at the end of its
+// run, or nil when the stream holds no checkpoint. Shared and read-only,
+// like the snapshots.
+func (s *Stream) Halt() *machine.CacheImages { return s.halt }
 
 // Len returns the number of recorded checkpoints.
 func (s *Stream) Len() int { return len(s.snaps) }
@@ -177,29 +203,36 @@ func (s *Stream) Latest(cycle uint64) *machine.Snap {
 }
 
 // Release returns every snapshot's pooled core state to its pool and
-// empties the stream; the shared cache chunks and memory pages go to
-// the garbage collector. The caller must be the stream's last user: no
-// restore, watch, or Latest call may follow.
+// empties the stream, halt image included; the shared cache chunks and
+// memory pages go to the garbage collector. The caller must be the
+// stream's last user: no restore, watch, or Latest call may follow.
 func (s *Stream) Release() {
 	for _, sn := range s.snaps {
 		sn.Release()
 	}
 	s.snaps = nil
 	s.watches = nil
+	s.halt = nil
 }
 
-// ResidentBytes returns the memory the stream's snapshots hold,
-// counting a cache chunk or memory page shared by several snapshots
+// ResidentBytes returns the memory the stream's snapshots and halt image
+// hold, counting a cache chunk or memory page shared by several of them
 // once.
 func (s *Stream) ResidentBytes() int {
 	var f mem.Footprint
+	addCaches := func(c *machine.CacheImages) {
+		f.AddCache(c.L1I)
+		f.AddCache(c.L1D)
+		f.AddCache(c.L2)
+	}
 	n := 0
 	for _, sn := range s.snaps {
 		n += sn.Core.Bytes()
-		f.AddCache(sn.L1I)
-		f.AddCache(sn.L1D)
-		f.AddCache(sn.L2)
+		addCaches(&sn.CacheImages)
 		f.AddMemory(sn.Mem)
+	}
+	if s.halt != nil {
+		addCaches(s.halt)
 	}
 	return n + f.Bytes()
 }

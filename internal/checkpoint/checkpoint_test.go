@@ -6,6 +6,7 @@ import (
 
 	"sevsim/internal/isa"
 	"sevsim/internal/machine"
+	"sevsim/internal/mem"
 )
 
 // testProgram is a small loop workload (sum 1..100 plus a store/load
@@ -233,4 +234,33 @@ func TestConcurrentRestoresShareOneStream(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestHaltImageBookkeeping: the halt image is part of what a stream
+// holds — ResidentBytes counts its three chunk tables and the chunks
+// the run touched after the last rung — and Release drops it with the
+// rungs.
+func TestHaltImageBookkeeping(t *testing.T) {
+	cfg := machine.Configs()[0]
+	golden := mustGolden(t, cfg)
+	s, _ := Record(machine.New(cfg, testProgram()), 1<<30, Cycles(golden.Cycles, 3))
+	halt := s.Halt()
+	if halt == nil {
+		t.Fatal("a stream with rungs holds no halt image")
+	}
+	with := s.ResidentBytes()
+	s.halt = nil
+	without := s.ResidentBytes()
+	s.halt = halt
+	var tables mem.Footprint
+	tables.AddCache(halt.L1I)
+	tables.AddCache(halt.L1D)
+	tables.AddCache(halt.L2)
+	if with <= without || with-without > tables.Bytes() {
+		t.Errorf("stream holds %d bytes with its halt image and %d without; the image alone is %d", with, without, tables.Bytes())
+	}
+	s.Release()
+	if s.Halt() != nil || s.Len() != 0 {
+		t.Errorf("after Release: %d rungs, halt image %v", s.Len(), s.Halt())
+	}
 }

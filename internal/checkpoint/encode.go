@@ -18,13 +18,17 @@ import (
 
 // EncodeTo appends the stream's checkpoints to w. Watches carry no
 // state of their own (each is a closure over its snapshot), so only
-// the snapshots are serialized — through one mem.Encoder, so a cache
-// chunk or memory page shared by many checkpoints is written once.
+// the snapshots are serialized, and after the last of them the halt
+// image — all through one mem.Encoder, so a cache chunk or memory page
+// shared by many of them is written once.
 func (s *Stream) EncodeTo(w *binio.Writer) {
 	var enc mem.Encoder
 	w.Uvarint(uint64(len(s.snaps)))
 	for _, sn := range s.snaps {
 		sn.EncodeTo(w, &enc)
+	}
+	if s.halt != nil {
+		s.halt.EncodeTo(w, &enc)
 	}
 }
 
@@ -61,6 +65,17 @@ func DecodeStream(r *binio.Reader, cfg machine.Config) (*Stream, error) {
 		}
 		lastCycle = sn.Cycle
 		s.add(sn)
+	}
+	// A stream with rungs ends in its halt image. Input that stops after
+	// the last rung (the layout before the image existed) is refused here
+	// rather than decoded into a stream that answers fewer injections.
+	if n > 0 {
+		halt, err := machine.DecodeCacheImages(r, cfg, &dec)
+		if err != nil {
+			s.Release()
+			return nil, fmt.Errorf("checkpoint: decode: halt image %w", err)
+		}
+		s.halt = &halt
 	}
 	return s, nil
 }

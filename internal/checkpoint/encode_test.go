@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 // TestStreamEncodeRoundTrip records a real stream mid-run on both
 // machine configurations — evenly spaced by Record, and on the uneven
 // cycles RecordOnline keeps — serializes it, decodes it, and asserts
-// every checkpoint is strictly bit-for-bit Equal — the property the
-// prep-artifact cache's correctness rests on.
+// every checkpoint, and the halt image after them, is strictly
+// bit-for-bit Equal — the property the prep-artifact cache's correctness
+// rests on.
 func TestStreamEncodeRoundTrip(t *testing.T) {
 	type recorded struct {
 		name   string
@@ -60,6 +62,9 @@ func TestStreamEncodeRoundTrip(t *testing.T) {
 				if !got.Snaps()[i].Equal(sn) {
 					t.Fatalf("snap %d not strictly equal after round trip", i)
 				}
+			}
+			if stream.Halt() == nil || got.Halt() == nil || !got.Halt().Equal(*stream.Halt()) {
+				t.Fatalf("halt image not strictly equal after round trip: recorded %v, decoded %v", stream.Halt(), got.Halt())
 			}
 
 			// The decoded stream shares cache chunks and memory pages
@@ -134,7 +139,7 @@ func hostileStreams(cfg machine.Config) []hostileStream {
 	stream, _ := Record(machine.New(cfg, testProgram()), 1<<30, []uint64{0, golden.Cycles / 7, golden.Cycles - 5})
 	defer stream.Release()
 	snaps := stream.Snaps()
-	encode := func(order []int, sharedEncoder bool) []byte {
+	encode := func(order []int, sharedEncoder, halt bool) []byte {
 		var w binio.Writer
 		enc := &mem.Encoder{}
 		w.Uvarint(uint64(len(order)))
@@ -144,9 +149,17 @@ func hostileStreams(cfg machine.Config) []hostileStream {
 			}
 			snaps[i].EncodeTo(&w, enc)
 		}
+		if halt {
+			stream.Halt().EncodeTo(&w, enc)
+		}
 		return w.Bytes()
 	}
-	valid := encode([]int{0, 1, 2}, true)
+	valid := encode([]int{0, 1, 2}, true, true)
+	var whole binio.Writer
+	stream.EncodeTo(&whole)
+	if !bytes.Equal(valid, whole.Bytes()) {
+		panic("checkpoint: the test's hand-written stream layout is not Stream.EncodeTo's")
+	}
 
 	// Offset of the first chunk reference of the first snapshot's L1I
 	// table: count, cycle, hash, core state, clock + four counters, chunk
@@ -166,10 +179,14 @@ func hostileStreams(cfg machine.Config) []hostileStream {
 		// Every snapshot restarts its numbering at 1, so the decoder
 		// takes the second snapshot's first new chunk for a reference
 		// to the first's and loses its place.
-		{"duplicate chunks", "decode", encode([]int{0, 1, 2}, false)},
-		{"non-ascending cycles", "cycles not ascending", encode([]int{1, 0, 2}, true)},
-		{"repeated cycle", "cycles not ascending", encode([]int{0, 1, 1}, true)},
+		{"duplicate chunks", "decode", encode([]int{0, 1, 2}, false, true)},
+		{"non-ascending cycles", "cycles not ascending", encode([]int{1, 0, 2}, true, true)},
+		{"repeated cycle", "cycles not ascending", encode([]int{0, 1, 1}, true, true)},
 		{"snapshot count only", "exceeds remaining input", []byte{3}},
+		// The layout before prep bundle version 4: the rungs and nothing
+		// after them.
+		{"no halt image", "halt image", encode([]int{0, 1, 2}, true, false)},
+		{"halt image cut short", "halt image", valid[:len(valid)-3]},
 	}
 }
 
@@ -191,8 +208,9 @@ func TestDecodeStreamRejectsHostileTables(t *testing.T) {
 // FuzzDecodeStream feeds DecodeStream arbitrary bytes, seeded with a
 // valid stream and the hostile ones above. It must return an error or a
 // stream that is safe to use: restoring, comparing, measuring and
-// running from every decoded checkpoint may end in a modelled outcome,
-// never in a raw panic or an out-of-range access.
+// running from every decoded checkpoint, and questioning the halt image
+// about any line, may end in a modelled outcome, never in a raw panic or
+// an out-of-range access.
 func FuzzDecodeStream(f *testing.F) {
 	cfg := machine.Configs()[0]
 	golden := machine.New(cfg, testProgram()).Run(1 << 30)
@@ -216,6 +234,14 @@ func FuzzDecodeStream(f *testing.F) {
 		}
 		defer s.Release()
 		s.ResidentBytes()
+		if halt := s.Halt(); halt != nil {
+			for line := -1; line <= cfg.L2.Size/cfg.L2.LineSize; line++ {
+				for _, img := range []*mem.CacheState{halt.L1I, halt.L1D, halt.L2} {
+					img.Valid(line)
+					img.QuietSince(s.Snaps()[0].L2.Clock, line)
+				}
+			}
+		}
 		m := machine.New(cfg, testProgram())
 		for _, sn := range s.Snaps() {
 			m.Restore(sn)

@@ -45,7 +45,8 @@ func replayCost(rungs []uint64, golden uint64) float64 {
 // snapshots. It returns the recorded cycles.
 func checkOnline(t *testing.T, cfg machine.Config, prog *machine.Program, k int) []uint64 {
 	t.Helper()
-	plain := machine.New(cfg, prog).Run(1 << 40)
+	plainMachine := machine.New(cfg, prog)
+	plain := plainMachine.Run(1 << 40)
 	if plain.Outcome != machine.OutcomeOK {
 		t.Fatalf("golden run ended %v %s", plain.Outcome, plain.Reason)
 	}
@@ -53,6 +54,9 @@ func checkOnline(t *testing.T, cfg machine.Config, prog *machine.Program, k int)
 	defer stream.Release()
 	if !reflect.DeepEqual(res, plain) {
 		t.Errorf("one-pass result differs from a plain run:\n got %+v\nwant %+v", res, plain)
+	}
+	if stream.Halt() == nil || !stream.Halt().Equal(plainMachine.SnapshotCaches()) {
+		t.Errorf("halt image is not the caches a plain run ends on")
 	}
 
 	rungs := rungCycles(stream)
@@ -92,6 +96,9 @@ func checkOnline(t *testing.T, cfg machine.Config, prog *machine.Program, k int)
 		if !sn.Equal(ref.Snaps()[i]) {
 			t.Errorf("rung %d (cycle %d) differs from the snapshot Record takes there", i, sn.Cycle)
 		}
+	}
+	if ref.Halt() == nil || !stream.Halt().Equal(*ref.Halt()) {
+		t.Errorf("halt image differs from the one Record takes")
 	}
 	// Discarded rungs leave no mark on the kept ones' sharing either:
 	// the bundle bytes are those of the two-pass recording.
@@ -190,8 +197,8 @@ func TestRecordOnlineBudgets(t *testing.T) {
 
 	// A non-positive budget records nothing and still runs the program.
 	s, res := RecordOnline(machine.New(cfg, testProgram()), 1<<30, 0)
-	if s.Len() != 0 || !reflect.DeepEqual(res, golden) {
-		t.Errorf("budget 0: %d rungs, %v after %d cycles", s.Len(), res.Outcome, res.Cycles)
+	if s.Len() != 0 || s.Halt() != nil || !reflect.DeepEqual(res, golden) {
+		t.Errorf("budget 0: %d rungs, halt image %v, %v after %d cycles", s.Len(), s.Halt(), res.Outcome, res.Cycles)
 	}
 }
 

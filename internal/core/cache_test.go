@@ -180,15 +180,18 @@ func TestCacheEvictionMidStudy(t *testing.T) {
 //     new study;
 //   - prepBundleVersion: bundles whose checkpoints are in the version-1
 //     flat-slab snapshot encoding miss instead of being handed to the
-//     chunk-table decoder, and version-2 bundles with an evenly spaced
+//     chunk-table decoder, version-2 bundles with an evenly spaced
 //     ladder miss instead of standing in for the one a fill would
-//     record now, under both key kinds that carry a stream.
+//     record now, and version-3 bundles, whose streams carry no halt
+//     image, miss instead of failing to decode
+//     (TestPreHaltImageBundleIsAMiss), under both key kinds that carry
+//     a stream.
 func TestCacheMissesStaleVersions(t *testing.T) {
 	if analysisVersion < 2 {
 		t.Fatalf("analysisVersion = %d, want >= 2 (fault-propagation bound fields)", analysisVersion)
 	}
-	if prepBundleVersion < 3 {
-		t.Fatalf("prepBundleVersion = %d, want >= 3 (ladder recorded during the golden run)", prepBundleVersion)
+	if prepBundleVersion < 4 {
+		t.Fatalf("prepBundleVersion = %d, want >= 4 (streams end in the halt image)", prepBundleVersion)
 	}
 	pc := prepConfig{
 		Version:     prepBundleVersion,

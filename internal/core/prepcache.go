@@ -47,7 +47,12 @@ import (
 // power-of-two interval; version-2 entries hold evenly spaced rungs.
 // Either ladder drives the same study, but an entry is a function of
 // its key only if one key never names both.
-const prepBundleVersion = 3
+//
+// Version 4: a stream ends in the cache images of the golden machine at
+// its halt (checkpoint.Stream.Halt), which the injector's retired-set
+// verdict reads. A version-3 layout stops after the last rung and fails
+// to decode; it is never a stream that quietly answers fewer injections.
+const prepBundleVersion = 4
 
 // analysisVersion versions the binanalysis semantics behind the cached
 // static RF bound. Bump it when the ACE analysis or the pruner bound
@@ -318,6 +323,12 @@ func decodePrepBundle(blob []byte, cfg machine.Config) (*machine.Program, faulti
 	}
 	if err := r.Err(); err != nil {
 		return fail(fmt.Errorf("core: prep bundle program: %w", err))
+	}
+	// machine.New maps code, globals and stack at fixed bases and asserts
+	// on overlap; no compiled program comes near, so one that would is a
+	// damaged entry.
+	if uint64(n)*4 > machine.GlobalBase-machine.CodeBase || prog.GlobalSize > machine.StackTop-machine.StackSize-machine.GlobalBase {
+		return fail(fmt.Errorf("core: prep bundle program: %d code words and %d global bytes do not fit the memory layout", n, prog.GlobalSize))
 	}
 
 	var static *StaticRF

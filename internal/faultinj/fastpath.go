@@ -9,9 +9,10 @@ package faultinj
 // machine, and a post-flip run that provably returns to golden state is
 // classified Masked at the first matching checkpoint instead of
 // simulating its tail — so a denser ladder shortens both ends of a
-// Masked run. A flip that lands in dead state is Masked sooner still:
-// at the flip cycle, or for cache lines the checkpoints show invalid
-// and untouched, before anything is restored. Classifications are
+// Masked run. A flip that lands in dead state is Masked sooner still, at
+// the flip cycle; and a cache flip into a set the golden images show was
+// not looked up — until the next checkpoint for an invalid line, ever
+// again for any line — before anything is restored. Classifications are
 // bit-identical with the optimizations on or off; see DESIGN.md §10 for
 // the soundness argument.
 
@@ -98,7 +99,8 @@ func (e *Experiment) runInjection(t Target, inj Injection, model Model) InjectRe
 type fastPathExit int
 
 const (
-	exitDeadBeforeReplay fastPathExit = iota
+	exitQuietInterval fastPathExit = iota
+	exitRetiredSet
 	exitDeadAtFlip
 	exitConvergedAtRung
 	exitRanToEnd
@@ -110,9 +112,13 @@ const (
 // reach it, and the reference paths (checkpointing or the early exit
 // off) count nothing. It is telemetry: no result depends on it.
 type FastPathStats struct {
-	// DeadBeforeReplay: a cache flip into a line that the checkpoints
-	// around it show invalid and untouched. Nothing restored or simulated.
-	DeadBeforeReplay uint64
+	// DeadQuietInterval: a cache flip into an invalid line whose set the
+	// checkpoints around it show not looked up in between. Nothing
+	// restored or simulated.
+	DeadQuietInterval uint64
+	// DeadRetiredSet: a cache flip into a set the golden run never looked
+	// up again, by its halt image. Nothing restored or simulated.
+	DeadRetiredSet uint64
 	// DeadAtFlip: the flip changed only state the convergence relation
 	// excludes. The pre-flip replay is all that was simulated.
 	DeadAtFlip uint64
@@ -125,12 +131,17 @@ type FastPathStats struct {
 // FastPathStats returns the counts so far.
 func (e *Experiment) FastPathStats() FastPathStats {
 	return FastPathStats{
-		DeadBeforeReplay: e.exits[exitDeadBeforeReplay].Load(),
-		DeadAtFlip:       e.exits[exitDeadAtFlip].Load(),
-		ConvergedAtRung:  e.exits[exitConvergedAtRung].Load(),
-		RanToEnd:         e.exits[exitRanToEnd].Load(),
+		DeadQuietInterval: e.exits[exitQuietInterval].Load(),
+		DeadRetiredSet:    e.exits[exitRetiredSet].Load(),
+		DeadAtFlip:        e.exits[exitDeadAtFlip].Load(),
+		ConvergedAtRung:   e.exits[exitConvergedAtRung].Load(),
+		RanToEnd:          e.exits[exitRanToEnd].Load(),
 	}
 }
+
+// DeadBeforeReplay is the number of injections answered before anything
+// was restored, by either rule.
+func (s FastPathStats) DeadBeforeReplay() uint64 { return s.DeadQuietInterval + s.DeadRetiredSet }
 
 // masked is the result of a run proven to replay golden from some cycle
 // on: it would halt at GoldenCycles with the golden output, so this is
@@ -140,15 +151,21 @@ func (e *Experiment) masked(exit fastPathExit) InjectResult {
 	return InjectResult{Outcome: Masked, Cycles: e.GoldenCycles}
 }
 
-// deadBeforeReplay reports whether the target can place a single-bit
-// flip in dead state from the two checkpoints around the injection
-// cycle alone. The last interval has no later checkpoint to show it
-// untouched, so injections there are never placed.
-func (e *Experiment) deadBeforeReplay(m *machine.Machine, t Target, inj Injection) bool {
-	rungs := e.ckpts.Snaps()
+// deadBeforeReplay asks the target to answer a single-bit flip from the
+// golden images around the injection cycle and at the halt, and names
+// the rule that did. The last interval has no later checkpoint, so the
+// halt image stands in for one.
+func (e *Experiment) deadBeforeReplay(m *machine.Machine, t Target, inj Injection) (fastPathExit, bool) {
 	at := e.ckpts.LatestIndex(inj.Cycle)
-	return t.deadBetween != nil && at >= 0 && at+1 < len(rungs) &&
-		t.deadBetween(m, rungs[at], rungs[at+1], inj.Bit)
+	if t.deadBefore == nil || at < 0 {
+		return 0, false
+	}
+	rungs, halt := e.ckpts.Snaps(), e.ckpts.Halt()
+	next := halt
+	if at+1 < len(rungs) {
+		next = &rungs[at+1].CacheImages
+	}
+	return t.deadBefore(m, &rungs[at].CacheImages, next, halt, inj.Bit)
 }
 
 // stopAtFlip is the watch that ends the pre-flip leg of a run: watches
@@ -163,16 +180,18 @@ func stopAtFlip(*machine.Machine) bool { return true }
 // overwrites it. Only valid with checkpointing on.
 //
 // With the early exit enabled a run is Masked as soon as its state is
-// proven equal to golden state at the same cycle, by the convergence
-// relation's dead-state exclusions (DESIGN.md §10), at the earliest of
-// three points: before anything is restored, for a single-bit cache
-// flip the target can place in dead state from the two checkpoints
-// around it; at the flip, when the machine still equals the machine of
-// a moment ago, which the replay up to there left golden; at a later
-// checkpoint the run passes.
+// proven to replay golden from some cycle on (DESIGN.md §10), at the
+// earliest of three points: before anything is restored, for a
+// single-bit cache flip into a set the golden images show quiet; at the
+// flip, when the machine still equals the machine of a moment ago, which
+// the replay up to there left golden; at a later checkpoint the run
+// passes. The last two go by the convergence relation's dead-state
+// exclusions; the first also covers live state no later cycle reads.
 func (e *Experiment) runInjectionOn(m *machine.Machine, t Target, inj Injection, model Model) InjectResult {
-	if e.fastExit && model == SingleBit && e.deadBeforeReplay(m, t, inj) {
-		return e.masked(exitDeadBeforeReplay)
+	if e.fastExit && model == SingleBit {
+		if exit, ok := e.deadBeforeReplay(m, t, inj); ok {
+			return e.masked(exit)
+		}
 	}
 	hook := e.hookFor(t, inj, model)
 	m.Restore(e.ckpts.Latest(inj.Cycle))

@@ -55,11 +55,14 @@ type Target struct {
 	bits func(*machine.Machine) uint64
 	flip func(*machine.Machine, uint64)
 
-	// deadBetween, when set, reports whether a flip of bit at any cycle
-	// from the golden checkpoint lo up to the next one, hi, provably
-	// lands in dead state (DESIGN.md §10), read off the two snapshots
-	// alone; m is consulted for geometry only. The cache fields have one.
-	deadBetween func(m *machine.Machine, lo, hi *machine.Snap, bit uint64) bool
+	// deadBefore, when set, answers a single-bit flip of bit from golden
+	// images alone, before anything is restored (DESIGN.md §10): lo is the
+	// checkpoint at or below the injection cycle, next the image after it
+	// (the following checkpoint, or the halt image in the last interval)
+	// and halt the caches as the golden run left them. It names the rule
+	// that proves the run Masked, or reports false; m is consulted for
+	// geometry only. The cache fields have one.
+	deadBefore func(m *machine.Machine, lo, next, halt *machine.CacheImages, bit uint64) (fastPathExit, bool)
 }
 
 // Name returns "Component.Field", or just the component when the
@@ -96,25 +99,56 @@ func NewTarget(component, field string,
 	return Target{Component: component, Field: field, bits: bits, flip: flip}
 }
 
-// cacheTargets returns the data and tag fields of one cache level,
-// given the live cache of a machine and its image in a snapshot. A data,
-// tag or dirty bit of a line that two consecutive checkpoints show
-// invalid and untouched is dead throughout the interval; the valid bit
-// never is.
-func cacheTargets(component string, live func(*machine.Machine) *mem.Cache, image func(*machine.Snap) *mem.CacheState) []Target {
+// cacheLevel is one cache of the hierarchy: the live cache of a machine
+// and its image among a machine's three.
+type cacheLevel struct {
+	component string
+	live      func(*machine.Machine) *mem.Cache
+	image     func(*machine.CacheImages) *mem.CacheState
+}
+
+var cacheLevels = []cacheLevel{
+	{"L1I", func(m *machine.Machine) *mem.Cache { return m.L1I }, func(c *machine.CacheImages) *mem.CacheState { return c.L1I }},
+	{"L1D", func(m *machine.Machine) *mem.Cache { return m.L1D }, func(c *machine.CacheImages) *mem.CacheState { return c.L1D }},
+	{"L2", func(m *machine.Machine) *mem.Cache { return m.L2 }, func(c *machine.CacheImages) *mem.CacheState { return c.L2 }},
+}
+
+// cacheTargets returns the data and tag fields of one cache level. Both
+// place a flip by the line it lands in, by two uses of
+// mem.CacheState.QuietSince:
+//
+//   - quiet interval: the line is invalid at lo and its set was not
+//     looked up from there to next, so at the flip the line is still
+//     invalid and its data, tag and dirty bit are state the convergence
+//     relation excludes. The valid bit never is;
+//   - retired set: the set was not looked up from lo to the golden halt.
+//     Whatever one flip changes in it — data, tag, dirty or valid bit, of
+//     a valid line or not — no later cycle reads, so the run stays in
+//     lockstep with golden to its last cycle.
+func cacheTargets(l cacheLevel) []Target {
+	place := func(lo, next, halt *machine.CacheImages, line int, validBit bool) (fastPathExit, bool) {
+		at := l.image(lo)
+		switch {
+		case !validBit && !at.Valid(line) && l.image(next).QuietSince(at.Clock, line):
+			return exitQuietInterval, true
+		case l.image(halt).QuietSince(at.Clock, line):
+			return exitRetiredSet, true
+		}
+		return 0, false
+	}
 	return []Target{
-		{Component: component, Field: "data",
-			bits: func(m *machine.Machine) uint64 { return live(m).DataBitCount() },
-			flip: func(m *machine.Machine, b uint64) { live(m).FlipDataBit(b) },
-			deadBetween: func(m *machine.Machine, lo, hi *machine.Snap, b uint64) bool {
-				return image(lo).InvalidUntouched(image(hi), live(m).DataBitLine(b))
+		{Component: l.component, Field: "data",
+			bits: func(m *machine.Machine) uint64 { return l.live(m).DataBitCount() },
+			flip: func(m *machine.Machine, b uint64) { l.live(m).FlipDataBit(b) },
+			deadBefore: func(m *machine.Machine, lo, next, halt *machine.CacheImages, b uint64) (fastPathExit, bool) {
+				return place(lo, next, halt, l.live(m).DataBitLine(b), false)
 			}},
-		{Component: component, Field: "tag",
-			bits: func(m *machine.Machine) uint64 { return live(m).TagBitCount() },
-			flip: func(m *machine.Machine, b uint64) { live(m).FlipTagBit(b) },
-			deadBetween: func(m *machine.Machine, lo, hi *machine.Snap, b uint64) bool {
-				line, validBit := live(m).TagBitLine(b)
-				return !validBit && image(lo).InvalidUntouched(image(hi), line)
+		{Component: l.component, Field: "tag",
+			bits: func(m *machine.Machine) uint64 { return l.live(m).TagBitCount() },
+			flip: func(m *machine.Machine, b uint64) { l.live(m).FlipTagBit(b) },
+			deadBefore: func(m *machine.Machine, lo, next, halt *machine.CacheImages, b uint64) (fastPathExit, bool) {
+				line, validBit := l.live(m).TagBitLine(b)
+				return place(lo, next, halt, line, validBit)
 			}},
 	}
 }
@@ -124,15 +158,7 @@ func cacheTargets(component string, live func(*machine.Machine) *mem.Cache, imag
 // sub-fields (15 fields total).
 func Targets() []Target {
 	return slices.Concat(
-		cacheTargets("L1I",
-			func(m *machine.Machine) *mem.Cache { return m.L1I },
-			func(s *machine.Snap) *mem.CacheState { return s.L1I }),
-		cacheTargets("L1D",
-			func(m *machine.Machine) *mem.Cache { return m.L1D },
-			func(s *machine.Snap) *mem.CacheState { return s.L1D }),
-		cacheTargets("L2",
-			func(m *machine.Machine) *mem.Cache { return m.L2 },
-			func(s *machine.Snap) *mem.CacheState { return s.L2 }),
+		cacheTargets(cacheLevels[0]), cacheTargets(cacheLevels[1]), cacheTargets(cacheLevels[2]),
 		[]Target{
 			coreTarget("RF", "", cpu.FieldPRF),
 			coreTarget("LQ", "", cpu.FieldLQ),

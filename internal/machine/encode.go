@@ -22,10 +22,31 @@ func (s *Snap) EncodeTo(w *binio.Writer, enc *mem.Encoder) {
 	w.U64(s.Cycle)
 	w.U64(s.Hash)
 	s.Core.EncodeTo(w)
-	s.L1I.EncodeTo(w, enc)
-	s.L1D.EncodeTo(w, enc)
-	s.L2.EncodeTo(w, enc)
+	s.CacheImages.EncodeTo(w, enc)
 	s.Mem.EncodeTo(w, enc)
+}
+
+// EncodeTo appends the three cache images to w.
+func (c CacheImages) EncodeTo(w *binio.Writer, enc *mem.Encoder) {
+	c.L1I.EncodeTo(w, enc)
+	c.L1D.EncodeTo(w, enc)
+	c.L2.EncodeTo(w, enc)
+}
+
+// DecodeCacheImages reads cache images written by CacheImages.EncodeTo,
+// validating each against its cache's configuration in cfg.
+func DecodeCacheImages(r *binio.Reader, cfg Config, dec *mem.Decoder) (CacheImages, error) {
+	var c CacheImages
+	for _, lvl := range []struct {
+		dst **mem.CacheState
+		cfg mem.CacheConfig
+	}{{&c.L1I, cfg.L1I}, {&c.L1D, cfg.L1D}, {&c.L2, cfg.L2}} {
+		var err error
+		if *lvl.dst, err = mem.DecodeCacheState(r, lvl.cfg, dec); err != nil {
+			return CacheImages{}, fmt.Errorf("%s: %w", lvl.cfg.Name, err)
+		}
+	}
+	return c, nil
 }
 
 // EncodeTo appends the run result to w; a cached golden result lets a
@@ -82,14 +103,9 @@ func DecodeSnap(r *binio.Reader, cfg Config, dec *mem.Decoder) (*Snap, error) {
 	if s.Core, err = cpu.DecodeCoreState(r, &cfg.CPU); err != nil {
 		return nil, fmt.Errorf("machine: decode snap core: %w", err)
 	}
-	for _, c := range []struct {
-		dst **mem.CacheState
-		cfg mem.CacheConfig
-	}{{&s.L1I, cfg.L1I}, {&s.L1D, cfg.L1D}, {&s.L2, cfg.L2}} {
-		if *c.dst, err = mem.DecodeCacheState(r, c.cfg, dec); err != nil {
-			s.Release()
-			return nil, fmt.Errorf("machine: decode snap %s: %w", c.cfg.Name, err)
-		}
+	if s.CacheImages, err = DecodeCacheImages(r, cfg, dec); err != nil {
+		s.Release()
+		return nil, fmt.Errorf("machine: decode snap %w", err)
 	}
 	if s.Mem, err = mem.DecodeMemoryState(r, dec); err != nil {
 		s.Release()

@@ -15,15 +15,29 @@ import (
 type Snap struct {
 	Cycle uint64
 	Core  *cpu.CoreState
-	L1I   *mem.CacheState
-	L1D   *mem.CacheState
-	L2    *mem.CacheState
-	Mem   *mem.MemoryState
+	CacheImages
+	Mem *mem.MemoryState
 
 	// Hash is StateHash() of the machine at snapshot time, the cheap
 	// prefilter of Converged: a live machine whose hash differs cannot
 	// be state-equal, so the exact comparison is skipped.
 	Hash uint64
+}
+
+// CacheImages is the state of the three caches at one moment of a run:
+// the cache part of a Snap, and all that is kept of the golden machine
+// at its halt (checkpoint.Stream.Halt), where nothing will ever be
+// restored or compared but the LRU stamps still say which sets the run
+// had finished with.
+type CacheImages struct {
+	L1I *mem.CacheState
+	L1D *mem.CacheState
+	L2  *mem.CacheState
+}
+
+// SnapshotCaches captures the three caches, copy-on-write like Snapshot.
+func (m *Machine) SnapshotCaches() CacheImages {
+	return CacheImages{L1I: m.L1I.Snapshot(), L1D: m.L1D.Snapshot(), L2: m.L2.Snapshot()}
 }
 
 // Snapshot captures the complete machine state. The core is deep-copied;
@@ -32,13 +46,11 @@ type Snap struct {
 // restore plus the chunk and page tables.
 func (m *Machine) Snapshot() *Snap {
 	return &Snap{
-		Cycle: m.Core.Cycle(),
-		Core:  m.Core.Snapshot(),
-		L1I:   m.L1I.Snapshot(),
-		L1D:   m.L1D.Snapshot(),
-		L2:    m.L2.Snapshot(),
-		Mem:   m.Mem.Snapshot(),
-		Hash:  m.StateHash(),
+		Cycle:       m.Core.Cycle(),
+		Core:        m.Core.Snapshot(),
+		CacheImages: m.SnapshotCaches(),
+		Mem:         m.Mem.Snapshot(),
+		Hash:        m.StateHash(),
 	}
 }
 
@@ -50,7 +62,7 @@ func (m *Machine) Snapshot() *Snap {
 // collector frees with their last holder.
 func (s *Snap) Release() {
 	s.Core.Release()
-	s.Core, s.L1I, s.L1D, s.L2, s.Mem = nil, nil, nil, nil, nil
+	s.Core, s.CacheImages, s.Mem = nil, CacheImages{}, nil
 }
 
 // Restore rewinds the machine to the snapshot, reusing the machine's
@@ -103,6 +115,11 @@ func (m *Machine) Converged(s *Snap) bool {
 func (s *Snap) Equal(o *Snap) bool {
 	return s.Cycle == o.Cycle && s.Hash == o.Hash &&
 		s.Core.Equal(o.Core) &&
-		s.L1I.Equal(o.L1I) && s.L1D.Equal(o.L1D) && s.L2.Equal(o.L2) &&
+		s.CacheImages.Equal(o.CacheImages) &&
 		s.Mem.Equal(o.Mem)
+}
+
+// Equal is the strict comparison of two sets of cache images.
+func (c CacheImages) Equal(o CacheImages) bool {
+	return c.L1I.Equal(o.L1I) && c.L1D.Equal(o.L1D) && c.L2.Equal(o.L2)
 }

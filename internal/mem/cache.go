@@ -100,7 +100,7 @@ func NewCache(cfg CacheConfig, lower Backend) *Cache {
 		dirty:       make([]uint8, lines),
 		data:        make([]byte, lines*cfg.LineSize),
 		touchedMark: make([]uint8, lines),
-		base:        zeroCacheState(lines, cfg.LineSize),
+		base:        zeroCacheState(lines, cfg.LineSize, cfg.Ways),
 		lower:       lower,
 	}
 	c.tagWidth = cfg.AddrBits - c.offBits - c.setBits
@@ -231,6 +231,9 @@ func (c *Cache) miss(addr uint64, set int, tag uint64) (way, lat int) {
 	return w, lat
 }
 
+// touch stamps the line a lookup ended on with the advanced LRU clock.
+// Every lookup of a set ends here (Read inlines it), which is what lets
+// CacheState.QuietSince read "this set was not looked up" off the stamps.
 func (c *Cache) touch(set, way int) {
 	c.clock++
 	line := set*c.cfg.Ways + way

@@ -14,7 +14,7 @@ import (
 // bookkeeping says nothing changed, so only an independent image can
 // tell whether the bookkeeping is right.
 func deepState(c *Cache) *CacheState {
-	s := &CacheState{Clock: c.clock, Stats: c.Stats, lines: len(c.tags), lineSize: c.cfg.LineSize,
+	s := &CacheState{Clock: c.clock, Stats: c.Stats, lines: len(c.tags), lineSize: c.cfg.LineSize, ways: c.cfg.Ways,
 		chunks: make([]*cacheChunk, chunkCount(len(c.tags)))}
 	for k := range s.chunks {
 		s.chunks[k] = c.captureChunk(k)
@@ -244,44 +244,58 @@ func TestStateEqualsComparesOnlyDifferingChunks(t *testing.T) {
 	}
 }
 
-// TestInvalidUntouched pins what the injector's checkpoint-pair proof
-// reads: a line is invalid-and-untouched between two snapshots exactly
-// when it is invalid in the first and nothing touched its chunk on the
-// way — not a fill elsewhere in the chunk, not one that a snapshot
-// dropped from the sequence saw, not a read hit — and the answer
+// TestQuietSince pins what the injector's pre-replay verdicts read: a
+// set is quiet between two images exactly when nothing looked it up on
+// the way — not a read hit, not a lookup that only a snapshot dropped
+// from the sequence saw — whatever happened to other sets of the same
+// chunk, at the level the lookup reached and no other; and the answer
 // survives the codec.
-func TestInvalidUntouched(t *testing.T) {
-	_, c := cowHierarchy()
-	lineOf := func(addr uint64) int {
+func TestQuietSince(t *testing.T) {
+	l2, c := cowHierarchy()
+	lineOf := func(c *Cache, addr uint64) int {
 		set := c.set(addr)
 		return set*c.cfg.Ways + c.lookup(set, c.tagOf(addr))
 	}
 	c.Read(0x100000, 8)
-	filled := lineOf(0x100000)
-	neighbor := filled ^ 1           // same chunk, never filled
-	far := filled ^ (2 * chunkLines) // another chunk
-	a := c.Snapshot()
+	filled := lineOf(c, 0x100000)
+	sameSet := filled ^ 1                  // the set's other way, never filled
+	sameChunk := filled ^ (2 * c.cfg.Ways) // another set of the same chunk
+	a, a2 := c.Snapshot(), l2.Snapshot()
 	b := c.Snapshot()
+	if !a.Valid(filled) || a.Valid(sameSet) || a.Valid(-1) || a.Valid(len(c.tags)) {
+		t.Errorf("Valid: filled line %v, its never-filled neighbor %v, line -1 %v, line %d %v",
+			a.Valid(filled), a.Valid(sameSet), a.Valid(-1), len(c.tags), a.Valid(len(c.tags)))
+	}
 	for _, tc := range []struct {
 		line int
 		want bool
-	}{{filled, false}, {neighbor, true}, {far, true}, {-1, false}, {len(c.tags), false}} {
-		if got := a.InvalidUntouched(b, tc.line); got != tc.want {
-			t.Errorf("nothing ran between the snapshots: line %d invalid and untouched = %v, want %v", tc.line, got, tc.want)
+	}{{filled, true}, {sameSet, true}, {sameChunk, true}, {-1, false}, {len(c.tags), false}} {
+		if got := b.QuietSince(a.Clock, tc.line); got != tc.want {
+			t.Errorf("nothing ran between the snapshots: set of line %d quiet = %v, want %v", tc.line, got, tc.want)
 		}
+	}
+	if b.QuietSince(a.Clock-1, filled) {
+		t.Error("the fill that advanced the clock to the first snapshot's left its set quiet since the clock before")
 	}
 
 	c.Read(0x100000, 8) // a hit: only the LRU stamp of one line moves
-	dropped := c.Snapshot()
-	d := c.Snapshot()
-	if dropped.chunks[filled>>chunkShift] != d.chunks[filled>>chunkShift] {
-		t.Fatal("an untouched chunk changed pointer between two snapshots")
+	c.Snapshot()        // seen by a snapshot the sequence drops
+	d, d2 := c.Snapshot(), l2.Snapshot()
+	for _, tc := range []struct {
+		line int
+		want bool
+	}{{filled, false}, {sameSet, false}, {sameChunk, true}} {
+		if got := d.QuietSince(a.Clock, tc.line); got != tc.want {
+			t.Errorf("after a read hit on line %d: set of line %d quiet = %v, want %v", filled, tc.line, got, tc.want)
+		}
 	}
-	if a.InvalidUntouched(d, neighbor) {
-		t.Error("a read hit in the chunk, seen only by a dropped snapshot, left its neighbor untouched")
+	if !d2.QuietSince(a2.Clock, lineOf(l2, 0x100000)) {
+		t.Error("an L1 hit looked up the L2")
 	}
-	if !a.InvalidUntouched(d, far) {
-		t.Error("a read hit in one chunk touched a line of another")
+	c.Read(0x100000+uint64(len(c.data)), 8) // same L1 set, a miss: reaches the L2
+	e2 := l2.Snapshot()
+	if reached := lineOf(l2, 0x100000+uint64(len(c.data))); e2.QuietSince(a2.Clock, reached) {
+		t.Error("an L1 miss left the L2 set it filled from quiet")
 	}
 
 	recorded := [3]*CacheState{a, b, d}
@@ -302,9 +316,12 @@ func TestInvalidUntouched(t *testing.T) {
 	}
 	for line := range c.tags {
 		for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-			if got, want := back[p[0]].InvalidUntouched(back[p[1]], line), recorded[p[0]].InvalidUntouched(recorded[p[1]], line); got != want {
-				t.Fatalf("line %d between snapshots %v: %v after decoding, %v before", line, p, got, want)
+			if got, want := back[p[1]].QuietSince(back[p[0]].Clock, line), recorded[p[1]].QuietSince(recorded[p[0]].Clock, line); got != want {
+				t.Fatalf("line %d between snapshots %v: quiet %v after decoding, %v before", line, p, got, want)
 			}
+		}
+		if got, want := back[2].Valid(line), recorded[2].Valid(line); got != want {
+			t.Fatalf("line %d: valid %v after decoding, %v before", line, got, want)
 		}
 	}
 }

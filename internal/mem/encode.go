@@ -92,7 +92,7 @@ func DecodeCacheState(r *binio.Reader, cfg CacheConfig, dec *Decoder) (*CacheSta
 		// Mirror NewCache's geometry derivation exactly.
 		lines = cfg.Size / (cfg.Ways * cfg.LineSize) * cfg.Ways
 	}
-	s := &CacheState{lines: lines, lineSize: cfg.LineSize}
+	s := &CacheState{lines: lines, lineSize: cfg.LineSize, ways: cfg.Ways}
 	s.Clock = r.U64()
 	s.Stats.Hits = r.U64()
 	s.Stats.Misses = r.U64()

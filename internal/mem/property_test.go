@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sevsim/internal/simerr"
@@ -92,6 +93,98 @@ func TestByteGranularityMixedSizes(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("iter %d: read%d @%#x = %#x, want %#x", i, size, off, got, want)
+			}
+		}
+	}
+}
+
+// stampChecker sits between two cache levels (or between the test and the
+// upper one) and holds every lookup to the premise CacheState.QuietSince
+// rests on: when the call returns, the newest stamp in the set it looked
+// up is the cache's clock. It also notes which sets were looked up.
+type stampChecker struct {
+	t        *testing.T
+	c        *Cache
+	lookedUp []bool // per set, since the test last cleared it
+}
+
+func (s *stampChecker) check(op string, addr uint64) {
+	s.t.Helper()
+	set := s.c.set(addr)
+	s.lookedUp[set] = true
+	if newest := slices.Max(s.c.lru[set*s.c.cfg.Ways : (set+1)*s.c.cfg.Ways]); newest != s.c.Clock() {
+		s.t.Fatalf("%s %s(%#x): newest stamp in set %d is %d, clock %d", s.c.cfg.Name, op, addr, set, newest, s.c.Clock())
+	}
+}
+
+func (s *stampChecker) ReadLine(addr uint64, dst []byte) int {
+	lat := s.c.ReadLine(addr, dst)
+	s.check("ReadLine", addr)
+	return lat
+}
+
+func (s *stampChecker) WriteLine(addr uint64, src []byte) int {
+	lat := s.c.WriteLine(addr, src)
+	s.check("WriteLine", addr)
+	return lat
+}
+
+// TestLookupStampsItsSet: after any random sequence of Read, Write,
+// ReadLine and WriteLine on an L1 over an L2 small enough to evict and
+// write back constantly, every lookup — the fills and write-backs the L1
+// sends down included — leaves its set's newest stamp equal to the clock
+// of the level it reached, no stamp ever decreases, and QuietSince says
+// of every set, between two snapshots, exactly whether a lookup reached
+// it. An access path that forgets to stamp fails here, not in a proof.
+func TestLookupStampsItsSet(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		m := testMemory()
+		l2 := NewCache(CacheConfig{Name: "l2", Size: 4096, Ways: 4, LineSize: 64, HitLatency: 8, AddrBits: 32}, m)
+		under := &stampChecker{t: t, c: l2, lookedUp: make([]bool, l2.sets)}
+		l1 := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64, HitLatency: 2, AddrBits: 32}, under)
+		over := &stampChecker{t: t, c: l1, lookedUp: make([]bool, l1.sets)}
+		levels := []*stampChecker{over, under}
+		r := rand.New(rand.NewSource(seed))
+		line := make([]byte, 64)
+		for round := 0; round < 40; round++ {
+			from := [2]*CacheState{l1.Snapshot(), l2.Snapshot()}
+			for _, lv := range levels {
+				clear(lv.lookedUp)
+			}
+			// Few operations over few lines in the early rounds, so that some
+			// sets stay quiet; the later rounds reach every set.
+			for i := 0; i < 1+round; i++ {
+				before := [2][]uint64{slices.Clone(l1.lru), slices.Clone(l2.lru)}
+				lv := levels[r.Intn(2)]
+				addr := 0x100000 + uint64(r.Intn(8+32*round))*8
+				switch r.Intn(4) {
+				case 0:
+					lv.c.Read(addr, 8)
+					lv.check("Read", addr)
+				case 1:
+					lv.c.Write(addr, 8, r.Uint64())
+					lv.check("Write", addr)
+				case 2:
+					lv.ReadLine(addr&^63, line)
+				case 3:
+					r.Read(line)
+					lv.WriteLine(addr&^63, line)
+				}
+				for k, c := range []*Cache{l1, l2} {
+					for j, stamp := range c.lru {
+						if stamp < before[k][j] {
+							t.Fatalf("seed %d: %s line %d: stamp fell from %d to %d", seed, c.cfg.Name, j, before[k][j], stamp)
+						}
+					}
+				}
+			}
+			for k, lv := range levels {
+				to := lv.c.Snapshot()
+				for j := range lv.c.tags {
+					if quiet, looked := to.QuietSince(from[k].Clock, j), lv.lookedUp[j/lv.c.cfg.Ways]; quiet == looked {
+						t.Fatalf("seed %d round %d: %s line %d: quiet %v, set looked up %v", seed, round, lv.c.cfg.Name, j, quiet, looked)
+					}
+				}
 			}
 		}
 	}

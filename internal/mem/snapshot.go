@@ -95,14 +95,15 @@ type CacheState struct {
 
 	lines    int // line count of the cache this is a state of
 	lineSize int
+	ways     int // lines per set; set i is lines [i*ways, (i+1)*ways)
 	chunks   []*cacheChunk
 }
 
 func chunkCount(lines int) int { return (lines + chunkLines - 1) >> chunkShift }
 
 // zeroCacheState is the state of a newly built cache.
-func zeroCacheState(lines, lineSize int) *CacheState {
-	s := &CacheState{lines: lines, lineSize: lineSize, chunks: make([]*cacheChunk, chunkCount(lines))}
+func zeroCacheState(lines, lineSize, ways int) *CacheState {
+	s := &CacheState{lines: lines, lineSize: lineSize, ways: ways, chunks: make([]*cacheChunk, chunkCount(lines))}
 	zero := zeroChunk(lineSize)
 	for k := range s.chunks {
 		s.chunks[k] = zero
@@ -149,6 +150,7 @@ func (c *Cache) Snapshot() *CacheState {
 		Stats:    c.Stats,
 		lines:    len(c.tags),
 		lineSize: c.cfg.LineSize,
+		ways:     c.cfg.Ways,
 		chunks:   slices.Clone(c.base.chunks),
 	}
 	for _, line := range c.touched {
@@ -172,9 +174,9 @@ func (c *Cache) Snapshot() *CacheState {
 // pointers differ plus the touched lines — for the base itself, the
 // touched lines alone.
 func (c *Cache) Restore(s *CacheState) {
-	if s.lines != len(c.tags) || s.lineSize != c.cfg.LineSize {
-		simerr.Assertf("mem: cache restore from a differently configured cache snapshot: %d lines of %d bytes, cache has %d of %d",
-			s.lines, s.lineSize, len(c.tags), c.cfg.LineSize)
+	if s.lines != len(c.tags) || s.lineSize != c.cfg.LineSize || s.ways != c.cfg.Ways {
+		simerr.Assertf("mem: cache restore from a differently configured cache snapshot: %d lines of %d bytes in %d ways, cache has %d of %d in %d",
+			s.lines, s.lineSize, s.ways, len(c.tags), c.cfg.LineSize, c.cfg.Ways)
 	}
 	c.clock = s.Clock
 	c.Stats = s.Stats
@@ -295,26 +297,40 @@ func (c *Cache) liveLineEquals(ch *cacheChunk, line int) bool {
 // Equal is the strict comparison of two cache snapshots, including dead
 // state: every bit of every chunk, the clock, and the counters.
 func (s *CacheState) Equal(o *CacheState) bool {
-	return s.Clock == o.Clock && s.Stats == o.Stats && s.lines == o.lines && s.lineSize == o.lineSize &&
+	return s.Clock == o.Clock && s.Stats == o.Stats && s.lines == o.lines && s.lineSize == o.lineSize && s.ways == o.ways &&
 		slices.EqualFunc(s.chunks, o.chunks, (*cacheChunk).equal)
 }
 
-// InvalidUntouched reports whether line is invalid in s and stayed so,
-// untouched, up to next, a later snapshot of the same run: the chunk
-// holding it is the same pointer in both tables. Snapshot gives every
-// chunk with a touched line a new pointer and never hands an old one
-// back, so a shared pointer means no line of the chunk was filled,
-// written, hit or evicted at any cycle between the two — also when
-// snapshots taken in between were dropped, since a touch would have
-// changed the pointer at the first of them for good. Encoding keeps
-// sharing by pointer, so a decoded sequence answers the same. A line
-// outside the cache is not invalid.
-func (s *CacheState) InvalidUntouched(next *CacheState, line int) bool {
-	if line < 0 || line >= s.lines || next.lines != s.lines {
+// Valid reports whether line is resident in s. A line outside the cache
+// is not.
+func (s *CacheState) Valid(line int) bool {
+	return line >= 0 && line < s.lines && s.chunks[line>>chunkShift].valid[line&(chunkLines-1)] != 0
+}
+
+// QuietSince reports whether the set holding line was not looked up
+// between the moment the cache's LRU clock read k and the moment s was
+// taken, s being an image of the same run at or after that moment: no
+// line of the set carries a stamp above k. Read, Write, ReadLine and
+// WriteLine are the only code that reads a set's valid bits, tags or
+// data; each ends by writing ++clock into one line of the set it looked
+// up, and a stamp is only ever overwritten by a later one, so a lookup
+// after clock k leaves a stamp above k in its set for good — also when
+// snapshots taken in between were dropped, and in a decoded image,
+// stamps being encoded as they are. A quiet set was neither hit, filled,
+// written nor evicted from, and none of its lines was written back:
+// a victim's write-back happens inside a lookup of its own set. A line
+// outside the cache is in no quiet set.
+func (s *CacheState) QuietSince(k uint64, line int) bool {
+	if line < 0 || line >= s.lines {
 		return false
 	}
-	ch := s.chunks[line>>chunkShift]
-	return ch == next.chunks[line>>chunkShift] && ch.valid[line&(chunkLines-1)] == 0
+	first := line - line%s.ways
+	for l := first; l < first+s.ways; l++ {
+		if s.chunks[l>>chunkShift].lru[l&(chunkLines-1)] > k {
+			return false
+		}
+	}
+	return true
 }
 
 // Footprint sums the memory a set of snapshots holds, counting every
