@@ -5,10 +5,11 @@
 // merges the reported outcomes into a study.json byte-identical to a
 // single-process run of the same spec.
 //
-// Every accepted result is journaled under -state before it is
-// acknowledged, so sevd itself can be killed and restarted at any
-// point without losing a completed cell: on restart the journal
-// replays, outstanding leases expire, and their cells are re-leased.
+// The accepted results of a worker's report are journaled under -state,
+// with one fsync for the report, before it is acknowledged, so sevd
+// itself can be killed and restarted at any point without losing an
+// acknowledged cell: on restart the journal replays, outstanding
+// leases expire, and their cells are re-leased.
 //
 // Usage:
 //
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"sevsim/internal/cli"
@@ -125,5 +127,6 @@ func main() {
 	if err := coord.Close(); err != nil {
 		cli.Fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "sevd: journal: %s\n", coord.JournalStats())
 	logf("bye")
 }

@@ -2,11 +2,15 @@
 // coordinator: it polls for leases, computes each leased unit with the
 // same journaled engine the local tools use, and reports the outcomes.
 //
-// The -workdir journal makes the worker itself crash-safe: a worker
-// SIGKILLed mid-lease and restarted on the same workdir replays its
-// finished cells instead of recomputing them, then reports them —
-// whether or not the coordinator still remembers the lease, since
-// completions are merged by cell identity.
+// Each lease is journaled in a file of its own under -workdir, one
+// fsync for the unit, and the file is removed once the coordinator has
+// acknowledged the lease's report. That makes the worker itself
+// crash-safe: a worker SIGKILLed mid-lease, restarted on the same
+// workdir and granted the same cells again replays the finished ones
+// instead of recomputing them, then reports them — whether or not the
+// coordinator still remembers the old lease, since completions are
+// merged by cell identity. Nothing a killed worker had finished is
+// lost; a power loss costs at most the unit it was computing.
 //
 // Usage:
 //
@@ -29,7 +33,7 @@ import (
 
 func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8750", "coordinator base URL")
-	workdir := flag.String("workdir", "", "local journal directory (required); reuse it across restarts to resume partial leases")
+	workdir := flag.String("workdir", "", "directory for the journals of leases in flight (required), one small file per lease, removed when its report is acknowledged; reuse it across restarts to resume an interrupted lease")
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
 	parallel := flag.Int("parallel", 0, "campaign parallelism per cell (0 = GOMAXPROCS); results are identical at any setting")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory, kept across leases and studies; re-leased cells skip compiles and golden simulations (results are byte-identical either way)")

@@ -16,6 +16,7 @@ import (
 
 	"sevsim/internal/compiler"
 	"sevsim/internal/dispatch/backoff"
+	"sevsim/internal/journal"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
 )
@@ -102,6 +103,100 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 					interrupts, len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestPowerLossResumeByteIdentical is the other half of the guarantee.
+// The journal is fsync'd once per finished unit, so a power loss leaves
+// the file cut anywhere at or after the last fsync. Every such cut is
+// tried: each record boundary (the file size at any Sync is one of
+// them) and the middle of each record (a torn, unsynced tail). The
+// resumed study replays exactly the intact records in front of the cut
+// and saves the same bytes as an uninterrupted run.
+func TestPowerLossResumeByteIdentical(t *testing.T) {
+	spec := resumeSpec(t)
+	spec.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
+	st, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := saveBytes(t, st)
+	data, err := os.ReadFile(spec.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// cuts[i] keeps i whole records; the cut after it tears record i.
+	var cuts []int
+	for off := 0; off < len(data); {
+		end := off + bytes.IndexByte(data[off:], '\n') + 1
+		cuts = append(cuts, off, (off+end)/2)
+		off = end
+	}
+	total := len(spec.Cells())
+	if len(cuts) != 2*(1+total) {
+		t.Fatalf("journal holds %d records, want a meta record and %d outcomes", len(cuts)/2, total)
+	}
+	for i, cut := range cuts {
+		intact := i / 2 // whole records in front of the cut, meta included
+		lost := spec
+		lost.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(lost.Journal, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replayed := 0
+		lost.Progress = func(format string, args ...any) {
+			if strings.HasPrefix(format, "resume:") {
+				replayed = args[0].(int)
+			}
+		}
+		st, err := lost.Run()
+		if err != nil {
+			t.Fatalf("cut at byte %d of %d: %v", cut, len(data), err)
+		}
+		if wantReplayed := max(intact-1, 0); replayed != wantReplayed {
+			t.Errorf("cut at byte %d: %d cells replayed, want the %d in front of the cut", cut, replayed, wantReplayed)
+		}
+		if !bytes.Equal(saveBytes(t, st), want) {
+			t.Errorf("cut at byte %d of %d: resumed study.json differs from the uninterrupted run", cut, len(data))
+		}
+	}
+}
+
+// TestJournalFsyncsCounted pins what a journaled study costs in fsyncs
+// on the paper-shaped spec (64 units, 960 cells, one fault each): one
+// for the meta record, one per prepared unit, one at close — not one
+// per cell. The counts are exact, so this is a gate that cannot flake.
+func TestJournalFsyncsCounted(t *testing.T) {
+	spec := DefaultSpec(1)
+	spec.Size = func(b workloads.Benchmark) int { return b.TestSize }
+	spec.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
+	var got journal.Stats
+	spec.Progress = func(format string, args ...any) {
+		if strings.HasPrefix(format, "journal ") {
+			got = args[1].(journal.Stats)
+		}
+	}
+	if _, err := spec.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(spec.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := len(spec.Machines) * len(spec.Benchmarks) * len(spec.Levels)
+	want := journal.Stats{Records: int64(1 + len(spec.Cells())), Syncs: int64(1 + units + 1), Bytes: fi.Size()}
+	if got != want {
+		t.Fatalf("study journal: %s; want %s (meta + one per unit + close)", got, want)
+	}
+
+	// A resume over the complete journal prepares nothing and writes
+	// nothing: the close is its only fsync.
+	if _, err := spec.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (journal.Stats{Syncs: 1}); got != want {
+		t.Fatalf("fully replayed study journal: %s; want %s", got, want)
 	}
 }
 

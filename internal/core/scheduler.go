@@ -10,14 +10,16 @@
 // a saved study is byte-identical to a serial run regardless of
 // Parallelism.
 //
-// Crash tolerance: with Spec.Journal set, every outcome is durably
-// appended as it is emitted and replayed into the Assembler on restart,
-// so a study killed at any point resumes where it left off and still
-// saves byte-identical output. RunContext makes the whole engine
-// cancellable (SIGINT flows in as context cancellation: dispatch
-// stops, in-flight injections drain, the journal is flushed), and
-// Spec.KeepGoing turns failed units and cells into failure outcomes
-// (Study.Failed) instead of aborting the run.
+// Crash tolerance: with Spec.Journal set, every outcome is written to
+// the journal as it is emitted, the journal is fsync'd once per finished
+// unit, and a restart replays it into the Assembler: a killed process
+// loses nothing it had emitted, a power loss at most the units then in
+// flight, and the resumed study still saves byte-identical output.
+// RunContext makes the whole engine cancellable (SIGINT flows in as
+// context cancellation: dispatch stops, in-flight injections drain,
+// the journal is flushed), and Spec.KeepGoing turns failed units and
+// cells into failure outcomes (Study.Failed) instead of aborting the
+// run.
 package core
 
 import (
@@ -346,7 +348,7 @@ func (r *results) emit(u *prepUnit, o CellOutcome) {
 		o.Golden, o.Static = &u.golden, u.static
 	}
 	if r.jw != nil {
-		if err := r.jw.Append(kindOutcome, o); err != nil {
+		if err := r.jw.Write(kindOutcome, o); err != nil {
 			r.err = fmt.Errorf("study journal: %w", err)
 		}
 	}
@@ -354,6 +356,20 @@ func (r *results) emit(u *prepUnit, o CellOutcome) {
 		r.err = r.merge(o)
 	}
 	if r.err != nil {
+		r.cancel()
+	}
+}
+
+// sync makes the outcomes emitted so far durable against power loss;
+// called once per unit, when the unit's last cell has been emitted.
+func (r *results) sync() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.jw == nil || r.err != nil {
+		return
+	}
+	if err := r.jw.Sync(); err != nil {
+		r.err = fmt.Errorf("study journal: %w", err)
 		r.cancel()
 	}
 }
@@ -397,10 +413,17 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 		if err != nil {
 			return err
 		}
-		defer jw.Close()
+		defer func() {
+			jw.Close()
+			rep.printf("journal %s: %s", s.Journal, jw.Stats())
+		}()
 		res.jw = jw
 		if n := asm.Done(); n > 0 {
-			rep.printf("resume: %d/%d cells replayed from journal %s", n, asm.Total(), s.Journal)
+			total := asm.Total()
+			if want != nil {
+				total = len(want) // a lease's journal holds the lease's cells
+			}
+			rep.printf("resume: %d/%d cells replayed from journal %s", n, total, s.Journal)
 		}
 	}
 
@@ -535,6 +558,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				for _, t := range u.need {
 					res.emit(u, unitFailed(u.ref(t), f))
 				}
+				res.sync()
 				rep.printf("FAILED %-16s %-9s %s: %s (quarantined after %d attempt(s))",
 					u.cfg.Name, u.bench.Name, u.level, u.err, u.attempts)
 				return
@@ -550,6 +574,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				}(i)
 			}
 			cells.Wait()
+			res.sync()
 			// Every cell of this unit is done: hand the unit's golden
 			// checkpoint snapshots back to the buffer pools so the next
 			// unit's checkpoints reuse them instead of allocating.

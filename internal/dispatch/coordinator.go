@@ -311,14 +311,15 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{Known: r.table.heartbeat(leaseID, now)}
 }
 
-// Complete merges a lease's outcomes. Every accepted outcome is
-// journaled before anything else learns of it: a failed append leaves
-// the cell exactly where it was, the request fails, and the worker's
-// retry of the same report lands it. Duplicates (the cell already
-// completed under another lease, or earlier in a retried report) are
-// counted and discarded. Accepting outcomes from expired or unknown
-// leases is deliberate: the compute is done, and the merge is
-// idempotent.
+// Complete merges a lease's outcomes. The whole report is checked, its
+// fresh outcomes are written to the journal and fsync'd once, and only
+// then does anything else learn of them: a failed write or sync leaves
+// every cell of the report where it was, the request fails, and the
+// worker's retry lands it (what the failed attempt left in the journal
+// replays as duplicates). Duplicates (the cell already completed under
+// another lease, or named earlier in this report) are counted and
+// discarded. Accepting outcomes from expired or unknown leases is
+// deliberate: the compute is done, and the merge is idempotent.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -327,18 +328,31 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		return CompleteResponse{}, fmt.Errorf("dispatch: unknown study %s", req.StudyID)
 	}
 	var resp CompleteResponse
+	fresh := make([]core.CellOutcome, 0, len(req.Outcomes))
+	named := make(map[core.CellRef]bool, len(req.Outcomes))
 	for _, o := range req.Outcomes {
-		fresh, err := r.asm.Check(o)
+		ok, err := r.asm.Check(o)
 		if err != nil {
-			return resp, fmt.Errorf("dispatch: study %s: %w", req.StudyID, err)
+			return CompleteResponse{}, fmt.Errorf("dispatch: study %s: %w", req.StudyID, err)
 		}
-		if !fresh {
+		if !ok || named[o.Cell] {
 			resp.Duplicates++
 			continue
 		}
-		if err := c.jw.Append(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
-			return resp, fmt.Errorf("dispatch: journal outcome: %w", err)
+		named[o.Cell] = true
+		fresh = append(fresh, o)
+	}
+	for _, o := range fresh {
+		if err := c.jw.Write(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
+			return CompleteResponse{}, fmt.Errorf("dispatch: journal outcome: %w", err)
 		}
+	}
+	if len(fresh) > 0 {
+		if err := c.jw.Sync(); err != nil {
+			return CompleteResponse{}, fmt.Errorf("dispatch: journal outcome: %w", err)
+		}
+	}
+	for _, o := range fresh {
 		if _, err := r.asm.Add(o); err != nil {
 			return resp, err
 		}
@@ -574,6 +588,14 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		case <-tick.C:
 		}
 	}
+}
+
+// JournalStats counts the coordinator journal's records, fsyncs and
+// bytes since it was opened.
+func (c *Coordinator) JournalStats() journal.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.jw.Stats()
 }
 
 // Close flushes and closes the journal. Leases outstanding at close

@@ -8,14 +8,15 @@
 // study.json byte-identical to a clean single-process run, regardless
 // of worker count, death schedule, or completion order.
 //
-// Durability mirrors the single-process engine's: every accepted
-// outcome is appended to the coordinator's journal (internal/journal)
-// before it is acknowledged, so a coordinator killed at any point
-// resumes with no completed cell lost; leases are deliberately not
-// journaled — they are soft state that expires and reassigns itself.
-// Workers journal their own partial progress per study, so a worker
-// killed mid-lease replays its completed cells on reattach instead of
-// recomputing them.
+// Durability mirrors the single-process engine's, at the same grain: a
+// report's accepted outcomes — one unit — are written to the
+// coordinator's journal (internal/journal) and fsync'd once before the
+// report is acknowledged, so a coordinator killed at any point resumes
+// with no acknowledged cell lost; leases are deliberately not journaled
+// — they are soft state that expires and reassigns itself. A worker
+// journals each lease in its own file until the report is acknowledged,
+// so a worker killed mid-lease and granted the same cells again replays
+// the finished ones.
 //
 // The failure matrix, the lease state machine, and the merge
 // determinism argument are documented in DESIGN.md §15.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -540,11 +541,13 @@ func TestLeaseIsOneUnit(t *testing.T) {
 }
 
 // TestCompleteSurvivesJournalFailure is the lost-outcome regression: a
-// completion whose journal append fails must leave the cells exactly
-// as they were, so the worker's retry of the same report lands them.
-// (The slot used to be marked done before the append; the retry was
-// then counted as a duplicate, the outcome was never merged, and the
-// study hung with nothing left to lease.)
+// completion whose journal write or fsync fails must leave the cells
+// exactly as they were, so the worker's retry of the same report lands
+// them. (The slot used to be marked done before the append; the retry
+// was then counted as a duplicate, the outcome was never merged, and
+// the study hung with nothing left to lease.) The failure is injected
+// on the first write of one report, on the one fsync of the next, and on
+// the fsync of a report that names a cell twice.
 func TestCompleteSurvivesJournalFailure(t *testing.T) {
 	wire := testWire()
 	dir := t.TempDir()
@@ -559,12 +562,27 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 	}
 	spec, _ := coord.studies[sub.ID].wire.Spec()
 
-	for first := true; ; first = false {
+	// A journal on the null device takes every write and refuses the
+	// fsync, which a closed one never reaches.
+	unsyncable := func() *journal.Writer {
+		jw, _, err := journal.Open(os.DevNull, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jw.Sync() == nil {
+			t.Skipf("fsync of %s succeeds on this platform", os.DevNull)
+		}
+		return jw
+	}
+	for lease := 0; ; lease++ {
 		g, err := coord.Lease(LeaseRequest{Worker: "w"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g == nil {
+			if lease != 4 {
+				t.Fatalf("study took %d leases, want 4: not every injected failure was tried", lease)
+			}
 			break
 		}
 		out, err := spec.RunCells(context.Background(), g.Cells)
@@ -572,23 +590,46 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out}
-		if first {
-			// Fail exactly one append: a closed journal refuses the
-			// write; reopening it is the disk coming back.
-			coord.jw.Close()
+		wantDup := 0
+		if lease == 2 {
+			req.Outcomes = append(append([]core.CellOutcome{}, out...), out[0])
+			wantDup = 1
+		}
+		if lease < 3 {
+			real := coord.jw
+			broken := real
+			if lease == 0 {
+				real.Close() // refuses the write; reopening it is the disk coming back
+			} else {
+				broken = unsyncable()
+			}
+			coord.jw = broken
+			before, _ := coord.Status(sub.ID)
 			if _, err := coord.Complete(req); err == nil {
-				t.Fatal("completion acknowledged although its journal append failed")
+				t.Fatalf("lease %d: completion acknowledged although its journal write or fsync failed", lease)
 			}
-			if ev, _ := coord.Status(sub.ID); ev.Done != 0 {
-				t.Fatalf("unjournaled outcome counted as done: %+v", ev)
+			if ev, _ := coord.Status(sub.ID); ev.Done != before.Done || ev.Leased != before.Leased {
+				t.Fatalf("lease %d: unjournaled outcomes moved the study: %+v -> %+v", lease, before, ev)
 			}
-			if coord.jw, _, err = journal.Open(filepath.Join(dir, "coordinator"), journal.Options{}); err != nil {
-				t.Fatal(err)
+			if lease == 0 {
+				if real, _, err = journal.Open(filepath.Join(dir, "coordinator"), journal.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				broken.Close()
+				// On a real disk the writes in front of the failed fsync
+				// stay in the file, and the retry writes them again.
+				for _, o := range out {
+					if err := real.Write(kindOutcome, outcomeRecord{Study: sub.ID, Outcome: o}); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			coord.jw = real
 		}
 		resp, err := coord.Complete(req) // the worker's retry
-		if err != nil || resp.Accepted != len(out) || resp.Duplicates != 0 {
-			t.Fatalf("retried completion: %+v %v", resp, err)
+		if err != nil || resp.Accepted != len(out) || resp.Duplicates != wantDup {
+			t.Fatalf("lease %d: retried completion: %+v %v", lease, resp, err)
 		}
 	}
 	got, ok := coord.Result(sub.ID)
@@ -597,10 +638,11 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 		t.Fatalf("study hung after a failed append: %+v", ev)
 	}
 	if !bytes.Equal(got, localBytes(t, wire)) {
-		t.Fatal("study completed after a failed append differs from the single-process run")
+		t.Fatal("study completed after failed appends differs from the single-process run")
 	}
 
-	// What was acknowledged is what the journal holds.
+	// What was acknowledged is what the journal holds — once each, however
+	// often a failed attempt had written it.
 	coord.Close()
 	if coord, err = OpenCoordinator(Options{Dir: dir, Logf: t.Logf}); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/dispatch/backoff"
+	"sevsim/internal/journal"
 )
 
 // WorkerOptions configures a Worker.
@@ -25,9 +26,10 @@ type WorkerOptions struct {
 	// events. Required.
 	Name string
 
-	// Workdir holds the worker's per-study journals. A worker killed
-	// mid-lease and restarted on the same workdir replays its finished
-	// cells instead of recomputing them. Required.
+	// Workdir holds one journal per lease in flight, removed once the
+	// coordinator has acknowledged the lease's report. A worker killed
+	// mid-lease, restarted on the same workdir and granted the same
+	// cells again replays the finished ones. Required.
 	Workdir string
 
 	// Parallelism is the campaign parallelism per cell (core.Spec
@@ -140,11 +142,11 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 		return
 	}
 	// KeepGoing so a poisoned cell yields a deterministic quarantine
-	// outcome instead of sinking the whole batch; the local journal
+	// outcome instead of sinking the whole batch; the lease's own journal
 	// makes a killed-and-restarted worker replay its finished cells.
 	spec.KeepGoing = true
 	spec.Parallelism = w.opt.Parallelism
-	spec.Journal = filepath.Join(w.opt.Workdir, g.StudyID+".journal")
+	spec.Journal = w.leaseJournal(g)
 	spec.Progress = func(format string, args ...any) {
 		w.opt.Logf("  "+format, args...)
 	}
@@ -187,11 +189,31 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 		Worker: w.opt.Name, LeaseID: g.LeaseID, StudyID: g.StudyID, Outcomes: outcomes,
 		Cache: cacheDelta,
 	}, &resp)
-	if err != nil {
+	if err != nil { // the journal stays: a re-grant of these cells replays it
 		w.opt.Logf("lease %s: report failed: %v", g.LeaseID, err)
 		return
 	}
+	w.removeJournal(g)
 	w.opt.Logf("lease %s: %d accepted, %d duplicate", g.LeaseID, resp.Accepted, resp.Duplicates)
+}
+
+// leaseJournal names the lease's journal after the study and the
+// lease's cell set, not its ID: a restarted worker granted the same
+// cells under a new lease finds what it had finished.
+func (w *Worker) leaseJournal(g *LeaseGrant) string {
+	h := fnv.New64a()
+	for _, ref := range g.Cells {
+		io.WriteString(h, ref.Key()+"\n")
+	}
+	return filepath.Join(w.opt.Workdir, fmt.Sprintf("%s.%016x.journal", g.StudyID, h.Sum64()))
+}
+
+// removeJournal deletes the journal of a lease that is over: its report
+// was acknowledged, or it failed.
+func (w *Worker) removeJournal(g *LeaseGrant) {
+	if err := journal.Remove(w.leaseJournal(g)); err != nil {
+		w.opt.Logf("lease %s: remove journal: %v", g.LeaseID, err)
+	}
 }
 
 // heartbeatLoop extends the lease at TTL/3 until the lease context
@@ -268,6 +290,8 @@ func (w *Worker) fail(ctx context.Context, g *LeaseGrant, cause error) {
 	if err != nil {
 		w.opt.Logf("lease %s: fail report: %v", g.LeaseID, err)
 	}
+	// Whatever made the lease fail, the next attempt starts clean.
+	w.removeJournal(g)
 }
 
 // call POSTs a JSON request and decodes the response, retrying

@@ -1,7 +1,9 @@
 // Package journal provides the durable, append-only record log behind
 // crash-tolerant campaign runs. Each record is one checksummed JSONL
-// line, fsync'd before Append returns, so a study killed at any point
-// (SIGKILL, power loss) preserves every record whose Append completed.
+// line handed to the kernel in a single write call, so a record whose
+// Write returned survives the death of the process (SIGKILL included);
+// Sync makes everything written so far survive power loss as well, and
+// Append is a Write followed by a Sync.
 //
 // A journal is a sequence of segment files: the base path holds the
 // first segment and rotation continues in "<path>.1", "<path>.2", ...
@@ -72,10 +74,31 @@ type Writer struct {
 	limit int64
 
 	// guarded by mu (the methods, not the fields, synchronize)
-	mu   chan struct{} // 1-buffered semaphore used as a mutex
-	f    *os.File
-	seg  int
-	size int64
+	mu    chan struct{} // 1-buffered semaphore used as a mutex
+	f     *os.File
+	seg   int
+	size  int64
+	stats Stats
+}
+
+// Stats counts what a Writer has done since Open: records and bytes
+// written, and fsyncs of a segment file (Sync, rotation and Close each
+// cost one). The counts are exact and repeat run to run.
+type Stats struct {
+	Records int64
+	Syncs   int64
+	Bytes   int64
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("%d records, %d fsyncs, %d bytes", s.Records, s.Syncs, s.Bytes)
+}
+
+// Stats returns the writer's counters.
+func (w *Writer) Stats() Stats {
+	w.mu <- struct{}{}
+	defer func() { <-w.mu }()
+	return w.stats
 }
 
 // segmentPath names segment i of the journal at base.
@@ -218,10 +241,28 @@ func Open(path string, opts Options) (*Writer, []Record, error) {
 	return w, recs, nil
 }
 
-// Append durably writes one record: the line is written in a single
-// write call and fsync'd before Append returns. When the current
-// segment is full, Append first rotates to the next segment file.
+// Append durably writes one record: Write, then Sync.
 func (w *Writer) Append(kind string, v any) error {
+	if err := w.Write(kind, v); err != nil {
+		return err
+	}
+	return w.Sync()
+}
+
+// Sync makes every record written so far durable against power loss.
+func (w *Writer) Sync() error {
+	w.mu <- struct{}{}
+	defer func() { <-w.mu }()
+	w.stats.Syncs++
+	return w.f.Sync()
+}
+
+// Write hands one record to the kernel in a single write call, without
+// an fsync: the record survives the death of this process, and a later
+// Sync (or Close) makes it survive power loss, which until then tears
+// at most the unsynced tail. When the current segment is full, Write
+// first rotates to the next segment file.
+func (w *Writer) Write(kind string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -243,15 +284,18 @@ func (w *Writer) Append(kind string, v any) error {
 	}
 	n, err := w.f.Write(buf.Bytes())
 	w.size += int64(n)
+	w.stats.Bytes += int64(n)
 	if err != nil {
 		return err
 	}
-	return w.f.Sync()
+	w.stats.Records++
+	return nil
 }
 
 // rotate closes the current segment and starts the next one. Called
 // with the writer lock held.
 func (w *Writer) rotate() error {
+	w.stats.Syncs++
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -275,6 +319,7 @@ func (w *Writer) rotate() error {
 func (w *Writer) Close() error {
 	w.mu <- struct{}{}
 	defer func() { <-w.mu }()
+	w.stats.Syncs++
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return err

@@ -445,3 +445,116 @@ func TestTornTailCompactionAfterRotation(t *testing.T) {
 		t.Errorf("appended record N=%d, want %d", p.N, n)
 	}
 }
+
+// TestWriteSyncStats pins the split Append is made of: Write hands the
+// record to the kernel (a reader in the same or any later process sees
+// it) without an fsync, Sync costs exactly one, and Stats counts both.
+func TestWriteSyncStats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	w, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := w.Write("cell", payload{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.Stats(), (Stats{Records: 5, Syncs: 0, Bytes: fi.Size()}); got != want {
+		t.Fatalf("after 5 writes: %+v, want %+v", got, want)
+	}
+	if recs, err := Scan(path); err != nil || len(recs) != 5 {
+		t.Fatalf("unsynced records not readable: %d records, %v", len(recs), err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, w, "cell", payload{N: 5})
+	if got := w.Stats(); got.Records != 6 || got.Syncs != 2 {
+		t.Fatalf("after Sync and Append: %+v, want 6 records, 2 fsyncs", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats(); got.Syncs != 3 || got.String() != fmt.Sprintf("6 records, 3 fsyncs, %d bytes", got.Bytes) {
+		t.Fatalf("after Close: %+v (%s), want 3 fsyncs", got, got)
+	}
+	if err := w.Write("cell", payload{}); err == nil {
+		t.Fatal("write to a closed journal succeeded")
+	}
+	if got := w.Stats(); got.Records != 6 {
+		t.Fatalf("failed write counted as a record: %+v", got)
+	}
+}
+
+// TestPowerLossKeepsSyncedPrefix cuts a journal where a power loss
+// could: at the size of each Sync and inside the unsynced tail after
+// it. Everything synced replays, the torn tail is dropped, and the
+// journal reopens, appends and replays again.
+func TestPowerLossKeepsSyncedPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	w, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		size    int64
+		records int
+	}
+	var synced []point
+	n := 0
+	for batch := 1; batch <= 4; batch++ {
+		for i := 0; i < batch; i++ {
+			if err := w.Write("cell", payload{Name: "record-payload", N: n}); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		if batch == 4 {
+			break // the last batch stays unsynced
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		synced = append(synced, point{w.Stats().Bytes, n})
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range synced {
+		next := int64(len(data))
+		if i+1 < len(synced) {
+			next = synced[i+1].size
+		}
+		for _, cut := range []int64{p.size, (p.size + next) / 2} {
+			lost := filepath.Join(t.TempDir(), "j.jsonl")
+			if err := os.WriteFile(lost, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lw, recs, err := Open(lost, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) < p.records || len(recs) >= n {
+				t.Fatalf("cut at %d (synced size %d): replayed %d records, want at least the %d synced and fewer than all %d",
+					cut, p.size, len(recs), p.records, n)
+			}
+			if err := lw.Write("cell", payload{N: -1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := lw.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			lw.Close()
+			again, err := Scan(lost)
+			if err != nil || len(again) != len(recs)+1 {
+				t.Fatalf("cut at %d: %d records after reopen and append, want %d (%v)", cut, len(again), len(recs)+1, err)
+			}
+		}
+	}
+}
