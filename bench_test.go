@@ -640,8 +640,8 @@ func BenchmarkGoldenRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if traced && uint64(len(exp.Trace)) != exp.GoldenStats.Stats.Committed {
-			b.Fatalf("trace holds %d events, run committed %d", len(exp.Trace), exp.GoldenStats.Stats.Committed)
+		if traced && uint64(exp.Trace.Len()) != exp.GoldenStats.Stats.Committed {
+			b.Fatalf("trace holds %d events, run committed %d", exp.Trace.Len(), exp.GoldenStats.Stats.Committed)
 		}
 		cycles = exp.GoldenCycles
 		exp.Close()

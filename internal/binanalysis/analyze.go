@@ -2,6 +2,7 @@ package binanalysis
 
 import (
 	"sync"
+	"unsafe"
 
 	"sevsim/internal/isa"
 )
@@ -47,6 +48,18 @@ func AnalyzeWords(words []uint32) (*Analysis, error) {
 		code[i] = isa.Decode(w)
 	}
 	return Analyze(code)
+}
+
+// ResidentBytes estimates the memory the analysis holds: the decoded
+// code, the per-instruction sets, the lifetimes, and — nearly all of it —
+// the six 32-register mask tables of every bit-granular analysis cached
+// on it. Block lists are left out.
+func (a *Analysis) ResidentBytes() int {
+	a.bitsMu.Lock()
+	defer a.bitsMu.Unlock()
+	n := len(a.CFG.Code)
+	return n*(int(unsafe.Sizeof(isa.Instr{}))+8+2*int(unsafe.Sizeof(RegSet(0)))) +
+		len(a.Lifetimes)*int(unsafe.Sizeof(Lifetime{})) + len(a.bits)*6*32*8*n
 }
 
 // DeadOut returns the registers provably dead immediately after

@@ -325,3 +325,34 @@ func TestDUEPrunerSoundnessAgainstSimulation(t *testing.T) {
 		}
 	})
 }
+
+// TestPrunersRefuseUntracedExperiment: an experiment prepared without the
+// commit trace has nothing to index, and every tier says so instead of
+// proving nothing.
+func TestPrunersRefuseUntracedExperiment(t *testing.T) {
+	cfg := machine.CortexA15Like()
+	bench := workloads.Qsort()
+	prog, err := compiler.Compile(bench.Source(bench.TestSize), bench.Name, compiler.O2,
+		compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := faultinj.NewExperiment(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	a, err := binanalysis.AnalyzeWords(prog.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Trace.Len() != 0 {
+		t.Errorf("untraced experiment holds %d events", exp.Trace.Len())
+	}
+	if _, err := binanalysis.NewRFPruner(a, exp); err == nil {
+		t.Error("NewRFPruner accepted an untraced experiment")
+	}
+	if _, err := binanalysis.NewDUEPruner(a, exp); err == nil {
+		t.Error("NewDUEPruner accepted an untraced experiment")
+	}
+}

@@ -96,8 +96,8 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 		return srcs[idx][0], srcs[idx][1], false
 	}
 	var count [32]int
-	for _, ev := range p.events {
-		s1, s2, every := reads(ev.PC)
+	for k := 0; k < p.events.Len(); k++ {
+		s1, s2, every := reads(p.events.At(k).PC)
 		if every {
 			for r := 1; r < 32; r++ {
 				count[r]++
@@ -119,8 +119,8 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 	for r, n := range count {
 		p.readers[r], slab = slab[:0:n], slab[n:]
 	}
-	for k, ev := range p.events {
-		s1, s2, every := reads(ev.PC)
+	for k := 0; k < p.events.Len(); k++ {
+		s1, s2, every := reads(p.events.At(k).PC)
 		if every {
 			for r := 1; r < 32; r++ {
 				p.readers[r] = append(p.readers[r], int32(k))
@@ -135,6 +135,20 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 		}
 	}
 	return p, nil
+}
+
+// ResidentBytes returns the memory of the tables the pruner built over
+// the trace (the reader lists and the rename-map snapshots); the trace
+// itself and the shared Analysis are their owners' to count.
+func (p *DUEPruner) ResidentBytes() int {
+	n := 0
+	for _, rs := range p.readers {
+		n += 4 * cap(rs)
+	}
+	for _, rat := range p.ckpts {
+		n += 2 * cap(rat)
+	}
+	return n
 }
 
 // dueBitsAt returns the crash-certain bit mask of architectural

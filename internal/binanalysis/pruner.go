@@ -35,7 +35,7 @@ import (
 // RFPruner is safe for concurrent use.
 type RFPruner struct {
 	a            *Analysis
-	events       []cpu.CommitEvent
+	events       *cpu.CommitTrace // the experiment's own trace, indexed in place
 	xlen         int
 	numPhys      int
 	numArch      int
@@ -69,7 +69,8 @@ func NewRFPruner(a *Analysis, exp *faultinj.Experiment) (*RFPruner, error) {
 	for a := range rat {
 		rat[a] = uint16(a)
 	}
-	for k, ev := range p.events {
+	for k := 0; k < p.events.Len(); k++ {
+		ev := p.events.At(k)
 		if k%ckptInterval == 0 {
 			p.ckpts = append(p.ckpts, append([]uint16(nil), rat...))
 		}
@@ -96,7 +97,7 @@ func (p *RFPruner) idxOf(pc uint64) int {
 // stateAt returns the number of events committed strictly before an
 // injection at cycle c (the flip precedes same-cycle commits).
 func (p *RFPruner) stateAt(c uint64) int {
-	return sort.Search(len(p.events), func(i int) bool { return p.events[i].Cycle >= c })
+	return sort.Search(p.events.Len(), func(i int) bool { return p.events.At(i).Cycle >= c })
 }
 
 // entryPoint is the program point before the first commit.
@@ -111,7 +112,7 @@ func (p *RFPruner) pointAfter(k int) int {
 	if k == 0 {
 		return entryPoint
 	}
-	return p.idxOf(p.events[k-1].PC)
+	return p.idxOf(p.events.At(k - 1).PC)
 }
 
 // deadAt returns the dead-register set in effect at a program point,
@@ -130,7 +131,8 @@ func (p *RFPruner) deadAt(pt int) (RegSet, bool) {
 func (p *RFPruner) ratAt(k int) []uint16 {
 	base := k / ckptInterval
 	rat := append([]uint16(nil), p.ckpts[base]...)
-	for _, ev := range p.events[base*ckptInterval : k] {
+	for i := base * ckptInterval; i < k; i++ {
+		ev := p.events.At(i)
 		if ev.DestArch != cpu.NoDest && int(ev.DestArch) < p.numArch {
 			rat[ev.DestArch] = ev.DestPhys
 		}
@@ -207,10 +209,11 @@ func (p *RFPruner) walkIntervals(f func(k int, cycles uint64)) {
 	last := g - 1
 	c0 := uint64(0) // first injection cycle governed by the current state
 	k := 0
-	for k < len(p.events) {
-		cy := p.events[k].Cycle
+	n := p.events.Len()
+	for k < n {
+		cy := p.events.At(k).Cycle
 		j := k
-		for j < len(p.events) && p.events[j].Cycle == cy {
+		for j < n && p.events.At(j).Cycle == cy {
 			j++
 		}
 		hi := cy
@@ -224,7 +227,7 @@ func (p *RFPruner) walkIntervals(f func(k int, cycles uint64)) {
 		k = j
 	}
 	if c0 <= last {
-		f(len(p.events), g-c0)
+		f(n, g-c0)
 	}
 }
 

@@ -1,16 +1,44 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/binio"
+	"sevsim/internal/compiler"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/isa"
 	"sevsim/internal/machine"
 	"sevsim/internal/mem"
+	"sevsim/internal/workloads"
 )
+
+// TestPrepBundleBytesPinned holds a whole encoded bundle (qsort O2 on the
+// A15, TestSize, Prune) to the sha256 it had on the commit before the
+// commit trace became chunked (8ecf717), recorded there by this same
+// code. prepBundleVersion stayed 4 across that change, so a cache filled
+// by the older tree is read by this one: the bytes must be the same
+// bytes. A deliberate layout or timing change bumps the version and
+// re-records the hash.
+func TestPrepBundleBytesPinned(t *testing.T) {
+	const wantLen, wantSum = 550359, "65921b609fb27c04dced1946baa5671de7bf7793cb8db06ce5fec5fd262c1fa1"
+	if prepBundleVersion != 4 {
+		t.Fatalf("prepBundleVersion is %d: re-record the pinned hash for the new layout", prepBundleVersion)
+	}
+	bench := workloads.Qsort()
+	u := &prepUnit{cfg: machine.CortexA15Like(), bench: bench, size: bench.TestSize, level: compiler.O2,
+		prune: true, analyses: &analysisCache{}}
+	blob, err := u.buildBundle(bench.Source(bench.TestSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != wantLen || sum != wantSum {
+		t.Errorf("bundle is %d bytes, sha256 %s; the parent commit wrote %d bytes, sha256 %s", len(blob), sum, wantLen, wantSum)
+	}
+}
 
 // bundleProgram sums 1..n through a store/load pair: a few cycles per
 // iteration, small enough that a bundle of it is a useful fuzz seed.

@@ -41,8 +41,13 @@ import (
 )
 
 // compileUnit is the compile entry point, indirected so fault-tolerance
-// tests can inject compile failures into chosen units.
-var compileUnit = compiler.Compile
+// tests can inject compile failures into chosen units. newPruner is the
+// same for the analyze stage: a test fails it for chosen units, after
+// their golden run succeeded, and sees the experiments it was handed.
+var (
+	compileUnit = compiler.Compile
+	newPruner   = binanalysis.NewDUEPruner
+)
 
 // reporter serializes progress lines so concurrent cells never
 // interleave partial output.
@@ -86,14 +91,30 @@ type prepUnit struct {
 	backoff backoff.Policy
 	jitter  *backoff.Source
 
+	// exp and pruner are what a unit in flight holds: set by the
+	// preparation, dropped by release when the last cell is out. What
+	// stays is what run's epilogue and the outcomes read.
 	exp      *faultinj.Experiment
-	golden   Golden
 	pruner   faultinj.Pruner // non-nil only for prune units
-	static   *StaticRF       // non-nil only for prune units
+	held     resident        // what exp and pruner hold, once prepared
+	golden   Golden
+	static   *StaticRF // non-nil only for prune units
 	err      error
 	stage    string // failing stage: "compile", "golden", "analyze"
 	attempts int
 	ready    chan struct{} // closed once exp/golden/err are final
+}
+
+// release closes the unit's experiment, handing its ladder's pooled core
+// snapshots back, and drops it and the pruner so the collector can take
+// the trace, the ladder and the tables with them. It is the end of every
+// unit's life — after the last cell, after a failed attempt, after a
+// cancelled run — and of every attempt that is retried.
+func (u *prepUnit) release() {
+	if u.exp != nil {
+		u.exp.Close()
+	}
+	u.exp, u.pruner = nil, nil
 }
 
 // ref names one of the unit's cells.
@@ -134,7 +155,8 @@ func (u *prepUnit) run(ctx context.Context) {
 // does. Panics from any stage are recovered into errors so one bad unit
 // cannot take down the study.
 func (u *prepUnit) prepOnce() {
-	u.err, u.exp, u.pruner = nil, nil, nil
+	u.release() // a failed attempt may have got as far as an experiment
+	u.err = nil
 	u.stage = "compile"
 	defer func() {
 		if r := recover(); r != nil {
@@ -208,6 +230,10 @@ func (u *prepUnit) buildBundle(src string) ([]byte, error) {
 // either source yields the same study).
 func (u *prepUnit) finishPrep(prog *machine.Program, static *StaticRF) {
 	u.golden = goldenOf(u.cfg, u.bench.Name, u.level, prog, u.exp)
+	u.held = resident{trace: u.exp.Trace.ResidentBytes()}
+	if st := u.exp.Artifacts().Stream; st != nil {
+		u.held.stream = st.ResidentBytes()
+	}
 	if !u.prune {
 		return
 	}
@@ -218,6 +244,7 @@ func (u *prepUnit) finishPrep(prog *machine.Program, static *StaticRF) {
 		return
 	}
 	u.pruner = pr
+	u.held.pruner = pr.ResidentBytes()
 	if static == nil {
 		s := staticOf(u.cfg, u.bench.Name, u.level, pr)
 		static = &s
@@ -236,7 +263,7 @@ func (u *prepUnit) buildPruner(prog *machine.Program, exp *faultinj.Experiment) 
 	if err != nil {
 		return nil, fmt.Errorf("analyze %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
-	pr, err := binanalysis.NewDUEPruner(a, exp)
+	pr, err := newPruner(a, exp)
 	if err != nil {
 		return nil, fmt.Errorf("pruner %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
@@ -298,6 +325,103 @@ func (c *analysisCache) get(key analysisKey, words []uint32) (*binanalysis.Analy
 	c.mu.Unlock()
 	e.once.Do(func() { e.a, e.err = binanalysis.AnalyzeWords(words) })
 	return e.a, e.err
+}
+
+// bytes sums what the cached analyses hold, and counts them; for the
+// end of a run, when no entry is still being filled.
+func (c *analysisCache) bytes() (total, binaries int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.m { //lint:ordered a sum and a count
+		if e.a != nil {
+			total += e.a.ResidentBytes()
+			binaries++
+		}
+	}
+	return total, binaries
+}
+
+// resident is what prepared units hold, in bytes by layer.
+type resident struct{ trace, stream, pruner int }
+
+func (r resident) total() int { return r.trace + r.stream + r.pruner }
+
+// add adds sign (1 or -1) times o.
+func (r *resident) add(o resident, sign int) {
+	r.trace += sign * o.trace
+	r.stream += sign * o.stream
+	r.pruner += sign * o.pruner
+}
+
+// flight is the window a study's units pass through, and the account of
+// what passed. A unit is in flight from the submission of its
+// preparation to its release; the feeder takes a slot before the first
+// and the orchestrator gives it back after the second, on every path, so
+// what a study holds follows the window and not the number of units.
+type flight struct {
+	slots chan struct{} // one token per unit in flight
+
+	mu       sync.Mutex
+	now, max int      // in flight, and the most there ever were
+	held     resident // by the prepared units in flight
+	maxHeld  resident // held at its largest
+}
+
+// unitHook, when a test sets it, sees every unit as it enters the window
+// (released false) and as it leaves, before its slot is free again
+// (released true).
+var unitHook func(u *prepUnit, released bool)
+
+// admit blocks until a slot is free and takes it for u.
+func (f *flight) admit(u *prepUnit) {
+	f.slots <- struct{}{}
+	f.mu.Lock()
+	f.now++
+	f.max = max(f.max, f.now)
+	f.mu.Unlock()
+	if unitHook != nil {
+		unitHook(u, false)
+	}
+}
+
+// prepared adds a successfully prepared unit's holdings to the account.
+func (f *flight) prepared(u *prepUnit) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.held.add(u.held, 1)
+	if f.held.total() > f.maxHeld.total() {
+		f.maxHeld = f.held
+	}
+}
+
+// release ends u's flight: whatever the unit still holds is closed and
+// dropped, and its slot goes back to the feeder.
+func (f *flight) release(u *prepUnit) {
+	u.release()
+	f.mu.Lock()
+	f.now--
+	if u.err == nil {
+		f.held.add(u.held, -1)
+	}
+	f.mu.Unlock()
+	if unitHook != nil {
+		unitHook(u, true)
+	}
+	<-f.slots
+}
+
+// residency is the end-of-run account of a study's resident set, printed
+// beside the journal's and never part of study.json.
+type residency struct {
+	Units, Window, MaxInFlight int
+	Held                       resident // by the prepared units in flight, at its largest
+	Analyses, Binaries         int      // the shared analysis cache: bytes, entries
+}
+
+func (r residency) String() string {
+	mb := func(n int) float64 { return float64(n) / (1 << 20) }
+	return fmt.Sprintf("%d units prepared, at most %d in flight (window %d) holding at most %.1f MB trace, %.1f MB checkpoints, %.1f MB pruner tables; analysis cache %.1f MB in %d binaries",
+		r.Units, r.MaxInFlight, r.Window, mb(r.Held.trace), mb(r.Held.stream), mb(r.Held.pruner), mb(r.Analyses), r.Binaries)
 }
 
 // isCancel reports whether err is context cancellation rather than a
@@ -469,12 +593,23 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 	// Feed the preparation work through the same pool as the
 	// injections: compiles and golden runs for later units overlap with
 	// the campaigns of earlier ones. The feeder is its own goroutine
-	// because Submit blocks when the queue is full. Tasks are always
+	// because admit blocks while the window is full and Submit while the
+	// queue is. The window is workers + 1 units: every worker can be on
+	// the cells of its own unit while one more prepares, so two units
+	// ending together leave no worker waiting for a golden run; a wider
+	// one only holds more, so it is derived, not a knob. Tasks are always
 	// enqueued (never dropped on cancellation) so every unit's ready
-	// channel is guaranteed to close.
+	// channel is guaranteed to close, and every slot comes back.
+	fl := &flight{slots: make(chan struct{}, workers+1)}
+	defer func() {
+		r := residency{Units: len(units), Window: workers + 1, MaxInFlight: fl.max, Held: fl.maxHeld}
+		r.Analyses, r.Binaries = analyses.bytes()
+		rep.printf("resident: %s", r)
+	}()
 	go func() {
 		for _, u := range units {
 			u := u
+			fl.admit(u)
 			pool.Submit(func() { u.run(runCtx) })
 		}
 	}()
@@ -543,6 +678,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 		go func(u *prepUnit) {
 			defer wg.Done()
 			<-u.ready
+			defer fl.release(u)
 			if u.err != nil {
 				if isCancel(u.err) {
 					return
@@ -563,6 +699,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 					u.cfg.Name, u.bench.Name, u.level, u.err, u.attempts)
 				return
 			}
+			fl.prepared(u)
 			rep.printf("golden %-16s %-9s %s: %d cycles (IPC %.2f)",
 				u.cfg.Name, u.bench.Name, u.level, u.exp.GoldenCycles, u.exp.GoldenStats.Stats.IPC())
 			var cells sync.WaitGroup
@@ -574,11 +711,11 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				}(i)
 			}
 			cells.Wait()
+			// Every cell of this unit is done: once they are durable the
+			// deferred release hands the unit's golden checkpoint snapshots
+			// back to the buffer pools, so the next unit's checkpoints
+			// reuse them instead of allocating, and lets go of the rest.
 			res.sync()
-			// Every cell of this unit is done: hand the unit's golden
-			// checkpoint snapshots back to the buffer pools so the next
-			// unit's checkpoints reuse them instead of allocating.
-			u.exp.Close()
 		}(u)
 	}
 	wg.Wait()

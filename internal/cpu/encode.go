@@ -233,31 +233,35 @@ func DecodeCoreState(r *binio.Reader, cfg *Config) (*CoreState, error) {
 }
 
 // EncodeCommitEvents appends a length-prefixed commit trace to w; the
-// trace is the prune-path half of a cached prep artifact.
-func EncodeCommitEvents(w *binio.Writer, evs []CommitEvent) {
-	w.Uvarint(uint64(len(evs)))
-	w.Grow(19 * len(evs))
-	for i := range evs {
-		w.U64(evs[i].Cycle)
-		w.U64(evs[i].PC)
-		w.U8(evs[i].DestArch)
-		w.U16(evs[i].DestPhys)
+// trace is the prune-path half of a cached prep artifact. A nil trace
+// encodes as the empty one.
+func EncodeCommitEvents(w *binio.Writer, t *CommitTrace) {
+	n := t.Len()
+	w.Uvarint(uint64(n))
+	w.Grow(19 * n)
+	for i := 0; i < n; i++ {
+		ev := t.At(i)
+		w.U64(ev.Cycle)
+		w.U64(ev.PC)
+		w.U8(ev.DestArch)
+		w.U16(ev.DestPhys)
 	}
 }
 
-// DecodeCommitEvents reads a trace written by EncodeCommitEvents.
-func DecodeCommitEvents(r *binio.Reader) []CommitEvent {
+// DecodeCommitEvents reads a trace written by EncodeCommitEvents; an
+// empty one decodes to nil, the trace of an untraced run.
+func DecodeCommitEvents(r *binio.Reader) *CommitTrace {
 	n := int(r.Uvarint())
 	if n < 0 || n > r.Len()/19+1 {
 		r.Fail(fmt.Errorf("cpu: decode: commit trace length %d exceeds remaining input", n))
 		return nil
 	}
-	evs := make([]CommitEvent, n)
-	for i := range evs {
-		evs[i].Cycle = r.U64()
-		evs[i].PC = r.U64()
-		evs[i].DestArch = r.U8()
-		evs[i].DestPhys = r.U16()
+	if n == 0 {
+		return nil
 	}
-	return evs
+	t := &CommitTrace{}
+	for i := 0; i < n; i++ {
+		t.Append(CommitEvent{Cycle: r.U64(), PC: r.U64(), DestArch: r.U8(), DestPhys: r.U16()})
+	}
+	return t
 }

@@ -1,36 +1,110 @@
 package cpu
 
 import (
-	"slices"
+	"bytes"
 	"testing"
 
 	"sevsim/internal/binio"
 )
 
-func TestCommitEventsRoundTrip(t *testing.T) {
-	cases := [][]CommitEvent{
-		nil,
-		{},
-		{{Cycle: 1, PC: 0x1000, DestArch: 5, DestPhys: 42}},
-		{
-			{Cycle: 10, PC: 0x2000, DestArch: 0xFF, DestPhys: 0},
-			{Cycle: 11, PC: 0x2004, DestArch: 1, DestPhys: 65535},
-			{Cycle: 999999999, PC: 0xFFFFFFFFFFFFFFFF, DestArch: 31, DestPhys: 128},
-		},
+// traceOf builds the trace a run committing evs would record.
+func traceOf(evs ...CommitEvent) *CommitTrace {
+	t := &CommitTrace{}
+	for _, ev := range evs {
+		t.Append(ev)
 	}
-	for i, evs := range cases {
+	return t
+}
+
+// TestCommitEventsRoundTrip holds the encoding to hand-written bytes —
+// a uvarint count, then 19 little-endian bytes per event — so a cache
+// filled before the trace was chunked stays readable, and checks that
+// decoding gives the events back.
+func TestCommitEventsRoundTrip(t *testing.T) {
+	cases := []struct {
+		trace *CommitTrace
+		want  []byte
+	}{
+		{nil, []byte{0}},
+		{&CommitTrace{}, []byte{0}},
+		{traceOf(CommitEvent{Cycle: 1, PC: 0x1000, DestArch: 5, DestPhys: 42}), []byte{
+			1,
+			1, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x10, 0, 0, 0, 0, 0, 0, 5, 42, 0,
+		}},
+		{traceOf(
+			CommitEvent{Cycle: 10, PC: 0x2000, DestArch: 0xFF, DestPhys: 0},
+			CommitEvent{Cycle: 11, PC: 0x2004, DestArch: 1, DestPhys: 65535},
+			CommitEvent{Cycle: 999999999, PC: 0xFFFFFFFFFFFFFFFF, DestArch: 31, DestPhys: 128},
+		), []byte{
+			3,
+			10, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x20, 0, 0, 0, 0, 0, 0, 0xFF, 0, 0,
+			11, 0, 0, 0, 0, 0, 0, 0, 0x04, 0x20, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF,
+			0xFF, 0xC9, 0x9A, 0x3B, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 31, 128, 0,
+		}},
+	}
+	for i, c := range cases {
 		var w binio.Writer
-		EncodeCommitEvents(&w, evs)
+		EncodeCommitEvents(&w, c.trace)
+		if !bytes.Equal(w.Bytes(), c.want) {
+			t.Fatalf("case %d: encoded % x, want % x", i, w.Bytes(), c.want)
+		}
 		r := binio.NewReader(w.Bytes())
 		got := DecodeCommitEvents(r)
-		if r.Err() != nil {
-			t.Fatalf("case %d: %v", i, r.Err())
+		if r.Err() != nil || r.Len() != 0 {
+			t.Fatalf("case %d: error %v, %d bytes left", i, r.Err(), r.Len())
 		}
-		if len(got) != len(evs) || (len(evs) > 0 && !slices.Equal(got, evs)) {
-			t.Fatalf("case %d: round trip mismatch: %v vs %v", i, got, evs)
+		if got.Len() != c.trace.Len() || (got.Len() == 0) != (got == nil) {
+			t.Fatalf("case %d: decoded %d events (nil: %v), want %d", i, got.Len(), got == nil, c.trace.Len())
 		}
-		if r.Len() != 0 {
-			t.Fatalf("case %d: %d bytes left", i, r.Len())
+		for k := 0; k < got.Len(); k++ {
+			if got.At(k) != c.trace.At(k) {
+				t.Fatalf("case %d: event %d is %+v, want %+v", i, k, got.At(k), c.trace.At(k))
+			}
+		}
+	}
+}
+
+// TestCommitTraceChunks: order and Len at every chunk boundary, recorded
+// and through the encoding, whose bytes must not depend on chunking.
+func TestCommitTraceChunks(t *testing.T) {
+	if n := (*CommitTrace)(nil).Len(); n != 0 {
+		t.Errorf("nil trace has Len %d", n)
+	}
+	event := func(i int) CommitEvent {
+		return CommitEvent{Cycle: uint64(i), PC: uint64(4 * i), DestArch: uint8(i), DestPhys: uint16(i)}
+	}
+	for _, n := range []int{0, 1, traceChunk - 1, traceChunk, traceChunk + 1, 2*traceChunk + 7} {
+		rec := &CommitTrace{}
+		var flat binio.Writer // the layout, written without a trace
+		flat.Uvarint(uint64(n))
+		for i := 0; i < n; i++ {
+			if rec.Len() != i {
+				t.Fatalf("n=%d: Len %d after %d appends", n, rec.Len(), i)
+			}
+			rec.Append(event(i))
+			flat.U64(uint64(i))
+			flat.U64(uint64(4 * i))
+			flat.U8(uint8(i))
+			flat.U16(uint16(i))
+		}
+		var w binio.Writer
+		EncodeCommitEvents(&w, rec)
+		if !bytes.Equal(w.Bytes(), flat.Bytes()) {
+			t.Fatalf("n=%d: encoding differs from the flat layout", n)
+		}
+		dec := DecodeCommitEvents(binio.NewReader(w.Bytes()))
+		for _, tr := range []*CommitTrace{rec, dec} {
+			if tr.Len() != n {
+				t.Fatalf("n=%d: Len %d", n, tr.Len())
+			}
+			for i := 0; i < n; i++ {
+				if tr.At(i) != event(i) {
+					t.Fatalf("n=%d: event %d is %+v", n, i, tr.At(i))
+				}
+			}
+		}
+		if want := (n + traceChunk - 1) / traceChunk; len(rec.chunks) != want {
+			t.Errorf("n=%d: %d chunks, want %d", n, len(rec.chunks), want)
 		}
 	}
 }
@@ -39,7 +113,7 @@ func TestCommitEventsCorruptLengthFails(t *testing.T) {
 	var w binio.Writer
 	w.Uvarint(1 << 40)
 	r := binio.NewReader(w.Bytes())
-	if got := DecodeCommitEvents(r); len(got) != 0 || r.Err() == nil {
-		t.Fatalf("corrupt trace length accepted: %d events, err %v", len(got), r.Err())
+	if got := DecodeCommitEvents(r); got.Len() != 0 || r.Err() == nil {
+		t.Fatalf("corrupt trace length accepted: %d events, err %v", got.Len(), r.Err())
 	}
 }

@@ -1,5 +1,7 @@
 package cpu
 
+import "unsafe"
+
 // NoDest marks a CommitEvent whose instruction wrote no architectural
 // register (stores, branches, OUT, HALT, NOP).
 const NoDest uint8 = 0xff
@@ -28,3 +30,54 @@ type CommitEvent struct {
 // golden runs that feed the static ACE analysis, never on the fault
 // injection hot path.
 func (c *Core) SetCommitHook(fn func(CommitEvent)) { c.commitHook = fn }
+
+// traceChunk is the number of events per CommitTrace chunk (24 bytes
+// each, so 384 KiB): large enough that chunk bookkeeping vanishes, small
+// enough that the last, partly filled one wastes little.
+const (
+	traceChunkShift = 14
+	traceChunk      = 1 << traceChunkShift
+)
+
+// CommitTrace is a golden run's commit stream, in program order. The
+// run's length is unknown until it halts, so events go into fixed-size
+// chunks that are never moved or joined: the trace a run records is the
+// trace its experiment holds, its pruners index and its bundle encodes,
+// and it exists once. A nil *CommitTrace is the empty trace of an
+// untraced run. Append must not race with the readers; a finished trace
+// is immutable and safe for concurrent use.
+type CommitTrace struct {
+	chunks []*[traceChunk]CommitEvent // arrays, so At's second index needs no bounds check
+	n      int
+}
+
+// Append adds one event at the end; SetCommitHook takes it as the hook.
+func (t *CommitTrace) Append(ev CommitEvent) {
+	i := t.n & (traceChunk - 1)
+	if i == 0 {
+		t.chunks = append(t.chunks, new([traceChunk]CommitEvent))
+	}
+	t.chunks[len(t.chunks)-1][i] = ev
+	t.n++
+}
+
+// Len returns the number of events; 0 for a nil trace.
+func (t *CommitTrace) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}
+
+// At returns event i, 0 <= i < Len.
+func (t *CommitTrace) At(i int) CommitEvent {
+	return t.chunks[i>>traceChunkShift][i&(traceChunk-1)]
+}
+
+// ResidentBytes returns the memory the trace's chunks hold.
+func (t *CommitTrace) ResidentBytes() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.chunks) * int(unsafe.Sizeof([traceChunk]CommitEvent{}))
+}

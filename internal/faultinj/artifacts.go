@@ -17,12 +17,12 @@ import (
 )
 
 // Artifacts is the golden-run output of one prepared experiment: the
-// full fault-free result, the commit trace (empty unless the
+// full fault-free result, the commit trace (nil unless the
 // experiment was traced), and the golden checkpoint stream (nil when
 // checkpointing was disabled or the run was too short to checkpoint).
 type Artifacts struct {
 	Golden machine.Result
-	Trace  []cpu.CommitEvent
+	Trace  *cpu.CommitTrace
 	Stream *checkpoint.Stream
 }
 

@@ -127,18 +127,18 @@ func TestPrepIsOneMachineOnePass(t *testing.T) {
 			m.L1I.Stats != exp.GoldenStats.L1I || m.L1D.Stats != exp.GoldenStats.L1D || m.L2.Stats != exp.GoldenStats.L2 {
 			t.Errorf("%+v: the machine's counters are not the golden run's: cycle %d, golden %d", opts, m.Core.Cycle(), exp.GoldenCycles)
 		}
-		if opts.Traced && uint64(len(exp.Trace)) != exp.GoldenStats.Stats.Committed {
-			t.Errorf("%+v: trace holds %d events, the golden run committed %d", opts, len(exp.Trace), exp.GoldenStats.Stats.Committed)
+		if opts.Traced && uint64(exp.Trace.Len()) != exp.GoldenStats.Stats.Committed {
+			t.Errorf("%+v: trace holds %d events, the golden run committed %d", opts, exp.Trace.Len(), exp.GoldenStats.Stats.Committed)
 		}
 		// Injections afterwards must not grow the trace: the golden
 		// machine serves them as a scratch machine, without the hook.
 		rf, _ := TargetByName("RF")
-		n := len(exp.Trace)
+		n := exp.Trace.Len()
 		for _, inj := range mustSample(t, exp, rf, 4, 11) {
 			exp.Inject(rf, inj)
 		}
-		if len(exp.Trace) != n {
-			t.Errorf("%+v: injections appended %d events to the golden trace", opts, len(exp.Trace)-n)
+		if exp.Trace.Len() != n {
+			t.Errorf("%+v: injections appended %d events to the golden trace", opts, exp.Trace.Len()-n)
 		}
 	}
 }

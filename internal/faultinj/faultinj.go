@@ -199,11 +199,11 @@ type Experiment struct {
 	GoldenStats  machine.Result
 
 	// Trace is the golden run's commit stream (program order), recorded
-	// only by NewTracedExperiment. It feeds the binary-level ACE
-	// analysis: reconstructing the committed rename map at any cycle is
-	// what lets an injection pruner prove a register-file fault masked
-	// without simulating it.
-	Trace []cpu.CommitEvent
+	// only by NewTracedExperiment and nil otherwise. It feeds the
+	// binary-level ACE analysis: reconstructing the committed rename map
+	// at any cycle is what lets an injection pruner prove a register-file
+	// fault masked without simulating it. The pruners index it in place.
+	Trace *cpu.CommitTrace
 
 	// Bit counts depend only on the configuration, so they are computed
 	// once per experiment and cached by target name (see TargetBits).
@@ -244,8 +244,8 @@ func NewExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, erro
 // NewTracedExperiment is NewExperiment with commit tracing: the golden
 // run additionally records one CommitEvent per committed instruction
 // (Experiment.Trace), the input to static ACE analysis and injection
-// pruning. The trace costs ~16 bytes per committed instruction, so it
-// is opt-in rather than the default.
+// pruning. The trace costs 24 bytes per committed instruction in memory
+// (19 encoded), so it is opt-in rather than the default.
 func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, error) {
 	return NewExperimentOptions(cfg, prog, Options{Traced: true})
 }
@@ -257,9 +257,10 @@ func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment
 // prepared unit costs one golden run plus its snapshots.
 func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Options) (*Experiment, error) {
 	m := newMachine(cfg, prog)
-	var trace traceRecorder
+	var trace *cpu.CommitTrace
 	if opts.Traced {
-		m.Core.SetCommitHook(trace.add)
+		trace = &cpu.CommitTrace{}
+		m.Core.SetCommitHook(trace.Append)
 	}
 	k := opts.Checkpoints
 	if k == 0 {
@@ -280,7 +281,7 @@ func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Option
 		GoldenCycles: res.Cycles,
 		GoldenOutput: res.Output,
 		GoldenStats:  res,
-		Trace:        trace.events(),
+		Trace:        trace,
 	}
 	if stream.Len() > 0 {
 		e.ckpts = stream
@@ -291,36 +292,6 @@ func NewExperimentOptions(cfg machine.Config, prog *machine.Program, opts Option
 		e.putMachine(m)
 	}
 	return e, nil
-}
-
-// traceChunk is the number of commit events per traceRecorder chunk
-// (24 bytes each, so 384 KiB): large enough that chunk bookkeeping
-// vanishes, small enough that the last, partly filled one wastes little.
-const traceChunk = 1 << 14
-
-// traceRecorder collects a golden run's commit stream. The run's length
-// is unknown until it halts, so events go into fixed-size chunks that
-// are never moved while the run lasts — growing one slice instead
-// re-copied the whole trace at every step of its growth — and events
-// joins them into the exactly sized slice Experiment.Trace holds.
-type traceRecorder struct {
-	full [][]cpu.CommitEvent
-	cur  []cpu.CommitEvent
-}
-
-func (t *traceRecorder) add(ev cpu.CommitEvent) {
-	if len(t.cur) == cap(t.cur) {
-		if t.cur != nil {
-			t.full = append(t.full, t.cur)
-		}
-		t.cur = make([]cpu.CommitEvent, 0, traceChunk)
-	}
-	t.cur = append(t.cur, ev)
-}
-
-// events returns everything recorded, in order; nil when nothing was.
-func (t *traceRecorder) events() []cpu.CommitEvent {
-	return slices.Concat(append(t.full, t.cur)...)
 }
 
 // Pruner decides, without simulating, that a sampled fault is provably

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sevsim/internal/compiler"
-	"sevsim/internal/cpu"
 	"sevsim/internal/machine"
 )
 
@@ -234,27 +233,5 @@ func TestKnownFaultEffects(t *testing.T) {
 	r = exp.Inject(rf, Injection{Cycle: exp.GoldenCycles - 1, Bit: exp.TargetBits(rf) - 1})
 	if r.Outcome != Masked {
 		t.Errorf("last-cycle RF flip: %v, want Masked", r.Outcome)
-	}
-}
-
-func TestTraceRecorderJoinsChunksInOrder(t *testing.T) {
-	var empty traceRecorder
-	if got := empty.events(); got != nil {
-		t.Errorf("an unused recorder returned %d events, want nil", len(got))
-	}
-	for _, n := range []int{1, traceChunk - 1, traceChunk, traceChunk + 1, 2*traceChunk + 7} {
-		var rec traceRecorder
-		for i := 0; i < n; i++ {
-			rec.add(cpu.CommitEvent{Cycle: uint64(i), PC: uint64(4 * i), DestArch: uint8(i), DestPhys: uint16(i)})
-		}
-		got := rec.events()
-		if len(got) != n {
-			t.Fatalf("%d events recorded: got %d", n, len(got))
-		}
-		for i, ev := range got {
-			if ev != (cpu.CommitEvent{Cycle: uint64(i), PC: uint64(4 * i), DestArch: uint8(i), DestPhys: uint16(i)}) {
-				t.Fatalf("%d events recorded: event %d is %+v", n, i, ev)
-			}
-		}
 	}
 }
