@@ -737,7 +737,7 @@ func BenchmarkPrunedStudy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pruner, err := binanalysis.NewRFPruner(a, exp)
+	pruner, err := binanalysis.NewDUEPruner(a, exp)
 	if err != nil {
 		b.Fatal(err)
 	}

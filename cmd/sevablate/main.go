@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,8 +35,6 @@ func main() {
 	faults := flag.Int("faults", 200, "faults per AVF measurement")
 	seed := flag.Int64("seed", 2021, "sampling seed")
 	par := flag.Int("parallel", 0, "concurrent measurements (0 = GOMAXPROCS)")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoints per row for injection fast-forward (0 disables); results are identical at any setting")
-	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat sweeps skip golden simulations (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
@@ -69,17 +68,16 @@ func main() {
 	}
 
 	type row struct {
-		label  string
-		ps     compiler.PassSet
-		active bool
+		label string
+		ps    compiler.PassSet
 	}
-	rows := []row{{label: "full " + level.String(), ps: base, active: true}}
+	rows := []row{{label: "full " + level.String(), ps: base}}
 	for _, pass := range compiler.PassNames() {
 		reduced := base.Without(pass)
 		if reduced == base {
 			continue // pass not in this level's set
 		}
-		rows = append(rows, row{label: "  - " + pass, ps: reduced, active: true})
+		rows = append(rows, row{label: "  - " + pass, ps: reduced})
 	}
 
 	fmt.Printf("%s on %s, baseline %s\n\n", name, cfg.Name, level)
@@ -109,34 +107,44 @@ func main() {
 		err    error
 	}
 	out := make([]measured, len(rows))
+	// measure compiles one row and takes its golden run: from the row's
+	// experiment when an AVF is wanted, so it is simulated once, from a
+	// plain run otherwise. The caller closes the experiment.
+	measure := func(r row, m *measured) (*faultinj.Experiment, error) {
+		goldenFailed := func(res machine.Result) error {
+			return fmt.Errorf("%s: %v %s", r.label, res.Outcome, res.Reason)
+		}
+		prog, err := compiler.CompileWithPasses(src, name, r.ps, tgt)
+		if err != nil {
+			return nil, err
+		}
+		m.code = len(prog.Code)
+		if avfTarget == nil {
+			res := machine.New(cfg, prog).Run(1 << 34)
+			if res.Outcome != machine.OutcomeOK {
+				return nil, goldenFailed(res)
+			}
+			m.cycles = res.Cycles
+			return nil, nil
+		}
+		exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{})
+		var ge *faultinj.GoldenError
+		if errors.As(err, &ge) {
+			return nil, goldenFailed(ge.Result)
+		}
+		if err != nil {
+			return nil, err
+		}
+		m.cycles = exp.GoldenCycles
+		return exp, nil
+	}
 	var wg sync.WaitGroup
 	for i, r := range rows {
 		wg.Add(1)
 		go func(i int, r row) {
 			defer wg.Done()
 			sem <- struct{}{}
-			prog, err := compiler.CompileWithPasses(src, name, r.ps, tgt)
-			if err != nil {
-				out[i].err = err
-				<-sem
-				return
-			}
-			res := machine.New(cfg, prog).Run(1 << 34)
-			if res.Outcome != machine.OutcomeOK {
-				out[i].err = fmt.Errorf("%s: %v %s", r.label, res.Outcome, res.Reason)
-				<-sem
-				return
-			}
-			out[i].cycles = res.Cycles
-			out[i].code = len(prog.Code)
-			if avfTarget == nil {
-				<-sem
-				return
-			}
-			exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{
-				Checkpoints: cli.Checkpoints(*ckpts),
-				NoFastExit:  !*fastExit,
-			})
+			exp, err := measure(r, &out[i])
 			// The campaign runs on the shared pool; this goroutine only
 			// waits, so its semaphore slot is released first.
 			<-sem
@@ -144,6 +152,10 @@ func main() {
 				out[i].err = err
 				return
 			}
+			if exp == nil {
+				return
+			}
+			defer exp.Close()
 			cr := campaign.Run(exp, *avfTarget, campaign.Options{
 				Faults: *faults, Seed: *seed, Pool: pool, Context: ctx,
 			})

@@ -350,7 +350,7 @@ func dumpLiveness(a *binanalysis.Analysis, nregs int) {
 // dumpBits prints the bit-granular dead masks: for each instruction,
 // the fully dead registers (as in -dump live) plus every live register
 // that still has individually dead bits, with the dead-bit mask in
-// hex. These masks are exactly what BitPruner consults per injection.
+// hex. These masks are exactly what the pruner consults per injection.
 func dumpBits(a *binanalysis.Analysis, xlen, nregs int) {
 	b := a.Bits(xlen)
 	hexDigits := (xlen + 3) / 4

@@ -37,8 +37,6 @@ func main() {
 	par := flag.Int("parallel", 0, "concurrent injections (0 = GOMAXPROCS)")
 	modelFlag := flag.String("model", "single", "fault model: single, double, quad (multi-bit upsets)")
 	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoint budget for injection fast-forward: at most this many are kept (0 disables); results are identical at any setting")
-	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip the golden simulation (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
@@ -63,11 +61,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{
-		Traced:      *prune,
-		Checkpoints: cli.Checkpoints(*ckpts),
-		NoFastExit:  !*fastExit,
-	})
+	exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{Traced: *prune})
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 
 	"sevsim/internal/cli"
 	"sevsim/internal/core"
-	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/report"
 	"sevsim/internal/workloads"
@@ -47,8 +46,6 @@ func main() {
 	keepGoing := flag.Bool("keep-going", false, "quarantine failed units/cells into the study instead of aborting on the first error")
 	retries := flag.Int("retries", 0, "extra preparation attempts per unit before quarantining (with -keep-going)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog (0 = off); stuck cells are recorded and skipped")
-	ckpts := flag.Int("checkpoints", faultinj.DefaultCheckpoints, "golden checkpoints per cell for injection fast-forward (0 disables); results are identical at any setting")
-	fastExit := flag.Bool("fastexit", true, "classify Masked at the first provable state convergence with golden; results are identical either way")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip compiles and golden simulations (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -84,8 +81,6 @@ func main() {
 		spec.KeepGoing = *keepGoing
 		spec.Retries = *retries
 		spec.CellTimeout = *cellTimeout
-		spec.Checkpoints = cli.Checkpoints(*ckpts)
-		spec.NoFastExit = !*fastExit
 		spec.Cache, err = cli.Cache(*cacheDir, *cacheMax)
 		if err != nil {
 			fatal(err)

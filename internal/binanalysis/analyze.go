@@ -75,11 +75,6 @@ func (a *Analysis) DeadOut(i, nregs int) RegSet {
 	return dead.Without(isa.RegZero)
 }
 
-// EntryLive returns the registers live at program entry, i.e. read on
-// some path before any definition. For a well-formed binary this holds
-// no caller-saved registers (see CheckInvariants).
-func (a *Analysis) EntryLive() RegSet { return a.LiveIn[0] }
-
 // EntryDead mirrors DeadOut for the moment before the first
 // instruction commits: registers whose initial machine state is
 // provably never read.

@@ -68,15 +68,6 @@ func (b *BitAnalysis) KnownIn(i int, r uint8) KnownBits {
 	return KnownBits{Zero: b.kz[i*32+int(r)], One: b.ko[i*32+int(r)]}
 }
 
-// LiveOutBits returns the live-bit mask of register r immediately
-// after instruction i.
-func (b *BitAnalysis) LiveOutBits(i int, r uint8) uint64 {
-	if r >= 32 {
-		return b.Mask
-	}
-	return b.liveOut[i*32+int(r)]
-}
-
 // DeadOutBits returns the bits of register r provably dead immediately
 // after instruction i: flipping any of them in a committed state
 // cannot change any architecturally visible outcome. Register-granular

@@ -2,6 +2,7 @@ package binanalysis
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"sevsim/internal/cpu"
@@ -9,21 +10,29 @@ import (
 	"sevsim/internal/machine"
 )
 
-// RFPruner proves sampled register-file faults masked without
-// simulating them, by combining the static dead-register sets with the
-// golden run's commit trace.
+// DUEPruner classifies sampled register-file faults without simulating
+// them, by combining the static analyses of the binary with the golden
+// run's commit trace. It gives three verdicts, tried in this order:
+// the flipped register is dead (PruneReg, Masked), the flipped bit of a
+// live register is dead (PruneBit, Masked), the flipped bit is
+// crash-certain (PruneDUE, Crash).
 //
-// The argument: a flip at cycle c lands in the committed machine state
-// as of c (the commit hook fires before the cycle's pipeline step, so
-// commits recorded at cycle c happen after the flip). Reconstructing
+// The Masked argument: a flip at cycle c lands in the committed machine
+// state as of c (the commit hook fires before the cycle's pipeline step,
+// so commits recorded at cycle c happen after the flip). Reconstructing
 // the committed rename map at c tells us which architectural register a
-// the flipped physical register p currently holds. If a is statically
-// dead after the last committed instruction — no static path from that
-// point reads a before redefining it — then no execution, including any
-// wrong-path instructions the front end speculatively fetches (every
-// speculative path is also a static path, and squashed work only
-// perturbs timing within the 2x timeout budget), can consume the
-// corrupted value. The fault is provably Masked.
+// the flipped physical register p currently holds, and the last
+// committed PC names the program point. If a is statically dead there —
+// no static path from that point reads a before redefining it — then no
+// execution, including any wrong-path instructions the front end
+// speculatively fetches (every speculative path is also a static path,
+// and squashed work only perturbs timing within the 2x timeout budget),
+// can consume the corrupted value. The same holds bit by bit:
+// DeadOutBits(point, a) is the set of bits of a that no static path from
+// the point can propagate to memory, output, or control flow — where
+// demand refinement consulted known-bits facts, those facts concern
+// registers other than a, which carry fault-free values under the
+// single-fault model, so the refinement holds on the faulted run too.
 //
 // Conservative exclusions, each returning "not prunable":
 //   - physical register 0: permanently maps the zero register;
@@ -32,36 +41,107 @@ import (
 //     the committed-state analysis cannot bound;
 //   - a last-commit PC outside the code image.
 //
-// RFPruner is safe for concurrent use.
-type RFPruner struct {
+// The static side of the Crash argument is DueOutBits': a due bit of a,
+// taken at the last committed instruction, reaches a faulting consumer
+// on every static path — so in particular on the golden continuation —
+// before any instruction can demand it for a value, address, branch,
+// or output. The crash masks rely only on fault-free alignment and
+// address-ceiling invariants, never on the judged register's own known
+// bits, and addrCeilOK re-validates the ceiling against the concrete
+// program layout before the verdict switches on.
+//
+// The microarchitectural side needs one gate the Masked verdicts do
+// not: a crash verdict (unlike a masked one) is falsified if any
+// reader consumes the clean pre-flip value. An instruction at trace
+// position j can have renamed — and read the physical register —
+// before the flip at state k only while it shares the reorder window
+// with position k: position j allocates its ROB entry no earlier than
+// the commit of position j-ROBSize (ROB occupancy is bounded and both
+// commit and rename are in order), and that commit happens at or after
+// the flip cycle once j-k >= ROBSize. The pruner therefore claims DUE
+// only when the FIRST golden reader of the register lies at least
+// ROBSize commits past the flip point; the faulting consumer is that
+// reader or later, so it renames — and reads the corrupted value —
+// strictly after the flip. Squashed wrong-path work cannot rescue the
+// value either: the flipped physical register stays architecturally
+// mapped until the crash, so no speculative destination reallocates it.
+//
+// Timing: the proven crash surfaces when the faulting consumer
+// commits, near its golden commit cycle; as with the Masked verdicts,
+// squashed work perturbs timing only within the 2x timeout budget, so
+// the run registers as a Crash, not a Timeout. The soundness test
+// re-simulates every sampled verdict and asserts its outcome.
+//
+// DUEPruner is safe for concurrent use.
+type DUEPruner struct {
 	a            *Analysis
+	bits         *BitAnalysis
 	events       *cpu.CommitTrace // the experiment's own trace, indexed in place
 	xlen         int
 	numPhys      int
 	numArch      int
+	robSize      int
 	goldenCycles uint64
+	dueOK        bool // address-ceiling layout validated
 
 	// RAT snapshots every ckptInterval events; query replay touches at
 	// most ckptInterval events past a snapshot.
 	ckpts [][]uint16
+
+	// readers[a] lists, ascending, the trace positions whose
+	// instruction reads architectural register a (positions with a PC
+	// outside the code image appear in every register's list).
+	readers [32][]int32
 }
 
 const ckptInterval = 1024
 
-// NewRFPruner builds the pruner for one traced experiment. The
-// analysis must come from the same binary the experiment runs.
-func NewRFPruner(a *Analysis, exp *faultinj.Experiment) (*RFPruner, error) {
+// NewDUEPruner builds the pruner for one traced experiment. The
+// analysis must come from the same binary the experiment runs; the
+// bit-granular fixpoints are computed (or re-used) via the Analysis.Bits
+// cache, so building pruners for many cells of the same (bench, level)
+// shares one analysis. The Crash verdict disables itself, leaving the
+// two Masked ones, when the program's memory layout exceeds the address
+// ceiling the crash masks assume.
+func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 	if exp.Trace == nil {
 		return nil, fmt.Errorf("binanalysis: experiment has no commit trace (use NewTracedExperiment)")
 	}
 	cfg := exp.Config.CPU
-	p := &RFPruner{
+	p := &DUEPruner{
 		a:            a,
+		bits:         a.Bits(cfg.XLEN),
 		events:       exp.Trace,
 		xlen:         cfg.XLEN,
 		numPhys:      cfg.NumPhysRegs,
 		numArch:      cfg.NumArchRegs,
+		robSize:      cfg.ROBSize,
 		goldenCycles: exp.GoldenCycles,
+		dueOK:        addrCeilOK(len(a.CFG.Code), exp.Program.GlobalSize),
+	}
+	// The 32 reader lists are carved out of one exactly sized slab: this
+	// pass over the trace counts each register's readers (and snapshots
+	// the rename map), a second fills them in, and nothing reallocates on
+	// the way up.
+	//
+	// srcs[idx] is what static instruction idx reads, decoded once: each
+	// register 0xff when there is none or it lies outside the 32 tracked,
+	// the second also when it repeats the first. A PC outside the code
+	// image reads every register but r0.
+	srcs := make([][2]uint8, len(a.CFG.Code))
+	for idx, in := range a.CFG.Code {
+		s1, s2 := in.SourceRegs()
+		if s2 == s1 {
+			s2 = 0xff
+		}
+		srcs[idx] = [2]uint8{s1, s2}
+	}
+	reads := func(pc uint64) (s1, s2 uint8, every bool) {
+		idx := p.idxOf(pc)
+		if idx < 0 {
+			return 0xff, 0xff, true
+		}
+		return srcs[idx][0], srcs[idx][1], false
 	}
 	// Initial committed rename map is the identity over the
 	// architectural registers (see cpu.NewCore).
@@ -69,6 +149,7 @@ func NewRFPruner(a *Analysis, exp *faultinj.Experiment) (*RFPruner, error) {
 	for a := range rat {
 		rat[a] = uint16(a)
 	}
+	var count [32]int
 	for k := 0; k < p.events.Len(); k++ {
 		ev := p.events.At(k)
 		if k%ckptInterval == 0 {
@@ -77,13 +158,63 @@ func NewRFPruner(a *Analysis, exp *faultinj.Experiment) (*RFPruner, error) {
 		if ev.DestArch != cpu.NoDest && int(ev.DestArch) < p.numArch {
 			rat[ev.DestArch] = ev.DestPhys
 		}
+		s1, s2, every := reads(ev.PC)
+		if every {
+			for r := 1; r < 32; r++ {
+				count[r]++
+			}
+			continue
+		}
+		if s1 < 32 {
+			count[s1]++
+		}
+		if s2 < 32 {
+			count[s2]++
+		}
+	}
+	total := 0
+	for _, n := range count {
+		total += n
+	}
+	slab := make([]int32, total)
+	for r, n := range count {
+		p.readers[r], slab = slab[:0:n], slab[n:]
+	}
+	for k := 0; k < p.events.Len(); k++ {
+		s1, s2, every := reads(p.events.At(k).PC)
+		if every {
+			for r := 1; r < 32; r++ {
+				p.readers[r] = append(p.readers[r], int32(k))
+			}
+			continue
+		}
+		if s1 < 32 {
+			p.readers[s1] = append(p.readers[s1], int32(k))
+		}
+		if s2 < 32 {
+			p.readers[s2] = append(p.readers[s2], int32(k))
+		}
 	}
 	return p, nil
 }
 
+// ResidentBytes returns the memory of the tables the pruner built over
+// the trace (the reader lists and the rename-map snapshots); the trace
+// itself and the shared Analysis are their owners' to count.
+func (p *DUEPruner) ResidentBytes() int {
+	n := 0
+	for _, rs := range p.readers {
+		n += 4 * cap(rs)
+	}
+	for _, rat := range p.ckpts {
+		n += 2 * cap(rat)
+	}
+	return n
+}
+
 // idxOf maps a committed PC to its instruction index, or -1 when the
 // PC lies outside the code image.
-func (p *RFPruner) idxOf(pc uint64) int {
+func (p *DUEPruner) idxOf(pc uint64) int {
 	if pc < machine.CodeBase || (pc-machine.CodeBase)%4 != 0 {
 		return -1
 	}
@@ -96,7 +227,7 @@ func (p *RFPruner) idxOf(pc uint64) int {
 
 // stateAt returns the number of events committed strictly before an
 // injection at cycle c (the flip precedes same-cycle commits).
-func (p *RFPruner) stateAt(c uint64) int {
+func (p *DUEPruner) stateAt(c uint64) int {
 	return sort.Search(p.events.Len(), func(i int) bool { return p.events.At(i).Cycle >= c })
 }
 
@@ -108,7 +239,7 @@ const entryPoint = -2
 // when k is 0, or -1 when that PC lies outside the code image. Every
 // static fact about the state after k commits is a fact about this
 // point, so callers resolve it once per state.
-func (p *RFPruner) pointAfter(k int) int {
+func (p *DUEPruner) pointAfter(k int) int {
 	if k == 0 {
 		return entryPoint
 	}
@@ -117,7 +248,7 @@ func (p *RFPruner) pointAfter(k int) int {
 
 // deadAt returns the dead-register set in effect at a program point,
 // and false when the state is unanalyzable (PC outside the image).
-func (p *RFPruner) deadAt(pt int) (RegSet, bool) {
+func (p *DUEPruner) deadAt(pt int) (RegSet, bool) {
 	switch {
 	case pt == entryPoint:
 		return p.a.EntryDead(p.numArch), true
@@ -127,8 +258,32 @@ func (p *RFPruner) deadAt(pt int) (RegSet, bool) {
 	return p.a.DeadOut(pt, p.numArch), true
 }
 
+// deadBitsAt returns the dead-bit mask of architectural register a at
+// a program point (0 when the state is unanalyzable).
+func (p *DUEPruner) deadBitsAt(pt int, a uint8) uint64 {
+	switch {
+	case pt == entryPoint:
+		return p.bits.EntryDeadBits(a)
+	case pt < 0:
+		return 0
+	}
+	return p.bits.DeadOutBits(pt, a)
+}
+
+// dueBitsAt returns the crash-certain bit mask of architectural
+// register a at a program point (0 when unanalyzable).
+func (p *DUEPruner) dueBitsAt(pt int, a uint8) uint64 {
+	switch {
+	case pt == entryPoint:
+		return p.bits.EntryDueBits(a)
+	case pt < 0:
+		return 0
+	}
+	return p.bits.DueOutBits(pt, a)
+}
+
 // ratAt reconstructs the committed rename map after k events.
-func (p *RFPruner) ratAt(k int) []uint16 {
+func (p *DUEPruner) ratAt(k int) []uint16 {
 	base := k / ckptInterval
 	rat := append([]uint16(nil), p.ckpts[base]...)
 	for i := base * ckptInterval; i < k; i++ {
@@ -140,30 +295,65 @@ func (p *RFPruner) ratAt(k int) []uint16 {
 	return rat
 }
 
-// Prunable implements faultinj.Pruner for the RF target.
-func (p *RFPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, string) {
+// windowClear reports whether the first golden reader of architectural
+// register a at or past state k lies at least ROBSize commits away, so
+// no in-flight instruction can have read the register before the flip.
+// A register with no reader ahead reports false: the must-DUE masks
+// guarantee a faulting reader exists whenever a due bit is set, so
+// this only suppresses (never unsoundly admits) a claim. Queries arrive
+// in any order, so it searches for that reader.
+func (p *DUEPruner) windowClear(k int, a uint8) bool {
+	rs := p.readers[a]
+	return p.clearFrom(rs, sort.Search(len(rs), func(i int) bool { return int(rs[i]) >= k }), k)
+}
+
+// clearFrom is windowClear's criterion given the index i in rs of the
+// first reader at or past state k (len(rs) when there is none).
+func (p *DUEPruner) clearFrom(rs []int32, i, k int) bool {
+	return i < len(rs) && int(rs[i])-k >= p.robSize
+}
+
+// PrunableKind implements faultinj.KindPruner for the RF target: dead
+// register, dead bit, due bit, in that order.
+func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (faultinj.PruneKind, string) {
 	if t.Name() != "RF" {
-		return false, "not an RF injection"
+		return faultinj.PruneNone, "not an RF injection"
 	}
 	phys := uint16(inj.Bit / uint64(p.xlen))
+	bit := inj.Bit % uint64(p.xlen)
 	if phys == 0 {
-		return false, "phys 0 holds the zero register"
+		return faultinj.PruneNone, "phys 0 holds the zero register"
 	}
 	k := p.stateAt(inj.Cycle)
-	dead, ok := p.deadAt(p.pointAfter(k))
+	pt := p.pointAfter(k)
+	dead, ok := p.deadAt(pt)
 	if !ok {
-		return false, "last commit PC outside code image"
+		return faultinj.PruneNone, "last commit PC outside code image"
 	}
 	rat := p.ratAt(k)
 	for a := 1; a < p.numArch; a++ {
-		if rat[a] == phys {
-			if dead.Has(uint8(a)) {
-				return true, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
-			}
-			return false, fmt.Sprintf("phys %d maps live arch %d", phys, a)
+		if rat[a] != phys {
+			continue
 		}
+		if dead.Has(uint8(a)) {
+			return faultinj.PruneReg, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
+		}
+		if p.deadBitsAt(pt, uint8(a))&(1<<bit) != 0 {
+			return faultinj.PruneBit, fmt.Sprintf("phys %d maps arch %d whose bit %d is dead after commit %d", phys, a, bit, k)
+		}
+		if p.dueOK && p.dueBitsAt(pt, uint8(a))&(1<<bit) != 0 && p.windowClear(k, uint8(a)) {
+			return faultinj.PruneDUE, fmt.Sprintf("phys %d maps arch %d whose bit %d is crash-certain after commit %d", phys, a, bit, k)
+		}
+		return faultinj.PruneNone, fmt.Sprintf("phys %d maps arch %d with live bit %d", phys, a, bit)
 	}
-	return false, fmt.Sprintf("phys %d not in committed rename map", phys)
+	return faultinj.PruneNone, fmt.Sprintf("phys %d not in committed rename map", phys)
+}
+
+// Prunable implements faultinj.Pruner: whether PrunableKind has a
+// verdict.
+func (p *DUEPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, string) {
+	kind, reason := p.PrunableKind(t, inj)
+	return kind != faultinj.PruneNone, reason
 }
 
 // RFBound is the static vulnerability bound for the RF target of one
@@ -171,11 +361,12 @@ func (p *RFPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, st
 // space the pruner proves Masked lower-bounds the Masked rate, so its
 // complement upper-bounds the AVF.
 //
-// The Reg-prefixed fields carry the register-granular bound alongside
-// the headline one. For an RFPruner the pairs coincide; for a
-// BitPruner the headline fields are the (tighter) bit-granular bound
-// and the Reg fields record what register granularity alone proves —
-// the gap is the precision bought by known-bits + bit liveness.
+// The headline fields are the bit-granular bound and the Reg fields
+// record what register granularity alone proves — the gap is the
+// precision bought by known-bits + bit liveness. Because DeadOutBits
+// contains the full mask for every register DeadOut reports dead, the
+// headline bound dominates the register one on every cell by
+// construction.
 type RFBound struct {
 	MaskedLB      float64 // provably-masked fraction of the space
 	AVFUpperBound float64 // 1 - MaskedLB
@@ -185,12 +376,11 @@ type RFBound struct {
 	RegMaskedLB     float64 // register-granular provably-masked fraction
 	RegPrunableBits uint64  // register-granular provably-masked points
 
-	// Three-way refinement (DUEPruner; zero for the Masked-only
-	// pruners): DueLB lower-bounds the crash-certain (DUE) outcome
-	// fraction and SDCUpperBound caps what remains for SDC once both
-	// proof classes are subtracted. The provably-masked and
-	// provably-DUE point sets are disjoint, so the three fractions
-	// partition the space: MaskedLB + DueLB + SDCUpperBound == 1.
+	// DueLB lower-bounds the crash-certain (DUE) outcome fraction and
+	// SDCUpperBound caps what remains for SDC once both proof classes
+	// are subtracted. The provably-masked and provably-DUE point sets
+	// are disjoint, so the three fractions partition the space:
+	// MaskedLB + DueLB + SDCUpperBound == 1.
 	DueLB           float64
 	SDCUpperBound   float64
 	DuePrunableBits uint64 // provably-DUE (cycle x bit) points
@@ -201,7 +391,7 @@ type RFBound struct {
 // is in effect for every injection cycle in (cycle of event k-1, cycle
 // of event k], clipped to the golden run's cycle count. f receives
 // each interval's event count k and its width in cycles.
-func (p *RFPruner) walkIntervals(f func(k int, cycles uint64)) {
+func (p *DUEPruner) walkIntervals(f func(k int, cycles uint64)) {
 	g := p.goldenCycles
 	if g == 0 {
 		return
@@ -237,38 +427,67 @@ func (p *RFPruner) walkIntervals(f func(k int, cycles uint64)) {
 type pointBits struct {
 	known bool
 	reg   uint64   // bits of wholly dead registers
-	bit   uint64   // dead bits at the tier's own granularity
+	bit   uint64   // dead bits
 	due   []dueReg // registers holding crash-certain bits that are not dead
 }
 
 // dueReg is an architectural register with n due-and-not-dead bits.
 type dueReg struct{ a, n uint8 }
 
-// sumBound computes a tier's static bound by interval-walking the commit
-// trace: at gives the per-cycle contribution of a program point
-// (nothing, for an unanalyzable one) and is asked once per distinct
-// point; clear gates each listed due register on the reorder window of
-// the state the interval is in, and is never called when no point lists
-// one. An interval then costs two multiplies.
-func (p *RFPruner) sumBound(at func(pt int) pointBits, clear func(k int, a uint8) bool) RFBound {
+// bitsAt is the contribution of a point; all of it is zero for an
+// unanalyzable one. Every architectural register is always mapped to
+// exactly one physical register, so each dead register contributes XLEN
+// prunable bits regardless of which physical slot holds it.
+func (p *DUEPruner) bitsAt(pt int) pointBits {
+	dead, _ := p.deadAt(pt)
+	pb := pointBits{known: true, reg: uint64(dead.Count()) * uint64(p.xlen)}
+	for a := 1; a < p.numArch; a++ {
+		deadBits := p.deadBitsAt(pt, uint8(a))
+		pb.bit += uint64(bits.OnesCount64(deadBits))
+		if !p.dueOK {
+			continue
+		}
+		if n := bits.OnesCount64(p.dueBitsAt(pt, uint8(a)) &^ deadBits); n > 0 {
+			pb.due = append(pb.due, dueReg{uint8(a), uint8(n)})
+		}
+	}
+	return pb
+}
+
+// Bound computes the three-way static RF bound by interval-walking the
+// commit trace. The per-interval criterion is exactly PrunableKind's —
+// dead bits first, then due bits gated by the reorder window of the
+// state the interval is in — so each field equals the pruned count of
+// an exhaustive campaign. A point's contribution is worked out once; an
+// interval then costs two multiplies and the window gate of the due
+// registers its point lists.
+func (p *DUEPruner) Bound() RFBound {
 	b := RFBound{SpaceBits: p.goldenCycles * uint64(p.numPhys) * uint64(p.xlen)}
 	if b.SpaceBits == 0 {
 		return b
 	}
 	// Slot pt+2: entryPoint, the unanalyzable point, then the code image.
 	table := make([]pointBits, len(p.a.CFG.Code)+2)
+	// first[a] indexes the first reader of a at or past the k it was last
+	// asked about. The walk's k only ascends, so each cursor only moves
+	// forward, and only the cursors of listed registers move at all.
+	var first [32]int
 	var reg, bit, due uint64
 	p.walkIntervals(func(k int, cycles uint64) {
 		pt := p.pointAfter(k)
 		pb := &table[pt+2]
 		if !pb.known {
-			*pb = at(pt)
-			pb.known = true
+			*pb = p.bitsAt(pt)
 		}
 		reg += pb.reg * cycles
 		bit += pb.bit * cycles
 		for _, d := range pb.due {
-			if clear(k, d.a) {
+			rs, i := p.readers[d.a], first[d.a]
+			for i < len(rs) && int(rs[i]) < k {
+				i++
+			}
+			first[d.a] = i
+			if p.clearFrom(rs, i, k) {
 				due += uint64(d.n) * cycles
 			}
 		}
@@ -282,25 +501,4 @@ func (p *RFPruner) sumBound(at func(pt int) pointBits, clear func(k int, a uint8
 	b.DueLB = float64(due) / float64(b.SpaceBits)
 	b.SDCUpperBound = 1 - b.MaskedLB - b.DueLB
 	return b
-}
-
-// regBitsAt is the register-granular contribution of a point: every
-// architectural register is always mapped to exactly one physical
-// register, so each dead register contributes XLEN prunable bits
-// regardless of which physical slot holds it. An unanalyzable point has
-// no dead register.
-func (p *RFPruner) regBitsAt(pt int) uint64 {
-	dead, _ := p.deadAt(pt)
-	return uint64(dead.Count()) * uint64(p.xlen)
-}
-
-// Bound computes the static RF bound: within an interval every bit of
-// every dead mapped register is provably masked. The per-cycle criterion
-// is exactly Prunable's, so the bound equals the pruned fraction of an
-// exhaustive campaign.
-func (p *RFPruner) Bound() RFBound {
-	return p.sumBound(func(pt int) pointBits {
-		reg := p.regBitsAt(pt)
-		return pointBits{reg: reg, bit: reg}
-	}, nil)
 }

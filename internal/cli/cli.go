@@ -131,16 +131,6 @@ func Fatal(err error) {
 	os.Exit(1) //lint:exit process boundary for the CLI tools
 }
 
-// Checkpoints maps a -checkpoints flag value (0 disables, the natural
-// CLI convention) to the faultinj.Options / core.Spec convention, where
-// 0 means "package default" and a negative value disables.
-func Checkpoints(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
-}
-
 // Cache opens the prep-artifact cache behind a -cache flag: dir ""
 // leaves caching disabled (a nil cache is valid everywhere), maxMB 0
 // leaves the size unbounded.

@@ -5,7 +5,18 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"sevsim/internal/faultinj"
 )
+
+// withExpOptions runs the rest of the test with every unit's experiment
+// built from opts: the way to faultinj's reference paths.
+func withExpOptions(t *testing.T, opts faultinj.Options) {
+	t.Helper()
+	orig := expOptions
+	t.Cleanup(func() { expOptions = orig })
+	expOptions = opts
+}
 
 // TestCheckpointEquivalence is the study-level soundness acceptance for
 // the injection fast path: with checkpoint fast-forward and the
@@ -16,10 +27,8 @@ import (
 // Restores between different rungs, chunk-shared snapshots and the
 // convergence comparison that skips shared chunks are all on that path.
 func TestCheckpointEquivalence(t *testing.T) {
-	ref := resumeSpec(t)
-	ref.Checkpoints = -1
-	ref.NoFastExit = true
-	baseline, err := ref.Run()
+	withExpOptions(t, faultinj.Options{Checkpoints: -1, NoFastExit: true})
+	baseline, err := resumeSpec(t).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +38,8 @@ func TestCheckpointEquivalence(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			k, par := k, par
 			t.Run(fmt.Sprintf("checkpoints%d-parallel%d", k, par), func(t *testing.T) {
-				spec := resumeSpec(t) // fast exit on
-				spec.Checkpoints = k
+				withExpOptions(t, faultinj.Options{Checkpoints: k}) // fast exit on
+				spec := resumeSpec(t)
 				spec.Parallelism = par
 				st, err := spec.Run()
 				if err != nil {
@@ -47,10 +56,9 @@ func TestCheckpointEquivalence(t *testing.T) {
 }
 
 // TestKillAndResumeNoCheckpoints guards the interaction between the
-// fast path and the crash-tolerance engine: with checkpointing disabled
-// (the -checkpoints 0 CLI setting) a journaled study killed at random
-// points still resumes to a byte-identical study.json — and because the
-// journal does not fingerprint the fast-path knobs, the reference for
+// reference path and the crash-tolerance engine: with checkpointing and
+// the fast exit off, a journaled study killed at random points still
+// resumes to a byte-identical study.json, and the reference for
 // comparison is a default (checkpointing on) uninterrupted run.
 func TestKillAndResumeNoCheckpoints(t *testing.T) {
 	baseline, err := resumeSpec(t).Run()
@@ -59,9 +67,8 @@ func TestKillAndResumeNoCheckpoints(t *testing.T) {
 	}
 	want := saveBytes(t, baseline)
 
+	withExpOptions(t, faultinj.Options{Checkpoints: -1, NoFastExit: true})
 	spec := resumeSpec(t)
-	spec.Checkpoints = -1
-	spec.NoFastExit = true
 	spec.Parallelism = 4
 	spec.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
 	st, interrupts := runWithRandomKills(t, spec, 1337)

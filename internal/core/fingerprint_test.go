@@ -21,8 +21,6 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 	knobs := base
 	knobs.Parallelism = 7
 	knobs.Progress = func(string, ...any) {}
-	knobs.Checkpoints = -1
-	knobs.NoFastExit = true
 	knobs.Journal = "elsewhere.jsonl"
 	knobs.KeepGoing = true
 	knobs.Retries = 3

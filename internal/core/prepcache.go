@@ -7,13 +7,11 @@ package core
 //
 // The contract has two halves:
 //
-//   - The key (prepConfig.cacheKey) folds in *everything* that
-//     determines the artifacts — full source text, machine config,
-//     compiler target, optimization level, tracing, the checkpoint
-//     budget, and the format/analysis versions. The cachekeycover lint
-//     pass enforces completeness: every prepConfig field either feeds
-//     cacheKey or carries a //cache:ephemeral annotation explaining
-//     why the artifacts provably cannot depend on it.
+//   - The key (prepConfig.cacheKey) is the configuration struct
+//     itself, marshalled: full source text, machine config, compiler
+//     target, optimization level, tracing, the checkpoint budget, and
+//     the format/analysis versions. A field added to the struct is in
+//     the key; there is no second list to keep in step.
 //
 //   - The bundle (encode/decodePrepBundle) round-trips bit-exactly:
 //     a decoded checkpoint is strictly Equal to the recorded one, so
@@ -65,9 +63,9 @@ const prepBundleVersion = 4
 // static bound, so version-1 bundles must miss.
 const analysisVersion = 2
 
-// prepConfig is everything that determines one prep unit's artifacts.
-// Every field must feed cacheKey or be annotated //cache:ephemeral
-// with a reason (enforced by the cachekeycover lint pass).
+// prepConfig is everything that determines one prep unit's artifacts,
+// and nothing else: cacheKey marshals the whole struct, so its fields and
+// their order are the key's format (TestCacheKeyIsTheStruct).
 type prepConfig struct {
 	Version  int            // prepBundleVersion: serialized-format generation
 	Analysis int            // analysisVersion: static-bound semantics generation
@@ -83,47 +81,27 @@ type prepConfig struct {
 	// negatives normalized), so spellings of the same budget share an
 	// entry.
 	Checkpoints int
-
-	// NoFastExit shapes how injections *use* the checkpoint stream,
-	// not what the stream contains: the golden run and the recorded
-	// artifacts are identical either way.
-	//
-	//cache:ephemeral fast-exit consumes artifacts, it does not shape them; both modes decode the same bundle
-	NoFastExit bool
 }
 
 // cacheKey renders the canonical key string. The artifact cache hashes
 // keys itself and echoes the full key inside each entry, so the key
-// only needs to be canonical, not compact: JSON of a fixed field list
-// is deterministic (no maps anywhere in machine.Config).
-func (pc prepConfig) cacheKey() string {
-	b, err := json.Marshal(struct {
-		Version     int
-		Analysis    int
-		Machine     machine.Config
-		Bench       string
-		Size        int
-		Source      string
-		Level       string
-		XLEN        int
-		NumRegs     int
-		Traced      bool
-		Checkpoints int
-	}{
-		pc.Version, pc.Analysis, pc.Machine, pc.Bench, pc.Size,
-		pc.Source, pc.Level, pc.XLEN, pc.NumRegs, pc.Traced, pc.Checkpoints,
-	})
+// only needs to be canonical, not compact: JSON of a struct is
+// deterministic (no maps anywhere in machine.Config).
+func (pc prepConfig) cacheKey() string { return marshalKey("prep", pc) }
+
+// marshalKey is kind, a NUL, and the JSON of one of the two key structs.
+func marshalKey(kind string, cfg any) string {
+	b, err := json.Marshal(cfg)
 	if err != nil {
 		// Plain structs of scalars, strings, and slices cannot fail to
 		// marshal; a failure here is a programming error.
-		panic(fmt.Sprintf("core: prep cache key: %v", err))
+		panic(fmt.Sprintf("core: %s cache key: %v", kind, err))
 	}
-	return "prep\x00" + string(b)
+	return kind + "\x00" + string(b)
 }
 
 // cacheConfig assembles the unit's prep configuration.
 func (u *prepUnit) cacheConfig(src string) prepConfig {
-	k := resolveCheckpoints(u.checkpoints)
 	tgt := compilerTarget(u.cfg)
 	return prepConfig{
 		Version:     prepBundleVersion,
@@ -136,8 +114,7 @@ func (u *prepUnit) cacheConfig(src string) prepConfig {
 		XLEN:        tgt.XLEN,
 		NumRegs:     tgt.NumArchRegs,
 		Traced:      u.prune,
-		Checkpoints: k,
-		NoFastExit:  u.noFastExit,
+		Checkpoints: resolveCheckpoints(expOptions.Checkpoints),
 	}
 }
 
@@ -156,34 +133,10 @@ type expConfig struct {
 	GlobalSize  uint64
 	Traced      bool
 	Checkpoints int
-
-	// NoFastExit shapes artifact consumption, not content; see
-	// prepConfig.
-	//
-	//cache:ephemeral fast-exit consumes artifacts, it does not shape them; both modes decode the same bundle
-	NoFastExit bool
 }
 
 // cacheKey renders the canonical key string (see prepConfig.cacheKey).
-func (ec expConfig) cacheKey() string {
-	b, err := json.Marshal(struct {
-		Version     int
-		Machine     machine.Config
-		Name        string
-		Code        []uint32
-		Entry       uint64
-		GlobalSize  uint64
-		Traced      bool
-		Checkpoints int
-	}{
-		ec.Version, ec.Machine, ec.Name, ec.Code, ec.Entry,
-		ec.GlobalSize, ec.Traced, ec.Checkpoints,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("core: experiment cache key: %v", err))
-	}
-	return "exp\x00" + string(b)
-}
+func (ec expConfig) cacheKey() string { return marshalKey("exp", ec) }
 
 // resolveCheckpoints normalizes a checkpoint budget the way the
 // experiment constructor does, so spellings of the same budget share a
@@ -216,7 +169,6 @@ func CachedExperiment(cache *artcache.Cache, cfg machine.Config, prog *machine.P
 		GlobalSize:  prog.GlobalSize,
 		Traced:      opts.Traced,
 		Checkpoints: resolveCheckpoints(opts.Checkpoints),
-		NoFastExit:  opts.NoFastExit,
 	}.cacheKey()
 	_, exp, _, err := loadBundle(cache, key, cfg, opts, "core: experiment "+prog.Name, func() ([]byte, error) {
 		exp, err := faultinj.NewExperimentOptions(cfg, prog, opts)

@@ -44,9 +44,13 @@ import (
 // tests can inject compile failures into chosen units. newPruner is the
 // same for the analyze stage: a test fails it for chosen units, after
 // their golden run succeeded, and sees the experiments it was handed.
+// expOptions is what every unit's experiment is built with, Traced apart:
+// the zero value, the one injection mode, which only the equivalence
+// tests change to reach faultinj's reference paths.
 var (
 	compileUnit = compiler.Compile
 	newPruner   = binanalysis.NewDUEPruner
+	expOptions  faultinj.Options
 )
 
 // reporter serializes progress lines so concurrent cells never
@@ -68,16 +72,14 @@ func (r *reporter) printf(format string, args ...any) {
 // prepUnit is one (march, bench, level) triple: a compile plus a golden
 // run that gates the unit's campaign cells.
 type prepUnit struct {
-	cfg         machine.Config
-	bench       workloads.Benchmark
-	size        int
-	level       compiler.OptLevel
-	prune       bool
-	retries     int
-	checkpoints int
-	noFastExit  bool
-	analyses    *analysisCache  // shared across the study's prune units
-	cache       *artcache.Cache // nil: prep directly, nothing persisted
+	cfg      machine.Config
+	bench    workloads.Benchmark
+	size     int
+	level    compiler.OptLevel
+	prune    bool
+	retries  int
+	analyses *analysisCache  // shared across the study's prune units
+	cache    *artcache.Cache // nil: prep directly, nothing persisted
 
 	// need lists the unit's targets this run campaigns: the cells the
 	// caller wants that the journal did not already hold. cellErr,
@@ -170,7 +172,7 @@ func (u *prepUnit) prepOnce() {
 		prog, u.exp, u.err = u.compileAndRun(src)
 	} else {
 		u.stage = "golden" // what a hit's decode errors are filed under
-		prog, u.exp, static, u.err = loadBundle(u.cache, u.cacheConfig(src).cacheKey(), u.cfg, u.expOptions(),
+		prog, u.exp, static, u.err = loadBundle(u.cache, u.cacheConfig(src).cacheKey(), u.cfg, u.options(),
 			fmt.Sprintf("golden %s %v on %s", u.bench.Name, u.level, u.cfg.Name),
 			func() ([]byte, error) { return u.buildBundle(src) })
 	}
@@ -179,8 +181,11 @@ func (u *prepUnit) prepOnce() {
 	}
 }
 
-func (u *prepUnit) expOptions() faultinj.Options {
-	return faultinj.Options{Traced: u.prune, Checkpoints: u.checkpoints, NoFastExit: u.noFastExit}
+// options is expOptions with the unit's tracing filled in.
+func (u *prepUnit) options() faultinj.Options {
+	opts := expOptions
+	opts.Traced = u.prune
+	return opts
 }
 
 // compileAndRun is the uncached front of a preparation, shared by the
@@ -193,7 +198,7 @@ func (u *prepUnit) compileAndRun(src string) (*machine.Program, *faultinj.Experi
 		return nil, nil, fmt.Errorf("compile %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
 	u.stage = "golden"
-	exp, err := faultinj.NewExperimentOptions(u.cfg, prog, u.expOptions())
+	exp, err := faultinj.NewExperimentOptions(u.cfg, prog, u.options())
 	if err != nil {
 		return nil, nil, fmt.Errorf("golden %s %v on %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
@@ -572,7 +577,6 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				units = append(units, &prepUnit{
 					cfg: cfg, bench: bench, size: sizes[bi], level: level,
 					prune: s.Prune, retries: s.Retries, analyses: analyses,
-					checkpoints: s.Checkpoints, noFastExit: s.NoFastExit,
 					cache: s.Cache,
 					need:  need, cellErr: make([]error, len(need)),
 					backoff: s.retryBackoff(),

@@ -65,24 +65,6 @@ type Spec struct {
 	// without pruning; only the work to obtain them changes.
 	Prune bool
 
-	// Checkpoints is the per-cell golden checkpoint budget for injection
-	// fast-forward (see faultinj.Options.Checkpoints): 0 uses
-	// faultinj.DefaultCheckpoints, a negative value disables
-	// checkpointing so every injection simulates from cycle 0.
-	// Classifications are byte-identical at every setting, so the
-	// journal does not fingerprint it and a study may be resumed under a
-	// different value.
-	//
-	//journal:ephemeral classifications are byte-identical at any checkpoint budget (TestCheckpointEquivalence), so a resume may change it
-	Checkpoints int
-
-	// NoFastExit disables the early-convergence Masked exit while
-	// keeping checkpoint fast-forward. Like Checkpoints, it changes only
-	// the work done, never the results.
-	//
-	//journal:ephemeral work-shaping only; the Masked fast exit synthesizes the result the full run would produce
-	NoFastExit bool
-
 	// Journal, when non-empty, is the path of a durable JSONL journal:
 	// every completed prep-unit golden and campaign cell is appended
 	// (checksummed, fsync'd) as it finishes, and a later run with the
@@ -225,9 +207,9 @@ type StaticRF struct {
 	PrunableBits  uint64
 	SpaceBits     uint64
 
-	// Register-granular bound from the same dead-register analysis the
-	// original RFPruner used; MaskedLB >= RegMaskedLB on every unit by
-	// construction, and the gap measures what bit granularity bought.
+	// Register-granular bound from the dead-register analysis alone;
+	// MaskedLB >= RegMaskedLB on every unit by construction, and the
+	// gap measures what bit granularity bought.
 	RegMaskedLB      float64
 	RegAVFUpperBound float64
 	RegPrunableBits  uint64
@@ -262,17 +244,6 @@ type Failure struct {
 	// Stuck marks a cell abandoned by the watchdog for exceeding
 	// Spec.CellTimeout rather than failing outright.
 	Stuck bool `json:",omitempty"`
-}
-
-// FailuresFor returns the quarantined failures recorded for one unit.
-func (st *Study) FailuresFor(march, bench, level string) []Failure {
-	var out []Failure
-	for _, f := range st.Failed {
-		if f.March == march && f.Bench == bench && f.Level == level {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // StaticFor returns the static RF bound for a cell, when recorded.

@@ -115,9 +115,6 @@ func (m *Memory) Map(r Region) {
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Base < m.regions[j].Base })
 }
 
-// Regions returns the mapped regions in address order.
-func (m *Memory) Regions() []Region { return m.regions }
-
 // CheckAccess validates a program-level access of size bytes. It returns
 // nil when the access is legal.
 func (m *Memory) CheckAccess(addr, size uint64, write bool) *Fault {

@@ -17,9 +17,9 @@ const AnnJournalEphemeral = "journal:ephemeral"
 // annotated "//journal:ephemeral <reason>". Without this, adding a
 // classification-affecting Spec knob and forgetting to fingerprint it
 // would let a stale journal replay results recorded under different
-// semantics; with it, the omission is a lint error, and PR 4's
-// deliberate non-fingerprinting of the checkpoint/fastexit knobs is
-// explicit and machine-checked.
+// semantics; with it, the omission is a lint error, and every
+// deliberately unfingerprinted execution knob is explicit and
+// machine-checked.
 func fingerprintCoverPass() *Pass {
 	return &Pass{
 		Name: "fingerprintcover",

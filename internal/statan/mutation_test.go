@@ -19,7 +19,7 @@ import (
 func coverPasses(t *testing.T) []*Pass {
 	t.Helper()
 	var ps []*Pass
-	for _, name := range []string{"snapshotcover", "equalitycover", "fingerprintcover", "cachekeycover"} {
+	for _, name := range []string{"snapshotcover", "equalitycover", "fingerprintcover"} {
 		p := PassByName(name)
 		if p == nil {
 			t.Fatalf("unknown pass %q", name)
@@ -160,17 +160,6 @@ func TestFingerprintCoverCatchesDroppedSpecField(t *testing.T) {
 	requireClean(t, dir)
 	mutate(t, dir, "journal.go", "Prune:  s.Prune,", "")
 	requireFinding(t, analyze(t, dir), "fingerprintcover", "missing-field", "Prune")
-}
-
-// TestCacheKeyCoverCatchesDroppedField replaces the cache key's
-// Traced reference with a constant, so traced and untraced preps would
-// share an entry and a pruning study could load artifacts with no
-// commit trace — cachekeycover must report the field.
-func TestCacheKeyCoverCatchesDroppedField(t *testing.T) {
-	dir := copyPackage(t, filepath.Join("..", "core"))
-	requireClean(t, dir)
-	mutate(t, dir, "prepcache.go", "pc.Traced,", "false,")
-	requireFinding(t, analyze(t, dir), "cachekeycover", "missing-field", "Traced")
 }
 
 // copyModuleTree replicates the module layout transfercover's universe

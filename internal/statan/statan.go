@@ -88,7 +88,6 @@ func Passes() []*Pass {
 		snapshotCoverPass(),
 		equalityCoverPass(),
 		fingerprintCoverPass(),
-		cacheKeyCoverPass(),
 		transferCoverPass(),
 	}
 }

@@ -25,7 +25,6 @@ var fixtures = []struct {
 	{name: "snapcover", passes: []string{"snapshotcover"}},
 	{name: "eqcover", passes: []string{"equalitycover"}},
 	{name: "fpcover", passes: []string{"fingerprintcover"}},
-	{name: "ckcover", passes: []string{"cachekeycover"}},
 	{name: "transfercover", passes: []string{"transfercover"}},
 	{name: "suppress", passes: nil, checkSupp: true}, // all passes + hygiene
 }
