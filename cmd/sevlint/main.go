@@ -18,11 +18,6 @@
 //	                 fastpath equality relation, or
 //	                 //equality:dead <reason>; StateHash mixes only
 //	                 compared fields
-//	fingerprintcover every core.Spec field feeds the journal
-//	                 fingerprint, or //journal:ephemeral <reason>
-//	transfercover    every //bitflow:transfer function switches over
-//	                 each isa.Op* constant, or documents the fallback
-//	                 with //bitflow:conservative Op<X> <reason>
 //
 // The determinism and robustness rules apply to internal/ and cmd/
 // (examples and fixtures are demo code); the coverage passes run

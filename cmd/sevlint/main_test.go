@@ -76,7 +76,7 @@ func TestScopedGatesDeterminismToHarnessCode(t *testing.T) {
 	}
 
 	demo := names(scoped(all, filepath.Join("examples", "quickstart")))
-	want := []string{"snapshotcover", "equalitycover", "fingerprintcover", "transfercover"}
+	want := []string{"snapshotcover", "equalitycover"}
 	if !reflect.DeepEqual(demo, want) {
 		t.Errorf("examples dir runs %v, want coverage passes only %v", demo, want)
 	}

@@ -46,10 +46,9 @@ import (
 // Store instructions follow SourceRegs' convention: operand 1 is the
 // base address register (Rs1), operand 2 the stored register (Rd).
 //
-// The switch must handle every isa opcode; the transfercover sevlint
-// pass enforces this.
-//
-//bitflow:transfer
+// The rule oracle in rules_test.go flips bits outside each demand
+// against concrete semantics (soundness) and compares the demands of
+// bitwise logic and constant shifts with brute force (precision).
 func demandMasks(in isa.Instr, L uint64, kb1, kb2 KnownBits, xlen int) (d1, d2 uint64) {
 	m := xlenMask(xlen)
 	cm := uint64(xlen - 1)

@@ -56,20 +56,6 @@ func a15(t *testing.T) []unit {
 	return us
 }
 
-// knownUnsound lists, by unit, sampled verdicts the simulation
-// contradicts and that do not fail the check yet. All three are PruneBit
-// on XLEN-64 units: mayOverlap's interval test wraps when the upper
-// address bits are unknown, so a store is judged to alias no load and
-// its data register's bits are declared dead (ROADMAP item 7). The fix
-// moves every A72 static bound, so it belongs to a change that may bump
-// analysisVersion and refresh the goldens; an entry the fix makes stale
-// is a verdict no longer given, and harmless.
-var knownUnsound = map[string]faultinj.Injection{
-	"Cortex-A72-like-gsm-O3": {Cycle: 15617, Bit: 4168},
-	"Cortex-A72-like-sha-O3": {Cycle: 9161, Bit: 4506},
-	"Cortex-A72-like-fft-O1": {Cycle: 3435, Bit: 8332},
-}
-
 // tally is what one run of checkSoundness saw, summed over its units.
 type tally struct {
 	verdicts     [faultinj.PruneDUE + 1]atomic.Int64 // re-simulated, by kind
@@ -172,9 +158,7 @@ func checkSoundness(t *testing.T, units []unit, samples int, seed int64, done fu
 					want = faultinj.Crash
 				}
 				tl.verdicts[kind].Add(1)
-				if r.Outcome != want && knownUnsound[u.name] == inj {
-					t.Logf("known unsound: cycle %d bit %d: %s verdict (%s) but simulated as %s", inj.Cycle, inj.Bit, kind, reason, r.Outcome)
-				} else if r.Outcome != want {
+				if r.Outcome != want {
 					t.Errorf("cycle %d phys %d bit %d: %s verdict (%s) but simulated as %s (%s)",
 						inj.Cycle, inj.Bit/xlen, inj.Bit%xlen, kind, reason, r.Outcome, r.Reason)
 				}

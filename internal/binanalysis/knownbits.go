@@ -208,12 +208,10 @@ func kbMinInt(xlen int) int64 {
 // is the instruction's position in the code image (the link value of a
 // jump is the exact constant CodeBase + 4*(i+1)).
 //
-// The switch must handle every isa opcode: the transfercover sevlint
-// pass verifies that each isa.Op* constant appears in a case (or
-// carries a //bitflow:conservative annotation), so a new opcode can
-// never silently flow through with unsound bit semantics.
-//
-//bitflow:transfer
+// The switch must handle every isa opcode: the rule oracle in
+// rules_test.go requires the exact value for every opcode that writes a
+// register from registers or an immediate, so an opcode the switch
+// forgets fails there by name.
 func kbEval(i int, in isa.Instr, st *kbState, xlen int) KnownBits {
 	m := xlenMask(xlen)
 	switch in.Op {

@@ -99,10 +99,9 @@ func addrCeilOK(codeLen int, globalSize uint64) bool {
 // at most partially overlap one, which stalls the access until the
 // queue drains and the memory system faults it.
 //
-// The switch must handle every isa opcode; the transfercover sevlint
-// pass enforces this.
-//
-//bitflow:transfer
+// The rule oracle in rules_test.go requires the alignment and ceiling
+// bits of every memory opcode, 0 for everything but memory and jalr, and
+// a fault on the core for a sample of the bits claimed.
 func crashCertainMask(in isa.Instr, xlen int) uint64 {
 	m := xlenMask(xlen)
 	ceil := m &^ lowMask(addrHighBit)
@@ -151,11 +150,16 @@ func accessKB(g *CFG, i int, kz, ko []uint64, xlen int) KnownBits {
 
 // mayOverlap reports whether two accesses' byte ranges can intersect
 // on any concretization of their abstract addresses, by interval
-// reasoning: every concretization of k lies in [One, mask&^Zero].
+// reasoning: every concretization of k lies in [One, mask&^Zero]. A
+// range's end is a 65-bit sum (value and carry), so the range of an
+// address whose upper bits are unknown (maximum 2^64-1 at XLEN 64) ends
+// past every start.
 func mayOverlap(a KnownBits, asize int, b KnownBits, bsize int, m uint64) bool {
 	aMin, aMax := a.One&m, m&^a.Zero
 	bMin, bMax := b.One&m, m&^b.Zero
-	return aMin < bMax+uint64(bsize) && bMin < aMax+uint64(asize)
+	aEnd, aCarry := bits.Add64(aMax, uint64(asize), 0)
+	bEnd, bCarry := bits.Add64(bMax, uint64(bsize), 0)
+	return (bCarry != 0 || aMin < bEnd) && (aCarry != 0 || bMin < aEnd)
 }
 
 // loadWindowDemand maps a load destination's live-out mask back to the

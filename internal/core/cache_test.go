@@ -176,21 +176,20 @@ func TestCacheEvictionMidStudy(t *testing.T) {
 // TestCacheKeyIsTheStruct holds the two key structs to what makes
 // marshalling them a key: every field is exported and untagged, so it is
 // in the JSON under its own name. The two literal keys are the format on
-// disk: they were recorded at the commit that filled the caches this one
-// must keep warm, so a reordered, renamed or retyped field fails here
-// where it would otherwise be 64 silent misses.
+// disk, so a reordered, renamed or retyped field fails here where it
+// would otherwise be 64 silent misses; only a version bump moves them.
 func TestCacheKeyIsTheStruct(t *testing.T) {
 	const machineJSON = `{"Name":"m","CPU":{"Name":"","XLEN":0,"NumArchRegs":0,"NumPhysRegs":0,"ROBSize":0,"IQSize":0,"LQSize":0,"SQSize":0,"FetchWidth":0,"IssueWidth":0,"CommitWidth":0,"WBWidth":0,"FetchQueueSize":0,"ALULat":0,"MulLat":0,"DivLat":0,"BimodalSize":0,"BTBSize":0,"RASSize":0,"StoreForwarding":false},"L1I":{"Name":"","Size":0,"Ways":0,"LineSize":0,"HitLatency":0,"AddrBits":0,"ReadOnly":false},"L1D":{"Name":"","Size":0,"Ways":0,"LineSize":0,"HitLatency":0,"AddrBits":0,"ReadOnly":false},"L2":{"Name":"","Size":0,"Ways":0,"LineSize":0,"HitLatency":0,"AddrBits":0,"ReadOnly":false},"MemLatency":0,"RawFITPerBit":0,"ClockHz":0}`
 	m := machine.Config{Name: "m"}
-	pc := prepConfig{Version: 4, Analysis: 2, Machine: m, Bench: "b", Size: 3, Source: "s", Level: "O2",
+	pc := prepConfig{Version: prepBundleVersion, Analysis: analysisVersion, Machine: m, Bench: "b", Size: 3, Source: "s", Level: "O2",
 		XLEN: 32, NumRegs: 16, Traced: true, Checkpoints: 32}
-	ec := expConfig{Version: 4, Machine: m, Name: "p", Code: []uint32{1, 2}, Entry: 4, GlobalSize: 8,
+	ec := expConfig{Version: prepBundleVersion, Machine: m, Name: "p", Code: []uint32{1, 2}, Entry: 4, GlobalSize: 8,
 		Traced: true, Checkpoints: -1}
 	for _, tc := range []struct {
 		cfg       any
 		key, want string
 	}{
-		{pc, pc.cacheKey(), "prep\x00" + `{"Version":4,"Analysis":2,"Machine":` + machineJSON + `,"Bench":"b","Size":3,"Source":"s","Level":"O2","XLEN":32,"NumRegs":16,"Traced":true,"Checkpoints":32}`},
+		{pc, pc.cacheKey(), "prep\x00" + `{"Version":4,"Analysis":3,"Machine":` + machineJSON + `,"Bench":"b","Size":3,"Source":"s","Level":"O2","XLEN":32,"NumRegs":16,"Traced":true,"Checkpoints":32}`},
 		{ec, ec.cacheKey(), "exp\x00" + `{"Version":4,"Machine":` + machineJSON + `,"Name":"p","Code":[1,2],"Entry":4,"GlobalSize":8,"Traced":true,"Checkpoints":-1}`},
 	} {
 		if tc.key != tc.want {

@@ -25,8 +25,8 @@ const (
 
 // metaRecord fingerprints the spec a journal belongs to. Everything
 // that can change a result is included; execution knobs that cannot
-// (Parallelism, Progress, KeepGoing, Retries, CellTimeout) are not, so
-// a study may be resumed with different ones.
+// (parallelism, progress, retries, the cache and the like) are not, so a
+// study may be resumed with different ones.
 type metaRecord struct {
 	Machines []string
 	Benches  []string
@@ -39,11 +39,10 @@ type metaRecord struct {
 }
 
 // fingerprint derives the meta record from the spec. Everything that
-// can change a result must be reachable from here — the
-// fingerprintcover pass of cmd/sevlint checks that every Spec field is
-// either referenced by fingerprint (directly or via resolveSizes) or
-// annotated //journal:ephemeral with the argument for why a resume may
-// change it.
+// can change a result must be reachable from here.
+// TestFingerprintIgnoresEphemeralKnobs perturbs every Spec field: a
+// fingerprinted field must change the record, and an ephemeral knob,
+// whose row says why a resume may change it, must not.
 func (s Spec) fingerprint() metaRecord {
 	m := metaRecord{
 		Sizes:  s.resolveSizes(),

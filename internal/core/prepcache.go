@@ -61,7 +61,12 @@ const prepBundleVersion = 4
 // model refined store-data liveness, and the entry known-bits state
 // anchors the stack pointer — all of which change the serialized
 // static bound, so version-1 bundles must miss.
-const analysisVersion = 2
+//
+// Version 3: the static memory model compares access ranges without
+// wrapping at 2^64, so a store whose base has unknown upper bits may
+// alias a load again. The bit-granular bounds of XLEN-64 units change,
+// so version-2 bundles must miss.
+const analysisVersion = 3
 
 // prepConfig is everything that determines one prep unit's artifacts,
 // and nothing else: cacheKey marshals the whole struct, so its fields and

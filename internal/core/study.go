@@ -45,15 +45,11 @@ type Spec struct {
 	// Parallelism sizes the study-wide worker pool that all compiles,
 	// golden runs, and injections share (<=0: GOMAXPROCS). Results are
 	// identical at every setting; see Run.
-	//
-	//journal:ephemeral execution shape only; results are byte-identical at every parallelism
 	Parallelism int
 
 	// Progress, when non-nil, receives human-readable progress lines.
 	// Lines are serialized, but arrive in completion order, which under
 	// Parallelism > 1 differs from the deterministic result order.
-	//
-	//journal:ephemeral progress observer; never reaches results
 	Progress func(format string, args ...any)
 
 	// Prune enables the static ACE pruner: golden runs record commit
@@ -72,8 +68,6 @@ type Spec struct {
 	// study killed at any point and resumed this way produces a
 	// byte-identical study.json to an uninterrupted run. A journal
 	// recorded under a different spec is rejected.
-	//
-	//journal:ephemeral the journal's own path; where results are logged, not what they are
 	Journal string
 
 	// KeepGoing quarantines failures instead of aborting the study: a
@@ -82,8 +76,6 @@ type Spec struct {
 	// skipped, and every other cell completes exactly as in a clean
 	// run. Without KeepGoing the first failure cancels the study, which
 	// is the historical behavior.
-	//
-	//journal:ephemeral failure-handling policy; cells that complete are byte-identical either way, and quarantined failures are journaled as such
 	KeepGoing bool
 
 	// Retries is the number of additional preparation attempts after a
@@ -92,16 +84,12 @@ type Spec struct {
 	// Attempts after the first wait out the shared exponential backoff
 	// with jitter (RetryBackoff), so a transient fault gets time to
 	// clear instead of burning every retry back to back.
-	//
-	//journal:ephemeral retry budget for transient host faults; successful results are independent of it
 	Retries int
 
 	// RetryBackoff overrides the pacing between preparation retries
 	// (nil: backoff.Default). The jitter is sampled from a
 	// deterministic per-unit seed, so retry schedules — like results —
 	// reproduce run to run.
-	//
-	//journal:ephemeral retry pacing only; it shapes when attempts happen, never what they produce
 	RetryBackoff *backoff.Policy
 
 	// CellTimeout, when positive, arms a per-cell watchdog: a campaign
@@ -110,8 +98,6 @@ type Spec struct {
 	// skipped — instead of hanging the whole pool. Stuck classification
 	// depends on the wall clock, so enable it only for unattended runs
 	// where liveness beats strict reproducibility.
-	//
-	//journal:ephemeral wall-clock watchdog for unattended runs; deliberately outside the reproducibility contract
 	CellTimeout time.Duration
 
 	// Cache, when non-nil, memoizes prep artifacts on disk (compiled
@@ -122,8 +108,6 @@ type Spec struct {
 	// identical studies: a hit decodes to state strictly equal to a
 	// fresh prep, and corrupt or stale entries are discarded and
 	// rebuilt (TestCacheEquivalenceByteIdentical).
-	//
-	//journal:ephemeral artifact source only; a cache hit decodes to state bit-identical to a fresh prep, so no classification can depend on it
 	Cache *artcache.Cache
 }
 

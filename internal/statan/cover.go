@@ -1,11 +1,10 @@
 package statan
 
 // Shared machinery for the coverage passes (snapshotcover,
-// equalitycover, fingerprintcover). All three analyze the same shape:
-// a package-level struct type whose methods define a coverage relation
-// over its fields — "read by Snapshot and written by Restore",
-// "compared by StateEquals", "folded into the journal fingerprint" —
-// and a field annotation that documents a deliberate exclusion.
+// equalitycover). Both analyze the same shape: a package-level struct
+// type whose methods define a coverage relation over its fields — "read
+// by Snapshot and written by Restore", "compared by StateEquals" — and a
+// field annotation that documents a deliberate exclusion.
 //
 // Field reference collection is receiver-based and syntactic: a field
 // F of struct T counts as referenced by method M when M's body (or the
@@ -248,7 +247,7 @@ func rootField(e ast.Expr, recv string) string {
 
 // methodFieldRefs returns every receiver field referenced by the named
 // method or, transitively, by sibling methods it calls on its receiver
-// (e.g. Spec.fingerprint calling s.resolveSizes()).
+// (e.g. Snapshot calling a snapshot helper on the same receiver).
 func (sd *structDecl) methodFieldRefs(name string) map[string]bool {
 	refs, _ := sd.methodFieldUse(name)
 	return refs

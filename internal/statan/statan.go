@@ -13,10 +13,9 @@
 //     from one rule; every suppression must carry a reason, and a
 //     suppression that no finding consulted is itself reported stale;
 //   - field annotations ("//snapshot:skip <reason>",
-//     "//equality:dead <reason>", "//journal:ephemeral <reason>")
-//     document why a struct field is deliberately outside a coverage
-//     relation (see the snapshotcover, equalitycover, and
-//     fingerprintcover passes).
+//     "//equality:dead <reason>") document why a struct field is
+//     deliberately outside a coverage relation (see the snapshotcover
+//     and equalitycover passes).
 //
 // The passes themselves live in sibling files; Passes lists them all.
 package statan
@@ -87,8 +86,6 @@ func Passes() []*Pass {
 		robustnessPass(),
 		snapshotCoverPass(),
 		equalityCoverPass(),
-		fingerprintCoverPass(),
-		transferCoverPass(),
 	}
 }
 

@@ -24,8 +24,6 @@ var fixtures = []struct {
 	{name: "dispatch", passes: []string{"robustness"}},
 	{name: "snapcover", passes: []string{"snapshotcover"}},
 	{name: "eqcover", passes: []string{"equalitycover"}},
-	{name: "fpcover", passes: []string{"fingerprintcover"}},
-	{name: "transfercover", passes: []string{"transfercover"}},
 	{name: "suppress", passes: nil, checkSupp: true}, // all passes + hygiene
 }
 

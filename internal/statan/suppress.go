@@ -127,8 +127,7 @@ func reportSuppressionHygiene(pkg *Package, out *[]Diagnostic) {
 //
 //	//<domain>:<verb> <reason>
 //
-// (e.g. //snapshot:skip, //equality:dead, //journal:ephemeral)
-// declares the field deliberately outside one coverage relation. The
+// (//snapshot:skip, //equality:dead) declares the field deliberately outside one coverage relation. The
 // coverage passes require the reason and flag stale annotations
 // (fields the relation actually covers).
 type annotation struct {
