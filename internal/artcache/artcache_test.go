@@ -296,3 +296,33 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatal("non-zero stats Empty")
 	}
 }
+
+// FuzzDecodeEntry feeds arbitrary bytes to the entry decoder, which
+// reads whatever a shared cache directory holds. It must never panic,
+// must return errCorrupt or a payload whose encoding under the key is
+// exactly the input (the frame has one spelling per payload), and must
+// return any payload it is given back from that payload's encoding.
+func FuzzDecodeEntry(f *testing.F) {
+	const key = "unit/a15/qsort/O2"
+	entry := encodeEntry(key, []byte("golden artifact bytes \x00\xff binary ok"))
+	f.Add(entry, key, []byte("payload"))
+	f.Add(entry, "unit/a72/qsort/O2", []byte{}) // a renamed entry or filename-hash collision
+	f.Add(entry[:len(entry)-1], key, []byte{0})
+	for _, n := range []int{0, 7, 8, 12, 12 + len(key), 20 + len(key), 52 + len(key)} {
+		f.Add(entry[:n], key, []byte(nil))
+	}
+	long := append(append([]byte{}, entry...), 0)
+	f.Add(long, key, []byte("x")) // trailing garbage
+	f.Fuzz(func(t *testing.T, raw []byte, key string, payload []byte) {
+		got, err := decodeEntry(raw, key)
+		switch {
+		case err != nil && (err != errCorrupt || got != nil):
+			t.Fatalf("decode: %v %q, want errCorrupt and no payload", err, got)
+		case err == nil && !bytes.Equal(encodeEntry(key, got), raw):
+			t.Fatalf("decode accepted %x as %q, which encodes otherwise", raw, got)
+		}
+		if got, err := decodeEntry(encodeEntry(key, payload), key); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip of %q: %q %v", payload, got, err)
+		}
+	})
+}

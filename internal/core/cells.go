@@ -93,9 +93,9 @@ func unitFailed(ref CellRef, f Failure) CellOutcome {
 	return CellOutcome{Cell: ref, Result: skipped(ref, "unit "+f.Stage+" failed: "+f.Err), UnitFailure: &f}
 }
 
-// cellFailed is the outcome of a cell that will never produce a
+// CellFailed is the outcome of a cell that will never produce a
 // result: it panicked, the watchdog abandoned it, or its leases ran out.
-func cellFailed(ref CellRef, f Failure) CellOutcome {
+func CellFailed(ref CellRef, f Failure) CellOutcome {
 	reason := "cell failed: "
 	if f.Stuck {
 		reason = "stuck: "
@@ -200,8 +200,9 @@ type Assembler struct {
 
 	cellIdx map[CellRef]int // cell -> index in cells and st.Results
 
-	have        []bool // per cell: outcome or quarantine recorded
+	have        []bool // per cell: outcome recorded
 	remaining   int
+	failed      int        // merged cells whose outcome carries a failure
 	haveGolden  []bool     // per unit: a computed golden, not a quarantine placeholder
 	unitFailure []*Failure // per unit
 	cellFailure []*Failure // per cell
@@ -250,8 +251,8 @@ func NewAssembler(spec Spec) *Assembler {
 	return a
 }
 
-// has reports whether the cell is already accounted for.
-func (a *Assembler) has(ref CellRef) bool {
+// Has reports whether the cell is already accounted for.
+func (a *Assembler) Has(ref CellRef) bool {
 	idx, ok := a.cellIdx[ref]
 	return ok && a.have[idx]
 }
@@ -297,6 +298,9 @@ func (a *Assembler) Add(o CellOutcome) (accepted bool, err error) {
 	ui := idx / a.nt
 	a.have[idx] = true
 	a.remaining--
+	if o.UnitFailure != nil || o.CellFailure != nil {
+		a.failed++
+	}
 
 	if f := o.UnitFailure; f != nil {
 		// A quarantined preparation: this cell contributes the unit's
@@ -328,21 +332,11 @@ func (a *Assembler) Add(o CellOutcome) (accepted bool, err error) {
 	return true, nil
 }
 
-// Quarantine records a cell that will never complete — its leases
-// expired or failed past the retry budget — with the failure that
-// removed it from the study (a failure without a Target quarantines
-// the cell as part of its unit). Like Add it is first-wins idempotent,
-// so a late completion racing a quarantine (or vice versa) resolves
-// deterministically to whichever was recorded first.
-func (a *Assembler) Quarantine(ref CellRef, f Failure) (accepted bool, err error) {
-	if f.Target == "" {
-		return a.Add(unitFailed(ref, f))
-	}
-	return a.Add(cellFailed(ref, f))
-}
-
 // Done returns how many of the spec's cells are accounted for.
 func (a *Assembler) Done() int { return len(a.have) - a.remaining }
+
+// Failed returns how many of the merged cells carry a failure.
+func (a *Assembler) Failed() int { return a.failed }
 
 // Total returns the spec's cell count.
 func (a *Assembler) Total() int { return len(a.have) }

@@ -221,8 +221,8 @@ func TestAssemblerRefusesPartialStudy(t *testing.T) {
 }
 
 // TestAssemblerQuarantineVsCompletionRace pins the first-wins contract
-// between Quarantine and a late completion: whichever lands first is
-// the cell's fate, deterministically.
+// between a quarantine outcome and a late completion: whichever lands
+// first is the cell's fate, deterministically.
 func TestAssemblerQuarantineVsCompletionRace(t *testing.T) {
 	spec := tinySpec(t)
 	cells := spec.Cells()
@@ -235,11 +235,14 @@ func TestAssemblerQuarantineVsCompletionRace(t *testing.T) {
 	asm := NewAssembler(spec)
 	f := Failure{March: cells[0].March, Bench: cells[0].Bench, Level: cells[0].Level,
 		Target: cells[0].Target, Stage: "dispatch", Err: "lease expired"}
-	if ok, err := asm.Quarantine(cells[0], f); err != nil || !ok {
+	if ok, err := asm.Add(CellFailed(cells[0], f)); err != nil || !ok {
 		t.Fatalf("quarantine: %v %v", ok, err)
 	}
 	if ok, err := asm.Add(outcomes[0]); err != nil || ok {
 		t.Fatalf("late completion after quarantine: accepted=%v err=%v", ok, err)
+	}
+	if asm.Failed() != 1 {
+		t.Fatalf("Failed() = %d after one quarantine, want 1", asm.Failed())
 	}
 
 	// Completion first, then the quarantine arrives: dropped.
@@ -247,7 +250,7 @@ func TestAssemblerQuarantineVsCompletionRace(t *testing.T) {
 	if ok, err := asm.Add(outcomes[0]); err != nil || !ok {
 		t.Fatalf("completion: %v %v", ok, err)
 	}
-	if ok, err := asm.Quarantine(cells[0], f); err != nil || ok {
+	if ok, err := asm.Add(CellFailed(cells[0], f)); err != nil || ok {
 		t.Fatalf("late quarantine after completion: accepted=%v err=%v", ok, err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -13,9 +14,10 @@ import (
 // TestFingerprintIgnoresEphemeralKnobs pins the journal compatibility
 // contract field by field. Every Spec field has one row with one
 // perturbation: a fingerprinted field's perturbation must change the
-// journal's meta record, and an ephemeral knob's must not, because a study
-// may be resumed under a different value of it. A Spec field without a
-// row fails, so a new field is classified when it is added.
+// journal's meta record and the study ID of its wire form, and an
+// ephemeral knob's must change neither, because a study may be resumed
+// under a different value of it. A Spec field without a row fails, so a
+// new field is classified when it is added.
 func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 	rows := []struct {
 		field     string
@@ -49,7 +51,7 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 	}
 
 	base := DefaultSpec(100)
-	want := base.fingerprint()
+	want, wantID := base.fingerprint(), base.Wire().ID()
 	typ := reflect.TypeOf(base)
 	covered := map[string]bool{}
 	for _, r := range rows {
@@ -64,6 +66,9 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 			t.Errorf("the perturbation of %s leaves it unchanged", r.field)
 		}
 		changed := !reflect.DeepEqual(s.fingerprint(), want)
+		if changedID := s.Wire().ID() != wantID; changedID != changed {
+			t.Errorf("perturbing %s changes the fingerprint (%v) and the study ID (%v) differently", r.field, changed, changedID)
+		}
 		switch {
 		case r.ephemeral == "" && !changed:
 			t.Errorf("fingerprint ignores %s", r.field)
@@ -75,5 +80,23 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 		if name := typ.Field(i).Name; !covered[name] {
 			t.Errorf("Spec.%s has no row: say whether the journal fingerprints it, and if not, why a resume may change it", name)
 		}
+	}
+}
+
+// TestMetaRecordBytes pins the meta record a study journal starts with:
+// a journal written before the wire spec and the meta record were one
+// type must still resume, so the fields that are not part of a study's
+// identity must not reach its bytes.
+func TestMetaRecordBytes(t *testing.T) {
+	spec := DefaultSpec(3)
+	spec.Machines, spec.Benchmarks, spec.Levels, spec.Targets = spec.Machines[:1], spec.Benchmarks[:1], spec.Levels[:1], spec.Targets[:1]
+	spec.Retries = 2
+	got, err := json.Marshal(spec.fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Machines":["Cortex-A15-like"],"Benches":["qsort"],"Sizes":[300],"Levels":["O0"],"Targets":["L1I.data"],"Faults":3,"Seed":2021,"Prune":false}`
+	if string(got) != want {
+		t.Fatalf("meta record\n got %s\nwant %s", got, want)
 	}
 }

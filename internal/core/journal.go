@@ -8,11 +8,16 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
 
+	"sevsim/internal/cli"
+	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
+	"sevsim/internal/workloads"
 )
 
 // Journal record kinds. The meta record is always first; every other
@@ -23,46 +28,162 @@ const (
 	kindOutcome = "outcome"
 )
 
-// metaRecord fingerprints the spec a journal belongs to. Everything
-// that can change a result is included; execution knobs that cannot
-// (parallelism, progress, retries, the cache and the like) are not, so a
-// study may be resumed with different ones.
-type metaRecord struct {
-	Machines []string
-	Benches  []string
-	Sizes    []int
-	Levels   []string
-	Targets  []string
+// StudySpec is a study's identity in names: the wire form a coordinator
+// hands its workers and the meta record a study journal starts with.
+// Execution knobs (parallelism, journaling paths, watchdogs, the cache)
+// stay host-local. Retries and CacheMaxMB travel with a submitted study
+// but are not part of its identity, and being omitempty they leave the
+// meta record's bytes what they were before the two were one type.
+type StudySpec struct {
+	Machines []string // machine config names (MachineConfig)
+	Benches  []string // benchmark names (workloads.ByName)
+	Sizes    []int    // per-bench sizes, parallel to Benches (nil: defaults)
+	Levels   []string // optimization levels ("O0".."O3")
+	Targets  []string // structure fields (faultinj.TargetByName); nil: all
 	Faults   int
 	Seed     int64
 	Prune    bool
+
+	// Retries is the workers' Spec.Retries.
+	Retries int `json:",omitempty"`
+
+	// CacheMaxMB advises workers how much disk their prep-artifact
+	// cache may use for this study (0: no advice). It is pure execution
+	// policy: a cache hit decodes to state bit-identical to a fresh prep.
+	CacheMaxMB int64 `json:",omitempty"`
 }
 
-// fingerprint derives the meta record from the spec. Everything that
-// can change a result must be reachable from here.
+// identity drops the fields a study may change without becoming another
+// study: what the journal fingerprints and the study ID hashes.
+func (w StudySpec) identity() StudySpec {
+	w.Retries, w.CacheMaxMB = 0, 0
+	return w
+}
+
+// Wire renders the spec as its StudySpec, sizes resolved.
+func (s Spec) Wire() StudySpec {
+	w := StudySpec{
+		Sizes:   s.resolveSizes(),
+		Faults:  s.Faults,
+		Seed:    s.Seed,
+		Prune:   s.Prune,
+		Retries: s.Retries,
+	}
+	for _, cfg := range s.Machines {
+		w.Machines = append(w.Machines, cfg.Name)
+	}
+	for _, b := range s.Benchmarks {
+		w.Benches = append(w.Benches, b.Name)
+	}
+	for _, l := range s.Levels {
+		w.Levels = append(w.Levels, l.String())
+	}
+	for _, t := range s.Targets {
+		w.Targets = append(w.Targets, t.Name())
+	}
+	return w
+}
+
+// fingerprint is the journal's meta record. Everything that can change
+// a result must be reachable from here.
 // TestFingerprintIgnoresEphemeralKnobs perturbs every Spec field: a
 // fingerprinted field must change the record, and an ephemeral knob,
 // whose row says why a resume may change it, must not.
-func (s Spec) fingerprint() metaRecord {
-	m := metaRecord{
-		Sizes:  s.resolveSizes(),
-		Faults: s.Faults,
-		Seed:   s.Seed,
-		Prune:  s.Prune,
+func (s Spec) fingerprint() StudySpec { return s.Wire().identity() }
+
+// Normalize fills defaults (benchmark sizes, the full target set) and
+// validates every name resolves. The normalized spec is what the
+// study ID hashes, so a spec submitted with explicit defaults and one
+// submitted with them elided are the same study.
+func (w StudySpec) Normalize() (StudySpec, error) {
+	if len(w.Machines) == 0 || len(w.Benches) == 0 || len(w.Levels) == 0 {
+		return w, fmt.Errorf("core: spec needs at least one machine, benchmark, and level")
 	}
-	for _, cfg := range s.Machines {
-		m.Machines = append(m.Machines, cfg.Name)
+	if w.Faults <= 0 {
+		return w, fmt.Errorf("core: spec needs a positive fault count")
 	}
-	for _, b := range s.Benchmarks {
-		m.Benches = append(m.Benches, b.Name)
+	if len(w.Targets) == 0 {
+		for _, t := range faultinj.Targets() {
+			w.Targets = append(w.Targets, t.Name())
+		}
 	}
-	for _, l := range s.Levels {
-		m.Levels = append(m.Levels, l.String())
+	if w.Sizes == nil {
+		w.Sizes = make([]int, len(w.Benches))
+		for i, name := range w.Benches {
+			b, err := workloads.ByName(name)
+			if err != nil {
+				return w, fmt.Errorf("core: %w", err)
+			}
+			w.Sizes[i] = b.DefaultSize
+		}
 	}
-	for _, t := range s.Targets {
-		m.Targets = append(m.Targets, t.Name())
+	if len(w.Sizes) != len(w.Benches) {
+		return w, fmt.Errorf("core: %d sizes for %d benchmarks", len(w.Sizes), len(w.Benches))
 	}
-	return m
+	if _, err := w.Spec(); err != nil {
+		return w, err
+	}
+	return w, nil
+}
+
+// ID derives the study's content-addressed identity from the
+// normalized spec, so resubmitting the same study is idempotent.
+func (w StudySpec) ID() string {
+	data, err := json.Marshal(w.identity())
+	if err != nil {
+		// Marshalling a struct of strings and ints cannot fail.
+		panic(fmt.Sprintf("core: marshal spec: %v", err))
+	}
+	sum := sha256.Sum256(data)
+	return "st-" + hex.EncodeToString(sum[:8])
+}
+
+// Spec resolves the names back to an executable Spec. The resolution is
+// deterministic, so every worker and the coordinator agree on cell
+// enumeration, seeds, and the journal fingerprint.
+func (w StudySpec) Spec() (Spec, error) {
+	s := Spec{Faults: w.Faults, Seed: w.Seed, Prune: w.Prune, Retries: w.Retries}
+	for _, name := range w.Machines {
+		cfg, ok := MachineConfig(name)
+		if !ok {
+			return Spec{}, fmt.Errorf("core: unknown machine config %q", name)
+		}
+		s.Machines = append(s.Machines, cfg)
+	}
+	for _, name := range w.Benches {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			return Spec{}, fmt.Errorf("core: %w", err)
+		}
+		s.Benchmarks = append(s.Benchmarks, b)
+	}
+	for _, name := range w.Levels {
+		level, err := cli.Level(name)
+		if err != nil {
+			return Spec{}, fmt.Errorf("core: %w", err)
+		}
+		s.Levels = append(s.Levels, level)
+	}
+	for _, name := range w.Targets {
+		t, ok := faultinj.TargetByName(name)
+		if !ok {
+			return Spec{}, fmt.Errorf("core: unknown injection target %q", name)
+		}
+		s.Targets = append(s.Targets, t)
+	}
+	if len(w.Sizes) == len(w.Benches) {
+		sizes := make(map[string]int, len(w.Benches))
+		for i, name := range w.Benches {
+			sizes[name] = w.Sizes[i]
+		}
+		s.Size = func(b workloads.Benchmark) int {
+			if n, ok := sizes[b.Name]; ok && n > 0 {
+				return n
+			}
+			return b.DefaultSize
+		}
+	}
+	return s, nil
 }
 
 // resolveSizes returns the effective size of each benchmark.
@@ -80,7 +201,7 @@ func (s Spec) resolveSizes() []int {
 // openStudyJournal opens (or creates) the journal at path and hands
 // every outcome it holds to add, in file order. A fresh journal gets
 // its meta record; an existing one must carry the spec's.
-func openStudyJournal(path string, meta metaRecord, add func(CellOutcome) error) (*journal.Writer, error) {
+func openStudyJournal(path string, meta StudySpec, add func(CellOutcome) error) (*journal.Writer, error) {
 	w, recs, err := journal.Open(path, journal.Options{})
 	if err != nil {
 		return nil, err
@@ -100,11 +221,11 @@ func openStudyJournal(path string, meta metaRecord, add func(CellOutcome) error)
 // replayJournal validates the meta record against the spec and feeds
 // the outcome records to add, stopping at the first one that does not
 // decode or that add refuses.
-func replayJournal(recs []journal.Record, meta metaRecord, add func(CellOutcome) error) error {
+func replayJournal(recs []journal.Record, meta StudySpec, add func(CellOutcome) error) error {
 	if recs[0].Kind != kindMeta {
 		return fmt.Errorf("first record is %q, not %q", recs[0].Kind, kindMeta)
 	}
-	var got metaRecord
+	var got StudySpec
 	if err := json.Unmarshal(recs[0].Data, &got); err != nil {
 		return fmt.Errorf("meta record: %w", err)
 	}
@@ -134,7 +255,7 @@ func replayJournal(recs []journal.Record, meta metaRecord, add func(CellOutcome)
 // fingerprint against the current one, one line per differing knob, so
 // a rejected resume says exactly which knob changed instead of an
 // opaque "fingerprint mismatch". Empty when the fingerprints match.
-func diffMeta(stored, current metaRecord) []string {
+func diffMeta(stored, current StudySpec) []string {
 	var out []string
 	scalar := func(field string, s, c any) {
 		if s != c {

@@ -94,7 +94,7 @@ func FuzzOutcomeReplay(f *testing.F) {
 		}
 		for i, ref := range cells {
 			r := asm.st.Results[i]
-			if seen[ref] != asm.has(ref) || (seen[ref] && (CellRef{r.March, r.Bench, r.Level, r.Target}) != ref) {
+			if seen[ref] != asm.Has(ref) || (seen[ref] && (CellRef{r.March, r.Bench, r.Level, r.Target}) != ref) {
 				t.Fatalf("slot of %s holds %+v (accepted: %v)", ref, r, seen[ref])
 			}
 			if g := asm.st.Goldens[i/len(spec.Targets)]; g.March != "" && (cellKey{g.March, g.Bench, g.Level, ""}) != ref.unit() {

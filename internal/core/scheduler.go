@@ -567,7 +567,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				var need []faultinj.Target
 				for _, t := range s.Targets {
 					ref := CellRef{March: cfg.Name, Bench: bench.Name, Level: level.String(), Target: t.Name()}
-					if res.wanted(ref) && !asm.has(ref) {
+					if res.wanted(ref) && !asm.Has(ref) {
 						need = append(need, t)
 					}
 				}
@@ -635,7 +635,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 					return
 				}
 				failure.Err = err.Error()
-				res.emit(u, cellFailed(ref, failure))
+				res.emit(u, CellFailed(ref, failure))
 			}
 		}()
 		// The watchdog: a per-cell deadline layered on the study
@@ -661,7 +661,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 			}
 			// Watchdog expiry: quarantine the cell as stuck.
 			failure.Err, failure.Stuck = "exceeded per-cell wall-clock deadline", true
-			res.emit(u, cellFailed(ref, failure))
+			res.emit(u, CellFailed(ref, failure))
 			rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
 				r.March, r.Bench, r.Level, r.Target, r.Faults, s.Faults)
 			return

@@ -37,9 +37,9 @@ type Spec struct {
 	Seed   int64
 
 	// Size overrides the benchmark scale; nil uses DefaultSize. The
-	// journal fingerprints the *resolved* sizes (see Spec.fingerprint
-	// calling resolveSizes), so two specs whose Size funcs differ but
-	// resolve identically share a journal.
+	// journal fingerprints the *resolved* sizes (see Spec.Wire), so two
+	// specs whose Size funcs differ but resolve identically share a
+	// journal.
 	Size func(workloads.Benchmark) int
 
 	// Parallelism sizes the study-wide worker pool that all compiles,

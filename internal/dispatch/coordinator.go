@@ -14,15 +14,14 @@ import (
 	"sevsim/internal/journal"
 )
 
-// Coordinator journal record kinds. Submissions and terminal cell
-// events (merge-accepted outcomes, quarantines) are durable; leases
+// Coordinator journal record kinds. Submissions and merged outcomes
+// (a quarantine is an outcome carrying its failure) are durable; leases
 // are not — they are soft state that expires and reassigns itself, so
 // a restarted coordinator simply re-leases whatever the journal does
 // not prove finished.
 const (
-	kindSubmit     = "submit"
-	kindOutcome    = "outcome"
-	kindQuarantine = "quarantine"
+	kindSubmit  = "submit"
+	kindOutcome = "outcome"
 )
 
 type submitRecord struct {
@@ -33,12 +32,6 @@ type submitRecord struct {
 type outcomeRecord struct {
 	Study   string
 	Outcome core.CellOutcome
-}
-
-type quarantineRecord struct {
-	Study   string
-	Cell    core.CellRef
-	Failure core.Failure
 }
 
 // Options configures a Coordinator.
@@ -135,7 +128,7 @@ type Coordinator struct {
 
 // OpenCoordinator opens (or creates) the coordinator state in
 // opt.Dir and replays its journal: submitted studies are rebuilt, every
-// journaled outcome and quarantine is re-merged, and the remaining
+// journaled outcome is re-merged, and the remaining
 // cells return to pending — a restarted coordinator loses leases (they
 // re-expire naturally) but never a completed cell.
 func OpenCoordinator(opt Options) (*Coordinator, error) {
@@ -184,22 +177,10 @@ func (c *Coordinator) replay(rec journal.Record) error {
 		if _, err := r.asm.Add(or.Outcome); err != nil {
 			return err
 		}
-		r.table.markDone(or.Outcome.Cell.Key())
-	case kindQuarantine:
-		var qr quarantineRecord
-		if err := json.Unmarshal(rec.Data, &qr); err != nil {
-			return fmt.Errorf("dispatch: quarantine record: %w", err)
-		}
-		r, ok := c.studies[qr.Study]
-		if !ok {
-			return fmt.Errorf("dispatch: quarantine for unknown study %s", qr.Study)
-		}
-		if _, err := r.asm.Quarantine(qr.Cell, qr.Failure); err != nil {
-			return err
-		}
-		r.table.markQuarantined(qr.Cell.Key())
 	default:
-		return fmt.Errorf("dispatch: unknown journal record kind %q", rec.Kind)
+		// Quarantines were records of their own before they were
+		// outcomes; nothing reads those any more.
+		return fmt.Errorf("dispatch: %q record is not from this journal format; remove the state directory %s and resubmit (finished cells are recomputed)", rec.Kind, c.opt.Dir)
 	}
 	return nil
 }
@@ -209,12 +190,13 @@ func (c *Coordinator) newRun(id string, wire StudySpec) (*studyRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	asm := core.NewAssembler(spec)
 	return &studyRun{
 		id:                id,
 		wire:              wire,
 		spec:              spec,
-		asm:               core.NewAssembler(spec),
-		table:             newLeaseTable(spec.Cells(), c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
+		asm:               asm,
+		table:             newLeaseTable(spec.Cells(), asm.Has, c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
 		subs:              map[chan StatusEvent]struct{}{},
 		cacheByWorker:     map[string]artcache.Stats{},
 		prunedDUEByWorker: map[string]int{},
@@ -311,15 +293,11 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{Known: r.table.heartbeat(leaseID, now)}
 }
 
-// Complete merges a lease's outcomes. The whole report is checked, its
-// fresh outcomes are written to the journal and fsync'd once, and only
-// then does anything else learn of them: a failed write or sync leaves
-// every cell of the report where it was, the request fails, and the
-// worker's retry lands it (what the failed attempt left in the journal
-// replays as duplicates). Duplicates (the cell already completed under
-// another lease, or named earlier in this report) are counted and
-// discarded. Accepting outcomes from expired or unknown leases is
-// deliberate: the compute is done, and the merge is idempotent.
+// Complete merges a lease's outcomes (see commit). Duplicates (the
+// cell already completed under another lease, or named earlier in this
+// report) are counted and discarded. Accepting outcomes from expired or
+// unknown leases is deliberate: the compute is done, and the merge is
+// idempotent.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -327,42 +305,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if !ok {
 		return CompleteResponse{}, fmt.Errorf("dispatch: unknown study %s", req.StudyID)
 	}
-	var resp CompleteResponse
-	fresh := make([]core.CellOutcome, 0, len(req.Outcomes))
-	named := make(map[core.CellRef]bool, len(req.Outcomes))
-	for _, o := range req.Outcomes {
-		ok, err := r.asm.Check(o)
-		if err != nil {
-			return CompleteResponse{}, fmt.Errorf("dispatch: study %s: %w", req.StudyID, err)
-		}
-		if !ok || named[o.Cell] {
-			resp.Duplicates++
-			continue
-		}
-		named[o.Cell] = true
-		fresh = append(fresh, o)
-	}
-	for _, o := range fresh {
-		if err := c.jw.Write(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
-			return CompleteResponse{}, fmt.Errorf("dispatch: journal outcome: %w", err)
-		}
-	}
-	if len(fresh) > 0 {
-		if err := c.jw.Sync(); err != nil {
-			return CompleteResponse{}, fmt.Errorf("dispatch: journal outcome: %w", err)
-		}
-	}
-	for _, o := range fresh {
-		if _, err := r.asm.Add(o); err != nil {
-			return resp, err
-		}
-		key := o.Cell.Key()
-		r.table.complete(req.Worker, key)
-		resp.Accepted++
-		if n := o.Result.Counts.PrunedDUE; n > 0 && req.Worker != "" {
-			r.prunedDUEByWorker[req.Worker] += n
-		}
-		c.notify(r, key, req.Worker)
+	accepted, err := c.commit(r, req.Worker, req.Outcomes)
+	if err != nil {
+		return CompleteResponse{}, err
 	}
 	// Counted once the whole report is in, so a retried report does not
 	// count its cache traffic twice.
@@ -372,15 +317,59 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		r.cacheByWorker[req.Worker] = s
 	}
 	c.finalize(r)
-	return resp, nil
+	return CompleteResponse{Accepted: accepted, Duplicates: len(req.Outcomes) - accepted}, nil
+}
+
+// commit makes outcomes durable and merges them, for reports and
+// quarantines alike. Every outcome is checked, the fresh ones are
+// written to the journal and fsync'd once, and only then does anything
+// else learn of them: a failed write or sync leaves every cell where it
+// was and returns the error, and a retry lands them (what the failed
+// attempt left in the journal replays as duplicates). Returns how many
+// outcomes were merged. Caller holds c.mu.
+func (c *Coordinator) commit(r *studyRun, worker string, outcomes []core.CellOutcome) (accepted int, err error) {
+	fresh := make([]core.CellOutcome, 0, len(outcomes))
+	named := make(map[core.CellRef]bool, len(outcomes))
+	for _, o := range outcomes {
+		ok, err := r.asm.Check(o)
+		if err != nil {
+			return 0, fmt.Errorf("dispatch: study %s: %w", r.id, err)
+		}
+		if ok && !named[o.Cell] {
+			named[o.Cell] = true
+			fresh = append(fresh, o)
+		}
+	}
+	if len(fresh) == 0 {
+		return 0, nil
+	}
+	for _, o := range fresh {
+		if err := c.jw.Write(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
+			return 0, fmt.Errorf("dispatch: journal outcome: %w", err)
+		}
+	}
+	if err := c.jw.Sync(); err != nil {
+		return 0, fmt.Errorf("dispatch: journal outcome: %w", err)
+	}
+	for _, o := range fresh {
+		if _, err := r.asm.Add(o); err != nil {
+			return accepted, err
+		}
+		accepted++
+		r.table.complete(worker, o.Cell)
+		if n := o.Result.Counts.PrunedDUE; n > 0 && worker != "" {
+			r.prunedDUEByWorker[worker] += n
+		}
+		c.notify(r, o.Cell.Key(), worker)
+	}
+	return accepted, nil
 }
 
 // Fail reports that a worker could not compute its leased cells. Each
 // cell returns to the pending pool, or is quarantined once its grant
-// count reaches MaxAttempts.
+// count reaches MaxAttempts. A quarantine that cannot be made durable
+// fails the request; the worker's retry, or the next sweep, lands it.
 func (c *Coordinator) Fail(req FailRequest) error {
-	now := c.opt.Clock()
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.studies[req.StudyID]
@@ -388,15 +377,15 @@ func (c *Coordinator) Fail(req FailRequest) error {
 		return fmt.Errorf("dispatch: unknown study %s", req.StudyID)
 	}
 	c.opt.Logf("lease %s failed on %s: %s", req.LeaseID, req.Worker, req.Err)
+	var exhausted []core.CellRef
 	for _, ref := range req.Cells {
-		if r.table.fail(req.Worker, ref.Key(), req.Err, now) {
-			if err := c.quarantine(r, ref); err != nil {
-				return err
-			}
+		if r.table.fail(req.Worker, ref, req.Err) {
+			exhausted = append(exhausted, ref)
 		}
 	}
+	err := c.quarantine(r, exhausted)
 	c.finalize(r)
-	return nil
+	return err
 }
 
 // Sweep expires overdue leases across all studies, reassigning their
@@ -415,34 +404,29 @@ func (c *Coordinator) sweep(now time.Time) {
 		if r.result != nil {
 			continue
 		}
-		for _, ref := range r.table.expire(now) {
-			if err := c.quarantine(r, ref); err != nil {
-				c.opt.Logf("study %s: quarantine %s: %v", r.id, ref, err)
-			}
+		if err := c.quarantine(r, r.table.expire(now)); err != nil {
+			c.opt.Logf("study %s: %v", r.id, err)
 		}
 		c.finalize(r)
 	}
 }
 
-// quarantine journals and merges a terminal failure for one cell.
-// Caller holds c.mu and has already moved the slot to cellQuarantined.
-func (c *Coordinator) quarantine(r *studyRun, ref core.CellRef) error {
-	s, _ := r.table.slot(ref.Key())
-	f := core.Failure{
-		March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target,
-		Stage:   "dispatch",
-		Err:     s.lastErr,
-		Retries: s.attempts - 1,
+// quarantine commits the failure outcome of each cell out of attempts.
+// Caller holds c.mu.
+func (c *Coordinator) quarantine(r *studyRun, cells []core.CellRef) error {
+	outcomes := make([]core.CellOutcome, 0, len(cells))
+	for _, ref := range cells {
+		s := r.table.slot(ref)
+		c.opt.Logf("study %s: cell %s quarantined after %d attempts: %s", r.id, ref, s.attempts, s.lastErr)
+		outcomes = append(outcomes, core.CellFailed(ref, core.Failure{
+			March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target,
+			Stage:   "dispatch",
+			Err:     s.lastErr,
+			Retries: s.attempts - 1,
+		}))
 	}
-	if err := c.jw.Append(kindQuarantine, quarantineRecord{Study: r.id, Cell: ref, Failure: f}); err != nil {
-		return fmt.Errorf("dispatch: journal quarantine: %w", err)
-	}
-	if _, err := r.asm.Quarantine(ref, f); err != nil {
-		return err
-	}
-	c.opt.Logf("study %s: cell %s quarantined after %d attempts: %s", r.id, ref, s.attempts, s.lastErr)
-	c.notify(r, ref.Key(), "")
-	return nil
+	_, err := c.commit(r, "", outcomes)
+	return err
 }
 
 // finalize renders the study bytes once every cell is terminal.
@@ -462,7 +446,7 @@ func (c *Coordinator) finalize(r *studyRun) {
 		return
 	}
 	r.result = data
-	c.opt.Logf("study %s complete: %d cells, %d quarantined", r.id, r.asm.Total(), r.table.quarantined)
+	c.opt.Logf("study %s complete: %d cells, %d quarantined", r.id, r.asm.Total(), r.asm.Failed())
 	c.notify(r, "", "")
 	for ch := range r.subs { //lint:ordered closing every subscriber; order is invisible
 		close(ch)
@@ -487,11 +471,11 @@ func (c *Coordinator) notify(r *studyRun, cell, worker string) {
 }
 
 func (c *Coordinator) status(r *studyRun) StatusEvent {
-	done, leased, quarantined, workers := r.table.counts()
+	leased, workers := r.table.counts()
 	ev := StatusEvent{
 		Study: r.id, State: r.state(),
-		Done: done, Total: r.asm.Total(),
-		Leased: leased, Quarantined: quarantined, Workers: workers,
+		Done: r.asm.Done(), Total: r.asm.Total(),
+		Leased: leased, Quarantined: r.asm.Failed(), Workers: workers,
 	}
 	if len(r.cacheByWorker) > 0 {
 		// Copy the map: the event outlives c.mu (subscribers marshal it

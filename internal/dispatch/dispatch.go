@@ -23,190 +23,22 @@
 package dispatch
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"sevsim/internal/artcache"
-	"sevsim/internal/compiler"
 	"sevsim/internal/core"
-	"sevsim/internal/faultinj"
-	"sevsim/internal/workloads"
 )
 
-// StudySpec is the wire form of a study: everything result-affecting
-// in a core.Spec, expressed as names so it serializes. Execution knobs
-// (parallelism, journaling paths, watchdogs) stay host-local — the
-// coordinator and each worker choose their own.
-type StudySpec struct {
-	Machines []string // machine config names (core.MachineConfig)
-	Benches  []string // benchmark names (workloads.ByName)
-	Sizes    []int    // per-bench sizes, parallel to Benches (nil: defaults)
-	Levels   []string // optimization levels ("O0".."O3")
-	Targets  []string // structure fields (faultinj.TargetByName); nil: all
-	Faults   int
-	Seed     int64
-	Prune    bool
-
-	// KeepGoing and Retries shape worker-side failure handling exactly
-	// as in a local run; they are carried so quarantine records merge
-	// byte-identically to a local keep-going run's.
-	KeepGoing bool
-	Retries   int
-
-	// CacheMaxMB advises workers how much disk their prep-artifact
-	// cache may use for this study (0: no advice). It is pure execution
-	// policy — a cache hit decodes to state bit-identical to a fresh
-	// prep — so ID() excludes it: the same study submitted with a
-	// different cache bound is the same study.
-	CacheMaxMB int64 `json:",omitempty"`
-}
-
-// Normalize fills defaults (benchmark sizes, the full target set) and
-// validates every name resolves. The normalized spec is what the
-// study ID hashes, so a spec submitted with explicit defaults and one
-// submitted with them elided are the same study.
-func (w StudySpec) Normalize() (StudySpec, error) {
-	if len(w.Machines) == 0 || len(w.Benches) == 0 || len(w.Levels) == 0 {
-		return w, fmt.Errorf("dispatch: spec needs at least one machine, benchmark, and level")
-	}
-	if w.Faults <= 0 {
-		return w, fmt.Errorf("dispatch: spec needs a positive fault count")
-	}
-	if len(w.Targets) == 0 {
-		for _, t := range faultinj.Targets() {
-			w.Targets = append(w.Targets, t.Name())
-		}
-	}
-	if w.Sizes == nil {
-		w.Sizes = make([]int, len(w.Benches))
-		for i, name := range w.Benches {
-			b, err := workloads.ByName(name)
-			if err != nil {
-				return w, fmt.Errorf("dispatch: %w", err)
-			}
-			w.Sizes[i] = b.DefaultSize
-		}
-	}
-	if len(w.Sizes) != len(w.Benches) {
-		return w, fmt.Errorf("dispatch: %d sizes for %d benchmarks", len(w.Sizes), len(w.Benches))
-	}
-	if _, err := w.Spec(); err != nil {
-		return w, err
-	}
-	return w, nil
-}
-
-// ID derives the study's content-addressed identity from the
-// normalized spec, so resubmitting the same study is idempotent.
-func (w StudySpec) ID() string {
-	// Cache policy shapes worker disk use, never results; zeroing it on
-	// this value-receiver copy keeps it out of the identity.
-	w.CacheMaxMB = 0
-	data, err := json.Marshal(w)
-	if err != nil {
-		// Marshalling a struct of strings and ints cannot fail.
-		panic(fmt.Sprintf("dispatch: marshal spec: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return "st-" + hex.EncodeToString(sum[:8])
-}
-
-// Spec resolves the wire form back to an executable core.Spec. The
-// resolution is deterministic, so every worker and the coordinator
-// agree on cell enumeration, seeds, and the journal fingerprint.
-func (w StudySpec) Spec() (core.Spec, error) {
-	s := core.Spec{
-		Faults:    w.Faults,
-		Seed:      w.Seed,
-		Prune:     w.Prune,
-		KeepGoing: w.KeepGoing,
-		Retries:   w.Retries,
-	}
-	for _, name := range w.Machines {
-		cfg, ok := core.MachineConfig(name)
-		if !ok {
-			return core.Spec{}, fmt.Errorf("dispatch: unknown machine config %q", name)
-		}
-		s.Machines = append(s.Machines, cfg)
-	}
-	for _, name := range w.Benches {
-		b, err := workloads.ByName(name)
-		if err != nil {
-			return core.Spec{}, fmt.Errorf("dispatch: %w", err)
-		}
-		s.Benchmarks = append(s.Benchmarks, b)
-	}
-	for _, name := range w.Levels {
-		level, err := optLevel(name)
-		if err != nil {
-			return core.Spec{}, err
-		}
-		s.Levels = append(s.Levels, level)
-	}
-	for _, name := range w.Targets {
-		t, ok := faultinj.TargetByName(name)
-		if !ok {
-			return core.Spec{}, fmt.Errorf("dispatch: unknown injection target %q", name)
-		}
-		s.Targets = append(s.Targets, t)
-	}
-	if len(w.Sizes) == len(w.Benches) {
-		sizes := make(map[string]int, len(w.Benches))
-		for i, name := range w.Benches {
-			sizes[name] = w.Sizes[i]
-		}
-		s.Size = func(b workloads.Benchmark) int {
-			if n, ok := sizes[b.Name]; ok && n > 0 {
-				return n
-			}
-			return b.DefaultSize
-		}
-	}
-	return s, nil
-}
+// StudySpec is the wire form of a study, the same type as the study
+// journal's meta record: everything result-affecting in a core.Spec,
+// expressed as names so it serializes. Execution knobs (parallelism,
+// journaling paths, watchdogs) stay host-local — the coordinator and
+// each worker choose their own.
+type StudySpec = core.StudySpec
 
 // WireSpec renders a core.Spec as its wire form (sizes resolved), for
 // clients that build specs programmatically.
-func WireSpec(s core.Spec) StudySpec {
-	w := StudySpec{
-		Faults:    s.Faults,
-		Seed:      s.Seed,
-		Prune:     s.Prune,
-		KeepGoing: s.KeepGoing,
-		Retries:   s.Retries,
-	}
-	for _, cfg := range s.Machines {
-		w.Machines = append(w.Machines, cfg.Name)
-	}
-	for _, b := range s.Benchmarks {
-		w.Benches = append(w.Benches, b.Name)
-		size := b.DefaultSize
-		if s.Size != nil {
-			size = s.Size(b)
-		}
-		w.Sizes = append(w.Sizes, size)
-	}
-	for _, l := range s.Levels {
-		w.Levels = append(w.Levels, l.String())
-	}
-	for _, t := range s.Targets {
-		w.Targets = append(w.Targets, t.Name())
-	}
-	return w
-}
-
-// optLevel parses an optimization-level name ("O2", "o2", "2").
-func optLevel(name string) (compiler.OptLevel, error) {
-	for _, l := range compiler.Levels {
-		if name == l.String() || name == l.String()[1:] || name == "o"+l.String()[1:] {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("dispatch: unknown optimization level %q (use O0..O3)", name)
-}
+func WireSpec(s core.Spec) StudySpec { return s.Wire() }
 
 // --- protocol messages -------------------------------------------------------
 
@@ -282,15 +114,15 @@ type FailRequest struct {
 }
 
 // StatusEvent is one line of a study's progress stream and the
-// response body of a status snapshot: the lease-table counters plus
-// the study's lifecycle state.
+// response body of a status snapshot: the merge's counters, the lease
+// table's, and the study's lifecycle state.
 type StatusEvent struct {
 	Study       string
 	State       string // "running", "complete", "failed"
-	Done        int
+	Done        int    // merged cells, quarantines included
 	Total       int
 	Leased      int
-	Quarantined int
+	Quarantined int    // merged cells whose outcome carries a failure
 	Workers     int    // workers currently holding leases of this study
 	Cell        string `json:",omitempty"` // last merged cell, on change events
 	Worker      string `json:",omitempty"` // who completed it

@@ -652,6 +652,119 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 	}
 }
 
+// TestQuarantineSurvivesJournalFailure is the stranded-quarantine
+// regression: a quarantine whose journal write or fsync fails must leave
+// its cells unmerged and owed, so the worker's retried failure report
+// (the Fail path) or the next sweep (the expiry path) lands it. (The
+// lease table used to mark the cells quarantined before the append; the
+// retry then found nothing to do, the Assembler never heard of them, and
+// the study never completed.) Each path is tried with a closed journal,
+// which refuses the write, and with one on the null device, which
+// refuses the fsync.
+func TestQuarantineSurvivesJournalFailure(t *testing.T) {
+	wire := testWire()
+	dir := t.TempDir()
+	var mu sync.Mutex
+	now := time.Unix(0, 0)
+	coord, err := OpenCoordinator(Options{
+		Dir: dir, LeaseTTL: 30 * time.Second, MaxAttempts: 1, WorkerBudget: 100, Logf: t.Logf,
+		Clock: func() time.Time { mu.Lock(); defer mu.Unlock(); return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { coord.Close() }()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := coord.studies[sub.ID].wire.Spec()
+	cells := spec.Cells()
+
+	unsyncable := func() *journal.Writer {
+		jw, _, err := journal.Open(os.DevNull, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jw.Sync() == nil {
+			t.Skipf("fsync of %s succeeds on this platform", os.DevNull)
+		}
+		return jw
+	}
+	for u, path := range []string{"fail", "fail", "sweep", "sweep"} {
+		g, err := coord.Lease(LeaseRequest{Worker: "w"})
+		if err != nil || g == nil || len(g.Cells) != 3 || g.Cells[0] != cells[3*u] {
+			t.Fatalf("lease %d: %+v %v", u, g, err)
+		}
+		report := func() error {
+			if path == "fail" {
+				return coord.Fail(FailRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Cells: g.Cells, Err: "injected worker crash"})
+			}
+			coord.Sweep()
+			return nil
+		}
+		if path == "sweep" {
+			mu.Lock()
+			now = now.Add(31 * time.Second)
+			mu.Unlock()
+		}
+		real := coord.jw
+		broken := real
+		if u%2 == 0 {
+			real.Close() // refuses the write; reopening it is the disk coming back
+		} else {
+			broken = unsyncable()
+		}
+		coord.jw = broken
+		before, _ := coord.Status(sub.ID)
+		if err := report(); path == "fail" && err == nil {
+			t.Fatalf("lease %d: failure report acknowledged although its quarantine was not journaled", u)
+		}
+		if ev, _ := coord.Status(sub.ID); ev.Done != before.Done || ev.Quarantined != before.Quarantined {
+			t.Fatalf("lease %d (%s): an unjournaled quarantine moved the study: %+v -> %+v", u, path, before, ev)
+		}
+		if u%2 == 0 {
+			if real, _, err = journal.Open(filepath.Join(dir, "coordinator"), journal.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			broken.Close()
+		}
+		coord.jw = real
+		if err := report(); err != nil {
+			t.Fatalf("lease %d: retried failure report: %v", u, err)
+		}
+		if ev, _ := coord.Status(sub.ID); ev.Done != before.Done+3 || ev.Quarantined != before.Quarantined+3 {
+			t.Fatalf("lease %d (%s): retry did not land the quarantine: %+v -> %+v", u, path, before, ev)
+		}
+	}
+	got, ok := coord.Result(sub.ID)
+	if !ok {
+		ev, _ := coord.Status(sub.ID)
+		t.Fatalf("study hung after a failed quarantine write: %+v", ev)
+	}
+	var st core.Study
+	if err := json.Unmarshal(got, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Failed) != len(cells) {
+		t.Fatalf("Failed has %d entries, want every one of the %d cells", len(st.Failed), len(cells))
+	}
+	for i, f := range st.Failed {
+		if f.Target != cells[i].Target || f.Stage != "dispatch" {
+			t.Fatalf("quarantine record %d: %+v", i, f)
+		}
+	}
+
+	coord.Close()
+	if coord, err = OpenCoordinator(Options{Dir: dir, Logf: t.Logf}); err != nil {
+		t.Fatal(err)
+	}
+	if again, ok := coord.Result(sub.ID); !ok || !bytes.Equal(again, got) {
+		t.Fatal("reopened coordinator does not reproduce the quarantined study")
+	}
+}
+
 func postJSON(t *testing.T, url string, req, resp any) {
 	t.Helper()
 	body, err := json.Marshal(req)

@@ -287,3 +287,76 @@ func TestWorkerRestartReplaysItsLeaseOnly(t *testing.T) {
 		t.Fatalf("journals left after the study finished: %v", left)
 	}
 }
+
+// TestQuarantineFsyncsCounted: quarantining a lease's cells costs one
+// coordinator fsync however many cells the lease held, on the Fail
+// path and on the expiry path alike.
+func TestQuarantineFsyncsCounted(t *testing.T) {
+	now := time.Unix(0, 0)
+	coord, err := OpenCoordinator(Options{
+		Dir: t.TempDir(), LeaseTTL: 30 * time.Second, MaxAttempts: 1, WorkerBudget: 100,
+		Clock: func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	sub, err := coord.Submit(testWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := coord.Lease(LeaseRequest{Worker: "w"})
+	if err != nil || g == nil || len(g.Cells) != 3 {
+		t.Fatalf("lease: %+v %v", g, err)
+	}
+	if err := coord.Fail(FailRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Cells: g.Cells, Err: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.JournalStats(); got.Records != 1+3 || got.Syncs != 1+1 {
+		t.Fatalf("after a failed lease of 3 cells: %s; want 4 records, 2 fsyncs (Submit + one for the report)", got)
+	}
+	if g, err = coord.Lease(LeaseRequest{Worker: "w"}); err != nil || g == nil || len(g.Cells) != 3 {
+		t.Fatalf("second lease: %+v %v", g, err)
+	}
+	now = now.Add(31 * time.Second)
+	coord.Sweep()
+	if got := coord.JournalStats(); got.Records != 1+6 || got.Syncs != 1+2 {
+		t.Fatalf("after an expired lease of 3 cells: %s; want 7 records, 3 fsyncs (one more for the sweep)", got)
+	}
+}
+
+// TestOldQuarantineRecordRejected: a coordinator journal from before a
+// quarantine was an outcome holds quarantine records; it is refused with
+// the way out, not read by a second decoder.
+func TestOldQuarantineRecordRejected(t *testing.T) {
+	dir := t.TempDir()
+	wire, err := testWire().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw, _, err := journal.Open(filepath.Join(dir, "coordinator"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := map[string]string{"March": "Cortex-A15-like", "Bench": "qsort", "Level": "O0", "Target": "RF"}
+	for _, rec := range []struct {
+		kind string
+		v    any
+	}{
+		{kindSubmit, submitRecord{ID: wire.ID(), Spec: wire}},
+		{"quarantine", map[string]any{"Study": wire.ID(), "Cell": cell, "Failure": map[string]string{"Stage": "dispatch", "Err": "lease expired"}}},
+	} {
+		if err := jw.Append(rec.kind, rec.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jw.Close()
+	coord, err := OpenCoordinator(Options{Dir: dir})
+	if err == nil {
+		coord.Close()
+		t.Fatal("coordinator journal with a quarantine record opened")
+	}
+	if !strings.Contains(err.Error(), "remove the state directory") || !strings.Contains(err.Error(), `"quarantine"`) {
+		t.Fatalf("old quarantine record not refused with the removal hint: %v", err)
+	}
+}

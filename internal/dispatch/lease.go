@@ -8,47 +8,21 @@ import (
 	"sevsim/internal/core"
 )
 
-// cellState is one cell's position in the lease lifecycle:
+// cellSlot tracks one cell the Assembler does not have yet:
 //
-//	pending ──grant──▶ leased ──complete──▶ done
+//	pending ──grant──▶ leased ──complete──▶ (merged: the Assembler's)
 //	   ▲                  │
-//	   └──expire/fail─────┘   (attempts++ at grant; at maxAttempts the
-//	                           expire/fail edge lands in quarantined)
+//	   └──expire/fail─────┘   (attempts++ at grant)
 //
-// done and quarantined are terminal. A completion is accepted whatever
-// lease (if any) holds the cell, so a worker finishing after its lease
-// expired still lands its result. Which of two completions, or of a
-// completion and a quarantine, is first is the Assembler's call: the
-// coordinator marks a slot only after the outcome was merged.
-type cellState int
-
-const (
-	cellPending cellState = iota
-	cellLeased
-	cellDone
-	cellQuarantined
-)
-
-func (s cellState) String() string {
-	switch s {
-	case cellPending:
-		return "pending"
-	case cellLeased:
-		return "leased"
-	case cellDone:
-		return "done"
-	case cellQuarantined:
-		return "quarantined"
-	}
-	return fmt.Sprintf("cellState(%d)", int(s))
-}
-
-// cellSlot tracks one cell.
+// A cell out of attempts is no longer granted; expire and fail hand it
+// back to the coordinator, which merges a quarantine outcome for it.
+// Whether a cell is finished is the Assembler's record alone, so a
+// quarantine whose journal write fails leaves the cell here, and the
+// next sweep or the retried failure report tries again.
 type cellSlot struct {
 	ref      core.CellRef
-	state    cellState
 	attempts int    // lease grants so far
-	lease    string // current lease ID while leased
+	lease    string // current lease ID while leased; empty while pending
 	lastErr  string // most recent failure report, for the quarantine record
 }
 
@@ -70,88 +44,56 @@ type workerState struct {
 	strikes int
 }
 
-// leaseTable is the coordinator's soft state for one study: which
-// cells are pending, leased, done, or quarantined, and which leases
-// are outstanding. It is rebuilt from the journal on restart (done and
-// quarantined cells replayed; everything else pending), so none of it
-// is persisted. Not goroutine-safe; the coordinator serializes access.
+// leaseTable is the coordinator's soft state for one study: which of
+// the cells the Assembler does not have are leased, how often each was
+// granted, and which leases are outstanding. None of it is persisted: a
+// restarted coordinator starts every unmerged cell pending. Not
+// goroutine-safe; the coordinator serializes access.
 type leaseTable struct {
 	slots  []cellSlot
-	byKey  map[string]int // cell key -> slot index
+	byKey  map[core.CellRef]int // cell -> slot index
 	leases map[string]*lease
 	budget map[string]*workerState
+	merged func(core.CellRef) bool // the Assembler has the cell
 
 	ttl         time.Duration
 	maxAttempts int
 	maxStrikes  int
 	nextLease   int
-
-	done        int
-	quarantined int
 }
 
-func newLeaseTable(cells []core.CellRef, ttl time.Duration, maxAttempts, maxStrikes int) *leaseTable {
+func newLeaseTable(cells []core.CellRef, merged func(core.CellRef) bool, ttl time.Duration, maxAttempts, maxStrikes int) *leaseTable {
 	t := &leaseTable{
-		byKey:       make(map[string]int, len(cells)),
+		byKey:       make(map[core.CellRef]int, len(cells)),
 		leases:      map[string]*lease{},
 		budget:      map[string]*workerState{},
+		merged:      merged,
 		ttl:         ttl,
 		maxAttempts: maxAttempts,
 		maxStrikes:  maxStrikes,
 	}
 	for i, ref := range cells {
 		t.slots = append(t.slots, cellSlot{ref: ref})
-		t.byKey[ref.Key()] = i
+		t.byKey[ref] = i
 	}
 	return t
 }
 
-// markDone records a cell completed outside the lease flow (journal
-// replay on coordinator restart).
-func (t *leaseTable) markDone(key string) {
-	if i, ok := t.byKey[key]; ok && t.slots[i].state != cellDone {
-		t.setState(i, cellDone)
-	}
-}
-
-// markQuarantined records a quarantine replayed from the journal.
-func (t *leaseTable) markQuarantined(key string) {
-	if i, ok := t.byKey[key]; ok && t.slots[i].state == cellPending {
-		t.setState(i, cellQuarantined)
-	}
-}
-
-func (t *leaseTable) setState(i int, s cellState) {
-	switch t.slots[i].state {
-	case cellDone:
-		t.done--
-	case cellQuarantined:
-		t.quarantined--
-	}
-	t.slots[i].state = s
-	switch s {
-	case cellDone:
-		t.done++
-	case cellQuarantined:
-		t.quarantined++
-	}
-}
-
-// settled reports whether every cell is terminal.
-func (t *leaseTable) settled() bool { return t.done+t.quarantined == len(t.slots) }
-
-// counts returns (done, leased, quarantined, workers-with-leases).
-func (t *leaseTable) counts() (done, leased, quarantined, workers int) {
-	for _, s := range t.slots {
-		if s.state == cellLeased {
-			leased++
-		}
-	}
+// counts returns (leased cells, workers with leases).
+func (t *leaseTable) counts() (leased, workers int) {
 	seen := map[string]bool{}
-	for _, l := range t.leases { //lint:ordered set insertion; only the cardinality is read
+	for _, l := range t.leases { //lint:ordered commutative sum and set insertion; only the cardinality is read
+		leased += len(l.cells)
 		seen[l.worker] = true
 	}
-	return t.done, leased, t.quarantined, len(seen)
+	return leased, len(seen)
+}
+
+// exhausted reports whether slot i waits for its quarantine outcome:
+// out of attempts, not leased, and not merged.
+func (t *leaseTable) exhausted(i int) bool {
+	s := &t.slots[i]
+	return s.lease == "" && s.attempts >= t.maxAttempts && !t.merged(s.ref)
 }
 
 // acquire leases one unit to worker: every pending cell of the first
@@ -173,7 +115,7 @@ func (t *leaseTable) acquire(worker string, now time.Time) *lease {
 	}
 	var cells []int
 	for i := range t.slots {
-		if t.slots[i].state != cellPending {
+		if s := &t.slots[i]; s.lease != "" || s.attempts >= t.maxAttempts || t.merged(s.ref) {
 			continue
 		}
 		if len(cells) > 0 && !sameUnit(t.slots[i].ref, t.slots[cells[0]].ref) {
@@ -192,7 +134,6 @@ func (t *leaseTable) acquire(worker string, now time.Time) *lease {
 		cells:    cells,
 	}
 	for _, i := range cells {
-		t.slots[i].state = cellLeased
 		t.slots[i].attempts++
 		t.slots[i].lease = l.id
 	}
@@ -236,54 +177,42 @@ func (t *leaseTable) heartbeat(id string, now time.Time) bool {
 	return true
 }
 
-// complete marks one cell done, regardless of which lease (if any)
-// currently holds it: first completion wins, later ones are
-// duplicates. Returns whether the result should be merged.
-func (t *leaseTable) complete(worker, key string) (accepted bool) {
-	i, ok := t.byKey[key]
-	if !ok || t.slots[i].state == cellDone {
-		return false
+// complete releases a cell the coordinator has merged, whatever lease
+// (if any) holds it, and repays one strike of the worker that
+// reported it.
+func (t *leaseTable) complete(worker string, ref core.CellRef) {
+	i, ok := t.byKey[ref]
+	if !ok {
+		return
 	}
 	t.detach(i)
-	t.setState(i, cellDone)
-	t.slots[i].lease = ""
 	if w, ok := t.budget[worker]; ok && w.strikes > 0 {
 		w.strikes--
 	}
-	return true
 }
 
-// fail reports a worker-side failure of one leased cell. The cell goes
-// back to pending — or to quarantined once its grant count reaches
-// maxAttempts. Returns true when the cell was quarantined by this call.
-func (t *leaseTable) fail(worker, key, errText string, _ time.Time) (quarantined bool) {
-	i, ok := t.byKey[key]
-	if !ok {
-		return false
-	}
-	s := &t.slots[i]
-	if s.state != cellLeased && s.state != cellPending {
+// fail reports a worker-side failure of one unmerged cell: it goes back
+// to pending, charging the worker a strike. Returns true when the cell
+// is out of attempts, and so owes a quarantine outcome.
+func (t *leaseTable) fail(worker string, ref core.CellRef, errText string) (exhausted bool) {
+	i, ok := t.byKey[ref]
+	if !ok || t.merged(ref) {
 		return false
 	}
 	t.detach(i)
-	s.lease = ""
-	s.lastErr = errText
+	t.slots[i].lastErr = errText
 	if w, ok := t.budget[worker]; ok {
 		w.strikes++
 	}
-	if s.attempts >= t.maxAttempts {
-		t.setState(i, cellQuarantined)
-		return true
-	}
-	t.setState(i, cellPending)
-	return false
+	return t.exhausted(i)
 }
 
 // expire sweeps leases past their deadline: their unfinished cells go
-// back to pending (or quarantine at maxAttempts), and the late worker
-// is charged one strike per expired lease. Returns the cells newly
-// quarantined by the sweep.
-func (t *leaseTable) expire(now time.Time) (quarantined []core.CellRef) {
+// back to pending, and the late worker is charged one strike per
+// expired lease. Returns every cell out of attempts, in enumeration
+// order: those this sweep released and those whose quarantine an
+// earlier call could not make durable.
+func (t *leaseTable) expire(now time.Time) (exhausted []core.CellRef) {
 	var ids []string
 	for id, l := range t.leases { //lint:ordered collected IDs are sorted before use
 		if now.After(l.deadline) {
@@ -293,28 +222,23 @@ func (t *leaseTable) expire(now time.Time) (quarantined []core.CellRef) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		l := t.leases[id]
-		delete(t.leases, id)
 		if w, ok := t.budget[l.worker]; ok {
 			w.strikes++
 		}
 		for _, i := range l.cells {
-			s := &t.slots[i]
-			if s.state != cellLeased || s.lease != l.id {
-				continue
-			}
-			s.lease = ""
-			if s.lastErr == "" {
+			if s := &t.slots[i]; s.lastErr == "" {
 				s.lastErr = fmt.Sprintf("lease %s to %s expired", l.id, l.worker)
 			}
-			if s.attempts >= t.maxAttempts {
-				t.setState(i, cellQuarantined)
-				quarantined = append(quarantined, s.ref)
-			} else {
-				t.setState(i, cellPending)
-			}
+			t.slots[i].lease = ""
+		}
+		delete(t.leases, id)
+	}
+	for i := range t.slots {
+		if t.exhausted(i) {
+			exhausted = append(exhausted, t.slots[i].ref)
 		}
 	}
-	return quarantined
+	return exhausted
 }
 
 // detach removes slot i from whatever lease holds it, dropping the
@@ -324,6 +248,7 @@ func (t *leaseTable) detach(i int) {
 	if id == "" {
 		return
 	}
+	t.slots[i].lease = ""
 	l, ok := t.leases[id]
 	if !ok {
 		return
@@ -340,11 +265,7 @@ func (t *leaseTable) detach(i int) {
 	}
 }
 
-// slot returns the slot for a cell key.
-func (t *leaseTable) slot(key string) (cellSlot, bool) {
-	i, ok := t.byKey[key]
-	if !ok {
-		return cellSlot{}, false
-	}
-	return t.slots[i], true
+// slot returns the slot for a cell.
+func (t *leaseTable) slot(ref core.CellRef) cellSlot {
+	return t.slots[t.byKey[ref]]
 }

@@ -1,6 +1,9 @@
 package dispatch
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -25,13 +28,31 @@ func testUnits(units, per int) []core.CellRef {
 
 func at(sec int) time.Time { return time.Unix(int64(sec), 0) }
 
+// ledger stands in for the Assembler: the cells merged so far.
+type ledger map[core.CellRef]bool
+
+func (l ledger) has(ref core.CellRef) bool { return l[ref] }
+
+// merge is the coordinator's commit in miniature: the first completion
+// of a cell is merged and releases it from the table; a later one is a
+// duplicate and touches nothing.
+func (l ledger) merge(tbl *leaseTable, worker string, ref core.CellRef) bool {
+	if l[ref] {
+		return false
+	}
+	l[ref] = true
+	tbl.complete(worker, ref)
+	return true
+}
+
 func TestLeaseLifecycle(t *testing.T) {
-	tbl := newLeaseTable(testUnits(2, 2), 10*time.Second, 3, 3)
+	cells, merged := testUnits(2, 2), ledger{}
+	tbl := newLeaseTable(cells, merged.has, 10*time.Second, 3, 3)
 	l := tbl.acquire("w1", at(0))
 	if l == nil || len(l.cells) != 2 {
 		t.Fatalf("acquire: %+v", l)
 	}
-	if s, _ := tbl.slot("m/b/O0/RF"); s.state != cellLeased || s.attempts != 1 {
+	if s := tbl.slot(cells[0]); s.lease != l.id || s.attempts != 1 {
 		t.Fatalf("leased slot: %+v", s)
 	}
 	// A second worker gets the next unit, not the leased one.
@@ -42,25 +63,24 @@ func TestLeaseLifecycle(t *testing.T) {
 	if tbl.acquire("w3", at(1)) != nil {
 		t.Fatal("acquired cells while everything is leased")
 	}
-	for _, ref := range testUnits(2, 2) {
-		if !tbl.complete("w1", ref.Key()) {
-			t.Fatalf("complete %s rejected", ref)
-		}
-	}
-	if !tbl.settled() {
-		t.Fatal("table not settled after completing every cell")
+	for _, ref := range cells {
+		merged.merge(tbl, "w1", ref)
 	}
 	if len(tbl.leases) != 0 {
 		t.Fatalf("%d leases outstanding after completion", len(tbl.leases))
 	}
+	if tbl.acquire("w3", at(2)) != nil {
+		t.Fatal("acquired merged cells")
+	}
 }
 
 // TestDoubleCompletionDedup pins the lease-expiry race: worker A's
-// lease expires, the cell is re-leased to worker B, and both report
-// it. The first completion wins; the second is a duplicate and must
-// not double-count the cell.
+// lease expires, the cells are re-leased to worker B, and both report
+// them. Whichever completion is merged first releases the cell from
+// every lease; the other is a duplicate, and nothing is granted again.
 func TestDoubleCompletionDedup(t *testing.T) {
-	tbl := newLeaseTable(testCells(2), 10*time.Second, 3, 10)
+	cells, merged := testCells(2), ledger{}
+	tbl := newLeaseTable(cells, merged.has, 10*time.Second, 3, 10)
 	la := tbl.acquire("a", at(0))
 	if la == nil {
 		t.Fatal("no lease")
@@ -74,27 +94,30 @@ func TestDoubleCompletionDedup(t *testing.T) {
 		t.Fatalf("re-lease after expiry: %+v", lb)
 	}
 	// b completes first; a's late report of the same cell is a dup.
-	if !tbl.complete("b", "m/b/O0/RF") {
-		t.Fatal("first completion rejected")
-	}
-	if tbl.complete("a", "m/b/O0/RF") {
-		t.Fatal("second completion of the same cell accepted")
+	if !merged.merge(tbl, "b", cells[0]) || merged.merge(tbl, "a", cells[0]) {
+		t.Fatal("first completion not merged alone")
 	}
 	// And the reverse order on the other cell: the zombie worker a
-	// lands its result first, b's recompute is the dup.
-	if !tbl.complete("a", "m/b/O0/ROB.pc") {
+	// lands its result first, releasing it from b's lease.
+	if !merged.merge(tbl, "a", cells[1]) {
 		t.Fatal("late completion from expired lease rejected")
 	}
-	if tbl.complete("b", "m/b/O0/ROB.pc") {
-		t.Fatal("recompute accepted after zombie completion")
+	if len(tbl.leases) != 0 {
+		t.Fatalf("b's lease still owes %v after the zombie completed it", tbl.leases[lb.id].cells)
 	}
-	if tbl.done != 2 || !tbl.settled() {
-		t.Fatalf("done=%d settled=%v, want 2/true", tbl.done, tbl.settled())
+	if l := tbl.acquire("c", at(13)); l != nil || len(tbl.expire(at(30))) != 0 {
+		t.Fatalf("merged cells granted or owed again: %+v", l)
 	}
 }
 
+// TestExpiryQuarantinesAtMaxAttempts: the table hands a cell whose last
+// grant expired back as exhausted, never grants it again, and keeps
+// handing it back until the Assembler has it. The Assembler is first
+// wins, so a worker's very late completion of the quarantined cell is a
+// duplicate and the study keeps the quarantine.
 func TestExpiryQuarantinesAtMaxAttempts(t *testing.T) {
-	tbl := newLeaseTable(testCells(1), 10*time.Second, 2, 100)
+	cells, merged := testCells(1), ledger{}
+	tbl := newLeaseTable(cells, merged.has, 10*time.Second, 2, 100)
 	for round := 0; round < 2; round++ {
 		l := tbl.acquire("w", at(round*20))
 		if l == nil {
@@ -108,30 +131,92 @@ func TestExpiryQuarantinesAtMaxAttempts(t *testing.T) {
 			t.Fatalf("not quarantined at max attempts: %v", q)
 		}
 	}
-	if s, _ := tbl.slot("m/b/O0/RF"); s.state != cellQuarantined {
-		t.Fatalf("state %v, want quarantined", s.state)
+	if tbl.acquire("w", at(40)) != nil {
+		t.Fatal("cell out of attempts granted again")
 	}
-	// A very late completion can still rescue a quarantined cell.
-	if !tbl.complete("w", "m/b/O0/RF") {
-		t.Fatal("late completion of quarantined cell rejected")
+	if q := tbl.expire(at(41)); len(q) != 1 {
+		t.Fatalf("unmerged quarantine not handed back by the next sweep: %v", q)
+	}
+	merged.merge(tbl, "", cells[0])
+	if q := tbl.expire(at(42)); len(q) != 0 {
+		t.Fatalf("merged quarantine handed back: %v", q)
+	}
+
+	// The same through a coordinator: one unit, every cell quarantined
+	// by expiry, then the late completion of one of them.
+	wire := StudySpec{
+		Machines: []string{"Cortex-A15-like"}, Benches: []string{"gsm"}, Sizes: []int{2},
+		Levels: []string{"O0"}, Targets: []string{"RF", "ROB.pc", "L1D.data"}, Faults: 4, Seed: 7,
+	}
+	now := at(0)
+	coord, err := OpenCoordinator(Options{Dir: t.TempDir(), LeaseTTL: 10 * time.Second, MaxAttempts: 2, Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g *LeaseGrant
+	for round := 0; round < 2; round++ {
+		if g, err = coord.Lease(LeaseRequest{Worker: "w"}); err != nil || g == nil {
+			t.Fatalf("round %d: %+v %v", round, g, err)
+		}
+		now = now.Add(11 * time.Second)
+		coord.Sweep()
+	}
+	quarantined, ok := coord.Result(sub.ID)
+	if !ok {
+		t.Fatal("study with every cell out of attempts did not complete")
+	}
+	spec, _ := wire.Spec()
+	out, err := spec.RunCells(context.Background(), g.Cells[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out})
+	if err != nil || resp.Accepted != 0 || resp.Duplicates != 1 {
+		t.Fatalf("late completion of a quarantined cell: %+v %v", resp, err)
+	}
+	var st core.Study
+	if err := json.Unmarshal(quarantined, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Failed) != 3 || st.Failed[0].Target != "RF" || st.Failed[0].Stage != "dispatch" || st.Failed[0].Retries != 1 {
+		t.Fatalf("merged bytes do not carry the quarantines: %+v", st.Failed)
+	}
+	if again, _ := coord.Result(sub.ID); !bytes.Equal(again, quarantined) {
+		t.Fatal("late completion moved the merged bytes")
 	}
 }
 
 func TestFailReturnsCellToPoolThenQuarantines(t *testing.T) {
-	tbl := newLeaseTable(testCells(1), 10*time.Second, 2, 100)
+	cells, merged := testCells(1), ledger{}
+	tbl := newLeaseTable(cells, merged.has, 10*time.Second, 2, 100)
 	tbl.acquire("w", at(0))
-	if tbl.fail("w", "m/b/O0/RF", "boom", at(1)) {
+	if tbl.fail("w", cells[0], "boom") {
 		t.Fatal("quarantined on first failure")
 	}
-	if s, _ := tbl.slot("m/b/O0/RF"); s.state != cellPending || s.lastErr != "boom" {
+	if s := tbl.slot(cells[0]); s.lease != "" || s.lastErr != "boom" {
 		t.Fatalf("after first fail: %+v", s)
 	}
-	tbl.acquire("w", at(2))
-	if !tbl.fail("w", "m/b/O0/RF", "boom again", at(3)) {
+	if tbl.acquire("w", at(2)) == nil {
+		t.Fatal("failed cell not granted again")
+	}
+	if !tbl.fail("w", cells[0], "boom again") {
 		t.Fatal("not quarantined at max attempts")
 	}
-	if s, _ := tbl.slot("m/b/O0/RF"); s.lastErr != "boom again" {
+	if s := tbl.slot(cells[0]); s.lastErr != "boom again" {
 		t.Fatalf("lastErr %q", s.lastErr)
+	}
+	// Until the quarantine is merged, a retried report owes it again.
+	if !tbl.fail("w", cells[0], "boom again") {
+		t.Fatal("retried failure report of an unmerged quarantine dropped")
+	}
+	merged.merge(tbl, "", cells[0])
+	if tbl.fail("w", cells[0], "boom again") {
+		t.Fatal("failure of a merged cell owes a quarantine")
 	}
 }
 
@@ -140,12 +225,13 @@ func TestFailReturnsCellToPoolThenQuarantines(t *testing.T) {
 // every worker is suspended all budgets reset rather than deadlocking
 // the study.
 func TestWorkerErrorBudget(t *testing.T) {
-	tbl := newLeaseTable(testUnits(8, 1), 10*time.Second, 100, 2)
+	cells, merged := testUnits(8, 1), ledger{}
+	tbl := newLeaseTable(cells, merged.has, 10*time.Second, 100, 2)
 	// Worker bad earns two strikes via failures.
 	tbl.acquire("bad", at(0))
-	tbl.fail("bad", "m/b/O0/RF", "x", at(1))
+	tbl.fail("bad", cells[0], "x")
 	tbl.acquire("bad", at(2))
-	tbl.fail("bad", "m/b/O0/RF", "x", at(3))
+	tbl.fail("bad", cells[0], "x")
 	if !tbl.suspended("bad") {
 		t.Fatal("worker not suspended at budget")
 	}
@@ -155,9 +241,7 @@ func TestWorkerErrorBudget(t *testing.T) {
 		t.Fatal("suspended worker got a lease while another is live")
 	}
 	// A completion repays a strike and lifts the suspension.
-	if !tbl.complete("good", "m/b/O0/RF") {
-		t.Fatal("completion rejected")
-	}
+	merged.merge(tbl, "good", cells[0])
 	w := tbl.budget["bad"]
 	w.strikes--
 	if tbl.suspended("bad") {
@@ -177,7 +261,7 @@ func TestWorkerErrorBudget(t *testing.T) {
 }
 
 func TestHeartbeatExtendsDeadline(t *testing.T) {
-	tbl := newLeaseTable(testCells(1), 10*time.Second, 3, 3)
+	tbl := newLeaseTable(testCells(1), ledger{}.has, 10*time.Second, 3, 3)
 	l := tbl.acquire("w", at(0))
 	if !tbl.heartbeat(l.id, at(8)) {
 		t.Fatal("heartbeat rejected")
