@@ -1,9 +1,8 @@
 // Command sevlint is sevsim's static-analysis gate, built on the
-// internal/statan framework. It enforces the invariants the
-// reproduction's headline guarantees rest on — byte-identical
-// study.json across parallelism, kill-and-resume, and checkpoint
-// fast-forward — as machine-checked facts rather than DESIGN.md
-// arguments:
+// internal/statan framework. It enforces the code rules the
+// reproduction's byte-identical study.json and its interruptible,
+// self-healing service rest on, as machine-checked facts rather than
+// DESIGN.md arguments:
 //
 //	determinism      no map ranges, wall-clock reads, or global
 //	                 math/rand in result-producing code
@@ -12,26 +11,19 @@
 //	                 ReadHeaderTimeout or served without Shutdown
 //	                 wiring, no time.Sleep polling loops in dispatch
 //	                 code (use the shared backoff policy)
-//	snapshotcover    every field of a Snapshot/Restore struct is
-//	                 checkpointed, or //snapshot:skip <reason>
-//	equalitycover    every checkpointed field is compared by the
-//	                 fastpath equality relation, or
-//	                 //equality:dead <reason>; StateHash mixes only
-//	                 compared fields
 //
-// The determinism and robustness rules apply to internal/ and cmd/
-// (examples and fixtures are demo code); the coverage passes run
-// everywhere their trigger shapes appear. Line suppressions
-// ("//lint:<key> <reason>") and field annotations require a reason,
+// Both apply to internal/ and cmd/ (examples and fixtures are demo
+// code). Line suppressions ("//lint:<key> <reason>") require a reason,
 // and stale suppressions are themselves findings. Test files are
-// exempt.
+// exempt. The checkpoint and convergence relations are held by field
+// tables that perturb every field (internal/fieldtable), not by a pass.
 //
 // Usage:
 //
 //	go run ./cmd/sevlint ./...              # whole-repo gate (CI)
 //	go run ./cmd/sevlint ./internal/cpu     # one directory
 //	go run ./cmd/sevlint -json ./...        # machine-readable output
-//	go run ./cmd/sevlint -passes snapshotcover,equalitycover ./internal/...
+//	go run ./cmd/sevlint -passes determinism ./internal/...
 //	go run ./cmd/sevlint -list              # describe the passes
 //
 // Exits 1 when any finding is reported, 2 on a load error.
@@ -81,16 +73,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sevlint:", err)
 			os.Exit(2) //lint:exit process boundary: load failure in the lint CLI
 		}
-		passes := scoped(selected, dir)
-		if len(passes) == 0 {
+		if !gated(dir) {
 			continue
 		}
 		for _, pkg := range pkgs {
 			diags = append(diags, statan.Run(pkg, statan.RunOptions{
-				Passes: passes,
+				Passes: selected,
 				// Stale-suppression detection is only sound when every
 				// rule a suppression could serve actually ran.
-				CheckSuppressions: all && len(passes) == len(selected),
+				CheckSuppressions: all,
 			})...)
 		}
 	}
@@ -130,31 +121,12 @@ func selectPasses(spec string) (passes []*statan.Pass, all bool) {
 	return passes, false
 }
 
-// scoped filters the pass set for one directory: the determinism and
-// robustness rules gate internal/ and cmd/ only (examples, fixtures,
-// and scratch dirs are not result-producing code), while the coverage
-// passes run everywhere their trigger shapes appear.
-func scoped(passes []*statan.Pass, dir string) []*statan.Pass {
-	gated := hasSegment(dir, "internal") || hasSegment(dir, "cmd")
-	var out []*statan.Pass
-	for _, p := range passes {
-		switch p.Name {
-		case "determinism", "robustness":
-			if gated {
-				out = append(out, p)
-			}
-		default:
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// hasSegment reports whether the cleaned path contains the named
-// path segment.
-func hasSegment(path, seg string) bool {
-	for _, s := range strings.Split(filepath.ToSlash(filepath.Clean(path)), "/") {
-		if s == seg {
+// gated reports whether the rules apply to dir: a path through
+// internal/ or cmd/ (examples, fixtures, and scratch dirs are not
+// result-producing code).
+func gated(dir string) bool {
+	for _, s := range strings.Split(filepath.ToSlash(filepath.Clean(dir)), "/") {
+		if s == "internal" || s == "cmd" {
 			return true
 		}
 	}

@@ -19,7 +19,8 @@ package binanalysis
 // its fault-free value, so fault-free known-bits facts about it hold.
 // A register's own known bits are never used to shrink its own demand —
 // the flip being judged is precisely a violation of that register's
-// abstract state.
+// abstract state. That includes `and rd, r, r`: both operands are r, so
+// neither is narrowed by the other (operandDemands).
 //
 // Instructions with a dead destination demand nothing: on this core
 // ALU latencies are fixed per opcode class (latFor), results reach the
@@ -273,9 +274,27 @@ func bitLivenessFixpoint(g *CFG, kz, ko, sd []uint64, xlen int) (liveIn, liveOut
 	return liveIn, liveOut
 }
 
-// walkOne applies the backward transfer of a single instruction. sd,
-// when non-nil, post-masks the data demand of stores with the static
-// memory model's refined per-store demand.
+// operandDemands returns instruction i's source registers and the bits
+// it demands of each when its destination is live at L, a store's data
+// demand post-masked by sd when non-nil. When both operands are one
+// register a flip changes both, so neither is narrowed by the other.
+func operandDemands(g *CFG, i int, L uint64, kz, ko, sd []uint64, xlen int) (s1, s2 uint8, d1, d2 uint64) {
+	in := g.Code[i]
+	s1, s2 = in.SourceRegs()
+	kb := func(r uint8) KnownBits {
+		if r >= 32 || s1 == s2 {
+			return kbTop(xlenMask(xlen))
+		}
+		return KnownBits{Zero: kz[i*32+int(r)], One: ko[i*32+int(r)]}
+	}
+	d1, d2 = demandMasks(in, L, kb(s1), kb(s2), xlen)
+	if sd != nil && in.Op.IsStore() {
+		d2 &= sd[i]
+	}
+	return s1, s2, d1, d2
+}
+
+// walkOne applies the backward transfer of a single instruction.
 func walkOne(g *CFG, i int, cur *[32]uint64, kz, ko, sd []uint64, xlen int) {
 	m := xlenMask(xlen)
 	in := g.Code[i]
@@ -284,19 +303,9 @@ func walkOne(g *CFG, i int, cur *[32]uint64, kz, ko, sd []uint64, xlen int) {
 		L = cur[d]
 		cur[d] = 0
 	}
-	s1, s2 := in.SourceRegs()
+	s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
 	if s1 == 0xff && s2 == 0xff {
 		return
-	}
-	kb := func(r uint8) KnownBits {
-		if r >= 32 {
-			return kbTop(m)
-		}
-		return KnownBits{Zero: kz[i*32+int(r)], One: ko[i*32+int(r)]}
-	}
-	d1, d2 := demandMasks(in, L, kb(s1), kb(s2), xlen)
-	if sd != nil && in.Op.IsStore() {
-		d2 &= sd[i]
 	}
 	if s1 != 0xff && s1 != uint8(isa.RegZero) {
 		cur[s1] |= d1 & m

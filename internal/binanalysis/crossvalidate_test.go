@@ -15,6 +15,7 @@ import (
 	"sevsim/internal/binanalysis"
 	"sevsim/internal/compiler"
 	"sevsim/internal/faultinj"
+	"sevsim/internal/isa"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
 )
@@ -244,5 +245,68 @@ func TestPrunersRefuseUntracedExperiment(t *testing.T) {
 	}
 	if _, err := binanalysis.NewDUEPruner(a, exp); err == nil {
 		t.Error("NewDUEPruner accepted an untraced experiment")
+	}
+}
+
+// TestSameRegisterOperandDemand: `and rd, r, r` reads one register
+// twice, so a flip of r changes both operands at once and neither
+// operand's known bits may narrow the other's demand. Here r is known
+// zero. Narrowing each operand by the other's known-zero bits made every
+// bit of r dead across the loop, yet a flip there reaches rd and the
+// output. The loop keeps the and from being fetched until r has long
+// committed, so the flip lands before the read.
+func TestSameRegisterOperandDemand(t *testing.T) {
+	const r, rd, n = isa.RegA0, isa.RegA1, isa.RegT0
+	words := isa.Assemble([]isa.Instr{
+		isa.I(isa.OpAddi, r, isa.RegZero, 0),
+		isa.I(isa.OpAddi, n, isa.RegZero, 200),
+		isa.I(isa.OpAddi, n, n, -1),
+		isa.Branch(isa.OpBne, n, isa.RegZero, -2),
+		isa.R(isa.OpAnd, rd, r, r),
+		isa.Out(rd),
+		isa.Halt(),
+	})
+	a, err := binanalysis.AnalyzeWords(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, ok := faultinj.TargetByName("RF")
+	if !ok {
+		t.Fatal("RF target missing")
+	}
+	for _, cfg := range machine.Configs() {
+		exp, err := faultinj.NewTracedExperiment(cfg, &machine.Program{Name: "samereg", Code: words, Entry: machine.CodeBase})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruner, err := binanalysis.NewDUEPruner(a, exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Bit 0 of every physical register, mid-loop: the one mapping r
+		// is an SDC, and every verdict must be what simulation says.
+		xlen, at, sdcs := uint64(cfg.CPU.XLEN), exp.GoldenCycles/2, 0
+		for phys := uint64(1); phys < uint64(cfg.CPU.NumPhysRegs); phys++ {
+			inj := faultinj.Injection{Cycle: at, Bit: phys * xlen}
+			kind, reason := pruner.PrunableKind(rf, inj)
+			res := exp.Inject(rf, inj)
+			if res.Outcome == faultinj.SDC {
+				sdcs++
+			}
+			want := faultinj.Masked
+			switch kind {
+			case faultinj.PruneNone:
+				continue
+			case faultinj.PruneDUE:
+				want = faultinj.Crash
+			}
+			if res.Outcome != want {
+				t.Errorf("%s: cycle %d phys %d bit 0: %s verdict (%s) but simulated as %s", cfg.Name, at, phys, kind, reason, res.Outcome)
+			}
+		}
+		if sdcs == 0 {
+			t.Errorf("%s: no bit-0 flip at cycle %d is an SDC; the probe no longer reaches the and", cfg.Name, at)
+		}
+		exp.Close()
 	}
 }

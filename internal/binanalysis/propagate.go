@@ -363,19 +363,9 @@ func dueWalkOne(g *CFG, i int, cur *[32]uint64, kz, ko, liveOut, sd []uint64, xl
 		L = liveOut[i*32+int(d)]
 		cur[d] = 0
 	}
-	s1, s2 := in.SourceRegs()
+	s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
 	if s1 == 0xff && s2 == 0xff {
 		return
-	}
-	kb := func(r uint8) KnownBits {
-		if r >= 32 {
-			return kbTop(m)
-		}
-		return KnownBits{Zero: kz[i*32+int(r)], One: ko[i*32+int(r)]}
-	}
-	d1, d2 := demandMasks(in, L, kb(s1), kb(s2), xlen)
-	if sd != nil && in.Op.IsStore() {
-		d2 &= sd[i]
 	}
 	if s1 != 0xff && s1 != uint8(isa.RegZero) {
 		cur[s1] &^= d1

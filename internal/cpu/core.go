@@ -45,25 +45,25 @@ const predecodeSlots = 4096
 //
 // The fixed-size hot state lives in the embedded soa slabs
 // (structures.go); ring positions, counters, and the variable-length
-// queues are ordinary fields. Every field is either carried through
-// Snapshot/Restore and compared by StateEquals, or annotated with why
-// it is not; the snapshotcover and equalitycover passes of cmd/sevlint
-// enforce this, so a new field cannot silently break the checkpoint
-// and convergence guarantees.
+// queues are ordinary fields. Every field has a row in
+// TestCoreFieldTable (fieldtable_test.go) saying whether Snapshot/Restore
+// carry it and StateEquals compares it, and why; the test perturbs each
+// field and checks that the methods do what its row says, so a new
+// field cannot silently break the checkpoint and convergence guarantees.
 type Core struct {
-	cfg Config //snapshot:skip immutable configuration, fixed at construction
+	cfg Config
 
 	// The word width as the ALU wants it: v&xmask truncates to XLEN
 	// bits, and shifting left then arithmetically right by sxShift
 	// sign-extends the low XLEN bits.
-	xmask   uint64 //snapshot:skip function of the immutable cfg.XLEN, fixed at construction
-	sxShift uint   //snapshot:skip function of the immutable cfg.XLEN, fixed at construction
+	xmask   uint64
+	sxShift uint
 
 	// Wiring to the shared memory hierarchy: pointers, not state. The
 	// structures they reach are snapshotted by machine.Snapshot.
-	memory *mem.Memory //snapshot:skip hierarchy wiring; snapshotted at machine level
-	icache *mem.Cache  //snapshot:skip hierarchy wiring; snapshotted at machine level
-	dcache *mem.Cache  //snapshot:skip hierarchy wiring; snapshotted at machine level
+	memory *mem.Memory
+	icache *mem.Cache
+	dcache *mem.Cache
 
 	// Flat register/queue/predictor state (slabs + views).
 	soa
@@ -98,7 +98,7 @@ type Core struct {
 	// fetch copies it out of the predecode memo as it fills the slot, so
 	// rename reads its facts at the ring index it is already at. A
 	// snapshot carries only the slot; Restore recomputes the facts.
-	fetchFacts []renameFacts //snapshot:skip pure function of the queued slot's decode and the immutable configuration; Restore recomputes it
+	fetchFacts []renameFacts
 
 	inflight []inflightOp
 
@@ -109,9 +109,8 @@ type Core struct {
 	crash    *simerr.Crash
 
 	output    []uint64
-	maxOutput int //snapshot:skip immutable output-ring bound, fixed at construction
+	maxOutput int
 
-	//equality:dead reassigned before every use within a cycle; never read across a cycle boundary
 	squashedAfter uint64
 
 	// Incrementally maintained occupancy counters (hot path).
@@ -122,14 +121,14 @@ type Core struct {
 	// the per-cycle insert/issue/wakeup scans walk set bits instead of
 	// every slot. Sound because faults never flip a valid bit (see
 	// faults.go); IQSize <= 64 is asserted at construction.
-	iqValid uint64 //snapshot:skip derived index over the qValid bits of iqFlags; Restore rebuilds it from the slab
+	iqValid uint64
 
 	// iqReady marks the valid, unissued entries whose two ready bits are
 	// both set — exactly the candidates the issue scan used to find by
 	// walking every slot. iqInsert/wakeup/issue/squash maintain it, and
 	// FlipBit re-derives a slot's bit (iqSync) after flipping into the
 	// slot's Source field.
-	iqReady uint64 //snapshot:skip derived index over iqFlags ready state; Restore rebuilds it from the slab
+	iqReady uint64
 
 	// iqWaiters[tag] holds, one bit per slot, the entries that may be
 	// waiting for physical register tag to broadcast: a superset of the
@@ -141,13 +140,13 @@ type Core struct {
 	// bit costs one compare, while a missing one would lose a wakeup.
 	// Tags at or above NumPhysRegs (reachable only through a flip) are
 	// not indexed: writePhys asserts before such a tag could broadcast.
-	iqWaiters []uint64 //snapshot:skip derived index over iqSrc1/iqSrc2 and the ready bits of iqFlags; Restore rebuilds it from the slabs
+	iqWaiters []uint64
 
 	// lqPending marks load-queue slots whose flag byte reads "address
 	// known, not yet performed" (valid|addrReady, done and inflight
 	// clear) — the entries loadStep can act on. Bits are meaningful only
 	// inside the occupied ring window; loadStep masks with ringMask.
-	lqPending uint64 //snapshot:skip derived index over lqFlags state bits; Restore rebuilds it from the slab
+	lqPending uint64
 
 	// lqRetry marks the loads whose store-queue check is worth running:
 	// a superset of the pending loads the check would not find blocked.
@@ -158,29 +157,28 @@ type Core struct {
 	// LQ or SQ, each of which sets every bit. A blocked check has no side
 	// effects, so a spurious bit costs one repeated walk, while a missing
 	// one would park a load forever.
-	lqRetry  uint64   //snapshot:skip derived from what loadOne last found in the store queue; Restore sets every bit
-	lqWaitSQ []uint64 //snapshot:skip per store-queue slot, the loads last found blocked behind it; Restore clears it with lqRetry all set
+	lqRetry  uint64
+	lqWaitSQ []uint64
 
 	// Memoized bounds of the executable region serving fetches: a pc
 	// with pc&3 == 0 inside [fetchSpanLo, fetchSpanHi] needs no
 	// CheckFetch walk. The address map is immutable after program load.
-	fetchSpanLo uint64 //snapshot:skip memo over the immutable executable mapping; misses fall back to Memory.CheckFetch
-	fetchSpanHi uint64 //snapshot:skip memo over the immutable executable mapping; misses fall back to Memory.CheckFetch
+	fetchSpanLo uint64
+	fetchSpanHi uint64
 
 	// Direct-mapped predecode memo (frontend.go): each slot pairs a word
 	// with its decode and the rename-stage facts derived from it.
-	dec []predecoded //snapshot:skip memo of pure functions of the fetched word and the immutable configuration; a miss recomputes
+	dec []predecoded
 
 	// Scratch buffers reused across cycles to avoid per-cycle allocation.
-	dueBuf  []int        //snapshot:skip scratch, reset with [:0] before every use
-	opsBuf  []inflightOp //snapshot:skip scratch, reset with [:0] before every use
-	candBuf []int        //snapshot:skip scratch, reset with [:0] before every use
+	dueBuf  []int
+	opsBuf  []inflightOp
+	candBuf []int
 
 	// commitHook, when non-nil, observes every committed instruction in
 	// program order (see SetCommitHook).
-	commitHook func(CommitEvent) //snapshot:skip observer wiring, not simulated state
+	commitHook func(CommitEvent)
 
-	//equality:dead event counters; never fed back into execution or classification (a converged run may carry different counts)
 	Stats Stats
 }
 

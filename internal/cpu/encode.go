@@ -5,17 +5,18 @@ package cpu
 // the golden simulation entirely. The encoding is canonical — the same
 // state always produces the same bytes — and bit-complete with respect
 // to CoreState.Equal: DecodeCoreState(EncodeTo(s)) is strictly Equal
-// to s, which TestCoreStateEncodeRoundTrip asserts against live
-// mid-run snapshots. Dead state is included (it is part of strict
-// equality and costs little after zero-run compression of the u8
-// slab).
+// to s, which checkpoint's TestStreamEncodeRoundTrip asserts against
+// live mid-run snapshots, and TestCoreFieldTable perturbs every carried
+// Core field and requires the change to survive EncodeTo and
+// DecodeCoreState. Dead state is included (it is part of strict
+// equality and costs little after zero-run compression of the u8 slab).
 //
 // There is no per-struct version tag here: the enclosing prep bundle
 // (internal/core) carries the format version, and the artifact cache
 // checksums every blob, so a reader never sees a stale layout. Anyone
 // changing CoreState or the slab carving must bump the bundle version
-// (core.prepBundleVersion) — the round-trip tests plus the
-// snapshotcover lint pass flag the state change itself.
+// (core.prepBundleVersion); the field table fails when a field of the
+// state is left out of the encoding.
 
 import (
 	"fmt"

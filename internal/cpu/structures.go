@@ -78,10 +78,10 @@ const (
 // them. Core embeds it; CoreState embeds it too, so a snapshot is the
 // same shape and the equality walks index both sides identically.
 //
-// The views are annotated //snapshot:flat <slab>: they alias slab
-// memory, so copying the slab in Snapshot/Restore covers them — the
-// snapshotcover and equalitycover lint passes resolve the annotation
-// to the backing slab's coverage.
+// The views alias slab memory, so copying the slabs in Snapshot/Restore
+// carries them. TestCoreFieldTable recognises a view by that aliasing,
+// needs no row for it, and requires StateEquals to see a flip of some
+// element of every view.
 type soa struct {
 	// Backing slabs: one contiguous array per scalar width. These are
 	// what Snapshot/Restore copy and CoreState.Equal compares.
@@ -90,66 +90,66 @@ type soa struct {
 	u8  []uint8
 
 	// Physical register file and rename state.
-	prf      []uint64 //snapshot:flat u64
-	prfReady []uint8  //snapshot:flat u8
-	prfAlloc []uint8  //snapshot:flat u8
-	rat      []uint16 //snapshot:flat u16
-	freeBack []uint16 //snapshot:flat u16
+	prf      []uint64
+	prfReady []uint8
+	prfAlloc []uint8
+	rat      []uint16
+	freeBack []uint16
 
 	// Reorder buffer, one array per former robEntry field. The four
 	// injectable fields the paper names are PC, the destination tag,
 	// the old-mapping tag, and the control word (robArch + robExc +
 	// the low robFlags bits); the rest is side metadata.
-	robPC      []uint64 //snapshot:flat u64
-	robSeq     []uint64 //snapshot:flat u64
-	robPredTgt []uint64 //snapshot:flat u64
-	robActTgt  []uint64 //snapshot:flat u64
-	robOutVal  []uint64 //snapshot:flat u64  value captured at execute for OUT instructions
-	robDest    []uint16 //snapshot:flat u16
-	robOld     []uint16 //snapshot:flat u16
-	robLQ      []uint16 //snapshot:flat u16  badIdx when not a load
-	robSQ      []uint16 //snapshot:flat u16  badIdx when not a store
-	robArch    []uint8  //snapshot:flat u8   noReg when no register written
-	robExc     []uint8  //snapshot:flat u8   exception code; 0 = none
-	robOp      []uint8  //snapshot:flat u8
-	robFlags   []uint8  //snapshot:flat u8
+	robPC      []uint64
+	robSeq     []uint64
+	robPredTgt []uint64
+	robActTgt  []uint64
+	robOutVal  []uint64 // value captured at execute for OUT instructions
+	robDest    []uint16
+	robOld     []uint16
+	robLQ      []uint16 // badIdx when not a load
+	robSQ      []uint16 // badIdx when not a store
+	robArch    []uint8  // noReg when no register written
+	robExc     []uint8  // exception code; 0 = none
+	robOp      []uint8
+	robFlags   []uint8
 
 	// Issue queue. Src tags + ready bits form the injectable Source
 	// field; dest tag + ROB linkage form the Destination field.
-	iqImm   []uint64 //snapshot:flat u64  int64 immediate stored as uint64
-	iqSeq   []uint64 //snapshot:flat u64
-	iqSrc1  []uint16 //snapshot:flat u16
-	iqSrc2  []uint16 //snapshot:flat u16
-	iqDest  []uint16 //snapshot:flat u16
-	iqROB   []uint16 //snapshot:flat u16
-	iqOp    []uint8  //snapshot:flat u8
-	iqFlags []uint8  //snapshot:flat u8
+	iqImm   []uint64 // int64 immediate stored as uint64
+	iqSeq   []uint64
+	iqSrc1  []uint16
+	iqSrc2  []uint16
+	iqDest  []uint16
+	iqROB   []uint16
+	iqOp    []uint8
+	iqFlags []uint8
 
 	// Load queue: address word, dest tag, ROB linkage, state bits.
-	lqAddr   []uint64 //snapshot:flat u64
-	lqSeq    []uint64 //snapshot:flat u64
-	lqFillAt []uint64 //snapshot:flat u64  completion cycle once in flight
-	lqDest   []uint16 //snapshot:flat u16
-	lqROB    []uint16 //snapshot:flat u16
-	lqSize   []uint8  //snapshot:flat u8
-	lqFlags  []uint8  //snapshot:flat u8
+	lqAddr   []uint64
+	lqSeq    []uint64
+	lqFillAt []uint64 // completion cycle once in flight
+	lqDest   []uint16
+	lqROB    []uint16
+	lqSize   []uint8
+	lqFlags  []uint8
 
 	// Store queue: address, data, ROB linkage, state bits.
-	sqAddr  []uint64 //snapshot:flat u64
-	sqData  []uint64 //snapshot:flat u64
-	sqSeq   []uint64 //snapshot:flat u64
-	sqROB   []uint16 //snapshot:flat u16
-	sqSize  []uint8  //snapshot:flat u8
-	sqFlags []uint8  //snapshot:flat u8
+	sqAddr  []uint64
+	sqData  []uint64
+	sqSeq   []uint64
+	sqROB   []uint16
+	sqSize  []uint8
+	sqFlags []uint8
 
 	// Branch predictor tables. Predictor state is not a fault target
 	// (a corrupted prediction is architecturally masked — it only
 	// costs time) but it is checkpoint state: it steers speculative
 	// cache fills and timing.
-	bimodal []uint8  //snapshot:flat u8   2-bit saturating counters
-	btbTag  []uint64 //snapshot:flat u64
-	btbTgt  []uint64 //snapshot:flat u64
-	ras     []uint64 //snapshot:flat u64
+	bimodal []uint8 // 2-bit saturating counters
+	btbTag  []uint64
+	btbTgt  []uint64
+	ras     []uint64
 }
 
 // slabSizes returns the three slab lengths the configuration needs.

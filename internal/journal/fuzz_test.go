@@ -33,8 +33,8 @@ func sameRecords(a, b []Record) bool {
 	})
 }
 
-// FuzzJournalScan hands arbitrary bytes to the journal as its one
-// segment file — what a crash, a power loss or a bad disk may leave.
+// FuzzJournalScan hands arbitrary bytes to the journal as its file —
+// what a crash, a power loss or a bad disk may leave.
 // Scan and Open must not panic, must replay exactly the leading intact
 // lines, and the journal must go on working after them: Open, Write,
 // Sync, and a Scan that returns the old records plus the new one.

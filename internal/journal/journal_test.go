@@ -176,84 +176,9 @@ func TestChecksumMismatchEndsReplay(t *testing.T) {
 	}
 }
 
-// TestSegmentRotation forces a tiny segment limit and checks that
-// records span multiple segment files and replay in order.
-func TestSegmentRotation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, _, err := Open(path, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		mustAppend(t, w, "cell", payload{Name: "record-payload", N: i})
-	}
-	w.Close()
-
-	if _, err := os.Stat(path + ".1"); err != nil {
-		t.Fatalf("expected rotated segment %s.1: %v", path, err)
-	}
-	recs, err := Scan(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n {
-		t.Fatalf("replayed %d records across segments, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		var p payload
-		if err := json.Unmarshal(r.Data, &p); err != nil {
-			t.Fatal(err)
-		}
-		if p.N != i {
-			t.Fatalf("record %d out of order: N=%d", i, p.N)
-		}
-	}
-
-	// Reopen appends to the last segment, not a new one.
-	w, recs, err = Open(path, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n {
-		t.Fatalf("reopen replayed %d, want %d", len(recs), n)
-	}
-	mustAppend(t, w, "cell", payload{N: n})
-	w.Close()
-	recs, _ = Scan(path)
-	if len(recs) != n+1 {
-		t.Fatalf("after reopen append: %d records", len(recs))
-	}
-}
-
-// TestTornMiddleSegmentRejected: a corrupt record in a non-final
-// segment cannot be silently skipped — later records would replay
-// against a hole.
-func TestTornMiddleSegmentRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, _, err := Open(path, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		mustAppend(t, w, "cell", payload{Name: "record-payload", N: i})
-	}
-	w.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Scan(path); err == nil {
-		t.Fatal("expected an error for a torn non-final segment")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, _, err := Open(path, Options{SegmentBytes: 128})
+	w, _, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +189,8 @@ func TestRemove(t *testing.T) {
 	if err := Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{path, path + ".1"} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("%s still exists after Remove", p)
-		}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("%s still exists after Remove", path)
 	}
 	// Removing a journal that never existed is fine.
 	if err := Remove(filepath.Join(t.TempDir(), "nope.jsonl")); err != nil {
@@ -337,112 +260,18 @@ func TestMkdirAllSync(t *testing.T) {
 	}
 }
 
-// TestTornTailCompactionAfterRotation tears the final record of the
-// *last rotated segment* — the crash window of a process killed
-// mid-append after one or more rotations. Open must compact only that
-// segment's tail, leave every earlier segment byte-intact, replay the
-// full valid prefix, and append into the compacted segment without
-// opening a new one.
-func TestTornTailCompactionAfterRotation(t *testing.T) {
+// TestOpenRefusesSegmentedJournal: an older version rotated a journal
+// into "<path>.1", "<path>.2", ... Replaying only the first file would
+// silently drop the rest, so Open refuses and names the files.
+func TestOpenRefusesSegmentedJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	w, _, err := Open(path, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		mustAppend(t, w, "cell", payload{Name: "record-payload", N: i})
-	}
-	w.Close()
-
-	// Find the last segment and how the records are distributed.
-	last := path
-	segs := 1
-	for {
-		next := fmt.Sprintf("%s.%d", path, segs)
-		if _, err := os.Stat(next); err != nil {
-			break
-		}
-		last = next
-		segs++
-	}
-	if segs < 3 {
-		t.Fatalf("expected at least 3 segments, got %d", segs)
-	}
-	lastRecs, err := Scan(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lastRecs) == 0 {
-		t.Fatal("last segment is empty; cannot tear a record")
-	}
-	frozen, err := os.ReadFile(fmt.Sprintf("%s.%d", path, segs-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the last record mid-write: drop its trailing bytes.
-	data, err := os.ReadFile(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(last, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, recs, err := Open(path, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n-1 {
-		t.Fatalf("replayed %d records after tear, want %d", len(recs), n-1)
-	}
-	for i, r := range recs {
-		var p payload
-		if err := json.Unmarshal(r.Data, &p); err != nil {
+	for _, p := range []string{path, path + ".1"} {
+		if err := os.WriteFile(p, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if p.N != i {
-			t.Fatalf("record %d out of order after compaction: N=%d", i, p.N)
-		}
 	}
-
-	// The earlier segment was not touched by the compaction.
-	after, err := os.ReadFile(fmt.Sprintf("%s.%d", path, segs-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(frozen) {
-		t.Fatal("compaction rewrote an intact earlier segment")
-	}
-
-	// The compacted tail segment holds exactly its valid prefix, and
-	// appends continue into it rather than a new segment.
-	compacted, err := Scan(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compacted) != len(lastRecs)-1 {
-		t.Fatalf("compacted segment has %d records, want %d", len(compacted), len(lastRecs)-1)
-	}
-	mustAppend(t, w, "cell", payload{N: n})
-	w.Close()
-	if _, err := os.Stat(fmt.Sprintf("%s.%d", path, segs)); err == nil {
-		t.Fatal("append after compaction rotated to a new segment")
-	}
-	recs, err = Scan(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n {
-		t.Fatalf("after compaction + append: %d records, want %d", len(recs), n)
-	}
-	var p payload
-	if err := json.Unmarshal(recs[n-1].Data, &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.N != n {
-		t.Errorf("appended record N=%d, want %d", p.N, n)
+	if _, _, err := Open(path, Options{}); err == nil || !strings.Contains(err.Error(), "older version") {
+		t.Fatalf("Open of a segmented journal: %v, want a refusal naming the older version", err)
 	}
 }
 

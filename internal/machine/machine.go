@@ -73,7 +73,7 @@ type Result struct {
 // thousands of runs. Without a snapshot to restore, build one per
 // simulation.
 type Machine struct {
-	Cfg  Config //snapshot:skip immutable configuration; a Snap restores only into an identically configured machine
+	Cfg  Config
 	Mem  *mem.Memory
 	L1I  *mem.Cache
 	L1D  *mem.Cache

@@ -48,14 +48,15 @@ type CacheStats struct {
 // base.
 type Cache struct {
 	// Geometry, derived from the config at construction and immutable
-	// after; snapshotcover (cmd/sevlint) checks every other field is
-	// carried through Snapshot/Restore.
-	cfg      CacheConfig //snapshot:skip immutable configuration, fixed at construction
-	sets     int         //snapshot:skip immutable geometry, derived at construction
-	offBits  int         //snapshot:skip immutable geometry, derived at construction
-	setBits  int         //snapshot:skip immutable geometry, derived at construction
-	tagWidth int         //snapshot:skip immutable geometry, derived at construction
-	lower    Backend     //snapshot:skip hierarchy wiring; the lower level is snapshotted separately
+	// after. TestCacheFieldTable (fieldtable_test.go) gives every field
+	// a row saying whether Snapshot/Restore carry it and StateEquals
+	// compares it, and checks each row by perturbation.
+	cfg      CacheConfig
+	sets     int
+	offBits  int
+	setBits  int
+	tagWidth int
+	lower    Backend
 
 	tags  []uint64 // per line: stored tag
 	lru   []uint64 // per line: last-use timestamp for LRU replacement
@@ -70,11 +71,10 @@ type Cache struct {
 	// in touched. None of this is checkpoint state: it describes the
 	// relation between the live cache and one snapshot, and Snapshot and
 	// Restore rebuild it.
-	base        *CacheState //snapshot:skip copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves
-	touched     []int32     //snapshot:skip copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves
-	touchedMark []uint8     //snapshot:skip copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves
+	base        *CacheState
+	touched     []int32
+	touchedMark []uint8
 
-	//equality:dead event counters; never fed back into execution or classification
 	Stats CacheStats
 }
 

@@ -77,7 +77,7 @@ type Fault struct {
 // addresses, because by construction only a corrupted tag or a corrupted
 // queue entry can steer the hierarchy outside the map.
 type Memory struct {
-	regions []Region //snapshot:skip immutable address map, fixed at program load
+	regions []Region
 	pages   map[uint64]*[PageSize]byte
 
 	// shared marks pages whose backing array is aliased by at least one
@@ -85,13 +85,11 @@ type Memory struct {
 	// which clones a shared page before the first store to it, so the K
 	// checkpoints of a golden run cost one page copy per *written* page
 	// rather than K copies of the whole memory.
-	//
-	//equality:dead COW bookkeeping; every observable byte is compared via pages
 	shared map[uint64]struct{}
 
 	// Latency is the flat access latency in cycles charged per line
 	// transfer to or from memory.
-	Latency int //snapshot:skip immutable configuration, fixed at construction
+	Latency int
 }
 
 // NewMemory creates an empty memory with the given flat access latency.

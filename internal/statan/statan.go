@@ -7,15 +7,9 @@
 // comments, machine (JSON) and human output, and fixture-driven
 // self-tests.
 //
-// Two kinds of source annotation feed the framework:
-//
-//   - line suppressions ("//lint:<key> <reason>") exempt one statement
-//     from one rule; every suppression must carry a reason, and a
-//     suppression that no finding consulted is itself reported stale;
-//   - field annotations ("//snapshot:skip <reason>",
-//     "//equality:dead <reason>") document why a struct field is
-//     deliberately outside a coverage relation (see the snapshotcover
-//     and equalitycover passes).
+// Line suppressions ("//lint:<key> <reason>") exempt one statement from
+// one rule; every suppression must carry a reason, and a suppression
+// that no finding consulted is itself reported stale.
 //
 // The passes themselves live in sibling files; Passes lists them all.
 package statan
@@ -84,8 +78,6 @@ func Passes() []*Pass {
 	return []*Pass{
 		determinismPass(),
 		robustnessPass(),
-		snapshotCoverPass(),
-		equalityCoverPass(),
 	}
 }
 

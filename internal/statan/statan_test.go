@@ -22,8 +22,6 @@ var fixtures = []struct {
 	{name: "determinism", passes: []string{"determinism"}},
 	{name: "robustness", passes: []string{"robustness"}},
 	{name: "dispatch", passes: []string{"robustness"}},
-	{name: "snapcover", passes: []string{"snapshotcover"}},
-	{name: "eqcover", passes: []string{"equalitycover"}},
 	{name: "suppress", passes: nil, checkSupp: true}, // all passes + hygiene
 }
 

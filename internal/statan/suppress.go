@@ -121,39 +121,3 @@ func reportSuppressionHygiene(pkg *Package, out *[]Diagnostic) {
 		}
 	}
 }
-
-// Field-annotation grammar. A comment in a struct field's doc block or
-// on its line of the form
-//
-//	//<domain>:<verb> <reason>
-//
-// (//snapshot:skip, //equality:dead) declares the field deliberately outside one coverage relation. The
-// coverage passes require the reason and flag stale annotations
-// (fields the relation actually covers).
-type annotation struct {
-	Reason string
-	Pos    token.Position
-}
-
-// fieldAnnotation scans the field's doc and trailing comments for
-// //name (name like "snapshot:skip") and returns the parsed annotation.
-func fieldAnnotation(fset *token.FileSet, f *ast.Field, name string) *annotation {
-	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text, ok := strings.CutPrefix(c.Text, "//")
-			if !ok {
-				continue // /* */ comments don't carry annotations
-			}
-			text = strings.TrimSpace(text)
-			rest, ok := strings.CutPrefix(text, name)
-			if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-				continue
-			}
-			return &annotation{Reason: trimReason(rest), Pos: fset.Position(c.Pos())}
-		}
-	}
-	return nil
-}
