@@ -11,6 +11,13 @@ package cpu
 // DecodeCoreState. Dead state is included (it is part of strict
 // equality and costs little after zero-run compression of the u8 slab).
 //
+// The fetch slots, the in-flight operations and Stats are fixed-layout
+// records written whole (binio.Fixed), so a field added to one is
+// encoded with no edit here. The slabs (zero runs), the scalars between
+// the variable-length parts (range-checked by name on decode) and the
+// commit trace (10^5-10^6 events, too many to reflect over) are written
+// by hand.
+//
 // There is no per-struct version tag here: the enclosing prep bundle
 // (internal/core) carries the format version, and the artifact cache
 // checksums every blob, so a reader never sees a stale layout. Anyone
@@ -22,7 +29,6 @@ import (
 	"fmt"
 
 	"sevsim/internal/binio"
-	"sevsim/internal/isa"
 	"sevsim/internal/simerr"
 )
 
@@ -43,31 +49,12 @@ func (s *CoreState) EncodeTo(w *binio.Writer) {
 
 	w.U64(s.FetchPC)
 	w.Uvarint(uint64(len(s.FetchQ)))
-	for i := range s.FetchQ {
-		f := &s.FetchQ[i]
-		w.U64(f.PC)
-		w.U32(f.Word)
-		w.U8(uint8(f.In.Op))
-		w.U8(f.In.Rd)
-		w.U8(f.In.Rs1)
-		w.U8(f.In.Rs2)
-		w.I32(f.In.Imm)
-		w.Bool(f.FetchFault)
-		w.Bool(f.PredTaken)
-		w.U64(f.PredTarget)
-	}
+	w.Fixed(s.FetchQ)
 	w.U64(s.FetchStall)
 	w.Bool(s.FetchFrozen)
 
 	w.Uvarint(uint64(len(s.Inflight)))
-	for i := range s.Inflight {
-		op := &s.Inflight[i]
-		w.U64(op.DoneAt)
-		w.U16(op.Dest)
-		w.U64(op.Value)
-		w.U16(op.ROBIdx)
-		w.U64(op.Seq)
-	}
+	w.Fixed(s.Inflight)
 
 	w.U64(s.Cycle)
 	w.U64(s.Seq)
@@ -85,40 +72,7 @@ func (s *CoreState) EncodeTo(w *binio.Writer) {
 	w.Int(s.IQCount)
 	w.Int(s.PRFLive)
 
-	s.Stats.EncodeTo(w)
-}
-
-// EncodeTo appends the stats counters to w (also used by the
-// machine.Result encoder).
-func (st *Stats) EncodeTo(w *binio.Writer) {
-	w.U64(st.Cycles)
-	w.U64(st.Committed)
-	w.U64(st.Fetched)
-	w.U64(st.Mispredicts)
-	w.U64(st.Branches)
-	w.U64(st.Loads)
-	w.U64(st.Stores)
-	w.U64(st.ROBOccupancy)
-	w.U64(st.IQOccupancy)
-	w.U64(st.LQOccupancy)
-	w.U64(st.SQOccupancy)
-	w.U64(st.PRFLive)
-}
-
-// DecodeFrom reads counters written by EncodeTo.
-func (st *Stats) DecodeFrom(r *binio.Reader) {
-	st.Cycles = r.U64()
-	st.Committed = r.U64()
-	st.Fetched = r.U64()
-	st.Mispredicts = r.U64()
-	st.Branches = r.U64()
-	st.Loads = r.U64()
-	st.Stores = r.U64()
-	st.ROBOccupancy = r.U64()
-	st.IQOccupancy = r.U64()
-	st.LQOccupancy = r.U64()
-	st.SQOccupancy = r.U64()
-	st.PRFLive = r.U64()
+	w.Fixed(&s.Stats)
 }
 
 // DecodeCoreState reads one CoreState written by EncodeTo into a
@@ -178,19 +132,7 @@ func DecodeCoreState(r *binio.Reader, cfg *Config) (*CoreState, error) {
 	} else {
 		s.FetchQ = s.FetchQ[:nq]
 	}
-	for i := range s.FetchQ {
-		f := &s.FetchQ[i]
-		f.PC = r.U64()
-		f.Word = r.U32()
-		f.In.Op = isa.Opcode(r.U8())
-		f.In.Rd = r.U8()
-		f.In.Rs1 = r.U8()
-		f.In.Rs2 = r.U8()
-		f.In.Imm = r.I32()
-		f.FetchFault = r.Bool()
-		f.PredTaken = r.Bool()
-		f.PredTarget = r.U64()
-	}
+	r.Fixed(s.FetchQ)
 	s.FetchStall = r.U64()
 	s.FetchFrozen = r.Bool()
 
@@ -203,14 +145,7 @@ func DecodeCoreState(r *binio.Reader, cfg *Config) (*CoreState, error) {
 	} else {
 		s.Inflight = s.Inflight[:ni]
 	}
-	for i := range s.Inflight {
-		op := &s.Inflight[i]
-		op.DoneAt = r.U64()
-		op.Dest = r.U16()
-		op.Value = r.U64()
-		op.ROBIdx = r.U16()
-		op.Seq = r.U64()
-	}
+	r.Fixed(s.Inflight)
 
 	s.Cycle = r.U64()
 	s.Seq = r.U64()
@@ -226,7 +161,7 @@ func DecodeCoreState(r *binio.Reader, cfg *Config) (*CoreState, error) {
 	s.IQCount = r.Int()
 	s.PRFLive = r.Int()
 
-	s.Stats.DecodeFrom(r)
+	r.Fixed(&s.Stats)
 	if err := r.Err(); err != nil {
 		return fail(err)
 	}

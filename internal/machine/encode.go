@@ -56,12 +56,9 @@ func (res *Result) EncodeTo(w *binio.Writer) {
 	w.String(res.Reason)
 	w.U64(res.Cycles)
 	w.U64s(res.Output)
-	res.Stats.EncodeTo(w)
-	for _, cs := range []mem.CacheStats{res.L1I, res.L1D, res.L2} {
-		w.U64(cs.Hits)
-		w.U64(cs.Misses)
-		w.U64(cs.Writebacks)
-		w.U64(cs.Evictions)
+	w.Fixed(&res.Stats)
+	for _, cs := range []*mem.CacheStats{&res.L1I, &res.L1D, &res.L2} {
+		w.Fixed(cs)
 	}
 	w.Bool(res.Unexpected)
 }
@@ -78,12 +75,9 @@ func DecodeResult(r *binio.Reader) (Result, error) {
 	res.Reason = r.String()
 	res.Cycles = r.U64()
 	res.Output = r.U64sInto(nil)
-	res.Stats.DecodeFrom(r)
+	r.Fixed(&res.Stats)
 	for _, cs := range []*mem.CacheStats{&res.L1I, &res.L1D, &res.L2} {
-		cs.Hits = r.U64()
-		cs.Misses = r.U64()
-		cs.Writebacks = r.U64()
-		cs.Evictions = r.U64()
+		r.Fixed(cs)
 	}
 	res.Unexpected = r.Bool()
 	if err := r.Err(); err != nil {

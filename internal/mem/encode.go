@@ -55,10 +55,7 @@ func ref[P comparable](w *binio.Writer, seen *map[P]uint64, p P) (isNew bool) {
 // EncodeTo appends the cache snapshot's complete state to w.
 func (s *CacheState) EncodeTo(w *binio.Writer, enc *Encoder) {
 	w.U64(s.Clock)
-	w.U64(s.Stats.Hits)
-	w.U64(s.Stats.Misses)
-	w.U64(s.Stats.Writebacks)
-	w.U64(s.Stats.Evictions)
+	w.Fixed(&s.Stats)
 	w.Uvarint(uint64(len(s.chunks)))
 	zero := zeroChunk(s.lineSize)
 	for _, ch := range s.chunks {
@@ -94,10 +91,7 @@ func DecodeCacheState(r *binio.Reader, cfg CacheConfig, dec *Decoder) (*CacheSta
 	}
 	s := &CacheState{lines: lines, lineSize: cfg.LineSize, ways: cfg.Ways}
 	s.Clock = r.U64()
-	s.Stats.Hits = r.U64()
-	s.Stats.Misses = r.U64()
-	s.Stats.Writebacks = r.U64()
-	s.Stats.Evictions = r.U64()
+	r.Fixed(&s.Stats)
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
