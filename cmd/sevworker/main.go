@@ -37,7 +37,7 @@ func main() {
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
 	parallel := flag.Int("parallel", 0, "campaign parallelism per cell (0 = GOMAXPROCS); results are identical at any setting")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory, kept across leases and studies; re-leased cells skip compiles and golden simulations (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = adopt the study's advice, else unbounded)")
+	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	quiet := flag.Bool("q", false, "suppress log output")
 	flag.Parse()
 

@@ -1,6 +1,6 @@
 // Package artcache is a content-addressed, on-disk artifact cache for
-// prep-unit products: compiled binaries, golden run results,
-// serialized checkpoint streams, and static-analysis bounds. Entries
+// prep-unit products: compiled binaries, golden run results, commit
+// traces and serialized checkpoint streams. Entries
 // are keyed by a canonical fingerprint string of everything that
 // determines the artifact bytes; the cache never interprets the key
 // beyond hashing it, so any layer (core scheduler, CLIs, distributed
@@ -23,6 +23,10 @@
 //     least-recently-used entries (by file mtime, touched on hit)
 //     until the directory fits. Eviction can only cost time, never
 //     correctness: a rebuilt entry is byte-identical by construction.
+//     The bound is the opening host's; nothing changes it later.
+//   - A store that fails costs only time: GetOrFill hands out what
+//     fill built even when the disk refuses it (full, read-only, gone),
+//     and counts the refusal in Stats.FailedStores.
 //
 // The zero value of *Cache (nil) is a valid disabled cache: Get
 // always misses, Put discards, and GetOrFill calls fill directly.
@@ -69,6 +73,8 @@ type Stats struct {
 	Puts      uint64 `json:"puts"`
 	Evictions uint64 `json:"evictions"`
 	Corrupt   uint64 `json:"corrupt"`
+	// FailedStores counts payloads GetOrFill built but could not store.
+	FailedStores uint64 `json:"failed_stores"`
 }
 
 // Add accumulates other into s.
@@ -78,17 +84,19 @@ func (s *Stats) Add(other Stats) {
 	s.Puts += other.Puts
 	s.Evictions += other.Evictions
 	s.Corrupt += other.Corrupt
+	s.FailedStores += other.FailedStores
 }
 
 // Minus returns the counter deltas since an earlier snapshot of the
 // same cache (used by workers reporting per-lease activity).
 func (s Stats) Minus(earlier Stats) Stats {
 	return Stats{
-		Hits:      s.Hits - earlier.Hits,
-		Misses:    s.Misses - earlier.Misses,
-		Puts:      s.Puts - earlier.Puts,
-		Evictions: s.Evictions - earlier.Evictions,
-		Corrupt:   s.Corrupt - earlier.Corrupt,
+		Hits:         s.Hits - earlier.Hits,
+		Misses:       s.Misses - earlier.Misses,
+		Puts:         s.Puts - earlier.Puts,
+		Evictions:    s.Evictions - earlier.Evictions,
+		Corrupt:      s.Corrupt - earlier.Corrupt,
+		FailedStores: s.FailedStores - earlier.FailedStores,
 	}
 }
 
@@ -100,7 +108,8 @@ func (s Stats) Empty() bool {
 // String renders the counters in the compact form used by CLI
 // summaries.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d hits, %d misses, %d evictions, %d corrupt discarded", s.Hits, s.Misses, s.Evictions, s.Corrupt)
+	return fmt.Sprintf("%d hits, %d misses, %d evictions, %d corrupt discarded, %d failed stores",
+		s.Hits, s.Misses, s.Evictions, s.Corrupt, s.FailedStores)
 }
 
 // Cache is a content-addressed artifact store rooted at one
@@ -108,13 +117,14 @@ func (s Stats) String() string {
 // a valid disabled cache.
 type Cache struct {
 	dir string
-	max atomic.Int64
+	max int64
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	puts      atomic.Uint64
-	evictions atomic.Uint64
-	corrupt   atomic.Uint64
+	hits         atomic.Uint64
+	misses       atomic.Uint64
+	puts         atomic.Uint64
+	evictions    atomic.Uint64
+	corrupt      atomic.Uint64
+	failedStores atomic.Uint64
 
 	mu     sync.Mutex
 	flight map[string]*flightCall
@@ -136,12 +146,7 @@ func Open(dir string, opt Options) (*Cache, error) {
 	if err := journal.MkdirAllSync(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artcache: %w", err)
 	}
-	c := &Cache{
-		dir:    dir,
-		flight: make(map[string]*flightCall),
-	}
-	c.max.Store(opt.MaxBytes)
-	return c, nil
+	return &Cache{dir: dir, max: opt.MaxBytes, flight: make(map[string]*flightCall)}, nil
 }
 
 // Dir returns the cache directory, or "" for a disabled cache.
@@ -158,11 +163,12 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Puts:      c.puts.Load(),
-		Evictions: c.evictions.Load(),
-		Corrupt:   c.corrupt.Load(),
+		Hits:         c.hits.Load(),
+		Misses:       c.misses.Load(),
+		Puts:         c.puts.Load(),
+		Evictions:    c.evictions.Load(),
+		Corrupt:      c.corrupt.Load(),
+		FailedStores: c.failedStores.Load(),
 	}
 }
 
@@ -229,17 +235,6 @@ func (c *Cache) Put(key string, payload []byte) error {
 	return c.evict(filepath.Base(path))
 }
 
-// LimitBytes replaces the size bound at runtime (0 lifts it); the
-// distributed layer applies a coordinator-pushed cache policy to a
-// long-lived worker cache this way. The bound takes effect at the next
-// Put.
-func (c *Cache) LimitBytes(n int64) {
-	if c == nil {
-		return
-	}
-	c.max.Store(n)
-}
-
 // Drop removes the entry for key and counts it as a corrupt discard.
 // Callers use it when a payload passed the cache's checksum but failed
 // semantic validation downstream (e.g. a stale or damaged bundle), so
@@ -256,8 +251,9 @@ func (c *Cache) Drop(key string) {
 // GetOrFill returns the payload for key, building and storing it with
 // fill on a miss. Concurrent calls for the same key are deduplicated:
 // one caller runs fill, the rest block and share its result (a
-// fill error is shared too, and nothing is stored). On a disabled
-// (nil) cache it simply runs fill.
+// fill error is shared too, and nothing is stored). A payload that
+// cannot be stored is still returned, to every caller, and counted in
+// Stats.FailedStores. On a disabled (nil) cache it simply runs fill.
 func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) ([]byte, error) {
 	if c == nil {
 		return fill()
@@ -286,8 +282,8 @@ func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) ([]byte, erro
 			return data, nil
 		}
 		data, err := fill()
-		if err == nil {
-			err = c.Put(key, data)
+		if err == nil && c.Put(key, data) != nil {
+			c.failedStores.Add(1)
 		}
 		fc.data, fc.err = data, err
 		c.finish(key, fc)
@@ -307,8 +303,7 @@ func (c *Cache) finish(key string, fc *flightCall) {
 // evicted, so a Put always leaves its own entry readable even when
 // the payload alone exceeds the bound.
 func (c *Cache) evict(keep string) error {
-	max := c.max.Load()
-	if max <= 0 {
+	if c.max <= 0 {
 		return nil
 	}
 	c.mu.Lock()
@@ -345,7 +340,7 @@ func (c *Cache) evict(keep string) error {
 		return files[i].name < files[j].name // stable order for equal mtimes
 	})
 	for _, f := range files {
-		if total <= max {
+		if total <= c.max {
 			break
 		}
 		if f.name == keep {

@@ -188,6 +188,67 @@ func TestGetOrFillErrorShared(t *testing.T) {
 	}
 }
 
+// unwritable replaces the cache's directory with a regular file, so
+// every read misses and every store fails, whoever the process runs as.
+func unwritable(t *testing.T, c *Cache) {
+	t.Helper()
+	if err := os.RemoveAll(c.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.Dir(), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetOrFillStoreFailureReturnsPayload: a cache that cannot store
+// costs a rebuild, not the caller's payload. The leader and every
+// single-flight waiter get what fill built, and each refused store is
+// counted.
+func TestGetOrFillStoreFailureReturnsPayload(t *testing.T) {
+	c := openTest(t, Options{MaxBytes: 1 << 20})
+	if err := c.Put("k", []byte("stored before the disk went")); err != nil {
+		t.Fatal(err)
+	}
+	unwritable(t, c)
+	release := make(chan struct{})
+	var fills atomic.Int32
+	fill := func() ([]byte, error) {
+		fills.Add(1)
+		<-release
+		return []byte("built"), nil
+	}
+	const n = 8
+	results := make([][]byte, n)
+	errs := make([]error, n)
+	var done sync.WaitGroup
+	for i := 0; i < n; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			results[i], errs[i] = c.GetOrFill("k", fill)
+		}(i)
+	}
+	time.Sleep(10 * time.Millisecond) // let the waiters reach the flight table
+	close(release)
+	done.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil || string(results[i]) != "built" {
+			t.Fatalf("caller %d: %q, %v; want the filled payload", i, results[i], errs[i])
+		}
+	}
+	// Nothing was stored, so the next call builds again.
+	if got, err := c.GetOrFill("k", func() ([]byte, error) { return []byte("again"), nil }); err != nil || string(got) != "again" {
+		t.Fatalf("second fill: %q, %v", got, err)
+	}
+	st := c.Stats()
+	if st.FailedStores != uint64(fills.Load())+1 || st.Puts != 1 {
+		t.Fatalf("stats %s after %d fills; want every fill's store counted as failed and only the first Put", st, fills.Load()+1)
+	}
+	if err := c.Put("k", []byte("x")); err == nil {
+		t.Fatal("Put into a regular file succeeded")
+	}
+}
+
 // TestEvictionUnderSizePressure fills past MaxBytes and asserts the
 // oldest entries go first, the newest stays, and evicted keys rebuild
 // cleanly.
@@ -286,11 +347,14 @@ func TestKeyCollisionMismatchIsMiss(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	var total Stats
-	total.Add(Stats{Hits: 1, Misses: 2, Puts: 3, Evictions: 4, Corrupt: 5})
-	total.Add(Stats{Hits: 10, Misses: 20, Puts: 30, Evictions: 40, Corrupt: 50})
-	want := Stats{Hits: 11, Misses: 22, Puts: 33, Evictions: 44, Corrupt: 55}
+	total.Add(Stats{Hits: 1, Misses: 2, Puts: 3, Evictions: 4, Corrupt: 5, FailedStores: 6})
+	total.Add(Stats{Hits: 10, Misses: 20, Puts: 30, Evictions: 40, Corrupt: 50, FailedStores: 60})
+	want := Stats{Hits: 11, Misses: 22, Puts: 33, Evictions: 44, Corrupt: 55, FailedStores: 66}
 	if total != want {
 		t.Fatalf("Add = %+v, want %+v", total, want)
+	}
+	if d := total.Minus(Stats{Hits: 1, Misses: 2, Puts: 3, Evictions: 4, Corrupt: 5, FailedStores: 6}); d != (Stats{Hits: 10, Misses: 20, Puts: 30, Evictions: 40, Corrupt: 50, FailedStores: 60}) {
+		t.Fatalf("Minus = %+v", d)
 	}
 	if total.Empty() {
 		t.Fatal("non-zero stats Empty")

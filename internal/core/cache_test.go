@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sevsim/internal/artcache"
+	"sevsim/internal/binanalysis"
+	"sevsim/internal/faultinj"
 	"sevsim/internal/machine"
 )
 
@@ -173,6 +176,82 @@ func TestCacheEvictionMidStudy(t *testing.T) {
 	}
 }
 
+// TestCacheStoreFailureCostsOnlyTime: a cache whose disk refuses every
+// store (its directory replaced by a regular file, which fails even as
+// root) leaves the study byte-identical to an uncached run; every unit
+// builds its bundle, uses it, and counts the store that failed.
+func TestCacheStoreFailureCostsOnlyTime(t *testing.T) {
+	spec := cacheSpec(t)
+	baseline, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	s := spec
+	s.Cache = openCache(t, dir)
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Run()
+	if err != nil {
+		t.Fatalf("a cache that cannot store failed the study: %v", err)
+	}
+	if !bytes.Equal(saveBytes(t, st), saveBytes(t, baseline)) {
+		t.Fatal("study over an unwritable cache differs from the uncached run")
+	}
+	units := uint64(len(spec.Machines) * len(spec.Benchmarks) * len(spec.Levels))
+	if stats := s.Cache.Stats(); stats.FailedStores != units || stats.Puts != 0 || stats.Misses != units {
+		t.Fatalf("cache stats %s; want %d misses and %d failed stores", stats, units, units)
+	}
+}
+
+// TestPrunerBuiltOncePerUnit counts pruner builds through the newPruner
+// hook: a prune unit builds one, uncached, cold (the cache fill is the
+// golden run only) and warm alike, and the three runs record the same
+// static bounds, byte for byte.
+func TestPrunerBuiltOncePerUnit(t *testing.T) {
+	var builds atomic.Int64
+	orig := newPruner
+	t.Cleanup(func() { newPruner = orig })
+	newPruner = func(a *binanalysis.Analysis, exp *faultinj.Experiment) (*binanalysis.DUEPruner, error) {
+		builds.Add(1)
+		return orig(a, exp)
+	}
+	spec := cacheSpec(t)
+	units := int64(len(spec.Machines) * len(spec.Benchmarks) * len(spec.Levels))
+	dir := t.TempDir()
+	var want []byte
+	for _, run := range []string{"uncached", "cold", "warm"} {
+		builds.Store(0)
+		s := spec
+		if run != "uncached" {
+			s.Cache = openCache(t, dir)
+		}
+		st, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", run, err)
+		}
+		if got := builds.Load(); got != units {
+			t.Errorf("%s run built %d pruners for %d units, want one each", run, got, units)
+		}
+		static, err := json.Marshal(st.Static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(st.Static)) != units {
+			t.Fatalf("%s run recorded %d static bounds for %d units", run, len(st.Static), units)
+		}
+		if want == nil {
+			want = static
+		} else if !bytes.Equal(static, want) {
+			t.Errorf("%s run's static bounds differ from the uncached run's:\n%s\n%s", run, static, want)
+		}
+	}
+}
+
 // TestCacheKeyIsTheStruct holds the two key structs to what makes
 // marshalling them a key: every field is exported and untagged, so it is
 // in the JSON under its own name. The two literal keys are the format on
@@ -181,7 +260,7 @@ func TestCacheEvictionMidStudy(t *testing.T) {
 func TestCacheKeyIsTheStruct(t *testing.T) {
 	const machineJSON = `{"Name":"m","CPU":{"Name":"","XLEN":0,"NumArchRegs":0,"NumPhysRegs":0,"ROBSize":0,"IQSize":0,"LQSize":0,"SQSize":0,"FetchWidth":0,"IssueWidth":0,"CommitWidth":0,"WBWidth":0,"FetchQueueSize":0,"ALULat":0,"MulLat":0,"DivLat":0,"BimodalSize":0,"BTBSize":0,"RASSize":0,"StoreForwarding":false},"L1I":{"Name":"","Size":0,"Ways":0,"LineSize":0,"HitLatency":0,"AddrBits":0,"ReadOnly":false},"L1D":{"Name":"","Size":0,"Ways":0,"LineSize":0,"HitLatency":0,"AddrBits":0,"ReadOnly":false},"L2":{"Name":"","Size":0,"Ways":0,"LineSize":0,"HitLatency":0,"AddrBits":0,"ReadOnly":false},"MemLatency":0,"RawFITPerBit":0,"ClockHz":0}`
 	m := machine.Config{Name: "m"}
-	pc := prepConfig{Version: prepBundleVersion, Analysis: analysisVersion, Machine: m, Bench: "b", Size: 3, Source: "s", Level: "O2",
+	pc := prepConfig{Version: prepBundleVersion, Machine: m, Bench: "b", Size: 3, Source: "s", Level: "O2",
 		XLEN: 32, NumRegs: 16, Traced: true, Checkpoints: 32}
 	ec := expConfig{Version: prepBundleVersion, Machine: m, Name: "p", Code: []uint32{1, 2}, Entry: 4, GlobalSize: 8,
 		Traced: true, Checkpoints: -1}
@@ -189,8 +268,8 @@ func TestCacheKeyIsTheStruct(t *testing.T) {
 		cfg       any
 		key, want string
 	}{
-		{pc, pc.cacheKey(), "prep\x00" + `{"Version":4,"Analysis":3,"Machine":` + machineJSON + `,"Bench":"b","Size":3,"Source":"s","Level":"O2","XLEN":32,"NumRegs":16,"Traced":true,"Checkpoints":32}`},
-		{ec, ec.cacheKey(), "exp\x00" + `{"Version":4,"Machine":` + machineJSON + `,"Name":"p","Code":[1,2],"Entry":4,"GlobalSize":8,"Traced":true,"Checkpoints":-1}`},
+		{pc, pc.cacheKey(), "prep\x00" + `{"Version":5,"Machine":` + machineJSON + `,"Bench":"b","Size":3,"Source":"s","Level":"O2","XLEN":32,"NumRegs":16,"Traced":true,"Checkpoints":32}`},
+		{ec, ec.cacheKey(), "exp\x00" + `{"Version":5,"Machine":` + machineJSON + `,"Name":"p","Code":[1,2],"Entry":4,"GlobalSize":8,"Traced":true,"Checkpoints":-1}`},
 	} {
 		if tc.key != tc.want {
 			t.Errorf("%T key moved:\n got %q\nwant %q", tc.cfg, tc.key, tc.want)
@@ -210,30 +289,22 @@ func TestCacheKeyIsTheStruct(t *testing.T) {
 }
 
 // TestCacheMissesStaleVersions proves a warm cache written under a
-// previous format generation is never served, because each version is
-// part of the cache key:
-//
-//   - analysisVersion: bundles carrying pre-propagation static bounds
-//     (no DUE/SDC fields) miss instead of leaking stale bounds into a
-//     new study;
-//   - prepBundleVersion: bundles whose checkpoints are in the version-1
-//     flat-slab snapshot encoding miss instead of being handed to the
-//     chunk-table decoder, version-2 bundles with an evenly spaced
-//     ladder miss instead of standing in for the one a fill would
-//     record now, and version-3 bundles, whose streams carry no halt
-//     image, miss instead of failing to decode
-//     (TestPreHaltImageBundleIsAMiss), under both key kinds that carry
-//     a stream.
+// previous format generation is never served, because the version is
+// part of the cache key: bundles whose checkpoints are in the version-1
+// flat-slab snapshot encoding miss instead of being handed to the
+// chunk-table decoder, version-2 bundles with an evenly spaced ladder
+// miss instead of standing in for the one a fill would record now,
+// version-3 bundles, whose streams carry no halt image, miss instead of
+// failing to decode (TestPreHaltImageBundleIsAMiss), and version-4
+// bundles, which carry a static bound the current analysis may not
+// reproduce, miss instead of putting it beside fresh pruner verdicts —
+// under both key kinds that carry a stream.
 func TestCacheMissesStaleVersions(t *testing.T) {
-	if analysisVersion < 2 {
-		t.Fatalf("analysisVersion = %d, want >= 2 (fault-propagation bound fields)", analysisVersion)
-	}
-	if prepBundleVersion < 4 {
-		t.Fatalf("prepBundleVersion = %d, want >= 4 (streams end in the halt image)", prepBundleVersion)
+	if prepBundleVersion < 5 {
+		t.Fatalf("prepBundleVersion = %d, want >= 5 (no static bound in the bundle)", prepBundleVersion)
 	}
 	pc := prepConfig{
 		Version:     prepBundleVersion,
-		Analysis:    analysisVersion,
 		Machine:     machine.CortexA15Like(),
 		Bench:       "matmul",
 		Size:        8,
@@ -244,12 +315,10 @@ func TestCacheMissesStaleVersions(t *testing.T) {
 		Traced:      true,
 		Checkpoints: 4,
 	}
-	oldAnalysis := pc
-	oldAnalysis.Analysis--
 	ec := expConfig{Version: prepBundleVersion, Machine: machine.CortexA15Like(), Name: "p", Code: []uint32{1, 2}, Checkpoints: 4}
 
 	type staleCase struct{ name, cur, old string }
-	cases := []staleCase{{"analysis version", pc.cacheKey(), oldAnalysis.cacheKey()}}
+	var cases []staleCase
 	for v := 1; v < prepBundleVersion; v++ {
 		oldBundle, oldExp := pc, ec
 		oldBundle.Version, oldExp.Version = v, v

@@ -30,9 +30,9 @@ const (
 
 // StudySpec is a study's identity in names: the wire form a coordinator
 // hands its workers and the meta record a study journal starts with.
-// Execution knobs (parallelism, journaling paths, watchdogs, the cache)
-// stay host-local. Retries and CacheMaxMB travel with a submitted study
-// but are not part of its identity, and being omitempty they leave the
+// Execution knobs (parallelism, journaling paths, watchdogs, the cache
+// and its size) stay host-local. Retries travels with a submitted study
+// but is not part of its identity, and being omitempty it leaves the
 // meta record's bytes what they were before the two were one type.
 type StudySpec struct {
 	Machines []string // machine config names (MachineConfig)
@@ -46,17 +46,12 @@ type StudySpec struct {
 
 	// Retries is the workers' Spec.Retries.
 	Retries int `json:",omitempty"`
-
-	// CacheMaxMB advises workers how much disk their prep-artifact
-	// cache may use for this study (0: no advice). It is pure execution
-	// policy: a cache hit decodes to state bit-identical to a fresh prep.
-	CacheMaxMB int64 `json:",omitempty"`
 }
 
 // identity drops the fields a study may change without becoming another
 // study: what the journal fingerprints and the study ID hashes.
 func (w StudySpec) identity() StudySpec {
-	w.Retries, w.CacheMaxMB = 0, 0
+	w.Retries = 0
 	return w
 }
 

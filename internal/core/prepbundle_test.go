@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,15 +19,18 @@ import (
 )
 
 // TestPrepBundleBytesPinned holds a whole encoded bundle (qsort O2 on the
-// A15, TestSize, Prune) to the sha256 it had on the commit before the
-// commit trace became chunked (8ecf717), recorded there by this same
-// code. prepBundleVersion stayed 4 across that change, so a cache filled
-// by the older tree is read by this one: the bytes must be the same
-// bytes. A deliberate layout or timing change bumps the version and
-// re-records the hash.
+// A15, TestSize, Prune) to its sha256, so a cache filled by one tree is
+// read by the next: the bytes must be the same bytes. A deliberate layout
+// or timing change bumps prepBundleVersion and re-records the hash.
+//
+// Version 5 is version 4 with the static section taken out: putting back
+// the 106 bytes a version-4 bundle held at offset 888 (a presence byte,
+// March, Bench and Level, ten words of bound) gives the sha256 the
+// version-4 bundle was pinned to, so nothing but the bound moved.
 func TestPrepBundleBytesPinned(t *testing.T) {
-	const wantLen, wantSum = 550359, "65921b609fb27c04dced1946baa5671de7bf7793cb8db06ce5fec5fd262c1fa1"
-	if prepBundleVersion != 4 {
+	const wantLen, wantSum = 550253, "49c309d5127c7d997bf0cb269ccd4d4f6303fdf441e1e46c0413eb5645bb2ba5"
+	const v4At, v4Len, v4Sum = 888, 550359, "65921b609fb27c04dced1946baa5671de7bf7793cb8db06ce5fec5fd262c1fa1"
+	if prepBundleVersion != 5 {
 		t.Fatalf("prepBundleVersion is %d: re-record the pinned hash for the new layout", prepBundleVersion)
 	}
 	bench := workloads.Qsort()
@@ -36,8 +41,45 @@ func TestPrepBundleBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != wantLen || sum != wantSum {
-		t.Errorf("bundle is %d bytes, sha256 %s; the parent commit wrote %d bytes, sha256 %s", len(blob), sum, wantLen, wantSum)
+		t.Errorf("bundle is %d bytes, sha256 %s; version 5 was pinned at %d bytes, sha256 %s", len(blob), sum, wantLen, wantSum)
 	}
+
+	u.prepOnce() // uncached: the same golden run, and the pruner the bound comes from
+	if u.err != nil {
+		t.Fatal(u.err)
+	}
+	defer u.release()
+	v4, at := withV4Static(t, blob, u.exp.Artifacts(), *u.static)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(v4)); at != v4At || len(v4) != v4Len || sum != v4Sum {
+		t.Errorf("with its static section put back at offset %d, the bundle is %d bytes, sha256 %s; version 4 was %d bytes at offset %d, sha256 %s",
+			at, len(v4), sum, v4Len, v4At, v4Sum)
+	}
+}
+
+// withV4Static puts a version-4 static section back into blob, a bundle
+// encodePrepBundle wrote for art: the layout before the bound left the
+// bundle, where the section sat between the program and the artifacts.
+// It returns the version-4 bytes and the section's offset.
+func withV4Static(tb testing.TB, blob []byte, art faultinj.Artifacts, s StaticRF) ([]byte, int) {
+	tb.Helper()
+	var tail, sec binio.Writer
+	art.EncodeTo(&tail)
+	at := len(blob) - len(tail.Bytes())
+	if at < 0 || !bytes.Equal(blob[at:], tail.Bytes()) {
+		tb.Fatal("a prep bundle no longer ends in its artifacts")
+	}
+	sec.Bool(true)
+	sec.String(s.March)
+	sec.String(s.Bench)
+	sec.String(s.Level)
+	for _, word := range []uint64{
+		math.Float64bits(s.MaskedLB), math.Float64bits(s.AVFUpperBound), s.PrunableBits, s.SpaceBits,
+		math.Float64bits(s.RegMaskedLB), math.Float64bits(s.RegAVFUpperBound), s.RegPrunableBits,
+		math.Float64bits(s.DueLB), math.Float64bits(s.SDCUpperBound), s.DuePrunableBits,
+	} {
+		sec.U64(word)
+	}
+	return append(append(blob[:at:at], sec.Bytes()...), blob[at:]...), at
 }
 
 // bundleProgram sums 1..n through a store/load pair: a few cycles per
@@ -59,10 +101,11 @@ func bundleProgram(n int32) *machine.Program {
 	})}
 }
 
-// testBundles encodes a real prepared unit twice: as encodePrepBundle
-// writes it, and in the layout before prepBundleVersion 4, whose stream
-// stops after the last rung.
-func testBundles(tb testing.TB, cfg machine.Config, prog *machine.Program, static *StaticRF) (current, preHaltImage []byte) {
+// testBundles encodes a real prepared unit three ways: as
+// encodePrepBundle writes it, in the layout before prepBundleVersion 4,
+// whose stream stops after the last rung, and in version 4's, which
+// carried a static bound.
+func testBundles(tb testing.TB, cfg machine.Config, prog *machine.Program) (current, preHaltImage, withStatic []byte) {
 	tb.Helper()
 	exp, err := faultinj.NewExperimentOptions(cfg, prog, faultinj.Options{Traced: true, Checkpoints: 4})
 	if err != nil {
@@ -70,7 +113,7 @@ func testBundles(tb testing.TB, cfg machine.Config, prog *machine.Program, stati
 	}
 	defer exp.Close()
 	art := exp.Artifacts()
-	current = encodePrepBundle(prog, art, static)
+	current = encodePrepBundle(prog, art)
 	// The stream is the last thing in a bundle.
 	var stream, rungsOnly binio.Writer
 	art.Stream.EncodeTo(&stream)
@@ -83,7 +126,9 @@ func testBundles(tb testing.TB, cfg machine.Config, prog *machine.Program, stati
 	if head < 0 || string(current[head:]) != string(stream.Bytes()) {
 		tb.Fatal("a prep bundle no longer ends in its checkpoint stream")
 	}
-	return current, append(current[:head:head], rungsOnly.Bytes()...)
+	withStatic, _ = withV4Static(tb, current, art, StaticRF{March: cfg.Name, Bench: "bundle", Level: "O0",
+		MaskedLB: 0.25, AVFUpperBound: 0.75, PrunableBits: 10, SpaceBits: 40})
+	return current, append(current[:head:head], rungsOnly.Bytes()...), withStatic
 }
 
 // TestPreHaltImageBundleIsAMiss: a bundle in the version-3 layout never
@@ -94,13 +139,13 @@ func testBundles(tb testing.TB, cfg machine.Config, prog *machine.Program, stati
 func TestPreHaltImageBundleIsAMiss(t *testing.T) {
 	cfg := machine.CortexA15Like()
 	prog := bundleProgram(300)
-	current, old := testBundles(t, cfg, prog, nil)
-	if _, art, _, err := decodePrepBundle(current, cfg); err != nil || art.Stream.Halt() == nil {
+	current, old, _ := testBundles(t, cfg, prog)
+	if _, art, err := decodePrepBundle(current, cfg); err != nil || art.Stream.Halt() == nil {
 		t.Fatalf("current bundle: error %v, halt image %v", err, art.Stream)
 	} else {
 		art.Stream.Release()
 	}
-	if _, _, _, err := decodePrepBundle(old, cfg); err == nil || !strings.Contains(err.Error(), "halt image") {
+	if _, _, err := decodePrepBundle(old, cfg); err == nil || !strings.Contains(err.Error(), "halt image") {
 		t.Fatalf("bundle without a halt image decoded: error %v", err)
 	}
 
@@ -169,26 +214,24 @@ func TestFastPathStatsRecordedColdWarm(t *testing.T) {
 }
 
 // FuzzDecodePrepBundle feeds decodePrepBundle arbitrary bytes, seeded
-// with real bundles (with and without a static bound, in the current
-// layout and the one before the halt image). It must return an error or
+// with real bundles (in the current layout, the one before the halt
+// image, and version 4's with a static bound). It must return an error or
 // products that are safe to use the way a worker uses them: an
 // experiment built from them restores, injects and answers from its
 // golden images without a raw panic or an out-of-range access.
 func FuzzDecodePrepBundle(f *testing.F) {
 	cfg := machine.CortexA15Like()
 	prog := bundleProgram(60)
-	static := &StaticRF{March: cfg.Name, Bench: "bundle", Level: "O0", MaskedLB: 0.25, AVFUpperBound: 0.75, PrunableBits: 10, SpaceBits: 40}
-	current, old := testBundles(f, cfg, prog, static)
-	bare, _ := testBundles(f, cfg, prog, nil)
+	current, old, withStatic := testBundles(f, cfg, prog)
 	f.Add(current)
 	f.Add(old)
-	f.Add(bare)
+	f.Add(withStatic)
 	f.Add(current[:len(current)/2])
 	f.Add([]byte(prepBundleMagic))
 	targets := faultinj.Targets()
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		prog, art, _, err := decodePrepBundle(blob, cfg)
+		prog, art, err := decodePrepBundle(blob, cfg)
 		if err != nil {
 			return
 		}

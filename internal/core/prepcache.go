@@ -1,17 +1,20 @@
 package core
 
-// Prep-artifact caching: a prepared unit (compiled binary, golden
-// result, commit trace, checkpoint stream, static RF bound) is a pure
-// function of the prep configuration, so it can be memoized on disk
+// Prep-artifact caching: a prepared unit's golden run (compiled binary,
+// golden result, commit trace, checkpoint stream) is a pure function of
+// the prep configuration, so it can be memoized on disk
 // (internal/artcache) across studies, processes, and worker leases.
+// Nothing derived from the golden run is cached: the static RF bound is
+// recomputed from the one pruner a prune unit builds, so a change to
+// the static analysis needs no cache version.
 //
 // The contract has two halves:
 //
 //   - The key (prepConfig.cacheKey) is the configuration struct
 //     itself, marshalled: full source text, machine config, compiler
 //     target, optimization level, tracing, the checkpoint budget, and
-//     the format/analysis versions. A field added to the struct is in
-//     the key; there is no second list to keep in step.
+//     the format version. A field added to the struct is in the key;
+//     there is no second list to keep in step.
 //
 //   - The bundle (encode/decodePrepBundle) round-trips bit-exactly:
 //     a decoded checkpoint is strictly Equal to the recorded one, so
@@ -23,7 +26,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/binio"
@@ -50,38 +52,24 @@ import (
 // its halt (checkpoint.Stream.Halt), which the injector's retired-set
 // verdict reads. A version-3 layout stops after the last rung and fails
 // to decode; it is never a stream that quietly answers fewer injections.
-const prepBundleVersion = 4
-
-// analysisVersion versions the binanalysis semantics behind the cached
-// static RF bound. Bump it when the ACE analysis or the pruner bound
-// computation changes.
 //
-// Version 2: fault-propagation (must-DUE) analysis added the DueLB /
-// SDCUpperBound / DuePrunableBits bound fields, the static memory
-// model refined store-data liveness, and the entry known-bits state
-// anchors the stack pointer — all of which change the serialized
-// static bound, so version-1 bundles must miss.
-//
-// Version 3: the static memory model compares access ranges without
-// wrapping at 2^64, so a store whose base has unknown upper bits may
-// alias a load again. The bit-granular bounds of XLEN-64 units change,
-// so version-2 bundles must miss.
-const analysisVersion = 3
+// Version 5: a bundle no longer carries the static RF bound; a version-4
+// bundle's bound may be stale against the current analysis.
+const prepBundleVersion = 5
 
 // prepConfig is everything that determines one prep unit's artifacts,
 // and nothing else: cacheKey marshals the whole struct, so its fields and
 // their order are the key's format (TestCacheKeyIsTheStruct).
 type prepConfig struct {
-	Version  int            // prepBundleVersion: serialized-format generation
-	Analysis int            // analysisVersion: static-bound semantics generation
-	Machine  machine.Config // full microarchitecture: golden run and checkpoints depend on all of it
-	Bench    string
-	Size     int
-	Source   string // full source text, not just (bench, size): survives workload generator changes
-	Level    string
-	XLEN     int // compiler target, explicit even though derived from Machine:
-	NumRegs  int // the compile contract is (source, level, XLEN, NumArchRegs)
-	Traced   bool
+	Version int            // prepBundleVersion: serialized-format generation
+	Machine machine.Config // full microarchitecture: golden run and checkpoints depend on all of it
+	Bench   string
+	Size    int
+	Source  string // full source text, not just (bench, size): survives workload generator changes
+	Level   string
+	XLEN    int // compiler target, explicit even though derived from Machine:
+	NumRegs int // the compile contract is (source, level, XLEN, NumArchRegs)
+	Traced  bool
 	// Checkpoints is the resolved budget (DefaultCheckpoints applied,
 	// negatives normalized), so spellings of the same budget share an
 	// entry.
@@ -110,7 +98,6 @@ func (u *prepUnit) cacheConfig(src string) prepConfig {
 	tgt := compilerTarget(u.cfg)
 	return prepConfig{
 		Version:     prepBundleVersion,
-		Analysis:    analysisVersion,
 		Machine:     u.cfg,
 		Bench:       u.bench.Name,
 		Size:        u.size,
@@ -175,13 +162,13 @@ func CachedExperiment(cache *artcache.Cache, cfg machine.Config, prog *machine.P
 		Traced:      opts.Traced,
 		Checkpoints: resolveCheckpoints(opts.Checkpoints),
 	}.cacheKey()
-	_, exp, _, err := loadBundle(cache, key, cfg, opts, "core: experiment "+prog.Name, func() ([]byte, error) {
+	_, exp, err := loadBundle(cache, key, cfg, opts, "core: experiment "+prog.Name, func() ([]byte, error) {
 		exp, err := faultinj.NewExperimentOptions(cfg, prog, opts)
 		if err != nil {
 			return nil, err
 		}
 		defer exp.Close()
-		return encodePrepBundle(prog, exp.Artifacts(), nil), nil
+		return encodePrepBundle(prog, exp.Artifacts()), nil
 	})
 	return exp, err
 }
@@ -195,31 +182,31 @@ func CachedExperiment(cache *artcache.Cache, cfg machine.Config, prog *machine.P
 // rebuilt once before giving up; what names the work in that error.
 // fill's own errors are returned as they are.
 func loadBundle(cache *artcache.Cache, key string, cfg machine.Config, opts faultinj.Options, what string,
-	fill func() ([]byte, error)) (*machine.Program, *faultinj.Experiment, *StaticRF, error) {
+	fill func() ([]byte, error)) (*machine.Program, *faultinj.Experiment, error) {
 	for attempt := 0; ; attempt++ {
 		blob, err := cache.GetOrFill(key, fill)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		prog, art, static, err := decodePrepBundle(blob, cfg)
+		prog, art, err := decodePrepBundle(blob, cfg)
 		if err == nil {
 			var exp *faultinj.Experiment
 			if exp, err = faultinj.NewExperimentFromArtifacts(cfg, prog, art, opts); err == nil {
-				return prog, exp, static, nil
+				return prog, exp, nil
 			}
 		}
 		cache.Drop(key)
 		if attempt > 0 {
-			return nil, nil, nil, fmt.Errorf("%s: cached prep bundle unusable after rebuild: %w", what, err)
+			return nil, nil, fmt.Errorf("%s: cached prep bundle unusable after rebuild: %w", what, err)
 		}
 	}
 }
 
 const prepBundleMagic = "SEVPREP1"
 
-// encodePrepBundle serializes a prepared unit's products: the program,
-// the optional static RF bound, and the golden-run artifacts.
-func encodePrepBundle(prog *machine.Program, art faultinj.Artifacts, static *StaticRF) []byte {
+// encodePrepBundle serializes a prepared unit's golden run: the program
+// and the golden-run artifacts.
+func encodePrepBundle(prog *machine.Program, art faultinj.Artifacts) []byte {
 	var w binio.Writer
 	w.Raw([]byte(prepBundleMagic))
 
@@ -232,23 +219,6 @@ func encodePrepBundle(prog *machine.Program, art faultinj.Artifacts, static *Sta
 		w.U32(word)
 	}
 
-	w.Bool(static != nil)
-	if static != nil {
-		w.String(static.March)
-		w.String(static.Bench)
-		w.String(static.Level)
-		w.U64(math.Float64bits(static.MaskedLB))
-		w.U64(math.Float64bits(static.AVFUpperBound))
-		w.U64(static.PrunableBits)
-		w.U64(static.SpaceBits)
-		w.U64(math.Float64bits(static.RegMaskedLB))
-		w.U64(math.Float64bits(static.RegAVFUpperBound))
-		w.U64(static.RegPrunableBits)
-		w.U64(math.Float64bits(static.DueLB))
-		w.U64(math.Float64bits(static.SDCUpperBound))
-		w.U64(static.DuePrunableBits)
-	}
-
 	art.EncodeTo(&w)
 	return w.Bytes()
 }
@@ -257,9 +227,9 @@ func encodePrepBundle(prog *machine.Program, art faultinj.Artifacts, static *Sta
 // validating every component against cfg. On success the caller owns
 // the artifacts' checkpoint stream (NewExperimentFromArtifacts takes
 // it over).
-func decodePrepBundle(blob []byte, cfg machine.Config) (*machine.Program, faultinj.Artifacts, *StaticRF, error) {
-	fail := func(err error) (*machine.Program, faultinj.Artifacts, *StaticRF, error) {
-		return nil, faultinj.Artifacts{}, nil, err
+func decodePrepBundle(blob []byte, cfg machine.Config) (*machine.Program, faultinj.Artifacts, error) {
+	fail := func(err error) (*machine.Program, faultinj.Artifacts, error) {
+		return nil, faultinj.Artifacts{}, err
 	}
 	r := binio.NewReader(blob)
 	if string(r.Raw(len(prepBundleMagic))) != prepBundleMagic {
@@ -288,28 +258,6 @@ func decodePrepBundle(blob []byte, cfg machine.Config) (*machine.Program, faulti
 		return fail(fmt.Errorf("core: prep bundle program: %d code words and %d global bytes do not fit the memory layout", n, prog.GlobalSize))
 	}
 
-	var static *StaticRF
-	if r.Bool() {
-		static = &StaticRF{
-			March:            r.String(),
-			Bench:            r.String(),
-			Level:            r.String(),
-			MaskedLB:         math.Float64frombits(r.U64()),
-			AVFUpperBound:    math.Float64frombits(r.U64()),
-			PrunableBits:     r.U64(),
-			SpaceBits:        r.U64(),
-			RegMaskedLB:      math.Float64frombits(r.U64()),
-			RegAVFUpperBound: math.Float64frombits(r.U64()),
-			RegPrunableBits:  r.U64(),
-			DueLB:            math.Float64frombits(r.U64()),
-			SDCUpperBound:    math.Float64frombits(r.U64()),
-			DuePrunableBits:  r.U64(),
-		}
-	}
-	if err := r.Err(); err != nil {
-		return fail(fmt.Errorf("core: prep bundle static: %w", err))
-	}
-
 	art, err := faultinj.DecodeArtifacts(r, cfg)
 	if err != nil {
 		return fail(fmt.Errorf("core: prep bundle: %w", err))
@@ -320,5 +268,5 @@ func decodePrepBundle(blob []byte, cfg machine.Config) (*machine.Program, faulti
 		}
 		return fail(fmt.Errorf("core: prep bundle: %d trailing bytes", r.Len()))
 	}
-	return prog, art, static, nil
+	return prog, art, nil
 }

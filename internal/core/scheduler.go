@@ -167,17 +167,16 @@ func (u *prepUnit) prepOnce() {
 	}()
 	src := u.bench.Source(u.size)
 	var prog *machine.Program
-	var static *StaticRF // the cached bound, when a bundle carried one
 	if u.cache == nil {
 		prog, u.exp, u.err = u.compileAndRun(src)
 	} else {
 		u.stage = "golden" // what a hit's decode errors are filed under
-		prog, u.exp, static, u.err = loadBundle(u.cache, u.cacheConfig(src).cacheKey(), u.cfg, u.options(),
+		prog, u.exp, u.err = loadBundle(u.cache, u.cacheConfig(src).cacheKey(), u.cfg, u.options(),
 			fmt.Sprintf("golden %s %v on %s", u.bench.Name, u.level, u.cfg.Name),
 			func() ([]byte, error) { return u.buildBundle(src) })
 	}
 	if u.err == nil {
-		u.finishPrep(prog, static)
+		u.finishPrep(prog)
 	}
 }
 
@@ -205,35 +204,22 @@ func (u *prepUnit) compileAndRun(src string) (*machine.Program, *faultinj.Experi
 	return prog, exp, nil
 }
 
-// buildBundle is the cache fill: it runs the full prep (compile,
-// golden run, analysis) and serializes the products. The experiment
-// built here is closed — the caller decodes the bundle and rebuilds
-// its own, keeping warm and cold paths structurally identical.
+// buildBundle is the cache fill: compile and golden run, serialized.
+// The experiment built here is closed — the caller decodes the bundle
+// and rebuilds its own, keeping warm and cold paths structurally
+// identical.
 func (u *prepUnit) buildBundle(src string) ([]byte, error) {
 	prog, exp, err := u.compileAndRun(src)
 	if err != nil {
 		return nil, err
 	}
 	defer exp.Close()
-	var static *StaticRF
-	if u.prune {
-		u.stage = "analyze"
-		pr, err := u.buildPruner(prog, exp)
-		if err != nil {
-			return nil, err
-		}
-		s := staticOf(u.cfg, u.bench.Name, u.level, pr)
-		static = &s
-		u.stage = "golden" // the bundle is built; decoding it is golden-run work
-	}
-	return encodePrepBundle(prog, exp.Artifacts(), static), nil
+	return encodePrepBundle(prog, exp.Artifacts()), nil
 }
 
-// finishPrep derives the prepared unit's golden record, pruner, and
-// static bound. static, when non-nil, is the cached bound (bit-identical
-// to a fresh computation — the pruner bound is deterministic — so
-// either source yields the same study).
-func (u *prepUnit) finishPrep(prog *machine.Program, static *StaticRF) {
+// finishPrep derives the prepared unit's golden record and, for a prune
+// unit, its one pruner and the static bound read off it.
+func (u *prepUnit) finishPrep(prog *machine.Program) {
 	u.golden = goldenOf(u.cfg, u.bench.Name, u.level, prog, u.exp)
 	u.held = resident{trace: u.exp.Trace.ResidentBytes()}
 	if st := u.exp.Artifacts().Stream; st != nil {
@@ -250,11 +236,8 @@ func (u *prepUnit) finishPrep(prog *machine.Program, static *StaticRF) {
 	}
 	u.pruner = pr
 	u.held.pruner = pr.ResidentBytes()
-	if static == nil {
-		s := staticOf(u.cfg, u.bench.Name, u.level, pr)
-		static = &s
-	}
-	u.static = static
+	static := staticOf(u.cfg, u.bench.Name, u.level, pr)
+	u.static = &static
 }
 
 // buildPruner runs (or reuses, via the shared analysis cache) the

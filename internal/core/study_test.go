@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -238,4 +239,80 @@ func TestProgressCallback(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Error("no progress reported")
 	}
+}
+
+// FuzzLoadStudy feeds Load arbitrary bytes as study.json, seeded with
+// files Save wrote for real studies (with and without static bounds)
+// and cut-short copies of them. Load must fail, or return a study that
+// saves to bytes Load and Save reproduce exactly, and whose accessors
+// answer for every record it holds without a panic.
+func FuzzLoadStudy(f *testing.F) {
+	dir := f.TempDir()
+	for i, prune := range []bool{false, true} {
+		spec := tinySpec(f)
+		spec.Faults, spec.Prune = 2, prune
+		st, err := spec.Run()
+		if err != nil {
+			f.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("seed%d.json", i))
+		if err := st.Save(path); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "study.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Load(path)
+		if err != nil {
+			return
+		}
+		var saved [2][]byte
+		for i := range saved {
+			out := filepath.Join(dir, fmt.Sprintf("saved%d.json", i))
+			if err := st.Save(out); err != nil {
+				t.Fatalf("save %d: %v", i, err)
+			}
+			if saved[i], err = os.ReadFile(out); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Load(out); err != nil {
+				t.Fatalf("load of saved %d: %v", i, err)
+			}
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Fatalf("save, load, save is not a fixed point:\n%s\n%s", saved[0], saved[1])
+		}
+		for _, g := range st.Goldens {
+			if _, ok := st.Golden(g.March, g.Bench, g.Level); !ok {
+				t.Fatalf("golden %s/%s/%s not found", g.March, g.Bench, g.Level)
+			}
+		}
+		for i, r := range st.Results {
+			if _, ok := st.Result(r.March, r.Bench, r.Level, r.Target); !ok {
+				t.Fatalf("result %s/%s/%s/%s not found", r.March, r.Bench, r.Level, r.Target)
+			}
+			if i < 64 { // the aggregations scan the name lists; a few calls reach them
+				st.AcrossBenches(r.March, r.Level, r.Target)
+				st.CellStructures(r.March, r.Bench, r.Level)
+			}
+		}
+		for _, s := range st.Static {
+			if _, ok := st.StaticFor(s.March, s.Bench, s.Level); !ok {
+				t.Fatalf("static bound %s/%s/%s not found", s.March, s.Bench, s.Level)
+			}
+		}
+	})
 }

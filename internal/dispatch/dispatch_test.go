@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -84,9 +85,9 @@ func TestSpecNormalizeAndID(t *testing.T) {
 		t.Fatal("different sizes hash to the same study")
 	}
 	policy := n1
-	policy.CacheMaxMB = 512
+	policy.Retries = 5
 	if policy.ID() != n1.ID() {
-		t.Fatal("cache policy changed the study ID; it is execution advice, not identity")
+		t.Fatal("retry policy changed the study ID; it is execution policy, not identity")
 	}
 	bad := wire
 	bad.Benches = []string{"no-such-bench"}
@@ -105,6 +106,63 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	if back.ID() != n1.ID() {
 		t.Fatal("spec -> wire round trip changed the study ID")
 	}
+}
+
+// FuzzStudySpec feeds arbitrary bytes to what POST /studies does with its
+// body: decode a StudySpec, Normalize it. Seeds are real submissions:
+// README's example body, the paper-shaped spec, and the spec in a
+// coordinator journal's submit record. Normalize must fail, or return a
+// spec that normalizes to itself, whose ID survives the journal's JSON
+// round trip, and whose Spec resolves.
+func FuzzStudySpec(f *testing.F) {
+	f.Add([]byte(`{
+  "Machines": ["Cortex-A15-like"], "Benches": ["qsort","gsm"],
+  "Levels": ["O0","O2"], "Targets": ["RF","ROB.pc","L1D.data"],
+  "Faults": 2000, "Seed": 7
+}`))
+	paper, err := json.Marshal(paperWire(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(paper)
+	raw, err := os.ReadFile(filepath.Join("testdata", "coordinator-cachemaxmb.journal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var submit struct {
+		V struct{ Spec json.RawMessage }
+	}
+	if err := json.Unmarshal(raw[:bytes.IndexByte(raw, '\n')], &submit); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(submit.V.Spec))
+	f.Add([]byte(`{"Machines":["Cortex-A72-like"],"Benches":["sha"],"Sizes":[0],"Levels":["O3"],"Targets":[],"Faults":1}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var wire StudySpec
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&wire) != nil {
+			return
+		}
+		n, err := wire.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil || !reflect.DeepEqual(again, n) {
+			t.Fatalf("normalized spec %+v normalizes to %+v, %v", n, again, err)
+		}
+		data, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var replayed StudySpec
+		if err := json.Unmarshal(data, &replayed); err != nil || replayed.ID() != n.ID() || again.ID() != n.ID() {
+			t.Fatalf("ID %s moved to %s through JSON (%v) or %s through Normalize", n.ID(), replayed.ID(), err, again.ID())
+		}
+		if _, err := n.Spec(); err != nil {
+			t.Fatalf("normalized spec does not resolve: %v", err)
+		}
+	})
 }
 
 // TestDistributedStudyEndToEnd is the tentpole acceptance at package

@@ -19,7 +19,7 @@ import (
 // paperWire is the paper's study shape at test size: both machines, all
 // eight benchmarks, four levels, all fifteen targets, one fault per cell
 // — 64 units, 960 cells, the shape sevbench's dist_warm runs.
-func paperWire(t *testing.T) StudySpec {
+func paperWire(t testing.TB) StudySpec {
 	t.Helper()
 	wire := StudySpec{
 		Machines: []string{"Cortex-A15-like", "Cortex-A72-like"},
@@ -358,5 +358,77 @@ func TestOldQuarantineRecordRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "remove the state directory") || !strings.Contains(err.Error(), `"quarantine"`) {
 		t.Fatalf("old quarantine record not refused with the removal hint: %v", err)
+	}
+}
+
+// TestSubmitRecordWithCacheMaxMBReplays: a coordinator journal from the
+// tree before StudySpec lost its CacheMaxMB field replays as before.
+// testdata/coordinator-cachemaxmb.journal was written by that tree:
+// testWire() submitted with "CacheMaxMB": 4096, then its first unit
+// leased, computed with RunCells and completed. The study keeps its ID,
+// the merged unit stays merged, the other three units lease, and the
+// study merges byte-identical to a local run.
+func TestSubmitRecordWithCacheMaxMBReplays(t *testing.T) {
+	const id = "st-a81c1a3e1faa4232"
+	raw, err := os.ReadFile(filepath.Join("testdata", "coordinator-cachemaxmb.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"CacheMaxMB":4096`)) {
+		t.Fatal("the fixture's submit record no longer carries CacheMaxMB")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "coordinator"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := OpenCoordinator(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("journal with CacheMaxMB in its submit record: %v", err)
+	}
+	defer coord.Close()
+	wire, err := testWire().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire.ID() != id {
+		t.Fatalf("the spec hashes to %s, the journal recorded %s", wire.ID(), id)
+	}
+	if ev, ok := coord.Status(id); !ok || ev.Done != 3 || ev.Total != 12 {
+		t.Fatalf("replayed status %+v (known %v), want 3 of 12 cells merged", ev, ok)
+	}
+	if sub, err := coord.Submit(wire); err != nil || sub.ID != id || !sub.Existing {
+		t.Fatalf("resubmit: %+v %v, want the replayed study", sub, err)
+	}
+
+	spec, err := wire.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := 0
+	for {
+		g, err := coord.Lease(LeaseRequest{Worker: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == nil {
+			break
+		}
+		if leases++; g.Cells[0].Bench == "qsort" && g.Cells[0].Level == "O0" {
+			t.Fatalf("lease %s re-grants the unit the journal holds", g.LeaseID)
+		}
+		out, err := spec.RunCells(context.Background(), g.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: id, Outcomes: out}); err != nil || resp.Accepted != len(g.Cells) {
+			t.Fatalf("complete %s: %+v %v", g.LeaseID, resp, err)
+		}
+	}
+	if leases != 3 {
+		t.Fatalf("%d leases after replay, want the 3 units not journaled", leases)
+	}
+	got, ok := coord.Result(id)
+	if !ok || !bytes.Equal(got, localBytes(t, wire)) {
+		t.Fatal("replayed study incomplete or different from the single-process run")
 	}
 }

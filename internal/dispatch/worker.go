@@ -43,8 +43,7 @@ type WorkerOptions struct {
 	// byte-identical either way.
 	CacheDir string
 
-	// CacheMaxMB bounds the cache size (0: adopt the per-study advice
-	// in StudySpec.CacheMaxMB, or stay unbounded).
+	// CacheMaxMB bounds the cache size (0: unbounded).
 	CacheMaxMB int64
 
 	// Logf receives operational log lines (default: discard).
@@ -152,12 +151,6 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 	}
 	var cacheBefore artcache.Stats
 	if w.cache != nil {
-		// The study may advise a disk bound; the worker's own flag wins
-		// when set (the operator knows the machine better than the
-		// submitter does).
-		if g.Spec.CacheMaxMB > 0 && w.opt.CacheMaxMB <= 0 {
-			w.cache.LimitBytes(g.Spec.CacheMaxMB << 20)
-		}
 		spec.Cache = w.cache
 		cacheBefore = w.cache.Stats()
 	}
