@@ -329,9 +329,19 @@ func BenchmarkStudyScheduler(b *testing.B) {
 // The two times are taken back to back on the same host, so the ratio
 // moves with its jitter, not with its speed; cmd/benchgate holds it
 // (-unit) to the absolute limit in BENCH_layout.json's trajectory. The
-// reference and fastpath sub-benchmarks time single injections under
-// both configurations, so `-benchmem` shows what one injection
-// allocates.
+// unit sub-benchmark runs all fifteen targets of the same unit as one
+// campaign (campaign.RunUnit), 64 faults each whatever SEV_FAULTS says,
+// and reports
+//
+//	replay-cycles/injection  golden cycles simulated from a restore to
+//	                         the flip, per injection of the unit: a count,
+//	                         identical on every host and worker count
+//	unit-ms                  the campaign's wall clock, fastest of b.N
+//
+// cmd/benchgate holds the count to the value in BENCH_layout.json's
+// trajectory. The reference and fastpath sub-benchmarks time single
+// injections under both configurations, so `-benchmem` shows what one
+// injection allocates.
 func BenchmarkInjectionCell(b *testing.B) {
 	bench, _ := workloads.ByName("qsort")
 	prog, err := compiler.Compile(bench.Source(bench.TestSize), "qsort", compiler.O2,
@@ -395,6 +405,34 @@ func BenchmarkInjectionCell(b *testing.B) {
 		b.ReportMetric(float64(refD.Microseconds())/1e3, "reference-ms")
 		b.ReportMetric(float64(fastD.Microseconds())/1e3, "fast-ms")
 		b.ReportMetric(float64(fastD)/float64(refD), "fast/reference")
+	})
+
+	b.Run("unit", func(b *testing.B) {
+		const faults = 64
+		var cells []campaign.Cell
+		for i, t := range faultinj.Targets() {
+			cells = append(cells, campaign.Cell{Target: t, Seed: 2021 + int64(i)})
+		}
+		pool := campaign.NewPool(runtime.GOMAXPROCS(0))
+		defer pool.Close()
+		var best time.Duration
+		var replay uint64
+		for i := 0; i < b.N; i++ {
+			exp := newExp(faultinj.Options{})
+			t0 := time.Now()
+			campaign.RunUnit(exp, cells, campaign.Options{Faults: faults, Pool: pool}, func(_ int, _ campaign.Result, err error) {
+				if err != nil {
+					b.Error(err)
+				}
+			})
+			if d := time.Since(t0); i == 0 || d < best {
+				best = d
+			}
+			replay = exp.FastPathStats().ReplayCycles
+			exp.Close()
+		}
+		b.ReportMetric(float64(replay)/float64(len(cells)*faults), "replay-cycles/injection")
+		b.ReportMetric(float64(best.Microseconds())/1e3, "unit-ms")
 	})
 
 	// Unit: one end-to-end RF injection, reference vs fast path.

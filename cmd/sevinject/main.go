@@ -108,22 +108,34 @@ func main() {
 		targets = []faultinj.Target{t}
 	}
 
-	// One shared worker pool serves every target's campaign, so the
+	// The targets run as one campaign on one worker pool: their
+	// injections share the walk through each checkpoint interval, and the
 	// machine stays saturated across target boundaries. Ctrl-C drains
-	// in-flight injections and reports the partial campaign.
+	// in-flight injections and reports the partial campaigns.
 	pool := campaign.NewPool(cli.Parallelism(*par))
 	defer pool.Close()
 	ctx, stop := cli.Interruptible()
 	defer stop()
 
+	cells := make([]campaign.Cell, len(targets))
+	for i, t := range targets {
+		cells[i] = campaign.Cell{Target: t, Seed: *seed}
+	}
+	results := make([]campaign.Result, len(targets))
+	campaign.RunUnit(exp, cells, campaign.Options{
+		Faults: *faults, Pool: pool, Model: model, Pruner: pruner, Context: ctx,
+	}, func(i int, r campaign.Result, err error) {
+		if err != nil {
+			cli.Fatal(fmt.Errorf("%s: %w", targets[i].Name(), err))
+		}
+		results[i] = r
+	})
+
 	interrupted := false
 	fmt.Printf("\n%-10s %8s %8s  %7s %7s %7s %7s %7s\n",
 		"target", "bits", "faults", "AVF", "SDC", "Crash", "Timeout", "Assert")
-	for _, t := range targets {
-		r := campaign.Run(exp, t, campaign.Options{
-			Faults: *faults, Seed: *seed, Pool: pool, Model: model, Pruner: pruner,
-			Context: ctx,
-		})
+	for i, t := range targets {
+		r := results[i]
 		if r.Interrupted {
 			interrupted = true
 			fmt.Printf("%-10s %8d  interrupted after %d/%d injections\n",
@@ -150,8 +162,7 @@ func main() {
 		}
 	}
 	if fp := exp.FastPathStats(); fp != (faultinj.FastPathStats{}) {
-		fmt.Printf("\nfast path: %d dead before replay (%d in a quiet interval, %d in a retired set), %d dead at the flip, %d converged at a checkpoint, %d ran to the end\n",
-			fp.DeadBeforeReplay(), fp.DeadQuietInterval, fp.DeadRetiredSet, fp.DeadAtFlip, fp.ConvergedAtRung, fp.RanToEnd)
+		fmt.Printf("\nfast path: %s\n", fp)
 	}
 	cli.CacheSummary(cache)
 	margin := stats.ErrorMargin(*faults, 1<<40, 0.99)

@@ -1,15 +1,19 @@
 // Package campaign drives statistical fault-injection campaigns: for a
 // (microarchitecture, benchmark, optimization level, structure field)
 // cell it runs N independent end-to-end injections in parallel and
-// aggregates the outcome counts. Campaigns can share one bounded Pool
-// so a whole study saturates the machine with a single worker set
-// instead of nested per-cell pools.
+// aggregates the outcome counts. The cells of one experiment run as one
+// campaign (RunUnit), so their injections share each walk through the
+// golden run. Campaigns can share one bounded Pool so a whole study
+// saturates the machine with a single worker set instead of nested
+// per-cell pools.
 package campaign
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sevsim/internal/faultinj"
 )
@@ -201,7 +205,8 @@ func (r Result) ClassRate(o faultinj.Outcome) float64 {
 
 // Options tunes a campaign run.
 type Options struct {
-	Faults      int
+	Faults int
+	// Seed is Run's sampling seed; RunUnit takes one per Cell instead.
 	Seed        int64
 	Parallelism int // <= 0: GOMAXPROCS; ignored when Pool is set
 	// Pool, when non-nil, is the shared worker pool the injections run
@@ -230,8 +235,121 @@ type Options struct {
 // independent of worker count and scheduling order: injection i of a
 // cell is fully determined by (Seed, i). When Options.Context is
 // cancelled mid-campaign, dispatch stops, in-flight injections drain,
-// and the partial Result is marked Interrupted.
+// and the partial Result is marked Interrupted. Run is RunUnit with one
+// cell; a panic while sampling the cell is raised again here.
 func Run(exp *faultinj.Experiment, target faultinj.Target, opts Options) Result {
+	var res Result
+	var failed error
+	RunUnit(exp, []Cell{{Target: target, Seed: opts.Seed}}, opts, func(_ int, r Result, err error) {
+		res, failed = r, err
+	})
+	if failed != nil {
+		panic(failed)
+	}
+	return res
+}
+
+// Cell is one target of a unit campaign: the target, the seed its
+// injections are sampled with, and, when non-nil, a context that ends
+// this cell alone (a per-cell deadline) while the others go on.
+type Cell struct {
+	Target  faultinj.Target
+	Seed    int64
+	Context context.Context
+}
+
+// live reports whether the cell's own context still lets it run.
+func (c Cell) live() bool { return c.Context == nil || c.Context.Err() == nil }
+
+// RunUnit runs the cells of one experiment as one campaign. Each cell is
+// sampled with its own seed, exactly as Run samples it alone, so its
+// Result is the one Run would return. The injections of all cells are
+// then grouped by checkpoint (Experiment.BatchByCheckpoint), each group
+// in cycle order, and dispatched in chunks that each run on one
+// faultinj.Batch: the batch walks forward through the checkpoint
+// interval, every injection restoring the golden snapshot the previous
+// one took at its flip, so the interval is simulated about once for all
+// cells instead of once per injection.
+//
+// done is called once per cell with its index and Result the moment its
+// last injection lands: on a pool worker, concurrently with other cells'
+// calls, so it must not Submit to or wait on the pool. A cell whose own
+// Context ends, or every cell once Options.Context does, runs no more
+// injections and comes back Interrupted. err is set, and the Result
+// empty, when sampling the cell panicked; the other cells go on. RunUnit
+// returns when every cell has been reported.
+func RunUnit(exp *faultinj.Experiment, cells []Cell, opts Options, done func(i int, r Result, err error)) {
+	// The unit's injections in one slice: cell i owns
+	// [first[i], first[i]+size[i]), and left[i] of them have neither run
+	// nor been skipped yet.
+	type cellState struct {
+		res         Result
+		err         error // sampling panicked
+		first, size int
+		left        atomic.Int64
+	}
+	state := make([]cellState, len(cells))
+	var all []faultinj.Injection
+	var owner []int
+	for i, c := range cells {
+		st := &state[i]
+		injections, err := sampleCell(exp, c, opts.Faults, &st.res)
+		st.err = err
+		st.first, st.size = len(all), len(injections)
+		st.left.Store(int64(len(injections)))
+		all = append(all, injections...)
+		for range injections {
+			owner = append(owner, i)
+		}
+	}
+	outcomes := make([]faultinj.InjectResult, len(all))
+	ran := make([]bool, len(all)) // outcome j was actually computed
+
+	// finish reports cell i from the outcomes that landed. The decrement
+	// that brought left to zero orders every write of the cell's outcomes
+	// before it.
+	finish := func(i int) {
+		st := &state[i]
+		for j := st.first; j < st.first+st.size; j++ {
+			if ran[j] {
+				st.res.Counts.Add(outcomes[j])
+				st.res.Faults++
+			}
+		}
+		st.res.Interrupted = st.res.Faults < st.size
+		done(i, st.res, nil)
+	}
+	for i := range state {
+		switch st := &state[i]; {
+		case st.err != nil:
+			done(i, Result{}, st.err)
+		case st.size == 0:
+			finish(i) // skipped, or no faults asked for
+		}
+	}
+	walk(exp, cells, all, owner, opts, func(j int, out faultinj.InjectResult, ok bool) {
+		outcomes[j], ran[j] = out, ok
+		if c := owner[j]; state[c].left.Add(-1) == 0 {
+			finish(c)
+		}
+	})
+	// Cells with injections that were never dispatched end here.
+	for i := range state {
+		if state[i].left.Load() > 0 {
+			finish(i)
+		}
+	}
+}
+
+// walk runs injection all[j] into cells[owner[j]].Target for every j:
+// grouped by checkpoint, each group in cycle order, in chunks that each
+// run on one faultinj.Batch. From the pool workers it calls
+// land(j, outcome, true) as each injection lands, and land(j, zero,
+// false) for each one skipped because its cell's Context or
+// Options.Context had ended; injections not yet dispatched when
+// Options.Context ends are never landed. It returns when every
+// dispatched chunk is done.
+func walk(exp *faultinj.Experiment, cells []Cell, all []faultinj.Injection, owner []int, opts Options, land func(j int, out faultinj.InjectResult, ran bool)) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -241,30 +359,14 @@ func Run(exp *faultinj.Experiment, target faultinj.Target, opts Options) Result 
 		pool = NewPool(opts.Parallelism)
 		defer pool.Close()
 	}
-	res := Result{
-		Target:       target.Name(),
-		GoldenCycles: exp.GoldenCycles,
-		StructBits:   exp.TargetBits(target),
-	}
-	injections, err := exp.Sample(target, opts.Faults, opts.Seed)
-	if err != nil {
-		res.Skipped = err.Error()
-		return res
-	}
-	outcomes := make([]faultinj.InjectResult, len(injections))
-	ran := make([]bool, len(injections)) // outcome i was actually computed
-
-	// Injections are dispatched in chunks of same-checkpoint faults:
-	// each chunk runs on one batch (one held scratch machine), so every
-	// restore after the chunk's first is a cache delta restore. Chunks
-	// stay small enough that all workers get work even when one
-	// checkpoint dominates the sample. Outcome i is still fully
-	// determined by (Seed, i) — restores are bit-exact, so grouping and
-	// scheduling cannot change any classification.
+	// Chunks stay small enough that all workers get work even when one
+	// checkpoint dominates the sample. Each outcome is still fully
+	// determined by its cell's (Seed, index): restores are bit-exact, so
+	// grouping and scheduling cannot change any classification.
 	const chunkSize = 32
 	var wg sync.WaitGroup
 dispatch:
-	for _, group := range exp.BatchByCheckpoint(injections) {
+	for _, group := range exp.BatchByCheckpoint(all) {
 		for start := 0; start < len(group); start += chunkSize {
 			if ctx.Err() != nil {
 				break dispatch
@@ -273,37 +375,15 @@ dispatch:
 			wg.Add(1)
 			ok := pool.TrySubmit(ctx, func() {
 				defer wg.Done()
-				// Queued-but-not-started chunks drain without running
-				// once cancellation hits; a chunk already executing
-				// finishes its current injection, then stops.
 				b := exp.NewBatch()
 				defer b.Close()
-				for _, i := range chunk {
-					if ctx.Err() != nil {
-						return
+				for _, j := range chunk {
+					c := cells[owner[j]]
+					if ctx.Err() != nil || !c.live() {
+						land(j, faultinj.InjectResult{}, false)
+						continue
 					}
-					if opts.Pruner != nil && opts.Model.Width() <= 1 {
-						kind, reason := consultPruner(opts.Pruner, target, injections[i])
-						if kind != faultinj.PruneNone {
-							// The proof class decides the synthetic
-							// outcome: dead-value proofs are Masked,
-							// crash-certain proofs are Crash.
-							out := faultinj.Masked
-							if kind == faultinj.PruneDUE {
-								out = faultinj.Crash
-							}
-							outcomes[i] = faultinj.InjectResult{
-								Outcome:   out,
-								Reason:    "pruned: " + reason,
-								Pruned:    true,
-								PruneKind: kind,
-							}
-							ran[i] = true
-							continue
-						}
-					}
-					outcomes[i] = b.InjectModel(target, injections[i], opts.Model)
-					ran[i] = true
+					land(j, inject(b, c.Target, all[j], opts), true)
 				}
 			})
 			if !ok {
@@ -313,15 +393,42 @@ dispatch:
 		}
 	}
 	wg.Wait()
+}
 
-	completed := 0
-	for i := range outcomes {
-		if ran[i] {
-			res.Counts.Add(outcomes[i])
-			completed++
+// sampleCell fills in the cell's fixed fields and draws its injections.
+// A cell that cannot be sampled comes back Skipped with none; a panic
+// while sampling is returned as an error.
+func sampleCell(exp *faultinj.Experiment, c Cell, faults int, res *Result) (injections []faultinj.Injection, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	*res = Result{
+		Target:       c.Target.Name(),
+		GoldenCycles: exp.GoldenCycles,
+		StructBits:   exp.TargetBits(c.Target),
+	}
+	injections, err = exp.Sample(c.Target, faults, c.Seed)
+	if err != nil {
+		res.Skipped = err.Error()
+		return nil, nil
+	}
+	return injections, nil
+}
+
+// inject runs one injection on the batch, unless the pruner proves it:
+// the proof class then decides the synthetic outcome, Masked for the
+// dead-value proofs and Crash for crash-certain ones.
+func inject(b *faultinj.Batch, t faultinj.Target, inj faultinj.Injection, opts Options) faultinj.InjectResult {
+	if opts.Pruner != nil && opts.Model.Width() <= 1 {
+		if kind, reason := consultPruner(opts.Pruner, t, inj); kind != faultinj.PruneNone {
+			out := faultinj.Masked
+			if kind == faultinj.PruneDUE {
+				out = faultinj.Crash
+			}
+			return faultinj.InjectResult{Outcome: out, Reason: "pruned: " + reason, Pruned: true, PruneKind: kind}
 		}
 	}
-	res.Faults = completed
-	res.Interrupted = completed < len(injections)
-	return res
+	return b.InjectModel(t, inj, opts.Model)
 }

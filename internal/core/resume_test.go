@@ -16,6 +16,7 @@ import (
 
 	"sevsim/internal/compiler"
 	"sevsim/internal/dispatch/backoff"
+	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
@@ -405,25 +406,58 @@ func TestKeepGoingFailureReplaysFromJournal(t *testing.T) {
 }
 
 // TestCellWatchdogRecordsStuck: an unreachably small cell deadline
-// must quarantine cells as stuck instead of hanging or aborting.
+// must quarantine cells as stuck instead of hanging or aborting — every
+// cell of a unit, each on its own deadline, though they run as one
+// campaign.
 func TestCellWatchdogRecordsStuck(t *testing.T) {
 	spec := resumeSpec(t)
 	spec.Benchmarks = spec.Benchmarks[:1]
 	spec.Levels = spec.Levels[:1]
-	spec.Targets = spec.Targets[:1]
+	spec.Targets = faultinj.Targets()
 	spec.CellTimeout = time.Nanosecond
 	st, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Failed) != 1 {
-		t.Fatalf("Failed = %+v, want one stuck record", st.Failed)
+	if len(st.Failed) != len(spec.Targets) {
+		t.Fatalf("Failed = %+v, want one stuck record per target", st.Failed)
 	}
-	if !st.Failed[0].Stuck || st.Failed[0].Stage != "cell" {
-		t.Errorf("failure record = %+v", st.Failed[0])
+	for i, f := range st.Failed {
+		if !f.Stuck || f.Stage != "cell" || f.Target != spec.Targets[i].Name() {
+			t.Errorf("failure record %d = %+v", i, f)
+		}
+		if !strings.Contains(st.Results[i].Skipped, "stuck") {
+			t.Errorf("stuck cell result = %+v", st.Results[i])
+		}
 	}
-	if !strings.Contains(st.Results[0].Skipped, "stuck") {
-		t.Errorf("stuck cell result = %+v", st.Results[0])
+}
+
+// TestKeepGoingIsolatesSamplingPanic: a target whose sampling panics
+// fails its own cell under keep-going, and the unit's other cells, which
+// run in the same campaign, come out as in a clean run.
+func TestKeepGoingIsolatesSamplingPanic(t *testing.T) {
+	spec := resumeSpec(t)
+	spec.Benchmarks = spec.Benchmarks[:1]
+	spec.Levels = spec.Levels[:1]
+	clean, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Targets = append(spec.Targets[:1:1], append([]faultinj.Target{faultinj.NewTarget("PANIC", "",
+		func(*machine.Machine) uint64 { panic("no bits") }, func(*machine.Machine, uint64) {})}, spec.Targets[1:]...)...)
+	spec.KeepGoing = true
+	st, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Failed) != 1 || st.Failed[0].Target != "PANIC" || st.Failed[0].Stuck ||
+		!strings.Contains(st.Failed[0].Err, "panic: no bits") {
+		t.Fatalf("Failed = %+v, want the panicking cell alone", st.Failed)
+	}
+	for i, r := range append(st.Results[:1:1], st.Results[2:]...) {
+		if r != clean.Results[i] {
+			t.Errorf("cell %d: %+v, clean run %+v", i, r, clean.Results[i])
+		}
 	}
 }
 

@@ -350,9 +350,10 @@ type flight struct {
 	slots chan struct{} // one token per unit in flight
 
 	mu       sync.Mutex
-	now, max int      // in flight, and the most there ever were
-	held     resident // by the prepared units in flight
-	maxHeld  resident // held at its largest
+	now, max int                    // in flight, and the most there ever were
+	held     resident               // by the prepared units in flight
+	maxHeld  resident               // held at its largest
+	fastPath faultinj.FastPathStats // the exits and cycles of every released unit's injections
 }
 
 // unitHook, when a test sets it, sees every unit as it enters the window
@@ -385,9 +386,14 @@ func (f *flight) prepared(u *prepUnit) {
 // release ends u's flight: whatever the unit still holds is closed and
 // dropped, and its slot goes back to the feeder.
 func (f *flight) release(u *prepUnit) {
+	var fp faultinj.FastPathStats
+	if u.exp != nil {
+		fp = u.exp.FastPathStats()
+	}
 	u.release()
 	f.mu.Lock()
 	f.now--
+	f.fastPath.Add(fp)
 	if u.err == nil {
 		f.held.add(u.held, -1)
 	}
@@ -589,6 +595,9 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 	// channel is guaranteed to close, and every slot comes back.
 	fl := &flight{slots: make(chan struct{}, workers+1)}
 	defer func() {
+		if fl.fastPath != (faultinj.FastPathStats{}) {
+			rep.printf("fast path: %s", fl.fastPath)
+		}
 		r := residency{Units: len(units), Window: workers + 1, MaxInFlight: fl.max, Held: fl.maxHeld}
 		r.Analyses, r.Binaries = analyses.bytes()
 		rep.printf("resident: %s", r)
@@ -601,17 +610,31 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 		}
 	}()
 
-	// runCell campaigns one cell of a prepared unit (u.need[i]) and
-	// emits its outcome: the result, or — keep-going — the failure that
-	// replaced it. A cell cut short by study-wide cancellation emits
-	// nothing.
-	runCell := func(u *prepUnit, i int) {
-		target := u.need[i]
-		ref := u.ref(target)
-		failure := Failure{March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target, Stage: "cell"}
-		defer func() {
-			if p := recover(); p != nil {
-				err := fmt.Errorf("cell %s: panic: %v", ref, p)
+	// runUnit campaigns every needed cell of a prepared unit as one
+	// campaign and emits each cell's outcome as it finishes: the result,
+	// or — keep-going — the failure that replaced it. A cell cut short by
+	// study-wide cancellation emits nothing.
+	runUnit := func(u *prepUnit) {
+		cells := make([]campaign.Cell, len(u.need))
+		for i, t := range u.need {
+			ref := u.ref(t)
+			cells[i] = campaign.Cell{Target: t, Seed: cellSeed(s.Seed, ref.March, ref.Bench, ref.Level, ref.Target)}
+			// The watchdog: a per-cell deadline layered on the study
+			// context. When it fires, the cell's remaining injections are
+			// skipped and it reports Interrupted while the study is alive.
+			if s.CellTimeout > 0 {
+				cellCtx, cancelCell := context.WithTimeout(runCtx, s.CellTimeout)
+				defer cancelCell()
+				cells[i].Context = cellCtx
+			}
+		}
+		opts := campaign.Options{Faults: s.Faults, Pool: pool, Pruner: u.pruner, Context: runCtx}
+		campaign.RunUnit(u.exp, cells, opts, func(i int, r campaign.Result, err error) {
+			ref := u.ref(u.need[i])
+			failure := Failure{March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target, Stage: "cell"}
+			switch {
+			case err != nil:
+				err = fmt.Errorf("cell %s: %w", ref, err)
 				if !s.KeepGoing {
 					u.cellErr[i] = err
 					cancelRun()
@@ -619,46 +642,29 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				}
 				failure.Err = err.Error()
 				res.emit(u, CellFailed(ref, failure))
-			}
-		}()
-		// The watchdog: a per-cell deadline layered on the study
-		// context. When it fires, the campaign drains and reports
-		// Interrupted while the study is alive.
-		cellCtx := runCtx
-		cancelCell := func() {}
-		if s.CellTimeout > 0 {
-			cellCtx, cancelCell = context.WithTimeout(runCtx, s.CellTimeout)
-		}
-		defer cancelCell()
-		r := campaign.Run(u.exp, target, campaign.Options{
-			Faults:  s.Faults,
-			Seed:    cellSeed(s.Seed, ref.March, ref.Bench, ref.Level, ref.Target),
-			Pool:    pool,
-			Pruner:  u.pruner,
-			Context: cellCtx,
-		})
-		r.March, r.Bench, r.Level = ref.March, ref.Bench, ref.Level
-		if r.Interrupted {
-			if runCtx.Err() != nil {
+				return
+			case r.Interrupted && runCtx.Err() != nil:
 				return // study-wide cancellation: drop the partial cell
+			case r.Interrupted:
+				// Watchdog expiry: quarantine the cell as stuck.
+				failure.Err, failure.Stuck = "exceeded per-cell wall-clock deadline", true
+				res.emit(u, CellFailed(ref, failure))
+				rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
+					ref.March, ref.Bench, ref.Level, ref.Target, r.Faults, s.Faults)
+				return
 			}
-			// Watchdog expiry: quarantine the cell as stuck.
-			failure.Err, failure.Stuck = "exceeded per-cell wall-clock deadline", true
-			res.emit(u, CellFailed(ref, failure))
-			rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
-				r.March, r.Bench, r.Level, r.Target, r.Faults, s.Faults)
-			return
-		}
-		res.emit(u, CellOutcome{Cell: ref, Result: r})
-		rep.printf("  %-16s %-9s %-2s %-9s AVF %5.1f%%  (SDC %d, crash %d, timeout %d, assert %d)",
-			r.March, r.Bench, r.Level, r.Target, r.AVF()*100, r.Counts.SDC, r.Counts.Crash,
-			r.Counts.Timeout, r.Counts.Assert)
+			r.March, r.Bench, r.Level = ref.March, ref.Bench, ref.Level
+			res.emit(u, CellOutcome{Cell: ref, Result: r})
+			rep.printf("  %-16s %-9s %-2s %-9s AVF %5.1f%% of %d  (SDC %d, crash %d, timeout %d, assert %d)",
+				r.March, r.Bench, r.Level, r.Target, r.AVF()*100, r.Faults, r.Counts.SDC, r.Counts.Crash,
+				r.Counts.Timeout, r.Counts.Assert)
+		})
 	}
 
 	// One lightweight orchestrator per unit waits for its prep, then
-	// fans the unit's cells out onto the pool. Orchestrators and cell
-	// goroutines only wait and aggregate; all heavy work (simulation
-	// runs) happens on pool workers, bounding CPU use at `workers`.
+	// dispatches the unit's campaign onto the pool. Orchestrators only
+	// sample, dispatch and wait; all heavy work (simulation runs) happens
+	// on pool workers, bounding CPU use at `workers`.
 	var wg sync.WaitGroup
 	for _, u := range units {
 		wg.Add(1)
@@ -689,15 +695,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 			fl.prepared(u)
 			rep.printf("golden %-16s %-9s %s: %d cycles (IPC %.2f)",
 				u.cfg.Name, u.bench.Name, u.level, u.exp.GoldenCycles, u.exp.GoldenStats.Stats.IPC())
-			var cells sync.WaitGroup
-			for i := range u.need {
-				cells.Add(1)
-				go func(i int) {
-					defer cells.Done()
-					runCell(u, i)
-				}(i)
-			}
-			cells.Wait()
+			runUnit(u)
 			// Every cell of this unit is done: once they are durable the
 			// deferred release hands the unit's golden checkpoint snapshots
 			// back to the buffer pools, so the next unit's checkpoints

@@ -162,8 +162,9 @@ func TestDistributedFsyncsCounted(t *testing.T) {
 }
 
 // TestWorkerRestartReplaysItsLeaseOnly kills a worker mid-lease (its
-// context is cancelled with five cells finished; nothing is reported)
-// and restarts it on the same workdir. Granted another unit it replays
+// context is cancelled once the cells it finished hold 20 of the lease's
+// 60 injections; nothing is reported) and restarts it on the same
+// workdir. Granted another unit it replays
 // nothing; granted the interrupted unit again — a new lease, the same
 // cells — it replays exactly the cells that unit's journal holds, and
 // the journal is gone once the report is acknowledged.
@@ -199,12 +200,12 @@ func TestWorkerRestartReplaysItsLeaseOnly(t *testing.T) {
 
 	workdir := t.TempDir()
 	// worker returns a worker on the shared workdir whose log is kept;
-	// onCell runs after each finished cell.
+	// onCell runs after each finished cell, with its injection count.
 	type logged struct {
 		mu      sync.Mutex
 		resumes []int // n of each "resume: n/15" line
 	}
-	worker := func(onCell func()) (*Worker, *logged) {
+	worker := func(onCell func(injections int)) (*Worker, *logged) {
 		l := &logged{}
 		w, err := NewWorker(WorkerOptions{
 			Coordinator: ts.URL, Name: "w", Workdir: workdir, Parallelism: 1,
@@ -218,7 +219,7 @@ func TestWorkerRestartReplaysItsLeaseOnly(t *testing.T) {
 					}
 					l.resumes = append(l.resumes, args[0].(int))
 				case strings.Contains(format, "AVF") && onCell != nil:
-					onCell()
+					onCell(args[5].(int))
 				}
 			},
 		})
@@ -228,15 +229,18 @@ func TestWorkerRestartReplaysItsLeaseOnly(t *testing.T) {
 		return w, l
 	}
 
-	// The first life: killed with five cells of unit 0 finished.
+	// The first life: killed once the cells of unit 0 it finished hold 20
+	// injections. The unit's cells run as one campaign, in cycle order
+	// across all of them, and each finishes when its last injection lands.
 	first, err := coord.Lease(LeaseRequest{Worker: "w"})
 	if err != nil || first == nil || len(first.Cells) != 15 {
 		t.Fatalf("first lease: %+v %v", first, err)
 	}
+	const killAt = 20
 	ctx, kill := context.WithCancel(context.Background())
-	finished := 0
-	w, _ := worker(func() {
-		if finished++; finished == 5 {
+	landed := 0
+	w, _ := worker(func(injections int) {
+		if landed += injections; landed >= killAt {
 			kill()
 		}
 	})
@@ -251,8 +255,9 @@ func TestWorkerRestartReplaysItsLeaseOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := len(recs) - 1 // outcomes after the meta record
-	if held < 5 || held >= 15 {
-		t.Fatalf("interrupted lease's journal holds %d outcomes, want at least the 5 finished and not all 15", held)
+	if held*wire.Faults < killAt || held >= 15 {
+		t.Fatalf("interrupted lease's journal holds %d outcomes of %d injections each, want at least the %d injections finished and not all 15 cells",
+			held, wire.Faults, killAt)
 	}
 
 	// The second life, on the same workdir: unit 1 first (unit 0 is

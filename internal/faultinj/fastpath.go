@@ -12,12 +12,18 @@ package faultinj
 // Masked run. A flip that lands in dead state is Masked sooner still, at
 // the flip cycle; and a cache flip into a set the golden images show was
 // not looked up — until the next checkpoint for an invalid line, ever
-// again for any line — before anything is restored. Classifications are
+// again for any line — before anything is restored. A batch of
+// injections in cycle order restores, instead of the checkpoint, the
+// golden snapshot its previous injection took just before its flip, so
+// it replays each checkpoint interval about once. Classifications are
 // bit-identical with the optimizations on or off; see DESIGN.md §10 for
 // the soundness argument.
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 
 	"sevsim/internal/machine"
 )
@@ -82,17 +88,12 @@ func (e *Experiment) putMachine(m *machine.Machine) {
 }
 
 // runInjection executes one injection run under the given fault model
-// and classifies it, managing a scratch machine for just this run.
-// Batched callers hold one machine across many runs instead (Batch).
+// and classifies it on a batch of its own. Batched callers hold one
+// batch across many runs instead.
 func (e *Experiment) runInjection(t Target, inj Injection, model Model) InjectResult {
-	if e.ckpts == nil {
-		// Reference behavior: a fresh machine simulating from cycle 0.
-		return e.classify(newMachine(e.Config, e.Program).Run(e.cycleBudget(), e.hookFor(t, inj, model)))
-	}
-	m := e.getMachine()
-	out := e.runInjectionOn(m, t, inj, model)
-	e.putMachine(m)
-	return out
+	b := e.NewBatch()
+	defer b.Close()
+	return b.InjectModel(t, inj, model)
 }
 
 // fastPathExit names the way an injection left the fast path.
@@ -126,6 +127,13 @@ type FastPathStats struct {
 	ConvergedAtRung uint64
 	// RanToEnd: simulated to halt, crash, assert or timeout.
 	RanToEnd uint64
+
+	// ReplayCycles is the golden cycles simulated from each restore up to
+	// the flip, summed over the injections that restored anything.
+	ReplayCycles uint64
+	// PostFlipCycles is the cycles simulated after the flip, up to the
+	// exit the run took.
+	PostFlipCycles uint64
 }
 
 // FastPathStats returns the counts so far.
@@ -136,12 +144,31 @@ func (e *Experiment) FastPathStats() FastPathStats {
 		DeadAtFlip:        e.exits[exitDeadAtFlip].Load(),
 		ConvergedAtRung:   e.exits[exitConvergedAtRung].Load(),
 		RanToEnd:          e.exits[exitRanToEnd].Load(),
+		ReplayCycles:      e.replayCycles.Load(),
+		PostFlipCycles:    e.postFlipCycles.Load(),
 	}
 }
 
 // DeadBeforeReplay is the number of injections answered before anything
 // was restored, by either rule.
 func (s FastPathStats) DeadBeforeReplay() uint64 { return s.DeadQuietInterval + s.DeadRetiredSet }
+
+// Add adds o's counts to s.
+func (s *FastPathStats) Add(o FastPathStats) {
+	s.DeadQuietInterval += o.DeadQuietInterval
+	s.DeadRetiredSet += o.DeadRetiredSet
+	s.DeadAtFlip += o.DeadAtFlip
+	s.ConvergedAtRung += o.ConvergedAtRung
+	s.RanToEnd += o.RanToEnd
+	s.ReplayCycles += o.ReplayCycles
+	s.PostFlipCycles += o.PostFlipCycles
+}
+
+func (s FastPathStats) String() string {
+	return fmt.Sprintf("%d dead before replay (%d in a quiet interval, %d in a retired set), %d dead at the flip, %d converged at a checkpoint, %d ran to the end; %d cycles replayed to the flip, %d after it",
+		s.DeadBeforeReplay(), s.DeadQuietInterval, s.DeadRetiredSet, s.DeadAtFlip, s.ConvergedAtRung, s.RanToEnd,
+		s.ReplayCycles, s.PostFlipCycles)
+}
 
 // masked is the result of a run proven to replay golden from some cycle
 // on: it would halt at GoldenCycles with the golden output, so this is
@@ -173,67 +200,27 @@ func (e *Experiment) deadBeforeReplay(m *machine.Machine, t Target, inj Injectio
 // flip just applied.
 func stopAtFlip(*machine.Machine) bool { return true }
 
-// runInjectionOn executes one checkpointed injection run on the given
-// scratch machine: fast-forward restore, flip at the injection cycle,
-// classify. The machine must have been built from this experiment's
-// Config/Program; its pre-call state is irrelevant — the restore
-// overwrites it. Only valid with checkpointing on.
+// Batch runs a sequence of injections on one held scratch machine and
+// walks forward through the golden run as it goes. Each simulated
+// injection on the fast path snapshots the machine at the start of its
+// flip cycle, after a fault-free replay from a golden image: that
+// snapshot is the golden machine of that cycle. The batch keeps it, and
+// the next injection restores it instead of its checkpoint when it lies
+// between the two (checkpoint ≤ held ≤ injection cycle), so it replays
+// only the cycles in between. BatchByCheckpoint's groups are in cycle
+// order, so a group run as one batch walks its checkpoint interval
+// once. A restore of the snapshot the machine was last based on copies
+// back only the lines the previous run touched; one of a different
+// image adds the cache chunks in which the two differ.
 //
-// With the early exit enabled a run is Masked as soon as its state is
-// proven to replay golden from some cycle on (DESIGN.md §10), at the
-// earliest of three points: before anything is restored, for a
-// single-bit cache flip into a set the golden images show quiet; at the
-// flip, when the machine still equals the machine of a moment ago, which
-// the replay up to there left golden; at a later checkpoint the run
-// passes. The last two go by the convergence relation's dead-state
-// exclusions; the first also covers live state no later cycle reads.
-func (e *Experiment) runInjectionOn(m *machine.Machine, t Target, inj Injection, model Model) InjectResult {
-	if e.fastExit && model == SingleBit {
-		if exit, ok := e.deadBeforeReplay(m, t, inj); ok {
-			return e.masked(exit)
-		}
-	}
-	hook := e.hookFor(t, inj, model)
-	m.Restore(e.ckpts.Latest(inj.Cycle))
-	if !e.fastExit {
-		return e.classify(m.Run(e.cycleBudget(), hook))
-	}
-	flip, dead := hook.Fn, false
-	hook.Fn = func(mm *machine.Machine) {
-		pre := mm.Snapshot()
-		flip(mm)
-		dead = mm.Converged(pre)
-		pre.Release()
-	}
-	res, flipped := m.RunWatched(e.cycleBudget(), []machine.Watch{{At: inj.Cycle, Fn: stopAtFlip}}, hook)
-	switch {
-	case !flipped:
-		// The run ended before the hook (a cycle past the golden halt) or
-		// inside it (a flip that panicked): res is its ending.
-	case dead:
-		return e.masked(exitDeadAtFlip)
-	default:
-		var converged bool
-		if res, converged = m.RunWatched(e.cycleBudget(), e.ckpts.WatchesAfter(inj.Cycle)); converged {
-			return e.masked(exitConvergedAtRung)
-		}
-	}
-	e.exits[exitRanToEnd].Add(1)
-	return e.classify(res)
-}
-
-// Batch runs a sequence of injections on one held scratch machine.
-// Grouping a batch by fast-forward checkpoint (BatchByCheckpoint) makes
-// every restore after the first copy back only the lines the previous
-// run touched; a restore from a different checkpoint adds the cache
-// chunks in which the two checkpoints differ. A Batch
-// is single-goroutine; concurrency comes from running many batches on a
-// worker pool. Outcomes are bit-identical to calling Experiment.Inject
-// per fault — restores are bit-exact, so machine reuse cannot leak
-// state between runs.
+// A Batch is single-goroutine; concurrency comes from running many
+// batches on a worker pool. Outcomes are bit-identical to calling
+// Experiment.Inject per fault: restores are bit-exact, so neither the
+// held machine nor the held snapshot can leak state between runs.
 type Batch struct {
-	e *Experiment
-	m *machine.Machine // nil when checkpointing is disabled
+	e    *Experiment
+	m    *machine.Machine // nil when checkpointing is disabled
+	held *machine.Snap    // golden state at the latest flip cycle, or nil
 }
 
 // NewBatch prepares a batch, drawing a scratch machine from the
@@ -251,20 +238,88 @@ func (b *Batch) Inject(t Target, inj Injection) InjectResult {
 	return b.InjectModel(t, inj, SingleBit)
 }
 
-// InjectModel is Inject under the given fault-multiplicity model.
+// InjectModel is Inject under the given fault-multiplicity model: a
+// restore of the latest golden image at or before the injection cycle,
+// the flip at that cycle, and the classification.
+//
+// With the early exit enabled a run is Masked as soon as its state is
+// proven to replay golden from some cycle on (DESIGN.md §10), at the
+// earliest of three points: before anything is restored, for a
+// single-bit cache flip into a set the golden images show quiet; at the
+// flip, when the machine still equals the machine of a moment ago, which
+// the replay up to there left golden; at a later checkpoint the run
+// passes. The last two go by the convergence relation's dead-state
+// exclusions; the first also covers live state no later cycle reads.
 func (b *Batch) InjectModel(t Target, inj Injection, model Model) InjectResult {
-	if b.m == nil {
+	e, m := b.e, b.m
+	if m == nil {
 		// Checkpointing disabled: the reference from-zero path, one
 		// fresh machine per run (a recycled machine would need a way to
 		// reset to cycle 0, which is exactly what checkpoints provide).
-		return b.e.runInjection(t, inj, model)
+		return e.classify(newMachine(e.Config, e.Program).Run(e.cycleBudget(), e.hookFor(t, inj, model)))
 	}
-	return b.e.runInjectionOn(b.m, t, inj, model)
+	if e.fastExit && model == SingleBit {
+		if exit, ok := e.deadBeforeReplay(m, t, inj); ok {
+			return e.masked(exit)
+		}
+	}
+	hook := e.hookFor(t, inj, model)
+	from := e.ckpts.Latest(inj.Cycle)
+	if h := b.held; h != nil && from.Cycle <= h.Cycle && h.Cycle <= inj.Cycle {
+		from = h
+	}
+	start := from.Cycle
+	m.Restore(from)
+	if !e.fastExit {
+		return e.classify(m.Run(e.cycleBudget(), hook))
+	}
+	flip, dead := hook.Fn, false
+	hook.Fn = func(mm *machine.Machine) {
+		b.hold(mm.Snapshot())
+		flip(mm)
+		dead = mm.Converged(b.held)
+	}
+	res, flipped := m.RunWatched(e.cycleBudget(), []machine.Watch{{At: inj.Cycle, Fn: stopAtFlip}}, hook)
+	exit := exitRanToEnd
+	switch {
+	case !flipped:
+		// The run ended before the hook (a cycle past the golden halt) or
+		// inside it (a flip that panicked): res is its ending.
+	case dead:
+		exit = exitDeadAtFlip
+	default:
+		var converged bool
+		if res, converged = m.RunWatched(e.cycleBudget(), e.ckpts.WatchesAfter(inj.Cycle)); converged {
+			exit = exitConvergedAtRung
+		}
+	}
+	flipAt := min(res.Cycles, inj.Cycle)
+	e.replayCycles.Add(flipAt - start)
+	e.postFlipCycles.Add(res.Cycles - flipAt)
+	if exit != exitRanToEnd {
+		return e.masked(exit)
+	}
+	e.exits[exitRanToEnd].Add(1)
+	return e.classify(res)
 }
 
-// Close returns the batch's scratch machine to the experiment pool. No
-// Inject may follow.
+// hold makes s the batch's held snapshot, releasing the one it replaces.
+// The machine may still be based on the old one's cache images; those
+// are not pooled, so releasing it cannot disturb the machine.
+func (b *Batch) hold(s *machine.Snap) {
+	if b.held != nil {
+		b.held.Release()
+	}
+	b.held = s
+}
+
+// Close releases the held snapshot and returns the batch's scratch
+// machine to the experiment pool. No Inject may follow.
 func (b *Batch) Close() {
+	if b.held != nil {
+		b.held.Release()
+		b.held = nil
+	}
 	if b.m != nil {
 		b.e.putMachine(b.m)
 		b.m = nil
@@ -272,35 +327,33 @@ func (b *Batch) Close() {
 }
 
 // BatchByCheckpoint partitions injection indices into groups that
-// fast-forward from the same checkpoint, preserving index order within
-// each group (first-seen checkpoint order across groups, so the result
-// is deterministic). Running a group as one Batch keeps the scratch
-// machine's restore base stable across the whole group. With
-// checkpointing disabled all indices form one group — there is nothing
-// to key on, and the grouping is only a scheduling hint.
+// fast-forward from the same checkpoint, in ascending checkpoint order,
+// each group in cycle order (index order among equal cycles, so the
+// result is deterministic). A group run as one Batch is one forward walk
+// through its checkpoint interval. With checkpointing disabled all
+// indices form one group — there is nothing to key on, and the grouping
+// is only a scheduling hint.
 func (e *Experiment) BatchByCheckpoint(inj []Injection) [][]int {
 	if len(inj) == 0 {
 		return nil
 	}
+	order := make([]int, len(inj))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(inj[a].Cycle, inj[b].Cycle) })
 	if e.ckpts == nil {
-		all := make([]int, len(inj))
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}
+		return [][]int{order}
 	}
-	groups := map[int][]int{}
-	var order []int
-	for i, in := range inj {
-		k := e.ckpts.LatestIndex(in.Cycle)
-		if groups[k] == nil {
-			order = append(order, k)
+	var out [][]int
+	for len(order) > 0 {
+		k := e.ckpts.LatestIndex(inj[order[0]].Cycle)
+		n := 1
+		for n < len(order) && e.ckpts.LatestIndex(inj[order[n]].Cycle) == k {
+			n++
 		}
-		groups[k] = append(groups[k], i)
-	}
-	out := make([][]int, 0, len(order))
-	for _, k := range order {
-		out = append(out, groups[k])
+		out = append(out, order[:n:n])
+		order = order[n:]
 	}
 	return out
 }

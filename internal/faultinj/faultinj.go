@@ -221,9 +221,11 @@ type Experiment struct {
 	fastExit bool
 	scratch  sync.Pool
 
-	// exits counts the fast path's injections by the exit they took
-	// (FastPathStats).
-	exits [numFastPathExits]atomic.Uint64
+	// exits counts the fast path's injections by the exit they took, and
+	// the two cycle counters what they simulated before and after the
+	// flip (FastPathStats).
+	exits                        [numFastPathExits]atomic.Uint64
+	replayCycles, postFlipCycles atomic.Uint64
 }
 
 // newMachine builds every machine the package simulates on. It is a
