@@ -564,14 +564,18 @@ func prepSweepQsort(b *testing.B) []prepUnit {
 //	bound-ns/unit                                one Bound walk
 //	prep/golden, traced-prep/traced-golden       the ratios
 //	bound/golden                                 Bound over the untraced golden run
+//	held-B/unit                                  what a prune unit holds beside its ladder
 //
 // Preparation records the checkpoint ladder during the golden run, so
 // the first two ratios sit a few percent above 1; a second simulated
 // pass would put them at 2. Bound visits every commit interval of the
 // trace and must stay a small fraction of the run that produced it: it
 // looks up what a static program point contributes once per point, not
-// once per interval. cmd/benchgate holds prep/golden and bound/golden
-// (-unit) to the limits in BENCH_layout.json's trajectory.
+// once per interval. held-B/unit is a count, the same on every host: the
+// ResidentBytes of the traced preparation's commit trace, of its
+// pruner's tables and of the analysis the pruner holds. cmd/benchgate
+// holds prep/golden, bound/golden and held-B/unit (-unit) to the limits
+// in BENCH_layout.json's trajectory.
 func BenchmarkPrepUnit(b *testing.B) {
 	units := prepSweepQsort(b)
 	analyses := make([]*binanalysis.Analysis, len(units))
@@ -597,9 +601,10 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
-	// prep times one preparation; with an analysis it is traced, and the
-	// second duration is one Bound walk over its commit stream.
-	prep := func(u prepUnit, a *binanalysis.Analysis) (prep, bound time.Duration) {
+	// prep times one preparation; with an analysis it is traced, the
+	// second duration is one Bound walk over its commit stream, and held
+	// is what the unit's trace, pruner and analysis hold.
+	prep := func(u prepUnit, a *binanalysis.Analysis) (prep, bound time.Duration, held int) {
 		runtime.GC()
 		t0 := time.Now()
 		exp, err := faultinj.NewExperimentOptions(u.cfg, u.prog, faultinj.Options{Traced: a != nil})
@@ -609,7 +614,7 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 		defer exp.Close()
 		if a == nil {
-			return prep, 0
+			return prep, 0, 0
 		}
 		pruner, err := binanalysis.NewDUEPruner(a, exp)
 		if err != nil {
@@ -617,17 +622,19 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 		t0 = time.Now()
 		pruner.Bound()
-		return prep, time.Since(t0)
+		return prep, time.Since(t0), exp.Trace.ResidentBytes() + pruner.ResidentBytes() + a.ResidentBytes()
 	}
 	// Fastest of b.N per unit and kind: this host slows memory-heavy
 	// code for minutes at a time, and a sum would carry whichever phase
 	// each call happened to land in into the ratio.
 	fastest := make([][5]time.Duration, len(units))
+	held := make([]int, len(units))
 	for i := 0; i < b.N; i++ {
 		for j, u := range units {
-			untraced, _ := prep(u, nil)
+			untraced, _, _ := prep(u, nil)
 			tracedGolden := golden(u, true)
-			traced, bound := prep(u, analyses[j])
+			traced, bound, h := prep(u, analyses[j])
+			held[j] = h
 			for kind, d := range [5]time.Duration{golden(u, false), untraced, tracedGolden, traced, bound} {
 				if i == 0 || d < fastest[j][kind] {
 					fastest[j][kind] = d
@@ -636,10 +643,12 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 	}
 	var sum [5]float64
-	for _, f := range fastest {
+	heldSum := 0
+	for j, f := range fastest {
 		for kind, d := range f {
 			sum[kind] += float64(d.Nanoseconds())
 		}
+		heldSum += held[j]
 	}
 	n := float64(len(units))
 	b.ReportMetric(sum[0]/n, "golden-ns/unit")
@@ -650,6 +659,7 @@ func BenchmarkPrepUnit(b *testing.B) {
 	b.ReportMetric(sum[1]/sum[0], "prep/golden")
 	b.ReportMetric(sum[3]/sum[2], "traced-prep/traced-golden")
 	b.ReportMetric(sum[4]/sum[0], "bound/golden")
+	b.ReportMetric(float64(heldSum)/n, "held-B/unit")
 }
 
 // BenchmarkGoldenRun measures the simulator's own speed, the floor under

@@ -17,9 +17,9 @@ type Analysis struct {
 	// furthest reached use.
 	Lifetimes []Lifetime
 
-	// bits caches the bit-granular analyses by XLEN so every consumer
-	// of the same Analysis (pruner construction across cells, the
-	// sevanalyze bounds table) pays for the fixpoints once.
+	// bits caches the bit-granular analyses by XLEN, so every query of
+	// one Analysis at one word width (a pruner's construction and its
+	// verdicts, the sevanalyze bounds table) pays for the fixpoints once.
 	bitsMu sync.Mutex
 	bits   map[int]*BitAnalysis
 }

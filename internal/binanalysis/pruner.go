@@ -98,11 +98,11 @@ const ckptInterval = 1024
 
 // NewDUEPruner builds the pruner for one traced experiment. The
 // analysis must come from the same binary the experiment runs; the
-// bit-granular fixpoints are computed (or re-used) via the Analysis.Bits
-// cache, so building pruners for many cells of the same (bench, level)
-// shares one analysis. The Crash verdict disables itself, leaving the
-// two Masked ones, when the program's memory layout exceeds the address
-// ceiling the crash masks assume.
+// bit-granular fixpoints for the machine's word width are computed on
+// it (Analysis.Bits) and held by the pruner with the rest of it. The
+// Crash verdict disables itself, leaving the two Masked ones, when the
+// program's memory layout exceeds the address ceiling the crash masks
+// assume.
 func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 	if exp.Trace == nil {
 		return nil, fmt.Errorf("binanalysis: experiment has no commit trace (use NewTracedExperiment)")
@@ -200,7 +200,7 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 
 // ResidentBytes returns the memory of the tables the pruner built over
 // the trace (the reader lists and the rename-map snapshots); the trace
-// itself and the shared Analysis are their owners' to count.
+// and the Analysis it was built from are counted on their own.
 func (p *DUEPruner) ResidentBytes() int {
 	n := 0
 	for _, rs := range p.readers {

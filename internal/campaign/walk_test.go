@@ -119,16 +119,18 @@ func TestWalkMatchesInjectOneAtATime(t *testing.T) {
 
 // TestWalkCountersPinned pins what one unit's walk simulates — all
 // fifteen targets, sixteen faults each, on both microarchitectures —
-// exit by exit and cycle by cycle. The same injections run one at a
-// time, each restoring its own checkpoint, take the same exits and
-// simulate the same cycles after the flip, and replay strictly more
-// before it.
+// exit by exit and cycle by cycle, the cycles after the flip split by
+// final outcome. The same injections run one at a time, each restoring
+// its own checkpoint, take the same exits and simulate the same cycles
+// after the flip, and replay strictly more before it.
 func TestWalkCountersPinned(t *testing.T) {
 	want := map[string]faultinj.FastPathStats{
 		"Cortex-A15-like": {DeadQuietInterval: 93, DeadRetiredSet: 2, DeadAtFlip: 95, ConvergedAtRung: 18, RanToEnd: 32,
-			ReplayCycles: 9238, PostFlipCycles: 79534},
+			ReplayCycles: 9238, PostFlipCycles: 79534,
+			PostFlipByOutcome: [faultinj.NumOutcomes]uint64{faultinj.Masked: 17797, faultinj.Crash: 339, faultinj.Timeout: 61068, faultinj.Assert: 330}},
 		"Cortex-A72-like": {DeadQuietInterval: 93, DeadRetiredSet: 2, DeadAtFlip: 112, ConvergedAtRung: 11, RanToEnd: 22,
-			ReplayCycles: 6049, PostFlipCycles: 39658},
+			ReplayCycles: 6049, PostFlipCycles: 39658,
+			PostFlipByOutcome: [faultinj.NumOutcomes]uint64{faultinj.Masked: 12871, faultinj.SDC: 14849, faultinj.Crash: 619, faultinj.Timeout: 11007, faultinj.Assert: 312}},
 	}
 	for _, cfg := range machine.Configs() {
 		exp := unitExp(t, cfg)

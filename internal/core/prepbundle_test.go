@@ -35,7 +35,7 @@ func TestPrepBundleBytesPinned(t *testing.T) {
 	}
 	bench := workloads.Qsort()
 	u := &prepUnit{cfg: machine.CortexA15Like(), bench: bench, size: bench.TestSize, level: compiler.O2,
-		prune: true, analyses: &analysisCache{}}
+		prune: true}
 	blob, err := u.buildBundle(bench.Source(bench.TestSize))
 	if err != nil {
 		t.Fatal(err)

@@ -117,9 +117,9 @@ func TestPruneEquivalence(t *testing.T) {
 }
 
 // TestPruneDeterminismAcrossParallelism: a pruned study's saved JSON —
-// including the static-bound records and the reg/bit pruned splits the
-// shared analysis cache feeds — is byte-identical between the serial
-// run and a parallel one.
+// including the static-bound records and the reg/bit pruned splits each
+// unit's own analysis feeds — is byte-identical between the serial run
+// and a parallel one.
 func TestPruneDeterminismAcrossParallelism(t *testing.T) {
 	spec := pruneSpec(t)
 	spec.Benchmarks = spec.Benchmarks[:1]
@@ -144,6 +144,45 @@ func TestPruneDeterminismAcrossParallelism(t *testing.T) {
 	}
 	if !bytes.Equal(j, baseJSON) {
 		t.Error("pruned study JSON not byte-identical between parallelism 1 and 8")
+	}
+}
+
+// TestStaticUnsharedAcrossTwinMachines: two machines that differ only in
+// name compile to the same binaries (same XLEN, same register count), so
+// a study-wide cache once handed both one analysis. Now each unit
+// analyzes its own binary; the static records of the twins must still be
+// identical, march name apart.
+func TestStaticUnsharedAcrossTwinMachines(t *testing.T) {
+	spec := tinySpec(t)
+	twin := machine.CortexA15Like()
+	twin.Name += " twin"
+	spec.Machines = []machine.Config{machine.CortexA15Like(), twin}
+	spec.Targets = spec.Targets[:1]
+	spec.Faults, spec.Prune, spec.Parallelism = 2, true, 2
+	count := countFlight(t)
+	st, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range count.units {
+		if u.held.analysis == 0 {
+			t.Errorf("%s %s %s held no analysis of its own", u.cfg.Name, u.bench.Name, u.level)
+		}
+	}
+	if units := len(spec.Benchmarks) * len(spec.Levels); len(count.units) != 2*units || len(st.Static) != 2*units {
+		t.Fatalf("%d units, %d static records; want %d of each", len(count.units), len(st.Static), 2*units)
+	}
+	for _, a := range st.Static {
+		if a.March == twin.Name {
+			continue
+		}
+		b, ok := st.StaticFor(twin.Name, a.Bench, a.Level)
+		if !ok {
+			t.Fatalf("no static record for %s %s on the twin", a.Bench, a.Level)
+		}
+		if b.March = a.March; b != a || a.PrunableBits == 0 {
+			t.Errorf("%s %s: twin's static record %+v, want %+v", a.Bench, a.Level, b, a)
+		}
 	}
 }
 

@@ -72,14 +72,13 @@ func (r *reporter) printf(format string, args ...any) {
 // prepUnit is one (march, bench, level) triple: a compile plus a golden
 // run that gates the unit's campaign cells.
 type prepUnit struct {
-	cfg      machine.Config
-	bench    workloads.Benchmark
-	size     int
-	level    compiler.OptLevel
-	prune    bool
-	retries  int
-	analyses *analysisCache  // shared across the study's prune units
-	cache    *artcache.Cache // nil: prep directly, nothing persisted
+	cfg     machine.Config
+	bench   workloads.Benchmark
+	size    int
+	level   compiler.OptLevel
+	prune   bool
+	retries int
+	cache   *artcache.Cache // nil: prep directly, nothing persisted
 
 	// need lists the unit's targets this run campaigns: the cells the
 	// caller wants that the journal did not already hold. cellErr,
@@ -94,8 +93,10 @@ type prepUnit struct {
 	jitter  *backoff.Source
 
 	// exp and pruner are what a unit in flight holds: set by the
-	// preparation, dropped by release when the last cell is out. What
-	// stays is what run's epilogue and the outcomes read.
+	// preparation, dropped by release when the last cell is out. The
+	// pruner is the only holder of the unit's binary analysis, so the
+	// analysis goes with it. What stays is what run's epilogue and the
+	// outcomes read.
 	exp      *faultinj.Experiment
 	pruner   faultinj.Pruner // non-nil only for prune units
 	held     resident        // what exp and pruner hold, once prepared
@@ -109,9 +110,9 @@ type prepUnit struct {
 
 // release closes the unit's experiment, handing its ladder's pooled core
 // snapshots back, and drops it and the pruner so the collector can take
-// the trace, the ladder and the tables with them. It is the end of every
-// unit's life — after the last cell, after a failed attempt, after a
-// cancelled run — and of every attempt that is retried.
+// the trace, the ladder, the tables and the analysis with them. It is
+// the end of every unit's life — after the last cell, after a failed
+// attempt, after a cancelled run — and of every attempt that is retried.
 func (u *prepUnit) release() {
 	if u.exp != nil {
 		u.exp.Close()
@@ -229,33 +230,30 @@ func (u *prepUnit) finishPrep(prog *machine.Program) {
 		return
 	}
 	u.stage = "analyze"
-	pr, err := u.buildPruner(prog, u.exp)
+	pr, a, err := u.buildPruner(prog, u.exp)
 	if err != nil {
 		u.err = err
 		return
 	}
 	u.pruner = pr
-	u.held.pruner = pr.ResidentBytes()
+	u.held.pruner, u.held.analysis = pr.ResidentBytes(), a.ResidentBytes()
 	static := staticOf(u.cfg, u.bench.Name, u.level, pr)
 	u.static = &static
 }
 
-// buildPruner runs (or reuses, via the shared analysis cache) the
-// binary ACE analysis and wraps it in the unit's three-way pruner.
-func (u *prepUnit) buildPruner(prog *machine.Program, exp *faultinj.Experiment) (*binanalysis.DUEPruner, error) {
-	tgt := compilerTarget(u.cfg)
-	a, err := u.analyses.get(analysisKey{
-		bench: u.bench.Name, size: u.size, level: u.level,
-		xlen: tgt.XLEN, nregs: tgt.NumArchRegs,
-	}, prog.Code)
+// buildPruner runs the binary ACE analysis and wraps it in the unit's
+// three-way pruner, which then holds it alone: no other unit reuses it,
+// so it lives exactly as long as the unit's pruner.
+func (u *prepUnit) buildPruner(prog *machine.Program, exp *faultinj.Experiment) (*binanalysis.DUEPruner, *binanalysis.Analysis, error) {
+	a, err := binanalysis.AnalyzeWords(prog.Code)
 	if err != nil {
-		return nil, fmt.Errorf("analyze %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
+		return nil, nil, fmt.Errorf("analyze %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
 	pr, err := newPruner(a, exp)
 	if err != nil {
-		return nil, fmt.Errorf("pruner %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
+		return nil, nil, fmt.Errorf("pruner %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}
-	return pr, nil
+	return pr, a, nil
 }
 
 // staticOf renders a pruner's bound as the study's static RF record.
@@ -273,72 +271,17 @@ func staticOf(cfg machine.Config, bench string, level compiler.OptLevel, pr *bin
 	}
 }
 
-// analysisKey identifies one compiled binary: the compiler is
-// deterministic, so units sharing (bench, size, level, target) share
-// code and can share one static analysis. Two marches with the same
-// XLEN and register count (or repeated preps after quarantine retries)
-// hit the cache instead of re-running the CFG + fixpoints.
-type analysisKey struct {
-	bench string
-	size  int
-	level compiler.OptLevel
-	xlen  int
-	nregs int
-}
-
-// analysisCache deduplicates binanalysis.AnalyzeWords calls across the
-// prep units of one study. Safe for concurrent use; each entry is
-// computed exactly once even when two units race for it.
-type analysisCache struct {
-	mu sync.Mutex
-	m  map[analysisKey]*analysisEntry
-}
-
-type analysisEntry struct {
-	once sync.Once
-	a    *binanalysis.Analysis
-	err  error
-}
-
-func (c *analysisCache) get(key analysisKey, words []uint32) (*binanalysis.Analysis, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[analysisKey]*analysisEntry)
-	}
-	e := c.m[key]
-	if e == nil {
-		e = &analysisEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.a, e.err = binanalysis.AnalyzeWords(words) })
-	return e.a, e.err
-}
-
-// bytes sums what the cached analyses hold, and counts them; for the
-// end of a run, when no entry is still being filled.
-func (c *analysisCache) bytes() (total, binaries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.m { //lint:ordered a sum and a count
-		if e.a != nil {
-			total += e.a.ResidentBytes()
-			binaries++
-		}
-	}
-	return total, binaries
-}
-
 // resident is what prepared units hold, in bytes by layer.
-type resident struct{ trace, stream, pruner int }
+type resident struct{ trace, stream, pruner, analysis int }
 
-func (r resident) total() int { return r.trace + r.stream + r.pruner }
+func (r resident) total() int { return r.trace + r.stream + r.pruner + r.analysis }
 
 // add adds sign (1 or -1) times o.
 func (r *resident) add(o resident, sign int) {
 	r.trace += sign * o.trace
 	r.stream += sign * o.stream
 	r.pruner += sign * o.pruner
+	r.analysis += sign * o.analysis
 }
 
 // flight is the window a study's units pass through, and the account of
@@ -409,13 +352,12 @@ func (f *flight) release(u *prepUnit) {
 type residency struct {
 	Units, Window, MaxInFlight int
 	Held                       resident // by the prepared units in flight, at its largest
-	Analyses, Binaries         int      // the shared analysis cache: bytes, entries
 }
 
 func (r residency) String() string {
 	mb := func(n int) float64 { return float64(n) / (1 << 20) }
-	return fmt.Sprintf("%d units prepared, at most %d in flight (window %d) holding at most %.1f MB trace, %.1f MB checkpoints, %.1f MB pruner tables; analysis cache %.1f MB in %d binaries",
-		r.Units, r.MaxInFlight, r.Window, mb(r.Held.trace), mb(r.Held.stream), mb(r.Held.pruner), mb(r.Analyses), r.Binaries)
+	return fmt.Sprintf("%d units prepared, at most %d in flight (window %d) holding at most %.1f MB trace, %.1f MB checkpoints, %.1f MB pruner tables, %.1f MB analyses",
+		r.Units, r.MaxInFlight, r.Window, mb(r.Held.trace), mb(r.Held.stream), mb(r.Held.pruner), mb(r.Held.analysis))
 }
 
 // isCancel reports whether err is context cancellation rather than a
@@ -548,7 +490,6 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 	// Enumerate prep units in the serial loop's order. A unit with no
 	// wanted cell left to compute is not prepared at all.
 	sizes := s.resolveSizes()
-	analyses := &analysisCache{}
 	var units []*prepUnit
 	for _, cfg := range s.Machines {
 		for bi, bench := range s.Benchmarks {
@@ -565,9 +506,8 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				}
 				units = append(units, &prepUnit{
 					cfg: cfg, bench: bench, size: sizes[bi], level: level,
-					prune: s.Prune, retries: s.Retries, analyses: analyses,
-					cache: s.Cache,
-					need:  need, cellErr: make([]error, len(need)),
+					prune: s.Prune, retries: s.Retries, cache: s.Cache,
+					need: need, cellErr: make([]error, len(need)),
 					backoff: s.retryBackoff(),
 					jitter:  backoff.NewSource(cellSeed(s.Seed, cfg.Name, bench.Name, level.String(), "retry-jitter")),
 					ready:   make(chan struct{}),
@@ -598,9 +538,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 		if fl.fastPath != (faultinj.FastPathStats{}) {
 			rep.printf("fast path: %s", fl.fastPath)
 		}
-		r := residency{Units: len(units), Window: workers + 1, MaxInFlight: fl.max, Held: fl.maxHeld}
-		r.Analyses, r.Binaries = analyses.bytes()
-		rep.printf("resident: %s", r)
+		rep.printf("resident: %s", residency{Units: len(units), Window: workers + 1, MaxInFlight: fl.max, Held: fl.maxHeld})
 	}()
 	go func() {
 		for _, u := range units {

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"sevsim/internal/binio"
@@ -105,6 +106,55 @@ func TestCommitTraceChunks(t *testing.T) {
 		}
 		if want := (n + traceChunk - 1) / traceChunk; len(rec.chunks) != want {
 			t.Errorf("n=%d: %d chunks, want %d", n, len(rec.chunks), want)
+		}
+	}
+}
+
+// TestCommitTraceColumns round-trips random events through Append/At and
+// through the bundle codec across three chunk boundaries, with every
+// field at its edges: NoDest, DestPhys 0xffff, PCs outside any code image
+// and ^uint64(0), cycles next to 2^64. Each column must keep its field's
+// full width, and a chunk must hold exactly 19 bytes per event.
+func TestCommitTraceColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	n := 3*traceChunk + 123
+	edges := []CommitEvent{
+		{Cycle: ^uint64(0), PC: ^uint64(0), DestArch: NoDest, DestPhys: 0xffff},
+		{Cycle: ^uint64(0) - 1, PC: 2, DestArch: 31, DestPhys: 0xffff},
+		{Cycle: 1 << 63, PC: 1<<32 + 4, DestArch: NoDest, DestPhys: 0},
+		{Cycle: 0, PC: 0, DestArch: 0, DestPhys: 0x100},
+	}
+	want := make([]CommitEvent, n)
+	rec := &CommitTrace{}
+	for i := range want {
+		ev := CommitEvent{Cycle: rng.Uint64(), PC: rng.Uint64(), DestArch: uint8(rng.Intn(33)), DestPhys: uint16(rng.Uint32())}
+		if ev.DestArch == 32 {
+			ev.DestArch = NoDest
+		}
+		if i%traceChunk < len(edges) || traceChunk-1-i%traceChunk < len(edges) {
+			ev = edges[i%len(edges)] // both ends of every chunk
+		}
+		want[i] = ev
+		rec.Append(ev)
+	}
+	var w binio.Writer
+	EncodeCommitEvents(&w, rec)
+	r := binio.NewReader(w.Bytes())
+	dec := DecodeCommitEvents(r)
+	if r.Err() != nil || r.Len() != 0 || len(w.Bytes()) != 19*n+3 {
+		t.Fatalf("encoded %d bytes for %d events; decode error %v, %d bytes left", len(w.Bytes()), n, r.Err(), r.Len())
+	}
+	for _, tr := range []*CommitTrace{rec, dec} {
+		if tr.Len() != n {
+			t.Fatalf("Len %d, want %d", tr.Len(), n)
+		}
+		for i, ev := range want {
+			if got := tr.At(i); got != ev {
+				t.Fatalf("event %d is %+v, want %+v", i, got, ev)
+			}
+		}
+		if chunks := (n + traceChunk - 1) / traceChunk; tr.ResidentBytes() != chunks*16384*19 {
+			t.Errorf("%d resident bytes in %d chunks, want %d", tr.ResidentBytes(), chunks, chunks*16384*19)
 		}
 	}
 }

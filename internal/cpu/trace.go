@@ -31,13 +31,23 @@ type CommitEvent struct {
 // injection hot path.
 func (c *Core) SetCommitHook(fn func(CommitEvent)) { c.commitHook = fn }
 
-// traceChunk is the number of events per CommitTrace chunk (24 bytes
-// each, so 384 KiB): large enough that chunk bookkeeping vanishes, small
+// traceChunk is the number of events per CommitTrace chunk (19 bytes
+// each, so 304 KiB): large enough that chunk bookkeeping vanishes, small
 // enough that the last, partly filled one wastes little.
 const (
 	traceChunkShift = 14
 	traceChunk      = 1 << traceChunkShift
 )
+
+// traceColumns is one chunk of a CommitTrace stored column-wise, so an
+// event takes its fields' 19 bytes and not the 24 of a padded
+// CommitEvent. Arrays, so At's second index needs no bounds check.
+type traceColumns struct {
+	cycle    [traceChunk]uint64
+	pc       [traceChunk]uint64
+	destPhys [traceChunk]uint16
+	destArch [traceChunk]uint8
+}
 
 // CommitTrace is a golden run's commit stream, in program order. The
 // run's length is unknown until it halts, so events go into fixed-size
@@ -47,7 +57,7 @@ const (
 // untraced run. Append must not race with the readers; a finished trace
 // is immutable and safe for concurrent use.
 type CommitTrace struct {
-	chunks []*[traceChunk]CommitEvent // arrays, so At's second index needs no bounds check
+	chunks []*traceColumns
 	n      int
 }
 
@@ -55,9 +65,10 @@ type CommitTrace struct {
 func (t *CommitTrace) Append(ev CommitEvent) {
 	i := t.n & (traceChunk - 1)
 	if i == 0 {
-		t.chunks = append(t.chunks, new([traceChunk]CommitEvent))
+		t.chunks = append(t.chunks, new(traceColumns))
 	}
-	t.chunks[len(t.chunks)-1][i] = ev
+	c := t.chunks[len(t.chunks)-1]
+	c.cycle[i], c.pc[i], c.destPhys[i], c.destArch[i] = ev.Cycle, ev.PC, ev.DestPhys, ev.DestArch
 	t.n++
 }
 
@@ -71,7 +82,8 @@ func (t *CommitTrace) Len() int {
 
 // At returns event i, 0 <= i < Len.
 func (t *CommitTrace) At(i int) CommitEvent {
-	return t.chunks[i>>traceChunkShift][i&(traceChunk-1)]
+	c, j := t.chunks[i>>traceChunkShift], i&(traceChunk-1)
+	return CommitEvent{Cycle: c.cycle[j], PC: c.pc[j], DestArch: c.destArch[j], DestPhys: c.destPhys[j]}
 }
 
 // ResidentBytes returns the memory the trace's chunks hold.
@@ -79,5 +91,5 @@ func (t *CommitTrace) ResidentBytes() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.chunks) * int(unsafe.Sizeof([traceChunk]CommitEvent{}))
+	return len(t.chunks) * int(unsafe.Sizeof(traceColumns{}))
 }

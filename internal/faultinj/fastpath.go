@@ -132,21 +132,27 @@ type FastPathStats struct {
 	// the flip, summed over the injections that restored anything.
 	ReplayCycles uint64
 	// PostFlipCycles is the cycles simulated after the flip, up to the
-	// exit the run took.
-	PostFlipCycles uint64
+	// exit the run took; PostFlipByOutcome splits it by the injection's
+	// final outcome (every early exit is Masked).
+	PostFlipCycles    uint64
+	PostFlipByOutcome [NumOutcomes]uint64
 }
 
 // FastPathStats returns the counts so far.
 func (e *Experiment) FastPathStats() FastPathStats {
-	return FastPathStats{
+	s := FastPathStats{
 		DeadQuietInterval: e.exits[exitQuietInterval].Load(),
 		DeadRetiredSet:    e.exits[exitRetiredSet].Load(),
 		DeadAtFlip:        e.exits[exitDeadAtFlip].Load(),
 		ConvergedAtRung:   e.exits[exitConvergedAtRung].Load(),
 		RanToEnd:          e.exits[exitRanToEnd].Load(),
 		ReplayCycles:      e.replayCycles.Load(),
-		PostFlipCycles:    e.postFlipCycles.Load(),
 	}
+	for o := range s.PostFlipByOutcome {
+		s.PostFlipByOutcome[o] = e.postFlipCycles[o].Load()
+		s.PostFlipCycles += s.PostFlipByOutcome[o]
+	}
+	return s
 }
 
 // DeadBeforeReplay is the number of injections answered before anything
@@ -162,12 +168,16 @@ func (s *FastPathStats) Add(o FastPathStats) {
 	s.RanToEnd += o.RanToEnd
 	s.ReplayCycles += o.ReplayCycles
 	s.PostFlipCycles += o.PostFlipCycles
+	for i, n := range o.PostFlipByOutcome {
+		s.PostFlipByOutcome[i] += n
+	}
 }
 
 func (s FastPathStats) String() string {
-	return fmt.Sprintf("%d dead before replay (%d in a quiet interval, %d in a retired set), %d dead at the flip, %d converged at a checkpoint, %d ran to the end; %d cycles replayed to the flip, %d after it",
+	by := s.PostFlipByOutcome
+	return fmt.Sprintf("%d dead before replay (%d in a quiet interval, %d in a retired set), %d dead at the flip, %d converged at a checkpoint, %d ran to the end; %d cycles replayed to the flip, %d after it (%d Masked, %d SDC, %d Crash, %d Timeout, %d Assert)",
 		s.DeadBeforeReplay(), s.DeadQuietInterval, s.DeadRetiredSet, s.DeadAtFlip, s.ConvergedAtRung, s.RanToEnd,
-		s.ReplayCycles, s.PostFlipCycles)
+		s.ReplayCycles, s.PostFlipCycles, by[Masked], by[SDC], by[Crash], by[Timeout], by[Assert])
 }
 
 // masked is the result of a run proven to replay golden from some cycle
@@ -295,12 +305,15 @@ func (b *Batch) InjectModel(t Target, inj Injection, model Model) InjectResult {
 	}
 	flipAt := min(res.Cycles, inj.Cycle)
 	e.replayCycles.Add(flipAt - start)
-	e.postFlipCycles.Add(res.Cycles - flipAt)
+	var out InjectResult
 	if exit != exitRanToEnd {
-		return e.masked(exit)
+		out = e.masked(exit)
+	} else {
+		e.exits[exitRanToEnd].Add(1)
+		out = e.classify(res)
 	}
-	e.exits[exitRanToEnd].Add(1)
-	return e.classify(res)
+	e.postFlipCycles[out.Outcome].Add(res.Cycles - flipAt)
+	return out
 }
 
 // hold makes s the batch's held snapshot, releasing the one it replaces.

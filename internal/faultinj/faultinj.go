@@ -222,10 +222,11 @@ type Experiment struct {
 	scratch  sync.Pool
 
 	// exits counts the fast path's injections by the exit they took, and
-	// the two cycle counters what they simulated before and after the
-	// flip (FastPathStats).
-	exits                        [numFastPathExits]atomic.Uint64
-	replayCycles, postFlipCycles atomic.Uint64
+	// the cycle counters what they simulated before the flip and, by
+	// final outcome, after it (FastPathStats).
+	exits          [numFastPathExits]atomic.Uint64
+	replayCycles   atomic.Uint64
+	postFlipCycles [NumOutcomes]atomic.Uint64
 }
 
 // newMachine builds every machine the package simulates on. It is a
@@ -246,8 +247,8 @@ func NewExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, erro
 // NewTracedExperiment is NewExperiment with commit tracing: the golden
 // run additionally records one CommitEvent per committed instruction
 // (Experiment.Trace), the input to static ACE analysis and injection
-// pruning. The trace costs 24 bytes per committed instruction in memory
-// (19 encoded), so it is opt-in rather than the default.
+// pruning. The trace costs 19 bytes per committed instruction, in memory
+// and encoded alike, so it is opt-in rather than the default.
 func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, error) {
 	return NewExperimentOptions(cfg, prog, Options{Traced: true})
 }
