@@ -16,6 +16,11 @@
 // gracefully, and re-running the same command resumes from the last
 // completed cell, producing the same study.json an uninterrupted run
 // would have.
+//
+// A unit that fails to compile, golden-run or analyze, and a cell whose
+// sampling panics, is quarantined: the rest of the study runs on, the
+// failures table in figures.txt lists it, and sevrepro exits 1 after
+// writing study.json, figures.txt and campaigns.csv.
 package main
 
 import (
@@ -43,9 +48,6 @@ func main() {
 	par := flag.Int("parallel", 0, "study-wide worker pool size (0 = GOMAXPROCS); results are identical at any setting")
 	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
 	jpath := flag.String("journal", "", "durable journal path for kill-and-resume (default <out>/journal.jsonl; \"off\" disables)")
-	keepGoing := flag.Bool("keep-going", false, "quarantine failed units/cells into the study instead of aborting on the first error")
-	retries := flag.Int("retries", 0, "extra preparation attempts per unit before quarantining (with -keep-going)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog (0 = off); stuck cells are recorded and skipped")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip compiles and golden simulations (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -78,9 +80,6 @@ func main() {
 		spec.Seed = *seed
 		spec.Parallelism = cli.Parallelism(*par)
 		spec.Prune = *prune
-		spec.KeepGoing = *keepGoing
-		spec.Retries = *retries
-		spec.CellTimeout = *cellTimeout
 		spec.Cache, err = cli.Cache(*cacheDir, *cacheMax)
 		if err != nil {
 			fatal(err)
@@ -128,9 +127,6 @@ func main() {
 			if err := journal.Remove(spec.Journal); err != nil {
 				fmt.Fprintln(os.Stderr, "warning: could not remove journal:", err)
 			}
-		}
-		if len(st.Failed) > 0 {
-			fmt.Printf("note: %d units/cells quarantined; see the failures table in figures.txt\n", len(st.Failed))
 		}
 		cli.CacheSummary(spec.Cache)
 		if spec.Cache != nil {
@@ -210,17 +206,22 @@ func main() {
 
 	fmt.Printf("wrote %s and %s\n", figPath, csvPath)
 
-	// Unexpected simulator panics mean the harness itself misbehaved for
-	// some injections; surface that as a failing exit so CI and scripted
-	// sweeps notice.
+	// Quarantined units or cells, and unexpected simulator panics, mean
+	// the harness itself misbehaved; surface that as a failing exit, once
+	// every output is written, so CI and scripted sweeps notice.
 	unexpected := 0
 	for _, r := range st.Results {
 		unexpected += r.Counts.Unexpected
 	}
 	if unexpected > 0 {
 		fmt.Fprintf(os.Stderr, "error: %d injections hit unexpected simulator panics (see the anomalies table in figures.txt)\n", unexpected)
+	}
+	if len(st.Failed) > 0 {
+		fmt.Fprintf(os.Stderr, "error: %d units/cells quarantined (see the failures table in figures.txt)\n", len(st.Failed))
+	}
+	if unexpected > 0 || len(st.Failed) > 0 {
 		stopProfiles()
-		os.Exit(1) //lint:exit process boundary: non-zero verdict for unexpected simulator panics
+		os.Exit(1) //lint:exit process boundary: non-zero verdict for quarantined units or cells and unexpected simulator panics
 	}
 }
 

@@ -249,17 +249,12 @@ func Run(exp *faultinj.Experiment, target faultinj.Target, opts Options) Result 
 	return res
 }
 
-// Cell is one target of a unit campaign: the target, the seed its
-// injections are sampled with, and, when non-nil, a context that ends
-// this cell alone (a per-cell deadline) while the others go on.
+// Cell is one target of a unit campaign: the target and the seed its
+// injections are sampled with.
 type Cell struct {
-	Target  faultinj.Target
-	Seed    int64
-	Context context.Context
+	Target faultinj.Target
+	Seed   int64
 }
-
-// live reports whether the cell's own context still lets it run.
-func (c Cell) live() bool { return c.Context == nil || c.Context.Err() == nil }
 
 // RunUnit runs the cells of one experiment as one campaign. Each cell is
 // sampled with its own seed, exactly as Run samples it alone, so its
@@ -273,11 +268,11 @@ func (c Cell) live() bool { return c.Context == nil || c.Context.Err() == nil }
 //
 // done is called once per cell with its index and Result the moment its
 // last injection lands: on a pool worker, concurrently with other cells'
-// calls, so it must not Submit to or wait on the pool. A cell whose own
-// Context ends, or every cell once Options.Context does, runs no more
-// injections and comes back Interrupted. err is set, and the Result
-// empty, when sampling the cell panicked; the other cells go on. RunUnit
-// returns when every cell has been reported.
+// calls, so it must not Submit to or wait on the pool. Once
+// Options.Context ends, every unfinished cell runs no more injections and
+// comes back Interrupted. err is set, and the Result empty, when sampling
+// the cell panicked; the other cells go on. RunUnit returns when every
+// cell has been reported.
 func RunUnit(exp *faultinj.Experiment, cells []Cell, opts Options, done func(i int, r Result, err error)) {
 	// The unit's injections in one slice: cell i owns
 	// [first[i], first[i]+size[i]), and left[i] of them have neither run
@@ -345,10 +340,9 @@ func RunUnit(exp *faultinj.Experiment, cells []Cell, opts Options, done func(i i
 // grouped by checkpoint, each group in cycle order, in chunks that each
 // run on one faultinj.Batch. From the pool workers it calls
 // land(j, outcome, true) as each injection lands, and land(j, zero,
-// false) for each one skipped because its cell's Context or
-// Options.Context had ended; injections not yet dispatched when
-// Options.Context ends are never landed. It returns when every
-// dispatched chunk is done.
+// false) for each one skipped because Options.Context had ended;
+// injections not yet dispatched when it ends are never landed. It
+// returns when every dispatched chunk is done.
 func walk(exp *faultinj.Experiment, cells []Cell, all []faultinj.Injection, owner []int, opts Options, land func(j int, out faultinj.InjectResult, ran bool)) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -378,12 +372,11 @@ dispatch:
 				b := exp.NewBatch()
 				defer b.Close()
 				for _, j := range chunk {
-					c := cells[owner[j]]
-					if ctx.Err() != nil || !c.live() {
+					if ctx.Err() != nil {
 						land(j, faultinj.InjectResult{}, false)
 						continue
 					}
-					land(j, inject(b, c.Target, all[j], opts), true)
+					land(j, inject(b, cells[owner[j]].Target, all[j], opts), true)
 				}
 			})
 			if !ok {

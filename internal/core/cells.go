@@ -66,10 +66,10 @@ func (s Spec) Cells() []CellRef {
 // campaign result plus, once per (march, bench, level) unit, the unit's
 // golden record (and static bound, for prune studies) so the receiver
 // can reassemble the full Study without re-running anything. Failures
-// ride along instead of results when the spec runs keep-going:
-// UnitFailure for a quarantined preparation (Result is then the
-// deterministic skipped placeholder), CellFailure for a stuck or
-// panicking cell.
+// ride along instead of results: UnitFailure for a quarantined
+// preparation (Result is then the deterministic skipped placeholder),
+// CellFailure for a cell whose sampling panicked or whose leases ran
+// out.
 type CellOutcome struct {
 	Cell   CellRef
 	Result campaign.Result
@@ -94,13 +94,9 @@ func unitFailed(ref CellRef, f Failure) CellOutcome {
 }
 
 // CellFailed is the outcome of a cell that will never produce a
-// result: it panicked, the watchdog abandoned it, or its leases ran out.
+// result: its sampling panicked or its leases ran out.
 func CellFailed(ref CellRef, f Failure) CellOutcome {
-	reason := "cell failed: "
-	if f.Stuck {
-		reason = "stuck: "
-	}
-	return CellOutcome{Cell: ref, Result: skipped(ref, reason+f.Err), CellFailure: &f}
+	return CellOutcome{Cell: ref, Result: skipped(ref, "cell failed: "+f.Err), CellFailure: &f}
 }
 
 // check rejects an outcome whose parts name different cells. Outcomes
@@ -137,11 +133,11 @@ func (o CellOutcome) check() error {
 // the spec's deterministic enumeration order, the golden record of each
 // unit on the unit's first returned outcome. Only the units the cells
 // touch are compiled and golden-run; every knob of the spec —
-// parallelism, journaling with replay, keep-going quarantine, pruning,
-// checkpoints — applies exactly as in Run, and each outcome is
-// byte-identical to the corresponding slice of a full Run. A worker
-// process given a lease of cells calls this with a local journal path,
-// so a worker killed mid-lease resumes its own partial work on
+// parallelism, journaling with replay, pruning, the cache — applies
+// exactly as in Run, failures are quarantined as in Run, and each
+// outcome is byte-identical to the corresponding slice of a full Run. A
+// worker process given a lease of cells calls this with a local journal
+// path, so a worker killed mid-lease resumes its own partial work on
 // restart.
 func (s Spec) RunCells(ctx context.Context, cells []CellRef) ([]CellOutcome, error) {
 	if len(cells) == 0 {

@@ -3,14 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"sevsim/internal/compiler"
-	"sevsim/internal/machine"
 )
 
 func TestCellsEnumerationMatchesRunOrder(t *testing.T) {
@@ -163,23 +161,11 @@ func TestAssemblerRebuildsByteIdenticalStudy(t *testing.T) {
 	}
 }
 
-// TestAssemblerKeepGoingQuarantine checks that unit failures carried
-// by outcomes assemble to the same bytes a keep-going single-process
-// run records for them.
-func TestAssemblerKeepGoingQuarantine(t *testing.T) {
+// TestAssemblerQuarantine checks that unit failures carried by outcomes
+// assemble to the same bytes a single-process run records for them.
+func TestAssemblerQuarantine(t *testing.T) {
 	spec := tinySpec(t)
-	spec.KeepGoing = true
-	// A stateless injected failure (unlike withCompileFailure's
-	// counter) so the baseline run and the RunCells run quarantine
-	// with identical error text.
-	orig := compileUnit
-	t.Cleanup(func() { compileUnit = orig })
-	compileUnit = func(src, name string, l compiler.OptLevel, tgt compiler.Target) (*machine.Program, error) {
-		if name == "gsm" && l == compiler.O2 {
-			return nil, errors.New("injected compile failure")
-		}
-		return orig(src, name, l, tgt)
-	}
+	withCompileFailure(t, "gsm", compiler.O2)
 
 	full, err := spec.Run()
 	if err != nil {
@@ -205,7 +191,7 @@ func TestAssemblerKeepGoingQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saveBytes(t, st), want) {
-		t.Fatal("assembled keep-going study differs from single-process run")
+		t.Fatal("assembled study with a quarantine differs from single-process run")
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
 
 	"sevsim/internal/artcache"
-	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/workloads"
 )
 
@@ -38,20 +36,13 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 			func(s *Spec) { s.Progress = func(string, ...any) {} }},
 		{"Journal", "the journal's own path; where results are logged, not what they are",
 			func(s *Spec) { s.Journal = "elsewhere.jsonl" }},
-		{"KeepGoing", "failure-handling policy; cells that complete are byte-identical either way, and quarantined failures are journaled as such",
-			func(s *Spec) { s.KeepGoing = true }},
-		{"Retries", "retry budget for transient host faults; successful results are independent of it",
-			func(s *Spec) { s.Retries = 3 }},
-		{"RetryBackoff", "retry pacing only; it shapes when attempts happen, never what they produce",
-			func(s *Spec) { s.RetryBackoff = &backoff.Policy{Base: time.Second, Max: time.Minute} }},
-		{"CellTimeout", "wall-clock watchdog for unattended runs; deliberately outside the reproducibility contract",
-			func(s *Spec) { s.CellTimeout = time.Minute }},
 		{"Cache", "artifact source only; a cache hit decodes to state bit-identical to a fresh prep, so no classification can depend on it",
 			func(s *Spec) { s.Cache = &artcache.Cache{} }},
 	}
 
 	base := DefaultSpec(100)
-	want, wantID := base.fingerprint(), base.Wire().ID()
+	want := base.Wire()
+	wantID := want.ID()
 	typ := reflect.TypeOf(base)
 	covered := map[string]bool{}
 	for _, r := range rows {
@@ -65,7 +56,7 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 		if reflect.DeepEqual(reflect.ValueOf(s).FieldByName(r.field).Interface(), reflect.ValueOf(base).FieldByName(r.field).Interface()) {
 			t.Errorf("the perturbation of %s leaves it unchanged", r.field)
 		}
-		changed := !reflect.DeepEqual(s.fingerprint(), want)
+		changed := !reflect.DeepEqual(s.Wire(), want)
 		if changedID := s.Wire().ID() != wantID; changedID != changed {
 			t.Errorf("perturbing %s changes the fingerprint (%v) and the study ID (%v) differently", r.field, changed, changedID)
 		}
@@ -84,14 +75,13 @@ func TestFingerprintIgnoresEphemeralKnobs(t *testing.T) {
 }
 
 // TestMetaRecordBytes pins the meta record a study journal starts with:
-// a journal written before the wire spec and the meta record were one
-// type must still resume, so the fields that are not part of a study's
-// identity must not reach its bytes.
+// a journal written by an earlier version, including one whose wire
+// spec still carried a retry budget, must still resume, so the record's
+// bytes must not move.
 func TestMetaRecordBytes(t *testing.T) {
 	spec := DefaultSpec(3)
 	spec.Machines, spec.Benchmarks, spec.Levels, spec.Targets = spec.Machines[:1], spec.Benchmarks[:1], spec.Levels[:1], spec.Targets[:1]
-	spec.Retries = 2
-	got, err := json.Marshal(spec.fingerprint())
+	got, err := json.Marshal(spec.Wire())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,8 @@ const (
 
 // StudySpec is a study's identity in names: the wire form a coordinator
 // hands its workers and the meta record a study journal starts with.
-// Execution knobs (parallelism, journaling paths, watchdogs, the cache
-// and its size) stay host-local. Retries travels with a submitted study
-// but is not part of its identity, and being omitempty it leaves the
-// meta record's bytes what they were before the two were one type.
+// Execution knobs (parallelism, journaling paths, the cache and its
+// size) stay host-local.
 type StudySpec struct {
 	Machines []string // machine config names (MachineConfig)
 	Benches  []string // benchmark names (workloads.ByName)
@@ -43,26 +41,19 @@ type StudySpec struct {
 	Faults   int
 	Seed     int64
 	Prune    bool
-
-	// Retries is the workers' Spec.Retries.
-	Retries int `json:",omitempty"`
 }
 
-// identity drops the fields a study may change without becoming another
-// study: what the journal fingerprints and the study ID hashes.
-func (w StudySpec) identity() StudySpec {
-	w.Retries = 0
-	return w
-}
-
-// Wire renders the spec as its StudySpec, sizes resolved.
+// Wire renders the spec as its StudySpec, sizes resolved: the journal's
+// meta record, so everything that can change a result must be reachable
+// from here. TestFingerprintIgnoresEphemeralKnobs perturbs every Spec
+// field: a fingerprinted field must change the record, and an ephemeral
+// knob, whose row says why a resume may change it, must not.
 func (s Spec) Wire() StudySpec {
 	w := StudySpec{
-		Sizes:   s.resolveSizes(),
-		Faults:  s.Faults,
-		Seed:    s.Seed,
-		Prune:   s.Prune,
-		Retries: s.Retries,
+		Sizes:  s.resolveSizes(),
+		Faults: s.Faults,
+		Seed:   s.Seed,
+		Prune:  s.Prune,
 	}
 	for _, cfg := range s.Machines {
 		w.Machines = append(w.Machines, cfg.Name)
@@ -78,13 +69,6 @@ func (s Spec) Wire() StudySpec {
 	}
 	return w
 }
-
-// fingerprint is the journal's meta record. Everything that can change
-// a result must be reachable from here.
-// TestFingerprintIgnoresEphemeralKnobs perturbs every Spec field: a
-// fingerprinted field must change the record, and an ephemeral knob,
-// whose row says why a resume may change it, must not.
-func (s Spec) fingerprint() StudySpec { return s.Wire().identity() }
 
 // Normalize fills defaults (benchmark sizes, the full target set) and
 // validates every name resolves. The normalized spec is what the
@@ -124,7 +108,7 @@ func (w StudySpec) Normalize() (StudySpec, error) {
 // ID derives the study's content-addressed identity from the
 // normalized spec, so resubmitting the same study is idempotent.
 func (w StudySpec) ID() string {
-	data, err := json.Marshal(w.identity())
+	data, err := json.Marshal(w)
 	if err != nil {
 		// Marshalling a struct of strings and ints cannot fail.
 		panic(fmt.Sprintf("core: marshal spec: %v", err))
@@ -137,7 +121,7 @@ func (w StudySpec) ID() string {
 // deterministic, so every worker and the coordinator agree on cell
 // enumeration, seeds, and the journal fingerprint.
 func (w StudySpec) Spec() (Spec, error) {
-	s := Spec{Faults: w.Faults, Seed: w.Seed, Prune: w.Prune, Retries: w.Retries}
+	s := Spec{Faults: w.Faults, Seed: w.Seed, Prune: w.Prune}
 	for _, name := range w.Machines {
 		cfg, ok := MachineConfig(name)
 		if !ok {

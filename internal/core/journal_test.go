@@ -4,46 +4,33 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sevsim/internal/compiler"
+	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/machine"
 )
 
 // eventfulJournal records a real study journal with every kind of
 // outcome in it — results, one quarantined unit (gsm at O2 fails to
-// compile), one stuck cell (the watchdog fires on the first cell) — and
-// returns the spec and the journal's records.
+// compile) and a failed cell in every other unit (a PANIC target whose
+// sampling panics) — and returns the spec and the journal's records.
 func eventfulJournal(t testing.TB) (Spec, []journal.Record) {
 	t.Helper()
-	orig := compileUnit
-	t.Cleanup(func() { compileUnit = orig })
-	compileUnit = func(src, name string, l compiler.OptLevel, tgt compiler.Target) (*machine.Program, error) {
-		if name == "gsm" && l == compiler.O2 {
-			return nil, errors.New("injected compile failure")
-		}
-		return orig(src, name, l, tgt)
-	}
+	withCompileFailure(t, "gsm", compiler.O2)
 	spec := tinySpec(t)
 	spec.Machines = spec.Machines[:1]
-	spec.KeepGoing = true
+	spec.Targets = append(spec.Targets, faultinj.NewTarget("PANIC", "",
+		func(*machine.Machine) uint64 { panic("no bits") }, func(*machine.Machine, uint64) {}))
 	spec.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
-
-	stuck := spec
-	stuck.CellTimeout = time.Nanosecond
-	if _, err := stuck.RunCells(context.Background(), spec.Cells()[:1]); err != nil {
-		t.Fatal(err)
-	}
 	st, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Failed) != 2 || !st.Failed[0].Stuck || st.Failed[1].Stage != "compile" {
+	if len(st.Failed) != 4 || st.Failed[0].Stage != "cell" || st.Failed[3].Stage != "compile" {
 		t.Fatalf("journal seed study did not fail as planned: %+v", st.Failed)
 	}
 	recs, err := journal.Scan(spec.Journal)
@@ -77,7 +64,7 @@ func FuzzOutcomeReplay(f *testing.F) {
 		}
 		asm := NewAssembler(spec)
 		seen := map[CellRef]bool{}
-		err := replayJournal(replay, spec.fingerprint(), func(o CellOutcome) error {
+		err := replayJournal(replay, spec.Wire(), func(o CellOutcome) error {
 			accepted, err := asm.Add(o)
 			if accepted {
 				if seen[o.Cell] {
@@ -112,7 +99,7 @@ func FuzzOutcomeReplay(f *testing.F) {
 func TestJournalReplayIsAssemblerAdd(t *testing.T) {
 	spec, recs := eventfulJournal(t)
 	asm := NewAssembler(spec)
-	err := replayJournal(recs, spec.fingerprint(), func(o CellOutcome) error {
+	err := replayJournal(recs, spec.Wire(), func(o CellOutcome) error {
 		_, err := asm.Add(o)
 		return err
 	})
@@ -147,7 +134,7 @@ func TestOldFormatJournalRejected(t *testing.T) {
 		kind string
 		v    any
 	}{
-		{kindMeta, spec.fingerprint()},
+		{kindMeta, spec.Wire()},
 		{"golden", map[string]any{"Golden": Golden{March: cell.March, Bench: cell.Bench, Level: cell.Level, Cycles: 1}}},
 		{"cell", map[string]string{"March": cell.March, "Bench": cell.Bench, "Level": cell.Level, "Target": cell.Target}},
 	} {

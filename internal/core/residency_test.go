@@ -13,7 +13,6 @@ import (
 
 	"sevsim/internal/binanalysis"
 	"sevsim/internal/compiler"
-	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
@@ -184,9 +183,8 @@ func TestResidencyFollowsWorkers(t *testing.T) {
 }
 
 // TestResidencyBoundOnFailurePaths: the window gives every slot back and
-// run returns when the study is cancelled half way, when a unit is
-// quarantined, and when the very first unit aborts the run while the
-// feeder is blocked on a full window.
+// run returns when the study is cancelled half way and when units are
+// quarantined.
 func TestResidencyBoundOnFailurePaths(t *testing.T) {
 	const units = 12
 	for _, workers := range []int{1, 2, 4} {
@@ -214,10 +212,10 @@ func TestResidencyBoundOnFailurePaths(t *testing.T) {
 			count.check(t, workers, units)
 
 		})
-		t.Run(fmt.Sprintf("keep-going/workers=%d", workers), func(t *testing.T) {
-			withCompileFailure(t, "gsm", compiler.O2, 1<<30)
+		t.Run(fmt.Sprintf("quarantined/workers=%d", workers), func(t *testing.T) {
+			withCompileFailure(t, "gsm", compiler.O2)
 			spec := residencySpec(t)
-			spec.Parallelism, spec.KeepGoing = workers, true
+			spec.Parallelism = workers
 			count := countFlight(t)
 			st, err := returns(t, context.Background(), spec)
 			if err != nil {
@@ -228,75 +226,58 @@ func TestResidencyBoundOnFailurePaths(t *testing.T) {
 			}
 			count.check(t, workers, units)
 		})
-		t.Run(fmt.Sprintf("abort/workers=%d", workers), func(t *testing.T) {
-			spec := residencySpec(t)
-			withCompileFailure(t, spec.Benchmarks[0].Name, spec.Levels[0], 1<<30)
-			spec.Parallelism = workers
-			count := countFlight(t)
-			if _, err := returns(t, context.Background(), spec); err == nil || !strings.Contains(err.Error(), "injected compile failure") {
-				t.Fatalf("abort-mode run returned %v", err)
-			}
-			count.check(t, workers, units)
-		})
 	}
 }
 
 // TestAnalyzeFailureClosesExperiment: a unit whose golden run succeeded
 // and whose analyze stage then failed still hands its ladder's pooled
-// snapshots back — at every retried attempt, at the quarantine, and when
-// it aborts the run. Every experiment that reached the analyze stage is
-// counted with the snapshots it held; all of them must have come back.
+// snapshots back when it is quarantined, and is prepared once: a failure
+// is final, never retried. Every experiment that reached the analyze
+// stage is counted with the snapshots it held; all of them must have
+// come back.
 func TestAnalyzeFailureClosesExperiment(t *testing.T) {
-	for _, keepGoing := range []bool{true, false} {
-		for _, cached := range []bool{false, true} {
-			t.Run(fmt.Sprintf("keep-going=%v/cache=%v", keepGoing, cached), func(t *testing.T) {
-				var mu sync.Mutex
-				var handed []*faultinj.Experiment
-				snaps, failed := 0, 0
-				orig := newPruner
-				t.Cleanup(func() { newPruner = orig })
-				newPruner = func(a *binanalysis.Analysis, exp *faultinj.Experiment) (*binanalysis.DUEPruner, error) {
-					mu.Lock()
-					defer mu.Unlock()
-					handed = append(handed, exp)
-					snaps += exp.Artifacts().Stream.Len()
-					if exp.Program.Name == "gsm" && exp.Config.Name == machine.Configs()[0].Name {
-						failed++
-						return nil, fmt.Errorf("injected analyze failure %d", failed)
-					}
-					return orig(a, exp)
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			var mu sync.Mutex
+			var handed []*faultinj.Experiment
+			snaps, failed := 0, 0
+			orig := newPruner
+			t.Cleanup(func() { newPruner = orig })
+			newPruner = func(a *binanalysis.Analysis, exp *faultinj.Experiment) (*binanalysis.DUEPruner, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				handed = append(handed, exp)
+				snaps += exp.Artifacts().Stream.Len()
+				if exp.Program.Name == "gsm" && exp.Config.Name == machine.Configs()[0].Name {
+					failed++
+					return nil, fmt.Errorf("injected analyze failure %d", failed)
 				}
-				spec := resumeSpec(t) // one machine: qsort and gsm at O0 and O2
-				spec.Prune, spec.KeepGoing, spec.Retries = true, keepGoing, 1
-				spec.RetryBackoff = &backoff.Policy{Base: time.Microsecond, Max: 10 * time.Microsecond}
-				spec.Faults = 2
-				if cached {
-					spec.Cache = openCache(t, t.TempDir())
+				return orig(a, exp)
+			}
+			spec := resumeSpec(t) // one machine: qsort and gsm at O0 and O2
+			spec.Prune, spec.Faults = true, 2
+			if cached {
+				spec.Cache = openCache(t, t.TempDir())
+			}
+			st, err := returns(t, context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Failed) != 2 || st.Failed[0].Stage != "analyze" || st.Failed[1].Stage != "analyze" {
+				t.Errorf("failure records %+v, want gsm O0 and O2 quarantined in analyze", st.Failed)
+			}
+			if failed != 2 {
+				t.Errorf("%d analyze failures injected, want one per gsm unit", failed)
+			}
+			returned := 0
+			for _, exp := range handed {
+				if exp.Artifacts().Stream == nil {
+					returned++
 				}
-				st, err := returns(t, context.Background(), spec)
-				if keepGoing {
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(st.Failed) != 2 || st.Failed[0].Stage != "analyze" || st.Failed[0].Retries != 1 {
-						t.Errorf("failure records %+v, want gsm O0 and O2 quarantined in analyze after one retry", st.Failed)
-					}
-					if failed != 4 {
-						t.Errorf("%d analyze failures injected, want 2 units x 2 attempts", failed)
-					}
-				} else if err == nil || !strings.Contains(err.Error(), "injected analyze failure") {
-					t.Fatalf("abort-mode run returned %v", err)
-				}
-				returned := 0
-				for _, exp := range handed {
-					if exp.Artifacts().Stream == nil {
-						returned++
-					}
-				}
-				if snaps == 0 || returned != len(handed) {
-					t.Errorf("%d of %d experiments that reached the analyze stage were closed (%d snapshots among them)", returned, len(handed), snaps)
-				}
-			})
-		}
+			}
+			if snaps == 0 || returned != len(handed) {
+				t.Errorf("%d of %d experiments that reached the analyze stage were closed (%d snapshots among them)", returned, len(handed), snaps)
+			}
+		})
 	}
 }

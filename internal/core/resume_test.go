@@ -9,13 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sevsim/internal/compiler"
-	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/machine"
@@ -246,49 +243,41 @@ func TestJournalSpecMismatchRejected(t *testing.T) {
 	}
 }
 
-// withCompileFailure injects a failure into compileUnit for the given
-// (bench, level) unit during the test.
-func withCompileFailure(t *testing.T, bench string, level compiler.OptLevel, failures int) {
+// withCompileFailure makes compileUnit fail for the given (bench, level)
+// unit during the test, always with the same error text, so two runs
+// quarantine it identically.
+func withCompileFailure(t testing.TB, bench string, level compiler.OptLevel) {
 	t.Helper()
 	orig := compileUnit
 	t.Cleanup(func() { compileUnit = orig })
-	var mu sync.Mutex
-	failed := 0
 	compileUnit = func(src, name string, l compiler.OptLevel, tgt compiler.Target) (*machine.Program, error) {
 		if name == bench && l == level {
-			mu.Lock()
-			defer mu.Unlock()
-			if failed < failures {
-				failed++
-				return nil, fmt.Errorf("injected compile failure %d", failed)
-			}
+			return nil, errors.New("injected compile failure")
 		}
 		return orig(src, name, l, tgt)
 	}
 }
 
-// TestKeepGoingIsolatesCompileFailure is the error-isolation
-// acceptance: a compile failure in one unit quarantines that unit and
-// leaves every other cell identical to a clean run.
-func TestKeepGoingIsolatesCompileFailure(t *testing.T) {
+// TestCompileFailureIsQuarantined is the error-isolation acceptance: a
+// compile failure in one unit quarantines that unit and leaves every
+// other cell identical to a clean run.
+func TestCompileFailureIsQuarantined(t *testing.T) {
 	clean, err := resumeSpec(t).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	withCompileFailure(t, "gsm", compiler.O2, 1<<30)
-	spec := resumeSpec(t)
-	spec.KeepGoing = true
-	st, err := spec.Run()
+	withCompileFailure(t, "gsm", compiler.O2)
+	st, err := resumeSpec(t).Run()
 	if err != nil {
-		t.Fatalf("keep-going run aborted: %v", err)
+		t.Fatalf("run with a failing unit returned %v", err)
 	}
 
 	if len(st.Failed) != 1 {
 		t.Fatalf("Failed = %+v, want exactly one record", st.Failed)
 	}
 	f := st.Failed[0]
-	if f.Bench != "gsm" || f.Level != "O2" || f.Stage != "compile" || f.Stuck {
+	if f.Bench != "gsm" || f.Level != "O2" || f.Stage != "compile" {
 		t.Errorf("failure record = %+v", f)
 	}
 	if !strings.Contains(f.Err, "injected compile failure") {
@@ -323,71 +312,11 @@ func TestKeepGoingIsolatesCompileFailure(t *testing.T) {
 	}
 }
 
-// TestAbortModeStillFailsFast: without KeepGoing a unit failure aborts
-// the study with that unit's error, as before.
-func TestAbortModeStillFailsFast(t *testing.T) {
-	withCompileFailure(t, "qsort", compiler.O0, 1<<30)
+// TestQuarantineReplaysFromJournal: a journaled run with a quarantined
+// unit replays byte-identically.
+func TestQuarantineReplaysFromJournal(t *testing.T) {
+	withCompileFailure(t, "gsm", compiler.O2)
 	spec := resumeSpec(t)
-	st, err := spec.Run()
-	if err == nil || st != nil {
-		t.Fatalf("expected abort, got st=%v err=%v", st, err)
-	}
-	if !strings.Contains(err.Error(), "injected compile failure") {
-		t.Errorf("error = %v", err)
-	}
-}
-
-// TestRetriesRideOutTransientFailure: a unit that fails once and then
-// succeeds completes cleanly when Retries covers the transient.
-func TestRetriesRideOutTransientFailure(t *testing.T) {
-	clean, err := resumeSpec(t).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	withCompileFailure(t, "gsm", compiler.O0, 1)
-	spec := resumeSpec(t)
-	spec.KeepGoing = true
-	spec.Retries = 2
-	st, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Failed) != 0 {
-		t.Fatalf("transient failure not retried away: %+v", st.Failed)
-	}
-	for i, r := range st.Results {
-		if r != clean.Results[i] {
-			t.Errorf("cell %d differs after retry: %+v vs %+v", i, r, clean.Results[i])
-		}
-	}
-}
-
-// TestRetriesBoundedAndRecorded: a persistent failure is quarantined
-// after exactly Retries extra attempts, and the count is recorded.
-func TestRetriesBoundedAndRecorded(t *testing.T) {
-	withCompileFailure(t, "gsm", compiler.O0, 1<<30)
-	spec := resumeSpec(t)
-	spec.KeepGoing = true
-	spec.Retries = 2
-	st, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Failed) != 1 {
-		t.Fatalf("Failed = %+v", st.Failed)
-	}
-	if st.Failed[0].Retries != 2 {
-		t.Errorf("recorded retries = %d, want 2", st.Failed[0].Retries)
-	}
-}
-
-// TestKeepGoingFailureReplaysFromJournal: a journaled keep-going run
-// with a quarantined unit replays byte-identically.
-func TestKeepGoingFailureReplaysFromJournal(t *testing.T) {
-	withCompileFailure(t, "gsm", compiler.O2, 1<<30)
-	spec := resumeSpec(t)
-	spec.KeepGoing = true
 	spec.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
 	first, err := spec.Run()
 	if err != nil {
@@ -398,44 +327,17 @@ func TestKeepGoingFailureReplaysFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saveBytes(t, first), saveBytes(t, second)) {
-		t.Error("replayed keep-going study not byte-identical")
+		t.Error("replayed study with a quarantine not byte-identical")
 	}
 	if len(second.Failed) != 1 || second.Failed[0].Stage != "compile" {
 		t.Errorf("replayed failure record = %+v", second.Failed)
 	}
 }
 
-// TestCellWatchdogRecordsStuck: an unreachably small cell deadline
-// must quarantine cells as stuck instead of hanging or aborting — every
-// cell of a unit, each on its own deadline, though they run as one
-// campaign.
-func TestCellWatchdogRecordsStuck(t *testing.T) {
-	spec := resumeSpec(t)
-	spec.Benchmarks = spec.Benchmarks[:1]
-	spec.Levels = spec.Levels[:1]
-	spec.Targets = faultinj.Targets()
-	spec.CellTimeout = time.Nanosecond
-	st, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Failed) != len(spec.Targets) {
-		t.Fatalf("Failed = %+v, want one stuck record per target", st.Failed)
-	}
-	for i, f := range st.Failed {
-		if !f.Stuck || f.Stage != "cell" || f.Target != spec.Targets[i].Name() {
-			t.Errorf("failure record %d = %+v", i, f)
-		}
-		if !strings.Contains(st.Results[i].Skipped, "stuck") {
-			t.Errorf("stuck cell result = %+v", st.Results[i])
-		}
-	}
-}
-
-// TestKeepGoingIsolatesSamplingPanic: a target whose sampling panics
-// fails its own cell under keep-going, and the unit's other cells, which
-// run in the same campaign, come out as in a clean run.
-func TestKeepGoingIsolatesSamplingPanic(t *testing.T) {
+// TestSamplingPanicIsQuarantined: a target whose sampling panics fails
+// its own cell, and the unit's other cells, which run in the same
+// campaign, come out as in a clean run.
+func TestSamplingPanicIsQuarantined(t *testing.T) {
 	spec := resumeSpec(t)
 	spec.Benchmarks = spec.Benchmarks[:1]
 	spec.Levels = spec.Levels[:1]
@@ -445,12 +347,11 @@ func TestKeepGoingIsolatesSamplingPanic(t *testing.T) {
 	}
 	spec.Targets = append(spec.Targets[:1:1], append([]faultinj.Target{faultinj.NewTarget("PANIC", "",
 		func(*machine.Machine) uint64 { panic("no bits") }, func(*machine.Machine, uint64) {})}, spec.Targets[1:]...)...)
-	spec.KeepGoing = true
 	st, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Failed) != 1 || st.Failed[0].Target != "PANIC" || st.Failed[0].Stuck ||
+	if len(st.Failed) != 1 || st.Failed[0].Target != "PANIC" ||
 		!strings.Contains(st.Failed[0].Err, "panic: no bits") {
 		t.Fatalf("Failed = %+v, want the panicking cell alone", st.Failed)
 	}
@@ -534,31 +435,6 @@ func TestRunContextPreCancelled(t *testing.T) {
 	spec := resumeSpec(t)
 	if _, err := spec.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestRetryBackoffPacingPreservesResults: the retry backoff policy is
-// an ephemeral execution knob — cranking it to near-zero (so tests
-// stay fast) or leaving the default must produce identical studies.
-func TestRetryBackoffPacingPreservesResults(t *testing.T) {
-	clean, err := resumeSpec(t).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCompileFailure(t, "gsm", compiler.O0, 2)
-	spec := resumeSpec(t)
-	spec.KeepGoing = true
-	spec.Retries = 3
-	spec.RetryBackoff = &backoff.Policy{Base: time.Microsecond, Max: 10 * time.Microsecond}
-	st, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Failed) != 0 {
-		t.Fatalf("transient failure not retried away under custom backoff: %+v", st.Failed)
-	}
-	if !bytes.Equal(saveBytes(t, clean), saveBytes(t, st)) {
-		t.Error("retry backoff changed study bytes")
 	}
 }
 

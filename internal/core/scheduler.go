@@ -17,9 +17,10 @@
 // flight, and the resumed study still saves byte-identical output.
 // RunContext makes the whole engine cancellable (SIGINT flows in as
 // context cancellation: dispatch stops, in-flight injections drain,
-// the journal is flushed), and Spec.KeepGoing turns failed units and
-// cells into failure outcomes (Study.Failed) instead of aborting the
-// run.
+// the journal is flushed). A unit whose preparation fails and a cell
+// whose sampling panics become failure outcomes (Study.Failed), and the
+// rest of the study runs on: quarantine is the engine's one failure
+// policy.
 package core
 
 import (
@@ -33,7 +34,6 @@ import (
 	"sevsim/internal/binanalysis"
 	"sevsim/internal/campaign"
 	"sevsim/internal/compiler"
-	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/machine"
@@ -72,47 +72,37 @@ func (r *reporter) printf(format string, args ...any) {
 // prepUnit is one (march, bench, level) triple: a compile plus a golden
 // run that gates the unit's campaign cells.
 type prepUnit struct {
-	cfg     machine.Config
-	bench   workloads.Benchmark
-	size    int
-	level   compiler.OptLevel
-	prune   bool
-	retries int
-	cache   *artcache.Cache // nil: prep directly, nothing persisted
+	cfg   machine.Config
+	bench workloads.Benchmark
+	size  int
+	level compiler.OptLevel
+	prune bool
+	cache *artcache.Cache // nil: prep directly, nothing persisted
 
 	// need lists the unit's targets this run campaigns: the cells the
-	// caller wants that the journal did not already hold. cellErr,
-	// parallel to it, collects recovered cell panics for abort mode.
-	need    []faultinj.Target
-	cellErr []error
-
-	// Retry pacing between failed preparation attempts: the shared
-	// exponential-backoff policy, jittered from a deterministic
-	// per-unit seed so retry schedules reproduce run to run.
-	backoff backoff.Policy
-	jitter  *backoff.Source
+	// caller wants that the journal did not already hold.
+	need []faultinj.Target
 
 	// exp and pruner are what a unit in flight holds: set by the
 	// preparation, dropped by release when the last cell is out. The
 	// pruner is the only holder of the unit's binary analysis, so the
-	// analysis goes with it. What stays is what run's epilogue and the
+	// analysis goes with it. What stays is what the orchestrator and the
 	// outcomes read.
-	exp      *faultinj.Experiment
-	pruner   faultinj.Pruner // non-nil only for prune units
-	held     resident        // what exp and pruner hold, once prepared
-	golden   Golden
-	static   *StaticRF // non-nil only for prune units
-	err      error
-	stage    string // failing stage: "compile", "golden", "analyze"
-	attempts int
-	ready    chan struct{} // closed once exp/golden/err are final
+	exp    *faultinj.Experiment
+	pruner faultinj.Pruner // non-nil only for prune units
+	held   resident        // what exp and pruner hold, once prepared
+	golden Golden
+	static *StaticRF // non-nil only for prune units
+	err    error
+	stage  string        // failing stage: "compile", "golden", "analyze"
+	ready  chan struct{} // closed once exp/golden/err are final
 }
 
 // release closes the unit's experiment, handing its ladder's pooled core
 // snapshots back, and drops it and the pruner so the collector can take
 // the trace, the ladder, the tables and the analysis with them. It is
-// the end of every unit's life — after the last cell, after a failed
-// attempt, after a cancelled run — and of every attempt that is retried.
+// the end of every unit's life: after the last cell, after a failed
+// preparation, after a cancelled run.
 func (u *prepUnit) release() {
 	if u.exp != nil {
 		u.exp.Close()
@@ -125,41 +115,27 @@ func (u *prepUnit) ref(t faultinj.Target) CellRef {
 	return CellRef{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Target: t.Name()}
 }
 
-// run prepares the unit with up to retries extra attempts; a cancelled
-// context short-circuits pending units. Attempts after the first wait
-// out an exponential backoff with jitter (the shared
-// internal/dispatch/backoff policy), so a transiently failing compile
-// — a briefly full disk, an overloaded host — gets time to clear
-// instead of burning every retry back to back.
+// run prepares the unit once; a cancelled context short-circuits
+// pending units. Preparation is a pure function of the spec, so a
+// failure is the unit's outcome, not a transient to retry: the
+// orchestrator quarantines it.
 func (u *prepUnit) run(ctx context.Context) {
 	defer close(u.ready)
-	for attempt := 0; ; attempt++ {
-		u.attempts = attempt + 1
-		if err := ctx.Err(); err != nil {
-			u.err, u.stage = err, "cancelled"
-			return
-		}
-		u.prepOnce()
-		if u.err == nil || attempt >= u.retries {
-			return
-		}
-		if err := u.backoff.Sleep(ctx, attempt, u.jitter); err != nil {
-			u.err, u.stage = err, "cancelled"
-			return
-		}
+	if err := ctx.Err(); err != nil {
+		u.err, u.stage = err, "cancelled"
+		return
 	}
+	u.prepOnce()
 }
 
-// prepOnce performs one compile + golden-run + (for prune units)
-// analysis attempt. With a cache, one unit per key builds the bundle
+// prepOnce performs the compile + golden-run + (for prune units)
+// analysis. With a cache, one unit per key builds the bundle
 // (concurrent requesters share it via single-flight) and hit and fill
 // paths both decode the serialized bundle (loadBundle), so a warm study
 // runs its campaign from exactly the same decoded state a cold one
 // does. Panics from any stage are recovered into errors so one bad unit
 // cannot take down the study.
 func (u *prepUnit) prepOnce() {
-	u.release() // a failed attempt may have got as far as an experiment
-	u.err = nil
 	u.stage = "compile"
 	defer func() {
 		if r := recover(); r != nil {
@@ -439,7 +415,10 @@ func (r *results) sync() {
 // with the injection campaigns: each unit's cells are dispatched the
 // moment its golden run finishes, while other units are still
 // preparing. Results are deterministic and identical to a serial
-// (Parallelism: 1) run.
+// (Parallelism: 1) run. A unit whose preparation fails, or a cell whose
+// sampling panics, is quarantined into Study.Failed and the rest of the
+// study runs on; Run returns an error only when it is cancelled or the
+// journal cannot be opened, replayed or written.
 func (s Spec) Run() (*Study, error) { return s.RunContext(context.Background()) }
 
 // RunContext is Run with cancellation and crash tolerance: cancelling
@@ -461,15 +440,15 @@ func (s Spec) RunContext(ctx context.Context) (*Study, error) {
 // outcome computed here is merged into asm; the wanted ones are also
 // handed to sink, one at a time.
 func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, sink func(CellOutcome)) error {
-	// runCtx cancels the whole engine: external interruption, the first
-	// failure in abort (non-KeepGoing) mode, or a journal write error.
+	// runCtx cancels the whole engine: external interruption or a journal
+	// write error.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
 	rep := &reporter{fn: s.Progress}
 	res := &results{asm: asm, want: want, sink: sink, cancel: cancelRun}
 	if s.Journal != "" {
-		jw, err := openStudyJournal(s.Journal, s.fingerprint(), res.merge)
+		jw, err := openStudyJournal(s.Journal, s.Wire(), res.merge)
 		if err != nil {
 			return err
 		}
@@ -506,11 +485,8 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				}
 				units = append(units, &prepUnit{
 					cfg: cfg, bench: bench, size: sizes[bi], level: level,
-					prune: s.Prune, retries: s.Retries, cache: s.Cache,
-					need: need, cellErr: make([]error, len(need)),
-					backoff: s.retryBackoff(),
-					jitter:  backoff.NewSource(cellSeed(s.Seed, cfg.Name, bench.Name, level.String(), "retry-jitter")),
-					ready:   make(chan struct{}),
+					prune: s.Prune, cache: s.Cache, need: need,
+					ready: make(chan struct{}),
 				})
 			}
 		}
@@ -550,46 +526,24 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 
 	// runUnit campaigns every needed cell of a prepared unit as one
 	// campaign and emits each cell's outcome as it finishes: the result,
-	// or — keep-going — the failure that replaced it. A cell cut short by
-	// study-wide cancellation emits nothing.
+	// or the failure of a cell whose sampling panicked. A cell cut short
+	// by cancellation emits nothing.
 	runUnit := func(u *prepUnit) {
 		cells := make([]campaign.Cell, len(u.need))
 		for i, t := range u.need {
 			ref := u.ref(t)
 			cells[i] = campaign.Cell{Target: t, Seed: cellSeed(s.Seed, ref.March, ref.Bench, ref.Level, ref.Target)}
-			// The watchdog: a per-cell deadline layered on the study
-			// context. When it fires, the cell's remaining injections are
-			// skipped and it reports Interrupted while the study is alive.
-			if s.CellTimeout > 0 {
-				cellCtx, cancelCell := context.WithTimeout(runCtx, s.CellTimeout)
-				defer cancelCell()
-				cells[i].Context = cellCtx
-			}
 		}
 		opts := campaign.Options{Faults: s.Faults, Pool: pool, Pruner: u.pruner, Context: runCtx}
 		campaign.RunUnit(u.exp, cells, opts, func(i int, r campaign.Result, err error) {
 			ref := u.ref(u.need[i])
-			failure := Failure{March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target, Stage: "cell"}
 			switch {
 			case err != nil:
-				err = fmt.Errorf("cell %s: %w", ref, err)
-				if !s.KeepGoing {
-					u.cellErr[i] = err
-					cancelRun()
-					return
-				}
-				failure.Err = err.Error()
-				res.emit(u, CellFailed(ref, failure))
+				res.emit(u, CellFailed(ref, Failure{March: ref.March, Bench: ref.Bench, Level: ref.Level, Target: ref.Target,
+					Stage: "cell", Err: fmt.Sprintf("cell %s: %v", ref, err)}))
 				return
-			case r.Interrupted && runCtx.Err() != nil:
-				return // study-wide cancellation: drop the partial cell
 			case r.Interrupted:
-				// Watchdog expiry: quarantine the cell as stuck.
-				failure.Err, failure.Stuck = "exceeded per-cell wall-clock deadline", true
-				res.emit(u, CellFailed(ref, failure))
-				rep.printf("  %-16s %-9s %-2s %-9s STUCK after %d/%d injections (watchdog)",
-					ref.March, ref.Bench, ref.Level, ref.Target, r.Faults, s.Faults)
-				return
+				return // cancellation: drop the partial cell
 			}
 			r.March, r.Bench, r.Level = ref.March, ref.Bench, ref.Level
 			res.emit(u, CellOutcome{Cell: ref, Result: r})
@@ -614,20 +568,12 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				if isCancel(u.err) {
 					return
 				}
-				if !s.KeepGoing {
-					cancelRun()
-					return
-				}
-				f := Failure{
-					March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(),
-					Stage: u.stage, Err: u.err.Error(), Retries: u.attempts - 1,
-				}
+				f := Failure{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Stage: u.stage, Err: u.err.Error()}
 				for _, t := range u.need {
 					res.emit(u, unitFailed(u.ref(t), f))
 				}
 				res.sync()
-				rep.printf("FAILED %-16s %-9s %s: %s (quarantined after %d attempt(s))",
-					u.cfg.Name, u.bench.Name, u.level, u.err, u.attempts)
+				rep.printf("FAILED %-16s %-9s %s: %s (quarantined)", u.cfg.Name, u.bench.Name, u.level, u.err)
 				return
 			}
 			fl.prepared(u)
@@ -648,31 +594,8 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 	if res.err != nil {
 		return res.err
 	}
-	// Abort mode: the first failing unit or cell in enumeration order
-	// determines the returned error, matching the serial loop.
-	if !s.KeepGoing {
-		for _, u := range units {
-			if u.err != nil && !isCancel(u.err) {
-				return u.err
-			}
-			for _, err := range u.cellErr {
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("study interrupted (completed cells are journaled; rerun with the same spec and journal to resume): %w", err)
 	}
 	return nil
-}
-
-// retryBackoff resolves the preparation-retry pacing policy:
-// Spec.RetryBackoff when set, else the shared default.
-func (s Spec) retryBackoff() backoff.Policy {
-	if s.RetryBackoff != nil {
-		return *s.RetryBackoff
-	}
-	return backoff.Default
 }

@@ -12,12 +12,10 @@ import (
 	"hash/fnv"
 	"os"
 	"sync"
-	"time"
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/campaign"
 	"sevsim/internal/compiler"
-	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/machine"
@@ -69,36 +67,6 @@ type Spec struct {
 	// byte-identical study.json to an uninterrupted run. A journal
 	// recorded under a different spec is rejected.
 	Journal string
-
-	// KeepGoing quarantines failures instead of aborting the study: a
-	// unit whose compile, golden run, or analysis fails (after Retries
-	// bounded retries) is recorded in Study.Failed, its cells are marked
-	// skipped, and every other cell completes exactly as in a clean
-	// run. Without KeepGoing the first failure cancels the study, which
-	// is the historical behavior.
-	KeepGoing bool
-
-	// Retries is the number of additional preparation attempts after a
-	// unit's first failure, for riding out transient faults (0: fail on
-	// the first error). The attempt count is recorded in the Failure.
-	// Attempts after the first wait out the shared exponential backoff
-	// with jitter (RetryBackoff), so a transient fault gets time to
-	// clear instead of burning every retry back to back.
-	Retries int
-
-	// RetryBackoff overrides the pacing between preparation retries
-	// (nil: backoff.Default). The jitter is sampled from a
-	// deterministic per-unit seed, so retry schedules — like results —
-	// reproduce run to run.
-	RetryBackoff *backoff.Policy
-
-	// CellTimeout, when positive, arms a per-cell watchdog: a campaign
-	// cell that exceeds this wall-clock budget is abandoned (in-flight
-	// injections drain), recorded in Study.Failed as stuck, and marked
-	// skipped — instead of hanging the whole pool. Stuck classification
-	// depends on the wall clock, so enable it only for unattended runs
-	// where liveness beats strict reproducibility.
-	CellTimeout time.Duration
 
 	// Cache, when non-nil, memoizes prep artifacts on disk (compiled
 	// binary, golden result, commit trace, checkpoint stream, static RF
@@ -160,10 +128,9 @@ type Study struct {
 	// empty otherwise (and omitted from saved JSON).
 	Static []StaticRF `json:",omitempty"`
 
-	// Failed records the units and cells quarantined by a keep-going
-	// run (Spec.KeepGoing) or flagged stuck by the cell watchdog, in
-	// unit-enumeration order. Empty for clean or aborting studies, and
-	// omitted from saved JSON so historical files are byte-stable.
+	// Failed records the quarantined units and cells, in
+	// unit-enumeration order. Empty for clean studies, and omitted from
+	// saved JSON so historical files are byte-stable.
 	Failed []Failure `json:",omitempty"`
 
 	// Lazily built lookup indexes; the aggregation accessors are called
@@ -219,15 +186,12 @@ type Failure struct {
 	Target string `json:",omitempty"`
 
 	// Stage is where the failure happened: "compile", "golden",
-	// "analyze", or "cell".
+	// "analyze", "cell", or "dispatch" (a cell whose leases ran out).
 	Stage string
 	Err   string
-	// Retries is how many extra attempts were made before quarantining
-	// (bounded by Spec.Retries).
+	// Retries is how many extra leases the coordinator granted a cell
+	// before quarantining it (dispatch's MaxAttempts).
 	Retries int `json:",omitempty"`
-	// Stuck marks a cell abandoned by the watchdog for exceeding
-	// Spec.CellTimeout rather than failing outright.
-	Stuck bool `json:",omitempty"`
 }
 
 // StaticFor returns the static RF bound for a cell, when recorded.

@@ -1,15 +1,14 @@
-// Package backoff is the shared retry-delay policy for everything in
-// the harness that re-attempts failable work: the study scheduler's
-// preparation retries (core.Spec.Retries), the distributed worker's
-// lease acquisition and result reporting, and the coordinator's drain
-// wait. One policy in one place means a transiently failing compile, a
-// coordinator restart, and a flaky network all back off the same way —
-// exponentially, capped, and with jitter so a fleet of workers does not
-// retry in lockstep.
+// Package backoff is the retry-delay policy of the distributed worker:
+// its lease polling and its result reporting. Only the network and a
+// restarting coordinator fail transiently; the study engine retries
+// nothing, because a unit's preparation is a pure function of the spec
+// and a failed one is quarantined. A coordinator restart and a flaky
+// network back off the same way — exponentially, capped, and with
+// jitter so a fleet of workers does not retry in lockstep.
 //
 // Delays are deterministic given a Source seed, so retry schedules in
-// tests and in the deterministic study engine are reproducible; the
-// jitter sample is the only input besides the attempt number.
+// tests are reproducible; the jitter sample is the only input besides
+// the attempt number.
 //
 // Waiting is always context-aware: there is deliberately no time.Sleep
 // in this package (or anywhere under internal/dispatch — cmd/sevlint

@@ -32,7 +32,7 @@ import (
 // StudySpec is the wire form of a study, the same type as the study
 // journal's meta record: everything result-affecting in a core.Spec,
 // expressed as names so it serializes. Execution knobs (parallelism,
-// journaling paths, watchdogs) stay host-local — the coordinator and
+// journaling paths, the cache) stay host-local — the coordinator and
 // each worker choose their own.
 type StudySpec = core.StudySpec
 

@@ -84,11 +84,6 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	if ne.ID() == n1.ID() {
 		t.Fatal("different sizes hash to the same study")
 	}
-	policy := n1
-	policy.Retries = 5
-	if policy.ID() != n1.ID() {
-		t.Fatal("retry policy changed the study ID; it is execution policy, not identity")
-	}
 	bad := wire
 	bad.Benches = []string{"no-such-bench"}
 	if _, err := bad.Normalize(); err == nil {

@@ -370,17 +370,35 @@ func TestOldQuarantineRecordRejected(t *testing.T) {
 // tree before StudySpec lost its CacheMaxMB field replays as before.
 // testdata/coordinator-cachemaxmb.journal was written by that tree:
 // testWire() submitted with "CacheMaxMB": 4096, then its first unit
-// leased, computed with RunCells and completed. The study keeps its ID,
-// the merged unit stays merged, the other three units lease, and the
-// study merges byte-identical to a local run.
+// leased, computed with RunCells and completed.
 func TestSubmitRecordWithCacheMaxMBReplays(t *testing.T) {
+	checkOldSubmitReplays(t, "coordinator-cachemaxmb.journal", `"CacheMaxMB":4096`)
+}
+
+// TestSubmitRecordWithRetriesReplays: a coordinator journal from the tree
+// before StudySpec lost its Retries field (a preparation retry budget the
+// study ID never hashed) replays as before.
+// testdata/coordinator-retries.journal was written by that tree:
+// testWire() submitted with "Retries": 2, then its first unit leased,
+// computed with RunCells and completed.
+func TestSubmitRecordWithRetriesReplays(t *testing.T) {
+	checkOldSubmitReplays(t, "coordinator-retries.journal", `"Retries":2`)
+}
+
+// checkOldSubmitReplays opens a coordinator on the fixture, whose submit
+// record carries field, a StudySpec field that no longer exists, and
+// whose first unit is complete. The study keeps its ID, the merged unit
+// stays merged, the other three units lease, and the study merges
+// byte-identical to a local run.
+func checkOldSubmitReplays(t *testing.T, fixture, field string) {
+	t.Helper()
 	const id = "st-a81c1a3e1faa4232"
-	raw, err := os.ReadFile(filepath.Join("testdata", "coordinator-cachemaxmb.journal"))
+	raw, err := os.ReadFile(filepath.Join("testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"CacheMaxMB":4096`)) {
-		t.Fatal("the fixture's submit record no longer carries CacheMaxMB")
+	if !bytes.Contains(raw, []byte(field)) {
+		t.Fatalf("the fixture's submit record no longer carries %s", field)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "coordinator"), raw, 0o644); err != nil {
@@ -388,7 +406,7 @@ func TestSubmitRecordWithCacheMaxMBReplays(t *testing.T) {
 	}
 	coord, err := OpenCoordinator(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("journal with CacheMaxMB in its submit record: %v", err)
+		t.Fatalf("journal with %s in its submit record: %v", field, err)
 	}
 	defer coord.Close()
 	wire, err := testWire().Normalize()

@@ -140,10 +140,9 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 		w.fail(ctx, g, fmt.Errorf("resolve spec: %w", err))
 		return
 	}
-	// KeepGoing so a poisoned cell yields a deterministic quarantine
-	// outcome instead of sinking the whole batch; the lease's own journal
-	// makes a killed-and-restarted worker replay its finished cells.
-	spec.KeepGoing = true
+	// A poisoned cell comes back as a deterministic quarantine outcome,
+	// as in a local run; the lease's own journal makes a
+	// killed-and-restarted worker replay its finished cells.
 	spec.Parallelism = w.opt.Parallelism
 	spec.Journal = w.leaseJournal(g)
 	spec.Progress = func(format string, args ...any) {

@@ -274,29 +274,21 @@ func StaticVsDynamic(w io.Writer, st *core.Study) {
 	}
 }
 
-// Failures prints the units and cells quarantined by a keep-going run
-// or flagged stuck by the cell watchdog. Prints nothing for a clean
-// study, so historical figure output is unchanged.
+// Failures prints the quarantined units and cells. Prints nothing for a
+// clean study, so historical figure output is unchanged.
 func Failures(w io.Writer, st *core.Study) {
 	if len(st.Failed) == 0 {
 		return
 	}
 	fmt.Fprintln(w, "Harness failures: units/cells quarantined instead of aborting the study")
-	headers := []string{"march", "benchmark", "level", "target", "stage", "retries", "stuck", "error"}
+	headers := []string{"march", "benchmark", "level", "target", "stage", "retries", "error"}
 	rows := make([][]string, 0, len(st.Failed))
 	for _, f := range st.Failed {
 		target := f.Target
 		if target == "" {
 			target = "(unit)"
 		}
-		stuck := ""
-		if f.Stuck {
-			stuck = "yes"
-		}
-		rows = append(rows, []string{
-			f.March, f.Bench, f.Level, target, f.Stage,
-			fmt.Sprint(f.Retries), stuck, f.Err,
-		})
+		rows = append(rows, []string{f.March, f.Bench, f.Level, target, f.Stage, fmt.Sprint(f.Retries), f.Err})
 	}
 	Table(w, headers, rows)
 }

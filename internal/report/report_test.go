@@ -119,13 +119,13 @@ func TestFailuresTable(t *testing.T) {
 
 	st.Failed = []core.Failure{
 		{March: "Cortex-A15-like", Bench: "gsm", Level: "O2",
-			Stage: "compile", Err: "boom", Retries: 2},
+			Stage: "compile", Err: "boom"},
 		{March: "Cortex-A72-like", Bench: "qsort", Level: "O0", Target: "RF",
-			Stage: "cell", Err: "exceeded per-cell wall-clock deadline", Stuck: true},
+			Stage: "dispatch", Err: "lease expired", Retries: 2},
 	}
 	Failures(&buf, st)
 	out := buf.String()
-	for _, want := range []string{"Harness failures", "(unit)", "compile", "boom", "RF", "yes"} {
+	for _, want := range []string{"Harness failures", "(unit)", "compile", "boom", "RF", "dispatch", "lease expired"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("failures table missing %q:\n%s", want, out)
 		}
