@@ -565,6 +565,7 @@ func prepSweepQsort(b *testing.B) []prepUnit {
 //	prep/golden, traced-prep/traced-golden       the ratios
 //	bound/golden                                 Bound over the untraced golden run
 //	held-B/unit                                  what a prune unit holds beside its ladder
+//	cache-B/unit                                 what a golden-run machine's caches hold
 //
 // Preparation records the checkpoint ladder during the golden run, so
 // the first two ratios sit a few percent above 1; a second simulated
@@ -573,9 +574,12 @@ func prepSweepQsort(b *testing.B) []prepUnit {
 // looks up what a static program point contributes once per point, not
 // once per interval. held-B/unit is a count, the same on every host: the
 // ResidentBytes of the traced preparation's commit trace, of its
-// pruner's tables and of the analysis the pruner holds. cmd/benchgate
-// holds prep/golden, bound/golden and held-B/unit (-unit) to the limits
-// in BENCH_layout.json's trajectory.
+// pruner's tables and of the analysis the pruner holds. cache-B/unit is
+// a count too: the ResidentBytes of the three caches of the untraced
+// golden run's machine when it halts, the chunk tables and the chunks
+// the run wrote. cmd/benchgate holds prep/golden, bound/golden,
+// held-B/unit and cache-B/unit (-unit) to the limits in
+// BENCH_layout.json's trajectory.
 func BenchmarkPrepUnit(b *testing.B) {
 	units := prepSweepQsort(b)
 	analyses := make([]*binanalysis.Analysis, len(units))
@@ -587,8 +591,9 @@ func BenchmarkPrepUnit(b *testing.B) {
 		analyses[j] = a
 	}
 	// Each timed call starts from a collected heap, so none pays for the
-	// machine its predecessor left behind.
-	golden := func(u prepUnit, traced bool) time.Duration {
+	// machine its predecessor left behind. cache is what the machine's
+	// caches hold when it halts.
+	golden := func(u prepUnit, traced bool) (d time.Duration, cache int) {
 		runtime.GC()
 		t0 := time.Now()
 		m := machine.New(u.cfg, u.prog)
@@ -599,7 +604,8 @@ func BenchmarkPrepUnit(b *testing.B) {
 		if res := m.Run(1 << 40); res.Outcome != machine.OutcomeOK {
 			b.Fatalf("golden run ended %s", res.Outcome)
 		}
-		return time.Since(t0)
+		d = time.Since(t0)
+		return d, m.L1I.ResidentBytes() + m.L1D.ResidentBytes() + m.L2.ResidentBytes()
 	}
 	// prep times one preparation; with an analysis it is traced, the
 	// second duration is one Bound walk over its commit stream, and held
@@ -628,14 +634,16 @@ func BenchmarkPrepUnit(b *testing.B) {
 	// code for minutes at a time, and a sum would carry whichever phase
 	// each call happened to land in into the ratio.
 	fastest := make([][5]time.Duration, len(units))
-	held := make([]int, len(units))
+	held, cache := make([]int, len(units)), make([]int, len(units))
 	for i := 0; i < b.N; i++ {
 		for j, u := range units {
 			untraced, _, _ := prep(u, nil)
-			tracedGolden := golden(u, true)
+			tracedGolden, _ := golden(u, true)
 			traced, bound, h := prep(u, analyses[j])
 			held[j] = h
-			for kind, d := range [5]time.Duration{golden(u, false), untraced, tracedGolden, traced, bound} {
+			plain, c := golden(u, false)
+			cache[j] = c
+			for kind, d := range [5]time.Duration{plain, untraced, tracedGolden, traced, bound} {
 				if i == 0 || d < fastest[j][kind] {
 					fastest[j][kind] = d
 				}
@@ -643,12 +651,13 @@ func BenchmarkPrepUnit(b *testing.B) {
 		}
 	}
 	var sum [5]float64
-	heldSum := 0
+	heldSum, cacheSum := 0, 0
 	for j, f := range fastest {
 		for kind, d := range f {
 			sum[kind] += float64(d.Nanoseconds())
 		}
 		heldSum += held[j]
+		cacheSum += cache[j]
 	}
 	n := float64(len(units))
 	b.ReportMetric(sum[0]/n, "golden-ns/unit")
@@ -660,6 +669,7 @@ func BenchmarkPrepUnit(b *testing.B) {
 	b.ReportMetric(sum[3]/sum[2], "traced-prep/traced-golden")
 	b.ReportMetric(sum[4]/sum[0], "bound/golden")
 	b.ReportMetric(float64(heldSum)/n, "held-B/unit")
+	b.ReportMetric(float64(cacheSum)/n, "cache-B/unit")
 }
 
 // BenchmarkGoldenRun measures the simulator's own speed, the floor under

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 
@@ -36,16 +37,22 @@ type CacheStats struct {
 // Cache is a set-associative write-back write-allocate cache with
 // authoritative tag and data arrays.
 //
-// Line state is struct-of-arrays: one flat slice per attribute, indexed
-// by line number (set*ways + way, row-major by set), with the data
-// array one contiguous slab of lines*LineSize bytes allocated at
-// construction, so the hot path indexes flat arrays. Snapshots are
-// copy-on-write tables of fixed-size line chunks (snapshot.go): the
-// cache tracks which lines it has touched since its last snapshot or
-// restore — its base — so a snapshot copies only the touched chunks and
-// shares the rest with the base, and a restore copies back only the
-// touched lines plus the chunks in which the target differs from the
-// base.
+// Line state lives in a table of fixed-size line chunks (snapshot.go),
+// the same table a CacheState holds: line l is entry l&(chunkLines-1)
+// of chunk l>>chunkShift, lines numbered set*ways + way, row-major by
+// set. A chunk is either owned by this cache alone or shared — with the
+// snapshots it was captured into or restored from, with other caches,
+// or, for lines no run has reached, the interned all-zero chunk. Shared
+// chunks are read-only: the first write to one (a fill, a store, a
+// write-back arriving from above, a lookup's LRU stamp, a fault flip)
+// clones it, as Memory clones a shared page. So a new cache holds one
+// pointer per chunk and nothing else, a snapshot is a copy of the
+// table, and a restore is a copy back.
+//
+// A read hit writes only its line's LRU stamp, and most of what an
+// injection's replay does is read hits, so ownership has two steps: a
+// write to line metadata clones the chunk and keeps sharing its data
+// block, and the first write to line data clones the block too.
 type Cache struct {
 	// Geometry, derived from the config at construction and immutable
 	// after. TestCacheFieldTable (fieldtable_test.go) gives every field
@@ -58,22 +65,9 @@ type Cache struct {
 	tagWidth int
 	lower    Backend
 
-	tags  []uint64 // per line: stored tag
-	lru   []uint64 // per line: last-use timestamp for LRU replacement
-	valid []uint8  // per line: 1 when resident
-	dirty []uint8  // per line: 1 when modified since fill
-	data  []byte   // lines*LineSize contiguous line bytes
-	clock uint64
-
-	// Copy-on-write bookkeeping. base is the snapshot this cache was last
-	// restored from or last captured as (the all-zero state for a new
-	// cache); the live arrays are bit-identical to it on every line not
-	// in touched. None of this is checkpoint state: it describes the
-	// relation between the live cache and one snapshot, and Snapshot and
-	// Restore rebuild it.
-	base        *CacheState
-	touched     []int32
-	touchedMark []uint8
+	chunks []*cacheChunk
+	owned  []uint8 // per chunk: shared, ownMeta or ownAll
+	clock  uint64
 
 	Stats CacheStats
 }
@@ -88,24 +82,23 @@ func NewCache(cfg CacheConfig, lower Backend) *Cache {
 	if cfg.LineSize&(cfg.LineSize-1) != 0 {
 		simerr.Assertf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize)
 	}
-	lines := sets * cfg.Ways
+	n := chunkCount(cfg.lines())
 	c := &Cache{
-		cfg:         cfg,
-		sets:        sets,
-		offBits:     bits.TrailingZeros(uint(cfg.LineSize)),
-		setBits:     bits.TrailingZeros(uint(sets)),
-		tags:        make([]uint64, lines),
-		lru:         make([]uint64, lines),
-		valid:       make([]uint8, lines),
-		dirty:       make([]uint8, lines),
-		data:        make([]byte, lines*cfg.LineSize),
-		touchedMark: make([]uint8, lines),
-		base:        zeroCacheState(lines, cfg.LineSize, cfg.Ways),
-		lower:       lower,
+		cfg:     cfg,
+		sets:    sets,
+		offBits: bits.TrailingZeros(uint(cfg.LineSize)),
+		setBits: bits.TrailingZeros(uint(sets)),
+		chunks:  make([]*cacheChunk, n),
+		owned:   make([]uint8, n),
+		lower:   lower,
 	}
 	c.tagWidth = cfg.AddrBits - c.offBits - c.setBits
 	if c.tagWidth <= 0 {
 		simerr.Assertf("cache %s: nonpositive tag width", cfg.Name)
+	}
+	zero := zeroChunk(cfg.LineSize)
+	for k := range c.chunks {
+		c.chunks[k] = zero
 	}
 	return c
 }
@@ -119,47 +112,53 @@ func (c *Cache) Sets() int { return c.sets }
 // TagWidth returns the stored tag width in bits (excluding state bits).
 func (c *Cache) TagWidth() int { return c.tagWidth }
 
+// lines is the line count of a cache built from cfg, which snapshots
+// and decoded images are checked against.
+func (cfg CacheConfig) lines() int { return cfg.Size / (cfg.Ways * cfg.LineSize) * cfg.Ways }
+
+func (c *Cache) lines() int          { return c.cfg.lines() }
 func (c *Cache) set(addr uint64) int { return int(addr>>c.offBits) & (c.sets - 1) }
 func (c *Cache) tagOf(addr uint64) uint64 {
 	return (addr >> (c.offBits + c.setBits)) & ((1 << c.tagWidth) - 1)
 }
 
-// lineData returns the data bytes of one line within the flat slab.
-func (c *Cache) lineData(line int) []byte {
-	off := line * c.cfg.LineSize
-	return c.data[off : off+c.cfg.LineSize]
+// at returns the chunk holding a line and the line's index in it, for
+// reading.
+func (c *Cache) at(line int) (*cacheChunk, int) {
+	return c.chunks[line>>chunkShift], line & (chunkLines - 1)
 }
 
-// Touched-line marks. A read hit only advances the line's LRU stamp, so
-// restoring it is one scalar store; a fill, write, or fault flip can
-// change any line byte and needs the full copy.
+// What a cache owns of each chunk in its table.
 const (
-	markClean uint8 = iota // identical to the base
-	markLRU                // only the LRU stamp changed (read hit)
-	markLine               // tag/valid/dirty/data may have changed
+	shared  uint8 = iota // nothing: the chunk is read-only
+	ownMeta              // the chunk, whose data block is still shared
+	ownAll               // the chunk and its data block
 )
 
-// markLRUOnly records that a line's LRU stamp moved away from the
-// base's. A line already fully marked stays full.
-func (c *Cache) markLRUOnly(line int) {
-	if c.touchedMark[line] != markClean {
-		return
+// own is at for writing line metadata (tags, LRU stamps, valid and
+// dirty bits): a shared chunk is cloned first.
+func (c *Cache) own(line int) (*cacheChunk, int) {
+	k := line >> chunkShift
+	if c.owned[k] == shared {
+		c.chunks[k] = c.chunks[k].clone()
+		c.owned[k] = ownMeta
 	}
-	c.touchedMark[line] = markLRU
-	c.touched = append(c.touched, int32(line))
+	return c.chunks[k], line & (chunkLines - 1)
 }
 
-// markFull records that a line's state beyond the LRU stamp may have
-// changed, upgrading an LRU-only mark in place (the line is already in
-// the touched list).
-func (c *Cache) markFull(line int) {
-	if c.touchedMark[line] == markLine {
-		return
+// ownData is own for writing line data as well.
+func (c *Cache) ownData(line int) (*cacheChunk, int) {
+	ch, i := c.own(line)
+	if k := line >> chunkShift; c.owned[k] != ownAll {
+		ch.data = bytes.Clone(ch.data)
+		c.owned[k] = ownAll
 	}
-	if c.touchedMark[line] == markClean {
-		c.touched = append(c.touched, int32(line))
-	}
-	c.touchedMark[line] = markLine
+	return ch, i
+}
+
+// lineData returns the data bytes of line i of a chunk.
+func (c *Cache) lineData(ch *cacheChunk, i int) []byte {
+	return ch.data[i*c.cfg.LineSize : (i+1)*c.cfg.LineSize]
 }
 
 // lineAddr reconstructs the base address of a resident line from its set
@@ -169,11 +168,23 @@ func (c *Cache) lineAddr(set int, tag uint64) uint64 {
 	return tag<<(c.offBits+c.setBits) | uint64(set)<<c.offBits
 }
 
-// lookup returns the way index of a hit in the set, or -1.
+// lookup returns the way index of a hit in the set, or -1. Read inlines
+// the path for a set inside one chunk, which is every set of a 2-, 8-
+// or 16-way cache; only a set whose way count does not divide
+// chunkLines can cross a chunk boundary (a 3-way set over lines 63-65),
+// and only such a set takes the per-line path.
 func (c *Cache) lookup(set int, tag uint64) int {
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] != 0 && c.tags[base+w] == tag {
+	first := set * c.cfg.Ways
+	if ch, i := c.at(first); i+c.cfg.Ways <= chunkLines {
+		for w, v := range ch.valid[i : i+c.cfg.Ways] {
+			if v != 0 && ch.tags[i+w] == tag {
+				return w
+			}
+		}
+		return -1
+	}
+	for w := range c.cfg.Ways {
+		if ch, i := c.at(first + w); ch.valid[i] != 0 && ch.tags[i] == tag {
 			return w
 		}
 	}
@@ -181,16 +192,21 @@ func (c *Cache) lookup(set int, tag uint64) int {
 }
 
 // victim picks the replacement way for a set: first invalid way, else
-// least-recently used.
+// least-recently used. It loads the chunk of the set's first line and
+// moves to the next one only at a chunk boundary.
 func (c *Cache) victim(set int) int {
-	base := set * c.cfg.Ways
+	first := set * c.cfg.Ways
+	ch, i := c.at(first)
 	best, bestLRU := 0, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] == 0 {
+	for w := 0; w < c.cfg.Ways; w, i = w+1, i+1 {
+		if i == chunkLines {
+			ch, i = c.at(first + w)
+		}
+		if ch.valid[i] == 0 {
 			return w
 		}
-		if c.lru[base+w] < bestLRU {
-			bestLRU = c.lru[base+w]
+		if ch.lru[i] < bestLRU {
+			bestLRU = ch.lru[i]
 			best = w
 		}
 	}
@@ -214,31 +230,33 @@ func (c *Cache) fill(addr uint64) (way int, lat int) {
 func (c *Cache) miss(addr uint64, set int, tag uint64) (way, lat int) {
 	c.Stats.Misses++
 	w := c.victim(set)
-	line := set*c.cfg.Ways + w
-	c.markFull(line)
-	if c.valid[line] != 0 {
+	ch, i := c.ownData(set*c.cfg.Ways + w)
+	d := c.lineData(ch, i)
+	if ch.valid[i] != 0 {
 		c.Stats.Evictions++
-		if c.dirty[line] != 0 {
+		if ch.dirty[i] != 0 {
 			c.Stats.Writebacks++
-			lat += c.lower.WriteLine(c.lineAddr(set, c.tags[line]), c.lineData(line))
+			lat += c.lower.WriteLine(c.lineAddr(set, ch.tags[i]), d)
 		}
 	}
 	lineBase := addr &^ uint64(c.cfg.LineSize-1)
-	lat += c.lower.ReadLine(lineBase, c.lineData(line))
-	c.tags[line] = tag
-	c.valid[line] = 1
-	c.dirty[line] = 0
+	lat += c.lower.ReadLine(lineBase, d)
+	ch.tags[i] = tag
+	ch.valid[i] = 1
+	ch.dirty[i] = 0
 	return w, lat
 }
 
-// touch stamps the line a lookup ended on with the advanced LRU clock.
-// Every lookup of a set ends here (Read inlines it), which is what lets
-// CacheState.QuietSince read "this set was not looked up" off the stamps.
-func (c *Cache) touch(set, way int) {
+// touch stamps the line a lookup ended on with the advanced LRU clock
+// and returns the line. Every lookup of a set ends here (Read inlines
+// it), which is what lets CacheState.QuietSince read "this set was not
+// looked up" off the stamps.
+func (c *Cache) touch(set, way int) (line int) {
 	c.clock++
-	line := set*c.cfg.Ways + way
-	c.markLRUOnly(line)
-	c.lru[line] = c.clock
+	line = set*c.cfg.Ways + way
+	ch, i := c.own(line)
+	ch.lru[i] = c.clock
+	return line
 }
 
 // Read performs a program-level read of size bytes (1, 4, or 8) that
@@ -249,18 +267,22 @@ func (c *Cache) touch(set, way int) {
 // load), so the hit path is fused: set, tag, and line index are
 // computed once, the lookup is inlined, and the value is extracted
 // with a direct little-endian load instead of a bounce buffer. Event
-// ordering (hit/miss stats, touched-line marking, the LRU clock)
-// matches the generic fill+touch path bit for bit.
+// ordering (hit/miss stats, the LRU clock) matches the generic
+// fill+touch path bit for bit.
 func (c *Cache) Read(addr uint64, size int) (uint64, int) {
 	set := int(addr>>c.offBits) & (c.sets - 1)
 	tag := (addr >> (c.offBits + c.setBits)) & ((1 << c.tagWidth) - 1)
-	base := set * c.cfg.Ways
+	first := set * c.cfg.Ways
 	line := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[base+w] != 0 && c.tags[base+w] == tag {
-			line = base + w
-			break
+	if ch, i := c.at(first); i+c.cfg.Ways <= chunkLines {
+		for w, v := range ch.valid[i : i+c.cfg.Ways] {
+			if v != 0 && ch.tags[i+w] == tag {
+				line = first + w
+				break
+			}
 		}
+	} else if w := c.lookup(set, tag); w >= 0 {
+		line = first + w
 	}
 	lat := 0
 	if line >= 0 {
@@ -268,15 +290,12 @@ func (c *Cache) Read(addr uint64, size int) (uint64, int) {
 	} else {
 		var w int
 		w, lat = c.miss(addr, set, tag)
-		line = base + w
+		line = first + w
 	}
 	c.clock++
-	if c.touchedMark[line] == markClean {
-		c.touchedMark[line] = markLRU
-		c.touched = append(c.touched, int32(line))
-	}
-	c.lru[line] = c.clock
-	d := c.data[line*c.cfg.LineSize+(int(addr)&(c.cfg.LineSize-1)):]
+	ch, i := c.own(line)
+	ch.lru[i] = c.clock
+	d := ch.data[i*c.cfg.LineSize+(int(addr)&(c.cfg.LineSize-1)):]
 	switch size {
 	case 8:
 		return binary.LittleEndian.Uint64(d[:8]), c.cfg.HitLatency + lat
@@ -298,15 +317,12 @@ func (c *Cache) Write(addr uint64, size int, val uint64) int {
 		simerr.Assertf("cache %s: write to read-only cache at %#x", c.cfg.Name, addr)
 	}
 	way, lat := c.fill(addr)
-	set := c.set(addr)
-	c.touch(set, way)
-	line := set*c.cfg.Ways + way
-	c.markFull(line) // data and dirty change below; an LRU-only mark is not enough
+	ch, i := c.ownData(c.touch(c.set(addr), way))
 	off := int(addr) & (c.cfg.LineSize - 1)
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], val)
-	copy(c.lineData(line)[off:off+size], buf[:size])
-	c.dirty[line] = 1
+	copy(c.lineData(ch, i)[off:off+size], buf[:size])
+	ch.dirty[i] = 1
 	return c.cfg.HitLatency + lat
 }
 
@@ -314,31 +330,27 @@ func (c *Cache) Write(addr uint64, size int, val uint64) int {
 // another cache.
 func (c *Cache) ReadLine(addr uint64, dst []byte) int {
 	way, lat := c.fill(addr)
-	set := c.set(addr)
-	c.touch(set, way)
+	ch, i := c.at(c.touch(c.set(addr), way))
 	// The upper cache's line size can be at most ours; a naturally
 	// aligned smaller line sits inside one of our lines.
 	off := int(addr) & (c.cfg.LineSize - 1)
 	if off+len(dst) > c.cfg.LineSize {
 		simerr.Assertf("cache %s: line read spans lines at %#x", c.cfg.Name, addr)
 	}
-	copy(dst, c.lineData(set*c.cfg.Ways + way)[off:off+len(dst)])
+	copy(dst, c.lineData(ch, i)[off:off+len(dst)])
 	return c.cfg.HitLatency + lat
 }
 
 // WriteLine implements Backend for write-backs arriving from above.
 func (c *Cache) WriteLine(addr uint64, src []byte) int {
 	way, lat := c.fill(addr)
-	set := c.set(addr)
-	c.touch(set, way)
-	line := set*c.cfg.Ways + way
-	c.markFull(line) // data and dirty change below; an LRU-only mark is not enough
+	ch, i := c.ownData(c.touch(c.set(addr), way))
 	off := int(addr) & (c.cfg.LineSize - 1)
 	if off+len(src) > c.cfg.LineSize {
 		simerr.Assertf("cache %s: line write spans lines at %#x", c.cfg.Name, addr)
 	}
-	copy(c.lineData(line)[off:off+len(src)], src)
-	c.dirty[line] = 1
+	copy(c.lineData(ch, i)[off:off+len(src)], src)
+	ch.dirty[i] = 1
 	return c.cfg.HitLatency + lat
 }
 
@@ -346,7 +358,7 @@ func (c *Cache) WriteLine(addr uint64, src []byte) int {
 
 // DataBitCount returns the number of injectable bits in the data array.
 func (c *Cache) DataBitCount() uint64 {
-	return uint64(len(c.data)) * 8
+	return uint64(c.lines()) * uint64(c.cfg.LineSize) * 8
 }
 
 // TagBitCount returns the number of injectable bits in the tag array.
@@ -370,29 +382,47 @@ func (c *Cache) TagBitLine(bit uint64) (line int, validBit bool) {
 }
 
 // FlipDataBit flips one bit of the data array, addressed by a global bit
-// index in [0, DataBitCount).
+// index in [0, DataBitCount): the lines' bytes in line order, each
+// line's bits in byte order.
 func (c *Cache) FlipDataBit(bit uint64) {
-	c.markFull(c.DataBitLine(bit))
-	c.data[bit/8] ^= 1 << (bit % 8)
+	ch, i := c.ownData(c.DataBitLine(bit))
+	c.lineData(ch, i)[bit/8%uint64(c.cfg.LineSize)] ^= 1 << (bit % 8)
 }
 
 // FlipTagBit flips one bit of the tag array, addressed by a global bit
 // index in [0, TagBitCount), in TagBitLine's layout.
 func (c *Cache) FlipTagBit(bit uint64) {
 	line, validBit := c.TagBitLine(bit)
-	c.markFull(line)
+	ch, i := c.own(line)
 	switch b := bit % uint64(c.tagWidth+2); {
 	case validBit:
-		c.valid[line] ^= 1
+		ch.valid[i] ^= 1
 	case b < uint64(c.tagWidth):
-		c.tags[line] ^= 1 << b
+		ch.tags[i] ^= 1 << b
 	default:
-		c.dirty[line] ^= 1
+		ch.dirty[i] ^= 1
 	}
 }
 
 // LineState exposes one line's metadata for tests.
 func (c *Cache) LineState(set, way int) (tag uint64, valid, dirty bool) {
-	line := set*c.cfg.Ways + way
-	return c.tags[line], c.valid[line] != 0, c.dirty[line] != 0
+	ch, i := c.at(set*c.cfg.Ways + way)
+	return ch.tags[i], ch.valid[i] != 0, ch.dirty[i] != 0
+}
+
+// ResidentBytes is what the cache holds on its own: the chunk table,
+// the ownership marks and what it owns of its chunks. A shared chunk
+// belongs to the snapshots that name it (Footprint counts those) or is
+// the interned zero chunk.
+func (c *Cache) ResidentBytes() int {
+	n := 8*len(c.chunks) + len(c.owned)
+	for k, ch := range c.chunks {
+		switch c.owned[k] {
+		case ownMeta:
+			n += ch.size() - len(ch.data)
+		case ownAll:
+			n += ch.size()
+		}
+	}
+	return n
 }

@@ -2,34 +2,42 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sevsim/internal/binio"
 	"sevsim/internal/simerr"
 )
 
-// deepState images the live arrays into chunks of its own, consulting
-// none of the cache's copy-on-write bookkeeping. It is what the tests
-// compare against: Snapshot aliases the base's chunks wherever the
-// bookkeeping says nothing changed, so only an independent image can
-// tell whether the bookkeeping is right.
+// deepState images the live table into chunks of its own, consulting
+// none of the cache's ownership flags. It is what the tests compare
+// against: a snapshot shares the live chunks, so only an independent
+// image can tell whether a later write went through one of them.
 func deepState(c *Cache) *CacheState {
-	s := &CacheState{Clock: c.clock, Stats: c.Stats, lines: len(c.tags), lineSize: c.cfg.LineSize, ways: c.cfg.Ways,
-		chunks: make([]*cacheChunk, chunkCount(len(c.tags)))}
-	for k := range s.chunks {
-		s.chunks[k] = c.captureChunk(k)
+	s := &CacheState{Clock: c.clock, Stats: c.Stats, lines: c.lines(), lineSize: c.cfg.LineSize, ways: c.cfg.Ways,
+		chunks: make([]*cacheChunk, len(c.chunks))}
+	for k, ch := range c.chunks {
+		s.chunks[k] = ch.clone()
+		s.chunks[k].data = slices.Clone(ch.data)
 	}
 	return s
 }
 
 // refStateEquals is StateEquals without the sharing shortcuts: every
-// line compared.
+// line compared on its own, invalid lines by their valid bit only.
 func refStateEquals(c *Cache, s *CacheState) bool {
 	if c.clock != s.Clock {
 		return false
 	}
-	for line := range c.tags {
-		if !c.liveLineEquals(s.chunks[line>>chunkShift], line) {
+	ls := c.cfg.LineSize
+	for line := range c.lines() {
+		a, i := c.at(line)
+		b := s.chunks[line>>chunkShift]
+		if a.valid[i] != b.valid[i] {
+			return false
+		}
+		if a.valid[i] != 0 && (a.tags[i] != b.tags[i] || a.dirty[i] != b.dirty[i] || a.lru[i] != b.lru[i] ||
+			string(a.data[i*ls:(i+1)*ls]) != string(b.data[i*ls:(i+1)*ls])) {
 			return false
 		}
 	}
@@ -156,12 +164,25 @@ func TestSnapshotsSurviveLiveMutation(t *testing.T) {
 	}
 }
 
-// TestSnapshotCopiesOnlyTouchedChunks pins what a snapshot costs: the
-// chunks holding a line touched since the previous snapshot or restore
-// are new, every other table entry aliases the base, and lines never
-// touched alias the shared all-zero chunk — in a new cache and in one
-// restored from a snapshot taken on another cache.
-func TestSnapshotCopiesOnlyTouchedChunks(t *testing.T) {
+// ownedChunks counts the chunks a cache owns.
+func ownedChunks(c *Cache) int {
+	n := 0
+	for _, o := range c.owned {
+		if o != shared {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSnapshotSharesEveryChunk pins what a snapshot costs and what a
+// write after one costs: a new cache names the shared all-zero chunk
+// everywhere; Snapshot copies the table and no chunk, and hands every
+// chunk over; the first write after a snapshot, or after a restore —
+// into a new cache, and into one that owned the chunk before — clones
+// exactly the chunk it writes, and the snapshot still reads the old
+// bytes.
+func TestSnapshotSharesEveryChunk(t *testing.T) {
 	l2, l1 := cowHierarchy()
 	zero := zeroChunk(64)
 	s0 := l2.Snapshot()
@@ -171,19 +192,80 @@ func TestSnapshotCopiesOnlyTouchedChunks(t *testing.T) {
 		}
 	}
 	l1.Write(0x100000, 8, 1) // one L1 line, one L2 line (the fill)
+	if n := ownedChunks(l2); n != 1 {
+		t.Fatalf("one fill owns %d L2 chunks, want 1", n)
+	}
+	live := slices.Clone(l2.chunks)
 	s1 := l2.Snapshot()
+	if !slices.Equal(s1.chunks, live) {
+		t.Fatal("Snapshot copied a chunk")
+	}
+	if n := ownedChunks(l2); n != 0 {
+		t.Fatalf("after Snapshot the cache still owns %d chunks", n)
+	}
 	if n := differingChunks(s0, s1); n != 1 {
-		t.Fatalf("one fill copied %d L2 chunks, want 1", n)
+		t.Fatalf("one fill made %d L2 chunks new, want 1", n)
 	}
 	if n := differingChunks(s1, l2.Snapshot()); n != 0 {
-		t.Fatalf("snapshot with nothing touched copied %d chunks", n)
+		t.Fatalf("snapshot with nothing written made %d chunks new", n)
+	}
+	var kept *CacheState
+	if allocs := testing.AllocsPerRun(10, func() { kept = l2.Snapshot() }); allocs != 2 || kept == nil {
+		t.Fatalf("Snapshot allocates %v times, want 2 (the state and its table)", allocs)
 	}
 
+	// The first write after a snapshot clones the chunk it writes, and
+	// only that one; the snapshot keeps the old bytes.
+	img := deepState(l1)
+	s := l1.Snapshot()
+	l1.Write(0x100000, 8, 2) // a hit
+	if n := differingChunks(s, l1.Snapshot()); n != 1 {
+		t.Fatalf("a store after a snapshot made %d chunks new, want 1", n)
+	}
+	if !s.Equal(img) {
+		t.Fatal("a store after a snapshot changed the snapshot")
+	}
+
+	// The same after a restore, into a cache that owned the written
+	// chunk just before: the restore must hand it back as shared.
+	l1.Write(0x100000, 8, 3)
+	l1.Restore(s)
+	l1.Write(0x100000, 8, 4)
+	if n := ownedChunks(l1); n != 1 {
+		t.Fatalf("a store after a restore owns %d chunks, want 1", n)
+	}
+	if !s.Equal(img) {
+		t.Fatal("a store after a restore changed the restored snapshot")
+	}
+	if v, _ := l1.Read(0x100000, 8); v != 4 {
+		t.Fatalf("read back %d after the store, want 4", v)
+	}
+
+	// And into a new cache: a read hit moves one LRU stamp, so it clones
+	// one chunk and keeps sharing the chunk's data block; the first store
+	// to the line clones the block.
 	other, _ := cowHierarchy()
 	other.Restore(s1)
+	if n := ownedChunks(other); n != 0 {
+		t.Fatalf("a restored cache owns %d chunks", n)
+	}
+	img1 := deepState(other)
 	other.Read(0x100000, 8) // LRU move on the line s1 filled
+	k := other.set(0x100000) * other.cfg.Ways >> chunkShift
+	if other.chunks[k] == s1.chunks[k] || &other.chunks[k].data[0] != &s1.chunks[k].data[0] {
+		t.Fatal("a read hit did not clone its chunk, or cloned the chunk's data block")
+	}
 	if n := differingChunks(s1, other.Snapshot()); n != 1 {
-		t.Fatalf("snapshot after a cross-cache restore and one read hit copied %d chunks, want 1", n)
+		t.Fatalf("snapshot after a cross-cache restore and one read hit made %d chunks new, want 1", n)
+	}
+	other.Restore(s1)
+	other.Read(0x100000, 8)
+	other.Write(0x100000, 8, 5)
+	if &other.chunks[k].data[0] == &s1.chunks[k].data[0] {
+		t.Fatal("a store after a read hit wrote the shared data block")
+	}
+	if !s1.Equal(img1) {
+		t.Fatal("a read hit and a store after a restore changed the restored snapshot")
 	}
 }
 
@@ -194,9 +276,9 @@ func TestSnapshotCopiesOnlyTouchedChunks(t *testing.T) {
 // have recomputed every diff on every pass. Now there is nothing to
 // memoize: one batch — restore a rung, replay the golden accesses,
 // compare against every later rung as the run reaches it — must find
-// each rung converged after comparing exactly the chunks whose pointers
-// differ between the base and that rung, on every pass, and far fewer
-// than all of them.
+// each rung converged after comparing exactly the chunks the cache
+// wrote since the restore plus those whose pointers differ between the
+// base and that rung, on every pass, and far fewer than all of them.
 func TestStateEqualsComparesOnlyDifferingChunks(t *testing.T) {
 	l2, l1 := cowHierarchy()
 	r := rand.New(rand.NewSource(11))
@@ -226,8 +308,14 @@ func TestStateEqualsComparesOnlyDifferingChunks(t *testing.T) {
 					if !eq {
 						t.Fatalf("pass %d base %d: %s replay did not converge at rung %d", pass, base, c.cfg.Name, w)
 					}
-					if want := differingChunks(ladder[base][i], ladder[w][i]); n != want {
-						t.Fatalf("pass %d base %d rung %d: %s compared %d chunks, %d pointers differ", pass, base, w, c.cfg.Name, n, want)
+					want := 0
+					for k := range c.chunks {
+						if c.owned[k] != shared || ladder[base][i].chunks[k] != ladder[w][i].chunks[k] {
+							want++
+						}
+					}
+					if n != want {
+						t.Fatalf("pass %d base %d rung %d: %s compared %d chunks, %d written or differing between the rungs", pass, base, w, c.cfg.Name, n, want)
 					}
 				}
 			}
@@ -262,14 +350,14 @@ func TestQuietSince(t *testing.T) {
 	sameChunk := filled ^ (2 * c.cfg.Ways) // another set of the same chunk
 	a, a2 := c.Snapshot(), l2.Snapshot()
 	b := c.Snapshot()
-	if !a.Valid(filled) || a.Valid(sameSet) || a.Valid(-1) || a.Valid(len(c.tags)) {
+	if !a.Valid(filled) || a.Valid(sameSet) || a.Valid(-1) || a.Valid(c.lines()) {
 		t.Errorf("Valid: filled line %v, its never-filled neighbor %v, line -1 %v, line %d %v",
-			a.Valid(filled), a.Valid(sameSet), a.Valid(-1), len(c.tags), a.Valid(len(c.tags)))
+			a.Valid(filled), a.Valid(sameSet), a.Valid(-1), c.lines(), a.Valid(c.lines()))
 	}
 	for _, tc := range []struct {
 		line int
 		want bool
-	}{{filled, true}, {sameSet, true}, {sameChunk, true}, {-1, false}, {len(c.tags), false}} {
+	}{{filled, true}, {sameSet, true}, {sameChunk, true}, {-1, false}, {c.lines(), false}} {
 		if got := b.QuietSince(a.Clock, tc.line); got != tc.want {
 			t.Errorf("nothing ran between the snapshots: set of line %d quiet = %v, want %v", tc.line, got, tc.want)
 		}
@@ -292,9 +380,10 @@ func TestQuietSince(t *testing.T) {
 	if !d2.QuietSince(a2.Clock, lineOf(l2, 0x100000)) {
 		t.Error("an L1 hit looked up the L2")
 	}
-	c.Read(0x100000+uint64(len(c.data)), 8) // same L1 set, a miss: reaches the L2
+	size := uint64(c.cfg.Size)
+	c.Read(0x100000+size, 8) // same L1 set, a miss: reaches the L2
 	e2 := l2.Snapshot()
-	if reached := lineOf(l2, 0x100000+uint64(len(c.data))); e2.QuietSince(a2.Clock, reached) {
+	if reached := lineOf(l2, 0x100000+size); e2.QuietSince(a2.Clock, reached) {
 		t.Error("an L1 miss left the L2 set it filled from quiet")
 	}
 
@@ -314,7 +403,7 @@ func TestQuietSince(t *testing.T) {
 		}
 		back[i] = s
 	}
-	for line := range c.tags {
+	for line := range c.lines() {
 		for _, p := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
 			if got, want := back[p[1]].QuietSince(back[p[0]].Clock, line), recorded[p[1]].QuietSince(recorded[p[0]].Clock, line); got != want {
 				t.Fatalf("line %d between snapshots %v: quiet %v after decoding, %v before", line, p, got, want)

@@ -86,8 +86,7 @@ func (s *CacheState) EncodeTo(w *binio.Writer, enc *Encoder) {
 func DecodeCacheState(r *binio.Reader, cfg CacheConfig, dec *Decoder) (*CacheState, error) {
 	lines := 0
 	if cfg.Ways > 0 && cfg.LineSize > 0 {
-		// Mirror NewCache's geometry derivation exactly.
-		lines = cfg.Size / (cfg.Ways * cfg.LineSize) * cfg.Ways
+		lines = cfg.lines()
 	}
 	s := &CacheState{lines: lines, lineSize: cfg.LineSize, ways: cfg.Ways}
 	s.Clock = r.U64()

@@ -3,7 +3,6 @@ package mem
 import (
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"sevsim/internal/binio"
 	"sevsim/internal/fieldtable"
@@ -11,8 +10,11 @@ import (
 
 // TestCacheFieldTable gives every Cache field one row and checks it by
 // perturbation (see internal/fieldtable). Line state is perturbed
-// through FlipDataBit and FlipTagBit, or with the line marked touched,
-// so the live cache stays equal to its base outside the touched lines.
+// through FlipDataBit and FlipTagBit, or through a chunk the cache owns,
+// so no shared chunk is written. The chunk table carries every line
+// attribute, so beside the table's own run, whose chunks row perturbs a
+// tag, a subtest per attribute reruns it perturbing the chunks through
+// that attribute.
 func TestCacheFieldTable(t *testing.T) {
 	cfg := CacheConfig{Name: "l1d", Size: 16 << 10, Ways: 2, LineSize: 64, HitLatency: 2, AddrBits: 32}
 	blank := func() *Cache { return NewCache(cfg, testMemory()) }
@@ -30,8 +32,8 @@ func TestCacheFieldTable(t *testing.T) {
 		return c
 	}
 	validLine := func(c *Cache) int {
-		for line, v := range c.valid {
-			if v != 0 {
+		for line := range c.lines() {
+			if ch, i := c.at(line); ch.valid[i] != 0 {
 				return line
 			}
 		}
@@ -45,9 +47,8 @@ func TestCacheFieldTable(t *testing.T) {
 		fixed       = fieldtable.Fixed
 		bookkeeping = fieldtable.Bookkeeping
 		geometry    = "immutable geometry, derived at construction"
-		cow         = "copy-on-write bookkeeping, rebuilt by Snapshot and Restore themselves"
 	)
-	fieldtable.Check(t, fieldtable.Subject[Cache, *CacheState]{
+	subject := fieldtable.Subject[Cache, *CacheState]{
 		Source:   source,
 		Blank:    blank,
 		Snapshot: (*Cache).Snapshot,
@@ -59,32 +60,40 @@ func TestCacheFieldTable(t *testing.T) {
 		},
 		Equal:       (*CacheState).Equal,
 		StateEquals: (*Cache).StateEquals,
-	}, []fieldtable.Row[Cache]{
-		{Field: "cfg", Class: fixed, Reason: "immutable configuration, fixed at construction",
-			Perturb: func(c *Cache) { c.cfg.Name += "'" }}, // a geometry change would only make Restore refuse the snapshot
-		{Field: "sets", Class: fixed, Reason: geometry},
-		{Field: "offBits", Class: fixed, Reason: geometry},
-		{Field: "setBits", Class: fixed, Reason: geometry},
-		{Field: "tagWidth", Class: fixed, Reason: geometry},
-		{Field: "lower", Class: fieldtable.Wiring, Reason: "hierarchy wiring; the lower level is checkpointed on its own"},
+	}
+	check := func(t *testing.T, perturbChunks func(c *Cache)) {
+		fieldtable.Check(t, subject, []fieldtable.Row[Cache]{
+			{Field: "cfg", Class: fixed, Reason: "immutable configuration, fixed at construction",
+				Perturb: func(c *Cache) { c.cfg.Name += "'" }}, // a geometry change would only make Restore refuse the snapshot
+			{Field: "sets", Class: fixed, Reason: geometry},
+			{Field: "offBits", Class: fixed, Reason: geometry},
+			{Field: "setBits", Class: fixed, Reason: geometry},
+			{Field: "tagWidth", Class: fixed, Reason: geometry},
+			{Field: "lower", Class: fieldtable.Wiring, Reason: "hierarchy wiring; the lower level is checkpointed on its own"},
 
-		{Field: "tags", Class: state, Reason: "stored tags", Perturb: func(c *Cache) { flipTag(c, 0) }},
-		{Field: "lru", Class: state, Reason: "last-use stamps: they pick the next victim",
-			Perturb: func(c *Cache) { line := validLine(c); c.markLRUOnly(line); c.lru[line] ^= 1 }},
-		{Field: "valid", Class: state, Reason: "residency", Perturb: func(c *Cache) { flipTag(c, c.tagWidth) }},
-		{Field: "dirty", Class: state, Reason: "lines a write-back must carry down", Perturb: func(c *Cache) { flipTag(c, c.tagWidth+1) }},
-		{Field: "data", Class: state, Reason: "line bytes",
-			Perturb: func(c *Cache) { c.FlipDataBit(uint64(validLine(c) * c.cfg.LineSize * 8)) }},
-		{Field: "clock", Class: state, Reason: "LRU clock: the next lookup's stamp"},
+			{Field: "chunks", Class: state, Reason: "every line's tag, LRU stamp, valid and dirty bit and data bytes", Perturb: perturbChunks},
+			{Field: "clock", Class: state, Reason: "LRU clock: the next lookup's stamp"},
 
-		{Field: "base", Class: bookkeeping, Reason: cow,
-			Perturb: func(c *Cache) { b := *c.base; c.base = &b },
-			View:    func(c *Cache) any { return uintptr(unsafe.Pointer(c.base)) }},
-		{Field: "touched", Class: bookkeeping, Reason: cow},
-		{Field: "touchedMark", Class: bookkeeping, Reason: cow},
+			{Field: "owned", Class: bookkeeping, Reason: "copy-on-write marks: Snapshot and Restore hand every chunk over as shared",
+				Perturb: func(c *Cache) { c.own(0) }},
 
-		{Field: "Stats", Class: fieldtable.Dead, Reason: "event counters; never fed back into execution or classification"},
-	})
+			{Field: "Stats", Class: fieldtable.Dead, Reason: "event counters; never fed back into execution or classification"},
+		})
+	}
+	attrs := []struct {
+		name    string
+		perturb func(c *Cache)
+	}{
+		{"tags", func(c *Cache) { flipTag(c, 0) }},
+		{"lru", func(c *Cache) { ch, i := c.own(validLine(c)); ch.lru[i] ^= 1 }},
+		{"valid", func(c *Cache) { flipTag(c, c.tagWidth) }},
+		{"dirty", func(c *Cache) { flipTag(c, c.tagWidth+1) }},
+		{"data", func(c *Cache) { c.FlipDataBit(uint64(validLine(c) * c.cfg.LineSize * 8)) }},
+	}
+	check(t, attrs[0].perturb)
+	for _, attr := range attrs {
+		t.Run(attr.name, func(t *testing.T) { check(t, attr.perturb) })
+	}
 }
 
 // TestMemoryFieldTable gives every Memory field one row and checks it by

@@ -6,6 +6,11 @@
 // flipped inside a cache data or tag array propagates (or is masked)
 // exactly as it would in hardware — by being consumed, overwritten,
 // evicted, or written back.
+//
+// Caches and memory are copy-on-write in one way: a cache's lines live
+// in a table of 64-line chunks and the memory's bytes in a map of pages,
+// a snapshot shares every chunk and page, and the live structure clones
+// a shared one before its first write to it (snapshot.go).
 package mem
 
 import (

@@ -112,9 +112,19 @@ func (s *stampChecker) check(op string, addr uint64) {
 	s.t.Helper()
 	set := s.c.set(addr)
 	s.lookedUp[set] = true
-	if newest := slices.Max(s.c.lru[set*s.c.cfg.Ways : (set+1)*s.c.cfg.Ways]); newest != s.c.Clock() {
+	if newest := slices.Max(stamps(s.c)[set*s.c.cfg.Ways : (set+1)*s.c.cfg.Ways]); newest != s.c.Clock() {
 		s.t.Fatalf("%s %s(%#x): newest stamp in set %d is %d, clock %d", s.c.cfg.Name, op, addr, set, newest, s.c.Clock())
 	}
+}
+
+// stamps returns every line's LRU stamp, in line order.
+func stamps(c *Cache) []uint64 {
+	out := make([]uint64, c.lines())
+	for line := range out {
+		ch, i := c.at(line)
+		out[line] = ch.lru[i]
+	}
+	return out
 }
 
 func (s *stampChecker) ReadLine(addr uint64, dst []byte) int {
@@ -154,7 +164,7 @@ func TestLookupStampsItsSet(t *testing.T) {
 			// Few operations over few lines in the early rounds, so that some
 			// sets stay quiet; the later rounds reach every set.
 			for i := 0; i < 1+round; i++ {
-				before := [2][]uint64{slices.Clone(l1.lru), slices.Clone(l2.lru)}
+				before := [2][]uint64{stamps(l1), stamps(l2)}
 				lv := levels[r.Intn(2)]
 				addr := 0x100000 + uint64(r.Intn(8+32*round))*8
 				switch r.Intn(4) {
@@ -171,7 +181,7 @@ func TestLookupStampsItsSet(t *testing.T) {
 					lv.WriteLine(addr&^63, line)
 				}
 				for k, c := range []*Cache{l1, l2} {
-					for j, stamp := range c.lru {
+					for j, stamp := range stamps(c) {
 						if stamp < before[k][j] {
 							t.Fatalf("seed %d: %s line %d: stamp fell from %d to %d", seed, c.cfg.Name, j, before[k][j], stamp)
 						}
@@ -180,7 +190,7 @@ func TestLookupStampsItsSet(t *testing.T) {
 			}
 			for k, lv := range levels {
 				to := lv.c.Snapshot()
-				for j := range lv.c.tags {
+				for j := range lv.c.lines() {
 					if quiet, looked := to.QuietSince(from[k].Clock, j), lv.lookedUp[j/lv.c.cfg.Ways]; quiet == looked {
 						t.Fatalf("seed %d round %d: %s line %d: quiet %v, set looked up %v", seed, round, lv.c.cfg.Name, j, quiet, looked)
 					}

@@ -5,29 +5,29 @@ package mem
 // are copy-on-write, so K checkpoints of one run cost what changed
 // between them, not K copies of the hierarchy:
 //
-//   - a cache snapshot is a table of immutable fixed-size line chunks.
-//     The live cache keeps flat arrays for the hot path plus the list of
-//     lines touched since its base — the snapshot it was last restored
-//     from or captured as — so Snapshot copies only the chunks holding a
-//     touched line and aliases every other chunk of the base. Lines no
-//     run ever touched all alias one all-zero chunk;
+//   - a cache's live state is a table of fixed-size line chunks, and a
+//     cache snapshot is a copy of that table. The live cache clones a
+//     chunk on the first write after the snapshot, restore or
+//     construction that handed it over, so a snapshot holds new chunks
+//     exactly where lines were written since the previous one and
+//     shares every other chunk. Lines no run ever reached all alias one
+//     all-zero chunk;
 //
 //   - a physical memory snapshot aliases the live page arrays, and the
 //     live memory clones a page on the first store after the snapshot.
 //
 // Ownership of shared chunks and pages: whoever can reach one may read
-// it, nobody writes it after the snapshot that created it returns, and
-// the garbage collector frees it when the last snapshot and the last
-// cache based on it are gone. There is no pool and no reference count,
-// so releasing one snapshot cannot disturb another that shares with it.
+// it, nobody writes it once it is shared, and the garbage collector
+// frees it when the last snapshot and the last cache or memory naming
+// it are gone. There is no pool and no reference count, so releasing
+// one snapshot cannot disturb another that shares with it, and many
+// caches may restore one snapshot at once.
 //
-// Restore exploits the sharing. Chunks whose pointers are identical in
-// the base and the target hold identical bytes, so only the touched
-// lines and the chunks whose pointers differ are copied; restoring the
-// base itself — the shape of an injection campaign, where every faulty
-// run of a batch rewinds to one checkpoint — copies the touched lines
-// alone. Which path runs can never change the outcome: each leaves the
-// cache bit-identical to the snapshot.
+// Restore is a copy of the table and StateEquals exploits the sharing:
+// chunks whose pointers are identical in the live cache and the
+// snapshot hold identical bytes, so only the chunks whose pointers
+// differ are compared — the ones written since the restore, plus those
+// in which the restored snapshot and the compared one differ.
 //
 // Like the core layer (internal/cpu/snapshot.go), each structure offers
 // a strict Equal on the snapshot (bit-for-bit, for round-trip tests)
@@ -43,19 +43,22 @@ import (
 	"sevsim/internal/simerr"
 )
 
-// chunkLines is the copy-on-write granule of a cache snapshot, in
-// lines. With 64-byte lines a chunk is 5.1 KiB: small enough that the
-// few lines a checkpoint interval touches do not drag much clean state
-// along, large enough that the chunk table of a 2 MiB L2 is 4 KiB.
+// chunkLines is the copy-on-write granule of a cache, in lines. With
+// 64-byte lines a chunk is 5.1 KiB: small enough that the few lines a
+// checkpoint interval writes do not drag much clean state along, large
+// enough that the chunk table of a 2 MiB L2 is 4 KiB. Every 2-, 8- and
+// 16-way set lies inside one chunk.
 const (
 	chunkShift = 6
 	chunkLines = 1 << chunkShift
 )
 
-// cacheChunk is the complete state of chunkLines consecutive lines. It
-// is immutable from the moment a CacheState referencing it is returned.
-// A cache whose line count is not a multiple of chunkLines leaves the
-// tail of its last chunk zero.
+// cacheChunk is the complete state of chunkLines consecutive lines. A
+// chunk is written only by the one cache that owns it, and never again
+// once a snapshot or a second cache names it; the same holds for its
+// data block, which a chunk cloned for a metadata write shares with the
+// chunk it was cloned from. A cache whose line count is not a multiple
+// of chunkLines leaves the tail of its last chunk zero.
 type cacheChunk struct {
 	tags  [chunkLines]uint64
 	lru   [chunkLines]uint64
@@ -64,16 +67,50 @@ type cacheChunk struct {
 	data  []byte // chunkLines*LineSize bytes
 }
 
+// clone returns a copy of ch that shares its data block.
+func (ch *cacheChunk) clone() *cacheChunk {
+	cp := *ch
+	return &cp
+}
+
+// size is the memory the chunk holds, in bytes, its data block counted
+// in full even where another chunk shares it.
+func (ch *cacheChunk) size() int { return int(unsafe.Sizeof(*ch)) + len(ch.data) }
+
 func (ch *cacheChunk) equal(o *cacheChunk) bool {
 	return ch == o || ch.tags == o.tags && ch.lru == o.lru &&
 		ch.valid == o.valid && ch.dirty == o.dirty && bytes.Equal(ch.data, o.data)
 }
 
-// zeroChunks interns the all-zero chunk per line size. Every cache
-// starts out based on it, so the lines a benchmark never reaches cost
-// nothing per snapshot, and restoring into a new machine — or from a
-// decoded stream — skips them by pointer identity like any other
-// shared chunk.
+// stateEquals compares two chunks behaviorally: invalid lines compare
+// only the valid bit (the rest is dead state, see Cache.StateEquals),
+// valid lines in full. Lines past the end of the cache are invalid in
+// both. Equal bytes are sufficient, so the per-line walk only runs when
+// some byte differs.
+func (ch *cacheChunk) stateEquals(o *cacheChunk, lineSize int) bool {
+	if ch.equal(o) {
+		return true
+	}
+	for i := range chunkLines {
+		if ch.valid[i] != o.valid[i] {
+			return false
+		}
+		if ch.valid[i] == 0 {
+			continue
+		}
+		if ch.tags[i] != o.tags[i] || ch.dirty[i] != o.dirty[i] || ch.lru[i] != o.lru[i] ||
+			!bytes.Equal(ch.data[i*lineSize:(i+1)*lineSize], o.data[i*lineSize:(i+1)*lineSize]) {
+			return false
+		}
+	}
+	return true
+}
+
+// zeroChunks interns the all-zero chunk per line size. Every new cache
+// names it for every chunk, so the lines a benchmark never reaches cost
+// one pointer per chunk in the cache and in each snapshot, and a
+// comparison skips them by pointer identity like any other shared
+// chunk.
 var zeroChunks sync.Map // line size (int) -> *cacheChunk
 
 func zeroChunk(lineSize int) *cacheChunk {
@@ -85,10 +122,10 @@ func zeroChunk(lineSize int) *cacheChunk {
 }
 
 // CacheState is a point-in-time image of one cache: the LRU clock, the
-// event counters, and a chunk table covering every line. Chunks are
-// shared between the snapshots of one run (and with the caches based on
-// them) and never written, so a CacheState may be restored concurrently
-// into many caches.
+// event counters, and a chunk table covering every line. Its chunks are
+// shared with the caches it was taken from or restored into and never
+// written, so a CacheState may be restored concurrently into many
+// caches.
 type CacheState struct {
 	Clock uint64
 	Stats CacheStats
@@ -101,106 +138,32 @@ type CacheState struct {
 
 func chunkCount(lines int) int { return (lines + chunkLines - 1) >> chunkShift }
 
-// zeroCacheState is the state of a newly built cache.
-func zeroCacheState(lines, lineSize, ways int) *CacheState {
-	s := &CacheState{lines: lines, lineSize: lineSize, ways: ways, chunks: make([]*cacheChunk, chunkCount(lines))}
-	zero := zeroChunk(lineSize)
-	for k := range s.chunks {
-		s.chunks[k] = zero
-	}
-	return s
-}
-
-// chunkSpan returns the live lines [first, first+n) chunk k covers.
-func (c *Cache) chunkSpan(k int) (first, n int) {
-	first = k << chunkShift
-	return first, min(chunkLines, len(c.tags)-first)
-}
-
-// captureChunk copies the live lines of chunk k into a new chunk.
-func (c *Cache) captureChunk(k int) *cacheChunk {
-	first, n := c.chunkSpan(k)
-	ls := c.cfg.LineSize
-	ch := &cacheChunk{data: make([]byte, chunkLines*ls)}
-	copy(ch.tags[:], c.tags[first:first+n])
-	copy(ch.lru[:], c.lru[first:first+n])
-	copy(ch.valid[:], c.valid[first:first+n])
-	copy(ch.dirty[:], c.dirty[first:first+n])
-	copy(ch.data, c.data[first*ls:(first+n)*ls])
-	return ch
-}
-
-// loadChunk copies ch over the live lines of chunk k.
-func (c *Cache) loadChunk(k int, ch *cacheChunk) {
-	first, n := c.chunkSpan(k)
-	ls := c.cfg.LineSize
-	copy(c.tags[first:first+n], ch.tags[:])
-	copy(c.lru[first:first+n], ch.lru[:])
-	copy(c.valid[first:first+n], ch.valid[:])
-	copy(c.dirty[first:first+n], ch.dirty[:])
-	copy(c.data[first*ls:(first+n)*ls], ch.data)
-}
-
-// Snapshot captures the cache's complete state. Only the chunks holding
-// a line touched since the base are copied; the rest of the table
-// aliases the base's chunks. The new snapshot becomes the base.
+// Snapshot captures the cache's complete state: a copy of the chunk
+// table, every chunk of which is shared from now on. It copies no
+// chunk.
 func (c *Cache) Snapshot() *CacheState {
-	s := &CacheState{
+	clear(c.owned)
+	return &CacheState{
 		Clock:    c.clock,
 		Stats:    c.Stats,
-		lines:    len(c.tags),
+		lines:    c.lines(),
 		lineSize: c.cfg.LineSize,
 		ways:     c.cfg.Ways,
-		chunks:   slices.Clone(c.base.chunks),
+		chunks:   slices.Clone(c.chunks),
 	}
-	for _, line := range c.touched {
-		if c.touchedMark[line] == markClean {
-			continue // an earlier touched line already captured this chunk
-		}
-		k := int(line) >> chunkShift
-		s.chunks[k] = c.captureChunk(k)
-		first, n := c.chunkSpan(k)
-		clear(c.touchedMark[first : first+n])
-	}
-	c.touched = c.touched[:0]
-	c.base = s
-	return s
 }
 
-// Restore overwrites the cache's state with the snapshot's, reusing the
-// cache's backing arrays, and makes the snapshot the base. The live
-// arrays equal the old base outside the touched lines, and chunks the
-// two snapshots share are identical, so the copy is the chunks whose
-// pointers differ plus the touched lines — for the base itself, the
-// touched lines alone.
+// Restore overwrites the cache's state with the snapshot's: the
+// snapshot's chunk table, every chunk shared.
 func (c *Cache) Restore(s *CacheState) {
-	if s.lines != len(c.tags) || s.lineSize != c.cfg.LineSize || s.ways != c.cfg.Ways {
+	if s.lines != c.lines() || s.lineSize != c.cfg.LineSize || s.ways != c.cfg.Ways {
 		simerr.Assertf("mem: cache restore from a differently configured cache snapshot: %d lines of %d bytes in %d ways, cache has %d of %d in %d",
-			s.lines, s.lineSize, s.ways, len(c.tags), c.cfg.LineSize, c.cfg.Ways)
+			s.lines, s.lineSize, s.ways, c.lines(), c.cfg.LineSize, c.cfg.Ways)
 	}
 	c.clock = s.Clock
 	c.Stats = s.Stats
-	ls := c.cfg.LineSize
-	if old := c.base; old != s {
-		for k, ch := range s.chunks {
-			if ch != old.chunks[k] {
-				c.loadChunk(k, ch)
-			}
-		}
-		c.base = s
-	}
-	for _, line := range c.touched {
-		ch, i := s.chunks[line>>chunkShift], line&(chunkLines-1)
-		if c.touchedMark[line] == markLine {
-			c.tags[line] = ch.tags[i]
-			c.valid[line] = ch.valid[i]
-			c.dirty[line] = ch.dirty[i]
-			copy(c.data[int(line)*ls:(int(line)+1)*ls], ch.data[int(i)*ls:])
-		}
-		c.lru[line] = ch.lru[i] // all a read hit moves
-		c.touchedMark[line] = markClean
-	}
-	c.touched = c.touched[:0]
+	copy(c.chunks, s.chunks)
+	clear(c.owned)
 }
 
 // Clock returns the LRU clock, the cheap per-cache component of the
@@ -222,76 +185,32 @@ func (c *Cache) Clock() uint64 { return c.clock }
 // a behaviorally converged run may carry different event counts from
 // its pre-convergence excursion.
 //
-// Outside the touched lines the live cache is bit-identical to its
-// base, so it can differ from s only on a touched line or inside a
-// chunk where the base and s hold different pointers; a chunk both
-// tables share needs no look at all. That is what keeps a comparison
-// against any rung of a dense checkpoint ladder proportional to what
-// ran in between, with nothing memoized per pair.
+// A chunk the live table and s share needs no look at all, so only the
+// chunks written since the last restore and those in which the restored
+// snapshot and s hold different pointers are compared. That is what
+// keeps a comparison against any rung of a dense checkpoint ladder
+// proportional to what ran in between, with nothing memoized per pair.
 func (c *Cache) StateEquals(s *CacheState) bool {
 	eq, _ := c.stateEquals(s)
 	return eq
 }
 
-// stateEquals is StateEquals plus the number of whole chunks it had to
+// stateEquals is StateEquals plus the number of chunks it had to
 // compare, which tests pin to the number of differing chunk pointers.
 func (c *Cache) stateEquals(s *CacheState) (eq bool, chunksCompared int) {
-	if c.clock != s.Clock || s.lines != len(c.tags) || s.lineSize != c.cfg.LineSize {
+	if c.clock != s.Clock || s.lines != c.lines() || s.lineSize != c.cfg.LineSize {
 		return false, 0
 	}
-	for _, line := range c.touched {
-		if !c.liveLineEquals(s.chunks[line>>chunkShift], int(line)) {
-			return false, 0
-		}
-	}
 	for k, ch := range s.chunks {
-		if ch == c.base.chunks[k] {
+		if ch == c.chunks[k] {
 			continue
 		}
 		chunksCompared++
-		if !c.liveChunkEquals(ch, k) {
+		if !c.chunks[k].stateEquals(ch, c.cfg.LineSize) {
 			return false, chunksCompared
 		}
 	}
 	return true, chunksCompared
-}
-
-// liveChunkEquals compares the live lines of chunk k against ch. Equal
-// bytes are sufficient, so the per-line dead-state walk only runs when
-// some byte differs.
-func (c *Cache) liveChunkEquals(ch *cacheChunk, k int) bool {
-	first, n := c.chunkSpan(k)
-	ls := c.cfg.LineSize
-	if slices.Equal(c.valid[first:first+n], ch.valid[:n]) && slices.Equal(c.dirty[first:first+n], ch.dirty[:n]) &&
-		slices.Equal(c.tags[first:first+n], ch.tags[:n]) && slices.Equal(c.lru[first:first+n], ch.lru[:n]) &&
-		bytes.Equal(c.data[first*ls:(first+n)*ls], ch.data[:n*ls]) {
-		return true
-	}
-	for line := first; line < first+n; line++ {
-		if !c.liveLineEquals(ch, line) {
-			return false
-		}
-	}
-	return true
-}
-
-// liveLineEquals is the per-line behavioral comparison of the live
-// cache against the chunk holding that line in a snapshot: invalid
-// lines compare only the valid bit (the rest is dead state, see
-// StateEquals), valid lines in full.
-func (c *Cache) liveLineEquals(ch *cacheChunk, line int) bool {
-	i := line & (chunkLines - 1)
-	if c.valid[line] != ch.valid[i] {
-		return false
-	}
-	if c.valid[line] == 0 {
-		return true
-	}
-	if c.tags[line] != ch.tags[i] || c.dirty[line] != ch.dirty[i] || c.lru[line] != ch.lru[i] {
-		return false
-	}
-	ls := c.cfg.LineSize
-	return bytes.Equal(c.data[line*ls:(line+1)*ls], ch.data[i*ls:(i+1)*ls])
 }
 
 // Equal is the strict comparison of two cache snapshots, including dead
@@ -352,7 +271,7 @@ func (f *Footprint) AddCache(s *CacheState) {
 	for _, ch := range s.chunks {
 		if _, seen := f.chunks[ch]; !seen {
 			f.chunks[ch] = struct{}{}
-			f.bytes += int(unsafe.Sizeof(*ch)) + len(ch.data)
+			f.bytes += ch.size()
 		}
 	}
 }

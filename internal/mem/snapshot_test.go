@@ -82,9 +82,9 @@ func TestMemoryStateEqualsAbsentIsZero(t *testing.T) {
 }
 
 // TestCacheRestoreZeroesStaleBuffers is the buffer-reuse regression
-// test: restoring a snapshot whose line had no data buffer into a cache
-// whose line does must zero the buffer, not keep stale bytes — a later
-// FlipDataBit reuses whatever buffer exists.
+// test: restoring a snapshot whose line held zeros into a cache whose
+// line holds data must bring the zeros back, not keep stale bytes — a
+// later FlipDataBit flips whatever bytes the line holds.
 func TestCacheRestoreZeroesStaleBuffers(t *testing.T) {
 	_, _, l1 := newHierarchy()
 	s := l1.Snapshot() // cold cache: no line has a data buffer
@@ -110,8 +110,7 @@ func TestCacheRestoreZeroesStaleBuffers(t *testing.T) {
 // TestCacheComparisonCoversWholeLine: no byte of a line's data may
 // escape the equality relations. The old per-line buffers were
 // compared only over a prefix length, so a differing trailing byte
-// could slip through; the flat slab layout compares every byte, and
-// this pins it: flipping the LAST bit of the LAST line's data must
+// could slip through; chunks compare every byte, and this pins it: flipping the LAST bit of the LAST line's data must
 // break both StateEquals and strict Equal against a prior snapshot.
 func TestCacheComparisonCoversWholeLine(t *testing.T) {
 	_, _, l1 := newHierarchy()
@@ -138,10 +137,9 @@ func TestCacheComparisonCoversWholeLine(t *testing.T) {
 }
 
 // TestCacheDeltaRestoreBitExact: repeated restores from one snapshot
-// copy back only touched lines and must be indistinguishable from a
-// restore into a new cache, including when the interleaved work evicts,
-// writes back, and flips bits; and a restore from a *different*
-// snapshot must move the base.
+// must be indistinguishable from a restore into a new cache, including
+// when the interleaved work evicts, writes back, and flips bits; and a
+// restore from a *different* snapshot, and back, must be bit-exact too.
 func TestCacheDeltaRestoreBitExact(t *testing.T) {
 	_, _, l1 := newHierarchy()
 	for i := uint64(0); i < 16; i++ {
@@ -160,8 +158,7 @@ func TestCacheDeltaRestoreBitExact(t *testing.T) {
 			t.Fatalf("round %d: delta restore is not bit-exact", round)
 		}
 	}
-	// Restore from a different snapshot, then from s again: the delta
-	// base must switch correctly both times.
+	// Restore from a different snapshot, then from s again.
 	l1.Write(0x140000, 8, 0x1234)
 	s2 := l1.Snapshot()
 	l1.Write(0x150000, 8, 0x5678)
