@@ -32,7 +32,6 @@ import (
 	"sevsim/internal/core"
 	"sevsim/internal/cpu"
 	"sevsim/internal/faultinj"
-	"sevsim/internal/lang"
 	"sevsim/internal/machine"
 	"sevsim/internal/report"
 	"sevsim/internal/workloads"
@@ -968,28 +967,9 @@ func BenchmarkAblation_Scheduling(b *testing.B) {
 // cli2Compile compiles at O2 with explicit scheduler control.
 func cli2Compile(b *testing.B, src string, tgt compiler.Target, sched bool) *machine.Program {
 	b.Helper()
-	prog := mustParseB(b, src)
-	mod, err := compiler.Lower(prog, tgt.WordSize())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range mod.Funcs {
-		compiler.RunO1(f, tgt.XLEN)
-		compiler.RunO2(f, tgt.XLEN, 14)
-		if sched {
-			compiler.Schedule(f)
-		}
-	}
-	p, err := compiler.Generate(mod, tgt, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-func mustParseB(b *testing.B, src string) *lang.Program {
-	b.Helper()
-	p, err := lang.Parse(src)
+	ps := compiler.LevelPasses(compiler.O2, tgt)
+	ps.Scheduling = sched
+	p, err := compiler.CompileWithPasses(src, "fft", ps, tgt)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	tgt := cli.Target(cfg)
+	tgt := compiler.TargetFor(cfg)
 	base := compiler.LevelPasses(level, tgt)
 	cache, err := cli.Cache(*cacheDir, *cacheMax)
 	if err != nil {

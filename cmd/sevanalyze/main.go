@@ -217,7 +217,7 @@ func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []co
 			if opts.Size > 0 {
 				sz = opts.Size
 			}
-			prog, err := compiler.Compile(u.bench.Source(sz), u.bench.Name, u.level, cli.Target(cfg))
+			prog, err := compiler.Compile(u.bench.Source(sz), u.bench.Name, u.level, compiler.TargetFor(cfg))
 			if err != nil {
 				u.err = err
 				return
@@ -310,7 +310,7 @@ func analyzeOne(cfg machine.Config, b workloads.Benchmark, l compiler.OptLevel, 
 	if size <= 0 {
 		size = b.DefaultSize
 	}
-	prog, err := compiler.Compile(b.Source(size), b.Name, l, cli.Target(cfg))
+	prog, err := compiler.Compile(b.Source(size), b.Name, l, compiler.TargetFor(cfg))
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	tgt := cli.Target(cfg)
+	tgt := compiler.TargetFor(cfg)
 
 	if *sizes {
 		fmt.Printf("%s on %s:\n", name, cfg.Name)
@@ -61,7 +61,7 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		compiler.Optimize(mod, level, tgt)
+		compiler.OptimizeWith(mod, compiler.LevelPasses(level, tgt), tgt)
 		for _, f := range mod.Funcs {
 			fmt.Println(f.String())
 		}

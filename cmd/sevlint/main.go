@@ -10,7 +10,7 @@
 //	                 no bare signal.Notify, no http.Server without
 //	                 ReadHeaderTimeout or served without Shutdown
 //	                 wiring, no time.Sleep polling loops in dispatch
-//	                 code (use the shared backoff policy)
+//	                 code (use a context-aware timer in a select)
 //
 // Both apply to internal/ and cmd/ (examples and fixtures are demo
 // code). Line suppressions ("//lint:<key> <reason>") require a reason,

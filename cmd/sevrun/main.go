@@ -62,7 +62,7 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		prog, err = compiler.Compile(src, name, level, cli.Target(cfg))
+		prog, err = compiler.Compile(src, name, level, compiler.TargetFor(cfg))
 		if err != nil {
 			cli.Fatal(err)
 		}

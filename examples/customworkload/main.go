@@ -47,7 +47,7 @@ func main() {
 func main() {
 	const faults = 150
 	cfg := machine.CortexA15Like()
-	tgt := compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
+	tgt := compiler.TargetFor(cfg)
 	prog, err := compiler.Compile(src, "iir", compiler.O2, tgt)
 	if err != nil {
 		log.Fatal(err)

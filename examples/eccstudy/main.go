@@ -27,7 +27,7 @@ func main() {
 	src := bench.Source(bench.TestSize * 3)
 
 	for _, cfg := range machine.Configs() {
-		tgt := compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
+		tgt := compiler.TargetFor(cfg)
 		fmt.Printf("[%s] %s, %d faults per structure field\n", cfg.Name, bench.Name, faults)
 
 		perLevel := map[compiler.OptLevel][]campaign.Result{}

@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := machine.CortexA72Like()
-	tgt := compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
+	tgt := compiler.TargetFor(cfg)
 	prog, err := compiler.Compile(bench.Source(bench.TestSize*2), bench.Name, compiler.O2, tgt)
 	if err != nil {
 		log.Fatal(err)

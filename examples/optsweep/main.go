@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("benchmark %s (size %d): %s\n", bench.Name, bench.DefaultSize, bench.Traits)
 
 	for _, cfg := range machine.Configs() {
-		tgt := compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
+		tgt := compiler.TargetFor(cfg)
 		fmt.Printf("\n[%s]\n", cfg.Name)
 		fmt.Printf("%-5s %10s %8s %7s %8s %9s %9s %9s\n",
 			"level", "cycles", "speedup", "IPC", "code", "PRF live", "ROB occ", "IQ occ")

@@ -31,7 +31,7 @@ func main() {
 func main() {
 	// 1. Compile at -O2 for the Cortex-A72-like 64-bit configuration.
 	cfg := machine.CortexA72Like()
-	tgt := compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
+	tgt := compiler.TargetFor(cfg)
 	prog, err := compiler.Compile(src, "quickstart", compiler.O2, tgt)
 	if err != nil {
 		log.Fatal(err)

@@ -85,11 +85,6 @@ func Level(name string) (compiler.OptLevel, error) {
 	return compiler.O0, fmt.Errorf("unknown optimization level %q (use O0..O3)", name)
 }
 
-// Target derives the compiler backend target from a machine config.
-func Target(cfg machine.Config) compiler.Target {
-	return compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
-}
-
 // LoadSource returns MiniC source either from a named benchmark (at the
 // given size, 0 = default) or from a file.
 func LoadSource(bench, file string, size int) (name, src string, err error) {

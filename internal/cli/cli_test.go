@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sevsim/internal/compiler"
 )
 
 func TestMarchResolution(t *testing.T) {
@@ -38,9 +40,9 @@ func TestLevelResolution(t *testing.T) {
 
 func TestTargetDerivation(t *testing.T) {
 	cfg, _ := March("a72")
-	tgt := Target(cfg)
+	tgt := compiler.TargetFor(cfg)
 	if tgt.XLEN != 64 || tgt.NumArchRegs != 32 {
-		t.Errorf("Target = %+v", tgt)
+		t.Errorf("TargetFor = %+v", tgt)
 	}
 }
 

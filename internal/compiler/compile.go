@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 
-	"sevsim/internal/lang"
 	"sevsim/internal/machine"
 )
 
@@ -23,70 +22,12 @@ var Levels = []OptLevel{O0, O1, O2, O3}
 func (o OptLevel) String() string { return fmt.Sprintf("O%d", int(o)) }
 
 // Compile parses, checks, optimizes, and assembles MiniC source into a
-// loadable program for the given target.
+// loadable program for the given target: the level's PassSet.
 func Compile(src, name string, level OptLevel, tgt Target) (*machine.Program, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileAST(prog, name, level, tgt)
+	return CompileWithPasses(src, name, LevelPasses(level, tgt), tgt)
 }
 
-// CompileAST compiles an already-parsed program. Note that lowering
-// mutates symbol layout fields, so a parsed AST must not be compiled
-// concurrently from multiple goroutines.
-func CompileAST(prog *lang.Program, name string, level OptLevel, tgt Target) (*machine.Program, error) {
-	mod, err := Lower(prog, tgt.WordSize())
-	if err != nil {
-		return nil, err
-	}
-	Optimize(mod, level, tgt)
-	p, err := Generate(mod, tgt, level == O0)
-	if err != nil {
-		return nil, err
-	}
-	p.Name = name
-	return p, nil
-}
-
-// Optimize runs the pass pipeline for the chosen level on every
-// function of the module. Loop unrolling (O3) runs after the O2 set so
-// invariant hoisting does not double up across the unrolled copies, and
-// invariant hoisting is bounded by the target's register budget.
-func Optimize(mod *Module, level OptLevel, tgt Target) {
-	hoistCap := 6
-	schedule := false
-	if tgt.NumArchRegs >= 32 {
-		hoistCap = 14
-		// List scheduling lengthens live ranges; on the 16-register
-		// target the spill cost outweighs the latency hiding, so the
-		// scheduler (like pressure-aware schedulers in real compilers)
-		// only runs when registers are plentiful.
-		schedule = true
-	}
-	if level >= O3 {
-		InlineCalls(mod)
-	}
-	for _, f := range mod.Funcs {
-		switch level {
-		case O0:
-			RemoveUnreachable(f)
-		case O1:
-			RunO1(f, tgt.XLEN)
-		case O2:
-			RunO1(f, tgt.XLEN)
-			RunO2(f, tgt.XLEN, hoistCap)
-			if schedule {
-				Schedule(f)
-			}
-		case O3:
-			RunO1(f, tgt.XLEN)
-			RunO2(f, tgt.XLEN, hoistCap)
-			UnrollLoops(f)
-			RunO1(f, tgt.XLEN)
-			if schedule {
-				Schedule(f)
-			}
-		}
-	}
+// TargetFor derives the compiler backend target from a machine config.
+func TargetFor(cfg machine.Config) Target {
+	return Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
 }

@@ -11,24 +11,6 @@ import (
 // address-offset folding, cross-jumping, and list instruction
 // scheduling.
 
-// RunO2 applies the O2-only passes (after RunO1) and re-cleans.
-// hoistCap bounds loop-invariant hoisting per loop: hoisted temporaries
-// live across the whole loop, so unbounded hoisting trades recomputation
-// for spills on register-poor targets (a pressure-aware LICM, as real
-// compilers implement).
-func RunO2(f *Func, xlen, hoistCap int) {
-	for i := 0; i < 4; i++ {
-		changed := AddrFold(f)
-		changed = LICM(f, hoistCap) || changed
-		changed = StrengthReduce(f, xlen) || changed
-		changed = CrossJump(f) || changed
-		RunO1(f, xlen)
-		if !changed {
-			break
-		}
-	}
-}
-
 // AddrFold folds constant address arithmetic into load/store offsets:
 // a load from (x + c) becomes a load from x with offset c.
 func AddrFold(f *Func) bool {

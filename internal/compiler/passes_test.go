@@ -154,8 +154,8 @@ func run(int a, int b) {
 func main() { run(3, 9); out(data[5]); }`
 	mod := lowerSrc(t, src, 4)
 	f := mod.ByName["run"]
-	RunO1(f, 32)
-	RunO2(f, 32, 8)
+	tgt := Target{XLEN: 32, NumArchRegs: 16}
+	OptimizeWith(mod, LevelPasses(O2, tgt), tgt)
 	// The multiply must have left every loop: find the loop and check.
 	loops := NaturalLoops(f)
 	if len(loops) == 0 {

@@ -29,9 +29,11 @@ type PassSet struct {
 	Unroll bool
 }
 
-// LevelPasses returns the PassSet equivalent to an -O level for the
-// given target (scheduling engages only on the register-rich target, as
-// in Optimize).
+// LevelPasses returns an -O level's PassSet for the given target: the
+// pipeline Compile runs. List scheduling lengthens live ranges; on the
+// 16-register target the spill cost outweighs the latency hiding, so
+// the scheduler (like pressure-aware schedulers in real compilers) only
+// runs when registers are plentiful.
 func LevelPasses(level OptLevel, tgt Target) PassSet {
 	ps := PassSet{}
 	switch level {
@@ -84,7 +86,10 @@ func PassNames() []string {
 	return []string{"basic", "licm", "strength", "crossjump", "scheduling", "inline", "unroll"}
 }
 
-// hoistCapFor returns the register-pressure-aware LICM bound.
+// hoistCapFor bounds loop-invariant hoisting per loop: hoisted
+// temporaries live across the whole loop, so unbounded hoisting trades
+// recomputation for spills on register-poor targets (a pressure-aware
+// LICM, as real compilers implement).
 func hoistCapFor(tgt Target) int {
 	if tgt.NumArchRegs >= 32 {
 		return 14
@@ -92,7 +97,10 @@ func hoistCapFor(tgt Target) int {
 	return 6
 }
 
-// OptimizeWith runs exactly the selected passes on the module.
+// OptimizeWith runs exactly the selected passes on every function of
+// the module. The O2 passes iterate to a fixed point (at most four
+// rounds), each round re-cleaned; loop unrolling runs after them so
+// invariant hoisting does not double up across the unrolled copies.
 func OptimizeWith(mod *Module, ps PassSet, tgt Target) {
 	if ps.Inline {
 		InlineCalls(mod)

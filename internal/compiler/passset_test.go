@@ -23,32 +23,6 @@ func main() {
 	out(s);
 }`
 
-// TestLevelPassesMatchesOptimize: compiling via LevelPasses must produce
-// exactly the same machine code as the -O pipeline.
-func TestLevelPassesMatchesOptimize(t *testing.T) {
-	for _, tgt := range []Target{{XLEN: 32, NumArchRegs: 16}, {XLEN: 64, NumArchRegs: 32}} {
-		for _, level := range Levels {
-			viaLevel, err := Compile(passSetSrc, "p", level, tgt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaSet, err := CompileWithPasses(passSetSrc, "p", LevelPasses(level, tgt), tgt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(viaLevel.Code) != len(viaSet.Code) {
-				t.Fatalf("xlen=%d %v: %d vs %d instructions", tgt.XLEN, level,
-					len(viaLevel.Code), len(viaSet.Code))
-			}
-			for i := range viaLevel.Code {
-				if viaLevel.Code[i] != viaSet.Code[i] {
-					t.Fatalf("xlen=%d %v: code differs at word %d", tgt.XLEN, level, i)
-				}
-			}
-		}
-	}
-}
-
 // TestEveryAblationIsCorrect: removing any single pass must never change
 // program semantics, only performance.
 func TestEveryAblationIsCorrect(t *testing.T) {

@@ -121,7 +121,7 @@ func TestAllocationInvariants(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					Optimize(mod, level, tgt)
+					OptimizeWith(mod, LevelPasses(level, tgt), tgt)
 					for _, f := range mod.Funcs {
 						verifyAllocation(t, f, tgt, level == O0)
 					}
@@ -164,7 +164,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Optimize(mod, O2, tgt)
+	OptimizeWith(mod, LevelPasses(O2, tgt), tgt)
 	for _, f := range mod.Funcs {
 		verifyAllocation(t, f, tgt, false)
 	}

@@ -29,6 +29,7 @@ import (
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/binio"
+	"sevsim/internal/compiler"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/machine"
 )
@@ -95,7 +96,7 @@ func marshalKey(kind string, cfg any) string {
 
 // cacheConfig assembles the unit's prep configuration.
 func (u *prepUnit) cacheConfig(src string) prepConfig {
-	tgt := compilerTarget(u.cfg)
+	tgt := compiler.TargetFor(u.cfg)
 	return prepConfig{
 		Version:     prepBundleVersion,
 		Machine:     u.cfg,

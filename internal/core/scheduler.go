@@ -169,7 +169,7 @@ func (u *prepUnit) options() faultinj.Options {
 // records the checkpoint ladder.
 func (u *prepUnit) compileAndRun(src string) (*machine.Program, *faultinj.Experiment, error) {
 	u.stage = "compile"
-	prog, err := compileUnit(src, u.bench.Name, u.level, compilerTarget(u.cfg))
+	prog, err := compileUnit(src, u.bench.Name, u.level, compiler.TargetFor(u.cfg))
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile %s %v for %s: %w", u.bench.Name, u.level, u.cfg.Name, err)
 	}

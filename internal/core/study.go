@@ -50,28 +50,33 @@ type Spec struct {
 	// Parallelism > 1 differs from the deterministic result order.
 	Progress func(format string, args ...any)
 
-	// Prune enables the static ACE pruner: golden runs record commit
-	// traces, each unit gets a binary-level liveness analysis, and RF
-	// injections that provably land in dead registers are classified
-	// Masked without simulation (campaign.Counts.Pruned counts them).
-	// The study additionally records per-unit static RF bounds
+	// Prune enables the static pruner: golden runs record commit
+	// traces, each unit gets a binary-level liveness and propagation
+	// analysis, and RF injections it proves are classified without
+	// simulation: Masked when the flipped register or bit is dead,
+	// Crash when the flipped bit is crash-certain
+	// (campaign.Counts.Pruned counts them, split by proof class). The
+	// study additionally records per-unit static RF bounds
 	// (Study.Static). Outcome classifications are identical with and
 	// without pruning; only the work to obtain them changes.
 	Prune bool
 
 	// Journal, when non-empty, is the path of a durable JSONL journal:
-	// every completed prep-unit golden and campaign cell is appended
-	// (checksummed, fsync'd) as it finishes, and a later run with the
-	// same spec replays the journal to skip already-finished work. A
-	// study killed at any point and resumed this way produces a
-	// byte-identical study.json to an uninterrupted run. A journal
-	// recorded under a different spec is rejected.
+	// a meta record pinning the spec, then one checksummed outcome
+	// record per finished cell, a unit's golden riding on its first
+	// outcome. The meta record is fsync'd as it is written, the
+	// outcomes once per unit, when the unit's last cell is written, and
+	// a later run with the same spec replays the journal to skip
+	// already-finished work. A study killed at any point and
+	// resumed this way produces a byte-identical study.json to an
+	// uninterrupted run. A journal recorded under a different spec is
+	// rejected.
 	Journal string
 
 	// Cache, when non-nil, memoizes prep artifacts on disk (compiled
-	// binary, golden result, commit trace, checkpoint stream, static RF
-	// bound) keyed by everything that determines them — see
-	// prepConfig.cacheKey. A warm unit skips its compile and its
+	// binary, golden result, commit trace, checkpoint stream) keyed by
+	// everything that determines them — see prepConfig.cacheKey. The
+	// static RF bound is not cached: it is read off the unit's pruner. A warm unit skips its compile and its
 	// golden run. Cold, warm, and disabled runs produce byte-
 	// identical studies: a hit decodes to state strictly equal to a
 	// fresh prep, and corrupt or stale entries are discarded and
@@ -207,11 +212,6 @@ func (st *Study) StaticFor(march, bench, level string) (StaticRF, bool) {
 // cellKey addresses one campaign cell (Target empty for goldens).
 type cellKey struct {
 	March, Bench, Level, Target string
-}
-
-// compilerTarget derives the backend target from a machine config.
-func compilerTarget(cfg machine.Config) compiler.Target {
-	return compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs}
 }
 
 // cellSeed derives a deterministic per-cell seed.

@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"net/http"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"sevsim/internal/artcache"
-	"sevsim/internal/dispatch/backoff"
 	"sevsim/internal/journal"
 )
 
@@ -48,28 +50,35 @@ type WorkerOptions struct {
 
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
-
-	// Client overrides the HTTP client (default: 30s timeout).
-	Client *http.Client
-
-	// Poll paces the idle loop: the delay between empty or failed
-	// lease polls grows by this policy and resets on a grant
-	// (default backoff.Default).
-	Poll *backoff.Policy
 }
 
 // Worker is the lease-execution loop: poll the coordinator for a
 // lease, compute its cells with the journaled local engine, report the
-// outcomes, repeat. All failure handling is bounded-retry with
-// exponential backoff — a worker survives coordinator restarts and
+// outcomes, repeat. All failure handling is bounded-retry on one fixed
+// schedule (retryDelay) — a worker survives coordinator restarts and
 // reports results for leases the coordinator no longer remembers.
 type Worker struct {
-	opt    WorkerOptions
-	client *http.Client
-	poll   backoff.Policy
-	jitter *backoff.Source
-	cache  *artcache.Cache // nil: uncached; shared across leases and studies
+	opt   WorkerOptions
+	cache *artcache.Cache // nil: uncached; shared across leases and studies
+
+	mu     sync.Mutex // guards jitter: the heartbeat goroutine retries too
+	jitter *rand.Rand // seeded with FNV-64a of the worker's name
 }
+
+// httpClient sends every request of every worker.
+var httpClient = &http.Client{Timeout: 30 * time.Second}
+
+// The retry schedule: retry n (n >= 1) of a report, and the n-th idle
+// lease poll in a row, waits about retryBase·2ⁿ, capped at retryMax.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 30 * time.Second
+	// callAttempts bounds a report's retries. It is deliberately
+	// generous: the compute behind a report is expensive, the report
+	// is idempotent, and a coordinator mid-restart comes back within a
+	// few delays.
+	callAttempts = 8
+)
 
 // NewWorker validates the options and returns a ready worker.
 func NewWorker(opt WorkerOptions) (*Worker, error) {
@@ -78,14 +87,6 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	}
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
-	}
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	poll := backoff.Default
-	if opt.Poll != nil {
-		poll = *opt.Poll
 	}
 	var cache *artcache.Cache
 	if opt.CacheDir != "" {
@@ -99,10 +100,8 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	io.WriteString(h, opt.Name)
 	return &Worker{
 		opt:    opt,
-		client: client,
-		poll:   poll,
-		jitter: backoff.NewSource(int64(h.Sum64())),
 		cache:  cache,
+		jitter: rand.New(rand.NewSource(int64(h.Sum64()))),
 	}, nil
 }
 
@@ -120,7 +119,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.opt.Logf("lease poll: %v", err)
 			}
 			idle++
-			if err := w.poll.Sleep(ctx, idle, w.jitter); err != nil {
+			if err := w.wait(ctx, idle); err != nil {
 				return nil
 			}
 			continue
@@ -241,32 +240,12 @@ func (w *Worker) heartbeatLoop(ctx context.Context, g *LeaseGrant, cancel contex
 	}
 }
 
-// lease polls for work. A nil grant with nil error means no work.
+// lease polls for work once; the run loop's idle schedule paces the
+// polls. A nil grant with nil error means no work.
 func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
-	req := LeaseRequest{Worker: w.opt.Name}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+"/v1/lease", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("lease: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var grant LeaseGrant
-	if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
+	status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.opt.Name}, &grant)
+	if err != nil || status == http.StatusNoContent {
 		return nil, err
 	}
 	return &grant, nil
@@ -287,56 +266,94 @@ func (w *Worker) fail(ctx context.Context, g *LeaseGrant, cause error) {
 }
 
 // call POSTs a JSON request and decodes the response, retrying
-// transient transport and 5xx failures with exponential backoff. The
-// retry budget is deliberately generous for completion reports: the
-// compute behind them is expensive, the report is idempotent, and a
-// coordinator mid-restart comes back within a few delays.
+// transient failures on the worker's schedule up to callAttempts times.
 func (w *Worker) call(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	const attempts = 8
-	var last error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if err := w.poll.Sleep(ctx, attempt, w.jitter); err != nil {
-				return last
-			}
-		}
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+path, bytes.NewReader(body))
-		if err != nil {
+	var err error
+	for attempt := 0; attempt < callAttempts; attempt++ {
+		if attempt > 0 && w.wait(ctx, attempt) != nil {
 			return err
 		}
-		httpReq.Header.Set("Content-Type", "application/json")
-		httpResp, err := w.client.Do(httpReq)
-		if err != nil {
-			last = err
-			continue
+		if _, err = w.post(ctx, path, req, resp); !errors.As(err, new(transient)) {
+			return err
 		}
-		ok := httpResp.StatusCode == http.StatusOK || httpResp.StatusCode == http.StatusNoContent
-		if !ok {
-			msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 1024))
-			httpResp.Body.Close()
-			last = fmt.Errorf("%s: %s: %s", path, httpResp.Status, bytes.TrimSpace(msg))
-			if httpResp.StatusCode >= 400 && httpResp.StatusCode < 500 {
-				return last // our bug, not transient
-			}
-			continue
-		}
-		if resp != nil && httpResp.StatusCode == http.StatusOK {
-			err = json.NewDecoder(httpResp.Body).Decode(resp)
-			httpResp.Body.Close()
-			if err != nil {
-				last = err
-				continue
-			}
-			return nil
-		}
-		httpResp.Body.Close()
-		return nil
 	}
-	return last
+	return err
+}
+
+// transient marks a failure that sending the same request again may
+// cure: a transport error, a status other than 4xx, or a reply that
+// does not decode.
+type transient struct{ error }
+
+// post sends one JSON request to the coordinator. A 200 reply is
+// decoded into resp (when non-nil); a 204 carries no body. Any other
+// status is an error, permanent for a 4xx (the request is wrong) and
+// transient otherwise.
+func (w *Worker) post(ctx context.Context, path string, req, resp any) (status int, err error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return 0, err
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	httpResp, err := httpClient.Do(httpReq)
+	if err != nil {
+		return 0, transient{err}
+	}
+	defer httpResp.Body.Close()
+	switch status = httpResp.StatusCode; {
+	case status == http.StatusOK && resp != nil:
+		if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
+			return status, transient{err}
+		}
+		return status, nil
+	case status == http.StatusOK || status == http.StatusNoContent:
+		return status, nil
+	}
+	msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 1024))
+	err = fmt.Errorf("%s: %s: %s", path, httpResp.Status, bytes.TrimSpace(msg))
+	if status >= 400 && status < 500 {
+		return status, err
+	}
+	return status, transient{err}
+}
+
+// wait blocks before retry n on the worker's schedule, or until ctx is
+// done, whose error it then returns. It is the dispatch code's
+// context-aware replacement for time.Sleep.
+func (w *Worker) wait(ctx context.Context, n int) error {
+	t := time.NewTimer(w.delay(n))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// delay draws the next jitter sample and returns retry n's wait.
+func (w *Worker) delay(n int) time.Duration {
+	w.mu.Lock()
+	u := w.jitter.Float64()
+	w.mu.Unlock()
+	return retryDelay(n, u)
+}
+
+// retryDelay is the wait before retry n (n >= 1) given a jitter sample
+// u in [0, 1): d = retryBase·2ⁿ capped at retryMax, of which the top
+// half is jittered, d·(1+u)/2, so a fleet of workers does not retry in
+// lockstep.
+func retryDelay(n int, u float64) time.Duration {
+	d := retryBase
+	for i := 0; i < n && d < retryMax; i++ {
+		d *= 2
+	}
+	f := float64(min(d, retryMax))
+	return time.Duration(f/2 + u*f/2)
 }
 
 // Cache exposes the worker's prep-artifact cache (nil when the worker

@@ -27,8 +27,8 @@ import (
 //   - in dispatch code (any package under a "dispatch" path segment),
 //     a time.Sleep inside a loop is a blind polling spin: it ignores
 //     context cancellation and fixed-rate-hammers the coordinator.
-//     Use the shared backoff policy (backoff.Policy.Sleep/Wait) or a
-//     time.Ticker in a select ("//lint:sleep <reason>" suppresses).
+//     Use a context-aware timer in a select ("//lint:sleep <reason>"
+//     suppresses).
 func robustnessPass() *Pass {
 	return &Pass{
 		Name: "robustness",
@@ -79,7 +79,7 @@ func robustnessPass() *Pass {
 								fmt.Sprintf("http.%s gives no handle for Shutdown and no ReadHeaderTimeout; construct an http.Server and wire graceful shutdown", sel))
 						case isPkg && path == "time" && sel == "Sleep" && dispatchDir && loopDepth > 0:
 							r.ReportSuppressible(n.Pos(), "sleep-poll", "sleep",
-								"time.Sleep in a dispatch loop ignores cancellation and polls at a fixed rate; use the shared backoff policy or a time.Ticker in a select (or mark //lint:sleep <reason>)")
+								"time.Sleep in a dispatch loop ignores cancellation and polls at a fixed rate; use a context-aware timer in a select (or mark //lint:sleep <reason>)")
 						case !isPkg && isSel:
 							// A method call: srv.Serve and friends need Shutdown
 							// wired somewhere in the same package.
@@ -134,7 +134,7 @@ func hasField(lit *ast.CompositeLit, name string) bool {
 }
 
 // dirHasSegment reports whether the cleaned slash path contains the
-// named path segment ("internal/dispatch/backoff" has "dispatch").
+// named path segment ("internal/dispatch" has "dispatch").
 func dirHasSegment(dir, seg string) bool {
 	for _, s := range strings.Split(filepath.ToSlash(filepath.Clean(dir)), "/") {
 		if s == seg {
