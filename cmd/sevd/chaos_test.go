@@ -207,7 +207,7 @@ func localStudy(t *testing.T, wire dispatch.StudySpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(st, "", " ")
+	data, err := st.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ package binanalysis
 // pair of masks (Zero, One) with Zero&One == 0; a bit set in neither
 // mask is unknown. The join at control-flow merges intersects the two
 // sides' knowledge, so the fixpoint descends a finite lattice and
-// terminates. Transfer functions mirror the simulator's ALU (cpu.alu)
-// exactly over the XLEN-masked value domain: physical register values
+// terminates. Transfer functions are exact for the simulator's ALU
+// (isa.ALU) over the XLEN-masked value domain: physical register values
 // are stored maskTo'd (zero-extended above XLEN), so bits at and above
 // XLEN are always known zero.
 //
@@ -114,95 +114,6 @@ func kbTopState(m uint64) kbState {
 	return st
 }
 
-// kbImmOperand abstracts the second ALU operand of an I-format
-// instruction, mirroring cpu.alu's immediate handling: the logical
-// operations and sltiu zero-extend the 16-bit immediate, everything
-// else sign-extends it.
-func kbImmOperand(in isa.Instr, m uint64) KnownBits {
-	switch in.Op {
-	case isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpSltiu:
-		return kbConst(uint64(uint16(in.Imm)), m)
-	default:
-		return kbConst(uint64(int64(in.Imm)), m)
-	}
-}
-
-// signExtVal sign-extends a masked XLEN-bit value to 64 bits.
-func signExtVal(v uint64, xlen int) int64 {
-	if xlen >= 64 {
-		return int64(v)
-	}
-	return int64(int32(uint32(v)))
-}
-
-// concreteALU evaluates an ALU opcode on fully known operands, exactly
-// mirroring cpu.alu followed by writePhys's XLEN masking. Operand b is
-// the already-resolved second operand (register value or immediate).
-// The differential fuzz test FuzzKnownBitsVsInterp pins this mirror to
-// the simulator bit for bit.
-func concreteALU(op isa.Opcode, v1, b uint64, xlen int) uint64 {
-	m := xlenMask(xlen)
-	shiftMask := uint64(xlen - 1)
-	v1 &= m
-	b &= m
-	s1, sb := signExtVal(v1, xlen), signExtVal(b, xlen)
-	var r uint64
-	switch op {
-	case isa.OpAdd, isa.OpAddi:
-		r = uint64(s1 + sb)
-	case isa.OpSub:
-		r = uint64(s1 - sb)
-	case isa.OpMul:
-		r = uint64(s1 * sb)
-	case isa.OpDiv:
-		switch {
-		case sb == 0:
-			r = ^uint64(0)
-		case s1 == kbMinInt(xlen) && sb == -1:
-			r = uint64(s1)
-		default:
-			r = uint64(s1 / sb)
-		}
-	case isa.OpRem:
-		switch {
-		case sb == 0:
-			r = uint64(s1)
-		case s1 == kbMinInt(xlen) && sb == -1:
-			r = 0
-		default:
-			r = uint64(s1 % sb)
-		}
-	case isa.OpAnd, isa.OpAndi:
-		r = v1 & b
-	case isa.OpOr, isa.OpOri:
-		r = v1 | b
-	case isa.OpXor, isa.OpXori:
-		r = v1 ^ b
-	case isa.OpSll, isa.OpSlli:
-		r = v1 << (b & shiftMask)
-	case isa.OpSrl, isa.OpSrli:
-		r = v1 >> (b & shiftMask)
-	case isa.OpSra, isa.OpSrai:
-		r = uint64(s1 >> (b & shiftMask))
-	case isa.OpSlt, isa.OpSlti:
-		if s1 < sb {
-			r = 1
-		}
-	case isa.OpSltu, isa.OpSltiu:
-		if v1 < b {
-			r = 1
-		}
-	}
-	return r & m
-}
-
-func kbMinInt(xlen int) int64 {
-	if xlen >= 64 {
-		return -1 << 63
-	}
-	return -1 << 31
-}
-
 // kbEval computes the abstract value an instruction writes to its
 // destination register, given the known-bits state before it. Index i
 // is the instruction's position in the code image (the link value of a
@@ -221,7 +132,7 @@ func kbEval(i int, in isa.Instr, st *kbState, xlen int) KnownBits {
 		return kbALU(in.Op, st[in.Rs1], st[in.Rs2], xlen)
 	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpSlli,
 		isa.OpSrli, isa.OpSrai, isa.OpSlti, isa.OpSltiu:
-		return kbALU(in.Op, st[in.Rs1], kbImmOperand(in, m), xlen)
+		return kbALU(in.Op, st[in.Rs1], kbConst(isa.ImmOperand(in.Op, int64(in.Imm)), m), xlen)
 	case isa.OpLui:
 		return kbConst(uint64(int64(in.Imm)<<16), m)
 	case isa.OpLbu:
@@ -244,13 +155,13 @@ func kbEval(i int, in isa.Instr, st *kbState, xlen int) KnownBits {
 }
 
 // kbALU is the opcode-level transfer over resolved operands. Fully
-// known operands evaluate concretely through the ALU mirror; partially
-// known ones fall to per-opcode bit reasoning.
+// known operands evaluate concretely through isa.ALU, the core's own
+// semantics; partially known ones fall to per-opcode bit reasoning.
 func kbALU(op isa.Opcode, a, b KnownBits, xlen int) KnownBits {
 	m := xlenMask(xlen)
 	if av, aok := a.Const(m); aok {
 		if bv, bok := b.Const(m); bok {
-			return kbConst(concreteALU(op, av, bv, xlen), m)
+			return kbConst(isa.ALU(op, av, bv, xlen), m)
 		}
 	}
 	switch op {

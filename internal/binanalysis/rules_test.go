@@ -8,9 +8,10 @@ package binanalysis
 // opcode joins every check without anyone editing a list here, and an
 // opcode a rule forgets fails exactness or precision by name.
 //
-// The concrete side is concreteALU, pinned to the core's ALU by
-// TestConcreteALUMatchesTheCore, and for crash-certain bits the core
-// itself (TestCrashCertainBitsFaultOnTheCore).
+// The concrete side is isa.ALU, the core's own ALU, whose operand
+// routing and write-back TestConcreteALUMatchesTheCore checks on the
+// pipeline, and for crash-certain bits the core itself
+// (TestCrashCertainBitsFaultOnTheCore).
 
 import (
 	"fmt"
@@ -59,8 +60,6 @@ func concreteDest(in isa.Instr, idx int, v1, v2 uint64, xlen int) uint64 {
 	switch op := in.Op; {
 	case op.IsJump():
 		return (machine.CodeBase + 4*uint64(idx) + 4) & m
-	case op == isa.OpLui:
-		return uint64(int64(in.Imm)<<16) & m
 	case op.IsLoad():
 		w := 8 * op.MemSize()
 		v := v2 & lowMask(w)
@@ -69,9 +68,9 @@ func concreteDest(in isa.Instr, idx int, v1, v2 uint64, xlen int) uint64 {
 		}
 		return v & m
 	case op.Format() == isa.FmtI:
-		return concreteALU(op, v1, kbImmOperand(in, m).One, xlen)
+		v2 = isa.ImmOperand(op, int64(in.Imm))
 	}
-	return concreteALU(in.Op, v1, v2, xlen)
+	return isa.ALU(in.Op, v1, v2, xlen) & m
 }
 
 // observe is everything in makes architecturally visible from source
@@ -92,7 +91,7 @@ func observe(in isa.Instr, L, v1, v2 uint64, xlen int) [3]uint64 {
 		if v1&m == v2&m {
 			eq = 1
 		}
-		return [3]uint64{eq, concreteALU(isa.OpSlt, v1, v2, xlen), concreteALU(isa.OpSltu, v1, v2, xlen)}
+		return [3]uint64{eq, isa.ALU(isa.OpSlt, v1, v2, xlen), isa.ALU(isa.OpSltu, v1, v2, xlen)}
 	case op == isa.OpJalr:
 		return [3]uint64{addr &^ 3}
 	case op == isa.OpOut:
@@ -345,10 +344,11 @@ func TestCrashCertainBitsFaultOnTheCore(t *testing.T) {
 }
 
 // TestConcreteALUMatchesTheCore pins the oracle's concrete side to the
-// core: for each march and each pair of edge values, one straight-line
-// program runs every opcode that writes a register from registers or an
-// immediate (jumps aside) and outputs each result, which must equal
-// concreteDest, and through it concreteALU.
+// core's pipeline: for each march and each pair of edge values, one
+// straight-line program runs every opcode that writes a register from
+// registers or an immediate (jumps aside) and outputs each result, which
+// must equal concreteDest. Both evaluate through isa.ALU, so what this
+// checks is the operand routing and the write-back around it.
 func TestConcreteALUMatchesTheCore(t *testing.T) {
 	for _, cfg := range machine.Configs() {
 		xlen := cfg.CPU.XLEN
@@ -371,7 +371,7 @@ func TestConcreteALUMatchesTheCore(t *testing.T) {
 				}
 				for k, in := range ops {
 					if want := concreteDest(in, probeIdx, x, y, xlen); res.Output[k] != want {
-						t.Errorf("%s: %v on %#x, %#x: core %#x, concreteALU %#x", cfg.Name, in, x, y, res.Output[k], want)
+						t.Errorf("%s: %v on %#x, %#x: core %#x, concreteDest %#x", cfg.Name, in, x, y, res.Output[k], want)
 					}
 				}
 			}

@@ -162,11 +162,11 @@ func hostileStreams(cfg machine.Config) []hostileStream {
 	}
 
 	// Offset of the first chunk reference of the first snapshot's L1I
-	// table: count, cycle, hash, core state, clock + four counters, chunk
-	// count (all single-byte varints at these sizes).
+	// table: count, cycle, core state, clock + four counters, chunk count
+	// (all single-byte varints at these sizes).
 	var core binio.Writer
 	snaps[0].Core.EncodeTo(&core)
-	firstRef := 1 + 8 + 8 + len(core.Bytes()) + 5*8 + 1
+	firstRef := 1 + 8 + len(core.Bytes()) + 5*8 + 1
 	patched := func(at int, b byte) []byte {
 		out := append([]byte(nil), valid...)
 		out[at] = b

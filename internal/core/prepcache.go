@@ -56,7 +56,10 @@ import (
 //
 // Version 5: a bundle no longer carries the static RF bound; a version-4
 // bundle's bound may be stale against the current analysis.
-const prepBundleVersion = 5
+//
+// Version 6: a machine.Snap no longer carries a convergence hash, so
+// every rung is 8 bytes shorter.
+const prepBundleVersion = 6
 
 // prepConfig is everything that determines one prep unit's artifacts,
 // and nothing else: cacheKey marshals the whole struct, so its fields and

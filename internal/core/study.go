@@ -323,12 +323,19 @@ func MachineConfig(name string) (machine.Config, bool) {
 
 // --- persistence -------------------------------------------------------------
 
-// Save writes the study as JSON, crash-safely: the bytes go to a temp
+// Bytes renders the study as the bytes of a study.json. Every writer
+// of a study — Save, and the coordinator's merged result — goes through
+// it, so a study run locally and one run distributed are the same bytes.
+func (st *Study) Bytes() ([]byte, error) {
+	return json.MarshalIndent(st, "", " ")
+}
+
+// Save writes the study's Bytes, crash-safely: the bytes go to a temp
 // file in the destination directory, are fsync'd, and are renamed over
 // the target, so a crash mid-save leaves either the old file or the new
 // one — never a torn mixture.
 func (st *Study) Save(path string) error {
-	data, err := json.MarshalIndent(st, "", " ")
+	data, err := st.Bytes()
 	if err != nil {
 		return err
 	}

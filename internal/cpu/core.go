@@ -844,8 +844,13 @@ func (c *Core) execute(qi int) {
 		c.robOutVal[e] = c.maskTo(v1)
 		done(noPhys, 0, 1)
 	default:
-		val := c.alu(op, v1, v2, imm)
-		done(c.iqDest[qi], val, c.latFor(op))
+		if !op.IsALU() {
+			simerr.Assertf("cpu: alu on unexpected op %s", op.Name())
+		}
+		if op.Format() == isa.FmtI {
+			v2 = isa.ImmOperand(op, imm) // the immediate replaces the second source
+		}
+		done(c.iqDest[qi], isa.ALU(op, v1, v2, c.cfg.XLEN), c.latFor(op))
 	}
 }
 
@@ -887,77 +892,4 @@ func (c *Core) evalBranch(op isa.Opcode, v1, v2 uint64) bool {
 	}
 	simerr.Assertf("cpu: evalBranch on non-branch %s", op.Name())
 	return false
-}
-
-// alu computes an integer operation. For I-format operations the second
-// operand is the immediate; v2 is ignored.
-func (c *Core) alu(op isa.Opcode, v1, v2 uint64, imm int64) uint64 {
-	shiftMask := uint64(c.cfg.XLEN - 1)
-	s1 := c.signExt(v1)
-	b := v2
-	if op.Format() == isa.FmtI {
-		b = uint64(imm)
-		switch op {
-		case isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpSltiu:
-			b = uint64(uint16(imm)) // logical immediates zero-extend
-		}
-	}
-	sb := c.signExt(c.maskTo(b))
-	switch op {
-	case isa.OpAdd, isa.OpAddi:
-		return uint64(s1 + sb)
-	case isa.OpSub:
-		return uint64(s1 - sb)
-	case isa.OpMul:
-		return uint64(s1 * sb)
-	case isa.OpDiv:
-		if sb == 0 {
-			return ^uint64(0)
-		}
-		if s1 == minInt(c.cfg.XLEN) && sb == -1 {
-			return uint64(s1)
-		}
-		return uint64(s1 / sb)
-	case isa.OpRem:
-		if sb == 0 {
-			return uint64(s1)
-		}
-		if s1 == minInt(c.cfg.XLEN) && sb == -1 {
-			return 0
-		}
-		return uint64(s1 % sb)
-	case isa.OpAnd, isa.OpAndi:
-		return v1 & b
-	case isa.OpOr, isa.OpOri:
-		return v1 | b
-	case isa.OpXor, isa.OpXori:
-		return v1 ^ b
-	case isa.OpSll, isa.OpSlli:
-		return v1 << (b & shiftMask)
-	case isa.OpSrl, isa.OpSrli:
-		return c.maskTo(v1) >> (b & shiftMask)
-	case isa.OpSra, isa.OpSrai:
-		return uint64(s1 >> (b & shiftMask))
-	case isa.OpSlt, isa.OpSlti:
-		if s1 < sb {
-			return 1
-		}
-		return 0
-	case isa.OpSltu, isa.OpSltiu:
-		if c.maskTo(v1) < c.maskTo(b) {
-			return 1
-		}
-		return 0
-	case isa.OpLui:
-		return uint64(int64(imm) << 16)
-	}
-	simerr.Assertf("cpu: alu on unexpected op %s", op.Name())
-	return 0
-}
-
-func minInt(xlen int) int64 {
-	if xlen == 64 {
-		return -1 << 63
-	}
-	return -1 << 31
 }

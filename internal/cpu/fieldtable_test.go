@@ -48,11 +48,10 @@ func busyCycle(t *testing.T, prog []isa.Instr) uint64 {
 // TestCoreFieldTable gives every Core field one row and checks it by
 // perturbation (see internal/fieldtable): a state or dead field must
 // survive Snapshot, the byte encoding and Restore and be seen by strict
-// Equal; StateEquals must see a state field and ignore a dead one, and
-// StateHash must not move with it; a field of any other class must not
-// arrive through a checkpoint at all. The slab views carved in
-// structures.go need no row: each rides its slab, and StateEquals must
-// see a flip of some element of it.
+// Equal; StateEquals must see a state field and ignore a dead one; a
+// field of any other class must not arrive through a checkpoint at all.
+// The slab views carved in structures.go need no row: each rides its
+// slab, and StateEquals must see a flip of some element of it.
 func TestCoreFieldTable(t *testing.T) {
 	prog := tableProgram()
 	at := busyCycle(t, prog)
@@ -73,7 +72,6 @@ func TestCoreFieldTable(t *testing.T) {
 		},
 		Equal:       (*CoreState).Equal,
 		StateEquals: (*Core).StateEquals,
-		StateHash:   (*Core).StateHash,
 		Slabs:       []string{"u64", "u16", "u8"},
 	}
 	// The fetch queue is a ring; a snapshot holds it in order from the

@@ -243,81 +243,6 @@ func (c *Core) Restore(s *CoreState) {
 	c.Stats = s.Stats
 }
 
-// fnv64 is a 64-bit FNV-1a accumulator over uint64 blocks, used as the
-// cheap prefilter hash of the convergence check. Determinism matters
-// (the hash feeds no persisted result, but a stable hash keeps the
-// fast-exit behavior identical run to run); cryptographic strength does
-// not.
-type fnv64 uint64
-
-const fnv64Offset fnv64 = 14695981039346656037
-const fnv64Prime fnv64 = 1099511628211
-
-func (h *fnv64) mix(v uint64) {
-	*h = (*h ^ fnv64(v)) * fnv64Prime
-}
-
-func (h *fnv64) mixBool(b bool) {
-	if b {
-		h.mix(1)
-	} else {
-		h.mix(0)
-	}
-}
-
-// StateHash is the cheap prefilter of the early-convergence check. It
-// mixes a *subset* of the state StateEquals compares — the scalar run
-// position (cycle, seq, PCs), structure occupancies, the rename map,
-// the live register values, and the output stream — which is enough to
-// discriminate virtually every divergent execution in one pass over a
-// few hundred words. A hash collision merely costs one exact
-// StateEquals call; equality is never decided by the hash alone.
-//
-// The subset must stay inside the set StateEquals compares: hashing
-// excluded state (e.g. Stats, which legitimately differ between a
-// converged faulty run and the golden run) would make the hash miss on
-// truly converged states and silently disable the early exit.
-func (c *Core) StateHash() uint64 {
-	h := fnv64Offset
-	h.mix(c.cycle)
-	h.mix(c.seq)
-	h.mix(c.expectPC)
-	h.mix(c.fetchPC)
-	h.mix(c.fetchStall)
-	h.mixBool(c.fetchFrozen)
-	h.mixBool(c.halted)
-	h.mixBool(c.crash != nil)
-	h.mix(uint64(c.robHead))
-	h.mix(uint64(c.robCount))
-	h.mix(uint64(c.lqHead))
-	h.mix(uint64(c.lqCount))
-	h.mix(uint64(c.sqHead))
-	h.mix(uint64(c.sqCount))
-	h.mix(uint64(c.iqCount))
-	h.mix(uint64(c.prfLive))
-	h.mix(uint64(c.fetchLen))
-	h.mix(uint64(len(c.inflight)))
-	for _, p := range c.rat {
-		h.mix(uint64(p))
-	}
-	h.mix(uint64(c.freeCount))
-	for _, p := range c.freeBack[:c.freeCount] {
-		h.mix(uint64(p))
-	}
-	for p := range c.prf {
-		// Mirror the StateEquals exclusion: only live values.
-		if c.prfAlloc[p] != 0 && c.prfReady[p] != 0 {
-			h.mix(uint64(p))
-			h.mix(c.prf[p])
-		}
-	}
-	h.mix(uint64(len(c.output)))
-	for _, v := range c.output {
-		h.mix(v)
-	}
-	return uint64(h)
-}
-
 // StateEquals reports whether the core's behavioral state equals the
 // snapshot's: equal states produce bit-identical future execution. The
 // comparison skips state that is provably dead — overwritten before it

@@ -98,12 +98,9 @@ type studyRun struct {
 	subs   map[chan StatusEvent]struct{}
 
 	// cacheByWorker accumulates the prep-artifact cache deltas each
-	// worker reported with its completions, and prunedDUEByWorker the
-	// crash-certain injections each worker's static pruner classified
-	// without simulating — observability only, never part of the merged
-	// study.
-	cacheByWorker     map[string]artcache.Stats
-	prunedDUEByWorker map[string]int
+	// worker reported with its completions — observability only, never
+	// part of the merged study.
+	cacheByWorker map[string]artcache.Stats
 }
 
 func (r *studyRun) state() string {
@@ -192,14 +189,13 @@ func (c *Coordinator) newRun(id string, wire StudySpec) (*studyRun, error) {
 	}
 	asm := core.NewAssembler(spec)
 	return &studyRun{
-		id:                id,
-		wire:              wire,
-		spec:              spec,
-		asm:               asm,
-		table:             newLeaseTable(spec.Cells(), asm.Has, c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
-		subs:              map[chan StatusEvent]struct{}{},
-		cacheByWorker:     map[string]artcache.Stats{},
-		prunedDUEByWorker: map[string]int{},
+		id:            id,
+		wire:          wire,
+		spec:          spec,
+		asm:           asm,
+		table:         newLeaseTable(spec.Cells(), asm.Has, c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
+		subs:          map[chan StatusEvent]struct{}{},
+		cacheByWorker: map[string]artcache.Stats{},
 	}, nil
 }
 
@@ -357,9 +353,6 @@ func (c *Coordinator) commit(r *studyRun, worker string, outcomes []core.CellOut
 		}
 		accepted++
 		r.table.complete(worker, o.Cell)
-		if n := o.Result.Counts.PrunedDUE; n > 0 && worker != "" {
-			r.prunedDUEByWorker[worker] += n
-		}
 		c.notify(r, o.Cell.Key(), worker)
 	}
 	return accepted, nil
@@ -440,7 +433,7 @@ func (c *Coordinator) finalize(r *studyRun) {
 		c.opt.Logf("study %s: finalize: %v", r.id, err)
 		return
 	}
-	data, err := json.MarshalIndent(st, "", " ")
+	data, err := st.Bytes()
 	if err != nil {
 		c.opt.Logf("study %s: finalize: %v", r.id, err)
 		return
@@ -484,13 +477,6 @@ func (c *Coordinator) status(r *studyRun) StatusEvent {
 		for name, s := range r.cacheByWorker { //lint:ordered commutative sum into a copied map
 			ev.Cache.Add(s)
 			ev.CacheByWorker[name] = s
-		}
-	}
-	if len(r.prunedDUEByWorker) > 0 {
-		ev.PrunedDUEByWorker = make(map[string]int, len(r.prunedDUEByWorker))
-		for name, n := range r.prunedDUEByWorker { //lint:ordered commutative sum into a copied map
-			ev.PrunedDUE += n
-			ev.PrunedDUEByWorker[name] = n
 		}
 	}
 	return ev

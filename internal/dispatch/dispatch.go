@@ -133,11 +133,4 @@ type StatusEvent struct {
 	// uncached.
 	Cache         artcache.Stats
 	CacheByWorker map[string]artcache.Stats `json:",omitempty"`
-
-	// PrunedDUE counts injections this study's completions proved
-	// crash-certain statically instead of simulating (the DUE pruner
-	// tier); PrunedDUEByWorker splits the same counter by worker name.
-	// Both stay zero/absent when no worker pruned a DUE.
-	PrunedDUE         int            `json:",omitempty"`
-	PrunedDUEByWorker map[string]int `json:",omitempty"`
 }

@@ -45,7 +45,7 @@ func localBytes(t *testing.T, wire StudySpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(st, "", " ")
+	data, err := st.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}

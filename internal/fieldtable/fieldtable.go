@@ -47,7 +47,6 @@ type Subject[T, S any] struct {
 	Equal    func(a, b S) bool  // strict equality of snapshots
 
 	StateEquals func(*T, S) bool
-	StateHash   func(*T) uint64 // nil when the struct has none
 
 	// Slabs names slice fields that other fields may alias. Such a view
 	// needs no row: it rides its slab through the checkpoint, and
@@ -150,19 +149,12 @@ func checkRow[T, S any](t *testing.T, sub Subject[T, S], r Row[T]) {
 
 	b := sub.Blank()
 	sub.Restore(b, s0)
-	var h0 uint64
-	if sub.StateHash != nil {
-		h0 = sub.StateHash(b)
-	}
 	perturb(b)
 	switch eq := sub.StateEquals(b, s0); {
 	case r.Class == State && eq:
 		t.Error("StateEquals does not see the perturbation of a state field")
 	case r.Class == Dead && !eq:
 		t.Error("StateEquals sees the perturbation of a dead field")
-	}
-	if r.Class == Dead && sub.StateHash != nil && sub.StateHash(b) != h0 {
-		t.Error("StateHash moves with a dead field: it may mix only state StateEquals compares")
 	}
 }
 

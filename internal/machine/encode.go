@@ -20,7 +20,6 @@ import (
 // EncodeTo appends the snapshot's complete state to w.
 func (s *Snap) EncodeTo(w *binio.Writer, enc *mem.Encoder) {
 	w.U64(s.Cycle)
-	w.U64(s.Hash)
 	s.Core.EncodeTo(w)
 	s.CacheImages.EncodeTo(w, enc)
 	s.Mem.EncodeTo(w, enc)
@@ -92,7 +91,6 @@ func DecodeResult(r *binio.Reader) (Result, error) {
 func DecodeSnap(r *binio.Reader, cfg Config, dec *mem.Decoder) (*Snap, error) {
 	s := &Snap{}
 	s.Cycle = r.U64()
-	s.Hash = r.U64()
 	var err error
 	if s.Core, err = cpu.DecodeCoreState(r, &cfg.CPU); err != nil {
 		return nil, fmt.Errorf("machine: decode snap core: %w", err)

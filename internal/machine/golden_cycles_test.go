@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sevsim/internal/binio"
 	"sevsim/internal/compiler"
 	"sevsim/internal/cpu"
 	"sevsim/internal/machine"
@@ -22,10 +23,11 @@ var update = flag.Bool("update", false, "rewrite testdata/golden_cycles.golden f
 // speed work: every bundled (march, benchmark, level) unit at TestSize,
 // plus qsort and sha at O0/O2 at DefaultSize, must reproduce the pinned
 // cycle count, every cpu.Stats and cache counter, the output checksum,
-// the final StateHash, and an FNV of the whole commit-event stream. A
-// change that claims "same simulated cycles" leaves the golden file
-// byte-identical; one that deliberately changes timing refreshes it with
-// `go test ./internal/machine -run TestGoldenCyclesPinned -update`.
+// an FNV of the encoded final core state (every field a checkpoint
+// carries, dead state included), and an FNV of the whole commit-event
+// stream. A change that claims "same simulated cycles" leaves the golden
+// file byte-identical; one that deliberately changes timing refreshes it
+// with `go test ./internal/machine -run TestGoldenCyclesPinned -update`.
 func TestGoldenCyclesPinned(t *testing.T) {
 	var got bytes.Buffer
 	for _, cfg := range machine.Configs() {
@@ -105,7 +107,13 @@ func goldenLine(t *testing.T, cfg machine.Config, b workloads.Benchmark, size in
 		binary.LittleEndian.PutUint64(buf[0:], v)
 		out.Write(buf[:8])
 	}
+	var core binio.Writer
+	final := m.Core.Snapshot()
+	final.EncodeTo(&core)
+	final.Release()
+	state := fnv.New64a()
+	state.Write(core.Bytes())
 	return fmt.Sprintf("%s %s %v size=%d cycles=%d stats=%+v l1i=%+v l1d=%+v l2=%+v outputs=%d out=%016x state=%016x commits=%d events=%016x\n",
 		cfg.CPU.Name, b.Name, lv, size, res.Cycles, res.Stats, res.L1I, res.L1D, res.L2,
-		len(res.Output), out.Sum64(), m.Core.StateHash(), commits, events.Sum64())
+		len(res.Output), out.Sum64(), state.Sum64(), commits, events.Sum64())
 }

@@ -7,21 +7,15 @@ import (
 
 // Snap is a full-machine checkpoint: every piece of authoritative state
 // in the core, both cache levels, and backing memory, plus the cycle it
-// was taken at and a precomputed convergence hash. Snaps are immutable
-// once taken — Restore never writes through one, and the cache chunks
-// and memory pages it shares with other Snaps of the same run are
-// copy-on-write — so a single Snap is shared read-only across all
-// injection workers of a cell.
+// was taken at. Snaps are immutable once taken — Restore never writes
+// through one, and the cache chunks and memory pages it shares with
+// other Snaps of the same run are copy-on-write — so a single Snap is
+// shared read-only across all injection workers of a cell.
 type Snap struct {
 	Cycle uint64
 	Core  *cpu.CoreState
 	CacheImages
 	Mem *mem.MemoryState
-
-	// Hash is StateHash() of the machine at snapshot time, the cheap
-	// prefilter of Converged: a live machine whose hash differs cannot
-	// be state-equal, so the exact comparison is skipped.
-	Hash uint64
 }
 
 // CacheImages is the state of the three caches at one moment of a run:
@@ -50,7 +44,6 @@ func (m *Machine) Snapshot() *Snap {
 		Core:        m.Core.Snapshot(),
 		CacheImages: m.SnapshotCaches(),
 		Mem:         m.Mem.Snapshot(),
-		Hash:        m.StateHash(),
 	}
 }
 
@@ -77,21 +70,6 @@ func (m *Machine) Restore(s *Snap) {
 	m.Mem.Restore(s.Mem)
 }
 
-// StateHash folds the core's behavioral-state hash with the three cache
-// LRU clocks. Every component hashed here is part of the Converged
-// equality relation (never of its exclusions), so hash inequality
-// soundly proves state inequality; the clocks advance on every cache
-// access, making them a strong cheap discriminator for executions that
-// touched the hierarchy differently.
-func (m *Machine) StateHash() uint64 {
-	const prime = 1099511628211
-	h := m.Core.StateHash()
-	h = (h ^ m.L1I.Clock()) * prime
-	h = (h ^ m.L1D.Clock()) * prime
-	h = (h ^ m.L2.Clock()) * prime
-	return h
-}
-
 // Converged reports whether the machine's behavioral state equals the
 // snapshot's: same cycle, and state equality over every component that
 // can influence future execution (dead state — free registers,
@@ -99,8 +77,13 @@ func (m *Machine) StateHash() uint64 {
 // cpu.Core.StateEquals and mem docs). Because simulation is a
 // deterministic function of exactly that state, Converged true means
 // the remainder of this run replays the snapshot's run bit-for-bit.
+//
+// The cycle and the three caches' LRU clocks are compared first: each
+// is part of the relation, and the clocks advance on every cache access,
+// so most divergent runs are rejected before any structure is walked.
 func (m *Machine) Converged(s *Snap) bool {
-	if m.Core.Cycle() != s.Cycle || m.StateHash() != s.Hash {
+	if m.Core.Cycle() != s.Cycle || m.L1I.Clock() != s.L1I.Clock ||
+		m.L1D.Clock() != s.L1D.Clock || m.L2.Clock() != s.L2.Clock {
 		return false
 	}
 	return m.Core.StateEquals(s.Core) &&
@@ -113,7 +96,7 @@ func (m *Machine) Converged(s *Snap) bool {
 // Equal is the strict bit-for-bit comparison of two snapshots (dead
 // state included), used by round-trip tests.
 func (s *Snap) Equal(o *Snap) bool {
-	return s.Cycle == o.Cycle && s.Hash == o.Hash &&
+	return s.Cycle == o.Cycle &&
 		s.Core.Equal(o.Core) &&
 		s.CacheImages.Equal(o.CacheImages) &&
 		s.Mem.Equal(o.Mem)

@@ -86,8 +86,8 @@ func sameResult(a, b Result) bool {
 // TestSnapshotRestoreRoundTrip is the core property of the checkpoint
 // layer: restoring a snapshot into the machine it was taken from — even
 // after that machine has run arbitrarily far past it — reproduces the
-// snapshot bit for bit, including the convergence hash, and the
-// continuation replays the golden run exactly.
+// snapshot bit for bit, and the continuation replays the golden run
+// exactly.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, cfg := range Configs() {
 		golden := goldenRun(t, cfg)
@@ -95,9 +95,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			m := New(cfg, prog(snapIns()))
 			runTo(t, m, c)
 			s1 := m.Snapshot()
-			if m.StateHash() != s1.Hash {
-				t.Fatalf("%s@%d: snapshot hash disagrees with live StateHash", cfg.Name, c)
-			}
 			if !m.Converged(s1) {
 				t.Fatalf("%s@%d: machine not Converged with its own snapshot", cfg.Name, c)
 			}
@@ -105,9 +102,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			// Dirty every structure by running to completion, then rewind.
 			m.Run(2_000_000)
 			m.Restore(s1)
-			if m.StateHash() != s1.Hash {
-				t.Errorf("%s@%d: restored StateHash differs from snapshot hash", cfg.Name, c)
-			}
 			s2 := m.Snapshot()
 			if !s1.Equal(s2) {
 				t.Errorf("%s@%d: re-snapshot after restore not strictly equal", cfg.Name, c)
@@ -252,15 +246,30 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzStateHashEquals fuzzes the hash/equality contract the convergence
-// fast-exit rests on, over mid-run core states perturbed by random bit
-// flips. StateHash mixes a strict subset of the StateEquals fields, so
-// the two agree one way only: StateEquals true must force equal hashes
-// (hash inequality soundly proves state inequality — the Converged
-// prefilter), while equal hashes prove nothing. The fuzzer pins that
-// implication, the pre/post-restore hash round trip, and
-// CoreState.Equal reflexivity and symmetry.
-func FuzzStateHashEquals(f *testing.F) {
+// convergedIsStateEquals fails unless m.Converged(s) answers exactly the
+// conjunction of the five components' StateEquals: the cycle and cache
+// clock reject in front of it may only skip comparisons that would have
+// answered false.
+func convergedIsStateEquals(t *testing.T, m *Machine, s *Snap) {
+	t.Helper()
+	want := m.Core.StateEquals(s.Core) &&
+		m.L1I.StateEquals(s.L1I) &&
+		m.L1D.StateEquals(s.L1D) &&
+		m.L2.StateEquals(s.L2) &&
+		m.Mem.StateEquals(s.Mem)
+	if got := m.Converged(s); got != want {
+		t.Fatalf("cycle %d: Converged %v, the StateEquals conjunction %v", m.Core.Cycle(), got, want)
+	}
+}
+
+// FuzzStateEqualsRestore fuzzes the relations the convergence fast exit
+// rests on, over mid-run machines perturbed by random bit flips in the
+// core and the data cache and by counter bumps. Converged must equal the
+// StateEquals conjunction on the perturbed machine, at the flip and
+// after both it and an unperturbed twin ran on; CoreState.Equal must be
+// reflexive and symmetric; and Restore must round-trip the clean and the
+// perturbed core state alike.
+func FuzzStateEqualsRestore(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint8(0))
 	f.Add(uint64(3), uint64(12345), uint8(1))
 	f.Add(uint64(40), uint64(0xfeedface), uint8(7))
@@ -268,10 +277,11 @@ func FuzzStateHashEquals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, at, flipSeed uint64, nflips uint8) {
 		for _, cfg := range Configs() {
 			golden := goldenRun(t, cfg)
+			c := at % golden.Cycles
 			m := New(cfg, prog(snapIns()))
-			runTo(t, m, at%golden.Cycles)
+			runTo(t, m, c)
+			ms := m.Snapshot()
 			s1 := m.Core.Snapshot()
-			h1 := m.Core.StateHash()
 			if !m.Core.StateEquals(s1) {
 				t.Fatal("core not state-equal to its own snapshot")
 			}
@@ -279,42 +289,57 @@ func FuzzStateHashEquals(f *testing.F) {
 				t.Fatal("CoreState.Equal not reflexive")
 			}
 
-			// Perturb the core in place: up to 7 flips at LCG-derived
-			// positions across the injectable fields. Flips may land on
-			// dead state (free registers, unoccupied slots) or live state
-			// — both sides of the StateEquals exclusions get exercised.
+			// Perturb in place: up to 7 changes at LCG-derived positions
+			// across the core's injectable fields, the L1D's data and tag
+			// arrays and the event counters. They may land on dead state
+			// (free registers, unoccupied slots, invalid lines, counters)
+			// or live state — both sides of the StateEquals exclusions get
+			// exercised.
 			x := flipSeed
+			next := func() uint64 {
+				x = x*6364136223846793005 + 1442695040888963407
+				return x >> 17
+			}
 			for i := 0; i < int(nflips%8); i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-				fld := cpu.Field((x >> 33) % uint64(cpu.NumFields))
-				x = x*6364136223846793005 + 1442695040888963407
-				m.Core.FlipBit(fld, (x>>17)%m.Core.FieldBits(fld))
+				switch fld := next() % uint64(cpu.NumFields+4); fld {
+				case uint64(cpu.NumFields):
+					m.L1D.FlipDataBit(next() % m.L1D.DataBitCount())
+				case uint64(cpu.NumFields) + 1:
+					m.L1D.FlipTagBit(next() % m.L1D.TagBitCount())
+				case uint64(cpu.NumFields) + 2:
+					m.Core.Stats.Committed++
+				case uint64(cpu.NumFields) + 3:
+					m.L1D.Stats.Hits++
+				default:
+					m.Core.FlipBit(cpu.Field(fld), next()%m.Core.FieldBits(cpu.Field(fld)))
+				}
 			}
+			convergedIsStateEquals(t, m, ms)
 			s2 := m.Core.Snapshot()
-			h2 := m.Core.StateHash()
 
-			// Soundness: behavioral equality implies hash agreement.
-			if m.Core.StateEquals(s1) && h2 != h1 {
-				t.Fatal("StateEquals true but StateHash differs: the hash mixes state outside the equality relation")
-			}
-			// Strict equality is stronger still, and must be symmetric.
+			// Strict equality must be symmetric and reflexive.
 			if s1.Equal(s2) != s2.Equal(s1) {
 				t.Fatal("CoreState.Equal not symmetric")
 			}
 			if !s2.Equal(s2) {
 				t.Fatal("CoreState.Equal not reflexive on a perturbed state")
 			}
-			if s1.Equal(s2) && h1 != h2 {
-				t.Fatal("strictly equal snapshots hash differently")
-			}
 
-			// Restore is bit-exact: the hash taken at snapshot time and
-			// the hash after restoring that snapshot must match, for the
-			// clean state and the perturbed one alike.
+			// Run the perturbed machine and an unperturbed twin on to the
+			// same cycle, where the clocks and the cycle may disagree (the
+			// perturbed run may also have ended before it).
+			later := []Watch{{At: c + 1 + next()%64, Fn: func(*Machine) bool { return true }}}
+			twin := New(cfg, prog(snapIns()))
+			twin.Restore(ms)
+			twin.RunWatched(later[0].At+1, later)
+			ts := twin.Snapshot()
+			m.RunWatched(later[0].At+1, later)
+			convergedIsStateEquals(t, m, ts)
+			ts.Release()
+
+			// Restore is bit-exact, for the clean state and the perturbed
+			// one alike.
 			m.Core.Restore(s1)
-			if got := m.Core.StateHash(); got != h1 {
-				t.Fatalf("hash after Restore %#x, want %#x", got, h1)
-			}
 			if !m.Core.StateEquals(s1) {
 				t.Fatal("core not state-equal to the snapshot it was just restored from")
 			}
@@ -324,11 +349,17 @@ func FuzzStateHashEquals(f *testing.F) {
 			}
 			s3.Release()
 			m.Core.Restore(s2)
-			if got := m.Core.StateHash(); got != h2 {
-				t.Fatalf("hash after restoring perturbed state %#x, want %#x", got, h2)
+			if !m.Core.StateEquals(s2) {
+				t.Fatal("core not state-equal to the perturbed snapshot it was just restored from")
 			}
+			s4 := m.Core.Snapshot()
+			if !s4.Equal(s2) {
+				t.Fatal("restore round trip of a perturbed state not bit-exact")
+			}
+			s4.Release()
 			s1.Release()
 			s2.Release()
+			ms.Release()
 		}
 	})
 }

@@ -166,12 +166,11 @@ func (c *Cache) Restore(s *CacheState) {
 	clear(c.owned)
 }
 
-// Clock returns the LRU clock, the cheap per-cache component of the
-// machine-level convergence prefilter hash. The clock advances on every
+// Clock returns the LRU clock, which machine.Converged compares against
+// the snapshot's before any structure. The clock advances on every
 // access, so two executions that touched the caches differently almost
 // always disagree on it; it is part of the StateEquals relation (LRU
-// state steers future victim selection), which keeps the hash a sound
-// subset of the exact comparison.
+// state steers future victim selection), so the early reject is sound.
 func (c *Cache) Clock() uint64 { return c.clock }
 
 // StateEquals reports whether the cache's behavioral state equals the
