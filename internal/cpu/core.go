@@ -100,7 +100,12 @@ type Core struct {
 	// snapshot carries only the slot; Restore recomputes the facts.
 	fetchFacts []renameFacts
 
-	inflight []inflightOp
+	// The operations in the functional units are inflight[:nInflight],
+	// oldest push first; their order is state. The buffer holds ROBSize
+	// slots and grows only if a fault pushes more, so a cycle writes no
+	// slice header.
+	inflight  []inflightOp
+	nInflight int
 
 	cycle    uint64
 	seq      uint64
@@ -170,10 +175,12 @@ type Core struct {
 	// with its decode and the rename-stage facts derived from it.
 	dec []predecoded
 
-	// Scratch buffers reused across cycles to avoid per-cycle allocation.
-	dueBuf  []int
-	opsBuf  []inflightOp
-	candBuf []int
+	// Scratch reused across cycles to avoid per-cycle allocation. The
+	// buffers are sized at construction (dueBuf grows with inflight), so
+	// no cycle writes their headers; cand is an array for the same reason.
+	dueBuf []int
+	opsBuf []inflightOp
+	cand   [64]int
 
 	// commitHook, when non-nil, observes every committed instruction in
 	// program order (see SetCommitHook).
@@ -208,6 +215,9 @@ func NewCore(cfg Config, memory *mem.Memory, icache, dcache *mem.Cache, entry ui
 		// accepts for a stored queue.
 		fetchQ:     make([]fetchSlot, cfg.FetchQueueSize+1),
 		fetchFacts: make([]renameFacts, cfg.FetchQueueSize+1),
+		inflight:   make([]inflightOp, cfg.ROBSize),
+		dueBuf:     make([]int, 0, cfg.ROBSize),
+		opsBuf:     make([]inflightOp, 0, cfg.WBWidth),
 	}
 	c.carve(&c.cfg)
 	for a := 0; a < cfg.NumArchRegs; a++ {
@@ -457,40 +467,60 @@ func (c *Core) commitStore(h int) bool {
 
 func (c *Core) writeback() {
 	// Collect completions due this cycle, oldest first, up to WBWidth.
-	due := c.dueBuf[:0]
-	for i := range c.inflight {
-		if c.inflight[i].DoneAt <= c.cycle {
-			due = append(due, i)
+	live := c.inflight[:c.nInflight]
+	ndue := 0
+	for i := range live {
+		if live[i].DoneAt <= c.cycle {
+			ndue++
 		}
 	}
-	if len(due) == 0 {
-		c.dueBuf = due
+	if ndue == 0 {
 		return
 	}
-	// Insertion sort by age: the slice is tiny and this avoids the
-	// allocations of sort.Slice in the per-cycle hot path.
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && c.inflight[due[j]].Seq < c.inflight[due[j-1]].Seq; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
+	var ops []inflightOp
+	if ndue == len(live) && ndue <= c.cfg.WBWidth {
+		// Every op in flight is due and all fit: finish them all where
+		// they lie, in the order the due-index pass below would give
+		// them (the sort is stable). Nothing pushes an op before issue,
+		// and a squash finds none in flight.
+		ops = live
+		for i := 1; i < len(ops); i++ {
+			for j := i; j > 0 && ops[j].Seq < ops[j-1].Seq; j-- {
+				ops[j], ops[j-1] = ops[j-1], ops[j]
+			}
 		}
-	}
-	if len(due) > c.cfg.WBWidth {
-		due = due[:c.cfg.WBWidth]
-	}
-	ops := c.opsBuf[:0]
-	for _, i := range due {
-		ops = append(ops, c.inflight[i])
-		c.inflight[i].DoneAt = ^uint64(0) // mark taken
-	}
-	rest := c.inflight[:0]
-	for i := range c.inflight {
-		if c.inflight[i].DoneAt != ^uint64(0) {
-			rest = append(rest, c.inflight[i])
+		c.nInflight = 0
+	} else {
+		ops = c.opsBuf[:0]
+		due := c.dueBuf[:0]
+		for i := range live {
+			if live[i].DoneAt <= c.cycle {
+				due = append(due, i)
+			}
 		}
+		// Insertion sort by age: the slice is tiny and this avoids the
+		// allocations of sort.Slice in the per-cycle hot path.
+		for i := 1; i < len(due); i++ {
+			for j := i; j > 0 && live[due[j]].Seq < live[due[j-1]].Seq; j-- {
+				due[j], due[j-1] = due[j-1], due[j]
+			}
+		}
+		if len(due) > c.cfg.WBWidth {
+			due = due[:c.cfg.WBWidth]
+		}
+		for _, i := range due {
+			ops = append(ops, live[i])
+			live[i].DoneAt = ^uint64(0) // mark taken
+		}
+		n := 0
+		for i := range live {
+			if live[i].DoneAt != ^uint64(0) {
+				live[n] = live[i]
+				n++
+			}
+		}
+		c.nInflight = n
 	}
-	c.inflight = rest
-	c.dueBuf = due
-	c.opsBuf = ops
 	// A mispredict squash inside this batch invalidates every younger
 	// completion in it; processing them would let a squashed branch
 	// redirect the front end.
@@ -727,13 +757,26 @@ func (c *Core) loadOne(li int) {
 	c.lqFlags[li] |= lInflight | lDone
 	c.lqPending &^= 1 << uint(li)
 	c.lqFillAt[li] = fillAt
-	c.inflight = append(c.inflight, inflightOp{
+	c.pushInflight(inflightOp{
 		DoneAt: fillAt,
 		Dest:   c.lqDest[li],
 		Value:  val,
 		ROBIdx: c.lqROB[li],
 		Seq:    lSeqV,
 	})
+}
+
+// pushInflight starts op in a functional unit, after every op already
+// there.
+func (c *Core) pushInflight(op inflightOp) {
+	if c.nInflight == len(c.inflight) {
+		// Only a fault pushes more ops than there are ROB entries.
+		c.inflight = append(c.inflight, op)
+		c.inflight = c.inflight[:cap(c.inflight)]
+		c.dueBuf = make([]int, 0, len(c.inflight))
+	}
+	c.inflight[c.nInflight] = op
+	c.nInflight++
 }
 
 func (c *Core) extendLoad(v uint64, size uint8, signExt bool) uint64 {
@@ -759,11 +802,12 @@ func (c *Core) issue() {
 	if c.iqReady == 0 {
 		return
 	}
-	cand := c.candBuf[:0]
+	n := 0
 	for m := c.iqReady; m != 0; m &= m - 1 {
-		cand = append(cand, bits.TrailingZeros64(m))
+		c.cand[n] = bits.TrailingZeros64(m)
+		n++
 	}
-	c.candBuf = cand
+	cand := c.cand[:n]
 	for i := 1; i < len(cand); i++ {
 		for j := i; j > 0 && c.iqSeq[cand[j]] < c.iqSeq[cand[j-1]]; j-- {
 			cand[j], cand[j-1] = cand[j-1], cand[j]
@@ -802,7 +846,7 @@ func (c *Core) execute(qi int) {
 	e := c.robAt(robIdx, seq)
 	op := isa.Opcode(c.iqOp[qi])
 	done := func(dest uint16, val uint64, lat int) {
-		c.inflight = append(c.inflight, inflightOp{
+		c.pushInflight(inflightOp{
 			DoneAt: c.cycle + uint64(lat),
 			Dest:   dest,
 			Value:  val,

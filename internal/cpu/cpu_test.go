@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"sevsim/internal/isa"
@@ -340,5 +341,35 @@ func TestIQDstFlipOutOfRangeAsserts(t *testing.T) {
 	}()
 	if !asserted {
 		t.Log("note: corrupted IQ linkage did not assert this time (entries may have been empty)")
+	}
+}
+
+// TestInflightPastROB: the in-flight buffer holds ROBSize ops, and a
+// fault can push more. Pushing past it grows the buffer in push order,
+// and Snapshot and Restore carry every op into a core whose buffer is
+// still the constructed size.
+func TestInflightPastROB(t *testing.T) {
+	prog := []isa.Instr{isa.Halt()}
+	c := testCore(prog)
+	n := c.cfg.ROBSize + 5
+	var want []inflightOp
+	for i := 0; i < n; i++ {
+		op := inflightOp{DoneAt: ^uint64(0) - 1, Dest: noPhys, Seq: uint64(n - i)}
+		c.pushInflight(op)
+		want = append(want, op)
+	}
+	if !slices.Equal(c.inflight[:c.nInflight], want) || cap(c.dueBuf) < c.nInflight {
+		t.Fatalf("%d ops in flight, due buffer %d, want %d in push order", c.nInflight, cap(c.dueBuf), n)
+	}
+	s := c.Snapshot()
+	defer s.Release()
+	d := testCore(prog)
+	d.Restore(s)
+	if !slices.Equal(d.inflight[:d.nInflight], want) || cap(d.dueBuf) < d.nInflight || !d.StateEquals(s) {
+		t.Fatalf("restored %d ops in flight, due buffer %d, want %d", d.nInflight, cap(d.dueBuf), n)
+	}
+	d.pushInflight(inflightOp{Seq: 1})
+	if d.nInflight != n+1 || d.inflight[n].Seq != 1 || d.StateEquals(s) {
+		t.Fatalf("push after restore: %d ops in flight", d.nInflight)
 	}
 }

@@ -3,6 +3,7 @@ package cpu
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sevsim/internal/binio"
@@ -110,11 +111,14 @@ func TestCommitTraceChunks(t *testing.T) {
 	}
 }
 
-// TestCommitTraceColumns round-trips random events through Append/At and
-// through the bundle codec across three chunk boundaries, with every
-// field at its edges: NoDest, DestPhys 0xffff, PCs outside any code image
-// and ^uint64(0), cycles next to 2^64. Each column must keep its field's
-// full width, and a chunk must hold exactly 19 bytes per event.
+// TestCommitTraceColumns round-trips events through Append/At and
+// through the bundle codec across three chunk boundaries: three in four
+// of the narrow kind a golden run commits, the rest random, with every field at
+// its edges at both ends of every chunk: NoDest, DestPhys 0xffff, PCs
+// outside any code image and ^uint64(0), cycles next to 2^64. What the
+// narrow columns cannot hold goes to its chunk's side table; a chunk
+// holds 6 bytes an event, 8 a 64-event block and a 24-byte slice header,
+// and its side table 24 bytes an event.
 func TestCommitTraceColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	n := 3*traceChunk + 123
@@ -126,16 +130,30 @@ func TestCommitTraceColumns(t *testing.T) {
 	}
 	want := make([]CommitEvent, n)
 	rec := &CommitTrace{}
+	var cycle uint64
 	for i := range want {
 		ev := CommitEvent{Cycle: rng.Uint64(), PC: rng.Uint64(), DestArch: uint8(rng.Intn(33)), DestPhys: uint16(rng.Uint32())}
+		if i == 0 || rng.Intn(4) != 0 {
+			cycle += uint64(rng.Intn(4))
+			ev.Cycle, ev.PC, ev.DestPhys = cycle, 0x10000+4*uint64(rng.Intn(0xffff)), uint16(rng.Intn(0xff))
+			if i == 0 {
+				ev.PC = 0x10000 // the PC base, below every other narrow PC
+			}
+			if rng.Intn(8) == 0 {
+				ev.DestPhys = 0xffff
+			}
+		}
 		if ev.DestArch == 32 {
 			ev.DestArch = NoDest
 		}
-		if i%traceChunk < len(edges) || traceChunk-1-i%traceChunk < len(edges) {
+		if i > 0 && (i%traceChunk < len(edges) || traceChunk-1-i%traceChunk < len(edges)) {
 			ev = edges[i%len(edges)] // both ends of every chunk
 		}
 		want[i] = ev
 		rec.Append(ev)
+	}
+	if side := sideEvents(rec); side == 0 || side >= n/2 {
+		t.Errorf("%d of %d events in the side tables", side, n)
 	}
 	var w binio.Writer
 	EncodeCommitEvents(&w, rec)
@@ -153,8 +171,61 @@ func TestCommitTraceColumns(t *testing.T) {
 				t.Fatalf("event %d is %+v, want %+v", i, got, ev)
 			}
 		}
-		if chunks := (n + traceChunk - 1) / traceChunk; tr.ResidentBytes() != chunks*16384*19 {
-			t.Errorf("%d resident bytes in %d chunks, want %d", tr.ResidentBytes(), chunks, chunks*16384*19)
+		chunks, side := (n+traceChunk-1)/traceChunk, 0
+		for _, c := range tr.chunks {
+			side += cap(c.side)
+		}
+		if want := chunks*(24+16384/64*8+16384*6) + side*24; tr.ResidentBytes() != want {
+			t.Errorf("%d resident bytes in %d chunks and %d side slots, want %d", tr.ResidentBytes(), chunks, side, want)
+		}
+	}
+}
+
+// sideEvents returns how many of t's events its side tables hold.
+func sideEvents(t *CommitTrace) int {
+	n := 0
+	for _, c := range t.chunks {
+		n += len(c.side)
+	}
+	return n
+}
+
+// TestCommitTraceNarrowBounds appends, after a first event that sets the
+// PC base and its block's cycle base, each event on either side of every
+// narrow column's range, and checks that exactly the ones past it go to
+// the side table and that every one reads back as appended.
+func TestCommitTraceNarrowBounds(t *testing.T) {
+	first := CommitEvent{Cycle: 100, PC: 0x1000, DestArch: 1, DestPhys: 40}
+	cases := []struct {
+		ev   CommitEvent
+		side bool
+	}{
+		{CommitEvent{Cycle: 100 + 0xffff, PC: 0x1000, DestArch: 2, DestPhys: 0}, false},
+		{CommitEvent{Cycle: 100 + 0x10000, PC: 0x1000, DestArch: 2, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 99, PC: 0x1000, DestArch: 2, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1000 + 4*0xfffe, DestArch: 2, DestPhys: 0}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1000 + 4*0xffff, DestArch: 2, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1000 - 4, DestArch: 2, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1002, DestArch: 2, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xfe}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xff}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xfffe}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xffff}, false},
+	}
+	tr := traceOf(first)
+	var side []CommitEvent
+	for _, c := range cases {
+		tr.Append(c.ev)
+		if c.side {
+			side = append(side, c.ev)
+		}
+	}
+	if !slices.Equal(tr.chunks[0].side, side) {
+		t.Errorf("side table holds %+v, want %+v", tr.chunks[0].side, side)
+	}
+	for i, c := range cases {
+		if ev := tr.At(i + 1); ev != c.ev {
+			t.Errorf("event %d is %+v, want %+v", i+1, ev, c.ev)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func busyCycle(t *testing.T, prog []isa.Instr) uint64 {
 	c := testCore(prog)
 	for c.Step() {
 		if c.robCount > 0 && c.iqCount > 0 && c.lqCount > 0 && c.sqCount > 0 && c.fetchLen > 0 &&
-			len(c.inflight) > 0 && len(c.output) > 0 {
+			c.nInflight > 0 && len(c.output) > 0 {
 			return c.Cycle()
 		}
 	}
@@ -80,6 +80,9 @@ func TestCoreFieldTable(t *testing.T) {
 		older, younger := c.fetchQueue()
 		return append(append([]fetchSlot(nil), older...), younger...)
 	}
+	// The ops in flight are a prefix of a fixed buffer; a snapshot holds
+	// the prefix.
+	inflight := func(c *Core) any { return append([]inflightOp(nil), c.inflight[:c.nInflight]...) }
 	const (
 		state       = fieldtable.State
 		dead        = fieldtable.Dead
@@ -118,7 +121,9 @@ func TestCoreFieldTable(t *testing.T) {
 			Perturb: func(c *Core) { c.fetchQ[c.fetchHead].PC ^= 4 }},
 		{Field: "fetchHead", Class: state, Reason: "where the fetch ring starts", View: fetchRing},
 		{Field: "fetchLen", Class: state, Reason: "fetch ring occupancy", View: fetchRing},
-		{Field: "inflight", Class: state, Reason: "operations in the functional units"},
+		{Field: "inflight", Class: state, Reason: "operations in the functional units", View: inflight},
+		{Field: "nInflight", Class: state, Reason: "how many operations are in the functional units", View: inflight,
+			Perturb: func(c *Core) { c.nInflight-- }},
 		{Field: "cycle", Class: state, Reason: "run position"},
 		{Field: "seq", Class: state, Reason: "next instruction sequence number"},
 		{Field: "expectPC", Class: state, Reason: "next PC commit expects"},
@@ -144,7 +149,8 @@ func TestCoreFieldTable(t *testing.T) {
 		{Field: "dec", Class: derived, Reason: "predecode memo of pure functions of the fetched word and the configuration; a miss recomputes"},
 		{Field: "dueBuf", Class: scratch, Reason: reused},
 		{Field: "opsBuf", Class: scratch, Reason: reused},
-		{Field: "candBuf", Class: scratch, Reason: reused},
+		{Field: "cand", Class: scratch, Reason: "scratch, written up to the count before every use",
+			Perturb: func(c *Core) { c.cand[0] ^= 1 }},
 		{Field: "commitHook", Class: wiring, Reason: "observer of committed instructions, not simulated state",
 			Perturb: func(c *Core) { c.commitHook = func(CommitEvent) {} }},
 	})

@@ -458,13 +458,14 @@ func (c *Core) squash(afterSeq uint64, newPC uint64) {
 			c.iqCount--
 		}
 	}
-	kept := c.inflight[:0]
-	for _, op := range c.inflight {
+	n := 0
+	for _, op := range c.inflight[:c.nInflight] {
 		if op.Seq <= afterSeq {
-			kept = append(kept, op)
+			c.inflight[n] = op
+			n++
 		}
 	}
-	c.inflight = kept
+	c.nInflight = n
 	c.fetchHead, c.fetchLen = 0, 0
 	c.fetchFrozen = false
 	c.fetchStall = 0

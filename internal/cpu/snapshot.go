@@ -22,11 +22,12 @@ package cpu
 //
 //   - Snapshot/Restore are bit-exact: a restored core replays the
 //     remainder of the run cycle-for-cycle identically to the core the
-//     snapshot was taken from. Scratch buffers (dueBuf, opsBuf,
-//     candBuf), the predecode memo and the derived indices (DESIGN.md
-//     §12) are the only exclusions; the buffers are dead across cycles
-//     by construction, the memo caches pure functions of the fetched
-//     word, and Restore rebuilds every index from the slabs.
+//     snapshot was taken from. Scratch (dueBuf, opsBuf, cand), the
+//     slots of inflight past nInflight, the predecode memo and the
+//     derived indices (DESIGN.md §12) are the only exclusions; the
+//     scratch and the free slots are dead across cycles by
+//     construction, the memo caches pure functions of the fetched word,
+//     and Restore rebuilds every index from the slabs.
 //
 //   - StateEquals is the *behavioral* equivalence used by the
 //     early-convergence Masked exit: it ignores architecturally dead
@@ -148,7 +149,7 @@ func (c *Core) Snapshot() *CoreState {
 	s.FetchStall = c.fetchStall
 	s.FetchFrozen = c.fetchFrozen
 
-	s.Inflight = snapCopy(s.Inflight, c.inflight)
+	s.Inflight = snapCopy(s.Inflight, c.inflight[:c.nInflight])
 
 	s.Cycle = c.cycle
 	s.Seq = c.seq
@@ -203,7 +204,11 @@ func (c *Core) Restore(s *CoreState) {
 	c.fetchStall = s.FetchStall
 	c.fetchFrozen = s.FetchFrozen
 
-	c.inflight = append(c.inflight[:0], s.Inflight...)
+	if len(s.Inflight) > len(c.inflight) {
+		c.inflight = make([]inflightOp, len(s.Inflight))
+		c.dueBuf = make([]int, 0, len(s.Inflight))
+	}
+	c.nInflight = copy(c.inflight, s.Inflight)
 
 	c.cycle = s.Cycle
 	c.seq = s.Seq
@@ -292,7 +297,7 @@ func (c *Core) StateEquals(s *CoreState) bool {
 	if c.fetchLen != len(s.FetchQ) || !slices.Equal(older, s.FetchQ[:len(older)]) || !slices.Equal(younger, s.FetchQ[len(older):]) {
 		return false
 	}
-	if !slices.Equal(c.inflight, s.Inflight) || !slices.Equal(c.output, s.Output) {
+	if !slices.Equal(c.inflight[:c.nInflight], s.Inflight) || !slices.Equal(c.output, s.Output) {
 		return false
 	}
 	if slices.Equal(c.u64, s.u64) && slices.Equal(c.u16, s.u16) && bytes.Equal(c.u8, s.u8) {

@@ -31,21 +31,36 @@ type CommitEvent struct {
 // injection hot path.
 func (c *Core) SetCommitHook(fn func(CommitEvent)) { c.commitHook = fn }
 
-// traceChunk is the number of events per CommitTrace chunk (19 bytes
-// each, so 304 KiB): large enough that chunk bookkeeping vanishes, small
-// enough that the last, partly filled one wastes little.
+// traceChunk is the number of events per CommitTrace chunk (about 6
+// bytes each, so 98 KiB): large enough that chunk bookkeeping vanishes,
+// small enough that the last, partly filled one wastes little. Every
+// traceBlock events of a chunk share one cycle base.
 const (
 	traceChunkShift = 14
 	traceChunk      = 1 << traceChunkShift
+	traceBlockShift = 6
+	traceBlock      = 1 << traceBlockShift
 )
 
-// traceColumns is one chunk of a CommitTrace stored column-wise, so an
-// event takes its fields' 19 bytes and not the 24 of a padded
-// CommitEvent. Arrays, so At's second index needs no bounds check.
+// sidePC in an event's PC column marks an event kept whole in its
+// chunk's side table, at the index its cycle column holds.
+const sidePC = 0xffff
+
+// traceColumns is one chunk of a CommitTrace stored column-wise and
+// narrowed: an event's cycle is its block's base plus a 16-bit offset,
+// its PC a 16-bit word offset from the trace's first PC, and its
+// destination tag plus one a byte (so 0 stands for noPhys, and tags 0
+// to 0xfe fit). A golden run commits every few cycles from a code image
+// that starts at its entry point, so all but a corrupt or contrived
+// event fit. Arrays, so At's second index needs no bounds check. side
+// comes first so that the collector's scan of a chunk ends at its one
+// pointer.
 type traceColumns struct {
-	cycle    [traceChunk]uint64
-	pc       [traceChunk]uint64
-	destPhys [traceChunk]uint16
+	side     []CommitEvent // the events the narrow columns cannot hold
+	base     [traceChunk / traceBlock]uint64
+	cycle    [traceChunk]uint16
+	pc       [traceChunk]uint16
+	destPhys [traceChunk]uint8
 	destArch [traceChunk]uint8
 }
 
@@ -53,12 +68,17 @@ type traceColumns struct {
 // run's length is unknown until it halts, so events go into fixed-size
 // chunks that are never moved or joined: the trace a run records is the
 // trace its experiment holds, its pruners index and its bundle encodes,
-// and it exists once. A nil *CommitTrace is the empty trace of an
-// untraced run. Append must not race with the readers; a finished trace
+// and it exists once. An event that does not fit the narrow columns (a
+// cycle more than 65,535 past its block's base, a PC below the first,
+// unaligned or too far above it, a tag from 0xff to 0xfffe) is marked in
+// its PC slot and kept whole in its chunk's side table, so At returns
+// exactly what Append received. A nil *CommitTrace is the empty trace of
+// an untraced run. Append must not race with the readers; a finished trace
 // is immutable and safe for concurrent use.
 type CommitTrace struct {
 	chunks []*traceColumns
 	n      int
+	pc0    uint64 // the first event's PC, the base of every PC offset
 }
 
 // Append adds one event at the end; SetCommitHook takes it as the hook.
@@ -67,8 +87,22 @@ func (t *CommitTrace) Append(ev CommitEvent) {
 	if i == 0 {
 		t.chunks = append(t.chunks, new(traceColumns))
 	}
+	if t.n == 0 {
+		t.pc0 = ev.PC
+	}
 	c := t.chunks[len(t.chunks)-1]
-	c.cycle[i], c.pc[i], c.destPhys[i], c.destArch[i] = ev.Cycle, ev.PC, ev.DestPhys, ev.DestArch
+	if i&(traceBlock-1) == 0 {
+		c.base[i>>traceBlockShift] = ev.Cycle
+	}
+	base := c.base[i>>traceBlockShift]
+	dc, dpc := ev.Cycle-base, ev.PC-t.pc0
+	phys := ev.DestPhys + 1 // noPhys wraps to 0
+	if ev.Cycle < base || dc > 0xffff || ev.PC < t.pc0 || dpc&3 != 0 || dpc>>2 >= sidePC || phys > 0xff {
+		c.cycle[i], c.pc[i] = uint16(len(c.side)), sidePC
+		c.side = append(c.side, ev)
+	} else {
+		c.cycle[i], c.pc[i], c.destPhys[i], c.destArch[i] = uint16(dc), uint16(dpc>>2), uint8(phys), ev.DestArch
+	}
 	t.n++
 }
 
@@ -83,13 +117,26 @@ func (t *CommitTrace) Len() int {
 // At returns event i, 0 <= i < Len.
 func (t *CommitTrace) At(i int) CommitEvent {
 	c, j := t.chunks[i>>traceChunkShift], i&(traceChunk-1)
-	return CommitEvent{Cycle: c.cycle[j], PC: c.pc[j], DestArch: c.destArch[j], DestPhys: c.destPhys[j]}
+	if c.pc[j] == sidePC {
+		return c.side[c.cycle[j]]
+	}
+	return CommitEvent{
+		Cycle:    c.base[j>>traceBlockShift] + uint64(c.cycle[j]),
+		PC:       t.pc0 + uint64(c.pc[j])<<2,
+		DestArch: c.destArch[j],
+		DestPhys: uint16(c.destPhys[j]) - 1, // 0 wraps to noPhys
+	}
 }
 
-// ResidentBytes returns the memory the trace's chunks hold.
+// ResidentBytes returns the memory the trace's chunks and their side
+// tables hold.
 func (t *CommitTrace) ResidentBytes() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.chunks) * int(unsafe.Sizeof(traceColumns{}))
+	n := len(t.chunks) * int(unsafe.Sizeof(traceColumns{}))
+	for _, c := range t.chunks {
+		n += cap(c.side) * int(unsafe.Sizeof(CommitEvent{}))
+	}
+	return n
 }

@@ -247,8 +247,8 @@ func NewExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, erro
 // NewTracedExperiment is NewExperiment with commit tracing: the golden
 // run additionally records one CommitEvent per committed instruction
 // (Experiment.Trace), the input to static ACE analysis and injection
-// pruning. The trace costs 19 bytes per committed instruction, in memory
-// and encoded alike, so it is opt-in rather than the default.
+// pruning. The trace costs about 6 bytes per committed instruction in
+// memory and 19 encoded, so it is opt-in rather than the default.
 func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, error) {
 	return NewExperimentOptions(cfg, prog, Options{Traced: true})
 }

@@ -75,6 +75,9 @@ func Asm(src string) ([]Instr, error) {
 			continue
 		}
 		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+		if len(fields) == 0 {
+			return nil, asmErr(lineNum, "expected an instruction, got %q", line)
+		}
 		mn := strings.ToLower(fields[0])
 		ops := fields[1:]
 		op, ok := opByName(mn)

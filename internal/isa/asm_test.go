@@ -1,12 +1,14 @@
 package isa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestAsmBasicProgram(t *testing.T) {
-	src := `
+// Programs the tests below assemble; FuzzAsm starts from them too.
+const (
+	asmBasic = `
 ; compute 6*7 and emit it
   addi a0, zr, 6
   addi a1, zr, 7
@@ -14,7 +16,37 @@ func TestAsmBasicProgram(t *testing.T) {
   out  a2
   halt
 `
-	ins, err := Asm(src)
+	asmLabels = `
+  addi a0, zr, 0
+  addi a1, zr, 10
+loop:
+  addi a0, a0, 1
+  blt  a0, a1, loop
+  jal  zr, done
+  nop
+done:
+  out a0
+  halt
+`
+	asmMemory = `
+  lw   t0, 8(sp)
+  sw   t0, -4(a0)
+  lbu  t1, (a1)
+  jalr zr, 0(ra)
+`
+	asmDisassembly = `
+  lui  s0, 16
+  ori  s0, s0, 0x1234
+  slt  a0, s0, a1
+  sltiu a1, a0, 1
+  bgeu a0, a1, 2
+  sra  a2, a0, a1
+  halt
+`
+)
+
+func TestAsmBasicProgram(t *testing.T) {
+	ins, err := Asm(asmBasic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,19 +68,7 @@ func TestAsmBasicProgram(t *testing.T) {
 }
 
 func TestAsmLabelsAndBranches(t *testing.T) {
-	src := `
-  addi a0, zr, 0
-  addi a1, zr, 10
-loop:
-  addi a0, a0, 1
-  blt  a0, a1, loop
-  jal  zr, done
-  nop
-done:
-  out a0
-  halt
-`
-	ins, err := Asm(src)
+	ins, err := Asm(asmLabels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +83,7 @@ done:
 }
 
 func TestAsmMemoryOperands(t *testing.T) {
-	ins, err := Asm(`
-  lw   t0, 8(sp)
-  sw   t0, -4(a0)
-  lbu  t1, (a1)
-  jalr zr, 0(ra)
-`)
+	ins, err := Asm(asmMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +103,7 @@ func TestAsmMemoryOperands(t *testing.T) {
 
 func TestAsmRoundTripThroughDisassembly(t *testing.T) {
 	// Assemble, disassemble each instruction, re-assemble: identical.
-	src := `
-  lui  s0, 16
-  ori  s0, s0, 0x1234
-  slt  a0, s0, a1
-  sltiu a1, a0, 1
-  bgeu a0, a1, 2
-  sra  a2, a0, a1
-  halt
-`
-	first, err := Asm(src)
+	first, err := Asm(asmDisassembly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +122,20 @@ func TestAsmRoundTripThroughDisassembly(t *testing.T) {
 	}
 }
 
+// asmErrors are sources Asm must refuse, by what is wrong with them.
+var asmErrors = map[string]string{
+	"unknown mnemonic": "frob a0, a1, a2",
+	"bad register":     "add a0, q9, a2",
+	"operand count":    "add a0, a1",
+	"bad immediate":    "addi a0, a1, xyz",
+	"undefined label":  "jal ra, nowhere",
+	"duplicate label":  "x:\nx:\n  halt",
+	"bad mem operand":  "lw a0, 8",
+	"no mnemonic":      ",",
+}
+
 func TestAsmErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown mnemonic": "frob a0, a1, a2",
-		"bad register":     "add a0, q9, a2",
-		"operand count":    "add a0, a1",
-		"bad immediate":    "addi a0, a1, xyz",
-		"undefined label":  "jal ra, nowhere",
-		"duplicate label":  "x:\nx:\n  halt",
-		"bad mem operand":  "lw a0, 8",
-	}
-	for name, src := range cases {
+	for name, src := range asmErrors {
 		if _, err := Asm(src); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
@@ -211,4 +220,37 @@ func TestAsmNumericRegisters(t *testing.T) {
 	if ins[0].Rd != 5 || ins[0].Rs1 != 0 || ins[0].Rs2 != 31 {
 		t.Errorf("numeric registers = %v", ins[0])
 	}
+}
+
+// FuzzAsm: Asm never panics, and what it accepts is what the machine
+// and the disassembly give back: every instruction survives Encode and
+// Decode, and assembling the instructions' String lines returns the same
+// instructions.
+func FuzzAsm(f *testing.F) {
+	for _, src := range []string{asmBasic, asmLabels, asmMemory, asmDisassembly, "add r5, r0, r31", "addi a0, zr, 32767\naddi a1, zr, -32768"} {
+		f.Add(src)
+	}
+	for _, src := range asmErrors {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		ins, err := Asm(src)
+		if err != nil {
+			return
+		}
+		lines := make([]string, len(ins))
+		for i, in := range ins {
+			if got := Decode(in.Encode()); got != in {
+				t.Fatalf("instruction %d: %v decodes back as %v", i, in, got)
+			}
+			lines[i] = in.String()
+		}
+		again, err := Asm(strings.Join(lines, "\n"))
+		if err != nil {
+			t.Fatalf("reassembling the disassembly: %v\n%s", err, strings.Join(lines, "\n"))
+		}
+		if !slices.Equal(again, ins) {
+			t.Fatalf("disassembly reassembles as %v, want %v", again, ins)
+		}
+	})
 }
