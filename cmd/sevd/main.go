@@ -5,11 +5,15 @@
 // merges the reported outcomes into a study.json byte-identical to a
 // single-process run of the same spec.
 //
-// The accepted results of a worker's report are journaled under -state,
-// with one fsync for the report, before it is acknowledged, so sevd
-// itself can be killed and restarted at any point without losing an
-// acknowledged cell: on restart the journal replays, outstanding
-// leases expire, and their cells are re-leased.
+// Each study is journaled under -state in <study ID>.journal, the
+// format a local `sevrepro -journal` run writes. The accepted results
+// of a worker's report are written there, with one fsync for the
+// report, before it is acknowledged, so sevd itself can be killed and
+// restarted at any point without losing an acknowledged cell: on
+// restart every study journal replays, outstanding leases expire, and
+// their cells are re-leased. A -state directory an older sevd wrote
+// (one "coordinator" journal for every study) is refused: remove it
+// and resubmit.
 //
 // Usage:
 //
@@ -44,7 +48,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8750", "address to listen on (use :0 for a free port)")
-	state := flag.String("state", "", "durable state directory (required); the journal inside it makes sevd kill-and-resume safe")
+	state := flag.String("state", "", "durable state directory (required); the study journals inside it make sevd kill-and-resume safe")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "lease deadline without a heartbeat before cells are reassigned")
 	maxAttempts := flag.Int("max-attempts", 3, "lease grants per cell before it is quarantined into Study.Failed")
 	workerBudget := flag.Int("worker-budget", 3, "per-worker error budget before it stops receiving leases")

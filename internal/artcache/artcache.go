@@ -258,37 +258,35 @@ func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) ([]byte, erro
 	if c == nil {
 		return fill()
 	}
-	for {
-		c.mu.Lock()
-		if fc, ok := c.flight[key]; ok {
-			c.mu.Unlock()
-			<-fc.done
-			if fc.err != nil {
-				return nil, fc.err
-			}
-			// The leader stored the entry; count the dedup as a hit —
-			// this caller skipped a rebuild.
-			c.hits.Add(1)
-			return fc.data, nil
-		}
-		fc := &flightCall{done: make(chan struct{})}
-		c.flight[key] = fc
+	c.mu.Lock()
+	if fc, ok := c.flight[key]; ok {
 		c.mu.Unlock()
-
-		data, ok := c.Get(key)
-		if ok {
-			fc.data = data
-			c.finish(key, fc)
-			return data, nil
+		<-fc.done
+		if fc.err != nil {
+			return nil, fc.err
 		}
-		data, err := fill()
-		if err == nil && c.Put(key, data) != nil {
-			c.failedStores.Add(1)
-		}
-		fc.data, fc.err = data, err
-		c.finish(key, fc)
-		return data, err
+		// The leader stored the entry; count the dedup as a hit — this
+		// caller skipped a rebuild.
+		c.hits.Add(1)
+		return fc.data, nil
 	}
+	fc := &flightCall{done: make(chan struct{})}
+	c.flight[key] = fc
+	c.mu.Unlock()
+
+	data, ok := c.Get(key)
+	if ok {
+		fc.data = data
+		c.finish(key, fc)
+		return data, nil
+	}
+	data, err := fill()
+	if err == nil && c.Put(key, data) != nil {
+		c.failedStores.Add(1)
+	}
+	fc.data, fc.err = data, err
+	c.finish(key, fc)
+	return data, err
 }
 
 func (c *Cache) finish(key string, fc *flightCall) {

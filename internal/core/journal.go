@@ -4,7 +4,8 @@
 // the same CellOutcome the scheduler emits and remote workers report —
 // and replaying it is Assembler.Add in file order, so a resumed run
 // merges exactly what the interrupted one had merged and the final
-// study.json is byte-identical either way.
+// study.json is byte-identical either way. A local run, a worker's
+// lease and a coordinator's study all keep this one format.
 package core
 
 import (
@@ -23,6 +24,8 @@ import (
 // Journal record kinds. The meta record is always first; every other
 // record is the CellOutcome of one finished cell, failures included, so
 // a resume reproduces quarantines instead of retrying them forever.
+// Only this file names them: everything else writes through
+// OpenJournal and WriteOutcome.
 const (
 	kindMeta    = "meta"
 	kindOutcome = "outcome"
@@ -177,10 +180,12 @@ func (s Spec) resolveSizes() []int {
 	return sizes
 }
 
-// openStudyJournal opens (or creates) the journal at path and hands
+// OpenJournal opens (or creates) the study journal at path and hands
 // every outcome it holds to add, in file order. A fresh journal gets
-// its meta record; an existing one must carry the spec's.
-func openStudyJournal(path string, meta StudySpec, add func(CellOutcome) error) (*journal.Writer, error) {
+// its meta record, fsync'd before OpenJournal returns; an existing one
+// must carry meta's. A local run, a worker's lease and a coordinator's
+// study all keep their journal through it.
+func OpenJournal(path string, meta StudySpec, add func(CellOutcome) error) (*journal.Writer, error) {
 	w, recs, err := journal.Open(path, journal.Options{})
 	if err != nil {
 		return nil, err
@@ -197,16 +202,46 @@ func openStudyJournal(path string, meta StudySpec, add func(CellOutcome) error) 
 	return w, nil
 }
 
+// WriteOutcome hands one outcome record to a journal OpenJournal
+// opened, without an fsync: the caller syncs once per batch.
+func WriteOutcome(w *journal.Writer, o CellOutcome) error {
+	return w.Write(kindOutcome, o)
+}
+
+// JournalSpec returns the spec the meta record of the study journal at
+// path holds, nil when the journal holds no record (its creator died
+// before the meta record was down).
+func JournalSpec(path string) (*StudySpec, error) {
+	recs, err := journal.Scan(path)
+	if err != nil || len(recs) == 0 {
+		return nil, err
+	}
+	meta, err := decodeMeta(recs[0])
+	if err != nil {
+		return nil, fmt.Errorf("study journal %s: %w", path, err)
+	}
+	return &meta, nil
+}
+
+// decodeMeta decodes a journal's first record, which must be its meta.
+func decodeMeta(rec journal.Record) (StudySpec, error) {
+	var meta StudySpec
+	if rec.Kind != kindMeta {
+		return meta, fmt.Errorf("first record is %q, not %q", rec.Kind, kindMeta)
+	}
+	if err := json.Unmarshal(rec.Data, &meta); err != nil {
+		return meta, fmt.Errorf("meta record: %w", err)
+	}
+	return meta, nil
+}
+
 // replayJournal validates the meta record against the spec and feeds
 // the outcome records to add, stopping at the first one that does not
 // decode or that add refuses.
 func replayJournal(recs []journal.Record, meta StudySpec, add func(CellOutcome) error) error {
-	if recs[0].Kind != kindMeta {
-		return fmt.Errorf("first record is %q, not %q", recs[0].Kind, kindMeta)
-	}
-	var got StudySpec
-	if err := json.Unmarshal(recs[0].Data, &got); err != nil {
-		return fmt.Errorf("meta record: %w", err)
+	got, err := decodeMeta(recs[0])
+	if err != nil {
+		return err
 	}
 	if diff := diffMeta(got, meta); len(diff) > 0 {
 		return fmt.Errorf("recorded under a different spec:\n  %s\nremove the journal, or pass a different -journal path, or restore the knobs above",

@@ -384,7 +384,7 @@ func (r *results) emit(u *prepUnit, o CellOutcome) {
 		o.Golden, o.Static = &u.golden, u.static
 	}
 	if r.jw != nil {
-		if err := r.jw.Write(kindOutcome, o); err != nil {
+		if err := WriteOutcome(r.jw, o); err != nil {
 			r.err = fmt.Errorf("study journal: %w", err)
 		}
 	}
@@ -448,7 +448,7 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 	rep := &reporter{fn: s.Progress}
 	res := &results{asm: asm, want: want, sink: sink, cancel: cancelRun}
 	if s.Journal != "" {
-		jw, err := openStudyJournal(s.Journal, s.Wire(), res.merge)
+		jw, err := OpenJournal(s.Journal, s.Wire(), res.merge)
 		if err != nil {
 			return err
 		}

@@ -2,10 +2,12 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"net/http"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,30 +16,11 @@ import (
 	"sevsim/internal/journal"
 )
 
-// Coordinator journal record kinds. Submissions and merged outcomes
-// (a quarantine is an outcome carrying its failure) are durable; leases
-// are not — they are soft state that expires and reassigns itself, so
-// a restarted coordinator simply re-leases whatever the journal does
-// not prove finished.
-const (
-	kindSubmit  = "submit"
-	kindOutcome = "outcome"
-)
-
-type submitRecord struct {
-	ID   string
-	Spec StudySpec
-}
-
-type outcomeRecord struct {
-	Study   string
-	Outcome core.CellOutcome
-}
-
 // Options configures a Coordinator.
 type Options struct {
-	// Dir is the coordinator's durable state directory; the journal
-	// lives at Dir/coordinator. Required.
+	// Dir is the coordinator's durable state directory: one study
+	// journal per study, at Dir/<study ID>.journal, in the format a
+	// local run's -journal writes. Required.
 	Dir string
 
 	// LeaseTTL is how long a worker may hold a lease without
@@ -84,13 +67,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// studyRun is one study's in-memory state: the resolved spec, the
+// studyRun is one study's state: the resolved spec, its journal, the
 // merge in progress, and the lease table. result is set exactly once,
 // when the last cell lands.
 type studyRun struct {
 	id    string
 	wire  StudySpec
 	spec  core.Spec
+	jw    *journal.Writer
 	asm   *core.Assembler
 	table *leaseTable
 
@@ -117,30 +101,36 @@ type Coordinator struct {
 	opt Options
 
 	mu       sync.Mutex
-	jw       *journal.Writer
 	studies  map[string]*studyRun
 	draining bool
 	closed   bool
 }
 
-// OpenCoordinator opens (or creates) the coordinator state in
-// opt.Dir and replays its journal: submitted studies are rebuilt, every
-// journaled outcome is re-merged, and the remaining
-// cells return to pending — a restarted coordinator loses leases (they
-// re-expire naturally) but never a completed cell.
+// OpenCoordinator opens (or creates) the coordinator state in opt.Dir
+// and replays every study journal in it, in file-name order: each
+// study's spec comes from its journal's meta record, every journaled
+// outcome is re-merged, and the remaining cells return to pending — a
+// restarted coordinator loses leases (they re-expire naturally) but
+// never a completed cell. A journal whose meta record does not hash to
+// the ID its name carries is refused, as is the single coordinator
+// journal an older version kept.
 func OpenCoordinator(opt Options) (*Coordinator, error) {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("dispatch: coordinator needs a state directory")
 	}
-	jw, recs, err := journal.Open(filepath.Join(opt.Dir, "coordinator"), journal.Options{})
+	old := filepath.Join(opt.Dir, "coordinator")
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("dispatch: %s was written by an older version, which kept every study in one journal; remove the state directory %s and resubmit (finished cells are recomputed)", old, opt.Dir)
+	}
+	paths, err := filepath.Glob(filepath.Join(opt.Dir, "*.journal"))
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{opt: opt, jw: jw, studies: map[string]*studyRun{}}
-	for _, rec := range recs {
-		if err := c.replay(rec); err != nil {
-			jw.Close()
+	c := &Coordinator{opt: opt, studies: map[string]*studyRun{}}
+	for _, path := range paths {
+		if err := c.reopen(path); err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
@@ -150,48 +140,47 @@ func OpenCoordinator(opt Options) (*Coordinator, error) {
 	return c, nil
 }
 
-func (c *Coordinator) replay(rec journal.Record) error {
-	switch rec.Kind {
-	case kindSubmit:
-		var sr submitRecord
-		if err := json.Unmarshal(rec.Data, &sr); err != nil {
-			return fmt.Errorf("dispatch: submit record: %w", err)
-		}
-		r, err := c.newRun(sr.ID, sr.Spec)
-		if err != nil {
-			return err
-		}
-		c.studies[sr.ID] = r
-	case kindOutcome:
-		var or outcomeRecord
-		if err := json.Unmarshal(rec.Data, &or); err != nil {
-			return fmt.Errorf("dispatch: outcome record: %w", err)
-		}
-		r, ok := c.studies[or.Study]
-		if !ok {
-			return fmt.Errorf("dispatch: outcome for unknown study %s", or.Study)
-		}
-		if _, err := r.asm.Add(or.Outcome); err != nil {
-			return err
-		}
-	default:
-		// Quarantines were records of their own before they were
-		// outcomes; nothing reads those any more.
-		return fmt.Errorf("dispatch: %q record is not from this journal format; remove the state directory %s and resubmit (finished cells are recomputed)", rec.Kind, c.opt.Dir)
+// reopen replays one study journal of the state directory. A journal
+// with no record is a submission that never got its meta record down:
+// nothing was acknowledged, so it is left for a resubmission to reuse.
+func (c *Coordinator) reopen(path string) error {
+	wire, err := core.JournalSpec(path)
+	if err != nil || wire == nil {
+		return err
 	}
+	id := strings.TrimSuffix(filepath.Base(path), ".journal")
+	if got := wire.ID(); got != id {
+		return fmt.Errorf("dispatch: %s holds study %s, not %s: the file is damaged or not this coordinator's; move it out of %s", path, got, id, c.opt.Dir)
+	}
+	r, err := c.openRun(id, *wire)
+	if err != nil {
+		return err
+	}
+	c.studies[id] = r
 	return nil
 }
 
-func (c *Coordinator) newRun(id string, wire StudySpec) (*studyRun, error) {
+// openRun resolves a study and opens its journal: a fresh one gets the
+// spec's meta record, fsync'd, and an existing one replays its
+// outcomes into the study's Assembler.
+func (c *Coordinator) openRun(id string, wire StudySpec) (*studyRun, error) {
 	spec, err := wire.Spec()
 	if err != nil {
 		return nil, err
 	}
 	asm := core.NewAssembler(spec)
+	jw, err := core.OpenJournal(filepath.Join(c.opt.Dir, id+".journal"), wire, func(o core.CellOutcome) error {
+		_, err := asm.Add(o)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: %w", err)
+	}
 	return &studyRun{
 		id:            id,
 		wire:          wire,
 		spec:          spec,
+		jw:            jw,
 		asm:           asm,
 		table:         newLeaseTable(spec.Cells(), asm.Has, c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
 		subs:          map[chan StatusEvent]struct{}{},
@@ -201,7 +190,8 @@ func (c *Coordinator) newRun(id string, wire StudySpec) (*studyRun, error) {
 
 // Submit registers a study. Submission is idempotent by content: the
 // same spec maps to the same ID, and resubmitting it reports the
-// existing run instead of restarting it.
+// existing run instead of restarting it. The study's journal, its meta
+// record fsync'd, exists before Submit returns.
 func (c *Coordinator) Submit(wire StudySpec) (SubmitResponse, error) {
 	wire, err := wire.Normalize()
 	if err != nil {
@@ -217,12 +207,9 @@ func (c *Coordinator) Submit(wire StudySpec) (SubmitResponse, error) {
 	if r, ok := c.studies[id]; ok {
 		return SubmitResponse{ID: id, Cells: r.asm.Total(), Existing: true}, nil
 	}
-	r, err := c.newRun(id, wire)
+	r, err := c.openRun(id, wire)
 	if err != nil {
 		return SubmitResponse{}, err
-	}
-	if err := c.jw.Append(kindSubmit, submitRecord{ID: id, Spec: wire}); err != nil {
-		return SubmitResponse{}, fmt.Errorf("dispatch: journal submit: %w", err)
 	}
 	c.studies[id] = r
 	c.opt.Logf("study %s submitted: %d cells", id, r.asm.Total())
@@ -299,7 +286,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	defer c.mu.Unlock()
 	r, ok := c.studies[req.StudyID]
 	if !ok {
-		return CompleteResponse{}, fmt.Errorf("dispatch: unknown study %s", req.StudyID)
+		return CompleteResponse{}, unknownStudy(req.StudyID)
 	}
 	accepted, err := c.commit(r, req.Worker, req.Outcomes)
 	if err != nil {
@@ -329,7 +316,7 @@ func (c *Coordinator) commit(r *studyRun, worker string, outcomes []core.CellOut
 	for _, o := range outcomes {
 		ok, err := r.asm.Check(o)
 		if err != nil {
-			return 0, fmt.Errorf("dispatch: study %s: %w", r.id, err)
+			return 0, refusal{http.StatusBadRequest, fmt.Errorf("dispatch: study %s: %w", r.id, err)}
 		}
 		if ok && !named[o.Cell] {
 			named[o.Cell] = true
@@ -340,11 +327,11 @@ func (c *Coordinator) commit(r *studyRun, worker string, outcomes []core.CellOut
 		return 0, nil
 	}
 	for _, o := range fresh {
-		if err := c.jw.Write(kindOutcome, outcomeRecord{Study: r.id, Outcome: o}); err != nil {
+		if err := core.WriteOutcome(r.jw, o); err != nil {
 			return 0, fmt.Errorf("dispatch: journal outcome: %w", err)
 		}
 	}
-	if err := c.jw.Sync(); err != nil {
+	if err := r.jw.Sync(); err != nil {
 		return 0, fmt.Errorf("dispatch: journal outcome: %w", err)
 	}
 	for _, o := range fresh {
@@ -367,7 +354,7 @@ func (c *Coordinator) Fail(req FailRequest) error {
 	defer c.mu.Unlock()
 	r, ok := c.studies[req.StudyID]
 	if !ok {
-		return fmt.Errorf("dispatch: unknown study %s", req.StudyID)
+		return unknownStudy(req.StudyID)
 	}
 	c.opt.Logf("lease %s failed on %s: %s", req.LeaseID, req.Worker, req.Err)
 	var exhausted []core.CellRef
@@ -560,16 +547,23 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	}
 }
 
-// JournalStats counts the coordinator journal's records, fsyncs and
-// bytes since it was opened.
+// JournalStats counts the records, fsyncs and bytes of every study
+// journal since the coordinator opened it.
 func (c *Coordinator) JournalStats() journal.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.jw.Stats()
+	var sum journal.Stats
+	for _, r := range c.studies { //lint:ordered commutative sum
+		s := r.jw.Stats()
+		sum.Records += s.Records
+		sum.Syncs += s.Syncs
+		sum.Bytes += s.Bytes
+	}
+	return sum
 }
 
-// Close flushes and closes the journal. Leases outstanding at close
-// are abandoned; a reopened coordinator re-leases their cells.
+// Close flushes and closes the study journals. Leases outstanding at
+// close are abandoned; a reopened coordinator re-leases their cells.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -577,13 +571,18 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, r := range c.studies { //lint:ordered closing every subscriber; order is invisible
+	var err error
+	for _, id := range c.studyIDs() {
+		r := c.studies[id]
 		for ch := range r.subs { //lint:ordered closing every subscriber; order is invisible
 			close(ch)
 			delete(r.subs, ch)
 		}
+		if cerr := r.jw.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return c.jw.Close()
+	return err
 }
 
 // studyIDs returns the study IDs in stable order, so lease grants and
@@ -595,6 +594,17 @@ func (c *Coordinator) studyIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// refusal is a request error no retry of the same request can cure:
+// the server answers it with status, a 4xx, and the worker gives up.
+type refusal struct {
+	status int
+	error
+}
+
+func unknownStudy(id string) error {
+	return refusal{http.StatusNotFound, fmt.Errorf("dispatch: unknown study %s", id)}
 }
 
 // splitLeaseID separates a wire lease ID ("study/lease") back into its

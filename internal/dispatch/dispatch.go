@@ -8,15 +8,16 @@
 // study.json byte-identical to a clean single-process run, regardless
 // of worker count, death schedule, or completion order.
 //
-// Durability mirrors the single-process engine's, at the same grain: a
-// report's accepted outcomes — one unit — are written to the
-// coordinator's journal (internal/journal) and fsync'd once before the
-// report is acknowledged, so a coordinator killed at any point resumes
-// with no acknowledged cell lost; leases are deliberately not journaled
-// — they are soft state that expires and reassigns itself. A worker
-// journals each lease in its own file until the report is acknowledged,
-// so a worker killed mid-lease and granted the same cells again replays
-// the finished ones.
+// Durability is the single-process engine's, in its format and at its
+// grain: the coordinator keeps each study in a study journal of its own
+// (core.OpenJournal, Options.Dir/<study ID>.journal), and a report's
+// accepted outcomes — one unit — are written there and fsync'd once
+// before the report is acknowledged, so a coordinator killed at any
+// point resumes with no acknowledged cell lost; leases are deliberately
+// not journaled — they are soft state that expires and reassigns
+// itself. A worker journals each lease in its own file until the report
+// is acknowledged, so a worker killed mid-lease and granted the same
+// cells again replays the finished ones.
 //
 // The failure matrix, the lease state machine, and the merge
 // determinism argument are documented in DESIGN.md §15.

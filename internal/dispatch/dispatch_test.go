@@ -105,8 +105,8 @@ func TestSpecNormalizeAndID(t *testing.T) {
 
 // FuzzStudySpec feeds arbitrary bytes to what POST /studies does with its
 // body: decode a StudySpec, Normalize it. Seeds are real submissions:
-// README's example body, the paper-shaped spec, and the spec in a
-// coordinator journal's submit record. Normalize must fail, or return a
+// README's example body, the paper-shaped spec, and a spec carrying a
+// field StudySpec no longer has (an older tree's CacheMaxMB). Normalize must fail, or return a
 // spec that normalizes to itself, whose ID survives the journal's JSON
 // round trip, and whose Spec resolves.
 func FuzzStudySpec(f *testing.F) {
@@ -120,17 +120,7 @@ func FuzzStudySpec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(paper)
-	raw, err := os.ReadFile(filepath.Join("testdata", "coordinator-cachemaxmb.journal"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var submit struct {
-		V struct{ Spec json.RawMessage }
-	}
-	if err := json.Unmarshal(raw[:bytes.IndexByte(raw, '\n')], &submit); err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte(submit.V.Spec))
+	f.Add([]byte(`{"Machines":["Cortex-A15-like"],"Benches":["qsort","gsm"],"Sizes":[24,2],"Levels":["O0","O2"],"Targets":["RF","ROB.pc","L1D.data"],"Faults":8,"Seed":7,"Prune":false,"CacheMaxMB":4096}`))
 	f.Add([]byte(`{"Machines":["Cortex-A72-like"],"Benches":["sha"],"Sizes":[0],"Levels":["O3"],"Targets":[],"Faults":1}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -649,14 +639,15 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 			wantDup = 1
 		}
 		if lease < 3 {
-			real := coord.jw
+			run := coord.studies[sub.ID]
+			real := run.jw
 			broken := real
 			if lease == 0 {
 				real.Close() // refuses the write; reopening it is the disk coming back
 			} else {
 				broken = unsyncable()
 			}
-			coord.jw = broken
+			run.jw = broken
 			before, _ := coord.Status(sub.ID)
 			if _, err := coord.Complete(req); err == nil {
 				t.Fatalf("lease %d: completion acknowledged although its journal write or fsync failed", lease)
@@ -665,7 +656,7 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 				t.Fatalf("lease %d: unjournaled outcomes moved the study: %+v -> %+v", lease, before, ev)
 			}
 			if lease == 0 {
-				if real, _, err = journal.Open(filepath.Join(dir, "coordinator"), journal.Options{}); err != nil {
+				if real, _, err = journal.Open(filepath.Join(dir, sub.ID+".journal"), journal.Options{}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -673,12 +664,12 @@ func TestCompleteSurvivesJournalFailure(t *testing.T) {
 				// On a real disk the writes in front of the failed fsync
 				// stay in the file, and the retry writes them again.
 				for _, o := range out {
-					if err := real.Write(kindOutcome, outcomeRecord{Study: sub.ID, Outcome: o}); err != nil {
+					if err := core.WriteOutcome(real, o); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			coord.jw = real
+			run.jw = real
 		}
 		resp, err := coord.Complete(req) // the worker's retry
 		if err != nil || resp.Accepted != len(out) || resp.Duplicates != wantDup {
@@ -761,14 +752,15 @@ func TestQuarantineSurvivesJournalFailure(t *testing.T) {
 			now = now.Add(31 * time.Second)
 			mu.Unlock()
 		}
-		real := coord.jw
+		run := coord.studies[sub.ID]
+		real := run.jw
 		broken := real
 		if u%2 == 0 {
 			real.Close() // refuses the write; reopening it is the disk coming back
 		} else {
 			broken = unsyncable()
 		}
-		coord.jw = broken
+		run.jw = broken
 		before, _ := coord.Status(sub.ID)
 		if err := report(); path == "fail" && err == nil {
 			t.Fatalf("lease %d: failure report acknowledged although its quarantine was not journaled", u)
@@ -777,13 +769,13 @@ func TestQuarantineSurvivesJournalFailure(t *testing.T) {
 			t.Fatalf("lease %d (%s): an unjournaled quarantine moved the study: %+v -> %+v", u, path, before, ev)
 		}
 		if u%2 == 0 {
-			if real, _, err = journal.Open(filepath.Join(dir, "coordinator"), journal.Options{}); err != nil {
+			if real, _, err = journal.Open(filepath.Join(dir, sub.ID+".journal"), journal.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			broken.Close()
 		}
-		coord.jw = real
+		run.jw = real
 		if err := report(); err != nil {
 			t.Fatalf("lease %d: retried failure report: %v", u, err)
 		}

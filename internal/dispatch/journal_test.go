@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -330,104 +331,90 @@ func TestQuarantineFsyncsCounted(t *testing.T) {
 	}
 }
 
-// TestOldQuarantineRecordRejected: a coordinator journal from before a
-// quarantine was an outcome holds quarantine records; it is refused with
-// the way out, not read by a second decoder.
-func TestOldQuarantineRecordRejected(t *testing.T) {
-	dir := t.TempDir()
+// TestOldOrForeignStateRefused: a state directory holding the single
+// journal an older version kept every study in is refused with the way
+// out, and so is a study journal whose meta record hashes to another ID
+// than its file name carries. A journal with no record (a submission
+// that died before its meta record was down) is skipped, and the next
+// submission of that study reuses it.
+func TestOldOrForeignStateRefused(t *testing.T) {
 	wire, err := testWire().Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jw, _, err := journal.Open(filepath.Join(dir, "coordinator"), journal.Options{})
+	seed := t.TempDir()
+	coord, err := OpenCoordinator(Options{Dir: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := map[string]string{"March": "Cortex-A15-like", "Bench": "qsort", "Level": "O0", "Target": "RF"}
-	for _, rec := range []struct {
-		kind string
-		v    any
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	meta, err := os.ReadFile(filepath.Join(seed, sub.ID+".journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, file string
+		want       []string
 	}{
-		{kindSubmit, submitRecord{ID: wire.ID(), Spec: wire}},
-		{"quarantine", map[string]any{"Study": wire.ID(), "Cell": cell, "Failure": map[string]string{"Stage": "dispatch", "Err": "lease expired"}}},
+		{"old", "coordinator", []string{"coordinator was written by an older version", "remove the state directory"}},
+		{"foreign", "st-0000000000000000.journal", []string{"holds study " + sub.ID + ", not st-0000000000000000", "damaged"}},
 	} {
-		if err := jw.Append(rec.kind, rec.v); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		coord, err := OpenCoordinator(Options{Dir: dir})
+		if err == nil {
+			coord.Close()
+			t.Fatalf("%s: state directory holding %s opened", tc.name, tc.file)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: refused with %q, want it to say %q", tc.name, err, want)
+			}
+		}
 	}
-	jw.Close()
-	coord, err := OpenCoordinator(Options{Dir: dir})
-	if err == nil {
-		coord.Close()
-		t.Fatal("coordinator journal with a quarantine record opened")
-	}
-	if !strings.Contains(err.Error(), "remove the state directory") || !strings.Contains(err.Error(), `"quarantine"`) {
-		t.Fatalf("old quarantine record not refused with the removal hint: %v", err)
-	}
-}
 
-// TestSubmitRecordWithCacheMaxMBReplays: a coordinator journal from the
-// tree before StudySpec lost its CacheMaxMB field replays as before.
-// testdata/coordinator-cachemaxmb.journal was written by that tree:
-// testWire() submitted with "CacheMaxMB": 4096, then its first unit
-// leased, computed with RunCells and completed.
-func TestSubmitRecordWithCacheMaxMBReplays(t *testing.T) {
-	checkOldSubmitReplays(t, "coordinator-cachemaxmb.journal", `"CacheMaxMB":4096`)
-}
-
-// TestSubmitRecordWithRetriesReplays: a coordinator journal from the tree
-// before StudySpec lost its Retries field (a preparation retry budget the
-// study ID never hashed) replays as before.
-// testdata/coordinator-retries.journal was written by that tree:
-// testWire() submitted with "Retries": 2, then its first unit leased,
-// computed with RunCells and completed.
-func TestSubmitRecordWithRetriesReplays(t *testing.T) {
-	checkOldSubmitReplays(t, "coordinator-retries.journal", `"Retries":2`)
-}
-
-// checkOldSubmitReplays opens a coordinator on the fixture, whose submit
-// record carries field, a StudySpec field that no longer exists, and
-// whose first unit is complete. The study keeps its ID, the merged unit
-// stays merged, the other three units lease, and the study merges
-// byte-identical to a local run.
-func checkOldSubmitReplays(t *testing.T, fixture, field string) {
-	t.Helper()
-	const id = "st-a81c1a3e1faa4232"
-	raw, err := os.ReadFile(filepath.Join("testdata", fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte(field)) {
-		t.Fatalf("the fixture's submit record no longer carries %s", field)
-	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "coordinator"), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, sub.ID+".journal"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := OpenCoordinator(Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("journal with %s in its submit record: %v", field, err)
+	if coord, err = OpenCoordinator(Options{Dir: dir}); err != nil {
+		t.Fatalf("empty study journal: %v", err)
 	}
 	defer coord.Close()
-	wire, err := testWire().Normalize()
-	if err != nil {
-		t.Fatal(err)
+	if _, known := coord.Status(sub.ID); known {
+		t.Fatal("an empty study journal opened as a submitted study")
 	}
-	if wire.ID() != id {
-		t.Fatalf("the spec hashes to %s, the journal recorded %s", wire.ID(), id)
+	if again, err := coord.Submit(wire); err != nil || again.ID != sub.ID || again.Existing {
+		t.Fatalf("resubmit over an empty journal: %+v %v", again, err)
 	}
-	if ev, ok := coord.Status(id); !ok || ev.Done != 3 || ev.Total != 12 {
-		t.Fatalf("replayed status %+v (known %v), want 3 of 12 cells merged", ev, ok)
-	}
-	if sub, err := coord.Submit(wire); err != nil || sub.ID != id || !sub.Existing {
-		t.Fatalf("resubmit: %+v %v, want the replayed study", sub, err)
-	}
+}
 
-	spec, err := wire.Spec()
+// TestCoordinatorJournalResumesLocally: a coordinator keeps each study
+// in the journal a local run writes. A study finished through one
+// resumes from <Dir>/<id>.journal under Spec.RunContext with every cell
+// replayed and none computed, and saves the bytes the coordinator
+// served.
+func TestCoordinatorJournalResumesLocally(t *testing.T) {
+	dir := t.TempDir()
+	coord, err := OpenCoordinator(Options{Dir: dir, LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leases := 0
+	sub, err := coord.Submit(testWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := coord.studies[sub.ID].wire.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for {
 		g, err := coord.Lease(LeaseRequest{Worker: "w"})
 		if err != nil {
@@ -436,22 +423,161 @@ func checkOldSubmitReplays(t *testing.T, fixture, field string) {
 		if g == nil {
 			break
 		}
-		if leases++; g.Cells[0].Bench == "qsort" && g.Cells[0].Level == "O0" {
-			t.Fatalf("lease %s re-grants the unit the journal holds", g.LeaseID)
-		}
 		out, err := spec.RunCells(context.Background(), g.Cells)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: id, Outcomes: out}); err != nil || resp.Accepted != len(g.Cells) {
-			t.Fatalf("complete %s: %+v %v", g.LeaseID, resp, err)
+		if _, err := coord.Complete(CompleteRequest{Worker: "w", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if leases != 3 {
-		t.Fatalf("%d leases after replay, want the 3 units not journaled", leases)
+	want, ok := coord.Result(sub.ID)
+	if !ok {
+		t.Fatal("study incomplete after every lease was completed")
 	}
-	got, ok := coord.Result(id)
-	if !ok || !bytes.Equal(got, localBytes(t, wire)) {
-		t.Fatal("replayed study incomplete or different from the single-process run")
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	spec.Journal = filepath.Join(dir, sub.ID+".journal")
+	var resumed []string
+	spec.Progress = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		switch {
+		case strings.HasPrefix(format, "resume: "):
+			resumed = append(resumed, line)
+		case strings.Contains(format, "AVF"), strings.HasPrefix(format, "golden "):
+			t.Errorf("resumed run computed: %s", line)
+		}
+	}
+	st, err := spec.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantResume := fmt.Sprintf("resume: %d/%d cells replayed from journal %s", sub.Cells, sub.Cells, spec.Journal)
+	if len(resumed) != 1 || resumed[0] != wantResume {
+		t.Fatalf("resume lines %q, want [%q]", resumed, wantResume)
+	}
+	got, err := st.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the local resume of the coordinator's journal differs from the study the coordinator served")
+	}
+}
+
+// TestUncreatableLeaseJournal is the failure matrix's "a worker whose
+// lease journal cannot be created" row. One worker's workdir sits under
+// a regular file, so every lease journal it opens fails with ENOTDIR
+// (root included). The healthy worker holds a lease before the broken
+// one starts, and its first report waits for the broken one's failure
+// report, so the budget's all-suspended reset cannot fire. The broken
+// worker ends suspended, no cell is quarantined, and the study merges
+// byte-identical to the local run.
+func TestUncreatableLeaseJournal(t *testing.T) {
+	wire := testWire()
+	want := localBytes(t, wire)
+	coord, err := OpenCoordinator(Options{Dir: t.TempDir(), LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := NewServer(coord, "unused").Handler
+	failed := make(chan struct{})
+	var once sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/fail":
+			defer once.Do(func() { close(failed) })
+		case "/v1/complete":
+			select {
+			case <-failed:
+			case <-time.After(time.Minute):
+				t.Error("the broken worker never reported a failure")
+			}
+		}
+		api.ServeHTTP(rw, r)
+	}))
+	defer ts.Close()
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	leased := make(chan struct{})
+	var leasedOnce sync.Once
+	var causes []string
+	var causesMu sync.Mutex
+	worker := func(name, workdir string) *Worker {
+		w, err := NewWorker(WorkerOptions{
+			Coordinator: ts.URL, Name: name, Workdir: workdir, Parallelism: 1,
+			Logf: func(format string, args ...any) {
+				switch {
+				case strings.HasPrefix(format, "lease %s: %d cells of %s"):
+					leasedOnce.Do(func() { close(leased) })
+				case format == "lease %s: %v" && name == "broken":
+					causesMu.Lock()
+					causes = append(causes, fmt.Sprint(args[1]))
+					causesMu.Unlock()
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	events, stop, err := coord.Subscribe(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	run := func(w *Worker) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	run(worker("healthy", t.TempDir()))
+	select {
+	case <-leased:
+	case <-ctx.Done():
+		t.Fatal("the healthy worker never held a lease")
+	}
+	run(worker("broken", filepath.Join(file, "w")))
+	for open := true; open; {
+		select {
+		case _, open = <-events:
+		case <-ctx.Done():
+			t.Fatalf("study did not finish: %v", ctx.Err())
+		}
+	}
+	cancel()
+	wg.Wait()
+
+	got, ok := coord.Result(sub.ID)
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatal("study incomplete or different from the single-process run")
+	}
+	ev, _ := coord.Status(sub.ID)
+	coord.mu.Lock()
+	suspended := coord.studies[sub.ID].table.suspended("broken")
+	coord.mu.Unlock()
+	if ev.Quarantined != 0 || !suspended {
+		t.Fatalf("%d cells quarantined, broken worker suspended: %v; want none and true", ev.Quarantined, suspended)
+	}
+	causesMu.Lock()
+	defer causesMu.Unlock()
+	if len(causes) == 0 || !strings.Contains(causes[0], "not a directory") {
+		t.Fatalf("broken worker's lease failures: %q, want its journal's ENOTDIR", causes)
 	}
 }

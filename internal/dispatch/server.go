@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -29,6 +30,10 @@ import (
 //	POST /v1/complete        CompleteRequest -> CompleteResponse
 //	POST /v1/fail            FailRequest -> 204
 //	GET  /healthz            200 ok
+//
+// A report naming an unknown study is answered 404 and one whose
+// outcome the study's Assembler rejects 400: no retry can land either.
+// A journal write or fsync that fails is a 500, which the worker retries.
 func NewServer(c *Coordinator, addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /studies", func(w http.ResponseWriter, r *http.Request) {
@@ -90,7 +95,7 @@ func NewServer(c *Coordinator, addr string) *http.Server {
 		}
 		resp, err := c.Complete(req)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			httpError(w, statusOf(err), err)
 			return
 		}
 		encode(w, resp)
@@ -101,7 +106,7 @@ func NewServer(c *Coordinator, addr string) *http.Server {
 			return
 		}
 		if err := c.Fail(req); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			httpError(w, statusOf(err), err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -174,6 +179,16 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 func encode(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// statusOf is the HTTP status of a failed request: a refusal's own,
+// anything else (a journal write or fsync) a 500 the worker retries.
+func statusOf(err error) int {
+	var r refusal
+	if errors.As(err, &r) {
+		return r.status
+	}
+	return http.StatusInternalServerError
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sevsim/internal/core"
 )
 
 // TestLostAckIsResent is the failure matrix's "network partition / lost
@@ -157,6 +160,56 @@ func TestRequestClassification(t *testing.T) {
 				t.Fatalf("%d requests arrived, want %d", n, tc.requests)
 			}
 		})
+	}
+}
+
+// TestPermanentReportsSentOnce: the coordinator answers a report that
+// can never land with a 4xx, so the worker sends it once instead of
+// retrying it as transient — a report naming an unknown study (404) and
+// one naming a cell outside the spec (400) alike.
+func TestPermanentReportsSentOnce(t *testing.T) {
+	coord, err := OpenCoordinator(Options{Dir: t.TempDir(), LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	sub, err := coord.Submit(testWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := NewServer(coord, "unused").Handler
+	outside := core.CellOutcome{Cell: core.CellRef{March: "Cortex-A15-like", Bench: "sha", Level: "O0", Target: "RF"}}
+	for _, tc := range []struct {
+		name   string
+		study  string
+		status int
+	}{
+		{name: "unknown-study", study: "st-0000000000000000", status: http.StatusNotFound},
+		{name: "cell-outside-spec", study: sub.ID, status: http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var requests atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				api.ServeHTTP(rw, r)
+			}))
+			defer ts.Close()
+			w, err := NewWorker(WorkerOptions{Coordinator: ts.URL, Name: "w1", Workdir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := CompleteRequest{Worker: "w1", LeaseID: tc.study + "/l-1", StudyID: tc.study, Outcomes: []core.CellOutcome{outside}}
+			err = w.call(context.Background(), "/v1/complete", req, &CompleteResponse{})
+			if status := fmt.Sprintf(": %d %s: ", tc.status, http.StatusText(tc.status)); err == nil || !strings.Contains(err.Error(), status) {
+				t.Fatalf("report answered %v, want%s", err, status)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Fatalf("%d requests arrived, want 1", n)
+			}
+		})
+	}
+	if ev, _ := coord.Status(sub.ID); ev.Done != 0 {
+		t.Fatalf("a rejected report moved the study: %+v", ev)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 func determinismPass() *Pass {
 	return &Pass{
 		Name: "determinism",
-		Doc:  "bans map ranges, wall-clock reads, and the global math/rand source from result-producing code",
 		Run: func(pkg *Package, r *Reporter) {
 			for _, file := range pkg.Files {
 				f := file

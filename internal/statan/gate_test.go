@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// TestRepoIsClean is the in-tree mirror of the CI gate
-// (`go run ./cmd/sevlint ./...`): every package under internal/ and
-// cmd/ must pass the full pass set with suppression hygiene, so `go
-// test` alone catches a violation without the separate lint step.
-// Fixture packages under testdata/ are excluded — they exist to
-// contain violations.
+// TestRepoIsClean is the static-analysis gate, the one place it runs:
+// every package under internal/ and cmd/ must pass every pass and the
+// suppression hygiene check. Fixture packages under testdata/ are
+// excluded — they exist to contain violations — and so are examples/,
+// which is demo code.
 func TestRepoIsClean(t *testing.T) {
 	var dirs []string
 	roots := []string{filepath.Join("..", "..", "internal"), filepath.Join("..", "..", "cmd")}
@@ -52,12 +51,12 @@ func TestRepoIsClean(t *testing.T) {
 			continue
 		}
 		for _, pkg := range pkgs {
-			for _, d := range Run(pkg, RunOptions{CheckSuppressions: true}) {
+			for _, d := range Run(pkg) {
 				bad = append(bad, d.String())
 			}
 		}
 	}
 	if len(bad) != 0 {
-		t.Errorf("sevlint findings in the repo (the CI gate would fail):\n%s", strings.Join(bad, "\n"))
+		t.Errorf("static-analysis findings in the repo:\n%s", strings.Join(bad, "\n"))
 	}
 }

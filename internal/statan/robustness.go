@@ -32,7 +32,6 @@ import (
 func robustnessPass() *Pass {
 	return &Pass{
 		Name: "robustness",
-		Doc:  "bans os.Exit outside process boundaries, bare signal.Notify, unguarded http.Server wiring, and sleep-polling in dispatch code",
 		Run: func(pkg *Package, r *Reporter) {
 			dispatchDir := dirHasSegment(pkg.Dir, "dispatch")
 			var serveCalls []token.Pos // srv.Serve / srv.ListenAndServe method calls

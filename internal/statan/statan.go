@@ -1,11 +1,11 @@
-// Package statan is sevsim's typed static-analysis framework: the
-// machinery behind cmd/sevlint. It loads Go packages with go/parser +
-// go/types (stdlib only — a stub importer satisfies cross-package
-// imports, so it runs in offline environments without compiled export
-// data or golang.org/x/tools), runs registered passes over them, and
-// collects position-accurate diagnostics with per-rule suppression
-// comments, machine (JSON) and human output, and fixture-driven
-// self-tests.
+// Package statan is sevsim's typed static-analysis gate. It loads Go
+// packages with go/parser + go/types (stdlib only — a stub importer
+// satisfies cross-package imports, so it runs in offline environments
+// without compiled export data or golang.org/x/tools), runs every pass
+// over them, and collects position-accurate diagnostics with per-rule
+// suppression comments and fixture-driven self-tests. The gate is the
+// test TestRepoIsClean: every package under internal/ and cmd/ must
+// come back without a finding.
 //
 // Line suppressions ("//lint:<key> <reason>") exempt one statement from
 // one rule; every suppression must carry a reason, and a suppression
@@ -15,7 +15,6 @@
 package statan
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -28,26 +27,14 @@ import (
 
 // Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
-	Pos  token.Position `json:"-"`
-	File string         `json:"file"`
-	Line int            `json:"line"`
-	Col  int            `json:"col"`
-	Pass string         `json:"pass"`
-	Rule string         `json:"rule"`
-	Msg  string         `json:"msg"`
+	Pos  token.Position
+	Pass string
+	Rule string
+	Msg  string
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s/%s] %s", d.Pos, d.Pass, d.Rule, d.Msg)
-}
-
-// MarshalDiagnostics renders diagnostics as a JSON array (never null,
-// so consumers can range without a nil check).
-func MarshalDiagnostics(ds []Diagnostic) ([]byte, error) {
-	if ds == nil {
-		ds = []Diagnostic{}
-	}
-	return json.MarshalIndent(ds, "", "  ")
 }
 
 // Package is one loaded package: parsed files in deterministic order
@@ -69,7 +56,6 @@ type Package struct {
 // findings through the Reporter.
 type Pass struct {
 	Name string
-	Doc  string
 	Run  func(pkg *Package, r *Reporter)
 }
 
@@ -79,16 +65,6 @@ func Passes() []*Pass {
 		determinismPass(),
 		robustnessPass(),
 	}
-}
-
-// PassByName returns the named pass, or nil.
-func PassByName(name string) *Pass {
-	for _, p := range Passes() {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
 }
 
 // LoadDir parses and type-checks every non-test Go file in dir.
@@ -140,33 +116,16 @@ func LoadDir(dir string) ([]*Package, error) {
 	return out, nil
 }
 
-// RunOptions configures a Run over one package.
-type RunOptions struct {
-	// Passes to run; nil means all.
-	Passes []*Pass
-
-	// CheckSuppressions additionally reports suppression hygiene:
-	// unknown //lint: keys and suppressions no finding consulted
-	// (stale). Enable it only when the full pass set runs, otherwise a
-	// suppression for a disabled rule would be falsely stale.
-	CheckSuppressions bool
-}
-
-// Run executes the passes over the package and returns diagnostics
-// sorted by position.
-func Run(pkg *Package, opts RunOptions) []Diagnostic {
-	passes := opts.Passes
-	if passes == nil {
-		passes = Passes()
-	}
+// Run executes every pass over the package, then the suppression
+// hygiene check (unknown //lint: keys, and suppressions no finding
+// consulted), and returns the diagnostics sorted by position.
+func Run(pkg *Package) []Diagnostic {
 	var ds []Diagnostic
-	for _, p := range passes {
+	for _, p := range Passes() {
 		r := &Reporter{pkg: pkg, pass: p.Name, out: &ds}
 		p.Run(pkg, r)
 	}
-	if opts.CheckSuppressions {
-		reportSuppressionHygiene(pkg, &ds)
-	}
+	reportSuppressionHygiene(pkg, &ds)
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i].Pos, ds[j].Pos
 		if a.Filename != b.Filename {
@@ -193,15 +152,7 @@ func (r *Reporter) Report(pos token.Pos, rule, msg string) {
 }
 
 func (r *Reporter) reportAt(p token.Position, rule, msg string) {
-	*r.out = append(*r.out, Diagnostic{
-		Pos:  p,
-		File: p.Filename,
-		Line: p.Line,
-		Col:  p.Column,
-		Pass: r.pass,
-		Rule: rule,
-		Msg:  msg,
-	})
+	*r.out = append(*r.out, Diagnostic{Pos: p, Pass: r.pass, Rule: rule, Msg: msg})
 }
 
 // ReportSuppressible emits the diagnostic unless the line carries a

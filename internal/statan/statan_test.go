@@ -10,27 +10,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden diagnostic files from current output")
 
-// fixtures pairs each testdata/src package with the passes it
-// exercises. Golden files live in testdata/golden/<name>.golden, one
+// fixtures are the testdata/src packages. Each runs through Run, the
+// one configuration the gate ships: every pass plus suppression
+// hygiene. Golden files live in testdata/golden/<name>.golden, one
 // diagnostic per line with the fixture directory stripped from
 // positions; regenerate with `go test ./internal/statan -run Fixtures -update`.
-var fixtures = []struct {
-	name      string
-	passes    []string
-	checkSupp bool
-}{
-	{name: "determinism", passes: []string{"determinism"}},
-	{name: "robustness", passes: []string{"robustness"}},
-	{name: "dispatch", passes: []string{"robustness"}},
-	{name: "suppress", passes: nil, checkSupp: true}, // all passes + hygiene
-}
+var fixtures = []string{"determinism", "robustness", "dispatch", "suppress"}
 
 func TestFixtures(t *testing.T) {
-	for _, fx := range fixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", fx.name)
-			got := runFixture(t, dir, fx.passes, fx.checkSupp)
-			golden := filepath.Join("testdata", "golden", fx.name+".golden")
+	for _, name := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join("testdata", "src", name)
+			got := runFixture(t, dir)
+			golden := filepath.Join("testdata", "golden", name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -48,26 +40,18 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// runFixture loads dir, runs the named passes (nil = all), and renders
-// the diagnostics one per line with dir stripped from positions so the
+// runFixture loads dir, runs the gate over it, and renders the
+// diagnostics one per line with dir stripped from positions so the
 // golden files are location-independent.
-func runFixture(t *testing.T, dir string, passNames []string, checkSupp bool) string {
+func runFixture(t *testing.T, dir string) string {
 	t.Helper()
 	pkgs, err := LoadDir(dir)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
-	var passes []*Pass
-	for _, name := range passNames {
-		p := PassByName(name)
-		if p == nil {
-			t.Fatalf("unknown pass %q", name)
-		}
-		passes = append(passes, p)
-	}
 	var b strings.Builder
 	for _, pkg := range pkgs {
-		for _, d := range Run(pkg, RunOptions{Passes: passes, CheckSuppressions: checkSupp}) {
+		for _, d := range Run(pkg) {
 			line := d.String()
 			line = strings.ReplaceAll(line, dir+string(filepath.Separator), "")
 			b.WriteString(line)

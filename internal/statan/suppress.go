@@ -13,7 +13,7 @@ import (
 //	//lint:<key> <reason>
 //
 // exempts that line from the rule owning <key>. The reason is
-// mandatory: sevlint reports a reasonless suppression, and the hygiene
+// mandatory: the gate reports a reasonless suppression, and the hygiene
 // check reports suppressions whose key no rule recognizes or that no
 // finding consulted (stale — the code they exempted is gone).
 //
@@ -108,14 +108,12 @@ func reportSuppressionHygiene(pkg *Package, out *[]Diagnostic) {
 		switch {
 		case !known:
 			*out = append(*out, Diagnostic{
-				Pos: e.Pos, File: e.Pos.Filename, Line: e.Pos.Line, Col: e.Pos.Column,
-				Pass: "suppress", Rule: "unknown-key",
+				Pos: e.Pos, Pass: "suppress", Rule: "unknown-key",
 				Msg: fmt.Sprintf("unknown suppression key %q; known keys: ordered, clock, rand, exit, signal, http, shutdown, sleep", e.Key),
 			})
 		case !e.used:
 			*out = append(*out, Diagnostic{
-				Pos: e.Pos, File: e.Pos.Filename, Line: e.Pos.Line, Col: e.Pos.Column,
-				Pass: "suppress", Rule: "stale",
+				Pos: e.Pos, Pass: "suppress", Rule: "stale",
 				Msg: fmt.Sprintf("stale suppression: no %s finding on this line; delete the //lint:%s comment", rule, e.Key),
 			})
 		}
