@@ -1,10 +1,10 @@
 // Command sevanalyze runs the binary-level ACE/liveness analyzer over
 // study binaries: it reconstructs each binary's control-flow graph,
-// computes per-instruction register liveness and value lifetimes,
-// checks binary invariants, and (with -bounds) runs the fault-free
-// simulation to derive the static lower bound on the Masked rate /
-// upper bound on the AVF of the physical register file — the numbers a
-// -prune injection campaign realizes without simulating.
+// computes per-instruction register liveness, checks binary
+// invariants, and (with -bounds) runs the fault-free simulation to
+// derive the static lower bound on the Masked rate / upper bound on the
+// AVF of the physical register file — the numbers a -prune injection
+// campaign realizes without simulating.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //	sevanalyze -bench qsort -O O2 -dump cfg     # CFG of one binary
 //	sevanalyze -bench sha -O O3 -dump live      # per-instruction liveness
 //	sevanalyze -bench sha -O O3 -dump bits      # bit-granular dead masks
-//	sevanalyze -bench fft -O O1 -dump lifetimes # value-lifetime histogram
 //	sevanalyze -quick -golden cmd/sevanalyze/testdata/bounds_a15.golden
 //	                                            # regression-check static bounds
 package main
@@ -45,7 +44,7 @@ func main() {
 	size := flag.Int("size", 0, "benchmark scale (0 = default)")
 	quick := flag.Bool("quick", false, "use each benchmark's reduced test scale (fast golden runs, e.g. for -golden in CI)")
 	bounds := flag.Bool("bounds", true, "run golden simulations and report static Masked/AVF bounds")
-	dump := flag.String("dump", "", "detail dump for a single -bench/-O binary: cfg, live, bits, lifetimes")
+	dump := flag.String("dump", "", "detail dump for a single -bench/-O binary: cfg, live, bits")
 	goldenPath := flag.String("golden", "", "compare the static bounds against this golden file and fail on drift")
 	update := flag.Bool("update", false, "rewrite the -golden file with the current bounds instead of comparing")
 	par := flag.Int("parallel", 0, "concurrent golden runs (0 = GOMAXPROCS)")
@@ -89,10 +88,8 @@ func main() {
 			dumpLiveness(a, cfg.CPU.NumArchRegs)
 		case "bits":
 			dumpBits(a, cfg.CPU.XLEN, cfg.CPU.NumArchRegs)
-		case "lifetimes":
-			dumpLifetimes(a)
 		default:
-			cli.Fatal(fmt.Errorf("unknown -dump %q (use cfg, live, bits, lifetimes)", *dump))
+			cli.Fatal(fmt.Errorf("unknown -dump %q (use cfg, live, bits)", *dump))
 		}
 		return
 	}
@@ -230,8 +227,8 @@ func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []co
 			u.words = len(prog.Code)
 			u.blocks = len(a.CFG.Blocks)
 			u.funcs = len(a.CFG.FuncEntries)
-			for _, lt := range a.Lifetimes {
-				if lt.Uses == 0 {
+			for i, in := range a.CFG.Code {
+				if d := in.DestReg(); d != 0xff && !a.LiveOut[i].Has(d) {
 					u.deadWrites++
 				}
 			}
@@ -366,31 +363,5 @@ func dumpBits(a *binanalysis.Analysis, xlen, nregs int) {
 		}
 		fmt.Printf("%4d  %-28s dead %-24s dead-bits %s\n",
 			i, in.String(), a.DeadOut(i, nregs), strings.Join(parts, " "))
-	}
-}
-
-func dumpLifetimes(a *binanalysis.Analysis) {
-	bounds, counts := binanalysis.LifetimeHistogram(a.Lifetimes)
-	fmt.Printf("%d definition sites\n", len(a.Lifetimes))
-	fmt.Println("def->furthest-use distance histogram (instructions over CFG edges):")
-	for k := range bounds {
-		label := fmt.Sprintf("= %d", bounds[k])
-		if k >= 2 {
-			label = fmt.Sprintf("<= %d", bounds[k])
-		}
-		if k == 0 {
-			label = "dead"
-		}
-		fmt.Printf("  %-8s %6d\n", label, counts[k])
-	}
-	var longest binanalysis.Lifetime
-	for _, lt := range a.Lifetimes {
-		if lt.Dist > longest.Dist {
-			longest = lt
-		}
-	}
-	if longest.Dist > 0 {
-		fmt.Printf("longest-lived value: %s defined at %d, furthest use %d instructions away (%d uses)\n",
-			isa.RegName(longest.Reg), longest.DefIdx, longest.Dist, longest.Uses)
 	}
 }

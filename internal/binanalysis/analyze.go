@@ -1,7 +1,6 @@
 package binanalysis
 
 import (
-	"sync"
 	"unsafe"
 
 	"sevsim/internal/isa"
@@ -12,32 +11,17 @@ type Analysis struct {
 	CFG     *CFG
 	LiveIn  []RegSet // per-instruction live-in (registers read before redefinition on some path)
 	LiveOut []RegSet // per-instruction live-out
-	// Lifetimes holds one record per definition site: how far (in
-	// instructions over CFG edges) the defined value travels to its
-	// furthest reached use.
-	Lifetimes []Lifetime
-
-	// bits caches the bit-granular analyses by XLEN, so every query of
-	// one Analysis at one word width (a pruner's construction and its
-	// verdicts, the sevanalyze bounds table) pays for the fixpoints once.
-	bitsMu sync.Mutex
-	bits   map[int]*BitAnalysis
 }
 
 // Analyze reconstructs the CFG of an assembled binary and runs the
-// liveness and reaching-definitions fixpoints over it.
+// liveness fixpoint over it.
 func Analyze(code []isa.Instr) (*Analysis, error) {
 	g, err := BuildCFG(code)
 	if err != nil {
 		return nil, err
 	}
 	liveIn, liveOut := liveness(g)
-	return &Analysis{
-		CFG:       g,
-		LiveIn:    liveIn,
-		LiveOut:   liveOut,
-		Lifetimes: reachingDefs(g),
-	}, nil
+	return &Analysis{CFG: g, LiveIn: liveIn, LiveOut: liveOut}, nil
 }
 
 // AnalyzeWords decodes an assembled code image and analyzes it; the
@@ -51,15 +35,10 @@ func AnalyzeWords(words []uint32) (*Analysis, error) {
 }
 
 // ResidentBytes estimates the memory the analysis holds: the decoded
-// code, the per-instruction sets, the lifetimes, and — nearly all of it —
-// the six 32-register mask tables of every bit-granular analysis cached
-// on it. Block lists are left out.
+// code and the per-instruction sets. Block lists are left out, and so
+// is any BitAnalysis built on it: its holder counts that.
 func (a *Analysis) ResidentBytes() int {
-	a.bitsMu.Lock()
-	defer a.bitsMu.Unlock()
-	n := len(a.CFG.Code)
-	return n*(int(unsafe.Sizeof(isa.Instr{}))+8+2*int(unsafe.Sizeof(RegSet(0)))) +
-		len(a.Lifetimes)*int(unsafe.Sizeof(Lifetime{})) + len(a.bits)*6*32*8*n
+	return len(a.CFG.Code) * (int(unsafe.Sizeof(isa.Instr{})) + 8 + 2*int(unsafe.Sizeof(RegSet(0))))
 }
 
 // DeadOut returns the registers provably dead immediately after

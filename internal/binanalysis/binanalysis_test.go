@@ -120,33 +120,8 @@ func TestLifetimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byIdx := map[int]Lifetime{}
-	for _, lt := range a.Lifetimes {
-		byIdx[lt.DefIdx] = lt
-	}
-	if lt := byIdx[0]; lt.Dist != 3 || lt.Uses != 1 {
-		t.Errorf("def@0 lifetime = %+v, want Dist 3 Uses 1", lt)
-	}
-	if lt := byIdx[1]; lt.Dist != 2 {
-		t.Errorf("def@1 lifetime = %+v, want Dist 2", lt)
-	}
-	if lt := byIdx[2]; lt.Dist != 0 || lt.Uses != 0 {
-		t.Errorf("dead write lifetime = %+v, want Dist 0 Uses 0", lt)
-	}
-}
-
-func TestLifetimeHistogram(t *testing.T) {
-	defs := []Lifetime{{Dist: 0}, {Dist: 1}, {Dist: 2}, {Dist: 3}, {Dist: 4}, {Dist: 9}}
-	bounds, counts := LifetimeHistogram(defs)
-	// bins: 0 | 1 | 2 | 3..4 | 5..8 | 9..16
-	want := []int{1, 1, 1, 2, 0, 1}
-	if len(counts) != len(want) {
-		t.Fatalf("bounds %v counts %v, want %d bins", bounds, counts, len(want))
-	}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v (bounds %v), want %v", counts, bounds, want)
-		}
+	if dead := a.DeadOut(2, 16); !dead.Has(isa.RegT2) {
+		t.Errorf("DeadOut(2) = %v, want the dead write t2 in it", dead)
 	}
 }
 

@@ -17,55 +17,33 @@ type BitAnalysis struct {
 
 	a *Analysis
 
-	// Flattened [instruction*32 + register] masks. kz/ko are the
-	// known-zero/known-one masks in effect BEFORE the instruction;
-	// liveIn/liveOut are the live-bit masks before/after it; dueIn and
-	// dueOut are the crash-certain (must-DUE) masks from the
-	// fault-propagation analysis (propagate.go).
-	kz, ko  []uint64
-	liveIn  []uint64
-	liveOut []uint64
-	dueIn   []uint64
-	dueOut  []uint64
+	// Flattened [instruction*32 + register] masks: liveOut is the
+	// live-bit mask after the instruction, dueOut the crash-certain
+	// (must-DUE) mask from the fault-propagation analysis
+	// (propagate.go). liveEntry and dueEntry are the same masks before
+	// the first instruction commits.
+	liveOut, dueOut     []uint64
+	liveEntry, dueEntry [32]uint64
 }
 
-// Bits returns the bit-granular analysis for the given word width,
-// computing it on first use and caching it on the Analysis. Safe for
-// concurrent use.
+// Bits runs the bit-granular fixpoints for the given word width and
+// keeps only what the accessors below read: the known-bits masks and
+// the full before-instruction tables are dropped once the fixpoints
+// have used them.
 func (a *Analysis) Bits(xlen int) *BitAnalysis {
-	a.bitsMu.Lock()
-	defer a.bitsMu.Unlock()
-	if b, ok := a.bits[xlen]; ok {
-		return b
-	}
 	kz, ko := computeKnownBits(a.CFG, xlen)
 	liveIn, liveOut, sd := computeBitLiveness(a.CFG, kz, ko, xlen)
 	dueIn, dueOut := computeDueBits(a.CFG, kz, ko, liveOut, sd, xlen)
-	b := &BitAnalysis{
-		XLEN:    xlen,
-		Mask:    xlenMask(xlen),
-		a:       a,
-		kz:      kz,
-		ko:      ko,
-		liveIn:  liveIn,
-		liveOut: liveOut,
-		dueIn:   dueIn,
-		dueOut:  dueOut,
-	}
-	if a.bits == nil {
-		a.bits = make(map[int]*BitAnalysis)
-	}
-	a.bits[xlen] = b
+	b := &BitAnalysis{XLEN: xlen, Mask: xlenMask(xlen), a: a, liveOut: liveOut, dueOut: dueOut}
+	copy(b.liveEntry[:], liveIn)
+	copy(b.dueEntry[:], dueIn)
 	return b
 }
 
-// KnownIn returns the known-bits state of register r immediately
-// before instruction i executes, on fault-free executions.
-func (b *BitAnalysis) KnownIn(i int, r uint8) KnownBits {
-	if r >= 32 {
-		return kbTop(b.Mask)
-	}
-	return KnownBits{Zero: b.kz[i*32+int(r)], One: b.ko[i*32+int(r)]}
+// residentBytes returns the memory of the per-instruction mask tables
+// and the entry rows.
+func (b *BitAnalysis) residentBytes() int {
+	return 8 * (cap(b.liveOut) + cap(b.dueOut) + 2*32)
 }
 
 // DeadOutBits returns the bits of register r provably dead immediately
@@ -93,7 +71,7 @@ func (b *BitAnalysis) EntryDeadBits(r uint8) uint64 {
 	if !b.a.LiveIn[0].Has(r) {
 		return b.Mask
 	}
-	return ^b.liveIn[r] & b.Mask
+	return ^b.liveEntry[r] & b.Mask
 }
 
 // DueOutBits returns the bits of register r that are crash-certain
@@ -118,5 +96,5 @@ func (b *BitAnalysis) EntryDueBits(r uint8) uint64 {
 	if r == uint8(isa.RegZero) || r >= 32 {
 		return 0
 	}
-	return b.dueIn[r]
+	return b.dueEntry[r]
 }

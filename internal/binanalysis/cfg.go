@@ -170,33 +170,3 @@ func BuildCFG(code []isa.Instr) (*CFG, error) {
 	}
 	return g, nil
 }
-
-// InstrSuccs appends the instruction-level successors of instruction i
-// to dst (used by the lifetime BFS). Unknown indirect transfers
-// contribute no successors.
-func (g *CFG) InstrSuccs(i int, dst []int) []int {
-	in := g.Code[i]
-	n := len(g.Code)
-	add := func(t int) []int {
-		if t >= 0 && t < n {
-			dst = append(dst, t)
-		}
-		return dst
-	}
-	switch {
-	case in.Op.IsBranch():
-		dst = add(i + 1)
-		dst = add(branchTarget(i, in))
-	case in.Op == isa.OpJal:
-		dst = add(branchTarget(i, in))
-	case isReturn(in):
-		for _, rp := range g.RetPoints {
-			dst = add(rp)
-		}
-	case in.Op == isa.OpJalr, in.Op == isa.OpHalt:
-		// unknown or terminal
-	default:
-		dst = add(i + 1)
-	}
-	return dst
-}

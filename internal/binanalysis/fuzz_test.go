@@ -123,7 +123,7 @@ func FuzzKnownBitsVsInterp(f *testing.F) {
 			if xlen < 64 {
 				mask = 1<<xlen - 1
 			}
-			bits := a.Bits(xlen)
+			kz, ko := binanalysis.ComputeKnownBits(a.CFG, xlen)
 			mm := machine.New(cfg, &machine.Program{
 				Name: "fuzz", Code: words, Entry: machine.CodeBase, GlobalSize: 64,
 			})
@@ -137,7 +137,7 @@ func FuzzKnownBitsVsInterp(f *testing.F) {
 			}
 			for k, o := range outs {
 				idx, reg := o[0], uint8(o[1])
-				kb := bits.KnownIn(idx, reg)
+				kb := binanalysis.KnownBits{Zero: kz[idx*32+int(reg)], One: ko[idx*32+int(reg)]}
 				v := res.Output[k]
 				if !kb.Compatible(v, mask) {
 					t.Errorf("%s: out #%d at idx %d: reg %s = %#x contradicts known bits (zero=%#x one=%#x)",

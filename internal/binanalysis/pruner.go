@@ -98,11 +98,11 @@ const ckptInterval = 1024
 
 // NewDUEPruner builds the pruner for one traced experiment. The
 // analysis must come from the same binary the experiment runs; the
-// bit-granular fixpoints for the machine's word width are computed on
-// it (Analysis.Bits) and held by the pruner with the rest of it. The
-// Crash verdict disables itself, leaving the two Masked ones, when the
-// program's memory layout exceeds the address ceiling the crash masks
-// assume.
+// bit-granular fixpoints for the machine's word width are run on it
+// (Analysis.Bits), and the pruner is the only holder of their masks.
+// The Crash verdict disables itself, leaving the two Masked ones, when
+// the program's memory layout exceeds the address ceiling the crash
+// masks assume.
 func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 	if exp.Trace == nil {
 		return nil, fmt.Errorf("binanalysis: experiment has no commit trace (use NewTracedExperiment)")
@@ -198,11 +198,12 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 	return p, nil
 }
 
-// ResidentBytes returns the memory of the tables the pruner built over
-// the trace (the reader lists and the rename-map snapshots); the trace
-// and the Analysis it was built from are counted on their own.
+// ResidentBytes returns the memory of the tables the pruner built: the
+// bit-granular masks, the reader lists and the rename-map snapshots over
+// the trace. The trace and the Analysis it was built from are counted on
+// their own.
 func (p *DUEPruner) ResidentBytes() int {
-	n := 0
+	n := p.bits.residentBytes()
 	for _, rs := range p.readers {
 		n += 4 * cap(rs)
 	}

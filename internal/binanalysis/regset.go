@@ -1,11 +1,10 @@
 // Package binanalysis is the binary-level ACE/liveness analyzer: it
 // reconstructs a control-flow graph from assembled SEV instructions,
-// runs backward architectural-register liveness and forward reaching
-// definitions to fixpoint, and derives from them
+// runs backward architectural-register liveness to fixpoint, and
+// derives from it
 //
 //   - per-instruction dead-register sets (a register is dead at a point
 //     when no path from that point reads it before redefining it),
-//   - static value-lifetime intervals (def -> furthest reached use),
 //   - a binary invariant checker (use-before-def at entry, stack-pointer
 //     balance across calls, control-transfer targets in range), and
 //   - a statically sound injection pruner plus Masked/AVF bounds for

@@ -9,7 +9,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"syscall"
 
 	"sevsim/internal/artcache"
@@ -42,19 +41,14 @@ func Parallelism(n int) int {
 	return n
 }
 
-// Progress returns a serialized stdout progress printer, or nil when
-// quiet. Concurrent study cells report through one mutex so lines never
-// interleave.
+// Progress returns a stdout progress printer for core.Spec.Progress, or
+// nil when quiet. It takes no lock: the study serializes its progress
+// lines before they reach it.
 func Progress(quiet bool) func(format string, args ...any) {
 	if quiet {
 		return nil
 	}
-	var mu sync.Mutex
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		fmt.Printf(format+"\n", args...)
-	}
+	return func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 }
 
 // March resolves a microarchitecture flag value ("a15" or "a72", or a

@@ -119,7 +119,7 @@ type FailRequest struct {
 // table's, and the study's lifecycle state.
 type StatusEvent struct {
 	Study       string
-	State       string // "running", "complete", "failed"
+	State       string // "running" or "complete"
 	Done        int    // merged cells, quarantines included
 	Total       int
 	Leased      int

@@ -5,6 +5,8 @@
 package fit
 
 import (
+	"strings"
+
 	"sevsim/internal/campaign"
 	"sevsim/internal/faultinj"
 )
@@ -38,10 +40,13 @@ func (s ECCScheme) String() string {
 // Schemes lists the three scenarios in Figure 12's order.
 func Schemes() []ECCScheme { return []ECCScheme{ECCNone, ECCL1DL2, ECCL2Only} }
 
-// Protected reports whether the scheme covers the component. Single-bit
-// upsets in an ECC-protected array are corrected, so the structure's
-// FIT contribution is removed, exactly as the paper assumes.
-func (s ECCScheme) Protected(component string) bool {
+// Protected reports whether the scheme covers the structure field (a
+// target name like "L1D.data"; its component is the part before the
+// first '.'). Single-bit upsets in an ECC-protected array are corrected,
+// so the structure's FIT contribution is removed, exactly as the paper
+// assumes.
+func (s ECCScheme) Protected(field string) bool {
+	component, _, _ := strings.Cut(field, ".")
 	switch s {
 	case ECCL1DL2:
 		return component == "L1D" || component == "L2"
@@ -51,23 +56,13 @@ func (s ECCScheme) Protected(component string) bool {
 	return false
 }
 
-// componentOf extracts the component from a target name like "L1D.data".
-func componentOf(target string) string {
-	for i := 0; i < len(target); i++ {
-		if target[i] == '.' {
-			return target[:i]
-		}
-	}
-	return target
-}
-
 // CPU sums the per-structure FITs of one (march, bench, level) cell set
 // under the given ECC scheme. The results must cover each structure
 // field exactly once.
 func CPU(results []campaign.Result, rawFITPerBit float64, scheme ECCScheme) float64 {
 	total := 0.0
 	for _, r := range results {
-		if scheme.Protected(componentOf(r.Target)) {
+		if scheme.Protected(r.Target) {
 			continue
 		}
 		total += Structure(rawFITPerBit, r.StructBits, r.AVF())
@@ -81,7 +76,7 @@ func CPU(results []campaign.Result, rawFITPerBit float64, scheme ECCScheme) floa
 func CPUByClass(results []campaign.Result, rawFITPerBit float64, scheme ECCScheme) map[faultinj.Outcome]float64 {
 	byClass := map[faultinj.Outcome]float64{}
 	for _, r := range results {
-		if scheme.Protected(componentOf(r.Target)) {
+		if scheme.Protected(r.Target) {
 			continue
 		}
 		for o := faultinj.SDC; o < faultinj.NumOutcomes; o++ {

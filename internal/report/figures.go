@@ -210,7 +210,7 @@ func Fig12ECC(w io.Writer, st *core.Study) {
 			for _, level := range st.LevelNames {
 				total := 0.0
 				for _, target := range st.TargetNames {
-					if scheme.Protected(componentOf(target)) {
+					if scheme.Protected(target) {
 						continue
 					}
 					results := st.AcrossBenches(march, level, target)
@@ -315,15 +315,6 @@ func Anomalies(w io.Writer, st *core.Study) {
 	}
 	fmt.Fprintln(w, "Anomalies: cells with unexpected simulator panics (rates suspect)")
 	Table(w, headers, rows)
-}
-
-func componentOf(target string) string {
-	for i := 0; i < len(target); i++ {
-		if target[i] == '.' {
-			return target[:i]
-		}
-	}
-	return target
 }
 
 // Margin prints the statistical error margin implied by the study's
