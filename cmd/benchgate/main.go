@@ -5,8 +5,9 @@
 // (BENCH_checkpoint.json / BENCH_cache.json / BENCH_layout.json),
 // addressed by a dotted JSON path in which a number indexes an array:
 //
-//	go test -run '^$' -bench 'BenchmarkInjectionCell' -benchtime=1x . |
-//	    go run ./cmd/benchgate -baseline BENCH_checkpoint.json -max-regression 2
+//	go test -run '^$' -bench 'BenchmarkInjectionCell/unit' -benchtime=1x . |
+//	    go run ./cmd/benchgate -baseline BENCH_layout.json -bench BenchmarkInjectionCell/unit \
+//	        -unit replay-cycles/injection -metric trajectory.5.gate_limit.replay_cycles_per_injection -max-regression 1
 //
 //	go test -run '^$' -bench 'BenchmarkCachedStudy' -benchtime=1x . |
 //	    go run ./cmd/benchgate -baseline BENCH_cache.json \
@@ -32,7 +33,8 @@
 // belongs), not a microbenchmark judge. A benchmark that reports a
 // ratio of two of its own times (prep/golden, bound/golden,
 // fast/reference) is gated on an absolute limit instead: the file
-// records the limit and the factor is 1.
+// records the limit and the factor is 1. -baseline, -bench and -metric
+// have no defaults: a gate names what it holds.
 package main
 
 import (
@@ -46,12 +48,17 @@ import (
 )
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_checkpoint.json", "bench trajectory file holding the recorded ns/op")
-	bench := flag.String("bench", "BenchmarkInjectionCell/fastpath", "benchmark name to gate on (prefix match on the output line)")
-	metric := flag.String("metric", "per_injection.fastpath.ns_per_op", "dotted JSON path of the baseline value inside the trajectory file")
+	baseline := flag.String("baseline", "", "bench trajectory file holding the recorded value (required)")
+	bench := flag.String("bench", "", "benchmark name to gate on, a prefix match on the output line (required)")
+	metric := flag.String("metric", "", "dotted JSON path of the baseline value inside the trajectory file (required)")
 	unit := flag.String("unit", "ns/op", "unit of the benchmark output column to gate on (ns/op, or a b.ReportMetric unit such as ns/snapshot)")
 	maxRegression := flag.Float64("max-regression", 2, "fail when the measured value exceeds baseline by more than this factor")
 	flag.Parse()
+	if *baseline == "" || *bench == "" || *metric == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -baseline, -bench and -metric are required")
+		flag.Usage()
+		os.Exit(2) //lint:exit process boundary: usage error before any work started
+	}
 
 	raw, err := os.ReadFile(*baseline)
 	if err != nil {

@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	level, err := cli.Level(*levelFlag)
+	level, err := compiler.ParseLevel(*levelFlag)
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func main() {
 	}
 	levels := compiler.Levels
 	if *levelFlag != "" {
-		l, err := cli.Level(*levelFlag)
+		l, err := compiler.ParseLevel(*levelFlag)
 		if err != nil {
 			cli.Fatal(err)
 		}

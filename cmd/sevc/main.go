@@ -51,7 +51,7 @@ func main() {
 		return
 	}
 
-	level, err := cli.Level(*levelFlag)
+	level, err := compiler.ParseLevel(*levelFlag)
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8750", "coordinator base URL")
 	workdir := flag.String("workdir", "", "directory for the journals of leases in flight (required), one small file per lease, removed when its report is acknowledged; reuse it across restarts to resume an interrupted lease")
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
-	parallel := flag.Int("parallel", 0, "campaign parallelism per cell (0 = GOMAXPROCS); results are identical at any setting")
+	parallel := flag.Int("parallel", 0, "worker pool size for each leased unit: compile, golden run and injections (0 = GOMAXPROCS); results are identical at any setting")
 	cacheDir := flag.String("cache", "", "prep-artifact cache directory, kept across leases and studies; re-leased cells skip compiles and golden simulations (results are byte-identical either way)")
 	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	quiet := flag.Bool("q", false, "suppress log output")

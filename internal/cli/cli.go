@@ -12,7 +12,6 @@ import (
 	"syscall"
 
 	"sevsim/internal/artcache"
-	"sevsim/internal/compiler"
 	"sevsim/internal/lang"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
@@ -61,22 +60,6 @@ func March(name string) (machine.Config, error) {
 		return machine.CortexA72Like(), nil
 	}
 	return machine.Config{}, fmt.Errorf("unknown microarchitecture %q (use a15 or a72)", name)
-}
-
-// Level resolves an optimization level flag value ("O0".."O3" or
-// "0".."3").
-func Level(name string) (compiler.OptLevel, error) {
-	switch name {
-	case "O0", "o0", "0":
-		return compiler.O0, nil
-	case "O1", "o1", "1":
-		return compiler.O1, nil
-	case "O2", "o2", "2":
-		return compiler.O2, nil
-	case "O3", "o3", "3":
-		return compiler.O3, nil
-	}
-	return compiler.O0, fmt.Errorf("unknown optimization level %q (use O0..O3)", name)
 }
 
 // LoadSource returns MiniC source either from a named benchmark (at the

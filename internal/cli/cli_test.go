@@ -26,18 +26,6 @@ func TestMarchResolution(t *testing.T) {
 	}
 }
 
-func TestLevelResolution(t *testing.T) {
-	for in, want := range map[string]int{"O0": 0, "o1": 1, "2": 2, "O3": 3} {
-		lvl, err := Level(in)
-		if err != nil || int(lvl) != want {
-			t.Errorf("Level(%q) = %v, %v", in, lvl, err)
-		}
-	}
-	if _, err := Level("O9"); err == nil {
-		t.Error("bad level accepted")
-	}
-}
-
 func TestTargetDerivation(t *testing.T) {
 	cfg, _ := March("a72")
 	tgt := compiler.TargetFor(cfg)

@@ -449,3 +449,17 @@ func TestRandomExpressionPrograms(t *testing.T) {
 		runDifferential(t, fmt.Sprintf("random%d", round), src)
 	}
 }
+
+func TestLevelResolution(t *testing.T) {
+	for in, want := range map[string]OptLevel{"O0": O0, "o1": O1, "2": O2, "O3": O3} {
+		lvl, err := ParseLevel(in)
+		if err != nil || lvl != want {
+			t.Errorf("ParseLevel(%q) = %v, %v", in, lvl, err)
+		}
+	}
+	for _, in := range []string{"O9", "", "O", "3O"} {
+		if _, err := ParseLevel(in); err == nil {
+			t.Errorf("bad level %q accepted", in)
+		}
+	}
+}

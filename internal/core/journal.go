@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"strings"
 
-	"sevsim/internal/cli"
+	"sevsim/internal/compiler"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/journal"
 	"sevsim/internal/workloads"
@@ -73,10 +73,11 @@ func (s Spec) Wire() StudySpec {
 	return w
 }
 
-// Normalize fills defaults (benchmark sizes, the full target set) and
-// validates every name resolves. The normalized spec is what the
-// study ID hashes, so a spec submitted with explicit defaults and one
-// submitted with them elided are the same study.
+// Normalize validates the spec and returns the Wire form of the Spec it
+// resolves to, all targets when none are given: every name in its
+// canonical spelling, every size resolved. The normalized spec is what
+// the study ID hashes, so specs that run the same study (defaults
+// explicit or elided, "O2" or "2") are the same study.
 func (w StudySpec) Normalize() (StudySpec, error) {
 	if len(w.Machines) == 0 || len(w.Benches) == 0 || len(w.Levels) == 0 {
 		return w, fmt.Errorf("core: spec needs at least one machine, benchmark, and level")
@@ -84,28 +85,17 @@ func (w StudySpec) Normalize() (StudySpec, error) {
 	if w.Faults <= 0 {
 		return w, fmt.Errorf("core: spec needs a positive fault count")
 	}
-	if len(w.Targets) == 0 {
-		for _, t := range faultinj.Targets() {
-			w.Targets = append(w.Targets, t.Name())
-		}
-	}
-	if w.Sizes == nil {
-		w.Sizes = make([]int, len(w.Benches))
-		for i, name := range w.Benches {
-			b, err := workloads.ByName(name)
-			if err != nil {
-				return w, fmt.Errorf("core: %w", err)
-			}
-			w.Sizes[i] = b.DefaultSize
-		}
-	}
-	if len(w.Sizes) != len(w.Benches) {
+	if w.Sizes != nil && len(w.Sizes) != len(w.Benches) {
 		return w, fmt.Errorf("core: %d sizes for %d benchmarks", len(w.Sizes), len(w.Benches))
 	}
-	if _, err := w.Spec(); err != nil {
+	s, err := w.Spec()
+	if err != nil {
 		return w, err
 	}
-	return w, nil
+	if len(s.Targets) == 0 {
+		s.Targets = faultinj.Targets()
+	}
+	return s.Wire(), nil
 }
 
 // ID derives the study's content-addressed identity from the
@@ -140,7 +130,7 @@ func (w StudySpec) Spec() (Spec, error) {
 		s.Benchmarks = append(s.Benchmarks, b)
 	}
 	for _, name := range w.Levels {
-		level, err := cli.Level(name)
+		level, err := compiler.ParseLevel(name)
 		if err != nil {
 			return Spec{}, fmt.Errorf("core: %w", err)
 		}

@@ -99,8 +99,8 @@ func (c *flightCount) largestAnalyses(n int) int {
 }
 
 // returns runs spec and fails the test if run does not come back: a
-// feeder stuck on a full window, or an orchestrator that never gave its
-// slot back, is a hang, not an error.
+// runner that waits on a preparation never run, or never takes its next
+// unit, is a hang, not an error.
 func returns(t *testing.T, ctx context.Context, spec Spec) (*Study, error) {
 	t.Helper()
 	type result struct {

@@ -25,10 +25,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sevsim/internal/artcache"
 	"sevsim/internal/binanalysis"
@@ -86,7 +86,7 @@ type prepUnit struct {
 	// exp and pruner are what a unit in flight holds: set by the
 	// preparation, dropped by release when the last cell is out. The
 	// pruner is the only holder of the unit's binary analysis, so the
-	// analysis goes with it. What stays is what the orchestrator and the
+	// analysis goes with it. What stays is what the runner and the
 	// outcomes read.
 	exp    *faultinj.Experiment
 	pruner faultinj.Pruner // non-nil only for prune units
@@ -94,20 +94,7 @@ type prepUnit struct {
 	golden Golden
 	static *StaticRF // non-nil only for prune units
 	err    error
-	stage  string        // failing stage: "compile", "golden", "analyze"
-	ready  chan struct{} // closed once exp/golden/err are final
-}
-
-// release closes the unit's experiment, handing its ladder's pooled core
-// snapshots back, and drops it and the pruner so the collector can take
-// the trace, the ladder, the tables and the analysis with them. It is
-// the end of every unit's life: after the last cell, after a failed
-// preparation, after a cancelled run.
-func (u *prepUnit) release() {
-	if u.exp != nil {
-		u.exp.Close()
-	}
-	u.exp, u.pruner = nil, nil
+	stage  string // failing stage: "compile", "golden", "analyze"
 }
 
 // ref names one of the unit's cells.
@@ -115,25 +102,14 @@ func (u *prepUnit) ref(t faultinj.Target) CellRef {
 	return CellRef{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Target: t.Name()}
 }
 
-// run prepares the unit once; a cancelled context short-circuits
-// pending units. Preparation is a pure function of the spec, so a
-// failure is the unit's outcome, not a transient to retry: the
-// orchestrator quarantines it.
-func (u *prepUnit) run(ctx context.Context) {
-	defer close(u.ready)
-	if err := ctx.Err(); err != nil {
-		u.err, u.stage = err, "cancelled"
-		return
-	}
-	u.prepOnce()
-}
-
 // prepOnce performs the compile + golden-run + (for prune units)
-// analysis. With a cache, one unit per key builds the bundle
-// (concurrent requesters share it via single-flight) and hit and fill
-// paths both decode the serialized bundle (loadBundle), so a warm study
-// runs its campaign from exactly the same decoded state a cold one
-// does. Panics from any stage are recovered into errors so one bad unit
+// analysis, once: preparation is a pure function of the spec, so a
+// failure is the unit's outcome, not a transient to retry, and the
+// runner quarantines it. With a cache, one unit per key builds the
+// bundle (concurrent requesters share it via single-flight) and hit and
+// fill paths both decode the serialized bundle (loadBundle), so a warm
+// study runs its campaign from exactly the same decoded state a cold
+// one does. Panics from any stage are recovered into errors so one bad unit
 // cannot take down the study.
 func (u *prepUnit) prepOnce() {
 	u.stage = "compile"
@@ -260,14 +236,12 @@ func (r *resident) add(o resident, sign int) {
 	r.analysis += sign * o.analysis
 }
 
-// flight is the window a study's units pass through, and the account of
-// what passed. A unit is in flight from the submission of its
-// preparation to its release; the feeder takes a slot before the first
-// and the orchestrator gives it back after the second, on every path, so
-// what a study holds follows the window and not the number of units.
+// flight is the account of a study's units in flight. A unit is in flight
+// from its admission, just before its preparation is submitted, to its
+// release; one runner holds it all that time, on every path, so at most
+// workers + 1 units are in flight and what a study holds follows its
+// workers, not its units.
 type flight struct {
-	slots chan struct{} // one token per unit in flight
-
 	mu       sync.Mutex
 	now, max int                    // in flight, and the most there ever were
 	held     resident               // by the prepared units in flight
@@ -275,14 +249,13 @@ type flight struct {
 	fastPath faultinj.FastPathStats // the exits and cycles of every released unit's injections
 }
 
-// unitHook, when a test sets it, sees every unit as it enters the window
-// (released false) and as it leaves, before its slot is free again
-// (released true).
+// unitHook, when a test sets it, sees every unit as it is admitted
+// (released false) and as it is released, before its runner takes the
+// next (released true).
 var unitHook func(u *prepUnit, released bool)
 
-// admit blocks until a slot is free and takes it for u.
+// admit counts u into the flight.
 func (f *flight) admit(u *prepUnit) {
-	f.slots <- struct{}{}
 	f.mu.Lock()
 	f.now++
 	f.max = max(f.max, f.now)
@@ -302,14 +275,18 @@ func (f *flight) prepared(u *prepUnit) {
 	}
 }
 
-// release ends u's flight: whatever the unit still holds is closed and
-// dropped, and its slot goes back to the feeder.
+// release ends u's flight, the end of every unit's life: after the last
+// cell, after a failed preparation, after a cancelled run. It closes the
+// unit's experiment, handing its ladder's pooled core snapshots back, and
+// drops it and the pruner so the collector can take the trace, the
+// ladder, the tables and the analysis with them.
 func (f *flight) release(u *prepUnit) {
 	var fp faultinj.FastPathStats
 	if u.exp != nil {
 		fp = u.exp.FastPathStats()
+		u.exp.Close()
 	}
-	u.release()
+	u.exp, u.pruner = nil, nil
 	f.mu.Lock()
 	f.now--
 	f.fastPath.Add(fp)
@@ -320,7 +297,6 @@ func (f *flight) release(u *prepUnit) {
 	if unitHook != nil {
 		unitHook(u, true)
 	}
-	<-f.slots
 }
 
 // residency is the end-of-run account of a study's resident set, printed
@@ -334,12 +310,6 @@ func (r residency) String() string {
 	mb := func(n int) float64 { return float64(n) / (1 << 20) }
 	return fmt.Sprintf("%d units prepared, at most %d in flight (window %d) holding at most %.1f MB trace, %.1f MB checkpoints, %.1f MB pruner tables, %.1f MB analyses",
 		r.Units, r.MaxInFlight, r.Window, mb(r.Held.trace), mb(r.Held.stream), mb(r.Held.pruner), mb(r.Held.analysis))
-}
-
-// isCancel reports whether err is context cancellation rather than a
-// real failure.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // results is the one path every outcome of a run takes, replayed or
@@ -486,7 +456,6 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				units = append(units, &prepUnit{
 					cfg: cfg, bench: bench, size: sizes[bi], level: level,
 					prune: s.Prune, cache: s.Cache, need: need,
-					ready: make(chan struct{}),
 				})
 			}
 		}
@@ -499,36 +468,49 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 	pool := campaign.NewPool(workers)
 	defer pool.Close()
 
-	// Feed the preparation work through the same pool as the
-	// injections: compiles and golden runs for later units overlap with
-	// the campaigns of earlier ones. The feeder is its own goroutine
-	// because admit blocks while the window is full and Submit while the
-	// queue is. The window is workers + 1 units: every worker can be on
-	// the cells of its own unit while one more prepares, so two units
-	// ending together leave no worker waiting for a golden run; a wider
-	// one only holds more, so it is derived, not a knob. Tasks are always
-	// enqueued (never dropped on cancellation) so every unit's ready
-	// channel is guaranteed to close, and every slot comes back.
-	fl := &flight{slots: make(chan struct{}, workers+1)}
+	fl := &flight{}
 	defer func() {
 		if fl.fastPath != (faultinj.FastPathStats{}) {
 			rep.printf("fast path: %s", fl.fastPath)
 		}
 		rep.printf("resident: %s", residency{Units: len(units), Window: workers + 1, MaxInFlight: fl.max, Held: fl.maxHeld})
 	}()
-	go func() {
-		for _, u := range units {
-			u := u
-			fl.admit(u)
-			pool.Submit(func() { u.run(runCtx) })
-		}
-	}()
 
-	// runUnit campaigns every needed cell of a prepared unit as one
-	// campaign and emits each cell's outcome as it finishes: the result,
-	// or the failure of a cell whose sampling panicked. A cell cut short
-	// by cancellation emits nothing.
-	runUnit := func(u *prepUnit) {
+	// life carries one unit from admission to release. Its preparation
+	// runs on the same pool as the injections, so compiles and golden runs
+	// for later units overlap with the campaigns of earlier ones. A
+	// cancelled run still admits and releases every unit but prepares
+	// none.
+	life := func(u *prepUnit) {
+		fl.admit(u)
+		defer fl.release(u)
+		prepared := make(chan struct{})
+		pool.Submit(func() {
+			defer close(prepared)
+			if runCtx.Err() == nil {
+				u.prepOnce()
+			}
+		})
+		<-prepared
+		if u.err != nil {
+			f := Failure{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Stage: u.stage, Err: u.err.Error()}
+			for _, t := range u.need {
+				res.emit(u, unitFailed(u.ref(t), f))
+			}
+			res.sync()
+			rep.printf("FAILED %-16s %-9s %s: %s (quarantined)", u.cfg.Name, u.bench.Name, u.level, u.err)
+			return
+		}
+		if u.exp == nil {
+			return // cancelled before its preparation started
+		}
+		fl.prepared(u)
+		rep.printf("golden %-16s %-9s %s: %d cycles (IPC %.2f)",
+			u.cfg.Name, u.bench.Name, u.level, u.exp.GoldenCycles, u.exp.GoldenStats.Stats.IPC())
+
+		// Every needed cell runs as one campaign and emits its outcome as
+		// it finishes: the result, or the failure of a cell whose sampling
+		// panicked. A cell cut short by cancellation emits nothing.
 		cells := make([]campaign.Cell, len(u.need))
 		for i, t := range u.need {
 			ref := u.ref(t)
@@ -551,41 +533,32 @@ func (s Spec) run(ctx context.Context, asm *Assembler, want map[CellRef]bool, si
 				r.March, r.Bench, r.Level, r.Target, r.AVF()*100, r.Faults, r.Counts.SDC, r.Counts.Crash,
 				r.Counts.Timeout, r.Counts.Assert)
 		})
+		// Every cell of this unit is done: once they are durable the
+		// deferred release hands the unit's golden checkpoint snapshots
+		// back to the buffer pools, so the next unit's checkpoints reuse
+		// them instead of allocating, and lets go of the rest.
+		res.sync()
 	}
 
-	// One lightweight orchestrator per unit waits for its prep, then
-	// dispatches the unit's campaign onto the pool. Orchestrators only
-	// sample, dispatch and wait; all heavy work (simulation runs) happens
-	// on pool workers, bounding CPU use at `workers`.
+	// workers + 1 runners take the units in enumeration order and each
+	// carries one unit at a time through its life, so the runners are the
+	// window. Runners only sample, dispatch and wait; all heavy work runs
+	// on the pool's workers, so CPU use stays at `workers`, and a runner
+	// waits only for its own pool tasks, which wait for nothing. Every
+	// worker can be on the cells of its own unit while one more unit
+	// prepares, so two units ending together leave no worker waiting for
+	// a golden run; more runners would only hold more, so their number is
+	// derived, not a knob.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, u := range units {
+	for range workers + 1 {
 		wg.Add(1)
-		go func(u *prepUnit) {
+		go func() {
 			defer wg.Done()
-			<-u.ready
-			defer fl.release(u)
-			if u.err != nil {
-				if isCancel(u.err) {
-					return
-				}
-				f := Failure{March: u.cfg.Name, Bench: u.bench.Name, Level: u.level.String(), Stage: u.stage, Err: u.err.Error()}
-				for _, t := range u.need {
-					res.emit(u, unitFailed(u.ref(t), f))
-				}
-				res.sync()
-				rep.printf("FAILED %-16s %-9s %s: %s (quarantined)", u.cfg.Name, u.bench.Name, u.level, u.err)
-				return
+			for i := int(next.Add(1)) - 1; i < len(units); i = int(next.Add(1)) - 1 {
+				life(units[i])
 			}
-			fl.prepared(u)
-			rep.printf("golden %-16s %-9s %s: %d cycles (IPC %.2f)",
-				u.cfg.Name, u.bench.Name, u.level, u.exp.GoldenCycles, u.exp.GoldenStats.Stats.IPC())
-			runUnit(u)
-			// Every cell of this unit is done: once they are durable the
-			// deferred release hands the unit's golden checkpoint snapshots
-			// back to the buffer pools, so the next unit's checkpoints
-			// reuse them instead of allocating, and lets go of the rest.
-			res.sync()
-		}(u)
+		}()
 	}
 	wg.Wait()
 

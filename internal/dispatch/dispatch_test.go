@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -66,6 +67,16 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	if n1.ID() != n2.ID() {
 		t.Fatal("normalize is not idempotent")
 	}
+	// A level's spellings are one level, so one study.
+	aliased := wire
+	aliased.Levels = []string{"o0", "2"}
+	na, err := aliased.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if na.ID() != n1.ID() {
+		t.Fatalf("levels %v normalize to %v, %s; want %v, %s", aliased.Levels, na.Levels, na.ID(), n1.Levels, n1.ID())
+	}
 	elided := wire
 	elided.Sizes = nil
 	defaulted := wire
@@ -108,7 +119,7 @@ func TestSpecNormalizeAndID(t *testing.T) {
 // README's example body, the paper-shaped spec, and a spec carrying a
 // field StudySpec no longer has (an older tree's CacheMaxMB). Normalize must fail, or return a
 // spec that normalizes to itself, whose ID survives the journal's JSON
-// round trip, and whose Spec resolves.
+// round trip, and whose Spec resolves to a spec whose Wire it is.
 func FuzzStudySpec(f *testing.F) {
 	f.Add([]byte(`{
   "Machines": ["Cortex-A15-like"], "Benches": ["qsort","gsm"],
@@ -144,8 +155,12 @@ func FuzzStudySpec(f *testing.F) {
 		if err := json.Unmarshal(data, &replayed); err != nil || replayed.ID() != n.ID() || again.ID() != n.ID() {
 			t.Fatalf("ID %s moved to %s through JSON (%v) or %s through Normalize", n.ID(), replayed.ID(), err, again.ID())
 		}
-		if _, err := n.Spec(); err != nil {
+		spec, err := n.Spec()
+		if err != nil {
 			t.Fatalf("normalized spec does not resolve: %v", err)
+		}
+		if w := spec.Wire(); !reflect.DeepEqual(w, n) {
+			t.Fatalf("normalized spec %+v is not its Spec's Wire %+v", n, w)
 		}
 	})
 }
@@ -929,4 +944,61 @@ func TestDistributedSharedWarmCache(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestDrain: a draining coordinator grants no lease, Drain gives up with
+// the context's error while a leased unit is still out, and returns nil
+// once that unit's cells are completed.
+func TestDrain(t *testing.T) {
+	wire := testWire()
+	wire.Benches, wire.Sizes, wire.Levels, wire.Faults = wire.Benches[:1], wire.Sizes[:1], wire.Levels[:1], 2
+	spec, err := wire.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := OpenCoordinator(Options{Dir: t.TempDir(), LeaseTTL: time.Minute, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	sub, err := coord.Submit(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := coord.Lease(LeaseRequest{Worker: "w1"})
+	if err != nil || g == nil {
+		t.Fatalf("lease: %v %v", g, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if err := coord.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with a lease out returned %v, want the context's deadline", err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- coord.Drain(context.Background()) }()
+	if g2, err := coord.Lease(LeaseRequest{Worker: "w2"}); g2 != nil || err != nil {
+		t.Fatalf("draining coordinator granted %+v, %v", g2, err)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with the lease still out", err)
+	default:
+	}
+
+	out, err := spec.RunCells(context.Background(), g.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Complete(CompleteRequest{Worker: "w1", LeaseID: g.LeaseID, StudyID: sub.ID, Outcomes: out}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Drain returned %v after the study finished", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return after the study finished")
+	}
 }

@@ -34,8 +34,9 @@ type WorkerOptions struct {
 	// cells again replays the finished ones. Required.
 	Workdir string
 
-	// Parallelism is the campaign parallelism per cell (core.Spec
-	// semantics; <= 0: GOMAXPROCS).
+	// Parallelism sizes the pool that runs a lease's whole unit: its
+	// compile, golden run and injections (core.Spec semantics; <= 0:
+	// GOMAXPROCS).
 	Parallelism int
 
 	// CacheDir, when set, opens a prep-artifact cache shared across
