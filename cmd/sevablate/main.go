@@ -20,7 +20,6 @@ import (
 	"sevsim/internal/campaign"
 	"sevsim/internal/cli"
 	"sevsim/internal/compiler"
-	"sevsim/internal/core"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/machine"
 )
@@ -35,8 +34,6 @@ func main() {
 	faults := flag.Int("faults", 200, "faults per AVF measurement")
 	seed := flag.Int64("seed", 2021, "sampling seed")
 	par := flag.Int("parallel", 0, "concurrent measurements (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat sweeps skip golden simulations (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
 
 	cfg, err := cli.March(*marchFlag)
@@ -53,10 +50,6 @@ func main() {
 	}
 	tgt := compiler.TargetFor(cfg)
 	base := compiler.LevelPasses(level, tgt)
-	cache, err := cli.Cache(*cacheDir, *cacheMax)
-	if err != nil {
-		cli.Fatal(err)
-	}
 
 	var avfTarget *faultinj.Target
 	if *targetFlag != "" {
@@ -127,7 +120,7 @@ func main() {
 			m.cycles = res.Cycles
 			return nil, nil
 		}
-		exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{})
+		exp, err := faultinj.NewExperimentOptions(cfg, prog, faultinj.Options{})
 		var ge *faultinj.GoldenError
 		if errors.As(err, &ge) {
 			return nil, goldenFailed(ge.Result)
@@ -188,7 +181,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	cli.CacheSummary(cache)
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "interrupted: AVF columns marked interrupted are incomplete")
 		os.Exit(cli.ExitInterrupted) //lint:exit process boundary: interrupted-run exit after partial output is printed

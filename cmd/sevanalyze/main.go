@@ -24,11 +24,9 @@ import (
 	"strings"
 	"sync"
 
-	"sevsim/internal/artcache"
 	"sevsim/internal/binanalysis"
 	"sevsim/internal/cli"
 	"sevsim/internal/compiler"
-	"sevsim/internal/core"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/isa"
 	"sevsim/internal/journal"
@@ -48,8 +46,6 @@ func main() {
 	goldenPath := flag.String("golden", "", "compare the static bounds against this golden file and fail on drift")
 	update := flag.Bool("update", false, "rewrite the -golden file with the current bounds instead of comparing")
 	par := flag.Int("parallel", 0, "concurrent golden runs (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip golden simulations (bounds are identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
 
 	cfg, err := cli.March(*marchFlag)
@@ -94,13 +90,8 @@ func main() {
 		return
 	}
 
-	cache, err := cli.Cache(*cacheDir, *cacheMax)
-	if err != nil {
-		cli.Fatal(err)
-	}
 	units := analyzeSuite(cfg, benches, levels, suiteOptions{
 		Size: *size, Quick: *quick, Bounds: *bounds, Parallel: cli.Parallelism(*par),
-		Cache: cache,
 	})
 
 	headers := []string{"benchmark", "level", "words", "blocks", "funcs", "dead-writes", "invariants"}
@@ -186,7 +177,6 @@ type suiteOptions struct {
 	Quick    bool // use each benchmark's TestSize
 	Bounds   bool // run golden simulations for static bounds
 	Parallel int
-	Cache    *artcache.Cache // nil: golden runs are not memoized
 }
 
 // analyzeSuite compiles and analyzes every (bench, level) pair with
@@ -234,7 +224,7 @@ func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []co
 			}
 			u.violations = binanalysis.CheckInvariants(a)
 			if opts.Bounds {
-				exp, err := core.CachedExperiment(opts.Cache, cfg, prog, faultinj.Options{Traced: true})
+				exp, err := faultinj.NewExperimentOptions(cfg, prog, faultinj.Options{Traced: true})
 				if err != nil {
 					u.err = err
 					return

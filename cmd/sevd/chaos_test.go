@@ -115,87 +115,6 @@ func TestChaosKillWorkersAndCoordinator(t *testing.T) {
 	t.Logf("chaos run complete: %d cells, byte-identical", ev.Done)
 }
 
-// TestChaosSharedWarmCache is the distributed acceptance for the
-// prep-artifact cache: three sevworker processes share one cache
-// directory, one of them is SIGKILLed mid-campaign and restarted on
-// the same workdir and cache, and after the first study lands a second
-// study with identical prep units (same benchmarks, levels, machine —
-// different sampling seed) must be served entirely from the warm cache
-// (zero misses in the coordinator's aggregated counters). Both merged
-// studies must be byte-identical to clean single-process runs — a
-// cache hit is not allowed to change a single byte.
-func TestChaosSharedWarmCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos test runs real processes for ~1 minute")
-	}
-	sevd, sevworker := buildBinaries(t)
-	wireA := chaosWire()
-	wireA.Faults = 600
-	wireB := wireA
-	wireB.Seed = wireA.Seed + 1 // new sampling, identical prep units
-	wantA := localStudy(t, wireA)
-	wantB := localStudy(t, wireB)
-
-	state := t.TempDir()
-	coord := startSevd(t, sevd, "127.0.0.1:0", state)
-	base := "http://" + coord.addr
-
-	cacheDir := t.TempDir()
-	workdirs := make([]string, 3)
-	workers := make([]*proc, 3)
-	for i := range workers {
-		workdirs[i] = t.TempDir()
-		workers[i] = startCachedWorker(t, sevworker, base, fmt.Sprintf("w%d", i), workdirs[i], cacheDir)
-	}
-
-	var subA dispatch.SubmitResponse
-	submitStudy(t, base, wireA, &subA)
-	t.Logf("submitted %s (cold): %d cells", subA.ID, subA.Cells)
-
-	// Kill one worker mid-campaign; its restart reuses the same workdir
-	// and the same shared cache directory.
-	deadline := time.Now().Add(3 * time.Minute)
-	for time.Now().Before(deadline) {
-		if ev, err := studyStatus(base, subA.ID); err == nil && ev.Done >= 2 {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	workers[0].kill(t)
-	workers[0] = startCachedWorker(t, sevworker, base, "w0", workdirs[0], cacheDir)
-
-	gotA := waitResult(t, base, subA.ID)
-	if !bytes.Equal(gotA, wantA) {
-		t.Fatalf("cold cached study differs from single-process run (%d vs %d bytes)", len(gotA), len(wantA))
-	}
-	evA, err := studyStatus(base, subA.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evA.Cache.Puts == 0 {
-		t.Fatalf("cold study filled no cache entries: %+v", evA.Cache)
-	}
-	t.Logf("cold study complete: cache %+v by %d workers", evA.Cache, len(evA.CacheByWorker))
-
-	var subB dispatch.SubmitResponse
-	submitStudy(t, base, wireB, &subB)
-	if subB.ID == subA.ID {
-		t.Fatal("reseeded study mapped to the same ID")
-	}
-	gotB := waitResult(t, base, subB.ID)
-	if !bytes.Equal(gotB, wantB) {
-		t.Fatalf("warm cached study differs from single-process run (%d vs %d bytes)", len(gotB), len(wantB))
-	}
-	evB, err := studyStatus(base, subB.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evB.Cache.Misses != 0 || evB.Cache.Hits == 0 {
-		t.Fatalf("second study was not served warm: %+v", evB.Cache)
-	}
-	t.Logf("warm study complete: cache %+v, byte-identical", evB.Cache)
-}
-
 // localStudy computes the reference bytes in-process.
 func localStudy(t *testing.T, wire dispatch.StudySpec) []byte {
 	t.Helper()
@@ -305,12 +224,6 @@ func startSevd(t *testing.T, bin, listen, state string) *proc {
 func startWorker(t *testing.T, bin, base, name, workdir string) *proc {
 	return start(t, "sevworker/"+name, bin,
 		"-coordinator", base, "-workdir", workdir, "-name", name, "-parallel", "2")
-}
-
-func startCachedWorker(t *testing.T, bin, base, name, workdir, cacheDir string) *proc {
-	return start(t, "sevworker/"+name, bin,
-		"-coordinator", base, "-workdir", workdir, "-name", name, "-parallel", "2",
-		"-cache", cacheDir)
 }
 
 func submitStudy(t *testing.T, base string, wire dispatch.StudySpec, sub *dispatch.SubmitResponse) {

@@ -19,7 +19,6 @@ import (
 	"sevsim/internal/campaign"
 	"sevsim/internal/cli"
 	"sevsim/internal/compiler"
-	"sevsim/internal/core"
 	"sevsim/internal/faultinj"
 	"sevsim/internal/stats"
 )
@@ -37,8 +36,6 @@ func main() {
 	par := flag.Int("parallel", 0, "concurrent injections (0 = GOMAXPROCS)")
 	modelFlag := flag.String("model", "single", "fault model: single, double, quad (multi-bit upsets)")
 	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip the golden simulation (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded)")
 	flag.Parse()
 
 	cfg, err := cli.March(*marchFlag)
@@ -57,11 +54,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	cache, err := cli.Cache(*cacheDir, *cacheMax)
-	if err != nil {
-		cli.Fatal(err)
-	}
-	exp, err := core.CachedExperiment(cache, cfg, prog, faultinj.Options{Traced: *prune})
+	exp, err := faultinj.NewExperimentOptions(cfg, prog, faultinj.Options{Traced: *prune})
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -164,7 +157,6 @@ func main() {
 	if fp := exp.FastPathStats(); fp != (faultinj.FastPathStats{}) {
 		fmt.Printf("\nfast path: %s\n", fp)
 	}
-	cli.CacheSummary(cache)
 	margin := stats.ErrorMargin(*faults, 1<<40, 0.99)
 	fmt.Printf("\nsampling error margin: ±%.2f%% at 99%% confidence\n", margin*100)
 	if interrupted {

@@ -48,8 +48,6 @@ func main() {
 	par := flag.Int("parallel", 0, "study-wide worker pool size (0 = GOMAXPROCS); results are identical at any setting")
 	prune := flag.Bool("prune", false, "statically prune provably-masked RF injections (identical outcomes, less simulation)")
 	jpath := flag.String("journal", "", "durable journal path for kill-and-resume (default <out>/journal.jsonl; \"off\" disables)")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory; repeat runs skip compiles and golden simulations (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -80,10 +78,6 @@ func main() {
 		spec.Seed = *seed
 		spec.Parallelism = cli.Parallelism(*par)
 		spec.Prune = *prune
-		spec.Cache, err = cli.Cache(*cacheDir, *cacheMax)
-		if err != nil {
-			fatal(err)
-		}
 		switch *jpath {
 		case "off":
 		case "":
@@ -126,23 +120,6 @@ func main() {
 		if spec.Journal != "" {
 			if err := journal.Remove(spec.Journal); err != nil {
 				fmt.Fprintln(os.Stderr, "warning: could not remove journal:", err)
-			}
-		}
-		cli.CacheSummary(spec.Cache)
-		if spec.Cache != nil {
-			// Per-study cache effectiveness as CSV, next to campaigns.csv,
-			// for sweep dashboards.
-			cc, err := os.Create(filepath.Join(*outDir, "cache.csv"))
-			if err != nil {
-				fatal(err)
-			}
-			cs := spec.Cache.Stats()
-			report.CSV(cc,
-				[]string{"cache_hits", "cache_misses", "cache_puts", "cache_evictions", "cache_corrupt"},
-				[][]string{{fmt.Sprint(cs.Hits), fmt.Sprint(cs.Misses), fmt.Sprint(cs.Puts),
-					fmt.Sprint(cs.Evictions), fmt.Sprint(cs.Corrupt)}})
-			if err := cc.Close(); err != nil {
-				fatal(err)
 			}
 		}
 	}

@@ -36,8 +36,6 @@ func main() {
 	workdir := flag.String("workdir", "", "directory for the journals of leases in flight (required), one small file per lease, removed when its report is acknowledged; reuse it across restarts to resume an interrupted lease")
 	name := flag.String("name", "", "worker name for leases and error budgets (default host.pid)")
 	parallel := flag.Int("parallel", 0, "worker pool size for each leased unit: compile, golden run and injections (0 = GOMAXPROCS); results are identical at any setting")
-	cacheDir := flag.String("cache", "", "prep-artifact cache directory, kept across leases and studies; re-leased cells skip compiles and golden simulations (results are byte-identical either way)")
-	cacheMax := flag.Int64("cache-max-mb", 0, "cache size bound in MB (0 = unbounded); least-recently-used entries are evicted")
 	quiet := flag.Bool("q", false, "suppress log output")
 	flag.Parse()
 
@@ -60,8 +58,6 @@ func main() {
 		Name:        *name,
 		Workdir:     *workdir,
 		Parallelism: *parallel,
-		CacheDir:    *cacheDir,
-		CacheMaxMB:  *cacheMax,
 		Logf: func(format string, args ...any) {
 			if !*quiet {
 				fmt.Printf("sevworker %s: "+format+"\n", append([]any{*name}, args...)...)
@@ -77,5 +73,4 @@ func main() {
 	if err := w.Run(ctx); err != nil {
 		cli.Fatal(err)
 	}
-	cli.CacheSummary(w.Cache())
 }

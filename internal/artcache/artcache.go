@@ -3,8 +3,8 @@
 // traces and serialized checkpoint streams. Entries
 // are keyed by a canonical fingerprint string of everything that
 // determines the artifact bytes; the cache never interprets the key
-// beyond hashing it, so any layer (core scheduler, CLIs, distributed
-// workers) can share one directory.
+// beyond hashing it, so the study scheduler and distributed workers
+// can share one directory.
 //
 // Guarantees:
 //
@@ -19,14 +19,12 @@
 //   - Single-flight fills: GetOrFill deduplicates concurrent misses
 //     on the same key within a process, so parallel cells sharing a
 //     prep unit build it exactly once.
-//   - Bounded size: when Options.MaxBytes is set, Put evicts
-//     least-recently-used entries (by file mtime, touched on hit)
-//     until the directory fits. Eviction can only cost time, never
-//     correctness: a rebuilt entry is byte-identical by construction.
-//     The bound is the opening host's; nothing changes it later.
 //   - A store that fails costs only time: GetOrFill hands out what
 //     fill built even when the disk refuses it (full, read-only, gone),
 //     and counts the refusal in Stats.FailedStores.
+//
+// The directory is unbounded: nothing is evicted, and a hit leaves its
+// entry file untouched.
 //
 // The zero value of *Cache (nil) is a valid disabled cache: Get
 // always misses, Put discards, and GetOrFill calls fill directly.
@@ -39,10 +37,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sevsim/internal/journal"
 )
@@ -51,65 +47,26 @@ import (
 // against reading entries written by an incompatible layout.
 const entryMagic = "SEVART1\n"
 
-// entrySuffix names cache entry files; eviction and sizing only ever
-// consider files with this suffix, so foreign files in the directory
-// are left alone.
+// entrySuffix names cache entry files.
 const entrySuffix = ".art"
 
-// Options configures a cache directory.
-type Options struct {
-	// MaxBytes bounds the total size of entry files in the cache
-	// directory; 0 means unbounded. Put evicts least-recently-used
-	// entries (never the one just written) until under the bound.
-	MaxBytes int64
-}
+// Options configures a cache directory; it has no fields left.
+type Options struct{}
 
-// Stats is a snapshot of cache effectiveness counters. The zero value
-// is empty; Add accumulates snapshots (used by the distributed layer
-// to aggregate per-worker stats).
+// Stats is a snapshot of cache effectiveness counters.
 type Stats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Puts      uint64 `json:"puts"`
-	Evictions uint64 `json:"evictions"`
-	Corrupt   uint64 `json:"corrupt"`
+	Hits    uint64
+	Misses  uint64
+	Puts    uint64
+	Corrupt uint64
 	// FailedStores counts payloads GetOrFill built but could not store.
-	FailedStores uint64 `json:"failed_stores"`
+	FailedStores uint64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Puts += other.Puts
-	s.Evictions += other.Evictions
-	s.Corrupt += other.Corrupt
-	s.FailedStores += other.FailedStores
-}
-
-// Minus returns the counter deltas since an earlier snapshot of the
-// same cache (used by workers reporting per-lease activity).
-func (s Stats) Minus(earlier Stats) Stats {
-	return Stats{
-		Hits:         s.Hits - earlier.Hits,
-		Misses:       s.Misses - earlier.Misses,
-		Puts:         s.Puts - earlier.Puts,
-		Evictions:    s.Evictions - earlier.Evictions,
-		Corrupt:      s.Corrupt - earlier.Corrupt,
-		FailedStores: s.FailedStores - earlier.FailedStores,
-	}
-}
-
-// Empty reports whether no counter has fired.
-func (s Stats) Empty() bool {
-	return s == Stats{}
-}
-
-// String renders the counters in the compact form used by CLI
-// summaries.
+// String renders the counters in one line.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d hits, %d misses, %d evictions, %d corrupt discarded, %d failed stores",
-		s.Hits, s.Misses, s.Evictions, s.Corrupt, s.FailedStores)
+	return fmt.Sprintf("%d hits, %d misses, %d corrupt discarded, %d failed stores",
+		s.Hits, s.Misses, s.Corrupt, s.FailedStores)
 }
 
 // Cache is a content-addressed artifact store rooted at one
@@ -117,12 +74,10 @@ func (s Stats) String() string {
 // a valid disabled cache.
 type Cache struct {
 	dir string
-	max int64
 
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	puts         atomic.Uint64
-	evictions    atomic.Uint64
 	corrupt      atomic.Uint64
 	failedStores atomic.Uint64
 
@@ -146,7 +101,7 @@ func Open(dir string, opt Options) (*Cache, error) {
 	if err := journal.MkdirAllSync(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artcache: %w", err)
 	}
-	return &Cache{dir: dir, max: opt.MaxBytes, flight: make(map[string]*flightCall)}, nil
+	return &Cache{dir: dir, flight: make(map[string]*flightCall)}, nil
 }
 
 // Dir returns the cache directory, or "" for a disabled cache.
@@ -166,7 +121,6 @@ func (c *Cache) Stats() Stats {
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
 		Puts:         c.puts.Load(),
-		Evictions:    c.evictions.Load(),
 		Corrupt:      c.corrupt.Load(),
 		FailedStores: c.failedStores.Load(),
 	}
@@ -211,28 +165,20 @@ func (c *Cache) load(key string) ([]byte, bool) {
 		os.Remove(path)
 		return nil, false
 	}
-	c.touch(path)
 	return payload, true
 }
 
-// touch refreshes the entry's mtime so LRU eviction sees the hit.
-func (c *Cache) touch(path string) {
-	now := time.Now() //lint:clock eviction recency only; cannot reach study results
-	os.Chtimes(path, now, now)
-}
-
-// Put stores payload under key, crash-safely, then enforces the size
-// bound. Overwriting an existing entry is allowed and atomic.
+// Put stores payload under key, crash-safely. Overwriting an existing
+// entry is allowed and atomic.
 func (c *Cache) Put(key string, payload []byte) error {
 	if c == nil {
 		return nil
 	}
-	path := c.entryPath(key)
-	if err := journal.AtomicWriteFile(path, encodeEntry(key, payload)); err != nil {
+	if err := journal.AtomicWriteFile(c.entryPath(key), encodeEntry(key, payload)); err != nil {
 		return fmt.Errorf("artcache: put: %w", err)
 	}
 	c.puts.Add(1)
-	return c.evict(filepath.Base(path))
+	return nil
 }
 
 // Drop removes the entry for key and counts it as a corrupt discard.
@@ -294,62 +240,6 @@ func (c *Cache) finish(key string, fc *flightCall) {
 	delete(c.flight, key)
 	c.mu.Unlock()
 	close(fc.done)
-}
-
-// evict removes least-recently-used entries until the directory's
-// entry files fit MaxBytes. The just-written file (keep) is never
-// evicted, so a Put always leaves its own entry readable even when
-// the payload alone exceeds the bound.
-func (c *Cache) evict(keep string) error {
-	if c.max <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return fmt.Errorf("artcache: evict: %w", err)
-	}
-	type entry struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	var (
-		files []entry
-		total int64
-	)
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != entrySuffix {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue // raced with another eviction
-		}
-		files = append(files, entry{e.Name(), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if !files[i].mtime.Equal(files[j].mtime) {
-			return files[i].mtime.Before(files[j].mtime)
-		}
-		return files[i].name < files[j].name // stable order for equal mtimes
-	})
-	for _, f := range files {
-		if total <= c.max {
-			break
-		}
-		if f.name == keep {
-			continue
-		}
-		if err := os.Remove(filepath.Join(c.dir, f.name)); err == nil {
-			total -= f.size
-			c.evictions.Add(1)
-		}
-	}
-	return nil
 }
 
 // encodeEntry frames a payload for disk:

@@ -11,7 +11,6 @@ import (
 	"runtime/pprof"
 	"syscall"
 
-	"sevsim/internal/artcache"
 	"sevsim/internal/lang"
 	"sevsim/internal/machine"
 	"sevsim/internal/workloads"
@@ -101,25 +100,6 @@ func MustParse(src string) *lang.Program {
 func Fatal(err error) {
 	fmt.Fprintln(os.Stderr, "error:", err)
 	os.Exit(1) //lint:exit process boundary for the CLI tools
-}
-
-// Cache opens the prep-artifact cache behind a -cache flag: dir ""
-// leaves caching disabled (a nil cache is valid everywhere), maxMB 0
-// leaves the size unbounded.
-func Cache(dir string, maxMB int64) (*artcache.Cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	return artcache.Open(dir, artcache.Options{MaxBytes: maxMB << 20})
-}
-
-// CacheSummary prints the cache's effectiveness counters; a disabled
-// cache prints nothing.
-func CacheSummary(c *artcache.Cache) {
-	if c == nil {
-		return
-	}
-	fmt.Printf("cache: %s\n", c.Stats())
 }
 
 // StartProfiles starts CPU and/or heap profiling for a CLI run. Either

@@ -137,45 +137,6 @@ func TestCacheCorruptEntriesRebuilt(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionMidStudy bounds the cache far below one bundle, so
-// every Put immediately evicts its predecessors; the study must still
-// match the baseline and never error.
-func TestCacheEvictionMidStudy(t *testing.T) {
-	spec := cacheSpec(t)
-	baseline, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := saveBytes(t, baseline)
-
-	dir := t.TempDir()
-	c, err := artcache.Open(dir, artcache.Options{MaxBytes: 1}) // nothing survives
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := spec
-	s.Parallelism = 4
-	s.Cache = c
-	st, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveBytes(t, st), want) {
-		t.Fatal("eviction-pressured run differs from baseline")
-	}
-	if stats := c.Stats(); stats.Evictions == 0 {
-		t.Fatalf("expected evictions under a 1-byte bound, got %s", stats)
-	}
-	// A second run over the starved cache still works (all misses).
-	st2, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveBytes(t, st2), want) {
-		t.Fatal("second eviction-pressured run differs from baseline")
-	}
-}
-
 // TestCacheStoreFailureCostsOnlyTime: a cache whose disk refuses every
 // store (its directory replaced by a regular file, which fails even as
 // root) leaves the study byte-identical to an uncached run; every unit

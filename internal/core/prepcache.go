@@ -115,11 +115,9 @@ func (u *prepUnit) cacheConfig(src string) prepConfig {
 }
 
 // expConfig keys a prepared experiment by the exact binary rather than
-// by (source, level): the CLI entry points that compile outside the
-// standard pipeline (custom pass sets in sevablate, ad-hoc sources)
-// still get golden-run and checkpoint caching this way. The full code
-// is in the key — not a digest of it — so the cache's key echo turns
-// even a hash collision into a miss.
+// by (source, level), so a binary compiled outside the study's pipeline
+// can be cached too. The full code is in the key — not a digest of
+// it — so the cache's key echo turns even a hash collision into a miss.
 type expConfig struct {
 	Version     int
 	Machine     machine.Config

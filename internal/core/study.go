@@ -76,11 +76,12 @@ type Spec struct {
 	// Cache, when non-nil, memoizes prep artifacts on disk (compiled
 	// binary, golden result, commit trace, checkpoint stream) keyed by
 	// everything that determines them — see prepConfig.cacheKey. The
-	// static RF bound is not cached: it is read off the unit's pruner. A warm unit skips its compile and its
-	// golden run. Cold, warm, and disabled runs produce byte-
-	// identical studies: a hit decodes to state strictly equal to a
-	// fresh prep, and corrupt or stale entries are discarded and
-	// rebuilt (TestCacheEquivalenceByteIdentical).
+	// static RF bound is not cached: it is read off the unit's pruner.
+	// A warm unit skips its compile and its golden run. Cold, warm, and
+	// disabled runs produce byte-identical studies: a hit decodes to
+	// state strictly equal to a fresh prep, and corrupt or stale
+	// entries are discarded and rebuilt
+	// (TestCacheEquivalenceByteIdentical). No command-line flag sets it.
 	Cache *artcache.Cache
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"sevsim/internal/artcache"
 	"sevsim/internal/core"
 	"sevsim/internal/journal"
 )
@@ -80,11 +79,6 @@ type studyRun struct {
 
 	result []byte // the study's Save bytes; nil while incomplete
 	subs   map[chan StatusEvent]struct{}
-
-	// cacheByWorker accumulates the prep-artifact cache deltas each
-	// worker reported with its completions — observability only, never
-	// part of the merged study.
-	cacheByWorker map[string]artcache.Stats
 }
 
 func (r *studyRun) state() string {
@@ -177,14 +171,13 @@ func (c *Coordinator) openRun(id string, wire StudySpec) (*studyRun, error) {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	return &studyRun{
-		id:            id,
-		wire:          wire,
-		spec:          spec,
-		jw:            jw,
-		asm:           asm,
-		table:         newLeaseTable(spec.Cells(), asm.Has, c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
-		subs:          map[chan StatusEvent]struct{}{},
-		cacheByWorker: map[string]artcache.Stats{},
+		id:    id,
+		wire:  wire,
+		spec:  spec,
+		jw:    jw,
+		asm:   asm,
+		table: newLeaseTable(spec.Cells(), asm.Has, c.opt.LeaseTTL, c.opt.MaxAttempts, c.opt.WorkerBudget),
+		subs:  map[chan StatusEvent]struct{}{},
 	}, nil
 }
 
@@ -291,13 +284,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	accepted, err := c.commit(r, req.Worker, req.Outcomes)
 	if err != nil {
 		return CompleteResponse{}, err
-	}
-	// Counted once the whole report is in, so a retried report does not
-	// count its cache traffic twice.
-	if !req.Cache.Empty() && req.Worker != "" {
-		s := r.cacheByWorker[req.Worker]
-		s.Add(req.Cache)
-		r.cacheByWorker[req.Worker] = s
 	}
 	c.finalize(r)
 	return CompleteResponse{Accepted: accepted, Duplicates: len(req.Outcomes) - accepted}, nil
@@ -452,21 +438,11 @@ func (c *Coordinator) notify(r *studyRun, cell, worker string) {
 
 func (c *Coordinator) status(r *studyRun) StatusEvent {
 	leased, workers := r.table.counts()
-	ev := StatusEvent{
+	return StatusEvent{
 		Study: r.id, State: r.state(),
 		Done: r.asm.Done(), Total: r.asm.Total(),
 		Leased: leased, Quarantined: r.asm.Failed(), Workers: workers,
 	}
-	if len(r.cacheByWorker) > 0 {
-		// Copy the map: the event outlives c.mu (subscribers marshal it
-		// later) while Complete keeps mutating the original.
-		ev.CacheByWorker = make(map[string]artcache.Stats, len(r.cacheByWorker))
-		for name, s := range r.cacheByWorker { //lint:ordered commutative sum into a copied map
-			ev.Cache.Add(s)
-			ev.CacheByWorker[name] = s
-		}
-	}
-	return ev
 }
 
 // Status returns a study's progress snapshot.

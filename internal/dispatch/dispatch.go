@@ -26,7 +26,6 @@ package dispatch
 import (
 	"time"
 
-	"sevsim/internal/artcache"
 	"sevsim/internal/core"
 )
 
@@ -91,11 +90,6 @@ type CompleteRequest struct {
 	LeaseID  string
 	StudyID  string
 	Outcomes []core.CellOutcome
-
-	// Cache is the worker's prep-artifact cache delta over this lease
-	// (zero when the worker runs uncached), so the coordinator can
-	// aggregate cache effectiveness per worker and per study.
-	Cache artcache.Stats
 }
 
 // CompleteResponse reports how many outcomes were newly merged and how
@@ -127,11 +121,4 @@ type StatusEvent struct {
 	Workers     int    // workers currently holding leases of this study
 	Cell        string `json:",omitempty"` // last merged cell, on change events
 	Worker      string `json:",omitempty"` // who completed it
-
-	// Cache aggregates the prep-artifact cache deltas reported with
-	// this study's completions; CacheByWorker splits the same counters
-	// by worker name. Both stay zero/absent when every worker runs
-	// uncached.
-	Cache         artcache.Stats
-	CacheByWorker map[string]artcache.Stats `json:",omitempty"`
 }

@@ -865,9 +865,10 @@ func getBytes(t *testing.T, url string) []byte {
 // three workers sharing one prep-artifact cache directory: the first
 // (cold) study fills the cache, the second — same prep configurations,
 // different sampling seed — must be served entirely warm. Both merge to
-// bytes identical to single-process runs, and the coordinator's status
-// reports the per-worker cache counters the workers attach to their
-// completions.
+// bytes identical to single-process runs. "Warm" is read off the
+// directory: a miss re-Puts its entry through a rename, which makes a
+// new file, and a hit leaves the file as it is, so after the second
+// study every entry must still be the very file the first one wrote.
 func TestDistributedSharedWarmCache(t *testing.T) {
 	wireA := testWire()
 	wireB := testWire()
@@ -909,7 +910,7 @@ func TestDistributedSharedWarmCache(t *testing.T) {
 		}()
 	}
 
-	waitStudy := func(wire StudySpec, want []byte) StatusEvent {
+	waitStudy := func(wire StudySpec, want []byte) {
 		t.Helper()
 		var sub SubmitResponse
 		start := time.Now()
@@ -920,27 +921,49 @@ func TestDistributedSharedWarmCache(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("cached distributed result differs from single-process run (%d vs %d bytes)", len(got), len(want))
 				}
-				ev, _ := coord.Status(sub.ID)
-				t.Logf("study %s: %v submit-to-result, cache %s", sub.ID, time.Since(start).Round(time.Millisecond), ev.Cache)
-				return ev
+				t.Logf("study %s: %v submit-to-result", sub.ID, time.Since(start).Round(time.Millisecond))
+				return
 			}
 			time.Sleep(25 * time.Millisecond)
 		}
 		t.Fatalf("study %s never completed", sub.ID)
-		return StatusEvent{}
+	}
+	entries := func() map[string]os.FileInfo {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(cacheDir, "*.art"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos := make(map[string]os.FileInfo, len(paths))
+		for _, path := range paths {
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infos[filepath.Base(path)] = info
+		}
+		return infos
 	}
 
-	evA := waitStudy(wireA, wantA)
-	if evA.Cache.Misses == 0 || evA.Cache.Puts == 0 {
-		t.Fatalf("cold study reported no cache fills: %+v", evA.Cache)
-	}
-	if len(evA.CacheByWorker) == 0 {
-		t.Fatalf("cold study reported no per-worker cache stats: %+v", evA)
+	waitStudy(wireA, wantA)
+	cold := entries()
+	if len(cold) == 0 {
+		t.Fatal("cold study left no cache entries")
 	}
 
-	evB := waitStudy(wireB, wantB)
-	if evB.Cache.Misses != 0 || evB.Cache.Hits == 0 {
-		t.Fatalf("second study was not served warm: %+v", evB.Cache)
+	waitStudy(wireB, wantB)
+	warm := entries()
+	if len(warm) != len(cold) {
+		t.Fatalf("second study changed the cache from %d to %d entries", len(cold), len(warm))
+	}
+	for name, before := range cold {
+		after, ok := warm[name]
+		if !ok {
+			t.Fatalf("entry %s vanished during the second study", name)
+		}
+		if !os.SameFile(before, after) {
+			t.Fatalf("entry %s was rewritten: the second study was not served warm", name)
+		}
 	}
 	cancel()
 	wg.Wait()

@@ -46,9 +46,6 @@ type WorkerOptions struct {
 	// byte-identical either way.
 	CacheDir string
 
-	// CacheMaxMB bounds the cache size (0: unbounded).
-	CacheMaxMB int64
-
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -92,7 +89,7 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	var cache *artcache.Cache
 	if opt.CacheDir != "" {
 		var err error
-		cache, err = artcache.Open(opt.CacheDir, artcache.Options{MaxBytes: opt.CacheMaxMB << 20})
+		cache, err = artcache.Open(opt.CacheDir, artcache.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: worker cache: %w", err)
 		}
@@ -148,11 +145,7 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 	spec.Progress = func(format string, args ...any) {
 		w.opt.Logf("  "+format, args...)
 	}
-	var cacheBefore artcache.Stats
-	if w.cache != nil {
-		spec.Cache = w.cache
-		cacheBefore = w.cache.Stats()
-	}
+	spec.Cache = w.cache
 
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -172,14 +165,9 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 		w.fail(ctx, g, err)
 		return
 	}
-	var cacheDelta artcache.Stats
-	if w.cache != nil {
-		cacheDelta = w.cache.Stats().Minus(cacheBefore)
-	}
 	var resp CompleteResponse
 	err = w.call(ctx, "/v1/complete", CompleteRequest{
 		Worker: w.opt.Name, LeaseID: g.LeaseID, StudyID: g.StudyID, Outcomes: outcomes,
-		Cache: cacheDelta,
 	}, &resp)
 	if err != nil { // the journal stays: a re-grant of these cells replays it
 		w.opt.Logf("lease %s: report failed: %v", g.LeaseID, err)
@@ -355,10 +343,4 @@ func retryDelay(n int, u float64) time.Duration {
 	}
 	f := float64(min(d, retryMax))
 	return time.Duration(f/2 + u*f/2)
-}
-
-// Cache exposes the worker's prep-artifact cache (nil when the worker
-// runs uncached), for lifetime summaries at shutdown.
-func (w *Worker) Cache() *artcache.Cache {
-	return w.cache
 }

@@ -473,7 +473,7 @@ func (e *Experiment) classify(res machine.Result) InjectResult {
 	out := InjectResult{Reason: res.Reason, Cycles: res.Cycles, Unexpected: res.Unexpected}
 	switch res.Outcome {
 	case machine.OutcomeOK:
-		if sameOutput(res.Output, e.GoldenOutput) {
+		if slices.Equal(res.Output, e.GoldenOutput) {
 			out.Outcome = Masked
 		} else {
 			out.Outcome = SDC
@@ -486,16 +486,4 @@ func (e *Experiment) classify(res machine.Result) InjectResult {
 		out.Outcome = Assert
 	}
 	return out
-}
-
-func sameOutput(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
