@@ -72,6 +72,11 @@ import (
 // the run registers as a Crash, not a Timeout. The soundness test
 // re-simulates every sampled verdict and asserts its outcome.
 //
+// Beside the trace it indexes in place and the bit masks, the pruner
+// holds the rename map every ckptInterval events, the register set each
+// static instruction reads and each register's last golden reader;
+// nothing grows with the number of register reads in the run.
+//
 // DUEPruner is safe for concurrent use.
 type DUEPruner struct {
 	a            *Analysis
@@ -84,17 +89,26 @@ type DUEPruner struct {
 	goldenCycles uint64
 	dueOK        bool // address-ceiling layout validated
 
-	// RAT snapshots every ckptInterval events; query replay touches at
-	// most ckptInterval events past a snapshot.
-	ckpts [][]uint16
+	// ckpts holds the committed rename map every ckptInterval events,
+	// numArch entries each; query replay touches at most ckptInterval
+	// events past a snapshot.
+	ckpts []uint16
 
-	// readers[a] lists, ascending, the trace positions whose
-	// instruction reads architectural register a (positions with a PC
-	// outside the code image appear in every register's list).
-	readers [32][]int32
+	// reads[idx] is the set of registers (bit r for register r < 32)
+	// static instruction idx reads; outOfImage is what a PC outside the
+	// code image reads: every register but r0.
+	reads []uint32
+
+	// lastRead[a] is the last trace position whose instruction reads
+	// register a, -1 when none does. With a scan of the reorder window
+	// it answers the crash verdict's window test (windowClear).
+	lastRead [32]int32
 }
 
-const ckptInterval = 1024
+const (
+	ckptInterval = 1024
+	outOfImage   = ^uint32(1)
+)
 
 // NewDUEPruner builds the pruner for one traced experiment. The
 // analysis must come from the same binary the experiment runs; the
@@ -118,99 +132,58 @@ func NewDUEPruner(a *Analysis, exp *faultinj.Experiment) (*DUEPruner, error) {
 		robSize:      cfg.ROBSize,
 		goldenCycles: exp.GoldenCycles,
 		dueOK:        addrCeilOK(len(a.CFG.Code), exp.Program.GlobalSize),
+		reads:        make([]uint32, len(a.CFG.Code)),
 	}
-	// The 32 reader lists are carved out of one exactly sized slab: this
-	// pass over the trace counts each register's readers (and snapshots
-	// the rename map), a second fills them in, and nothing reallocates on
-	// the way up.
-	//
-	// srcs[idx] is what static instruction idx reads, decoded once: each
-	// register 0xff when there is none or it lies outside the 32 tracked,
-	// the second also when it repeats the first. A PC outside the code
-	// image reads every register but r0.
-	srcs := make([][2]uint8, len(a.CFG.Code))
 	for idx, in := range a.CFG.Code {
 		s1, s2 := in.SourceRegs()
-		if s2 == s1 {
-			s2 = 0xff
+		for _, r := range [2]uint8{s1, s2} {
+			if r < 32 {
+				p.reads[idx] |= 1 << r
+			}
 		}
-		srcs[idx] = [2]uint8{s1, s2}
 	}
-	reads := func(pc uint64) (s1, s2 uint8, every bool) {
-		idx := p.idxOf(pc)
-		if idx < 0 {
-			return 0xff, 0xff, true
-		}
-		return srcs[idx][0], srcs[idx][1], false
+	for r := range p.lastRead {
+		p.lastRead[r] = -1
 	}
-	// Initial committed rename map is the identity over the
-	// architectural registers (see cpu.NewCore).
-	rat := make([]uint16, p.numArch)
+	// One pass over the trace snapshots the rename map and records each
+	// register's last reader. The initial committed rename map is the
+	// identity over the architectural registers (see cpu.NewCore).
+	n := p.events.Len()
+	p.ckpts = make([]uint16, 0, (n+ckptInterval-1)/ckptInterval*p.numArch)
+	var rat [32]uint16
 	for a := range rat {
 		rat[a] = uint16(a)
 	}
-	var count [32]int
-	for k := 0; k < p.events.Len(); k++ {
+	for k := 0; k < n; k++ {
 		ev := p.events.At(k)
 		if k%ckptInterval == 0 {
-			p.ckpts = append(p.ckpts, append([]uint16(nil), rat...))
+			p.ckpts = append(p.ckpts, rat[:p.numArch]...)
 		}
 		if ev.DestArch != cpu.NoDest && int(ev.DestArch) < p.numArch {
 			rat[ev.DestArch] = ev.DestPhys
 		}
-		s1, s2, every := reads(ev.PC)
-		if every {
-			for r := 1; r < 32; r++ {
-				count[r]++
-			}
-			continue
-		}
-		if s1 < 32 {
-			count[s1]++
-		}
-		if s2 < 32 {
-			count[s2]++
-		}
-	}
-	total := 0
-	for _, n := range count {
-		total += n
-	}
-	slab := make([]int32, total)
-	for r, n := range count {
-		p.readers[r], slab = slab[:0:n], slab[n:]
-	}
-	for k := 0; k < p.events.Len(); k++ {
-		s1, s2, every := reads(p.events.At(k).PC)
-		if every {
-			for r := 1; r < 32; r++ {
-				p.readers[r] = append(p.readers[r], int32(k))
-			}
-			continue
-		}
-		if s1 < 32 {
-			p.readers[s1] = append(p.readers[s1], int32(k))
-		}
-		if s2 < 32 {
-			p.readers[s2] = append(p.readers[s2], int32(k))
+		for m := p.readsOf(ev.PC); m != 0; m &= m - 1 {
+			p.lastRead[bits.TrailingZeros32(m)] = int32(k)
 		}
 	}
 	return p, nil
 }
 
 // ResidentBytes returns the memory of the tables the pruner built: the
-// bit-granular masks, the reader lists and the rename-map snapshots over
-// the trace. The trace and the Analysis it was built from are counted on
-// their own.
+// bit-granular masks, the per-instruction read sets, the last-read
+// table and the rename-map snapshots over the trace. The trace and the
+// Analysis it was built from are counted on their own.
 func (p *DUEPruner) ResidentBytes() int {
-	n := p.bits.residentBytes()
-	for _, rs := range p.readers {
-		n += 4 * cap(rs)
+	return p.bits.residentBytes() + 4*cap(p.reads) + 4*len(p.lastRead) + 2*cap(p.ckpts)
+}
+
+// readsOf returns the set of registers the instruction at pc reads.
+func (p *DUEPruner) readsOf(pc uint64) uint32 {
+	idx := p.idxOf(pc)
+	if idx < 0 {
+		return outOfImage
 	}
-	for _, rat := range p.ckpts {
-		n += 2 * cap(rat)
-	}
-	return n
+	return p.reads[idx]
 }
 
 // idxOf maps a committed PC to its instruction index, or -1 when the
@@ -283,10 +256,13 @@ func (p *DUEPruner) dueBitsAt(pt int, a uint8) uint64 {
 	return p.bits.DueOutBits(pt, a)
 }
 
-// ratAt reconstructs the committed rename map after k events.
-func (p *DUEPruner) ratAt(k int) []uint16 {
+// ratAt reconstructs the committed rename map after k events; entries
+// from numArch up are unused. The ISA's 5-bit register fields bound
+// numArch by 32.
+func (p *DUEPruner) ratAt(k int) [32]uint16 {
+	var rat [32]uint16
 	base := k / ckptInterval
-	rat := append([]uint16(nil), p.ckpts[base]...)
+	copy(rat[:], p.ckpts[base*p.numArch:(base+1)*p.numArch])
 	for i := base * ckptInterval; i < k; i++ {
 		ev := p.events.At(i)
 		if ev.DestArch != cpu.NoDest && int(ev.DestArch) < p.numArch {
@@ -301,17 +277,25 @@ func (p *DUEPruner) ratAt(k int) []uint16 {
 // no in-flight instruction can have read the register before the flip.
 // A register with no reader ahead reports false: the must-DUE masks
 // guarantee a faulting reader exists whenever a due bit is set, so
-// this only suppresses (never unsoundly admits) a claim. Queries arrive
-// in any order, so it searches for that reader.
+// this only suppresses (never unsoundly admits) a claim. The reader
+// past the window is the first from k when none of the ROBSize events
+// from k reads a.
 func (p *DUEPruner) windowClear(k int, a uint8) bool {
-	rs := p.readers[a]
-	return p.clearFrom(rs, sort.Search(len(rs), func(i int) bool { return int(rs[i]) >= k }), k)
+	if !p.readPast(k, a) {
+		return false
+	}
+	for j := k; j < k+p.robSize; j++ {
+		if p.readsOf(p.events.At(j).PC)&(1<<a) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// clearFrom is windowClear's criterion given the index i in rs of the
-// first reader at or past state k (len(rs) when there is none).
-func (p *DUEPruner) clearFrom(rs []int32, i, k int) bool {
-	return i < len(rs) && int(rs[i])-k >= p.robSize
+// readPast reports whether some golden reader of register a lies at or
+// past state k+ROBSize: whether the last one does.
+func (p *DUEPruner) readPast(k int, a uint8) bool {
+	return int(p.lastRead[a]) >= k+p.robSize
 }
 
 // PrunableKind implements faultinj.KindPruner for the RF target: dead
@@ -391,34 +375,20 @@ type RFBound struct {
 // constant-state cycle intervals: the committed state after k events
 // is in effect for every injection cycle in (cycle of event k-1, cycle
 // of event k], clipped to the golden run's cycle count. f receives
-// each interval's event count k and its width in cycles.
-func (p *DUEPruner) walkIntervals(f func(k int, cycles uint64)) {
-	g := p.goldenCycles
-	if g == 0 {
-		return
+// each non-empty interval's event count k, its program point
+// (pointAfter(k)) and its width in cycles. Each event is read once.
+func (p *DUEPruner) walkIntervals(f func(k, pt int, cycles uint64)) {
+	g, n := p.goldenCycles, p.events.Len()
+	c0, pt := uint64(0), entryPoint // the state after k events: its first injection cycle, its point
+	for k := 0; k < n && g > 0; k++ {
+		ev := p.events.At(k)
+		if hi := min(ev.Cycle, g-1); c0 <= hi {
+			f(k, pt, hi-c0+1)
+		}
+		c0, pt = ev.Cycle+1, p.idxOf(ev.PC)
 	}
-	last := g - 1
-	c0 := uint64(0) // first injection cycle governed by the current state
-	k := 0
-	n := p.events.Len()
-	for k < n {
-		cy := p.events.At(k).Cycle
-		j := k
-		for j < n && p.events.At(j).Cycle == cy {
-			j++
-		}
-		hi := cy
-		if hi > last {
-			hi = last
-		}
-		if c0 <= hi {
-			f(k, hi-c0+1)
-		}
-		c0 = cy + 1
-		k = j
-	}
-	if c0 <= last {
-		f(n, g-c0)
+	if c0 < g {
+		f(n, pt, g-c0)
 	}
 }
 
@@ -469,26 +439,32 @@ func (p *DUEPruner) Bound() RFBound {
 	}
 	// Slot pt+2: entryPoint, the unanalyzable point, then the code image.
 	table := make([]pointBits, len(p.a.CFG.Code)+2)
-	// first[a] indexes the first reader of a at or past the k it was last
-	// asked about. The walk's k only ascends, so each cursor only moves
-	// forward, and only the cursors of listed registers move at all.
-	var first [32]int
+	// Positions before hi have been read once, in order, as the far end
+	// of the reorder window [k, k+ROBSize) of a state with due bits moved
+	// past them; seen[a] is the last of them that reads register a, so
+	// none in the window does when seen[a] < k.
+	hi, seen := 0, [32]int32{}
+	for a := range seen {
+		seen[a] = -1
+	}
 	var reg, bit, due uint64
-	p.walkIntervals(func(k int, cycles uint64) {
-		pt := p.pointAfter(k)
+	p.walkIntervals(func(k, pt int, cycles uint64) {
 		pb := &table[pt+2]
 		if !pb.known {
 			*pb = p.bitsAt(pt)
 		}
 		reg += pb.reg * cycles
 		bit += pb.bit * cycles
-		for _, d := range pb.due {
-			rs, i := p.readers[d.a], first[d.a]
-			for i < len(rs) && int(rs[i]) < k {
-				i++
+		if len(pb.due) == 0 {
+			return
+		}
+		for end := min(k+p.robSize, p.events.Len()); hi < end; hi++ {
+			for m := p.readsOf(p.events.At(hi).PC); m != 0; m &= m - 1 {
+				seen[bits.TrailingZeros32(m)] = int32(hi)
 			}
-			first[d.a] = i
-			if p.clearFrom(rs, i, k) {
+		}
+		for _, d := range pb.due {
+			if int(seen[d.a]) < k && p.readPast(k, d.a) {
 				due += uint64(d.n) * cycles
 			}
 		}
