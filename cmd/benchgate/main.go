@@ -2,7 +2,7 @@
 // gate. It reads `go test -bench` output on stdin, extracts one metric
 // of one benchmark (ns/op unless -unit names a custom one), and
 // compares it against a number recorded in a bench trajectory file
-// (BENCH_checkpoint.json / BENCH_cache.json / BENCH_layout.json),
+// (BENCH_cache.json / BENCH_layout.json),
 // addressed by a dotted JSON path in which a number indexes an array:
 //
 //	go test -run '^$' -bench 'BenchmarkInjectionCell/unit' -benchtime=1x . |

@@ -218,7 +218,7 @@ func analyzeSuite(cfg machine.Config, benches []workloads.Benchmark, levels []co
 			u.blocks = len(a.CFG.Blocks)
 			u.funcs = len(a.CFG.FuncEntries)
 			for i, in := range a.CFG.Code {
-				if d := in.DestReg(); d != 0xff && !a.LiveOut[i].Has(d) {
+				if d := in.DestReg(); d != 0xff && !a.Live[i+1].Has(d) {
 					u.deadWrites++
 				}
 			}
@@ -327,10 +327,12 @@ func dumpCFG(name string, a *binanalysis.Analysis) {
 	}
 }
 
+// dumpLiveness prints, for each instruction, the registers live and
+// dead right after it: program point i+1.
 func dumpLiveness(a *binanalysis.Analysis, nregs int) {
 	for i, in := range a.CFG.Code {
 		fmt.Printf("%4d  %-28s live-out %-30s dead %s\n",
-			i, in.String(), a.LiveOut[i], a.DeadOut(i, nregs))
+			i, in.String(), a.Live[i+1], a.Dead(i+1, nregs))
 	}
 }
 
@@ -344,14 +346,14 @@ func dumpBits(a *binanalysis.Analysis, xlen, nregs int) {
 	for i, in := range a.CFG.Code {
 		var parts []string
 		for r := uint8(1); int(r) < nregs; r++ {
-			if !a.LiveOut[i].Has(r) {
+			if !a.Live[i+1].Has(r) {
 				continue // whole register dead; shown in the dead set
 			}
-			if db := b.DeadOutBits(i, r); db != 0 {
+			if db := b.DeadBits(i+1, r); db != 0 {
 				parts = append(parts, fmt.Sprintf("%s:%0*x", isa.RegName(r), hexDigits, db))
 			}
 		}
 		fmt.Printf("%4d  %-28s dead %-24s dead-bits %s\n",
-			i, in.String(), a.DeadOut(i, nregs), strings.Join(parts, " "))
+			i, in.String(), a.Dead(i+1, nregs), strings.Join(parts, " "))
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"sevsim/internal/isa"
 )
 
-// Analysis bundles every static result for one binary.
+// Analysis bundles every static result for one binary. Its table is
+// indexed by program point: point 0 is the state before the first
+// instruction commits, point i+1 the state right after instruction i.
 type Analysis struct {
-	CFG     *CFG
-	LiveIn  []RegSet // per-instruction live-in (registers read before redefinition on some path)
-	LiveOut []RegSet // per-instruction live-out
+	CFG  *CFG
+	Live []RegSet // registers some static path from the point reads before redefining them
 }
 
 // Analyze reconstructs the CFG of an assembled binary and runs the
@@ -20,8 +21,7 @@ func Analyze(code []isa.Instr) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	liveIn, liveOut := liveness(g)
-	return &Analysis{CFG: g, LiveIn: liveIn, LiveOut: liveOut}, nil
+	return &Analysis{CFG: g, Live: liveness(g).solve()}, nil
 }
 
 // AnalyzeWords decodes an assembled code image and analyzes it; the
@@ -35,30 +35,24 @@ func AnalyzeWords(words []uint32) (*Analysis, error) {
 }
 
 // ResidentBytes estimates the memory the analysis holds: the decoded
-// code and the per-instruction sets. Block lists are left out, and so
-// is any BitAnalysis built on it: its holder counts that.
+// code, the block index and the per-point live sets. Block lists are
+// left out, and so is any BitAnalysis built on it: its holder counts
+// that.
 func (a *Analysis) ResidentBytes() int {
-	return len(a.CFG.Code) * (int(unsafe.Sizeof(isa.Instr{})) + 8 + 2*int(unsafe.Sizeof(RegSet(0))))
+	return len(a.CFG.Code)*(int(unsafe.Sizeof(isa.Instr{}))+8) + len(a.Live)*int(unsafe.Sizeof(RegSet(0)))
 }
 
-// DeadOut returns the registers provably dead immediately after
-// instruction i, restricted to the machine's nregs architectural
-// registers. Register 0 is never reported dead: the zero register's
-// physical mapping is permanent and architecturally read-as-zero, so
-// its bits are handled by the injector, not the pruner.
-func (a *Analysis) DeadOut(i, nregs int) RegSet {
-	dead := ^a.LiveOut[i]
-	if nregs < 32 {
-		dead &= (1 << nregs) - 1
+// Dead returns the registers provably dead at program point pt,
+// restricted to the machine's nregs architectural registers, and
+// nothing when pt < 0 (an unanalyzable state). Register 0 is never
+// reported dead: the zero register's physical mapping is permanent and
+// architecturally read-as-zero, so its bits are handled by the
+// injector, not the pruner.
+func (a *Analysis) Dead(pt, nregs int) RegSet {
+	if pt < 0 {
+		return 0
 	}
-	return dead.Without(isa.RegZero)
-}
-
-// EntryDead mirrors DeadOut for the moment before the first
-// instruction commits: registers whose initial machine state is
-// provably never read.
-func (a *Analysis) EntryDead(nregs int) RegSet {
-	dead := ^a.LiveIn[0]
+	dead := ^a.Live[pt]
 	if nregs < 32 {
 		dead &= (1 << nregs) - 1
 	}

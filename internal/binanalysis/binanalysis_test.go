@@ -63,18 +63,18 @@ func TestLivenessStraightLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.LiveOut[0].Has(isa.RegT0) {
-		t.Errorf("t0 should be live out of its def: %v", a.LiveOut[0])
+	if !a.Live[1].Has(isa.RegT0) {
+		t.Errorf("t0 should be live out of its def: %v", a.Live[1])
 	}
-	if a.LiveOut[0].Has(isa.RegT1) {
-		t.Errorf("t1 live before its def: %v", a.LiveOut[0])
+	if a.Live[1].Has(isa.RegT1) {
+		t.Errorf("t1 live before its def: %v", a.Live[1])
 	}
-	if a.LiveOut[2].Has(isa.RegT0) || !a.LiveOut[2].Has(isa.RegA0) {
-		t.Errorf("after add, want t0 dead and a0 live: %v", a.LiveOut[2])
+	if a.Live[3].Has(isa.RegT0) || !a.Live[3].Has(isa.RegA0) {
+		t.Errorf("after add, want t0 dead and a0 live: %v", a.Live[3])
 	}
 	// After out, every register but the hard-wired zero is dead.
-	if dead := a.DeadOut(3, 16); dead.Count() != 15 || dead.Has(isa.RegZero) {
-		t.Errorf("DeadOut(3) = %v, want all 15 non-zero regs", dead)
+	if dead := a.Dead(4, 16); dead.Count() != 15 || dead.Has(isa.RegZero) {
+		t.Errorf("Dead(4) = %v, want all 15 non-zero regs", dead)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestLivenessLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.LiveOut[2].Has(isa.RegT0) {
-		t.Errorf("t0 must stay live around the back edge: %v", a.LiveOut[2])
+	if !a.Live[3].Has(isa.RegT0) {
+		t.Errorf("t0 must stay live around the back edge: %v", a.Live[3])
 	}
 }
 
@@ -103,8 +103,8 @@ func TestUnknownJalrAllLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dead := a.DeadOut(0, 16); dead != 0 {
-		t.Errorf("DeadOut past unknown jalr = %v, want empty", dead)
+	if dead := a.Dead(1, 16); dead != 0 {
+		t.Errorf("Dead past unknown jalr = %v, want empty", dead)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestLifetimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dead := a.DeadOut(2, 16); !dead.Has(isa.RegT2) {
-		t.Errorf("DeadOut(2) = %v, want the dead write t2 in it", dead)
+	if dead := a.Dead(3, 16); !dead.Has(isa.RegT2) {
+		t.Errorf("Dead(3) = %v, want the dead write t2 in it", dead)
 	}
 }
 

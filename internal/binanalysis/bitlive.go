@@ -162,12 +162,10 @@ func shiftDemandExact(op isa.Opcode, L uint64, k, xlen int) uint64 {
 	return m
 }
 
-// computeBitLiveness runs the backward fixpoint and returns flattened
-// per-instruction live-bit masks [instruction*32 + register]: liveIn
-// is the mask live immediately before the instruction, liveOut
-// immediately after. kz/ko are the known-bits masks from
-// computeKnownBits (indexed the same way), consulted for demand
-// refinement of the other operand.
+// bitLiveness runs the backward fixpoint and returns the live-bit
+// masks of every register at every program point (solve's indexing).
+// kz/ko are the known-bits masks from computeKnownBits, consulted for
+// demand refinement of the other operand.
 //
 // The fixpoint runs twice when the static memory model helps: the
 // first pass treats every stored bit as demanded (sd nil); its load
@@ -178,100 +176,55 @@ func shiftDemandExact(op isa.Opcode, L uint64, k, xlen int) uint64 {
 // bits some live load may actually observe. The returned sd is the
 // mask the final pass used (nil when no store was refinable), so the
 // must-DUE analysis can apply the identical demand transfer.
-func computeBitLiveness(g *CFG, kz, ko []uint64, xlen int) (liveIn, liveOut, sd []uint64) {
-	liveIn, liveOut = bitLivenessFixpoint(g, kz, ko, nil, xlen)
-	if sd = storeDemands(g, kz, ko, liveOut, xlen); sd != nil {
-		liveIn, liveOut = bitLivenessFixpoint(g, kz, ko, sd, xlen)
+func bitLiveness(g *CFG, kz, ko []uint64, xlen int) (live [][32]uint64, sd []uint64) {
+	live = bitLive(g, kz, ko, nil, xlen).solve()
+	if sd = storeDemands(g, kz, ko, live, xlen); sd != nil {
+		live = bitLive(g, kz, ko, sd, xlen).solve()
 	}
-	return liveIn, liveOut, sd
+	return live, sd
 }
 
-// bitLivenessFixpoint is one run of the backward fixpoint under a
-// fixed store-data demand refinement (nil: full store windows).
+// bitLive is one pass of bit liveness under a fixed store-data demand
+// refinement (nil: full store windows). Masks meet by union, and an
+// Unknown block exits with every bit of every register live: an
+// indirect transfer with unknown successors may consume anything.
 //
-// Unlike register liveness there are no block gen/kill summaries: the
-// demand an instruction places on its sources depends on its
-// destination's live mask, which changes between iterations, so each
-// block is re-walked backward from its current out-state until the
-// fixpoint settles. The masks only grow (union transfer over a finite
-// domain), so termination is guaranteed.
-func bitLivenessFixpoint(g *CFG, kz, ko, sd []uint64, xlen int) (liveIn, liveOut []uint64) {
-	n := len(g.Code)
-	nb := len(g.Blocks)
+// The demand an instruction places on its sources depends on its
+// destination's live mask, which changes between visits; the masks only
+// grow, so the fixpoint terminates.
+func bitLive(g *CFG, kz, ko, sd []uint64, xlen int) backward[[32]uint64] {
 	m := xlenMask(xlen)
-
-	blockIn := make([][32]uint64, nb)
-	blockOut := make([][32]uint64, nb)
-
-	// Predecessor lists from successor edges.
-	preds := make([][]int, nb)
-	for bi := range g.Blocks {
-		for _, s := range g.Blocks[bi].Succs {
-			preds[s] = append(preds[s], bi)
-		}
-	}
-
-	work := make([]int, 0, nb)
-	inWork := make([]bool, nb)
-	push := func(bi int) {
-		if !inWork[bi] {
-			inWork[bi] = true
-			work = append(work, bi)
-		}
-	}
-	// Seed all blocks in reverse order so exit blocks drain first.
-	for bi := nb - 1; bi >= 0; bi-- {
-		push(bi)
-	}
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[bi] = false
-		b := g.Blocks[bi]
-
-		var out [32]uint64
-		if b.Unknown {
-			// Indirect transfer with unknown successors: everything may
-			// be consumed downstream.
-			for r := 1; r < 32; r++ {
-				out[r] = m
+	return backward[[32]uint64]{
+		g: g,
+		exit: func(b *Block, in [][32]uint64) [32]uint64 {
+			var out [32]uint64
+			if b.Unknown {
+				for r := 1; r < 32; r++ {
+					out[r] = m
+				}
 			}
-		}
-		for _, s := range b.Succs {
-			for r := 1; r < 32; r++ {
-				out[r] |= blockIn[s][r]
+			for _, s := range b.Succs {
+				for r := 1; r < 32; r++ {
+					out[r] |= in[s][r]
+				}
 			}
-		}
-		blockOut[bi] = out
-		cur := out
-		for i := b.End - 1; i >= b.Start; i-- {
-			walkOne(g, i, &cur, kz, ko, sd, xlen)
-		}
-		if cur != blockIn[bi] {
-			blockIn[bi] = cur
-			for _, p := range preds[bi] {
-				push(p)
+			return out
+		},
+		step: func(i int, cur *[32]uint64) {
+			var L uint64
+			if d := def(g.Code[i]); d != 0xff {
+				L = cur[d]
+				cur[d] = 0
 			}
-		}
+			s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
+			if s1 != 0xff && s1 != uint8(isa.RegZero) {
+				cur[s1] |= d1 & m
+			}
+			if s2 != 0xff && s2 != uint8(isa.RegZero) {
+				cur[s2] |= d2 & m
+			}
+		},
 	}
-
-	// Refinement sweep: per-instruction masks from block-out states.
-	liveIn = make([]uint64, n*32)
-	liveOut = make([]uint64, n*32)
-	for bi := range g.Blocks {
-		b := g.Blocks[bi]
-		cur := blockOut[bi]
-		for i := b.End - 1; i >= b.Start; i-- {
-			for r := 0; r < 32; r++ {
-				liveOut[i*32+r] = cur[r]
-			}
-			walkOne(g, i, &cur, kz, ko, sd, xlen)
-			for r := 0; r < 32; r++ {
-				liveIn[i*32+r] = cur[r]
-			}
-		}
-	}
-	return liveIn, liveOut
 }
 
 // operandDemands returns instruction i's source registers and the bits
@@ -292,25 +245,4 @@ func operandDemands(g *CFG, i int, L uint64, kz, ko, sd []uint64, xlen int) (s1,
 		d2 &= sd[i]
 	}
 	return s1, s2, d1, d2
-}
-
-// walkOne applies the backward transfer of a single instruction.
-func walkOne(g *CFG, i int, cur *[32]uint64, kz, ko, sd []uint64, xlen int) {
-	m := xlenMask(xlen)
-	in := g.Code[i]
-	var L uint64
-	if d := def(in); d != 0xff {
-		L = cur[d]
-		cur[d] = 0
-	}
-	s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
-	if s1 == 0xff && s2 == 0xff {
-		return
-	}
-	if s1 != 0xff && s1 != uint8(isa.RegZero) {
-		cur[s1] |= d1 & m
-	}
-	if s2 != 0xff && s2 != uint8(isa.RegZero) {
-		cur[s2] |= d2 & m
-	}
 }

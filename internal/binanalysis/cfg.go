@@ -2,6 +2,7 @@ package binanalysis
 
 import (
 	"fmt"
+	"slices"
 
 	"sevsim/internal/isa"
 )
@@ -11,6 +12,7 @@ import (
 type Block struct {
 	Start, End int
 	Succs      []int // successor block indices, deduplicated, ascending
+	Preds      []int // predecessor block indices, ascending
 
 	// Unknown marks a block whose terminator's successors cannot be
 	// enumerated statically (an indirect jalr that is not the return
@@ -158,15 +160,11 @@ func BuildCFG(code []isa.Instr) (*CFG, error) {
 			add(b.End)
 		}
 	}
-	sortInts := func(xs []int) {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-	}
 	for bi := range g.Blocks {
-		sortInts(g.Blocks[bi].Succs)
+		slices.Sort(g.Blocks[bi].Succs)
+		for _, s := range g.Blocks[bi].Succs {
+			g.Blocks[s].Preds = append(g.Blocks[s].Preds, bi)
+		}
 	}
 	return g, nil
 }

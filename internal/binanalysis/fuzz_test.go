@@ -96,20 +96,27 @@ func buildFuzzProgram(data []byte) (prog []isa.Instr, outs [][2]int) {
 	return prog, outs
 }
 
+// knownBitsSeeds is FuzzKnownBitsVsInterp's seed corpus.
+var knownBitsSeeds = [][]byte{
+	{},
+	{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 1, 2, 3, 4, 5},
+	{
+		0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0x80, 1, 1, 1, 1,
+		3, 0, 1, 2, 0, // div
+		8, 1, 2, 0, 31, // sll
+		20, 3, 4, 0xff, 0, // srai
+	},
+}
+
 // FuzzKnownBitsVsInterp cross-checks the abstract interpretation
 // against concrete interpretation/execution. (The name keeps the
 // historical "interp" suffix: the concrete oracle is the cycle-level
 // machine, which is the repo's executable semantics of the ISA — the
 // MiniC-level internal/interp never sees SEV instructions.)
 func FuzzKnownBitsVsInterp(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 1, 2, 3, 4, 5})
-	f.Add([]byte{
-		0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0x80, 1, 1, 1, 1,
-		3, 0, 1, 2, 0, // div
-		8, 1, 2, 0, 31, // sll
-		20, 3, 4, 0xff, 0, // srai
-	})
+	for _, seed := range knownBitsSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, outs := buildFuzzProgram(data)
 		words := isa.Assemble(prog)

@@ -53,7 +53,7 @@ func CheckInvariants(a *Analysis) []Violation {
 
 	// 2. Caller-saved registers live at entry.
 	for r := uint8(0); r < 32; r++ {
-		if a.LiveIn[0].Has(r) && isa.CallerSaved(r) {
+		if a.Live[0].Has(r) && isa.CallerSaved(r) {
 			vs = append(vs, Violation{
 				Idx:  0,
 				Kind: "use-before-def",

@@ -343,94 +343,12 @@ func kbCompare(a, b KnownBits, signed bool, xlen int) KnownBits {
 // the per-instruction known-zero/known-one masks flattened as
 // [instruction*32 + register]. The recorded state is the one in effect
 // BEFORE the instruction executes.
-//
-// Reachability: the entry block starts at top; function entries and
-// return points receive state through the call and return edges BuildCFG
-// already materializes. Blocks never reached by the fixpoint
-// (unreachable code) report top. If the binary contains an indirect
-// transfer with statically unknown successors (Block.Unknown), every
-// block degrades to top: such a jump could land anywhere, so no
-// interblock fact survives. The compiler never emits one (jalr is only
-// the return idiom), so compiled workloads keep full precision.
 func computeKnownBits(g *CFG, xlen int) (kz, ko []uint64) {
 	n := len(g.Code)
-	nb := len(g.Blocks)
-	m := xlenMask(xlen)
-	top := kbTopState(m)
-
-	blockIn := make([]kbState, nb)
-	visited := make([]bool, nb)
-
-	anyUnknown := false
-	for bi := range g.Blocks {
-		if g.Blocks[bi].Unknown {
-			anyUnknown = true
-			break
-		}
-	}
-	if anyUnknown {
-		for bi := range blockIn {
-			blockIn[bi] = top
-			visited[bi] = true
-		}
-	} else {
-		work := make([]int, 0, nb)
-		inWork := make([]bool, nb)
-		push := func(bi int) {
-			if !inWork[bi] {
-				inWork[bi] = true
-				work = append(work, bi)
-			}
-		}
-		entry := g.BlockOf[0]
-		entrySt := top
-		// The machine initializes the stack pointer to StackTop before
-		// the first instruction (machine.New), so the entry state knows
-		// it exactly. This anchors sp-relative spill/reload addresses
-		// for the static memory model; the single-fault rule still
-		// holds — consumers only ever use these facts about registers
-		// other than the one being judged.
-		entrySt[isa.RegSP] = kbConst(machine.StackTop, m)
-		blockIn[entry] = entrySt
-		visited[entry] = true
-		push(entry)
-		for len(work) > 0 {
-			bi := work[len(work)-1]
-			work = work[:len(work)-1]
-			inWork[bi] = false
-			b := g.Blocks[bi]
-			st := blockIn[bi]
-			for i := b.Start; i < b.End; i++ {
-				kbApply(&st, i, g.Code[i], xlen)
-			}
-			for _, s := range b.Succs {
-				if !visited[s] {
-					visited[s] = true
-					blockIn[s] = st
-					push(s)
-					continue
-				}
-				joined := blockIn[s]
-				for r := range joined {
-					joined[r] = kbJoin(joined[r], st[r])
-				}
-				if joined != blockIn[s] {
-					blockIn[s] = joined
-					push(s)
-				}
-			}
-		}
-	}
-
-	// Refine block-entry states to per-instruction states.
 	kz = make([]uint64, n*32)
 	ko = make([]uint64, n*32)
-	for bi := range g.Blocks {
+	for bi, st := range knownBlockIn(g, xlen) {
 		b := g.Blocks[bi]
-		st := top
-		if visited[bi] {
-			st = blockIn[bi]
-		}
 		for i := b.Start; i < b.End; i++ {
 			for r := 0; r < 32; r++ {
 				kz[i*32+r] = st[r].Zero
@@ -440,6 +358,66 @@ func computeKnownBits(g *CFG, xlen int) (kz, ko []uint64) {
 		}
 	}
 	return kz, ko
+}
+
+// knownBlockIn returns each block's entry state at the fixpoint.
+//
+// Reachability: the entry block starts at top, except that it knows sp;
+// function entries and return points receive state through the call
+// and return edges BuildCFG already materializes. A block the fixpoint
+// never reaches (unreachable code) reports top. If the binary contains
+// an indirect transfer with statically unknown successors
+// (Block.Unknown), every block degrades to top: such a jump could land
+// anywhere, so no interblock fact survives. The compiler never emits
+// one (jalr is only the return idiom), so compiled workloads keep full
+// precision.
+func knownBlockIn(g *CFG, xlen int) []kbState {
+	top := kbTopState(xlenMask(xlen))
+	in := make([]kbState, len(g.Blocks))
+	for bi := range in {
+		in[bi] = top
+	}
+	for _, b := range g.Blocks {
+		if b.Unknown {
+			return in
+		}
+	}
+	// The machine initializes the stack pointer to StackTop before the
+	// first instruction (machine.New), so the entry state knows it
+	// exactly. This anchors sp-relative spill/reload addresses for the
+	// static memory model; the single-fault rule still holds — consumers
+	// only ever use these facts about registers other than the one being
+	// judged.
+	entry := g.BlockOf[0]
+	in[entry][isa.RegSP] = kbConst(machine.StackTop, xlenMask(xlen))
+	reached := make([]bool, len(g.Blocks))
+	reached[entry] = true
+	w := newWorklist(len(g.Blocks))
+	w.push(entry)
+	w.drain(func(bi int) {
+		b := g.Blocks[bi]
+		st := in[bi]
+		for i := b.Start; i < b.End; i++ {
+			kbApply(&st, i, g.Code[i], xlen)
+		}
+		for _, s := range b.Succs {
+			if !reached[s] {
+				reached[s] = true
+				in[s] = st
+				w.push(s)
+				continue
+			}
+			joined := in[s]
+			for r := range joined {
+				joined[r] = kbJoin(joined[r], st[r])
+			}
+			if joined != in[s] {
+				in[s] = joined
+				w.push(s)
+			}
+		}
+	})
+	return in
 }
 
 // kbApply advances the state across one instruction.

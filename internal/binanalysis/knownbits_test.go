@@ -196,12 +196,12 @@ func TestDeadBitsSubsumeDeadRegisters(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := a.Bits(xlen)
-		for i := range a.CFG.Code {
-			dead := a.DeadOut(i, nregs)
+		for pt := range a.Live {
+			dead := a.Dead(pt, nregs)
 			for r := uint8(1); int(r) < nregs; r++ {
-				db := b.DeadOutBits(i, r)
+				db := b.DeadBits(pt, r)
 				if dead.Has(r) && db != b.Mask {
-					t.Fatalf("%s idx %d: reg %d register-dead but bit mask %#x", level, i, r, db)
+					t.Fatalf("%s point %d: reg %d register-dead but bit mask %#x", level, pt, r, db)
 				}
 			}
 		}

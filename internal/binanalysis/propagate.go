@@ -195,18 +195,18 @@ func loadWindowDemand(op isa.Opcode, size int, live uint64) uint64 {
 //
 // Returns nil when no store's demand shrinks below its full window, so
 // callers can skip a refinement pass.
-func storeDemands(g *CFG, kz, ko, liveOut []uint64, xlen int) []uint64 {
+func storeDemands(g *CFG, kz, ko []uint64, live [][32]uint64, xlen int) []uint64 {
 	m := xlenMask(xlen)
 	var loads []memAccess
 	var nStores int
 	for i, in := range g.Code {
 		switch {
 		case in.Op.IsLoad():
-			live := uint64(0)
+			var ld uint64
 			if d := def(in); d != 0xff {
-				live = loadWindowDemand(in.Op, in.Op.MemSize(), liveOut[i*32+int(d)])
+				ld = loadWindowDemand(in.Op, in.Op.MemSize(), live[i+1][d])
 			}
-			if live != 0 {
+			if ld != 0 {
 				loads = append(loads, memAccess{idx: i, kb: accessKB(g, i, kz, ko, xlen), size: in.Op.MemSize()})
 			}
 		case in.Op.IsStore():
@@ -236,7 +236,7 @@ func storeDemands(g *CFG, kz, ko, liveOut []uint64, xlen int) []uint64 {
 				demand = window // may alias: every stored bit may be read
 				break
 			}
-			ld := loadWindowDemand(g.Code[l.idx].Op, l.size, liveOut[l.idx*32+int(def(g.Code[l.idx]))])
+			ld := loadWindowDemand(g.Code[l.idx].Op, l.size, live[l.idx+1][def(g.Code[l.idx])])
 			for o := 0; o < ss; o++ {
 				a := sAddr + uint64(o)
 				if a >= lAddr && a < lAddr+uint64(l.size) {
@@ -261,119 +261,54 @@ func storeDemands(g *CFG, kz, ko, liveOut []uint64, xlen int) []uint64 {
 
 // --- must-DUE fixpoint -------------------------------------------------------
 
-// computeDueBits runs the backward must-DUE fixpoint described in the
-// package comment above and returns flattened [instruction*32 +
-// register] masks: dueIn is the crash-certain mask immediately before
-// the instruction, dueOut immediately after. liveOut supplies the
-// destination live masks the demand transfer needs; sd is the refined
-// store-data demand from storeDemands (nil: full windows).
-func computeDueBits(g *CFG, kz, ko, liveOut, sd []uint64, xlen int) (dueIn, dueOut []uint64) {
-	n := len(g.Code)
-	nb := len(g.Blocks)
+// mustDUE is the backward must-DUE problem described in the package
+// comment above; solved, it gives the crash-certain masks of every
+// register at every program point. live supplies the destination live
+// masks the demand transfer needs, sd the refined store-data demand
+// from storeDemands (nil: full windows).
+//
+// Masks meet by intersection from the full mask down. A block with
+// unknown successors exits with nothing crash-certain, since no crash
+// consumer is provable ahead; so does a block with none (halt or an
+// out-of-range terminator), since nothing executes after it. A step
+// kills the destination, strips every demanded source bit, then ORs in
+// the crash-certain mask of the base operand.
+func mustDUE(g *CFG, kz, ko []uint64, live [][32]uint64, sd []uint64, xlen int) backward[[32]uint64] {
 	m := xlenMask(xlen)
-
 	var full [32]uint64
 	for r := 1; r < 32; r++ {
 		full[r] = m
 	}
-
-	blockIn := make([][32]uint64, nb)
-	for bi := range blockIn {
-		blockIn[bi] = full
-	}
-
-	preds := make([][]int, nb)
-	for bi := range g.Blocks {
-		for _, s := range g.Blocks[bi].Succs {
-			preds[s] = append(preds[s], bi)
-		}
-	}
-
-	outOf := func(bi int) [32]uint64 {
-		b := g.Blocks[bi]
-		if b.Unknown || len(b.Succs) == 0 {
-			// Unknown successors: no crash consumer is provable ahead.
-			// No successors (halt or out-of-range terminator): nothing
-			// executes after, so no bit is crash-certain.
-			return [32]uint64{}
-		}
-		out := full
-		for _, s := range b.Succs {
-			for r := 1; r < 32; r++ {
-				out[r] &= blockIn[s][r]
+	return backward[[32]uint64]{
+		g:    g,
+		init: full,
+		exit: func(b *Block, in [][32]uint64) [32]uint64 {
+			if b.Unknown || len(b.Succs) == 0 {
+				return [32]uint64{}
 			}
-		}
-		return out
-	}
-
-	work := make([]int, 0, nb)
-	inWork := make([]bool, nb)
-	push := func(bi int) {
-		if !inWork[bi] {
-			inWork[bi] = true
-			work = append(work, bi)
-		}
-	}
-	for bi := nb - 1; bi >= 0; bi-- {
-		push(bi)
-	}
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[bi] = false
-		b := g.Blocks[bi]
-		cur := outOf(bi)
-		for i := b.End - 1; i >= b.Start; i-- {
-			dueWalkOne(g, i, &cur, kz, ko, liveOut, sd, xlen)
-		}
-		if cur != blockIn[bi] {
-			blockIn[bi] = cur
-			for _, p := range preds[bi] {
-				push(p)
+			out := full
+			for _, s := range b.Succs {
+				for r := 1; r < 32; r++ {
+					out[r] &= in[s][r]
+				}
 			}
-		}
-	}
-
-	dueIn = make([]uint64, n*32)
-	dueOut = make([]uint64, n*32)
-	for bi := range g.Blocks {
-		b := g.Blocks[bi]
-		cur := outOf(bi)
-		for i := b.End - 1; i >= b.Start; i-- {
-			for r := 0; r < 32; r++ {
-				dueOut[i*32+r] = cur[r]
+			return out
+		},
+		step: func(i int, cur *[32]uint64) {
+			in := g.Code[i]
+			var L uint64
+			if d := def(in); d != 0xff {
+				L = live[i+1][d]
+				cur[d] = 0
 			}
-			dueWalkOne(g, i, &cur, kz, ko, liveOut, sd, xlen)
-			for r := 0; r < 32; r++ {
-				dueIn[i*32+r] = cur[r]
+			s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
+			if s2 != 0xff && s2 != uint8(isa.RegZero) {
+				cur[s2] &^= d2
 			}
-		}
-	}
-	return dueIn, dueOut
-}
-
-// dueWalkOne applies the backward must-DUE transfer of one instruction:
-// kill the destination, strip every demanded source bit, then OR in
-// the crash-certain mask of the base operand.
-func dueWalkOne(g *CFG, i int, cur *[32]uint64, kz, ko, liveOut, sd []uint64, xlen int) {
-	m := xlenMask(xlen)
-	in := g.Code[i]
-	var L uint64
-	if d := def(in); d != 0xff {
-		L = liveOut[i*32+int(d)]
-		cur[d] = 0
-	}
-	s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
-	if s1 == 0xff && s2 == 0xff {
-		return
-	}
-	if s1 != 0xff && s1 != uint8(isa.RegZero) {
-		cur[s1] &^= d1
-	}
-	if s2 != 0xff && s2 != uint8(isa.RegZero) {
-		cur[s2] &^= d2
-	}
-	if s1 != 0xff && s1 != uint8(isa.RegZero) {
-		cur[s1] |= crashCertainMask(in, xlen) & m
+			if s1 != 0xff && s1 != uint8(isa.RegZero) {
+				cur[s1] &^= d1
+				cur[s1] |= crashCertainMask(in, xlen) & m
+			}
+		},
 	}
 }

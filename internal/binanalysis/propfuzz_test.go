@@ -106,30 +106,37 @@ func buildMemFuzzProgram(data []byte) []isa.Instr {
 	return prog
 }
 
-// FuzzPropagationVsSimulation cross-checks every static verdict the
-// three-way pruner can emit against the concrete simulator on both
-// marches.
-func FuzzPropagationVsSimulation(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 1, 2, 3, 4, 5})
-	f.Add([]byte{
+// propagationSeeds is FuzzPropagationVsSimulation's seed corpus.
+var propagationSeeds = [][]byte{
+	{},
+	{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 1, 2, 3, 4, 5},
+	{
 		0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0x80, 1, 1, 1, 1,
 		0, 0, 4, 0, 0, // sw
 		1, 1, 0, 4, 0, // lw
 		1, 2, 1, 9, 0, // lb
 		2, 3, 1, 2, 0, // alu
-	})
+	},
 	// A word store through fuzzAlias, whose upper bits are unknown, the
 	// stored register redefined before any out, and a load of the same
 	// word through fuzzPtr: at XLEN 64 the store's address range reaches
 	// 2^64, and only the load keeps the stored bits live.
-	f.Add([]byte{
+	{
 		0, 0, 0x34, 0x12, 0, 0, 0x78, 0x56, 0, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 2, 1, // sw a0, 8(fuzzAlias)
 		2, 0, 13, 1, 0, 0, // addi a0, a1, 0
 		1, 2, 0, 2, 0, // lw a2, 8(fuzzPtr)
-	})
+	},
+}
+
+// FuzzPropagationVsSimulation cross-checks every static verdict the
+// three-way pruner can emit against the concrete simulator on both
+// marches.
+func FuzzPropagationVsSimulation(f *testing.F) {
+	for _, seed := range propagationSeeds {
+		f.Add(seed)
+	}
 	rf, ok := faultinj.TargetByName("RF")
 	if !ok {
 		f.Fatal("RF target missing")

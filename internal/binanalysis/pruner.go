@@ -28,7 +28,7 @@ import (
 // speculatively fetches (every speculative path is also a static path,
 // and squashed work only perturbs timing within the 2x timeout budget),
 // can consume the corrupted value. The same holds bit by bit:
-// DeadOutBits(point, a) is the set of bits of a that no static path from
+// DeadBits(point, a) is the set of bits of a that no static path from
 // the point can propagate to memory, output, or control flow — where
 // demand refinement consulted known-bits facts, those facts concern
 // registers other than a, which carry fault-free values under the
@@ -41,11 +41,11 @@ import (
 //     the committed-state analysis cannot bound;
 //   - a last-commit PC outside the code image.
 //
-// The static side of the Crash argument is DueOutBits': a due bit of a,
-// taken at the last committed instruction, reaches a faulting consumer
-// on every static path — so in particular on the golden continuation —
-// before any instruction can demand it for a value, address, branch,
-// or output. The crash masks rely only on fault-free alignment and
+// The static side of the Crash argument is DueBits: a due bit of a,
+// taken at the point after the last committed instruction, reaches a
+// faulting consumer on every static path — so in particular on the
+// golden continuation — before any instruction can demand it for a
+// value, address, branch, or output. The crash masks rely only on fault-free alignment and
 // address-ceiling invariants, never on the judged register's own known
 // bits, and addrCeilOK re-validates the ceiling against the concrete
 // program layout before the verdict switches on.
@@ -75,7 +75,11 @@ import (
 // Beside the trace it indexes in place and the bit masks, the pruner
 // holds the rename map every ckptInterval events, the register set each
 // static instruction reads and each register's last golden reader;
-// nothing grows with the number of register reads in the run.
+// nothing grows with the number of register reads in the run. It reads
+// every static fact at a program point, indexed as Analysis.Live is:
+// the state after k commits is at the point after the k-th committed
+// instruction, the state before any commit at point 0, and a PC outside
+// the code image gives no point (-1) and no verdict.
 //
 // DUEPruner is safe for concurrent use.
 type DUEPruner struct {
@@ -205,55 +209,25 @@ func (p *DUEPruner) stateAt(c uint64) int {
 	return sort.Search(p.events.Len(), func(i int) bool { return p.events.At(i).Cycle >= c })
 }
 
-// entryPoint is the program point before the first commit.
-const entryPoint = -2
-
 // pointAfter returns the program point in effect once k events have
-// committed: the index of the last committed instruction, entryPoint
-// when k is 0, or -1 when that PC lies outside the code image. Every
-// static fact about the state after k commits is a fact about this
-// point, so callers resolve it once per state.
+// committed (Analysis.Live's indexing): 0 when k is 0, else the point
+// after the last committed instruction, -1 when its PC lies outside the
+// code image. Every static fact about the state after k commits is a
+// fact about this point, so callers resolve it once per state.
 func (p *DUEPruner) pointAfter(k int) int {
 	if k == 0 {
-		return entryPoint
-	}
-	return p.idxOf(p.events.At(k - 1).PC)
-}
-
-// deadAt returns the dead-register set in effect at a program point,
-// and false when the state is unanalyzable (PC outside the image).
-func (p *DUEPruner) deadAt(pt int) (RegSet, bool) {
-	switch {
-	case pt == entryPoint:
-		return p.a.EntryDead(p.numArch), true
-	case pt < 0:
-		return 0, false
-	}
-	return p.a.DeadOut(pt, p.numArch), true
-}
-
-// deadBitsAt returns the dead-bit mask of architectural register a at
-// a program point (0 when the state is unanalyzable).
-func (p *DUEPruner) deadBitsAt(pt int, a uint8) uint64 {
-	switch {
-	case pt == entryPoint:
-		return p.bits.EntryDeadBits(a)
-	case pt < 0:
 		return 0
 	}
-	return p.bits.DeadOutBits(pt, a)
+	return p.pointOf(p.events.At(k - 1).PC)
 }
 
-// dueBitsAt returns the crash-certain bit mask of architectural
-// register a at a program point (0 when unanalyzable).
-func (p *DUEPruner) dueBitsAt(pt int, a uint8) uint64 {
-	switch {
-	case pt == entryPoint:
-		return p.bits.EntryDueBits(a)
-	case pt < 0:
-		return 0
+// pointOf returns the program point right after the instruction at pc
+// commits, or -1 when pc lies outside the code image.
+func (p *DUEPruner) pointOf(pc uint64) int {
+	if idx := p.idxOf(pc); idx >= 0 {
+		return idx + 1
 	}
-	return p.bits.DueOutBits(pt, a)
+	return -1
 }
 
 // ratAt reconstructs the committed rename map after k events; entries
@@ -311,10 +285,10 @@ func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 	}
 	k := p.stateAt(inj.Cycle)
 	pt := p.pointAfter(k)
-	dead, ok := p.deadAt(pt)
-	if !ok {
+	if pt < 0 {
 		return faultinj.PruneNone, "last commit PC outside code image"
 	}
+	dead := p.a.Dead(pt, p.numArch)
 	rat := p.ratAt(k)
 	for a := 1; a < p.numArch; a++ {
 		if rat[a] != phys {
@@ -323,10 +297,10 @@ func (p *DUEPruner) PrunableKind(t faultinj.Target, inj faultinj.Injection) (fau
 		if dead.Has(uint8(a)) {
 			return faultinj.PruneReg, fmt.Sprintf("phys %d maps dead arch %d after commit %d", phys, a, k)
 		}
-		if p.deadBitsAt(pt, uint8(a))&(1<<bit) != 0 {
+		if p.bits.DeadBits(pt, uint8(a))&(1<<bit) != 0 {
 			return faultinj.PruneBit, fmt.Sprintf("phys %d maps arch %d whose bit %d is dead after commit %d", phys, a, bit, k)
 		}
-		if p.dueOK && p.dueBitsAt(pt, uint8(a))&(1<<bit) != 0 && p.windowClear(k, uint8(a)) {
+		if p.dueOK && p.bits.DueBits(pt, uint8(a))&(1<<bit) != 0 && p.windowClear(k, uint8(a)) {
 			return faultinj.PruneDUE, fmt.Sprintf("phys %d maps arch %d whose bit %d is crash-certain after commit %d", phys, a, bit, k)
 		}
 		return faultinj.PruneNone, fmt.Sprintf("phys %d maps arch %d with live bit %d", phys, a, bit)
@@ -348,8 +322,8 @@ func (p *DUEPruner) Prunable(t faultinj.Target, inj faultinj.Injection) (bool, s
 //
 // The headline fields are the bit-granular bound and the Reg fields
 // record what register granularity alone proves — the gap is the
-// precision bought by known-bits + bit liveness. Because DeadOutBits
-// contains the full mask for every register DeadOut reports dead, the
+// precision bought by known-bits + bit liveness. Because DeadBits
+// contains the full mask for every register Dead reports dead, the
 // headline bound dominates the register one on every cell by
 // construction.
 type RFBound struct {
@@ -379,13 +353,13 @@ type RFBound struct {
 // (pointAfter(k)) and its width in cycles. Each event is read once.
 func (p *DUEPruner) walkIntervals(f func(k, pt int, cycles uint64)) {
 	g, n := p.goldenCycles, p.events.Len()
-	c0, pt := uint64(0), entryPoint // the state after k events: its first injection cycle, its point
+	c0, pt := uint64(0), 0 // the state after k events: its first injection cycle, its point
 	for k := 0; k < n && g > 0; k++ {
 		ev := p.events.At(k)
 		if hi := min(ev.Cycle, g-1); c0 <= hi {
 			f(k, pt, hi-c0+1)
 		}
-		c0, pt = ev.Cycle+1, p.idxOf(ev.PC)
+		c0, pt = ev.Cycle+1, p.pointOf(ev.PC)
 	}
 	if c0 < g {
 		f(n, pt, g-c0)
@@ -405,20 +379,20 @@ type pointBits struct {
 // dueReg is an architectural register with n due-and-not-dead bits.
 type dueReg struct{ a, n uint8 }
 
-// bitsAt is the contribution of a point; all of it is zero for an
-// unanalyzable one. Every architectural register is always mapped to
-// exactly one physical register, so each dead register contributes XLEN
-// prunable bits regardless of which physical slot holds it.
+// bitsAt is the contribution of an analyzable point. Every
+// architectural register is always mapped to exactly one physical
+// register, so each dead register contributes XLEN prunable bits
+// regardless of which physical slot holds it.
 func (p *DUEPruner) bitsAt(pt int) pointBits {
-	dead, _ := p.deadAt(pt)
+	dead := p.a.Dead(pt, p.numArch)
 	pb := pointBits{known: true, reg: uint64(dead.Count()) * uint64(p.xlen)}
 	for a := 1; a < p.numArch; a++ {
-		deadBits := p.deadBitsAt(pt, uint8(a))
+		deadBits := p.bits.DeadBits(pt, uint8(a))
 		pb.bit += uint64(bits.OnesCount64(deadBits))
 		if !p.dueOK {
 			continue
 		}
-		if n := bits.OnesCount64(p.dueBitsAt(pt, uint8(a)) &^ deadBits); n > 0 {
+		if n := bits.OnesCount64(p.bits.DueBits(pt, uint8(a)) &^ deadBits); n > 0 {
 			pb.due = append(pb.due, dueReg{uint8(a), uint8(n)})
 		}
 	}
@@ -437,8 +411,7 @@ func (p *DUEPruner) Bound() RFBound {
 	if b.SpaceBits == 0 {
 		return b
 	}
-	// Slot pt+2: entryPoint, the unanalyzable point, then the code image.
-	table := make([]pointBits, len(p.a.CFG.Code)+2)
+	table := make([]pointBits, len(p.a.Live))
 	// Positions before hi have been read once, in order, as the far end
 	// of the reorder window [k, k+ROBSize) of a state with due bits moved
 	// past them; seen[a] is the last of them that reads register a, so
@@ -449,7 +422,10 @@ func (p *DUEPruner) Bound() RFBound {
 	}
 	var reg, bit, due uint64
 	p.walkIntervals(func(k, pt int, cycles uint64) {
-		pb := &table[pt+2]
+		if pt < 0 {
+			return // an unanalyzable state proves nothing
+		}
+		pb := &table[pt]
 		if !pb.known {
 			*pb = p.bitsAt(pt)
 		}

@@ -1,10 +1,11 @@
 // Package binanalysis is the binary-level ACE/liveness analyzer: it
 // reconstructs a control-flow graph from assembled SEV instructions,
-// runs backward architectural-register liveness to fixpoint, and
-// derives from it
+// runs backward architectural-register liveness to fixpoint on the
+// package's one worklist solver (solve.go), and derives from it
 //
-//   - per-instruction dead-register sets (a register is dead at a point
-//     when no path from that point reads it before redefining it),
+//   - dead-register sets at every program point (a register is dead at
+//     a point when no path from that point reads it before redefining
+//     it),
 //   - a binary invariant checker (use-before-def at entry, stack-pointer
 //     balance across calls, control-transfer targets in range), and
 //   - a statically sound injection pruner plus Masked/AVF bounds for

@@ -95,12 +95,15 @@ func refBound(p *DUEPruner, readers *[32][]int32) RFBound {
 	if b.SpaceBits == 0 {
 		return b
 	}
-	table := make([]pointBits, len(p.a.CFG.Code)+2)
+	table := make([]pointBits, len(p.a.Live))
 	var first [32]int
 	var reg, bit, due uint64
 	refWalk(p, func(k int, cycles uint64) {
 		pt := p.pointAfter(k)
-		pb := &table[pt+2]
+		if pt < 0 {
+			return
+		}
+		pb := &table[pt]
 		if !pb.known {
 			*pb = p.bitsAt(pt)
 		}

@@ -334,6 +334,27 @@ func Margin(w io.Writer, st *core.Study) {
 		st.Faults, m*100)
 }
 
+// Campaigns writes the raw campaign data as CSV, one row per cell, for
+// downstream plotting.
+func Campaigns(w io.Writer, st *core.Study) {
+	headers := []string{"march", "bench", "level", "target", "faults",
+		"masked", "sdc", "crash", "timeout", "assert",
+		"pruned", "pruned_reg", "pruned_bit", "pruned_due", "unexpected",
+		"golden_cycles", "struct_bits"}
+	rows := make([][]string, 0, len(st.Results))
+	for _, r := range st.Results {
+		rows = append(rows, []string{
+			r.March, r.Bench, r.Level, r.Target,
+			fmt.Sprint(r.Faults), fmt.Sprint(r.Counts.Masked), fmt.Sprint(r.Counts.SDC),
+			fmt.Sprint(r.Counts.Crash), fmt.Sprint(r.Counts.Timeout), fmt.Sprint(r.Counts.Assert),
+			fmt.Sprint(r.Counts.Pruned), fmt.Sprint(r.Counts.PrunedReg), fmt.Sprint(r.Counts.PrunedBit),
+			fmt.Sprint(r.Counts.PrunedDUE), fmt.Sprint(r.Counts.Unexpected),
+			fmt.Sprint(r.GoldenCycles), fmt.Sprint(r.StructBits),
+		})
+	}
+	CSV(w, headers, rows)
+}
+
 // Everything writes every table and figure to w.
 func Everything(w io.Writer, st *core.Study) {
 	TableI(w)

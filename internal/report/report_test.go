@@ -2,6 +2,9 @@ package report
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -173,5 +176,38 @@ func TestNumAndPct(t *testing.T) {
 	}
 	if !strings.Contains(Num(1e-9), "e") {
 		t.Errorf("tiny Num should be scientific: %s", Num(1e-9))
+	}
+}
+
+// TestCommittedResultsRender re-renders the committed study: results/'s
+// figures.txt and campaigns.csv must be what Everything and Campaigns
+// write for results/study.json, byte for byte, as sevrepro -load writes
+// them.
+func TestCommittedResultsRender(t *testing.T) {
+	dir := filepath.Join("..", "..", "results")
+	st, err := core.Load(filepath.Join(dir, "study.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, render := range map[string]func(io.Writer, *core.Study){
+		"figures.txt":   Everything,
+		"campaigns.csv": Campaigns,
+	} {
+		want, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		render(&got, st)
+		if !bytes.Equal(got.Bytes(), want) {
+			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gl), len(wl)) {
+				if gl[i] != wl[i] {
+					t.Errorf("results/%s line %d:\n  committed: %s\n  rendered:  %s", name, i+1, wl[i], gl[i])
+					break
+				}
+			}
+			t.Errorf("results/%s drifted from its renderer (%d lines committed, %d rendered); re-render with sevrepro -load results/study.json -out results", name, len(wl), len(gl))
+		}
 	}
 }
