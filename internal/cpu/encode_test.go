@@ -111,14 +111,25 @@ func TestCommitTraceChunks(t *testing.T) {
 	}
 }
 
+// goldenDest is the destination a synthetic golden run writes at pc:
+// one per PC, NoDest included.
+func goldenDest(pc uint64) uint8 {
+	if d := uint8(pc>>2) % 33; d < 32 {
+		return d
+	}
+	return NoDest
+}
+
 // TestCommitTraceColumns round-trips events through Append/At and
 // through the bundle codec across three chunk boundaries: three in four
-// of the narrow kind a golden run commits, the rest random, with every field at
-// its edges at both ends of every chunk: NoDest, DestPhys 0xffff, PCs
-// outside any code image and ^uint64(0), cycles next to 2^64. What the
-// narrow columns cannot hold goes to its chunk's side table; a chunk
-// holds 6 bytes an event, 8 a 64-event block and a 24-byte slice header,
-// and its side table 24 bytes an event.
+// of the narrow kind a golden run commits (the destination a function
+// of the PC), the rest random, with every field at its edges at both
+// ends of every chunk: NoDest, DestPhys 0xffff, PCs outside any code
+// image and ^uint64(0), cycles next to 2^64. What the narrow columns
+// cannot hold goes to its chunk's side table; a chunk holds 4 bytes an
+// event, 8 a 64-event block and a 24-byte slice header, its side table
+// 24 bytes an event, and the trace one byte per PC word of its
+// destination table.
 func TestCommitTraceColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	n := 3*traceChunk + 123
@@ -133,18 +144,19 @@ func TestCommitTraceColumns(t *testing.T) {
 	var cycle uint64
 	for i := range want {
 		ev := CommitEvent{Cycle: rng.Uint64(), PC: rng.Uint64(), DestArch: uint8(rng.Intn(33)), DestPhys: uint16(rng.Uint32())}
+		if ev.DestArch == 32 {
+			ev.DestArch = NoDest
+		}
 		if i == 0 || rng.Intn(4) != 0 {
 			cycle += uint64(rng.Intn(4))
-			ev.Cycle, ev.PC, ev.DestPhys = cycle, 0x10000+4*uint64(rng.Intn(0xffff)), uint16(rng.Intn(0xff))
+			ev.Cycle, ev.PC, ev.DestPhys = cycle, 0x10000+4*uint64(rng.Intn(sideBase)), uint16(rng.Intn(0xff))
 			if i == 0 {
 				ev.PC = 0x10000 // the PC base, below every other narrow PC
 			}
+			ev.DestArch = goldenDest(ev.PC)
 			if rng.Intn(8) == 0 {
 				ev.DestPhys = 0xffff
 			}
-		}
-		if ev.DestArch == 32 {
-			ev.DestArch = NoDest
 		}
 		if i > 0 && (i%traceChunk < len(edges) || traceChunk-1-i%traceChunk < len(edges)) {
 			ev = edges[i%len(edges)] // both ends of every chunk
@@ -152,7 +164,7 @@ func TestCommitTraceColumns(t *testing.T) {
 		want[i] = ev
 		rec.Append(ev)
 	}
-	if side := sideEvents(rec); side == 0 || side >= n/2 {
+	if side := SideEvents(rec); side == 0 || side >= n/2 {
 		t.Errorf("%d of %d events in the side tables", side, n)
 	}
 	var w binio.Writer
@@ -175,42 +187,45 @@ func TestCommitTraceColumns(t *testing.T) {
 		for _, c := range tr.chunks {
 			side += cap(c.side)
 		}
-		if want := chunks*(24+16384/64*8+16384*6) + side*24; tr.ResidentBytes() != want {
-			t.Errorf("%d resident bytes in %d chunks and %d side slots, want %d", tr.ResidentBytes(), chunks, side, want)
+		if len(tr.dest) == 0 || len(tr.dest) > sideBase {
+			t.Errorf("destination table of %d PC words", len(tr.dest))
+		}
+		if want := chunks*(24+16384/64*8+16384*4) + side*24 + cap(tr.dest); tr.ResidentBytes() != want {
+			t.Errorf("%d resident bytes in %d chunks, %d side slots and %d PC words, want %d",
+				tr.ResidentBytes(), chunks, side, cap(tr.dest), want)
 		}
 	}
 }
 
-// sideEvents returns how many of t's events its side tables hold.
-func sideEvents(t *CommitTrace) int {
-	n := 0
-	for _, c := range t.chunks {
-		n += len(c.side)
-	}
-	return n
-}
-
 // TestCommitTraceNarrowBounds appends, after a first event that sets the
-// PC base and its block's cycle base, each event on either side of every
-// narrow column's range, and checks that exactly the ones past it go to
-// the side table and that every one reads back as appended.
+// PC base, its block's cycle base and the destination at the base PC,
+// each event on either side of every narrow column's range, and checks
+// that exactly the ones past it go to the side table and that every one
+// reads back as appended. Its PC slot holds sideBase plus a side
+// event's index, so the last narrow PC word is sideBase-1.
 func TestCommitTraceNarrowBounds(t *testing.T) {
 	first := CommitEvent{Cycle: 100, PC: 0x1000, DestArch: 1, DestPhys: 40}
 	cases := []struct {
 		ev   CommitEvent
 		side bool
 	}{
-		{CommitEvent{Cycle: 100 + 0xffff, PC: 0x1000, DestArch: 2, DestPhys: 0}, false},
-		{CommitEvent{Cycle: 100 + 0x10000, PC: 0x1000, DestArch: 2, DestPhys: 0}, true},
-		{CommitEvent{Cycle: 99, PC: 0x1000, DestArch: 2, DestPhys: 0}, true},
-		{CommitEvent{Cycle: 100, PC: 0x1000 + 4*0xfffe, DestArch: 2, DestPhys: 0}, false},
+		{CommitEvent{Cycle: 100 + 0xff, PC: 0x1000, DestArch: 1, DestPhys: 0}, false},
+		{CommitEvent{Cycle: 100 + 0x100, PC: 0x1000, DestArch: 1, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 99, PC: 0x1000, DestArch: 1, DestPhys: 0}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1000 + 4*(sideBase-1), DestArch: 2, DestPhys: 0}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1000 + 4*sideBase, DestArch: 2, DestPhys: 0}, true},
 		{CommitEvent{Cycle: 100, PC: 0x1000 + 4*0xffff, DestArch: 2, DestPhys: 0}, true},
 		{CommitEvent{Cycle: 100, PC: 0x1000 - 4, DestArch: 2, DestPhys: 0}, true},
 		{CommitEvent{Cycle: 100, PC: 0x1002, DestArch: 2, DestPhys: 0}, true},
-		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xfe}, false},
-		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xff}, true},
-		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xfffe}, true},
-		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: NoDest, DestPhys: 0xffff}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1004, DestArch: NoDest, DestPhys: 0xfe}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1004, DestArch: NoDest, DestPhys: 0xff}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1004, DestArch: NoDest, DestPhys: 0xfffe}, true},
+		{CommitEvent{Cycle: 100, PC: 0x1004, DestArch: NoDest, DestPhys: 0xffff}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: 2, DestPhys: 0}, true},         // not the base PC's destination
+		{CommitEvent{Cycle: 100, PC: 0x1004, DestArch: 1, DestPhys: 0}, true},         // nor this one's
+		{CommitEvent{Cycle: 100, PC: 0x1008, DestArch: unlearned, DestPhys: 0}, true}, // no PC's destination
+		{CommitEvent{Cycle: 100, PC: 0x1008, DestArch: 3, DestPhys: 0}, false},
+		{CommitEvent{Cycle: 100, PC: 0x1000, DestArch: 1, DestPhys: 0}, false},
 	}
 	tr := traceOf(first)
 	var side []CommitEvent

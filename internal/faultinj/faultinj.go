@@ -247,7 +247,7 @@ func NewExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, erro
 // NewTracedExperiment is NewExperiment with commit tracing: the golden
 // run additionally records one CommitEvent per committed instruction
 // (Experiment.Trace), the input to static ACE analysis and injection
-// pruning. The trace costs about 6 bytes per committed instruction in
+// pruning. The trace costs about 4 bytes per committed instruction in
 // memory and 19 encoded, so it is opt-in rather than the default.
 func NewTracedExperiment(cfg machine.Config, prog *machine.Program) (*Experiment, error) {
 	return NewExperimentOptions(cfg, prog, Options{Traced: true})

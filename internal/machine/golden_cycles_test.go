@@ -117,44 +117,3 @@ func goldenLine(t *testing.T, cfg machine.Config, b workloads.Benchmark, size in
 		cfg.CPU.Name, b.Name, lv, size, res.Cycles, res.Stats, res.L1I, res.L1D, res.L2,
 		len(res.Output), out.Sum64(), state.Sum64(), commits, events.Sum64())
 }
-
-// TestCommitTraceNarrow traces every bundled unit at TestSize and checks
-// that the trace gives back exactly the events its run committed, and
-// that none of them needed the side table: the trace holds what a trace
-// of as many events that all fit the narrow columns holds.
-func TestCommitTraceNarrow(t *testing.T) {
-	for _, cfg := range machine.Configs() {
-		for _, b := range workloads.All() {
-			for _, lv := range compiler.Levels {
-				prog, err := compiler.Compile(b.Source(b.TestSize), b.Name, lv,
-					compiler.Target{XLEN: cfg.CPU.XLEN, NumArchRegs: cfg.CPU.NumArchRegs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := machine.New(cfg, prog)
-				var events []cpu.CommitEvent
-				trace := &cpu.CommitTrace{}
-				m.Core.SetCommitHook(func(ev cpu.CommitEvent) {
-					events = append(events, ev)
-					trace.Append(ev)
-				})
-				if res := m.Run(1 << 40); res.Outcome != machine.OutcomeOK {
-					t.Fatalf("%s %s %v: golden run ended %v %s", cfg.CPU.Name, b.Name, lv, res.Outcome, res.Reason)
-				}
-				for i, ev := range events {
-					if got := trace.At(i); got != ev {
-						t.Fatalf("%s %s %v: event %d is %+v, want %+v", cfg.CPU.Name, b.Name, lv, i, got, ev)
-					}
-				}
-				narrow := &cpu.CommitTrace{}
-				for range events {
-					narrow.Append(cpu.CommitEvent{DestArch: cpu.NoDest, DestPhys: 0xffff})
-				}
-				if trace.Len() != len(events) || trace.ResidentBytes() != narrow.ResidentBytes() {
-					t.Errorf("%s %s %v: %d events hold %d bytes, %d when every event fits the narrow columns",
-						cfg.CPU.Name, b.Name, lv, trace.Len(), trace.ResidentBytes(), narrow.ResidentBytes())
-				}
-			}
-		}
-	}
-}
