@@ -162,37 +162,20 @@ func shiftDemandExact(op isa.Opcode, L uint64, k, xlen int) uint64 {
 	return m
 }
 
-// bitLiveness runs the backward fixpoint and returns the live-bit
-// masks of every register at every program point (solve's indexing).
-// kz/ko are the known-bits masks from computeKnownBits, consulted for
-// demand refinement of the other operand.
-//
-// The fixpoint runs twice when the static memory model helps: the
-// first pass treats every stored bit as demanded (sd nil); its load
-// destination live masks feed storeDemands (propagate.go), whose
-// refined store-data demands — sound over-approximations derived from
-// the FIRST pass's liveness, which dominates the second's — drive a
-// second pass in which a store demands of its data register only the
-// bits some live load may actually observe. The returned sd is the
-// mask the final pass used (nil when no store was refinable), so the
-// must-DUE analysis can apply the identical demand transfer.
-func bitLiveness(g *CFG, kz, ko []uint64, xlen int) (live [][32]uint64, sd []uint64) {
-	live = bitLive(g, kz, ko, nil, xlen).solve()
-	if sd = storeDemands(g, kz, ko, live, xlen); sd != nil {
-		live = bitLive(g, kz, ko, sd, xlen).solve()
-	}
-	return live, sd
-}
-
-// bitLive is one pass of bit liveness under a fixed store-data demand
-// refinement (nil: full store windows). Masks meet by union, and an
-// Unknown block exits with every bit of every register live: an
-// indirect transfer with unknown successors may consume anything.
+// bitLive is the backward bit-liveness problem; solved, it gives the
+// live-bit masks of every register at every program point (solve's
+// indexing). kz/ko are the known-bits masks from computeKnownBits,
+// consulted for demand refinement of the other operand. A store
+// demands every bit it writes (demandMasks): the analysis does not
+// track memory, so any stored bit may reach a later load. Masks meet
+// by union, and an Unknown block exits with every bit of every register
+// live: an indirect transfer with unknown successors may consume
+// anything.
 //
 // The demand an instruction places on its sources depends on its
 // destination's live mask, which changes between visits; the masks only
 // grow, so the fixpoint terminates.
-func bitLive(g *CFG, kz, ko, sd []uint64, xlen int) backward[[32]uint64] {
+func bitLive(g *CFG, kz, ko []uint64, xlen int) backward[[32]uint64] {
 	m := xlenMask(xlen)
 	return backward[[32]uint64]{
 		g: g,
@@ -216,7 +199,7 @@ func bitLive(g *CFG, kz, ko, sd []uint64, xlen int) backward[[32]uint64] {
 				L = cur[d]
 				cur[d] = 0
 			}
-			s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
+			s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, xlen)
 			if s1 != 0xff && s1 != uint8(isa.RegZero) {
 				cur[s1] |= d1 & m
 			}
@@ -228,10 +211,10 @@ func bitLive(g *CFG, kz, ko, sd []uint64, xlen int) backward[[32]uint64] {
 }
 
 // operandDemands returns instruction i's source registers and the bits
-// it demands of each when its destination is live at L, a store's data
-// demand post-masked by sd when non-nil. When both operands are one
-// register a flip changes both, so neither is narrowed by the other.
-func operandDemands(g *CFG, i int, L uint64, kz, ko, sd []uint64, xlen int) (s1, s2 uint8, d1, d2 uint64) {
+// it demands of each when its destination is live at L. When both
+// operands are one register a flip changes both, so neither is narrowed
+// by the other.
+func operandDemands(g *CFG, i int, L uint64, kz, ko []uint64, xlen int) (s1, s2 uint8, d1, d2 uint64) {
 	in := g.Code[i]
 	s1, s2 = in.SourceRegs()
 	kb := func(r uint8) KnownBits {
@@ -241,8 +224,5 @@ func operandDemands(g *CFG, i int, L uint64, kz, ko, sd []uint64, xlen int) (s1,
 		return KnownBits{Zero: kz[i*32+int(r)], One: ko[i*32+int(r)]}
 	}
 	d1, d2 = demandMasks(in, L, kb(s1), kb(s2), xlen)
-	if sd != nil && in.Op.IsStore() {
-		d2 &= sd[i]
-	}
 	return s1, s2, d1, d2
 }

@@ -29,9 +29,9 @@ type BitAnalysis struct {
 // dropped once the fixpoints have used them.
 func (a *Analysis) Bits(xlen int) *BitAnalysis {
 	kz, ko := computeKnownBits(a.CFG, xlen)
-	live, sd := bitLiveness(a.CFG, kz, ko, xlen)
+	live := bitLive(a.CFG, kz, ko, xlen).solve()
 	return &BitAnalysis{XLEN: xlen, Mask: xlenMask(xlen), a: a, live: live,
-		due: mustDUE(a.CFG, kz, ko, live, sd, xlen).solve()}
+		due: mustDUE(a.CFG, kz, ko, live, xlen).solve()}
 }
 
 // residentBytes returns the memory of the per-point mask tables.

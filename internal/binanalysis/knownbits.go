@@ -362,10 +362,10 @@ func computeKnownBits(g *CFG, xlen int) (kz, ko []uint64) {
 
 // knownBlockIn returns each block's entry state at the fixpoint.
 //
-// Reachability: the entry block starts at top, except that it knows sp;
-// function entries and return points receive state through the call
-// and return edges BuildCFG already materializes. A block the fixpoint
-// never reaches (unreachable code) reports top. If the binary contains
+// Reachability: the entry block starts at top; function entries and
+// return points receive state through the call and return edges
+// BuildCFG already materializes. A block the fixpoint never reaches
+// (unreachable code) reports top. If the binary contains
 // an indirect transfer with statically unknown successors
 // (Block.Unknown), every block degrades to top: such a jump could land
 // anywhere, so no interblock fact survives. The compiler never emits
@@ -382,14 +382,7 @@ func knownBlockIn(g *CFG, xlen int) []kbState {
 			return in
 		}
 	}
-	// The machine initializes the stack pointer to StackTop before the
-	// first instruction (machine.New), so the entry state knows it
-	// exactly. This anchors sp-relative spill/reload addresses for the
-	// static memory model; the single-fault rule still holds — consumers
-	// only ever use these facts about registers other than the one being
-	// judged.
 	entry := g.BlockOf[0]
-	in[entry][isa.RegSP] = kbConst(machine.StackTop, xlenMask(xlen))
 	reached := make([]bool, len(g.Blocks))
 	reached[entry] = true
 	w := newWorklist(len(g.Blocks))

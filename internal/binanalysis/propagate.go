@@ -130,142 +130,10 @@ func crashCertainMask(in isa.Instr, xlen int) uint64 {
 	return 0
 }
 
-// --- static memory model -----------------------------------------------------
-
-// memAccess is one load or store with its abstract address: the
-// known-bits of rs1+imm before the instruction, mirroring the
-// simulator's address computation (imm sign-extended, sum XLEN-masked).
-type memAccess struct {
-	idx  int
-	kb   KnownBits
-	size int
-}
-
-func accessKB(g *CFG, i int, kz, ko []uint64, xlen int) KnownBits {
-	m := xlenMask(xlen)
-	in := g.Code[i]
-	base := KnownBits{Zero: kz[i*32+int(in.Rs1)], One: ko[i*32+int(in.Rs1)]}
-	return kbAdd(base, kbConst(uint64(int64(in.Imm)), m), 0, xlen)
-}
-
-// mayOverlap reports whether two accesses' byte ranges can intersect
-// on any concretization of their abstract addresses, by interval
-// reasoning: every concretization of k lies in [One, mask&^Zero]. A
-// range's end is a 65-bit sum (value and carry), so the range of an
-// address whose upper bits are unknown (maximum 2^64-1 at XLEN 64) ends
-// past every start.
-func mayOverlap(a KnownBits, asize int, b KnownBits, bsize int, m uint64) bool {
-	aMin, aMax := a.One&m, m&^a.Zero
-	bMin, bMax := b.One&m, m&^b.Zero
-	aEnd, aCarry := bits.Add64(aMax, uint64(asize), 0)
-	bEnd, bCarry := bits.Add64(bMax, uint64(bsize), 0)
-	return (bCarry != 0 || aMin < bEnd) && (aCarry != 0 || bMin < aEnd)
-}
-
-// loadWindowDemand maps a load destination's live-out mask back to the
-// demanded bits of the loaded memory window (in window-local bit
-// positions): the low 8*size bits directly, plus — for sign-extending
-// loads — the window's top bit whenever any live destination bit lies
-// above the window (every such bit replicates the sign).
-func loadWindowDemand(op isa.Opcode, size int, live uint64) uint64 {
-	w := lowMask(8 * size)
-	d := live & w
-	if op != isa.OpLbu && live&^w != 0 {
-		d |= uint64(1) << (8*size - 1)
-	}
-	return d
-}
-
-// storeDemands computes, per store instruction, the bits of the stored
-// value that any load anywhere in the program may architecturally
-// observe; all other stored bits are dead the moment they leave the
-// register. The final memory image is never compared (classification
-// reads the output stream only), so a stored bit matters exactly when
-// some load whose destination has live bits can read the bytes
-// holding it.
-//
-// Matching is flow-insensitive (any load may execute after any store
-// through CFG cycles) and aliasing is resolved by address known-bits:
-// fully known addresses on both sides map bytes exactly; partially
-// known ones fall back to interval overlap, demanding the full store
-// window when the ranges can intersect and the load has any live
-// destination bit. Store-to-load forwarding preserves these byte
-// semantics (exact-address forwarding truncates through extendLoad
-// like a memory read would).
-//
-// Returns nil when no store's demand shrinks below its full window, so
-// callers can skip a refinement pass.
-func storeDemands(g *CFG, kz, ko []uint64, live [][32]uint64, xlen int) []uint64 {
-	m := xlenMask(xlen)
-	var loads []memAccess
-	var nStores int
-	for i, in := range g.Code {
-		switch {
-		case in.Op.IsLoad():
-			var ld uint64
-			if d := def(in); d != 0xff {
-				ld = loadWindowDemand(in.Op, in.Op.MemSize(), live[i+1][d])
-			}
-			if ld != 0 {
-				loads = append(loads, memAccess{idx: i, kb: accessKB(g, i, kz, ko, xlen), size: in.Op.MemSize()})
-			}
-		case in.Op.IsStore():
-			nStores++
-		}
-	}
-	if nStores == 0 {
-		return nil
-	}
-	sd := make([]uint64, len(g.Code))
-	refined := false
-	for i, in := range g.Code {
-		if !in.Op.IsStore() {
-			continue
-		}
-		ss := in.Op.MemSize()
-		window := lowMask(8*ss) & m
-		skb := accessKB(g, i, kz, ko, xlen)
-		sAddr, sKnown := skb.Const(m)
-		var demand uint64
-		for _, l := range loads {
-			if !mayOverlap(skb, ss, l.kb, l.size, m) {
-				continue
-			}
-			lAddr, lKnown := l.kb.Const(m)
-			if !sKnown || !lKnown {
-				demand = window // may alias: every stored bit may be read
-				break
-			}
-			ld := loadWindowDemand(g.Code[l.idx].Op, l.size, live[l.idx+1][def(g.Code[l.idx])])
-			for o := 0; o < ss; o++ {
-				a := sAddr + uint64(o)
-				if a >= lAddr && a < lAddr+uint64(l.size) {
-					lb := int(a - lAddr)
-					demand |= (ld >> (8 * lb) & 0xff) << (8 * o)
-				}
-			}
-			if demand == window {
-				break
-			}
-		}
-		sd[i] = demand & window
-		if sd[i] != window {
-			refined = true
-		}
-	}
-	if !refined {
-		return nil
-	}
-	return sd
-}
-
-// --- must-DUE fixpoint -------------------------------------------------------
-
 // mustDUE is the backward must-DUE problem described in the package
 // comment above; solved, it gives the crash-certain masks of every
 // register at every program point. live supplies the destination live
-// masks the demand transfer needs, sd the refined store-data demand
-// from storeDemands (nil: full windows).
+// masks the demand transfer needs.
 //
 // Masks meet by intersection from the full mask down. A block with
 // unknown successors exits with nothing crash-certain, since no crash
@@ -273,7 +141,7 @@ func storeDemands(g *CFG, kz, ko []uint64, live [][32]uint64, xlen int) []uint64
 // out-of-range terminator), since nothing executes after it. A step
 // kills the destination, strips every demanded source bit, then ORs in
 // the crash-certain mask of the base operand.
-func mustDUE(g *CFG, kz, ko []uint64, live [][32]uint64, sd []uint64, xlen int) backward[[32]uint64] {
+func mustDUE(g *CFG, kz, ko []uint64, live [][32]uint64, xlen int) backward[[32]uint64] {
 	m := xlenMask(xlen)
 	var full [32]uint64
 	for r := 1; r < 32; r++ {
@@ -301,7 +169,7 @@ func mustDUE(g *CFG, kz, ko []uint64, live [][32]uint64, sd []uint64, xlen int) 
 				L = live[i+1][d]
 				cur[d] = 0
 			}
-			s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, sd, xlen)
+			s1, s2, d1, d2 := operandDemands(g, i, L, kz, ko, xlen)
 			if s2 != 0xff && s2 != uint8(isa.RegZero) {
 				cur[s2] &^= d2
 			}

@@ -2,14 +2,14 @@ package binanalysis_test
 
 // Differential soundness fuzz for the fault-propagation verdicts:
 // random straight-line programs with genuine memory traffic (aligned
-// loads and stores into the global segment, exercising the static
-// store→load model) are run through the full traced fault-injection
-// pipeline, and for every sampled injection the pruner's three-way
-// static verdict is checked against the simulator's classification:
-// a DUE claim must simulate as Crash, a Masked claim as Masked, and a
-// dynamically observed SDC must fall inside the static SDC-possible
-// set (never on a pruned site). Both microarchitectures run, so the
-// verdicts are exercised at XLEN 32 and 64 and at both ROB depths.
+// loads and stores into the global segment) are run through the full
+// traced fault-injection pipeline, and for every sampled injection the
+// pruner's three-way static verdict is checked against the simulator's
+// classification: a DUE claim must simulate as Crash, a Masked claim
+// as Masked, and a dynamically observed SDC must fall inside the
+// static SDC-possible set (never on a pruned site). Both
+// microarchitectures run, so the verdicts are exercised at XLEN 32 and
+// 64 and at both ROB depths.
 
 import (
 	"testing"
@@ -37,11 +37,11 @@ const fuzzGlobals = 64
 // buildMemFuzzProgram decodes fuzz bytes like buildFuzzProgram but
 // lets each chunk pick a word-aligned store, a load, or an ALU
 // instruction, so corrupted values flow through memory before being
-// observed. A store is not followed by an out, so its data register may
-// be live only through memory. All addresses are fuzzPtr- or
-// fuzzAlias-relative with in-bounds aligned offsets: the golden run is
-// guaranteed fault-free, which is exactly the invariant the
-// crash-certain masks assume.
+// observed. A store is not followed by an out, so a stored value
+// reaches the output only if a load reads it back. All addresses are
+// fuzzPtr- or fuzzAlias-relative with in-bounds aligned offsets: the
+// golden run is guaranteed fault-free, which is exactly the invariant
+// the crash-certain masks assume.
 func buildMemFuzzProgram(data []byte) []isa.Instr {
 	next := func() byte {
 		if len(data) == 0 {
@@ -119,8 +119,8 @@ var propagationSeeds = [][]byte{
 	},
 	// A word store through fuzzAlias, whose upper bits are unknown, the
 	// stored register redefined before any out, and a load of the same
-	// word through fuzzPtr: at XLEN 64 the store's address range reaches
-	// 2^64, and only the load keeps the stored bits live.
+	// word through fuzzPtr: the stored bits reach the output only
+	// through memory.
 	{
 		0, 0, 0x34, 0x12, 0, 0, 0x78, 0x56, 0, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,

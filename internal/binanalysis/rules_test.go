@@ -45,7 +45,6 @@ type ruleInput struct {
 	ux, uy uint64 // the bits the abstractions of x and y leave unknown
 	live   uint64 // live bits of the destination
 	imm    int16
-	sa, sb int // access sizes for mayOverlap
 }
 
 // abstractOf is the abstraction of v that leaves the bits u unknown.
@@ -201,14 +200,6 @@ func checkRules(r ruleInput, fail func(rule, format string, args ...any)) {
 	} else if in.Op != isa.OpJalr && cc != 0 {
 		fail("crashCertainMask lower bound", "%v cannot fault on an operand, yet claims %#x", in, cc)
 	}
-
-	// mayOverlap: byte ranges that overlap at concrete addresses in γ(a)
-	// and γ(b) may overlap. An access reaching past 2^XLEN is unmapped,
-	// so overlap is over the integers.
-	overlap := (x >= y && x-y < uint64(r.sb)) || (y > x && y-x < uint64(r.sa))
-	if overlap && !mayOverlap(a, r.sa, b, r.sb, m) {
-		fail("mayOverlap soundness", "[%#x,+%d) and [%#x,+%d) overlap, abstractions %+v and %+v", x, r.sa, y, r.sb, a, b)
-	}
 }
 
 // edgeValue draws a value biased to where rules break: 0, the sign bit,
@@ -234,10 +225,9 @@ func edgeUnknown(rng *rand.Rand, xlen int) uint64 {
 // genRuleInput draws one edge-biased input for op at xlen.
 func genRuleInput(rng *rand.Rand, op isa.Opcode, xlen int) ruleInput {
 	r := ruleInput{op: op, xlen: xlen, x: edgeValue(rng, xlen), y: edgeValue(rng, xlen),
-		ux: edgeUnknown(rng, xlen), uy: edgeUnknown(rng, xlen), live: edgeUnknown(rng, xlen),
-		sa: 1 << rng.IntN(4), sb: 1 << rng.IntN(4)}
+		ux: edgeUnknown(rng, xlen), uy: edgeUnknown(rng, xlen), live: edgeUnknown(rng, xlen)}
 	if rng.IntN(2) == 0 {
-		r.y = r.x + uint64(rng.IntN(17)) - 8 // nearby addresses
+		r.y = r.x + uint64(rng.IntN(17)) - 8 // nearby values
 	}
 	r.imm = [...]int16{0, 1, -1, 0x7fff, -0x8000, int16(rng.IntN(64)), int16(rng.Uint32())}[rng.IntN(7)]
 	return r
@@ -278,14 +268,12 @@ func TestTransferRules(t *testing.T) {
 // FuzzTransferRules runs the same checks on fuzzer-chosen inputs.
 func FuzzTransferRules(f *testing.F) {
 	// A word store through a pointer loaded from memory, of which nothing
-	// is known, against a load of the same word, at XLEN 64: the store's
-	// range ends at 2^64 + 3.
-	f.Add(uint8(isa.OpSw), true, uint64(machine.GlobalBase), uint64(machine.GlobalBase), ^uint64(0), uint64(0), ^uint64(0), int16(0), uint8(0x22))
-	f.Add(uint8(isa.OpXori), false, uint64(0x8000_0000), uint64(5), uint64(0xff), uint64(0xf0), uint64(0xffff), int16(-1), uint8(0))
-	f.Add(uint8(isa.OpSrai), true, ^uint64(0), uint64(63), uint64(0), uint64(0), uint64(1)<<63, int16(63), uint8(0))
-	f.Fuzz(func(t *testing.T, op uint8, wide bool, x, y, ux, uy, live uint64, imm int16, sizes uint8) {
-		r := ruleInput{op: isa.Opcode(op % 64), xlen: 32, x: x, y: y, ux: ux, uy: uy, live: live, imm: imm,
-			sa: 1 << (sizes & 3), sb: 1 << (sizes >> 4 & 3)}
+	// is known, at XLEN 64.
+	f.Add(uint8(isa.OpSw), true, uint64(machine.GlobalBase), uint64(machine.GlobalBase), ^uint64(0), uint64(0), ^uint64(0), int16(0))
+	f.Add(uint8(isa.OpXori), false, uint64(0x8000_0000), uint64(5), uint64(0xff), uint64(0xf0), uint64(0xffff), int16(-1))
+	f.Add(uint8(isa.OpSrai), true, ^uint64(0), uint64(63), uint64(0), uint64(0), uint64(1)<<63, int16(63))
+	f.Fuzz(func(t *testing.T, op uint8, wide bool, x, y, ux, uy, live uint64, imm int16) {
+		r := ruleInput{op: isa.Opcode(op % 64), xlen: 32, x: x, y: y, ux: ux, uy: uy, live: live, imm: imm}
 		if !r.op.Valid() {
 			return
 		}

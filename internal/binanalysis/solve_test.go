@@ -7,12 +7,7 @@ package binanalysis
 // transfer and join), so a wrong seed, pop order or predecessor list
 // shows as a block whose state differs.
 
-import (
-	"fmt"
-
-	"sevsim/internal/isa"
-	"sevsim/internal/machine"
-)
+import "fmt"
 
 // roundRobin returns each block's entry state at the fixpoint of p.
 func roundRobin[S comparable](p backward[S]) []S {
@@ -48,13 +43,11 @@ func roundRobinKnown(g *CFG, xlen int) []kbState {
 		}
 	}
 	entry := g.BlockOf[0]
-	entrySt := top
-	entrySt[isa.RegSP] = kbConst(machine.StackTop, xlenMask(xlen))
 	reached := make([]bool, nb)
 	for changed := true; changed; {
 		changed = false
 		for bi, b := range g.Blocks {
-			st, ok := entrySt, bi == entry
+			st, ok := top, bi == entry
 			for _, q := range b.Preds {
 				switch {
 				case !reached[q]:
@@ -84,25 +77,16 @@ func roundRobinKnown(g *CFG, xlen int) []kbState {
 // SolverMismatches solves every fixpoint behind Analyze and Bits(xlen)
 // for a's binary with the worklist and with the round-robin reference,
 // and names each block whose states differ: register liveness, known
-// bits, both bit-liveness passes and must-DUE, each fed the worklist's
-// results. refined reports whether the second bit-liveness pass ran (a
-// store's demand was refinable).
-func SolverMismatches(a *Analysis, xlen int) (bad []string, refined bool) {
+// bits, bit liveness and must-DUE, each fed the worklist's results.
+func SolverMismatches(a *Analysis, xlen int) []string {
 	g := a.CFG
-	bad = diffBlocks("liveness", liveness(g).blockIn(), roundRobin(liveness(g)))
+	bad := diffBlocks("liveness", liveness(g).blockIn(), roundRobin(liveness(g)))
 	bad = append(bad, diffBlocks("known bits", knownBlockIn(g, xlen), roundRobinKnown(g, xlen))...)
 	kz, ko := computeKnownBits(g, xlen)
-	p := bitLive(g, kz, ko, nil, xlen)
+	p := bitLive(g, kz, ko, xlen)
 	bad = append(bad, diffBlocks("bit liveness", p.blockIn(), roundRobin(p))...)
-	live := p.solve()
-	sd := storeDemands(g, kz, ko, live, xlen)
-	if sd != nil {
-		p = bitLive(g, kz, ko, sd, xlen)
-		bad = append(bad, diffBlocks("refined bit liveness", p.blockIn(), roundRobin(p))...)
-		live = p.solve()
-	}
-	d := mustDUE(g, kz, ko, live, sd, xlen)
-	return append(bad, diffBlocks("must-DUE", d.blockIn(), roundRobin(d))...), sd != nil
+	d := mustDUE(g, kz, ko, p.solve(), xlen)
+	return append(bad, diffBlocks("must-DUE", d.blockIn(), roundRobin(d))...)
 }
 
 // diffBlocks names each block whose worklist state differs from the

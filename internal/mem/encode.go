@@ -5,9 +5,15 @@ package mem
 // run share cache chunks and memory pages, and the encoding keeps that
 // sharing: an Encoder writes each distinct chunk or page once, where it
 // first appears, and a back-reference everywhere else; a Decoder
-// rebuilds the same pointer sharing, so a decoded stream is as small
-// in memory — and restores and compares as cheaply — as a recorded
-// one. Chunk and page bodies are overwhelmingly zero for the bundled
+// rebuilds the same chunk and page pointers, so a decoded stream
+// restores and compares as cheaply as a recorded one. It is not as
+// small: a read hit clones a chunk's metadata and keeps sharing its
+// data block, but the Encoder writes every distinct chunk with its own
+// data, so a decoded stream holds one data block per chunk where the
+// recorded one shared a block between a chunk and its read-hit clones.
+// Stream.ResidentBytes reads the same on both, because Footprint
+// counts a shared data block once for every chunk that names it. Chunk
+// and page bodies are overwhelmingly zero for the bundled
 // benchmarks, so they go through binio's zero-run encoding. Both
 // encodings are bit-complete with respect to the strict Equal
 // comparisons in snapshot.go.
